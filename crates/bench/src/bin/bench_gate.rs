@@ -5,10 +5,12 @@
 //! 1. **Raw wire throughput** — encoded 156-byte frames (CRC trailer
 //!    included) pushed from one
 //!    thread to another over the SPSC ring (encode-in-place + batched
-//!    drain) and over the channel baseline (heap-boxed frame + queue node
-//!    per send). The ratio is the gate's headline `speedup`.
+//!    drain) and over a general-purpose channel (heap-boxed frame + queue
+//!    node per send). The ratio is the gate's headline `speedup`. This
+//!    raw-wire probe is the only place the channel baseline still exists:
+//!    no endpoint can be wired over it.
 //! 2. **Full-stack ping-pong** — two `MemEndpoint`s, serial echo rounds on
-//!    both fabrics: msgs/sec plus p50/p99 per-frame latency (half the
+//!    the ring fabric: msgs/sec plus p50/p99 per-frame latency (half the
 //!    measured round trip).
 //! 3. **Steady-state allocations** — the ring ping-pong runs under the
 //!    counting allocator ([`fm_bench::alloc_track`]); after warmup the
@@ -38,7 +40,6 @@
 
 use fm_bench::alloc_track::CountingAlloc;
 use fm_bench::pingpong::pingpong;
-use fm_core::mem::FabricKind;
 use fm_core::FaultConfig;
 use fm_core::{spsc_ring, HandlerId, NodeId, WireFrame, FM_FRAME_MAX};
 use std::hint::black_box;
@@ -147,25 +148,9 @@ fn json_number(path: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn baseline_wire_msgs(path: &str) -> Option<f64> {
-    json_number(path, "ring_msgs_per_sec")
-}
-
-/// Throughput from a `telemetry_probe` result file.
-fn probe_msgs(path: &str) -> Option<f64> {
-    json_number(path, "msgs_per_sec")
-}
-
-/// Trace sample rate (1-in-N) the instrumented probe ran with.
-fn probe_trace_one_in(path: &str) -> Option<f64> {
-    json_number(path, "trace_one_in")
-}
-
-/// Beacon pacing (micros; 0 = beacons off) the instrumented probe ran
-/// with — recorded so the overhead number covers the whole observability
-/// plane, not just in-process counters.
-fn probe_beacon_us(path: &str) -> Option<f64> {
-    json_number(path, "beacon_us")
+/// A JSON number with `digits` decimals, or `null`.
+fn or_null(v: Option<f64>, digits: usize) -> String {
+    v.map_or("null".to_string(), |v| format!("{v:.digits$}"))
 }
 
 fn main() {
@@ -177,42 +162,28 @@ fn main() {
     let mut tel_off_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --baseline requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--telemetry-on" => match it.next() {
-                Some(p) => tel_on_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --telemetry-on requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--telemetry-off" => match it.next() {
-                Some(p) => tel_off_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --telemetry-off requires a path");
-                    std::process::exit(2);
-                }
-            },
+        let target = match a.as_str() {
+            "--smoke" => {
+                smoke = true;
+                continue;
+            }
+            "--out" => &mut out_path,
+            "--baseline" => baseline_path.insert(String::new()),
+            "--telemetry-on" => tel_on_path.insert(String::new()),
+            "--telemetry-off" => tel_off_path.insert(String::new()),
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!(
                     "usage: bench_gate [--smoke] [--out PATH] [--baseline PATH] \
                      [--telemetry-on PATH --telemetry-off PATH]"
                 );
+                std::process::exit(2);
+            }
+        };
+        match it.next() {
+            Some(p) => target.clone_from(p),
+            None => {
+                eprintln!("error: {a} requires a path");
                 std::process::exit(2);
             }
         }
@@ -230,20 +201,18 @@ fn main() {
     let wire_speedup = ring_wire / chan_wire;
 
     // Read the baseline *before* any chance of overwriting it via --out.
-    let baseline_wire = baseline_path.as_deref().and_then(baseline_wire_msgs);
+    let baseline_wire = baseline_path.as_deref().and_then(|p| json_number(p, "ring_msgs_per_sec"));
     if let Some(p) = &baseline_path {
         if baseline_wire.is_none() {
             eprintln!("bench_gate: warning: no wire baseline readable from {p}");
         }
     }
 
-    eprintln!("bench_gate: full-stack ping-pong ({rounds} rounds/fabric)...");
-    let ring_pp = pingpong(FabricKind::Ring, None, Default::default(), warmup, rounds, None);
-    let chan_pp = pingpong(FabricKind::Channel, None, Default::default(), warmup, rounds, None);
+    eprintln!("bench_gate: full-stack ping-pong ({rounds} rounds)...");
+    let ring_pp = pingpong(None, Default::default(), warmup, rounds, None);
 
     eprintln!("bench_gate: reliability clean path (zero-rate injector, {rounds} rounds)...");
     let clean_faulty_pp = pingpong(
-        FabricKind::Ring,
         Some(FaultConfig::new(0x000C_1EA4)),
         Default::default(),
         warmup,
@@ -267,12 +236,15 @@ fn main() {
 
     // Telemetry overhead: instrumented vs telemetry-off probe runs of the
     // same ring ping-pong. Positive = instrumentation costs throughput.
-    let tel_on = tel_on_path.as_deref().and_then(probe_msgs);
-    let tel_off = tel_off_path.as_deref().and_then(probe_msgs);
-    // The instrumented probe's causal-trace sample rate, recorded so the
-    // overhead number is interpretable (tracing cost scales with it).
-    let tel_trace_one_in = tel_on_path.as_deref().and_then(probe_trace_one_in);
-    let tel_beacon_us = tel_on_path.as_deref().and_then(probe_beacon_us);
+    let probe = |path: &Option<String>, key| path.as_deref().and_then(|p| json_number(p, key));
+    let tel_on = probe(&tel_on_path, "msgs_per_sec");
+    let tel_off = probe(&tel_off_path, "msgs_per_sec");
+    // The instrumented probe's causal-trace sample rate (1-in-N) and beacon
+    // pacing (micros; 0 = off), recorded so the overhead number is
+    // interpretable: tracing cost scales with the one, and the other says
+    // the figure covers the whole observability plane, not just counters.
+    let tel_trace_one_in = probe(&tel_on_path, "trace_one_in");
+    let tel_beacon_us = probe(&tel_on_path, "beacon_us");
     for (path, parsed) in [(&tel_on_path, tel_on), (&tel_off_path, tel_off)] {
         if let Some(p) = path {
             if parsed.is_none() {
@@ -299,8 +271,7 @@ fn main() {
             "  }},\n",
             "  \"pingpong\": {{\n",
             "    \"rounds\": {rounds},\n",
-            "    \"ring\": {{ \"msgs_per_sec\": {rpp:.0}, \"p50_frame_ns\": {rp50}, \"p99_frame_ns\": {rp99} }},\n",
-            "    \"channel\": {{ \"msgs_per_sec\": {cpp:.0}, \"p50_frame_ns\": {cp50}, \"p99_frame_ns\": {cp99} }}\n",
+            "    \"ring\": {{ \"msgs_per_sec\": {rpp:.0}, \"p50_frame_ns\": {rp50}, \"p99_frame_ns\": {rp99} }}\n",
             "  }},\n",
             "  \"steady_state\": {{\n",
             "    \"frames\": {ssf},\n",
@@ -345,9 +316,6 @@ fn main() {
         rpp = ring_pp.msgs_per_sec,
         rp50 = ring_pp.p50_ns,
         rp99 = ring_pp.p99_ns,
-        cpp = chan_pp.msgs_per_sec,
-        cp50 = chan_pp.p50_ns,
-        cp99 = chan_pp.p99_ns,
         ssf = ring_pp.frames,
         ssa = ring_pp.steady.allocs,
         ssb = ring_pp.steady.bytes,
@@ -357,38 +325,17 @@ fn main() {
             Some(p) => format!("\"{p}\""),
             None => "null".to_string(),
         },
-        bl_wire = match baseline_wire {
-            Some(b) => format!("{b:.0}"),
-            None => "null".to_string(),
-        },
-        regr_pct = match wire_regression {
-            Some(r) => format!("{:.1}", r * 100.0),
-            None => "null".to_string(),
-        },
+        bl_wire = or_null(baseline_wire, 0),
+        regr_pct = or_null(wire_regression.map(|r| r * 100.0), 1),
         cfpp = clean_faulty_pp.msgs_per_sec,
         cfp50 = clean_faulty_pp.p50_ns,
         cfp99 = clean_faulty_pp.p99_ns,
         inj_pct = injector_overhead * 100.0,
-        tel_rate = match tel_trace_one_in {
-            Some(v) => format!("{v:.0}"),
-            None => "null".to_string(),
-        },
-        tel_beacon = match tel_beacon_us {
-            Some(v) => format!("{v:.0}"),
-            None => "null".to_string(),
-        },
-        tel_on = match tel_on {
-            Some(v) => format!("{v:.0}"),
-            None => "null".to_string(),
-        },
-        tel_off = match tel_off {
-            Some(v) => format!("{v:.0}"),
-            None => "null".to_string(),
-        },
-        tel_pct = match telemetry_overhead {
-            Some(o) => format!("{:.1}", o * 100.0),
-            None => "null".to_string(),
-        },
+        tel_rate = or_null(tel_trace_one_in, 0),
+        tel_beacon = or_null(tel_beacon_us, 0),
+        tel_on = or_null(tel_on, 0),
+        tel_off = or_null(tel_off, 0),
+        tel_pct = or_null(telemetry_overhead.map(|o| o * 100.0), 1),
         tel_max = MAX_TELEMETRY_OVERHEAD * 100.0,
         telemetry_ok = telemetry_ok,
         min_speedup = MIN_WIRE_SPEEDUP,
@@ -402,9 +349,8 @@ fn main() {
 
     println!("wire:      ring {ring_wire:.3e} msg/s  channel {chan_wire:.3e} msg/s  speedup {wire_speedup:.2}x");
     println!(
-        "pingpong:  ring {:.3e} msg/s (p50 {} ns, p99 {} ns)  channel {:.3e} msg/s (p50 {} ns, p99 {} ns)",
-        ring_pp.msgs_per_sec, ring_pp.p50_ns, ring_pp.p99_ns,
-        chan_pp.msgs_per_sec, chan_pp.p50_ns, chan_pp.p99_ns
+        "pingpong:  ring {:.3e} msg/s (p50 {} ns, p99 {} ns)",
+        ring_pp.msgs_per_sec, ring_pp.p50_ns, ring_pp.p99_ns
     );
     println!(
         "steady:    {} allocs / {} bytes over {} frames ({allocs_per_1m:.1} allocs per 1M frames)",

@@ -14,7 +14,6 @@
 //! zero; only throughput and latency matter.
 
 use fm_bench::pingpong::pingpong;
-use fm_core::mem::FabricKind;
 use fm_core::EndpointConfig;
 
 fn main() {
@@ -88,7 +87,7 @@ fn main() {
     let pp = (0..REPS)
         .map(|_| {
             let beacon = (beacon_us > 0).then_some(beacon_us);
-            pingpong(FabricKind::Ring, None, config, warmup, rounds, beacon)
+            pingpong(None, config, warmup, rounds, beacon)
         })
         .max_by(|a, b| a.msgs_per_sec.total_cmp(&b.msgs_per_sec))
         .expect("REPS >= 1");

@@ -1,7 +1,7 @@
 //! The full-stack ping-pong harness shared by `bench_gate` and
 //! `telemetry_probe`.
 //!
-//! Two `MemEndpoint`s run serial echo rounds over a chosen fabric; the
+//! Two `MemEndpoint`s run serial echo rounds over the ring fabric; the
 //! harness reports throughput, per-frame latency percentiles and the
 //! allocation delta across the measured section. Round-trip times are
 //! recorded into an [`fm_telemetry::Histogram`] (log2-linear buckets,
@@ -43,7 +43,6 @@ pub struct PingPong {
 /// read; once its receive buffer fills the kernel drops the rest, which
 /// is exactly the cost profile of a slow or absent collector.
 pub fn pingpong(
-    fabric: FabricKind,
     faults: Option<FaultConfig>,
     config: EndpointConfig,
     warmup: u64,
@@ -53,8 +52,8 @@ pub fn pingpong(
     let mut nodes = match faults {
         // Zero-rate injector: every frame still pays the injector's
         // per-frame decision rolls — the clean-path worst case.
-        Some(f) => MemCluster::with_faulty_fabric(2, config, fabric, f),
-        None => MemCluster::with_fabric(2, config, fabric),
+        Some(f) => MemCluster::with_faulty_fabric(2, config, FabricKind::Ring, f),
+        None => MemCluster::with_config(2, config),
     };
     let mut b = nodes.pop().expect("node 1");
     let mut a = nodes.pop().expect("node 0");

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultInjector`] sits between an endpoint's protocol core and its
 //! wire producers (it decorates *any* [`crate::mem::FabricKind`] — ring or
-//! channel). Every outgoing frame passes through [`FaultInjector::admit`],
+//! UDP). Every outgoing frame passes through [`FaultInjector::admit`],
 //! which rolls a seeded per-link PRNG against the configured
 //! [`LinkFaults`] rates and decides the frame's fate exactly once:
 //!
@@ -32,8 +32,11 @@ use std::collections::VecDeque;
 
 use crate::frame::WireFrame;
 
-/// Most recent fault events retained per injector.
-const LOG_CAP: usize = 65_536;
+/// Most recent fault events retained per injector. The log is allocated
+/// whole when the injector is built and is small enough (128 KiB) to wrap
+/// within the first hundred thousand frames of a 1 % soak, so an endpoint's
+/// memory does not keep growing with how long — or how fast — it has run.
+const LOG_CAP: usize = 4_096;
 
 /// Per-link fault rates, each a probability in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,7 +298,7 @@ impl FaultInjector {
             links,
             ready: VecDeque::new(),
             delayed: Vec::new(),
-            log: VecDeque::new(),
+            log: VecDeque::with_capacity(LOG_CAP),
             stats: FaultStats::default(),
         }
     }

@@ -31,7 +31,7 @@
 //! The protocol logic is pure state machinery ([`endpoint::EndpointCore`])
 //! with no I/O or clock, so the same code runs in two harnesses:
 //!
-//! * [`mem`] — a real runtime across OS threads over in-memory channels
+//! * [`mem`] — a real runtime across OS threads over in-memory SPSC rings
 //!   (bytes actually move, handlers actually run); this is what the examples
 //!   and most tests use;
 //! * `fm-testbed` — the calibrated discrete-event simulation that
@@ -55,7 +55,6 @@
 //! ([`SendError::PeerUnreachable`]), and [`fault`] injects seeded,
 //! deterministic faults underneath it all to prove the machinery works.
 
-pub mod context;
 pub mod cost;
 pub mod endpoint;
 pub mod fabric;
@@ -70,6 +69,7 @@ pub mod stream;
 pub mod switched;
 pub mod time;
 pub mod udp;
+mod wire;
 
 pub use cost::CostModel;
 pub use endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
@@ -80,7 +80,7 @@ pub use flow::{
 };
 pub use frame::{
     crc32, CodecError, FrameKind, TraceCtx, WireFrame, FM_CRC_BYTES, FM_FRAME_MAX,
-    FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_HEADER_BYTES_V0, FM_WIRE_VERSION,
+    FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_WIRE_VERSION,
 };
 pub use handler::{Handler, HandlerId, HandlerRegistry, Outbox};
 pub use mem::{ClusterRunner, FabricKind, MemCluster, MemEndpoint, ShutdownError};

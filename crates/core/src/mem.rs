@@ -9,11 +9,11 @@
 //! Criterion microbenches use; the calibrated timing reproduction lives in
 //! `fm-testbed`.
 //!
-//! [`MemCluster::with_fabric`] can instead wire the cluster over the
-//! historical crossbeam-channel transport ([`FabricKind::Channel`]), where
-//! every frame is boxed and crosses a mutex-protected queue. It exists as
-//! the baseline `benches/mem_fabric.rs` and `scripts/bench_gate` measure
-//! the ring against.
+//! A [`MemEndpoint`] is the FM calls, the large-message layer and the pump
+//! order over one [`EndpointCore`]; the transport it is plugged into — ring
+//! mesh, switch uplink/downlink, or UDP socket — lives behind
+//! `crate::wire` and is reached through two calls (push one frame image,
+//! drain what arrived).
 //!
 //! Each endpoint is single-threaded by construction (FM 1.0 predates the
 //! multitasking/protection work the paper lists as future work), so a
@@ -21,114 +21,30 @@
 //! thread and drive it there.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fm_myrinet::{NodeId, SwitchTopology};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
-use crate::fabric::{spsc_ring, RingConsumer, RingProducer};
 use crate::fault::{flip_bit, FaultConfig, FaultEvent, FaultInjector, FaultStats, OutboundFrame};
-use crate::frame::{CodecError, WireFrame, FM_FRAME_MAX};
+use crate::frame::{CodecError, WireFrame};
 use crate::handler::{HandlerId, Outbox};
 use crate::seg::{self, Reassembly};
 use crate::time::{RttEstimator, TimeSource};
-use crate::udp::{unique_generation, Roster, UdpConfig, UdpLink, UdpStats, DEFAULT_HELLO_INTERVAL_US};
-use fm_telemetry::{Beaconer, Counter, Metric, Telemetry};
+use crate::udp::{UdpConfig, UdpLink, UdpStats};
+use crate::wire::Wire;
+pub use crate::wire::{FabricKind, FabricStats};
+use fm_telemetry::{Beaconer, Counter, Telemetry};
 
 /// The reserved handler id for segmentation fragments.
 pub const SEG_HANDLER: HandlerId = HandlerId(0);
 
 /// A handler for reassembled large messages: `(outbox, source, message)`.
 pub type LargeHandler = Box<dyn FnMut(&mut Outbox, NodeId, Vec<u8>) + Send>;
-
-/// Frames drained from one peer's ring per poll pass; bounds how long one
-/// peer can monopolize `extract` while keeping the per-batch atomic cost
-/// amortized.
-pub(crate) const WIRE_POLL_BATCH: usize = 32;
-
-/// Which wire implementation a [`MemCluster`] uses between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FabricKind {
-    /// Counter-coordinated SPSC rings (the default): frames are encoded in
-    /// place into fixed slots and drained in batches — no allocation, no
-    /// locks, one atomic store per side per batch.
-    #[default]
-    Ring,
-    /// General-purpose channel (over `std::sync::mpsc`): every frame is
-    /// heap-boxed and crosses a locked queue. The measured baseline.
-    Channel,
-    /// Real UDP sockets over loopback: every frame crosses the kernel as a
-    /// datagram, one nonblocking socket per endpoint, with the
-    /// hello/hello-ack handshake from [`crate::udp`] detecting restarted
-    /// peers. Forces [`TimeSource::WallMicros`] — a virtual tick cannot
-    /// time a real wire. For endpoints in *separate processes*, use
-    /// [`MemEndpoint::bind_udp`] with a shared [`Roster`] instead.
-    Udp,
-}
-
-/// The sending half of one node's wire to one peer.
-enum WireTx {
-    Ring(RingProducer),
-    Channel(Sender<Box<[u8]>>),
-}
-
-/// The receiving side of one node's wires: per-peer ring consumers, or the
-/// single merged channel all peers send into.
-enum WireRx {
-    Ring(Vec<Option<RingConsumer>>),
-    Channel(Receiver<Box<[u8]>>),
-}
-
-/// How an endpoint is wired into the cluster.
-enum Wiring {
-    /// Fully connected: one transmit handle and one receive side per peer
-    /// (the [`MemCluster`] shape — every pair gets a private wire).
-    Mesh {
-        tx: Vec<Option<WireTx>>,
-        rx: WireRx,
-    },
-    /// Switch-routed: a single uplink ring into this host's switch shard
-    /// and a single downlink ring back from it; the shards forward frames
-    /// by destination (the [`crate::switched`] shape — port counts and
-    /// memory stay constant as the cluster grows, per Section 4.5's
-    /// design rule 4).
-    Switched {
-        up: RingProducer,
-        down: RingConsumer,
-        /// Total hosts in the topology (the mesh derives this from the
-        /// per-peer vector; here there is only one wire).
-        cluster: usize,
-        /// The fabric shape this endpoint is plugged into, shared with
-        /// every other endpoint of the cluster. Exposed through
-        /// [`MemEndpoint::topology`] so layers above (collectives, load
-        /// balancers) can shape their communication to the actual wiring
-        /// instead of assuming a flat rank space.
-        topo: Arc<SwitchTopology>,
-    },
-    /// Real-network: one UDP socket carrying encoded frames to every peer,
-    /// addressed through the link's roster (the [`crate::udp`] shape —
-    /// peers may live in other OS processes).
-    Udp(UdpLink),
-}
-
-/// Aggregated wire-fabric counters for one endpoint (all zero on a
-/// [`FabricKind::Channel`] cluster).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricStats {
-    /// Frames pushed into peer rings.
-    pub pushed: u64,
-    /// Pushes refused by a full ring (frame went to the backlog).
-    pub full: u64,
-    /// Frames drained from peer rings.
-    pub polled: u64,
-    /// Non-empty drain batches (each cost one Acquire + one Release).
-    pub batches: u64,
-}
 
 /// Builder for a fully-connected in-memory cluster.
 pub struct MemCluster;
@@ -153,8 +69,8 @@ impl MemCluster {
     /// `n` endpoints with explicit sizing, an explicit wire fabric, and a
     /// [`FaultInjector`] decorating every node's transmit path — the
     /// fault-injection harness for the reliability layer. The underlying
-    /// wire (ring or channel) is untouched; faults are applied to frames
-    /// before they reach it, per the seeded plan in `faults`.
+    /// wire is untouched; faults are applied to frames before they reach
+    /// it, per the seeded plan in `faults`.
     pub fn with_faulty_fabric(
         n: usize,
         config: EndpointConfig,
@@ -163,90 +79,30 @@ impl MemCluster {
     ) -> Vec<MemEndpoint> {
         let mut nodes = Self::with_fabric(n, config, fabric);
         for ep in &mut nodes {
-            ep.faults = Some(FaultInjector::new(ep.node_id(), n, &faults));
+            ep.inject_faults(&faults);
         }
         nodes
     }
 
     /// `n` endpoints with explicit sizing and an explicit wire fabric.
-    pub fn with_fabric(n: usize, config: EndpointConfig, fabric: FabricKind) -> Vec<MemEndpoint> {
+    pub fn with_fabric(
+        n: usize,
+        mut config: EndpointConfig,
+        fabric: FabricKind,
+    ) -> Vec<MemEndpoint> {
         assert!(n >= 1, "a cluster needs at least one node");
-        assert!(config.window > 0, "window must be >= 1 frame");
-        assert!(config.recv_ring > 0, "recv_ring must be >= 1 frame");
         assert!(config.wire_ring > 0, "wire_ring must be >= 1 frame");
-        if fabric == FabricKind::Udp {
-            // Bind every socket first so the shared roster can carry real
-            // ephemeral ports, then hand each endpoint its own link.
-            let mut config = config;
-            config.time_source = TimeSource::WallMicros;
-            let socks: Vec<UdpSocket> = (0..n)
-                .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind loopback UDP socket"))
-                .collect();
-            let mut roster = Roster::new(n);
-            for (i, sock) in socks.iter().enumerate() {
-                roster.set(NodeId(i as u16), sock.local_addr().expect("bound socket address"));
+        let wires = match fabric {
+            FabricKind::Ring => Wire::ring_mesh(n, config.wire_ring),
+            FabricKind::Udp => {
+                config.time_source = TimeSource::WallMicros;
+                Wire::udp_loopback(n)
             }
-            return socks
-                .into_iter()
-                .enumerate()
-                .map(|(i, sock)| {
-                    let id = NodeId(i as u16);
-                    let link = UdpLink::from_socket(
-                        id,
-                        sock,
-                        roster.clone(),
-                        unique_generation(),
-                        DEFAULT_HELLO_INTERVAL_US,
-                    )
-                    .expect("nonblocking mode on a fresh socket");
-                    MemEndpoint::new(id, config, Wiring::Udp(link))
-                })
-                .collect();
-        }
-        let mut txs: Vec<Vec<Option<WireTx>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rxs: Vec<WireRx> = match fabric {
-            FabricKind::Ring => (0..n)
-                .map(|_| WireRx::Ring((0..n).map(|_| None).collect()))
-                .collect(),
-            FabricKind::Channel => {
-                // One merged channel per destination; peers hold clones.
-                let mut rxs = Vec::with_capacity(n);
-                for dst in 0..n {
-                    let (tx, rx) = unbounded();
-                    rxs.push(WireRx::Channel(rx));
-                    for (src, row) in txs.iter_mut().enumerate() {
-                        if src != dst {
-                            row[dst] = Some(WireTx::Channel(tx.clone()));
-                        }
-                    }
-                }
-                rxs
-            }
-            FabricKind::Udp => unreachable!("UDP fabric built and returned above"),
         };
-        if fabric == FabricKind::Ring {
-            // One SPSC ring per ordered pair: src's producer, dst's consumer.
-            for src in 0..n {
-                for dst in 0..n {
-                    if src == dst {
-                        continue;
-                    }
-                    let (producer, consumer) = spsc_ring(config.wire_ring);
-                    txs[src][dst] = Some(WireTx::Ring(producer));
-                    let WireRx::Ring(consumers) = &mut rxs[dst] else {
-                        unreachable!("ring fabric built above");
-                    };
-                    consumers[src] = Some(consumer);
-                }
-            }
-        }
-        txs.into_iter()
-            .zip(rxs)
+        wires
+            .into_iter()
             .enumerate()
-            .map(|(i, (tx, rx))| {
-                MemEndpoint::new(NodeId(i as u16), config, Wiring::Mesh { tx, rx })
-            })
+            .map(|(i, wire)| MemEndpoint::new(NodeId(i as u16), config, wire))
             .collect()
     }
 }
@@ -259,7 +115,7 @@ type CompletedLarge = Arc<Mutex<VecDeque<(NodeId, HandlerId, Vec<u8>)>>>;
 /// segmentation extension.
 pub struct MemEndpoint {
     core: EndpointCore,
-    wiring: Wiring,
+    wire: Wire,
     /// Frames that found their destination ring full; re-offered on every
     /// flush. Bounded in practice by the send window plus one extract
     /// round's worth of acks, because everything in `core.outgoing` is.
@@ -288,12 +144,19 @@ pub struct MemEndpoint {
     /// `extract` spin.
     telemetry: Telemetry,
     /// Out-of-band telemetry beaconer toward a collector, when enabled
-    /// ([`MemEndpoint::enable_beacon`]). Paced inside `extract_budget`.
+    /// ([`MemEndpoint::enable_beacon`]). Paced inside `extract_budget`,
+    /// which every blocking send also runs while it waits.
     beacon: Option<Beaconer>,
 }
 
 impl MemEndpoint {
-    fn new(id: NodeId, config: EndpointConfig, wiring: Wiring) -> Self {
+    /// One endpoint plugged into `wire`.
+    ///
+    /// # Panics
+    /// If `config.window` or `config.recv_ring` is zero.
+    pub(crate) fn new(id: NodeId, config: EndpointConfig, wire: Wire) -> Self {
+        assert!(config.window > 0, "window must be >= 1 frame");
+        assert!(config.recv_ring > 0, "recv_ring must be >= 1 frame");
         let mut core = EndpointCore::new(id, config);
         let completed_large: CompletedLarge = Arc::new(Mutex::new(VecDeque::new()));
         let reasm = Arc::new(Mutex::new(Reassembly::new()));
@@ -319,7 +182,7 @@ impl MemEndpoint {
         let telemetry = core.telemetry().clone();
         MemEndpoint {
             core,
-            wiring,
+            wire,
             backlog: VecDeque::new(),
             completed_large,
             reasm,
@@ -357,7 +220,8 @@ impl MemEndpoint {
 
     /// Start emitting out-of-band telemetry beacons toward `collector`
     /// (a [`fm_telemetry::Collector`] ingest socket) at most once per
-    /// `interval_us` micros, paced from inside [`MemEndpoint::extract_budget`].
+    /// `interval_us` micros, paced from inside [`MemEndpoint::extract_budget`]
+    /// (and therefore also while a blocking send waits for window space).
     /// The beacon socket is a separate ephemeral UDP socket, so this works
     /// identically on mesh, switched and UDP wirings and never contends
     /// with data traffic.
@@ -378,44 +242,31 @@ impl MemEndpoint {
     /// the end of a phase, so the collector sees the final counters).
     /// No-op unless [`MemEndpoint::enable_beacon`] was called.
     pub fn emit_beacon(&mut self) {
-        if self.beacon.is_some() {
-            let gauges = self.observability_gauges();
-            let pairs: Vec<(&str, u64)> =
-                gauges.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-            if let Some(b) = self.beacon.as_mut() {
-                b.emit(&pairs);
-            }
+        let gauges = self.observability_gauges();
+        if let Some(b) = self.beacon.as_mut() {
+            let pairs: Vec<(&str, u64)> = gauges.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            b.emit(&pairs);
         }
     }
 
     /// The named gauge values a beacon (or metrics aggregator) exports
     /// for this endpoint beyond the counter enum: the
-    /// [`EndpointStats::observability_pairs`] and, on a UDP wiring, every
-    /// [`UdpStats`] field.
+    /// [`EndpointStats::observability_pairs`], this layer's own
+    /// [`Self::codec_errors`] and [`Self::large_handler_panics`], and, on
+    /// a UDP wiring, every [`UdpStats`] field.
     pub fn observability_gauges(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .stats()
+        let udp = self.udp_stats().map(|u| u.as_pairs());
+        let own = [
+            ("codec_errors", self.codec_errors),
+            ("large_handler_panics", self.large_handler_panics),
+        ];
+        self.stats()
             .observability_pairs()
             .iter()
+            .chain(&own)
+            .chain(udp.iter().flatten())
             .map(|&(n, v)| (n.to_string(), v))
-            .collect();
-        if let Some(udp) = self.udp_stats() {
-            out.extend(udp.as_pairs().iter().map(|&(n, v)| (n.to_string(), v)));
-        }
-        out
-    }
-
-    /// Build a switch-routed endpoint: one uplink into its switch shard,
-    /// one downlink back. Used by [`crate::switched::SwitchedCluster`].
-    pub(crate) fn new_switched(
-        id: NodeId,
-        config: EndpointConfig,
-        up: RingProducer,
-        down: RingConsumer,
-        cluster: usize,
-        topo: Arc<SwitchTopology>,
-    ) -> Self {
-        Self::new(id, config, Wiring::Switched { up, down, cluster, topo })
+            .collect()
     }
 
     /// The switch topology this endpoint is wired into, when it is part of
@@ -424,25 +275,12 @@ impl MemEndpoint {
     /// communication schedules — e.g. `fm-mpi` computes its collective
     /// spanning trees from it.
     pub fn topology(&self) -> Option<&Arc<SwitchTopology>> {
-        match &self.wiring {
-            Wiring::Switched { topo, .. } => Some(topo),
-            _ => None,
-        }
-    }
-
-    /// Decorate this endpoint's transmit path with a fault injector (the
-    /// switched cluster's equivalent of [`MemCluster::with_faulty_fabric`]).
-    pub(crate) fn set_fault_injector(&mut self, inj: FaultInjector) {
-        self.faults = Some(inj);
+        self.wire.topology()
     }
 
     /// Number of peers (including self).
     pub fn cluster_size(&self) -> usize {
-        match &self.wiring {
-            Wiring::Mesh { tx, .. } => tx.len(),
-            Wiring::Switched { cluster, .. } => *cluster,
-            Wiring::Udp(link) => link.cluster(),
-        }
+        self.wire.cluster()
     }
 
     /// Build one endpoint of a UDP cluster whose peers live in other OS
@@ -457,15 +295,13 @@ impl MemEndpoint {
         mut config: EndpointConfig,
     ) -> std::io::Result<MemEndpoint> {
         assert!(me.index() < net.roster.len(), "node id outside the roster");
-        assert!(config.window > 0, "window must be >= 1 frame");
-        assert!(config.recv_ring > 0, "recv_ring must be >= 1 frame");
         config.time_source = TimeSource::WallMicros;
         let link = UdpLink::bind(me, net)?;
-        Ok(MemEndpoint::new(me, config, Wiring::Udp(link)))
+        Ok(MemEndpoint::new(me, config, Wire::Udp(link)))
     }
 
-    /// Decorate this endpoint's transmit path with seeded faults — the
-    /// per-endpoint form of [`MemCluster::with_faulty_fabric`], for
+    /// Decorate this endpoint's transmit path with seeded faults — what
+    /// [`MemCluster::with_faulty_fabric`] does to every node, for
     /// endpoints built one at a time (e.g. [`Self::bind_udp`] across
     /// processes). Loopback UDP is too reliable to exercise the recovery
     /// machinery on its own; this puts the losses back.
@@ -476,44 +312,29 @@ impl MemEndpoint {
 
     /// The local socket address, when this endpoint is wired over UDP.
     pub fn udp_local_addr(&self) -> Option<SocketAddr> {
-        match &self.wiring {
-            Wiring::Udp(link) => link.local_addr().ok(),
-            _ => None,
-        }
+        self.wire.udp().and_then(|link| link.local_addr().ok())
     }
 
     /// Wire-level UDP counters, when wired over UDP.
     pub fn udp_stats(&self) -> Option<UdpStats> {
-        match &self.wiring {
-            Wiring::Udp(link) => Some(link.stats()),
-            _ => None,
-        }
+        self.wire.udp().map(UdpLink::stats)
     }
 
     /// This incarnation's handshake generation, when wired over UDP.
     pub fn udp_generation(&self) -> Option<u32> {
-        match &self.wiring {
-            Wiring::Udp(link) => Some(link.generation()),
-            _ => None,
-        }
+        self.wire.udp().map(UdpLink::generation)
     }
 
     /// Whether the hello exchange with `peer` has completed, when wired
     /// over UDP.
     pub fn udp_established(&self, peer: NodeId) -> Option<bool> {
-        match &self.wiring {
-            Wiring::Udp(link) => Some(link.established(peer)),
-            _ => None,
-        }
+        self.wire.udp().map(|link| link.established(peer))
     }
 
     /// The last generation seen from `peer`, when wired over UDP and at
     /// least one handshake datagram has arrived from it.
     pub fn udp_peer_generation(&self, peer: NodeId) -> Option<u32> {
-        match &self.wiring {
-            Wiring::Udp(link) => link.peer_generation(peer),
-            _ => None,
-        }
+        self.wire.udp().and_then(|link| link.peer_generation(peer))
     }
 
     /// The adaptive round-trip estimator (meaningful when
@@ -531,43 +352,13 @@ impl MemEndpoint {
     /// gentler variant for a peer that was merely slow.
     pub fn reset_peer(&mut self, peer: NodeId) {
         self.core.reset_peer(peer);
-        self.backlog.retain(|of| of.frame.dst != peer);
-        self.deferred.retain(|(dst, _, _)| *dst != peer);
-        let aborted = self.reasm.lock().abort_source(peer);
-        if aborted > 0 {
-            self.telemetry.add(Counter::ReassemblyAborts, aborted as u64);
-        }
+        self.purge_peer(peer);
     }
 
     /// Aggregated wire-fabric counters across all peers (for a switched
     /// endpoint: its single uplink/downlink pair).
     pub fn fabric_stats(&self) -> FabricStats {
-        let mut s = FabricStats::default();
-        match &self.wiring {
-            Wiring::Mesh { tx, rx } => {
-                for tx in tx.iter().flatten() {
-                    if let WireTx::Ring(p) = tx {
-                        s.pushed += p.stats.pushed;
-                        s.full += p.stats.full;
-                    }
-                }
-                if let WireRx::Ring(consumers) = rx {
-                    for c in consumers.iter().flatten() {
-                        s.polled += c.stats.polled;
-                        s.batches += c.stats.batches;
-                    }
-                }
-            }
-            Wiring::Switched { up, down, .. } => {
-                s.pushed = up.stats.pushed;
-                s.full = up.stats.full;
-                s.polled = down.stats.polled;
-                s.batches = down.stats.batches;
-            }
-            // The kernel owns the UDP queues; see [`Self::udp_stats`].
-            Wiring::Udp(_) => {}
-        }
-        s
+        self.wire.stats()
     }
 
     // ---- registration ----------------------------------------------------
@@ -590,9 +381,8 @@ impl MemEndpoint {
         self.core.register_handler_at(id, Box::new(h));
     }
 
-    /// Unregister a frame handler (used by the context layer's revoke).
-    /// Returns whether a handler was installed at that id. Id 0 (the
-    /// segmentation handler) cannot be removed.
+    /// Unregister a frame handler. Returns whether a handler was installed
+    /// at that id. Id 0 (the segmentation handler) cannot be removed.
     pub fn unregister_handler(&mut self, id: HandlerId) -> bool {
         if id == SEG_HANDLER {
             return false;
@@ -637,18 +427,7 @@ impl MemEndpoint {
         payload: &[u8],
     ) -> Result<(), SendError> {
         let payload = Bytes::copy_from_slice(payload);
-        loop {
-            match self.core.try_send(dst, handler, payload.clone()) {
-                Ok(()) => break,
-                Err(SendError::WouldBlock) => {
-                    self.service();
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.flush_wire();
-        Ok(())
+        self.send_blocking(|core| core.try_send(dst, handler, payload.clone()))
     }
 
     /// `FM_send_4`: blocking four-word send.
@@ -662,23 +441,14 @@ impl MemEndpoint {
 
     /// Vectored send: gather `parts` into one frame (blocking). See
     /// [`crate::endpoint::EndpointCore::try_send_gather`].
+    ///
+    /// # Panics
+    /// As [`Self::send`]; parts totalling more than one frame need
+    /// [`Self::send_large`].
     pub fn send_gather(&mut self, dst: NodeId, handler: HandlerId, parts: &[&[u8]]) {
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        assert!(
-            len <= crate::FM_FRAME_PAYLOAD,
-            "gathered payload of {len} B exceeds one frame; use send_large"
-        );
-        loop {
-            match self.core.try_send_gather(dst, handler, parts) {
-                Ok(()) => break,
-                Err(SendError::WouldBlock) => {
-                    self.service();
-                    std::thread::yield_now();
-                }
-                Err(e) => panic!("FM_send (gather): {e}"),
-            }
+        if let Err(e) = self.send_blocking(|core| core.try_send_gather(dst, handler, parts)) {
+            panic!("FM_send (gather): {e}");
         }
-        self.flush_wire();
     }
 
     /// Non-blocking send; `Err(WouldBlock)` when the window is full.
@@ -705,7 +475,9 @@ impl MemEndpoint {
 
     /// `FM_extract` with a delivery budget.
     pub fn extract_budget(&mut self, max: usize) -> usize {
-        self.pump_wire();
+        for peer in self.pump_wire() {
+            self.reset_peer(peer);
+        }
         let n = self.core.extract(max);
         self.reap_dead_peers();
         self.flush_deferred();
@@ -738,41 +510,23 @@ impl MemEndpoint {
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
         let mut result = Ok(());
         seg::fragment_each(msg_id, large_handler, data, |frag| {
-            if result.is_err() {
-                return; // peer died mid-message; skip remaining fragments
+            // Once the peer has died mid-message the remaining fragments
+            // are skipped.
+            if result.is_ok() {
+                result = self.send_blocking(|core| core.try_send(dst, SEG_HANDLER, frag.clone()));
             }
-            loop {
-                match self.core.try_send(dst, SEG_HANDLER, frag.clone()) {
-                    Ok(()) => break,
-                    Err(SendError::WouldBlock) => {
-                        self.service();
-                        std::thread::yield_now();
-                    }
-                    Err(e @ SendError::PeerUnreachable(_)) => {
-                        result = Err(e);
-                        return;
-                    }
-                    Err(e) => panic!("fragments always fit a frame: {e}"),
-                }
-            }
-            self.flush_wire();
         });
         result
     }
 
     /// Service the network: pull frames off the wire, deliver anything
-    /// pending, let the protocol retransmit/ack, push frames out. Called
-    /// internally whenever a blocking send waits for window space.
+    /// pending, let the protocol retransmit/ack, push frames out — one
+    /// unbudgeted [`Self::extract`] round. A blocked *sender* must still
+    /// deliver incoming messages, or two nodes sending to each other
+    /// through full windows would deadlock; called internally whenever a
+    /// blocking send waits for window space.
     pub fn service(&mut self) {
-        self.pump_wire();
-        // A blocked *sender* must still deliver incoming messages, or two
-        // nodes sending to each other through full windows would deadlock —
-        // so servicing extracts with an unlimited budget.
-        self.core.extract(usize::MAX);
-        self.reap_dead_peers();
-        self.flush_deferred();
-        self.flush_wire();
-        self.dispatch_large();
+        self.extract();
     }
 
     /// True when this endpoint holds no in-flight protocol state.
@@ -821,19 +575,34 @@ impl MemEndpoint {
 
     // ---- internals ---------------------------------------------------------
 
-    fn pump_wire(&mut self) {
-        let resets = self.pump_wire_inner();
-        for peer in resets {
-            self.reset_peer(peer);
+    /// Offer `attempt` to the protocol core until it stops answering
+    /// `WouldBlock`, servicing the network between tries so the window can
+    /// reopen; then put what it queued on the wire. Every blocking send is
+    /// this loop around a different `EndpointCore` call.
+    fn send_blocking(
+        &mut self,
+        mut attempt: impl FnMut(&mut EndpointCore) -> Result<(), SendError>,
+    ) -> Result<(), SendError> {
+        loop {
+            match attempt(&mut self.core) {
+                Err(SendError::WouldBlock) => {
+                    self.service();
+                    std::thread::yield_now();
+                }
+                done => {
+                    self.flush_wire();
+                    return done;
+                }
+            }
         }
     }
 
     /// Drain the wire into the protocol core. Returns the peers the UDP
     /// handshake flagged as restarted (always empty on in-memory fabrics);
     /// the caller resets them *after* the borrow of `core` ends.
-    fn pump_wire_inner(&mut self) -> Vec<NodeId> {
+    fn pump_wire(&mut self) -> Vec<NodeId> {
         let Self {
-            wiring,
+            wire,
             core,
             codec_errors,
             telemetry,
@@ -841,69 +610,13 @@ impl MemEndpoint {
         } = self;
         // CRC failures are expected under fault injection and are counted
         // on the endpoint (the retransmission timer recovers the frame);
-        // structural decode failures would mean a codec bug and keep their
-        // own counter.
-        let mut sink = |bytes: &[u8]| match WireFrame::decode_slice(bytes) {
+        // structural decode failures mean a codec bug or a stray datagram
+        // and keep their own counter.
+        wire.drain(telemetry, |bytes| match WireFrame::decode_slice(bytes) {
             Ok(frame) => core.on_wire(frame),
             Err(CodecError::BadCrc { .. }) => core.note_corrupt(),
             Err(_) => *codec_errors += 1,
-        };
-        let rx = match wiring {
-            Wiring::Mesh { rx, .. } => rx,
-            Wiring::Switched { down, .. } => {
-                // One merged downlink: the shard already interleaved peers,
-                // so drain until empty in bounded batches.
-                loop {
-                    let got = down.poll_batch(WIRE_POLL_BATCH, &mut sink);
-                    if got == 0 {
-                        break;
-                    }
-                    telemetry.record(Metric::PollBatch, got as u64);
-                }
-                return Vec::new();
-            }
-            Wiring::Udp(link) => {
-                let mut resets = Vec::new();
-                let got = link.pump(&mut sink, |peer| resets.push(peer));
-                if got > 0 {
-                    telemetry.record(Metric::PollBatch, got);
-                }
-                return resets;
-            }
-        };
-        match rx {
-            WireRx::Ring(consumers) => {
-                // Round-robin over peers in bounded batches until a full
-                // sweep finds every ring empty — no peer starves, and each
-                // batch costs one Acquire + one Release regardless of size.
-                loop {
-                    let mut drained = 0;
-                    for c in consumers.iter_mut().flatten() {
-                        let got = c.poll_batch(WIRE_POLL_BATCH, &mut sink);
-                        if got > 0 {
-                            // Batch occupancy: how full each one-Acquire
-                            // drain ran (empty sweeps are not samples).
-                            telemetry.record(Metric::PollBatch, got as u64);
-                        }
-                        drained += got;
-                    }
-                    if drained == 0 {
-                        break;
-                    }
-                }
-            }
-            WireRx::Channel(rx) => {
-                let mut got = 0u64;
-                while let Ok(bytes) = rx.try_recv() {
-                    sink(&bytes);
-                    got += 1;
-                }
-                if got > 0 {
-                    telemetry.record(Metric::PollBatch, got);
-                }
-            }
-        }
-        Vec::new()
+        })
     }
 
     fn flush_wire(&mut self) {
@@ -946,114 +659,54 @@ impl MemEndpoint {
         }
     }
 
-    /// Put one frame on the wire toward its destination, applying any
-    /// decided bit corruption to the encoded image. Returns the frame back
-    /// when the destination ring is full; `None` when it was sent (or
-    /// dropped because the destination is outside the cluster / hung up —
-    /// undeliverable either way).
+    /// Put one frame on the wire toward its destination: the one place a
+    /// frame image is encoded, and the one place a decided bit corruption
+    /// is applied to it. Returns the frame back when the wire is full;
+    /// `None` when it was sent (or dropped because the destination is
+    /// outside the cluster — undeliverable either way).
     fn offer(&mut self, of: OutboundFrame) -> Option<OutboundFrame> {
-        let dst = of.frame.dst.index();
-        let tx = match &mut self.wiring {
-            Wiring::Mesh { tx, .. } => tx.get_mut(dst),
-            Wiring::Switched { up, cluster, .. } => {
-                if dst >= *cluster {
-                    return None; // outside the topology: undeliverable
-                }
-                // Every destination shares the one uplink; the shard's
-                // route table takes it from here. A full uplink backlogs
-                // the frame exactly like a full per-peer ring would.
-                let frame = &of.frame;
-                let corrupt_bit = of.corrupt_bit;
-                let pushed = up.try_push_with(|slot| {
-                    let n = frame.encode_into(slot);
-                    if let Some(bit) = corrupt_bit {
-                        flip_bit(&mut slot[..n], bit);
-                    }
-                    n
-                });
-                return if pushed { None } else { Some(of) };
+        let sent = self.wire.push(of.frame.dst.index(), |slot| {
+            let n = of.frame.encode_into(slot);
+            if let Some(bit) = of.corrupt_bit {
+                flip_bit(&mut slot[..n], bit);
             }
-            Wiring::Udp(link) => {
-                if dst >= link.cluster() {
-                    return None; // outside the roster: undeliverable
-                }
-                // Encode (and apply any decided corruption) on the stack,
-                // then hand the datagram to the kernel. `false` means
-                // `WouldBlock` — kernel buffer full — which backlogs the
-                // frame exactly like a full ring; real send failures are
-                // wire loss and the retransmission timers recover.
-                let mut buf = [0u8; FM_FRAME_MAX];
-                let n = of.frame.encode_into(&mut buf);
-                if let Some(bit) = of.corrupt_bit {
-                    flip_bit(&mut buf[..n], bit);
-                }
-                return if link.send_encoded(dst, &buf[..n]) {
-                    None
-                } else {
-                    Some(of)
-                };
-            }
-        };
-        match tx {
-            None | Some(None) => None,
-            Some(Some(WireTx::Ring(producer))) => {
-                // Zero-copy fast path: encode straight into the ring slot.
-                let frame = &of.frame;
-                let corrupt_bit = of.corrupt_bit;
-                if producer.try_push_with(|slot| {
-                    let n = frame.encode_into(slot);
-                    if let Some(bit) = corrupt_bit {
-                        flip_bit(&mut slot[..n], bit);
-                    }
-                    n
-                }) {
-                    None
-                } else {
-                    Some(of)
-                }
-            }
-            Some(Some(WireTx::Channel(tx))) => {
-                // Baseline path: one heap allocation and a locked queue per
-                // frame.
-                let mut buf = vec![0u8; of.frame.wire_bytes()];
-                of.frame.encode_into(&mut buf);
-                if let Some(bit) = of.corrupt_bit {
-                    flip_bit(&mut buf, bit);
-                }
-                let _ = tx.send(buf.into_boxed_slice());
-                None
-            }
+            n
+        });
+        if sent {
+            None
+        } else {
+            Some(of)
         }
     }
 
-    /// Purge per-endpoint state tied to peers the protocol core just
-    /// declared dead: partially reassembled large messages from them,
-    /// backlogged frames to them, and deferred sends to them. Keeps a
-    /// stalled peer from wedging reassembly or quiescence forever.
+    /// Purge this layer's state tied to `peer`: partially reassembled
+    /// large messages from it, backlogged frames and deferred sends to it.
+    fn purge_peer(&mut self, peer: NodeId) {
+        let aborted = self.reasm.lock().abort_source(peer);
+        if aborted > 0 {
+            self.telemetry.add(Counter::ReassemblyAborts, aborted as u64);
+        }
+        self.backlog.retain(|of| of.frame.dst != peer);
+        self.deferred.retain(|(dst, _, _)| *dst != peer);
+    }
+
+    /// Purge the peers the protocol core just declared dead, so a stalled
+    /// peer cannot wedge reassembly or quiescence forever.
     fn reap_dead_peers(&mut self) {
         for peer in self.core.take_newly_dead() {
-            let aborted = self.reasm.lock().abort_source(peer);
-            if aborted > 0 {
-                self.core
-                    .telemetry()
-                    .add(Counter::ReassemblyAborts, aborted as u64);
-            }
-            self.backlog.retain(|of| of.frame.dst != peer);
-            self.deferred.retain(|(dst, _, _)| *dst != peer);
+            self.purge_peer(peer);
         }
     }
 
+    /// Offer queued large-handler sends to the core, oldest first, until
+    /// the window fills.
     fn flush_deferred(&mut self) {
         while let Some((dst, handler, payload)) = self.deferred.pop_front() {
-            match self.core.try_send(dst, handler, payload.clone()) {
-                Ok(()) => {}
-                Err(SendError::WouldBlock) => {
-                    self.deferred.push_front((dst, handler, payload));
-                    break;
-                }
-                // TooLarge was checked at queue time; a dead peer's sends
-                // are dropped (reap_dead_peers purges the rest).
-                Err(_) => {}
+            // Dead peer or oversize: the send is dropped, the node carries
+            // on (reap_dead_peers purges the rest).
+            if let Err(SendError::WouldBlock) = self.core.try_send(dst, handler, payload.clone()) {
+                self.deferred.push_front((dst, handler, payload));
+                break;
             }
         }
     }
@@ -1085,16 +738,9 @@ impl MemEndpoint {
             }
             self.large_handlers[idx] = Some(h);
             n += 1;
-            for (dst, hid, payload) in outbox.drain().collect::<Vec<_>>() {
-                match self.core.try_send(dst, hid, payload.clone()) {
-                    Ok(()) => {}
-                    Err(SendError::WouldBlock) => self.deferred.push_back((dst, hid, payload)),
-                    // Dead peer or oversize: the reply is dropped, the node
-                    // carries on.
-                    Err(_) => {}
-                }
-            }
+            self.deferred.extend(outbox.drain());
         }
+        self.flush_deferred();
         self.flush_wire();
         n
     }
@@ -1185,22 +831,29 @@ impl ClusterRunner {
     /// thread eventually exits.
     pub fn shutdown(mut self, timeout: Duration) -> Result<Vec<MemEndpoint>, ShutdownError> {
         self.stop.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + timeout;
-        let mut out = Vec::with_capacity(self.handles.len());
-        for (id, handle) in self.handles.drain(..) {
-            while !handle.is_finished() {
-                if Instant::now() >= deadline {
-                    return Err(ShutdownError::Timeout { node: id });
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            match handle.join() {
-                Ok(ep) => out.push(ep),
-                Err(_) => return Err(ShutdownError::Panicked { node: id }),
-            }
-        }
-        Ok(out)
+        join_within(self.handles.drain(..), timeout)
     }
+}
+
+/// Join `handles` in order, waiting at most `timeout` overall; handles not
+/// yet joined when the deadline passes (or a thread turns out to have
+/// panicked) are dropped, which detaches their threads.
+pub(crate) fn join_within<T>(
+    handles: impl Iterator<Item = (NodeId, std::thread::JoinHandle<T>)>,
+    timeout: Duration,
+) -> Result<Vec<T>, ShutdownError> {
+    let deadline = Instant::now() + timeout;
+    let mut out = Vec::new();
+    for (node, handle) in handles {
+        while !handle.is_finished() {
+            if Instant::now() >= deadline {
+                return Err(ShutdownError::Timeout { node });
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        out.push(handle.join().map_err(|_| ShutdownError::Panicked { node })?);
+    }
+    Ok(out)
 }
 
 impl Drop for ClusterRunner {
@@ -1359,6 +1012,41 @@ mod tests {
     }
 
     #[test]
+    fn beacons_keep_flowing_while_a_sender_blocks() {
+        // Window 1 against a peer that is not extracting: the second send
+        // blocks, which is exactly when a collector most needs to hear from
+        // this endpoint. The retry budget keeps the idle peer from being
+        // declared dead (ending the block) while the collector listens.
+        let mut nodes = MemCluster::with_config(
+            2,
+            EndpointConfig {
+                window: 1,
+                time_source: TimeSource::WallMicros,
+                retry_budget: 10_000,
+                ..Default::default()
+            },
+        );
+        let mut b = nodes.pop().unwrap();
+        let mut a = nodes.pop().unwrap();
+        let h = b.register_handler(|_, _, _| {});
+        let collector = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        collector.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        a.enable_beacon(collector.local_addr().unwrap(), 1_000).unwrap();
+        a.try_send(NodeId(1), h, &[1]).unwrap();
+        let sender = std::thread::spawn(move || a.send_checked(NodeId(1), h, &[2]));
+        let mut buf = [0u8; fm_telemetry::beacon::MAX_BEACON_BYTES];
+        for _ in 0..3 {
+            let n = collector.recv(&mut buf).expect("a blocked sender keeps beaconing");
+            fm_telemetry::beacon::decode(&buf[..n]).expect("valid beacon");
+        }
+        while !sender.is_finished() {
+            b.extract();
+            std::thread::yield_now();
+        }
+        sender.join().unwrap().expect("peer alive once it extracts");
+    }
+
+    #[test]
     fn overload_bounces_then_everything_delivers() {
         // Receiver with a 4-frame ring that extracts slowly while the
         // sender pushes 64 frames: rejections and retransmissions must
@@ -1393,25 +1081,6 @@ mod tests {
         assert!(b.stats().rejected > 0, "overload must cause rejections");
         assert!(a.stats().retransmitted > 0);
         assert_eq!(seen.lock().len(), 64);
-    }
-
-    #[test]
-    fn channel_fabric_still_delivers() {
-        // The baseline wire must stay functionally equivalent to the ring.
-        let mut nodes =
-            MemCluster::with_fabric(2, EndpointConfig::default(), FabricKind::Channel);
-        let mut b = nodes.pop().unwrap();
-        let mut a = nodes.pop().unwrap();
-        let got = Arc::new(AtomicU64::new(0));
-        let g = got.clone();
-        let h = b.register_handler(move |_, _, data| {
-            g.fetch_add(data[0] as u64, Ordering::SeqCst);
-        });
-        a.send(NodeId(1), h, &[21]);
-        a.send(NodeId(1), h, &[21]);
-        while b.extract() > 0 {}
-        assert_eq!(got.load(Ordering::SeqCst), 42);
-        assert_eq!(a.fabric_stats(), FabricStats::default(), "no ring counters");
     }
 
     #[test]

@@ -54,16 +54,17 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fm_myrinet::{NodeId, SwitchTopology};
 use fm_telemetry::Histogram;
 
 use crate::endpoint::EndpointConfig;
 use crate::fabric::{spsc_ring, RingConsumer, RingProducer};
-use crate::fault::{FaultConfig, FaultInjector};
+use crate::fault::FaultConfig;
 use crate::frame::{WireFrame, FM_FRAME_MAX};
-use crate::mem::{MemEndpoint, ShutdownError};
+use crate::mem::{join_within, MemEndpoint, ShutdownError};
+use crate::wire::Wire;
 
 /// Knobs for the switch shards, wired through
 /// [`SwitchedCluster::with_switch_config`].
@@ -496,8 +497,6 @@ impl SwitchedCluster {
         config: EndpointConfig,
         switch: SwitchConfig,
     ) -> Self {
-        assert!(config.window > 0, "window must be >= 1 frame");
-        assert!(config.recv_ring > 0, "recv_ring must be >= 1 frame");
         assert!(config.wire_ring > 0, "wire_ring must be >= 1 frame");
         assert!(switch.min_batch > 0, "min_batch must be >= 1 frame");
         assert!(
@@ -523,13 +522,15 @@ impl SwitchedCluster {
             inputs[s].push(SwitchInput::new(up_c));
             *di = outputs[s].len();
             outputs[s].push(down_p);
-            endpoints.push(MemEndpoint::new_switched(
+            endpoints.push(MemEndpoint::new(
                 NodeId(h as u16),
                 config,
-                up_p,
-                down_c,
-                n,
-                shared_topo.clone(),
+                Wire::Switched {
+                    up: up_p,
+                    down: down_c,
+                    cluster: n,
+                    topo: shared_topo.clone(),
+                },
             ));
         }
         // Trunks: one ring per direction per physical trunk, producer on
@@ -588,16 +589,15 @@ impl SwitchedCluster {
         &self.topo
     }
 
-    /// Like [`SwitchedCluster::new`] with a seeded [`FaultInjector`]
+    /// Like [`SwitchedCluster::new`] with a seeded [`crate::fault::FaultInjector`]
     /// decorating every endpoint's transmit path (the switched analogue of
     /// [`crate::mem::MemCluster::with_faulty_fabric`]). Faults are applied
     /// before the uplink, so corrupted frames traverse — and may be
     /// misrouted by — the real shards.
     pub fn with_faults(topo: &SwitchTopology, config: EndpointConfig, faults: FaultConfig) -> Self {
         let mut cluster = Self::new(topo, config);
-        let n = cluster.endpoints.len();
         for ep in &mut cluster.endpoints {
-            ep.set_fault_injector(FaultInjector::new(ep.node_id(), n, &faults));
+            ep.inject_faults(&faults);
         }
         cluster
     }
@@ -695,27 +695,8 @@ impl SwitchRunner {
     /// switch order) for stats inspection.
     pub fn shutdown(mut self, timeout: Duration) -> Result<Vec<SwitchShard>, ShutdownError> {
         self.stop.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + timeout;
-        let mut out = Vec::with_capacity(self.handles.len());
-        for (i, handle) in self.handles.drain(..).enumerate() {
-            while !handle.is_finished() {
-                if Instant::now() >= deadline {
-                    return Err(ShutdownError::Timeout {
-                        node: NodeId(i as u16),
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            match handle.join() {
-                Ok(shard) => out.push(shard),
-                Err(_) => {
-                    return Err(ShutdownError::Panicked {
-                        node: NodeId(i as u16),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        let handles = self.handles.drain(..).enumerate();
+        join_within(handles.map(|(i, h)| (NodeId(i as u16), h)), timeout)
     }
 }
 

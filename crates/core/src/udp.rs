@@ -20,9 +20,8 @@
 //!   pump, and handshake pacing on its own wall microsecond clock.
 //!
 //! Control datagrams are distinguished from wire frames by their first
-//! byte: every versioned frame starts `0xF0 | version` (v1 = `0xF1`), a
-//! legacy v0 frame starts with its kind byte (`0..=2`), and control
-//! packets start with [`CTRL_MAGIC`] (`0xE7`), which is neither. A control
+//! byte: every frame starts `0xF0 | version` (`0xF1`) and control
+//! packets start with [`CTRL_MAGIC`] (`0xE7`). A control
 //! packet carries its own CRC32; a corrupted one is dropped and the
 //! periodic hello retry recovers the exchange.
 //!
@@ -45,9 +44,8 @@ use crate::time::MicroClock;
 /// fails visibly (no establishment) instead of corrupting streams.
 pub const UDP_PROTO_VERSION: u8 = 1;
 
-/// First byte of every control datagram. Chosen to collide with neither
-/// the versioned frame marker (`0xF0 | v`) nor a legacy v0 kind byte
-/// (`0..=2`).
+/// First byte of every control datagram. Chosen not to collide with the
+/// frame version marker (`0xF0 | v`).
 const CTRL_MAGIC: u8 = 0xE7;
 
 /// Control datagrams are fixed-size: magic, version, kind, reserved,
@@ -274,8 +272,8 @@ struct PeerState {
 }
 
 /// One endpoint's UDP wiring: socket, learned roster, handshake state.
-/// Driven by `MemEndpoint` exactly like a ring fabric — `send_encoded`
-/// from the flush path, [`UdpLink::pump`] from the receive path.
+/// Driven through `crate::wire::Wire` exactly like a ring — `send_encoded`
+/// from its push, [`UdpLink::pump`] from its drain.
 pub struct UdpLink {
     sock: UdpSocket,
     me: NodeId,
@@ -591,9 +589,8 @@ mod tests {
 
     #[test]
     fn ctrl_magic_collides_with_no_frame_first_byte() {
-        // v1 frames start 0xF0|1, legacy v0 frames start with kind 0..=2.
+        // Frames start 0xF0 | version.
         assert_ne!(CTRL_MAGIC & 0xF0, 0xF0);
-        const { assert!(CTRL_MAGIC > 2) };
     }
 
     #[test]

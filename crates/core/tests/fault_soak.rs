@@ -51,8 +51,8 @@ struct SoakDigest {
 ///
 /// Panics if any message is lost, duplicated or reordered, or if the run
 /// exceeds [`SOAK_ITER_CAP`] iterations (a hang, by definition).
-fn run_soak(faults: FaultConfig, fabric: FabricKind) -> SoakDigest {
-    let mut nodes = MemCluster::with_faulty_fabric(2, soak_config(), fabric, faults);
+fn run_soak(faults: FaultConfig) -> SoakDigest {
+    let mut nodes = MemCluster::with_faulty_fabric(2, soak_config(), FabricKind::Ring, faults);
     let mut b = nodes.pop().unwrap();
     let mut a = nodes.pop().unwrap();
 
@@ -124,7 +124,7 @@ fn run_soak(faults: FaultConfig, fabric: FabricKind) -> SoakDigest {
 /// link, 2000 messages each way, exactly-once in-order delivery, no hang.
 #[test]
 fn soak_5pct_combined_faults_exactly_once_in_order() {
-    let digest = run_soak(FaultConfig::uniform(0xF00D_CAFE, 0.05), FabricKind::Ring);
+    let digest = run_soak(FaultConfig::uniform(0xF00D_CAFE, 0.05));
     // At 5% per category over ~4000+ data frames the injector must have
     // actually exercised every fault path.
     let total: FaultStats = {
@@ -160,21 +160,14 @@ fn soak_5pct_combined_faults_exactly_once_in_order() {
 /// counter for counter; a different seed produces a different schedule.
 #[test]
 fn soak_is_deterministic_per_seed() {
-    let first = run_soak(FaultConfig::uniform(42, 0.03), FabricKind::Ring);
-    let second = run_soak(FaultConfig::uniform(42, 0.03), FabricKind::Ring);
+    let first = run_soak(FaultConfig::uniform(42, 0.03));
+    let second = run_soak(FaultConfig::uniform(42, 0.03));
     assert_eq!(first, second, "same seed must replay identically");
-    let other = run_soak(FaultConfig::uniform(43, 0.03), FabricKind::Ring);
+    let other = run_soak(FaultConfig::uniform(43, 0.03));
     assert_ne!(
         first.faults, other.faults,
         "different seeds should draw different fault schedules"
     );
-}
-
-/// The reliability layer is fabric-agnostic: the same soak passes over the
-/// boxed-channel wire.
-#[test]
-fn soak_recovers_on_channel_fabric_too() {
-    run_soak(FaultConfig::uniform(0xBEEF, 0.04), FabricKind::Channel);
 }
 
 /// Corruption-only at a brutal 20%: every flipped frame must be caught by
@@ -189,7 +182,7 @@ fn heavy_corruption_never_reaches_handlers() {
         },
         ..Default::default()
     };
-    let digest = run_soak(faults, FabricKind::Ring);
+    let digest = run_soak(faults);
     let corrupt: u64 = digest.stats.iter().map(|s| s.corrupt).sum();
     let injected: u64 = digest.faults.iter().map(|f| f.corrupted).sum();
     assert!(injected > 0);

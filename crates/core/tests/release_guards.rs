@@ -17,10 +17,15 @@
 //! misuse path; CI runs this file under `--release` specifically (see
 //! `.github/workflows/ci.yml`) so the guards are exercised with debug
 //! assertions compiled out.
+//!
+//! The same goes for the one decoder that faces the network
+//! (`WireFrame::decode_slice` / `peek_flow`): it must refuse garbage
+//! without panicking in the profile where overflow checks and
+//! `debug_assert!`s are gone, so its seeded mutation loop lives here too.
 
 use fm_core::flow::{ack_word, AckTracker, SeqBufferError, SeqClass, SeqWindow};
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
-use fm_core::{HandlerId, NodeId};
+use fm_core::{CodecError, HandlerId, NodeId, TraceCtx, WireFrame, FM_FRAME_MAX};
 
 /// Marker: when this test runs, the profile really has debug assertions
 /// compiled out, so the checks below cannot be satisfied by leftover
@@ -107,4 +112,72 @@ fn reassembly_caps_partials_per_source() {
     let (h, msg) = r.on_fragment(src, &tail2).unwrap().expect("msg 2 completes");
     assert_eq!(h, HandlerId(1));
     assert_eq!(msg, payload);
+}
+
+/// splitmix64: the seeded generator for the decoder loop.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// What every buffer that is *not* an untouched frame image must get:
+/// no panic from either entry point, never `Ok`, and `BadVersion` / no
+/// peek whenever byte 0 is not `0xF1`.
+fn assert_refused(buf: &[u8], what: &str) {
+    let peek = WireFrame::peek_flow(buf);
+    let err = WireFrame::decode_slice(buf).expect_err(what);
+    match buf.first() {
+        None => assert_eq!(err, CodecError::Truncated { have: 0 }),
+        Some(&0xF1) => assert!(!matches!(err, CodecError::BadVersion(_)), "{what}: {err}"),
+        Some(&other) => assert_eq!((err, peek), (CodecError::BadVersion(other), None), "{what}"),
+    }
+}
+
+#[test]
+fn decoder_accepts_only_untouched_images() {
+    let mut rng = 0xF1F1_5EED_u64;
+    // 16 k frames x 9 buffers each = 144 k decodes.
+    for _ in 0..16_000 {
+        let mut noise = [0u8; FM_FRAME_MAX + 1];
+        noise.iter_mut().for_each(|b| *b = next(&mut rng) as u8);
+        let r = next(&mut rng);
+        let (src, dst) = (NodeId(r as u16), NodeId((r >> 16) as u16));
+        let payload = bytes::Bytes::copy_from_slice(&noise[..(r >> 8) as usize % 129]);
+        let (handler, slot, seq) = (HandlerId((r >> 32) as u16), (r >> 48) as u16, next(&mut rng));
+        let mut frame = WireFrame::data(src, dst, handler, slot, seq as u32, payload);
+        for _ in 0..next(&mut rng) % 5 {
+            frame.piggy.push(next(&mut rng) as u16);
+        }
+        if r & 1 == 1 {
+            frame.trace = TraceCtx::sampled((seq >> 32) as u32, next(&mut rng) as u16);
+        }
+        let mut image = [0u8; FM_FRAME_MAX + 1];
+        let n = frame.encode_into(&mut image);
+        assert_eq!(WireFrame::decode_slice(&image[..n]).as_ref(), Ok(&frame));
+        assert_eq!(WireFrame::peek_flow(&image[..n]), Some((src, dst)));
+
+        assert_refused(&image[..n - 1], "truncated by one byte");
+        assert_refused(&image[..n + 1], "extended by one byte");
+        for first in 0x00..=0x02 {
+            let mut forced = image;
+            forced[0] = first;
+            assert_refused(&forced[..n], "first byte of the retired layout");
+        }
+        // One flipped bit, then a second, different one: CRC-32 catches
+        // every 1- and 2-bit error at this length.
+        let bits = n * 8;
+        let one = next(&mut rng) as usize % bits;
+        let two = (one + 1 + next(&mut rng) as usize % (bits - 1)) % bits;
+        for bit in [one, two] {
+            image[bit / 8] ^= 1 << (bit % 8);
+            assert_refused(&image[..n], "flipped bits");
+        }
+        if r & 2 == 2 {
+            noise[0] = 0xF1; // past the version gate half the time
+        }
+        assert_refused(&noise[..next(&mut rng) as usize % noise.len()], "random bytes");
+    }
 }

@@ -415,6 +415,31 @@ fn wire_frame_round_trips_across_a_socket() {
 
 /// A peer speaking a different control-protocol version is counted and
 /// ignored — never "established", never resetting anything.
+/// A datagram that is not an FM frame (first byte anything but `0xF1`) and
+/// not a control packet reaches the frame sink, is refused by the one
+/// decoder, and is visible to every export path as a gauge — without
+/// being mistaken for wire corruption or delivered.
+#[test]
+fn stray_datagram_surfaces_as_codec_error_gauge() {
+    let mut nodes = MemCluster::with_fabric(2, udp_config(), FabricKind::Udp);
+    let _b = nodes.pop().unwrap(); // keeps node 1's port bound
+    let mut a = nodes.pop().unwrap();
+    let stray = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    stray.send_to(&[0x00; 40], a.udp_local_addr().unwrap()).unwrap();
+
+    let deadline = Instant::now() + WEDGE_AFTER;
+    while a.codec_errors == 0 {
+        assert!(Instant::now() < deadline, "stray datagram never arrived: {a:?}");
+        a.extract();
+    }
+    let gauges = a.observability_gauges();
+    let gauge = |name: &str| gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+    assert!(gauge("codec_errors") >= Some(1), "{gauges:?}");
+    assert_eq!(gauge("large_handler_panics"), Some(0));
+    assert_eq!(a.stats().corrupt, 0, "not a CRC failure");
+    assert_eq!(a.stats().delivered, 0);
+}
+
 #[test]
 fn udp_rejects_foreign_control_versions() {
     use std::net::UdpSocket;

@@ -26,3 +26,32 @@ pub use table::Table;
 
 /// The paper's megabyte: 2^20 bytes.
 pub const MB: f64 = (1u64 << 20) as f64;
+
+/// Jain's fairness index over per-flow rates (or any share vector):
+/// `(Σx)² / (n·Σx²)`. 1.0 when all shares are equal, `1/n` when one flow
+/// starves the rest; 1.0 for empty or all-zero input (nothing to be unfair
+/// about). The one definition behind the live scaling harness, the DES
+/// campaign's fairness gates and the collector's incast-capture detector.
+pub fn jain(xs: &[f64]) -> f64 {
+    let sum: f64 = xs.iter().sum();
+    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    if sq == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (xs.len() as f64 * sq)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::jain;
+
+    #[test]
+    fn fairness_index_bounds() {
+        assert_eq!(jain(&[]), 1.0);
+        assert_eq!(jain(&[0.0, 0.0, 0.0]), 1.0);
+        assert_eq!(jain(&[5.0]), 1.0);
+        assert!((jain(&[5.0, 5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
+        // One flow has everything: the index is 1/n.
+        assert!((jain(&[1000.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
+    }
+}

@@ -1,20 +1,9 @@
 //! Fairness and reporting helpers shared by scenarios, tests and the
 //! campaign driver.
 
-/// Jain's fairness index over per-flow rates: 1.0 = perfectly fair,
-/// `1/n` = one flow starves all others. Same formula as the live
-/// `fm_testbed::scaling` harness (cross-checked in `sim_vs_live`).
-pub fn jain(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        return 1.0;
-    }
-    sum * sum / (xs.len() as f64 * sq)
-}
+/// Jain's fairness index — the same function the live `fm_testbed::scaling`
+/// harness reports with.
+pub use fm_metrics::jain;
 
 /// Goodput in MB/s (2²⁰) for `bytes` moved over `sim_ns` of simulated time.
 pub fn goodput_mbs(bytes: u64, sim_ns: u64) -> f64 {
@@ -27,15 +16,6 @@ pub fn goodput_mbs(bytes: u64, sim_ns: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jain_endpoints() {
-        assert_eq!(jain(&[]), 1.0);
-        assert_eq!(jain(&[5.0]), 1.0);
-        assert!((jain(&[1.0, 1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        let starved = jain(&[1.0, 0.0, 0.0, 0.0]);
-        assert!((starved - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn goodput_round_trip() {

@@ -129,17 +129,11 @@ pub struct CollectorStats {
     pub seq_gaps: u64,
 }
 
-/// Jain's fairness index over a share vector: `(Σx)² / (n·Σx²)`.
-/// 1.0 when all shares are equal, `1/n` when one share has everything.
-/// Returns 1.0 for empty/all-zero input (nothing to be unfair about).
+/// [`fm_metrics::jain`] over integer shares (per-input forwarded-frame
+/// counts).
 pub fn jain_fairness(shares: &[u64]) -> f64 {
-    let n = shares.len();
-    let sum: u128 = shares.iter().map(|&x| x as u128).sum();
-    if n == 0 || sum == 0 {
-        return 1.0;
-    }
-    let sum_sq: u128 = shares.iter().map(|&x| (x as u128) * (x as u128)).sum();
-    (sum as f64) * (sum as f64) / (n as f64 * sum_sq as f64)
+    let shares: Vec<f64> = shares.iter().map(|&x| x as f64).collect();
+    fm_metrics::jain(&shares)
 }
 
 /// Per-endpoint ingest state.
@@ -880,15 +874,6 @@ mod tests {
                 output_forwarded: vec![forwarded],
             }),
         })
-    }
-
-    #[test]
-    fn jain_fairness_bounds() {
-        assert_eq!(jain_fairness(&[]), 1.0);
-        assert_eq!(jain_fairness(&[0, 0, 0]), 1.0);
-        assert!((jain_fairness(&[5, 5, 5, 5]) - 1.0).abs() < 1e-9);
-        let captured = jain_fairness(&[1000, 0, 0, 0]);
-        assert!((captured - 0.25).abs() < 1e-9, "1/n when one input has all");
     }
 
     #[test]

@@ -37,6 +37,7 @@ use fm_core::{
 };
 use fm_des::{Engine, Time};
 use fm_lanai::{DmaEngine, LanaiChip, LcpCosts};
+use fm_metrics::jain;
 use fm_myrinet::{Network, NetworkConfig, NodeId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,23 +57,6 @@ pub struct ScalingReport {
     pub total_mbs: f64,
     /// Jain's fairness index over the per-flow bandwidths (1.0 = fair).
     pub fairness: f64,
-}
-
-/// Jain's fairness index over per-flow rates: 1.0 = perfectly fair,
-/// `1/n` = one flow starves the rest. Public so the DES campaign
-/// (`fm-sim`) can cross-check that its fairness gate applies the exact
-/// formula the live harness reports.
-pub fn jain(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let s: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        1.0
-    } else {
-        s * s / (xs.len() as f64 * sq)
-    }
 }
 
 #[derive(Debug)]
@@ -584,15 +568,5 @@ mod tests {
         for (i, &p) in r.peak_outstanding.iter().enumerate() {
             assert!(p <= r.window, "sender {i} peak {p} > window {}", r.window);
         }
-    }
-
-    #[test]
-    fn jain_index_properties() {
-        assert_eq!(jain(&[]), 1.0);
-        assert_eq!(jain(&[5.0]), 1.0);
-        assert!((jain(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        // One flow hogging: index tends to 1/n.
-        let skew = jain(&[1.0, 0.0, 0.0, 0.0]);
-        assert!((skew - 0.25).abs() < 1e-12);
     }
 }
