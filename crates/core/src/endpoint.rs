@@ -9,7 +9,9 @@
 //!   frame for the wire;
 //! * [`EndpointCore::on_wire`] — a frame arrived: data is accepted into the
 //!   receive ring (or bounced when the ring is full), returns are parked
-//!   for retransmission, acks release window slots;
+//!   for retransmission, acks release window slots — and an ack that
+//!   overtakes a still-held frame counts toward resending it at once
+//!   ([`GAP_REPAIR_ACKS`]) instead of leaving the hole to its timer;
 //! * [`EndpointCore::extract`] — `FM_extract`: retransmit parked frames,
 //!   deliver ring contents to handlers, flush handler-issued sends and any
 //!   acknowledgements that found no data frame to ride on.
@@ -64,7 +66,8 @@ impl std::error::Error for SendError {}
 pub struct EndpointStats {
     /// Data frames queued for the wire (first transmissions).
     pub sent: u64,
-    /// Data frames retransmitted after a bounce.
+    /// Data frames retransmitted, whatever the cause: a bounce, a timer
+    /// (`timer_retransmits`) or hole repair (`gap_retransmits`).
     pub retransmitted: u64,
     /// Handler invocations (messages delivered).
     pub delivered: u64,
@@ -91,6 +94,12 @@ pub struct EndpointStats {
     /// Retransmissions triggered by timer expiry (lost frame or lost ack),
     /// as opposed to explicit bounces. Also included in `retransmitted`.
     pub timer_retransmits: u64,
+    /// Retransmissions triggered by hole repair: later frames were
+    /// acknowledged past a still-unacknowledged one (see
+    /// [`GAP_REPAIR_ACKS`]). Also included in `retransmitted`, so
+    /// `retransmitted - timer_retransmits - gap_retransmits` is the
+    /// bounce-driven remainder.
+    pub gap_retransmits: u64,
     /// Handler invocations that panicked; the handler is dropped and later
     /// frames for its id count as `unknown_handler`.
     pub handler_panics: u64,
@@ -107,8 +116,9 @@ impl EndpointStats {
     /// The stats fields the telemetry `Counter` enum does *not* already
     /// cover, as `(name, value)` gauge pairs for the observability
     /// exports (metrics aggregator columns, telemetry beacons).
-    pub fn observability_pairs(&self) -> [(&'static str, u64); 4] {
+    pub fn observability_pairs(&self) -> [(&'static str, u64); 5] {
         [
+            ("gap_retransmits", self.gap_retransmits),
             ("peer_resets", self.peer_resets),
             ("unreachable_drops", self.unreachable_drops),
             ("handler_panics", self.handler_panics),
@@ -211,6 +221,57 @@ impl Default for EndpointConfig {
 /// redistributed.
 const RING_ACTIVE_TICKS: u64 = 128;
 
+/// Hole repair retransmits a held frame once this many frames sent after
+/// its latest transmission have been acknowledged past it — the
+/// duplicate-ack count of TCP fast retransmit. Below three, the ordinary
+/// reordering of a delayed frame or a rotated backlog triggers it; above,
+/// a hole late in a burst waits for acks that a window-limited sender may
+/// never produce. A property of reordering, not of a deployment, hence not
+/// a configuration field.
+pub const GAP_REPAIR_ACKS: u32 = 3;
+
+/// Why a frame is going out again.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Retransmit {
+    /// It bounced off a full receiver.
+    Bounce,
+    /// Its retransmission timer expired.
+    Timer,
+    /// Later frames were acknowledged past it.
+    Gap,
+}
+
+/// What hole repair knows about the frame occupying one window slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotFlow {
+    dst: NodeId,
+    seq: u32,
+    /// `next_seq[dst]` at this frame's latest transmission: an ack for a
+    /// sequence number at or past it belongs to a frame that left *after*
+    /// this one did, so it overtook this one on the wire.
+    barrier: u32,
+    /// Such acks seen since that transmission.
+    overtaken: u32,
+    /// How many of them trigger a repair: [`GAP_REPAIR_ACKS`], then one
+    /// `window` once a repair has been sent (a repair can be lost too, but
+    /// a second one must not race the first).
+    needed: u32,
+}
+
+impl SlotFlow {
+    /// The state of a frame on its first transmission: everything with a
+    /// later sequence number leaves after it.
+    fn first_sent(dst: NodeId, seq: u32) -> Self {
+        SlotFlow {
+            dst,
+            seq,
+            barrier: seq.wrapping_add(1),
+            overtaken: 0,
+            needed: GAP_REPAIR_ACKS,
+        }
+    }
+}
+
 /// Index into a lazily-grown per-node vector, extending with defaults.
 fn grow<T: Default + Clone>(v: &mut Vec<T>, idx: usize) -> &mut T {
     if idx >= v.len() {
@@ -249,6 +310,14 @@ pub struct EndpointCore {
     rtt: RttEstimator,
     /// Next sequence number per destination (indexed by `NodeId.0`).
     next_seq: Vec<u32>,
+    /// Unacknowledged data frames per destination (indexed by `NodeId.0`)
+    /// as `(seq, slot)` in sequence order: one entry per window slot held
+    /// toward that peer, removed by the ack that frees the slot. An ack
+    /// that frees anything but the front has overtaken every entry before
+    /// it — the signal hole repair counts.
+    send_order: Vec<VecDeque<(u32, u16)>>,
+    /// Hole-repair state per window slot (indexed by slot id).
+    slot_flow: Vec<SlotFlow>,
     /// Per-source receive windows: duplicate suppression + in-order
     /// delivery (indexed by `NodeId.0`, created lazily on first frame).
     recv_windows: Vec<SeqWindow<WireFrame>>,
@@ -345,6 +414,8 @@ impl EndpointCore {
                 config.rto_max,
             ),
             next_seq: Vec::new(),
+            send_order: Vec::new(),
+            slot_flow: vec![SlotFlow::first_sent(id, 0); config.window],
             recv_windows: Vec::new(),
             drain_rr: 0,
             ring_share: Vec::new(),
@@ -456,6 +527,9 @@ impl EndpointCore {
         if let Some(seq) = self.next_seq.get_mut(idx) {
             *seq = 0;
         }
+        if let Some(order) = self.send_order.get_mut(idx) {
+            order.clear();
+        }
         if let Some(win) = self.recv_windows.get_mut(idx) {
             drops += win.clear_buffered() as u64;
             *win = SeqWindow::new(self.config.reorder_window);
@@ -558,6 +632,8 @@ impl EndpointCore {
             .begin_send(self.now)
             .ok_or(SendError::WouldBlock)?;
         let seq = self.alloc_seq(dst);
+        self.slot_flow[slot as usize] = SlotFlow::first_sent(dst, seq);
+        grow(&mut self.send_order, dst.index()).push_back((seq, slot));
         let mut frame = WireFrame::data(self.id, dst, handler, slot, seq, payload);
         frame.slot_gen = self.sender.gen(slot);
         // The trace context is stamped *before* the retransmission copy is
@@ -621,7 +697,7 @@ impl EndpointCore {
         for (i, w) in words.iter().enumerate() {
             buf[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
         }
-        self.try_send(dst, handler, buf.to_vec())
+        self.try_send(dst, handler, Bytes::copy_from_slice(&buf))
     }
 
     /// Vectored send: gather `parts` into one frame (the scatter-gather
@@ -637,11 +713,15 @@ impl EndpointCore {
         if len > FM_FRAME_PAYLOAD {
             return Err(SendError::TooLarge { len });
         }
-        let mut buf = Vec::with_capacity(len);
+        // Gathered on the stack and copied inline: like every frame-sized
+        // send, this path allocates nothing.
+        let mut buf = [0u8; FM_FRAME_PAYLOAD];
+        let mut at = 0;
         for p in parts {
-            buf.extend_from_slice(p);
+            buf[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
         }
-        self.try_send(dst, handler, buf)
+        self.try_send(dst, handler, Bytes::copy_from_slice(&buf[..len]))
     }
 
     fn loopback(&mut self, handler: HandlerId, payload: Bytes) -> Result<(), SendError> {
@@ -697,6 +777,7 @@ impl EndpointCore {
                 // First valid ack for a traced slot closes that trace's
                 // send→ack round trip (clocksync's t3).
                 let (slot, _) = ack_word_parts(word);
+                self.note_acked(slot);
                 if let Some(t) = self
                     .traced_slots
                     .get_mut(slot as usize)
@@ -733,6 +814,98 @@ impl EndpointCore {
             }
             FrameKind::Ack => { /* piggy area already processed above */ }
         }
+    }
+
+    /// A valid ack just freed `slot`: drop its send-order entry. In order
+    /// (the clean path) that is the front of its destination's list and
+    /// nothing else happens.
+    fn note_acked(&mut self, slot: u16) {
+        let SlotFlow { dst, seq, .. } = self.slot_flow[slot as usize];
+        let Some(order) = self.send_order.get_mut(dst.index()) else {
+            return;
+        };
+        if order.front().is_some_and(|&(front, _)| front == seq) {
+            order.pop_front();
+        } else {
+            self.repair_holes(dst, seq);
+        }
+    }
+
+    /// Sender-side hole repair, from acks alone (no wire change). The ack
+    /// for `acked` freed a frame behind still-held ones, so it overtook
+    /// each of them that was last transmitted before `acked` first left.
+    /// A held in-flight frame overtaken [`GAP_REPAIR_ACKS`] times is
+    /// retransmitted at once instead of waiting out its timer while the
+    /// receiver parks (and acks) ever more successors behind the hole. A
+    /// bounced frame is skipped: its retransmission is already queued, and
+    /// on a FIFO path its bounce arrives before any ack that overtook it,
+    /// so return-to-sender arbitration is undisturbed.
+    #[cold]
+    fn repair_holes(&mut self, dst: NodeId, acked: u32) {
+        let order = &mut self.send_order[dst.index()];
+        let Ok(pos) = order.binary_search_by(|&(seq, _)| (seq.wrapping_sub(acked) as i32).cmp(&0))
+        else {
+            return;
+        };
+        order.remove(pos);
+        let mut repairs = std::mem::take(&mut self.retx_scratch);
+        for &(_, slot) in order.range(..pos) {
+            let flow = &mut self.slot_flow[slot as usize];
+            if (acked.wrapping_sub(flow.barrier) as i32) < 0 {
+                continue;
+            }
+            flow.overtaken += 1;
+            if flow.overtaken >= flow.needed {
+                repairs.extend(self.sender.retransmit_now(slot, self.now));
+            }
+        }
+        for frame in repairs.drain(..) {
+            self.queue_retransmit(frame, Retransmit::Gap);
+        }
+        self.retx_scratch = repairs;
+    }
+
+    /// Put a retransmission on the wire queue with fresh acks attached,
+    /// counted and traced by cause. Restarts the frame's hole-repair
+    /// count: only frames that leave after this transmission can overtake
+    /// it.
+    fn queue_retransmit(&mut self, mut frame: WireFrame, cause: Retransmit) {
+        let flow = &mut self.slot_flow[frame.slot as usize];
+        flow.barrier = self.next_seq[frame.dst.index()];
+        flow.overtaken = 0;
+        frame.piggy = self.acks.take_piggy(frame.dst);
+        self.stats.retransmitted += 1;
+        self.telemetry.incr(Counter::Retransmits);
+        match cause {
+            Retransmit::Bounce => {}
+            Retransmit::Timer => {
+                self.stats.timer_retransmits += 1;
+                self.telemetry.incr(Counter::TimerRetransmits);
+            }
+            Retransmit::Gap => {
+                self.stats.gap_retransmits += 1;
+                flow.needed = self.config.window as u32;
+            }
+        }
+        self.telemetry.trace(
+            self.now,
+            EventKind::Retransmit {
+                peer: frame.dst.0,
+                slot: frame.slot,
+                timer: cause == Retransmit::Timer,
+            },
+        );
+        if frame.trace.sampled {
+            self.telemetry.trace(
+                self.now,
+                EventKind::SpanRetransmit {
+                    trace: frame.trace.id,
+                    hop: frame.trace.hop,
+                    peer: frame.dst.0,
+                },
+            );
+        }
+        self.outgoing.push_back(frame);
     }
 
     /// Admit one incoming data frame through the per-source sequence
@@ -1124,31 +1297,8 @@ impl EndpointCore {
             |_slot, frame| retx.push(frame.clone()),
             |_slot, frame| failed.push(frame),
         );
-        for mut frame in retx.drain(..) {
-            frame.piggy = self.acks.take_piggy(frame.dst);
-            self.stats.retransmitted += 1;
-            self.stats.timer_retransmits += 1;
-            self.telemetry.incr(Counter::Retransmits);
-            self.telemetry.incr(Counter::TimerRetransmits);
-            self.telemetry.trace(
-                self.now,
-                EventKind::Retransmit {
-                    peer: frame.dst.0,
-                    slot: frame.slot,
-                    timer: true,
-                },
-            );
-            if frame.trace.sampled {
-                self.telemetry.trace(
-                    self.now,
-                    EventKind::SpanRetransmit {
-                        trace: frame.trace.id,
-                        hop: frame.trace.hop,
-                        peer: frame.dst.0,
-                    },
-                );
-            }
-            self.outgoing.push_back(frame);
+        for frame in retx.drain(..) {
+            self.queue_retransmit(frame, Retransmit::Timer);
         }
         self.retx_scratch = retx;
         for frame in failed.drain(..) {
@@ -1178,6 +1328,9 @@ impl EndpointCore {
             .trace(self.now, EventKind::PeerDead { peer: peer.0 });
         let mut drops = 0u64;
         self.sender.release_where(|f| f.dst == peer, |_f| drops += 1);
+        if let Some(order) = self.send_order.get_mut(idx) {
+            order.clear();
+        }
         let before = self.outgoing.len();
         self.outgoing.retain(|f| f.dst != peer);
         drops += (before - self.outgoing.len()) as u64;
@@ -1195,31 +1348,10 @@ impl EndpointCore {
         for _ in 0..self.config.retransmit_per_extract {
             // Bounced frames were normalized back to Data form in on_wire,
             // so they go straight out with fresh acks attached.
-            let Some((_slot, mut frame)) = self.sender.pop_retransmit(self.now) else {
+            let Some((_slot, frame)) = self.sender.pop_retransmit(self.now) else {
                 break;
             };
-            frame.piggy = self.acks.take_piggy(frame.dst);
-            self.stats.retransmitted += 1;
-            self.telemetry.incr(Counter::Retransmits);
-            self.telemetry.trace(
-                self.now,
-                EventKind::Retransmit {
-                    peer: frame.dst.0,
-                    slot: frame.slot,
-                    timer: false,
-                },
-            );
-            if frame.trace.sampled {
-                self.telemetry.trace(
-                    self.now,
-                    EventKind::SpanRetransmit {
-                        trace: frame.trace.id,
-                        hop: frame.trace.hop,
-                        peer: frame.dst.0,
-                    },
-                );
-            }
-            self.outgoing.push_back(frame);
+            self.queue_retransmit(frame, Retransmit::Bounce);
         }
     }
 
@@ -1640,6 +1772,163 @@ mod tests {
         assert_eq!(f.trace, TraceCtx::default());
         let reencoded = WireFrame::decode(&f.encode()).unwrap();
         assert_eq!(reencoded.trace, TraceCtx::default(), "zeroes round-trip");
+    }
+
+    // ---- hole repair ----------------------------------------------------
+
+    /// Move `from`'s queued frames to `to`, losing those `lose` picks.
+    fn carry(
+        from: &mut EndpointCore,
+        to: &mut EndpointCore,
+        mut lose: impl FnMut(&WireFrame) -> bool,
+    ) {
+        while let Some(f) = from.pop_outgoing() {
+            if !lose(&f) {
+                to.on_wire(f);
+            }
+        }
+    }
+
+    /// A sender/receiver pair with a sink handler on the receiver.
+    fn stream_pair(cfg: EndpointConfig) -> (EndpointCore, EndpointCore, HandlerId) {
+        let a = EndpointCore::new(NodeId(0), cfg);
+        let mut b = EndpointCore::new(NodeId(1), cfg);
+        let hid = b.register_handler(Box::new(|_, _, _| {}));
+        (a, b, hid)
+    }
+
+    fn send_n(a: &mut EndpointCore, hid: HandlerId, n: usize) {
+        for _ in 0..n {
+            a.try_send(NodeId(1), hid, &[0u8; 8][..]).unwrap();
+        }
+    }
+
+    fn is_data(f: &WireFrame, seq: u32) -> bool {
+        f.kind == FrameKind::Data && f.seq == seq
+    }
+
+    #[test]
+    fn one_lost_frame_is_repaired_from_acks_without_a_timer() {
+        let (mut a, mut b, hid) = stream_pair(EndpointConfig {
+            adaptive_rto: true,
+            ..Default::default()
+        });
+        send_n(&mut a, hid, 8);
+        carry(&mut a, &mut b, |f| is_data(f, 2));
+        assert_eq!(b.extract(usize::MAX), 2, "0 and 1; 3..=7 park behind the hole");
+        // Acks 0, 1 free the front of the send order; 3, 4, 5 overtake
+        // seq 2, and the third of them repairs it.
+        carry(&mut b, &mut a, |_| false);
+        assert_eq!(a.stats().gap_retransmits, 1);
+        assert_eq!(a.stats().retransmitted, 1);
+        assert_eq!(a.outgoing_len(), 1);
+        carry(&mut a, &mut b, |_| false);
+        assert_eq!(b.extract(usize::MAX), 6);
+        carry(&mut b, &mut a, |_| false);
+        assert!(a.is_quiescent() && b.is_quiescent(), "{a:?} {b:?}");
+        assert_eq!(a.stats().timer_retransmits, 0);
+        assert_eq!(b.stats().duplicates, 0);
+        // Karn: the repaired slot's ack is ambiguous between its two
+        // transmissions and never becomes an RTT sample.
+        assert_eq!(a.rtt().samples(), 7);
+    }
+
+    #[test]
+    fn two_holes_in_one_window_are_repaired_in_the_same_ack_round() {
+        let (mut a, mut b, hid) = stream_pair(EndpointConfig::default());
+        send_n(&mut a, hid, 12);
+        carry(&mut a, &mut b, |f| is_data(f, 2) || is_data(f, 4));
+        b.extract(usize::MAX);
+        carry(&mut b, &mut a, |_| false);
+        assert_eq!(a.stats().gap_retransmits, 2);
+        let seqs: Vec<u32> = a.outgoing.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [2, 4]);
+        carry(&mut a, &mut b, |_| false);
+        assert_eq!(b.extract(usize::MAX), 10);
+        carry(&mut b, &mut a, |_| false);
+        assert!(a.is_quiescent() && b.is_quiescent());
+        assert_eq!(a.stats().timer_retransmits, 0);
+    }
+
+    #[test]
+    fn a_lost_repair_is_repaired_again_after_a_further_window_of_acks() {
+        let window = 8;
+        let (mut a, mut b, hid) = stream_pair(EndpointConfig {
+            window,
+            ..Default::default()
+        });
+        // Seq 0 is lost twice: the original and its first repair.
+        let mut losses = 2;
+        let mut lose_head = move |f: &WireFrame| {
+            let lost = is_data(f, 0) && losses > 0;
+            losses -= lost as u32;
+            lost
+        };
+        let mut round = |a: &mut EndpointCore, b: &mut EndpointCore, n: usize| {
+            send_n(a, hid, n);
+            carry(a, b, &mut lose_head);
+            b.extract(usize::MAX);
+            carry(b, a, |_| false);
+            assert_eq!(a.send_order[1].len(), a.outstanding());
+            assert!(a.outstanding() <= window);
+        };
+        // 1..=7 are acked past the hole: the third ack repairs it. The
+        // repair went out after all of them, so none of the rest count.
+        round(&mut a, &mut b, window);
+        assert_eq!(a.stats().gap_retransmits, 1);
+        // The repair is lost on the way out of this round. Seven later
+        // frames acked: one short of a window, no second repair yet.
+        round(&mut a, &mut b, window - 1);
+        assert_eq!(a.stats().gap_retransmits, 1);
+        // The eighth ack of a frame sent after the repair sends another.
+        round(&mut a, &mut b, window - 1);
+        assert_eq!(a.stats().gap_retransmits, 2);
+        round(&mut a, &mut b, 0);
+        assert!(a.is_quiescent() && b.is_quiescent(), "{a:?} {b:?}");
+        assert_eq!(b.stats().delivered as usize, 3 * window - 2);
+        assert_eq!(a.stats().timer_retransmits, 0);
+    }
+
+    #[test]
+    fn a_bounced_head_is_never_gap_retransmitted() {
+        let mut a = EndpointCore::new(NodeId(0), EndpointConfig::default());
+        let mut b = EndpointCore::new(
+            NodeId(1),
+            EndpointConfig {
+                recv_ring: 4,
+                ..Default::default()
+            },
+        );
+        let hid = b.register_handler(Box::new(|_, _, _| {}));
+        // 0..=3 fill the ring, 4 bounces, 5..=9 park and are acked.
+        send_n(&mut a, hid, 10);
+        carry(&mut a, &mut b, |_| false);
+        b.flush_acks(true);
+        // The bounce is queued ahead of the acks that overtook it, so by
+        // the time they arrive seq 4 is parked for its own retransmission.
+        carry(&mut b, &mut a, |_| false);
+        assert_eq!(a.stats().bounced, 1);
+        assert_eq!(a.outstanding(), 1);
+        assert_eq!(a.stats().gap_retransmits, 0);
+        assert_eq!(a.outgoing_len(), 0, "five later acks, no repair");
+        a.extract(usize::MAX);
+        assert_eq!(a.stats().retransmitted, 1, "the bounce path resends it");
+        assert_eq!(a.stats().gap_retransmits, 0);
+    }
+
+    #[test]
+    fn dead_and_reset_peers_leave_no_send_order_behind() {
+        let (mut a, _b, hid) = stream_pair(EndpointConfig::default());
+        send_n(&mut a, hid, 5);
+        assert_eq!(a.send_order[1].len(), 5);
+        a.mark_dead(NodeId(1));
+        assert!(a.send_order[1].is_empty());
+        a.revive_peer(NodeId(1));
+        send_n(&mut a, hid, 3);
+        assert_eq!(a.send_order[1].len(), 3);
+        a.reset_peer(NodeId(1));
+        assert!(a.send_order[1].is_empty());
+        assert_eq!(a.outstanding(), 0);
     }
 
     #[test]

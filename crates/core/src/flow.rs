@@ -5,7 +5,10 @@
 //! [`SenderFlow`]: an outstanding-packet window whose slots now also carry
 //! retransmission timers (exponential backoff + jitter) and a bounded retry
 //! budget, so loss of a frame *or of its ack* recovers by timeout and a
-//! peer that never answers is eventually declared dead. The receiver side
+//! peer that never answers is eventually declared dead; a mid-stream hole
+//! does not wait for the timeout, because the endpoint resends it as soon
+//! as later frames are acknowledged past it ([`SenderFlow::retransmit_now`],
+//! driven by `EndpointCore`'s hole repair). The receiver side
 //! is an [`AckTracker`] that batches acknowledgements and prefers
 //! piggybacking them on reverse-direction data frames ("FM 1.0 optimizes
 //! further by piggybacking acknowledgements on ordinary data packets"),
@@ -34,7 +37,7 @@
 use crate::frame::{PiggyAcks, PIGGY_MAX};
 use crate::queues::{RejectQueue, REJECT_SLOT_LIMIT};
 use fm_myrinet::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 /// How many accepted-but-unacknowledged frames trigger a standalone ack
 /// frame when no reverse traffic is available to piggyback on. One full
@@ -248,6 +251,21 @@ impl<T> SenderFlow<T> {
         r
     }
 
+    /// Hole repair: retransmit `slot`'s packet now, ahead of its timer
+    /// (which is re-armed from `now`). The slot is flagged retransmitted,
+    /// so its eventual ack is never an RTT sample (Karn's rule). `None`
+    /// unless the slot is in flight — a bounced slot already has its
+    /// retransmission queued.
+    pub fn retransmit_now(&mut self, slot: u16, now: u64) -> Option<T>
+    where
+        T: Clone,
+    {
+        let packet = self.reject.rearm(slot, now)?.clone();
+        self.retx[slot as usize] = true;
+        self.retransmitted += 1;
+        Some(packet)
+    }
+
     /// Frames parked awaiting retransmission.
     pub fn pending_retransmits(&self) -> usize {
         self.reject.returned()
@@ -382,14 +400,20 @@ pub enum SeqClass {
 ///
 /// `next` summarizes everything already released (all seqs strictly before
 /// it), so duplicate suppression needs no bitmap; frames ahead of `next`
-/// are parked in a map keyed by sequence number until the gap fills.
-/// Comparisons use wrapping u32 arithmetic, so the window is correct across
-/// sequence-number wraparound.
+/// are parked in a dense ring where entry `i` holds sequence number
+/// `next + i`, so a lookup is an index, not a hash. The ring is reserved
+/// once, at `lookahead + 1` entries on the first park, and never grows:
+/// a receiver's reorder memory is `sources x (lookahead + 1)` frames
+/// however long the cluster lives. Comparisons use wrapping u32
+/// arithmetic, so the window is correct across sequence-number wraparound.
 #[derive(Debug, Clone)]
 pub struct SeqWindow<T> {
     next: u32,
     lookahead: u32,
-    buffered: HashMap<u32, T>,
+    /// `parked[i]` is the frame with sequence number `next + i`, if it has
+    /// arrived. Empty whenever `parked_count` is 0.
+    parked: VecDeque<Option<T>>,
+    parked_count: usize,
     /// Statistics (read via the accessor methods below).
     duplicates: u64,
     too_far: u64,
@@ -399,6 +423,12 @@ pub struct SeqWindow<T> {
 
 impl<T> SeqWindow<T> {
     pub fn new(lookahead: u32) -> Self {
+        Self::starting_at(0, lookahead)
+    }
+
+    /// A window whose first expected sequence number is `next` (a stream
+    /// that resumes mid-sequence; the tests start just below `u32::MAX`).
+    pub fn starting_at(next: u32, lookahead: u32) -> Self {
         // `lookahead == 0` is legal: it disables Ahead-buffering entirely,
         // so any out-of-order frame bounces — the paper's original
         // return-to-sender dynamics (delivery guaranteed, ordering by
@@ -408,9 +438,10 @@ impl<T> SeqWindow<T> {
             "lookahead must leave room for wrapping comparison"
         );
         SeqWindow {
-            next: 0,
+            next,
             lookahead,
-            buffered: HashMap::new(),
+            parked: VecDeque::new(),
+            parked_count: 0,
             duplicates: 0,
             too_far: 0,
             buffered_high_water: 0,
@@ -425,34 +456,68 @@ impl<T> SeqWindow<T> {
 
     /// Frames parked waiting for a gap to fill.
     pub fn buffered(&self) -> usize {
-        self.buffered.len()
+        self.parked_count
     }
 
-    /// Classify an arriving sequence number. Pure; the caller acts on the
-    /// class (deliver / re-ack / [`SeqWindow::buffer`] / bounce).
+    /// Ring entries in use (parked frames plus the holes between them) and
+    /// the ring's reserved capacity. The first never exceeds
+    /// `lookahead + 1`; the second is 0 until the first park and constant
+    /// afterwards.
+    pub fn storage(&self) -> (usize, usize) {
+        (self.parked.len(), self.parked.capacity())
+    }
+
+    fn is_parked(&self, delta: u32) -> bool {
+        matches!(self.parked.get(delta as usize), Some(Some(_)))
+    }
+
+    /// Classify an arriving sequence number. The caller acts on the class
+    /// (deliver / re-ack / [`SeqWindow::buffer`] / bounce).
     pub fn classify(&mut self, seq: u32) -> SeqClass {
         let delta = seq.wrapping_sub(self.next) as i32;
         if delta < 0 {
             self.duplicates += 1;
             SeqClass::Duplicate
-        } else if delta == 0 {
-            SeqClass::InOrder
-        } else if delta as u32 <= self.lookahead {
-            if self.buffered.contains_key(&seq) {
-                self.duplicates += 1;
-                SeqClass::Duplicate
-            } else {
-                SeqClass::Ahead
-            }
-        } else {
+        } else if delta as u32 > self.lookahead {
             self.too_far += 1;
             SeqClass::TooFar
+        } else if self.is_parked(delta as u32) {
+            // Includes `delta == 0`: a second copy of a frame that is
+            // parked at the head waiting for ring space must not be
+            // delivered beside it.
+            self.duplicates += 1;
+            SeqClass::Duplicate
+        } else if delta == 0 {
+            SeqClass::InOrder
+        } else {
+            SeqClass::Ahead
         }
     }
 
-    /// The in-order frame was released: advance the expectation.
+    /// The in-order frame was released: advance the expectation (dropping
+    /// a parked copy of that frame, should there be one).
     pub fn advance(&mut self) {
+        if self.parked_count == 0 {
+            // The clean path: the ring is empty, there is nothing to shift.
+            self.next = self.next.wrapping_add(1);
+        } else {
+            self.pop_head();
+        }
+    }
+
+    /// Move the expectation past the head entry, returning what was parked
+    /// there.
+    fn pop_head(&mut self) -> Option<T> {
         self.next = self.next.wrapping_add(1);
+        let item = self.parked.pop_front().flatten();
+        if item.is_some() {
+            self.parked_count -= 1;
+        }
+        if self.parked_count == 0 {
+            // Only holes are left; keep `parked` empty when nothing is.
+            self.parked.clear();
+        }
+        item
     }
 
     /// Park an [`SeqClass::Ahead`] frame until the gap before it fills.
@@ -467,28 +532,39 @@ impl<T> SeqWindow<T> {
             self.buffer_misuse += 1;
             return Err((SeqBufferError::OutOfWindow, item));
         }
-        if self.buffered.contains_key(&seq) {
+        if self.is_parked(delta) {
             self.buffer_misuse += 1;
             return Err((SeqBufferError::Occupied, item));
         }
-        self.buffered.insert(seq, item);
-        self.buffered_high_water = self.buffered_high_water.max(self.buffered.len());
+        let idx = delta as usize;
+        if self.parked.capacity() == 0 {
+            self.parked.reserve_exact(self.lookahead as usize + 1);
+        }
+        if self.parked.len() <= idx {
+            self.parked.resize_with(idx + 1, || None);
+        }
+        self.parked[idx] = Some(item);
+        self.parked_count += 1;
+        self.buffered_high_water = self.buffered_high_water.max(self.parked_count);
         Ok(())
     }
 
     /// If the next expected frame is parked, release it (advancing the
     /// expectation). Call repeatedly to drain a filled gap.
     pub fn take_ready(&mut self) -> Option<T> {
-        let item = self.buffered.remove(&self.next)?;
-        self.advance();
-        Some(item)
+        if self.is_parked(0) {
+            self.pop_head()
+        } else {
+            None
+        }
     }
 
     /// Drop all parked frames (the source died; its unfinished reordering
     /// state must not pin memory).
     pub fn clear_buffered(&mut self) -> usize {
-        let n = self.buffered.len();
-        self.buffered.clear();
+        let n = self.parked_count;
+        self.parked.clear();
+        self.parked_count = 0;
         n
     }
 
@@ -781,6 +857,23 @@ mod tests {
         w.advance();
         w.advance();
         assert_eq!(w.take_ready(), Some("ahead"));
+    }
+
+    #[test]
+    fn second_copy_of_a_frame_parked_at_the_head_is_a_duplicate() {
+        // 1 is parked; 0 arrives and is released, but the caller's ring is
+        // full, so 1 stays parked — now at the head. A retransmitted copy
+        // of 1 must not be delivered beside it (the old map keyed by seq
+        // called it InOrder and then leaked the parked copy forever).
+        let mut w: SeqWindow<&str> = SeqWindow::new(4);
+        w.buffer(1, "one").unwrap();
+        assert_eq!(w.classify(0), SeqClass::InOrder);
+        w.advance();
+        assert_eq!(w.classify(1), SeqClass::Duplicate);
+        assert_eq!(w.duplicates(), 1);
+        assert_eq!(w.take_ready(), Some("one"));
+        assert_eq!(w.next_expected(), 2);
+        assert_eq!((w.buffered(), w.storage().0), (0, 0));
     }
 
     #[test]

@@ -49,7 +49,10 @@
 //! The CRC trailer is this codebase's first departure from the paper: real
 //! Myrinet delegated integrity to link-level hardware CRC, so FM 1.0 never
 //! checks. Our fault-injection layer ([`crate::fault`]) flips bits in
-//! transit, so every frame carries an end-to-end checksum. Decoding is
+//! transit, so every frame carries an end-to-end checksum, computed in
+//! software once in [`WireFrame::encode_into`] and once in
+//! [`WireFrame::decode_slice`] — the two largest per-byte costs of a
+//! frame, which is why [`crc32`] folds sixteen bytes per step. Decoding is
 //! *strict about total length* (`buf.len()` must equal header + declared
 //! payload + trailer): a bit flip in the length field then always surfaces
 //! as a structural error rather than silently moving where the CRC is read,
@@ -85,32 +88,17 @@ pub const FM_CRC_BYTES: usize = 4;
 /// One fabric ring slot holds exactly this many bytes.
 pub const FM_FRAME_MAX: usize = FM_HEADER_BYTES + FM_FRAME_PAYLOAD + FM_CRC_BYTES;
 
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven. Used for the
-/// frame trailer; public so tests and the fault injector can recompute it.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut c = !0u32;
-    for &b in bytes {
-        c = (c >> 8) ^ TABLE[((c ^ b as u32) & 0xFF) as usize];
-    }
-    !c
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
+/// CRC-32 (IEEE 802.3) of the frame trailer; public so tests and the fault
+/// injector can recompute it. The implementation — slicing-by-16 over
+/// 16 KiB of compile-time tables, safe Rust — is `fm_telemetry::crc`, the
+/// one copy in the workspace (it sits below this crate in the dependency
+/// order, and the telemetry beacons checksum with it too).
+///
+/// Not the hardware CRC32C instruction: that is a different polynomial
+/// (Castagnoli), so adopting it would change every frame on the wire, need
+/// `unsafe` intrinsics, and fork the codec per platform with a software
+/// fallback beside it. Table slicing keeps one wire format and one path.
+pub use fm_telemetry::crc32;
 
 /// Maximum acknowledgements piggybacked on one frame.
 pub const PIGGY_MAX: usize = 4;

@@ -50,8 +50,10 @@
 //! corruption *first-class testable events*: every frame carries a CRC32
 //! trailer ([`frame::crc32`]), receivers suppress duplicates and restore
 //! order with per-source sequence windows ([`flow::SeqWindow`]), senders
-//! run exponential-backoff retransmission timers over the reject queue and
-//! declare unresponsive peers dead after a bounded retry budget
+//! resend a mid-stream hole as soon as later frames are acknowledged past
+//! it ([`endpoint::GAP_REPAIR_ACKS`]), run exponential-backoff
+//! retransmission timers over the reject queue for what nothing overtakes,
+//! and declare unresponsive peers dead after a bounded retry budget
 //! ([`SendError::PeerUnreachable`]), and [`fault`] injects seeded,
 //! deterministic faults underneath it all to prove the machinery works.
 

@@ -394,6 +394,27 @@ impl<T> RejectQueue<T> {
         }
     }
 
+    /// Retransmit an in-flight packet ahead of its timer (hole repair: the
+    /// sender saw later packets acknowledged past this one). The timer is
+    /// re-armed from `now` at the slot's current timeout; the retry count
+    /// is left alone, since later acks prove the peer alive. `None` for a
+    /// slot that is free, parked after a bounce (its retransmission is
+    /// already queued), or holds no copy.
+    pub fn rearm(&mut self, slot: u16, now: u64) -> Option<&T> {
+        let Some(SlotState::InFlight {
+            packet: Some(packet),
+            deadline,
+            rto,
+            ..
+        }) = self.slots.get_mut(slot as usize)
+        else {
+            return None;
+        };
+        *deadline = now.saturating_add(*rto);
+        self.next_deadline = self.next_deadline.min(*deadline);
+        Some(packet)
+    }
+
     /// Walk in-flight slots whose retransmission deadline has passed.
     /// For each expired slot: if its retry count reached `max_retries` the
     /// slot is freed and `fail(slot, packet)` is invoked (the caller
@@ -636,6 +657,27 @@ mod tests {
         assert_eq!(failed, vec![(a, "pkt")]);
         assert_eq!(q.outstanding(), 0);
         assert!(q.has_space());
+    }
+
+    #[test]
+    fn rearm_restarts_the_timer_of_in_flight_slots_only() {
+        let mut q: RejectQueue<&str> = RejectQueue::new(2);
+        let a = q.reserve(0, 10).unwrap();
+        q.store(a, 0, "pkt");
+        assert_eq!(q.rearm(a, 7), Some(&"pkt"));
+        // The deadline moved from 10 to 17 (`timer_due` may still say yes
+        // early: its cached bound is allowed to be stale-low).
+        let mut fired = 0;
+        q.scan_expired(16, 9, 1000, |_| 0, |_, _| fired += 1, |_, _| {});
+        assert_eq!(fired, 0);
+        assert!(!q.timer_due(16));
+        q.scan_expired(17, 9, 1000, |_| 0, |_, _| fired += 1, |_, _| {});
+        assert_eq!(fired, 1);
+        // Not for a bounced slot, a free slot, or one outside the table.
+        assert!(q.bounce(a, 0, "pkt"));
+        assert_eq!(q.rearm(a, 8), None);
+        assert_eq!(q.rearm(1, 8), None);
+        assert_eq!(q.rearm(9, 8), None);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! is count-prefixed, so a decoder never reads past what the sender wrote;
 //! the trailing CRC rejects truncation and corruption outright.
 
+use crate::crc::crc32;
 use crate::hist::HistSummary;
 use crate::trace::{EventKind, TraceEvent};
 use crate::{Counter, Metric, Telemetry};
@@ -55,25 +56,6 @@ pub const MAX_BEACON_BYTES: usize = 8192;
 
 /// Default cap on trace events shipped per beacon.
 pub const DEFAULT_BEACON_EVENTS: usize = 96;
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data` — the same
-/// polynomial the FM frame codec uses, reimplemented here because the
-/// dependency arrow points the other way (`fm-core` depends on this
-/// crate). Nibble-table driven: 64 bytes of table, no per-call setup.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000, 0x1DB7_1064, 0x3B6E_20C8, 0x26D9_30AC,
-        0x76DC_4190, 0x6B6B_51F4, 0x4DB2_6158, 0x5005_713C,
-        0xEDB8_8320, 0xF00F_9344, 0xD6D6_A3E8, 0xCB61_B38C,
-        0x9B64_C2B0, 0x86D3_D2D4, 0xA00A_E278, 0xBDBD_F21C,
-    ];
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
-    }
-    !crc
-}
 
 /// Who sent a beacon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -779,13 +761,6 @@ mod tests {
             TraceEvent { tick: 5, node: 3, kind: EventKind::CollEnd { coll: 3, epoch: 12 } },
             TraceEvent { tick: 6, node: 3, kind: EventKind::PeerDead { peer: 4 } },
         ]
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The classic IEEE 802.3 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

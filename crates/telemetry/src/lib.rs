@@ -33,6 +33,7 @@ pub mod aggregate;
 pub mod beacon;
 pub mod clocksync;
 pub mod collector;
+pub mod crc;
 pub mod hist;
 pub mod merge;
 pub mod trace;
@@ -41,6 +42,7 @@ pub use aggregate::{FlightDump, MetricsAggregator, TickSample};
 pub use beacon::{Beacon, BeaconBody, BeaconError, Beaconer, EndpointBeacon, ShardSample};
 pub use clocksync::{ClockEstimate, ClusterClock, OffsetEstimator, RttSample};
 pub use collector::{Alarm, Collector, DetectorConfig};
+pub use crc::crc32;
 pub use hist::{bucket_index, bucket_lower, bucket_upper, HistSummary, Histogram, BUCKETS, SUB};
 pub use merge::{FlowPair, MergeReport, MergedEvent};
 pub use trace::{chrome_trace, coll_kind_name, EventKind, EventRing, TraceEvent};

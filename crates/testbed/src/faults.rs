@@ -94,6 +94,7 @@ pub struct FaultPoint {
     /// Protocol recovery counters (sender + receiver).
     pub retransmitted: u64,
     pub timer_retransmits: u64,
+    pub gap_retransmits: u64,
     pub duplicates_suppressed: u64,
     /// Simulated time to the last delivery.
     pub elapsed: Duration,
@@ -321,6 +322,7 @@ pub fn run_loss_point(rate: f64, cfg: FaultSweepConfig) -> FaultPoint {
         crc_rejected,
         retransmitted: sender.stats().retransmitted + receiver.stats().retransmitted,
         timer_retransmits: sender.stats().timer_retransmits + receiver.stats().timer_retransmits,
+        gap_retransmits: sender.stats().gap_retransmits + receiver.stats().gap_retransmits,
         duplicates_suppressed: sender.stats().duplicates + receiver.stats().duplicates,
         elapsed,
         goodput_mbs: if elapsed == Duration::ZERO {
@@ -363,7 +365,11 @@ mod tests {
         let p = run_loss_point(0.05, small());
         assert_eq!(p.delivered, 600);
         assert!(p.injected_drops > 0 && p.injected_corrupt > 0);
-        assert!(p.timer_retransmits > 0, "drops recover via timers: {p:?}");
+        assert!(p.gap_retransmits > 0, "mid-stream drops recover by hole repair: {p:?}");
+        assert!(
+            p.timer_retransmits < p.gap_retransmits,
+            "timers are the fallback, not the rule: {p:?}"
+        );
         assert!(p.duplicates_suppressed > 0, "{p:?}");
     }
 

@@ -494,27 +494,34 @@ proptest! {
     /// reordered + duplicated stream of sequence numbers through
     /// `SeqWindow` and through an oracle that remembers every seq it has
     /// admitted. The window must (a) agree with the oracle on what is a
-    /// duplicate, (b) release exactly 0..n in order, each exactly once.
+    /// duplicate, (b) release exactly the n numbers from its start in
+    /// order, each exactly once — including across the u32 wrap, which
+    /// `back` places anywhere in the run — and (c) never hold more than
+    /// `lookahead + 1` ring entries or change its reservation once made.
     #[test]
     fn seq_window_matches_model_under_reordering(
         n in 1usize..200,
         dup_every in 1usize..8,
         seed in any::<u64>(),
         lookahead in 200u32..1024,
+        back in 0u32..300,
     ) {
         use fm_core::SeqClass;
-        // Build the arrival schedule: 0..n shuffled, with every
-        // `dup_every`-th element repeated somewhere later.
-        let mut arrivals: Vec<u32> = (0..n as u32).collect();
+        let start = 0u32.wrapping_sub(back);
+        // Build the arrival schedule: the n numbers from `start`,
+        // shuffled, with every `dup_every`-th element repeated somewhere
+        // later.
+        let mut arrivals: Vec<u32> = (0..n as u32).map(|i| start.wrapping_add(i)).collect();
         let mut rng = fm_des::rng::Xoshiro256::seed_from_u64(seed);
         rng.shuffle(&mut arrivals);
         let dups: Vec<u32> = arrivals.iter().copied().step_by(dup_every).collect();
         arrivals.extend(&dups);
         rng.shuffle(&mut arrivals);
 
-        let mut win: fm_core::SeqWindow<u32> = fm_core::SeqWindow::new(lookahead);
+        let mut win: fm_core::SeqWindow<u32> = fm_core::SeqWindow::starting_at(start, lookahead);
         let mut seen = std::collections::HashSet::new(); // the oracle
         let mut released = Vec::new();
+        let mut reserved = 0;
         for seq in arrivals {
             let fresh = seen.insert(seq);
             match win.classify(seq) {
@@ -535,15 +542,21 @@ proptest! {
                     prop_assert!(win.buffer(seq, seq).is_ok(), "classified Ahead must park");
                 }
                 SeqClass::TooFar => {
-                    // lookahead >= 200 > n: reordering within 0..n can
+                    // lookahead >= 200 > n: reordering within the run can
                     // never exceed the window in this schedule.
                     prop_assert!(false, "seq {} declared TooFar", seq);
                 }
             }
+            let (entries, capacity) = win.storage();
+            prop_assert!(entries <= lookahead as usize + 1, "{} ring entries", entries);
+            if reserved == 0 {
+                reserved = capacity;
+            }
+            prop_assert_eq!(capacity, reserved, "the ring was reallocated");
         }
         prop_assert_eq!(released.len(), n, "not everything was released");
         for (i, &s) in released.iter().enumerate() {
-            prop_assert_eq!(s, i as u32, "out-of-order release at {}", i);
+            prop_assert_eq!(s, start.wrapping_add(i as u32), "out-of-order release at {}", i);
         }
         prop_assert_eq!(win.buffered(), 0);
     }
@@ -563,5 +576,39 @@ proptest! {
     #[test]
     fn ack_word_rejects_wide_slots(slot in 1024u16..=u16::MAX, gen in any::<u8>()) {
         prop_assert_eq!(fm_core::ack_word(slot, gen), None);
+    }
+}
+
+/// 100 000 park/release cycles (a hole at the head, a burst parked behind
+/// it, the hole filled, the burst drained), starting just below the u32
+/// wrap: the reorder ring is reserved once and never reallocated, so a
+/// receiver's reorder memory does not depend on how long its peers have
+/// been talking. (The `HashMap` this replaced crept to several times its
+/// working size under exactly this churn.)
+#[test]
+fn seq_window_reservation_survives_park_release_churn() {
+    let lookahead = 64u32;
+    let mut win: fm_core::SeqWindow<u32> = fm_core::SeqWindow::starting_at(u32::MAX - 1_000, lookahead);
+    let mut reserved = None;
+    for cycle in 0..100_000u32 {
+        let head = win.next_expected();
+        let burst = 1 + cycle % lookahead;
+        for ahead in 1..=burst {
+            let seq = head.wrapping_add(ahead);
+            assert_eq!(win.classify(seq), fm_core::SeqClass::Ahead);
+            win.buffer(seq, seq).expect("inside the lookahead");
+        }
+        let (entries, capacity) = win.storage();
+        assert!(entries <= lookahead as usize + 1);
+        assert_eq!(*reserved.get_or_insert(capacity), capacity, "cycle {cycle}");
+        assert_eq!(win.classify(head), fm_core::SeqClass::InOrder);
+        win.advance();
+        let mut drained = 0;
+        while let Some(seq) = win.take_ready() {
+            drained += 1;
+            assert_eq!(seq, head.wrapping_add(drained));
+        }
+        assert_eq!(drained, burst);
+        assert_eq!(win.storage().0, 0, "an empty window holds no entries");
     }
 }
