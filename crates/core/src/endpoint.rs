@@ -516,7 +516,8 @@ impl EndpointCore {
     pub fn reset_peer(&mut self, peer: NodeId) {
         let idx = peer.index();
         let mut drops = 0u64;
-        self.sender.release_where(|f| f.dst == peer, |_f| drops += 1);
+        self.sender
+            .release_where(|f| f.dst == peer, |_f| drops += 1);
         let before = self.outgoing.len();
         self.outgoing.retain(|f| f.dst != peer);
         drops += (before - self.outgoing.len()) as u64;
@@ -653,8 +654,14 @@ impl EndpointCore {
         }
         self.stats.sent += 1;
         self.telemetry.incr(Counter::Sends);
-        self.telemetry
-            .trace(self.now, EventKind::Send { dst: dst.0, slot, seq });
+        self.telemetry.trace(
+            self.now,
+            EventKind::Send {
+                dst: dst.0,
+                slot,
+                seq,
+            },
+        );
         if trace.sampled {
             self.telemetry.trace(
                 self.now,
@@ -729,7 +736,9 @@ impl EndpointCore {
         // still ride the receive ring so delivery order relative to other
         // arrivals is preserved and handlers still run inside extract.
         let frame = WireFrame::data(self.id, self.id, handler, 0, 0, payload);
-        self.recv_ring.push(frame).map_err(|_| SendError::WouldBlock)?;
+        self.recv_ring
+            .push(frame)
+            .map_err(|_| SendError::WouldBlock)?;
         // Loopback skips the quota (no network contention to arbitrate)
         // but still balances the share ledger extract decrements.
         *grow(&mut self.ring_share, self.id.index()) += 1;
@@ -993,7 +1002,7 @@ impl EndpointCore {
                         *ring_quota,
                     );
                 }
-            },
+            }
             SeqClass::Ahead => match self.window_mut(src).buffer(seq, frame) {
                 // Park first, ack second: an acked frame is a frame the
                 // sender will never resend, so the ack must only go out
@@ -1327,7 +1336,8 @@ impl EndpointCore {
         self.telemetry
             .trace(self.now, EventKind::PeerDead { peer: peer.0 });
         let mut drops = 0u64;
-        self.sender.release_where(|f| f.dst == peer, |_f| drops += 1);
+        self.sender
+            .release_where(|f| f.dst == peer, |_f| drops += 1);
         if let Some(order) = self.send_order.get_mut(idx) {
             order.clear();
         }
@@ -1484,7 +1494,8 @@ mod tests {
             let w0 = u32::from_le_bytes(data[0..4].try_into().unwrap());
             assert_eq!(w0, 0x1234_5678);
         }));
-        a.try_send_4(NodeId(1), hid, [0x1234_5678, 0, 0, 0]).unwrap();
+        a.try_send_4(NodeId(1), hid, [0x1234_5678, 0, 0, 0])
+            .unwrap();
         pump(&mut a, &mut b);
         assert_eq!(b.extract(usize::MAX), 1);
     }
@@ -1660,8 +1671,8 @@ mod tests {
         a.try_send(NodeId(1), hb, &[1][..]).unwrap();
         pump(&mut a, &mut b);
         b.extract(usize::MAX); // accepts + queues ack (standalone flush happens too)
-        // Reset: send again and reply *before* extract's forced flush by
-        // sending reverse data in the same extract-cycle window.
+                               // Reset: send again and reply *before* extract's forced flush by
+                               // sending reverse data in the same extract-cycle window.
         a.try_send(NodeId(1), hb, &[2][..]).unwrap();
         pump(&mut a, &mut b);
         // b receives the data; now b sends its own data frame — the pending
@@ -1741,8 +1752,18 @@ mod tests {
             assert!(a.telemetry().events().is_empty());
             return;
         }
-        let a_kinds: Vec<&str> = a.telemetry().events().iter().map(|e| e.kind.name()).collect();
-        let b_kinds: Vec<&str> = b.telemetry().events().iter().map(|e| e.kind.name()).collect();
+        let a_kinds: Vec<&str> = a
+            .telemetry()
+            .events()
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
+        let b_kinds: Vec<&str> = b
+            .telemetry()
+            .events()
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
         assert!(a_kinds.contains(&"span_send"), "{a_kinds:?}");
         assert!(a_kinds.contains(&"span_ack_in"), "{a_kinds:?}");
         assert!(b_kinds.contains(&"span_wire_in"), "{b_kinds:?}");
@@ -1815,7 +1836,11 @@ mod tests {
         });
         send_n(&mut a, hid, 8);
         carry(&mut a, &mut b, |f| is_data(f, 2));
-        assert_eq!(b.extract(usize::MAX), 2, "0 and 1; 3..=7 park behind the hole");
+        assert_eq!(
+            b.extract(usize::MAX),
+            2,
+            "0 and 1; 3..=7 park behind the hole"
+        );
         // Acks 0, 1 free the front of the send order; 3, 4, 5 overtake
         // seq 2, and the third of them repairs it.
         carry(&mut b, &mut a, |_| false);

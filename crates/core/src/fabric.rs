@@ -354,7 +354,10 @@ mod tests {
         let mut got: Vec<Vec<u8>> = Vec::new();
         let n = c.poll_batch(16, |b| got.push(b.to_vec()));
         assert_eq!(n, 3);
-        assert_eq!(got, vec![b"alpha".to_vec(), vec![], vec![7u8; FM_FRAME_MAX]]);
+        assert_eq!(
+            got,
+            vec![b"alpha".to_vec(), vec![], vec![7u8; FM_FRAME_MAX]]
+        );
         assert_eq!(c.poll_batch(16, |_| panic!("ring should be empty")), 0);
     }
 

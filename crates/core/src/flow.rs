@@ -205,7 +205,8 @@ impl<T> SenderFlow<T> {
 
     /// Attach the retransmission copy for `slot`.
     pub fn store(&mut self, slot: u16, packet: T) {
-        self.reject.store(slot, gen_tag(self.gens[slot as usize]), packet);
+        self.reject
+            .store(slot, gen_tag(self.gens[slot as usize]), packet);
     }
 
     /// Process one piggybacked ack word. On a valid ack, returns the
@@ -845,8 +846,14 @@ mod tests {
         assert_eq!(w.buffer(2, "dup"), Err((SeqBufferError::Occupied, "dup")));
         // seq == next is InOrder, not Ahead; seq past the lookahead and
         // already-delivered (wrapped-negative delta) are out of window.
-        assert_eq!(w.buffer(0, "now"), Err((SeqBufferError::OutOfWindow, "now")));
-        assert_eq!(w.buffer(5, "far"), Err((SeqBufferError::OutOfWindow, "far")));
+        assert_eq!(
+            w.buffer(0, "now"),
+            Err((SeqBufferError::OutOfWindow, "now"))
+        );
+        assert_eq!(
+            w.buffer(5, "far"),
+            Err((SeqBufferError::OutOfWindow, "far"))
+        );
         assert_eq!(
             w.buffer(u32::MAX, "old"),
             Err((SeqBufferError::OutOfWindow, "old"))

@@ -196,7 +196,10 @@ impl fmt::Display for CodecError {
                 write!(f, "frame length mismatch: want exactly {want}, have {have}")
             }
             CodecError::BadCrc { computed, stored } => {
-                write!(f, "CRC mismatch: computed {computed:#010x}, stored {stored:#010x}")
+                write!(
+                    f,
+                    "CRC mismatch: computed {computed:#010x}, stored {stored:#010x}"
+                )
             }
         }
     }
@@ -352,7 +355,11 @@ impl WireFrame {
     /// allocation — this is the short-message fast path.
     pub fn encode_into(&self, buf: &mut [u8]) -> usize {
         let n = self.wire_bytes();
-        assert!(buf.len() >= n, "encode buffer too small: {} < {n}", buf.len());
+        assert!(
+            buf.len() >= n,
+            "encode buffer too small: {} < {n}",
+            buf.len()
+        );
         let body = n - FM_CRC_BYTES;
         buf[0] = VERSION_BYTE;
         buf[1] = self.kind as u8;

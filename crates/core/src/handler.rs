@@ -76,7 +76,8 @@ impl Outbox {
         for (i, w) in words.iter().enumerate() {
             buf[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
         }
-        self.queued.push((dest, handler, Bytes::copy_from_slice(&buf)));
+        self.queued
+            .push((dest, handler, Bytes::copy_from_slice(&buf)));
     }
 
     /// Number of queued sends.

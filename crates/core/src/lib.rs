@@ -101,8 +101,8 @@ pub use fm_myrinet::SwitchTopology;
 // metric enums without a separate dependency. Build with the
 // `telemetry-off` feature to compile the handle down to nothing.
 pub use fm_telemetry::{
-    Counter as TelemetryCounter, EventKind as TraceEventKind, Metric as TelemetryMetric,
-    Telemetry, TelemetrySnapshot,
+    Counter as TelemetryCounter, EventKind as TraceEventKind, Metric as TelemetryMetric, Telemetry,
+    TelemetrySnapshot,
 };
 
 // FM addresses nodes with the same ids the network does.

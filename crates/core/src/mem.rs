@@ -684,7 +684,8 @@ impl MemEndpoint {
     fn purge_peer(&mut self, peer: NodeId) {
         let aborted = self.reasm.lock().abort_source(peer);
         if aborted > 0 {
-            self.telemetry.add(Counter::ReassemblyAborts, aborted as u64);
+            self.telemetry
+                .add(Counter::ReassemblyAborts, aborted as u64);
         }
         self.backlog.retain(|of| of.frame.dst != peer);
         self.deferred.retain(|(dst, _, _)| *dst != peer);
@@ -726,9 +727,8 @@ impl MemEndpoint {
                 continue;
             };
             let mut outbox = Outbox::new(self.core.id());
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                h(&mut outbox, src, msg)
-            }));
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h(&mut outbox, src, msg)));
             if outcome.is_err() {
                 // Poisoned handler: drop it and whatever it queued; the
                 // node keeps running (mirrors EndpointCore's frame-handler
@@ -851,7 +851,11 @@ pub(crate) fn join_within<T>(
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        out.push(handle.join().map_err(|_| ShutdownError::Panicked { node })?);
+        out.push(
+            handle
+                .join()
+                .map_err(|_| ShutdownError::Panicked { node })?,
+        );
     }
     Ok(out)
 }
@@ -1030,13 +1034,18 @@ mod tests {
         let mut a = nodes.pop().unwrap();
         let h = b.register_handler(|_, _, _| {});
         let collector = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        collector.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        a.enable_beacon(collector.local_addr().unwrap(), 1_000).unwrap();
+        collector
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        a.enable_beacon(collector.local_addr().unwrap(), 1_000)
+            .unwrap();
         a.try_send(NodeId(1), h, &[1]).unwrap();
         let sender = std::thread::spawn(move || a.send_checked(NodeId(1), h, &[2]));
         let mut buf = [0u8; fm_telemetry::beacon::MAX_BEACON_BYTES];
         for _ in 0..3 {
-            let n = collector.recv(&mut buf).expect("a blocked sender keeps beaconing");
+            let n = collector
+                .recv(&mut buf)
+                .expect("a blocked sender keeps beaconing");
             fm_telemetry::beacon::decode(&buf[..n]).expect("valid beacon");
         }
         while !sender.is_finished() {

@@ -210,7 +210,12 @@ enum SlotState<T> {
         retries: u32,
     },
     /// Packet bounced back; parked here awaiting paced retransmission.
-    Returned { packet: T, tag: u8, rto: u64, retries: u32 },
+    Returned {
+        packet: T,
+        tag: u8,
+        rto: u64,
+        retries: u32,
+    },
 }
 
 /// The host reject queue: a slot table whose capacity bounds the node's
@@ -335,7 +340,13 @@ impl<T> RejectQueue<T> {
     pub fn bounce(&mut self, slot: u16, tag: u8, pkt: T) -> bool {
         match self.slots.get_mut(slot as usize) {
             Some(s @ SlotState::InFlight { .. }) => {
-                let SlotState::InFlight { tag: t, rto, retries, .. } = s else {
+                let SlotState::InFlight {
+                    tag: t,
+                    rto,
+                    retries,
+                    ..
+                } = s
+                else {
                     unreachable!()
                 };
                 if *t != tag {
@@ -480,7 +491,9 @@ impl<T> RejectQueue<T> {
     pub fn release_where(&mut self, mut pred: impl FnMut(&T) -> bool, mut dropped: impl FnMut(T)) {
         for idx in 0..self.slots.len() {
             let matches = match &self.slots[idx] {
-                SlotState::InFlight { packet: Some(p), .. } => pred(p),
+                SlotState::InFlight {
+                    packet: Some(p), ..
+                } => pred(p),
                 SlotState::Returned { packet, .. } => pred(packet),
                 _ => false,
             };
@@ -633,7 +646,10 @@ mod tests {
         assert!(!q.bounce(a, 5, ()), "bounce tag mismatch refused");
         assert!(q.bounce(a, 3, ()));
         assert!(!q.bounce(a, 3, ()), "double bounce refused");
-        assert!(!q.ack(a, 3), "ack of a returned slot refused (not in flight)");
+        assert!(
+            !q.ack(a, 3),
+            "ack of a returned slot refused (not in flight)"
+        );
     }
 
     #[test]
@@ -646,14 +662,35 @@ mod tests {
         let mut retx = Vec::new();
         let mut failed = Vec::new();
         // First expiry: retry 1, rto doubles 10 -> 20, deadline 10+20=30.
-        q.scan_expired(10, 2, 1000, |_| 0, |s, p| retx.push((s, *p)), |s, p| failed.push((s, p)));
+        q.scan_expired(
+            10,
+            2,
+            1000,
+            |_| 0,
+            |s, p| retx.push((s, *p)),
+            |s, p| failed.push((s, p)),
+        );
         assert_eq!(retx, vec![(a, "pkt")]);
         assert!(!q.timer_due(29));
         // Second expiry: retry 2 (== budget next time).
-        q.scan_expired(30, 2, 1000, |_| 0, |s, p| retx.push((s, *p)), |s, p| failed.push((s, p)));
+        q.scan_expired(
+            30,
+            2,
+            1000,
+            |_| 0,
+            |s, p| retx.push((s, *p)),
+            |s, p| failed.push((s, p)),
+        );
         assert_eq!(retx.len(), 2);
         // Third expiry: budget exhausted -> fail, slot freed.
-        q.scan_expired(100, 2, 1000, |_| 0, |s, p| retx.push((s, *p)), |s, p| failed.push((s, p)));
+        q.scan_expired(
+            100,
+            2,
+            1000,
+            |_| 0,
+            |s, p| retx.push((s, *p)),
+            |s, p| failed.push((s, p)),
+        );
         assert_eq!(failed, vec![(a, "pkt")]);
         assert_eq!(q.outstanding(), 0);
         assert!(q.has_space());

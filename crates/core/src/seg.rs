@@ -432,10 +432,7 @@ mod tests {
         // idx >= count
         let mut bad = fragment(1, HandlerId(1), &[0u8; 10])[0].to_vec();
         bad[4] = 7; // idx
-        assert_eq!(
-            r.on_fragment(NodeId(0), &bad),
-            Err(FragError::Inconsistent)
-        );
+        assert_eq!(r.on_fragment(NodeId(0), &bad), Err(FragError::Inconsistent));
         // wrong data length for the declared totals
         let mut bad2 = fragment(1, HandlerId(1), &[0u8; 10])[0].to_vec();
         bad2.push(0);

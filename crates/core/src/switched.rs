@@ -397,7 +397,9 @@ impl SwitchShard {
                 route.get(dst.index()).and_then(|c| match c.len() {
                     0 => None,
                     1 => Some(c[0]),
-                    n => Some(c[SwitchTopology::spread(*id, SwitchTopology::flow_hash(src, dst), n)]),
+                    n => {
+                        Some(c[SwitchTopology::spread(*id, SwitchTopology::flow_hash(src, dst), n)])
+                    }
                 })
             });
             let Some(out) = cand else {
@@ -461,7 +463,10 @@ impl std::fmt::Debug for SwitchShard {
             .field("inputs", &self.inputs.len())
             .field("outputs", &self.outputs.len())
             .field("batch", &self.batch)
-            .field("stashed", &self.inputs.iter().map(|i| i.stash.len()).sum::<usize>())
+            .field(
+                "stashed",
+                &self.inputs.iter().map(|i| i.stash.len()).sum::<usize>(),
+            )
             .field("stats", &self.stats)
             .finish()
     }
@@ -760,7 +765,10 @@ mod tests {
             assert!(ep.is_quiescent(), "{ep:?}");
         }
         let forwarded: u64 = cluster.shards.iter().map(|s| s.stats.forwarded).sum();
-        assert!(forwarded >= 36, "every frame crossed the shard: {forwarded}");
+        assert!(
+            forwarded >= 36,
+            "every frame crossed the shard: {forwarded}"
+        );
     }
 
     #[test]
@@ -823,11 +831,8 @@ mod tests {
             for (src, p) in pending.iter_mut().enumerate().skip(1) {
                 while *p < PER_SENDER {
                     let v = *p;
-                    match cluster.endpoints[src].try_send(
-                        NodeId(0),
-                        HandlerId(1),
-                        &v.to_le_bytes(),
-                    ) {
+                    match cluster.endpoints[src].try_send(NodeId(0), HandlerId(1), &v.to_le_bytes())
+                    {
                         Ok(()) => *p += 1,
                         Err(_) => break,
                     }
@@ -891,8 +896,12 @@ mod tests {
             ep0.extract();
             std::thread::yield_now();
         }
-        let eps = others.shutdown(Duration::from_secs(10)).expect("endpoints join");
-        let shards = switches.shutdown(Duration::from_secs(10)).expect("switches join");
+        let eps = others
+            .shutdown(Duration::from_secs(10))
+            .expect("endpoints join");
+        let shards = switches
+            .shutdown(Duration::from_secs(10))
+            .expect("switches join");
         assert_eq!(done.load(Ordering::SeqCst), ROUNDS);
         assert_eq!(ep0.stats().sent, ROUNDS);
         assert!(eps.iter().all(|e| e.codec_errors == 0));
@@ -986,7 +995,10 @@ mod tests {
             );
         }
         let timed_out: u64 = cluster.shards.iter().map(|s| s.stats.timed_out).sum();
-        assert!(timed_out > 0, "dead host's frames must age out of the stash");
+        assert!(
+            timed_out > 0,
+            "dead host's frames must age out of the stash"
+        );
         assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
@@ -1001,7 +1013,8 @@ mod tests {
         for (pair, log) in logs.iter().enumerate() {
             let log = log.clone();
             cluster.endpoints[4 + pair].register_handler_at(HandlerId(1), move |_, _, data| {
-                log.lock().push(u32::from_le_bytes(data.try_into().unwrap()));
+                log.lock()
+                    .push(u32::from_le_bytes(data.try_into().unwrap()));
             });
         }
         const MSGS: u32 = 40;
@@ -1046,7 +1059,10 @@ mod tests {
             })
             .collect();
         let distinct: HashSet<usize> = spread.iter().copied().collect();
-        assert!(distinct.len() >= 2, "4 flows over 3 trunks must spread: {spread:?}");
+        assert!(
+            distinct.len() >= 2,
+            "4 flows over 3 trunks must spread: {spread:?}"
+        );
     }
 
     #[test]
@@ -1077,8 +1093,16 @@ mod tests {
         drive_until(&mut cluster, || echoed.load(Ordering::SeqCst) == sent);
         assert!(cluster.shards.iter().all(|s| s.stats.dropped == 0));
         // Spine shards (ids 4 and 5) both forwarded: flows spread.
-        assert!(cluster.shards[4].stats.forwarded > 0, "{:?}", cluster.shards[4]);
-        assert!(cluster.shards[5].stats.forwarded > 0, "{:?}", cluster.shards[5]);
+        assert!(
+            cluster.shards[4].stats.forwarded > 0,
+            "{:?}",
+            cluster.shards[4]
+        );
+        assert!(
+            cluster.shards[5].stats.forwarded > 0,
+            "{:?}",
+            cluster.shards[5]
+        );
     }
 
     #[test]
@@ -1096,11 +1120,8 @@ mod tests {
         for _ in 0..3 {
             for src in 1..5 {
                 for k in 0..8u32 {
-                    let _ = cluster.endpoints[src].try_send(
-                        NodeId(0),
-                        HandlerId(1),
-                        &k.to_le_bytes(),
-                    );
+                    let _ =
+                        cluster.endpoints[src].try_send(NodeId(0), HandlerId(1), &k.to_le_bytes());
                 }
             }
             cluster.drive_round();
@@ -1121,6 +1142,10 @@ mod tests {
         for _ in 0..16 {
             cluster.shards[0].pump();
         }
-        assert_eq!(cluster.shards[0].batch(), 2, "idle shard must decay its batch");
+        assert_eq!(
+            cluster.shards[0].batch(),
+            2,
+            "idle shard must decay its batch"
+        );
     }
 }

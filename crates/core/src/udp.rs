@@ -346,9 +346,7 @@ impl UdpLink {
     }
 
     pub(crate) fn established(&self, peer: NodeId) -> bool {
-        self.state
-            .get(peer.index())
-            .is_some_and(|s| s.established)
+        self.state.get(peer.index()).is_some_and(|s| s.established)
     }
 
     pub(crate) fn peer_generation(&self, peer: NodeId) -> Option<u32> {

@@ -113,7 +113,10 @@ impl Wire {
             .collect();
         let mut roster = Roster::new(n);
         for (i, sock) in socks.iter().enumerate() {
-            roster.set(NodeId(i as u16), sock.local_addr().expect("bound socket address"));
+            roster.set(
+                NodeId(i as u16),
+                sock.local_addr().expect("bound socket address"),
+            );
         }
         socks
             .into_iter()

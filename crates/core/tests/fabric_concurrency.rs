@@ -40,7 +40,11 @@ fn xorshift(x: &mut u64) -> u64 {
 /// sizes and verifies sequence order and every payload byte.
 #[test]
 fn stress_two_threads_varied_sizes_and_batches() {
-    let total: u64 = if cfg!(debug_assertions) { 100_000 } else { 2_000_000 };
+    let total: u64 = if cfg!(debug_assertions) {
+        100_000
+    } else {
+        2_000_000
+    };
     let (mut p, mut c) = spsc_ring(256);
 
     let producer = std::thread::spawn(move || {

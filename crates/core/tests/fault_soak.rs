@@ -283,7 +283,8 @@ fn stalled_peer_fails_fast_rest_of_cluster_flows() {
     // stalled here, so frames blackhole again — but sends are accepted).
     a.revive_peer(NodeId(2));
     assert!(!a.is_peer_dead(NodeId(2)));
-    a.try_send(NodeId(2), HandlerId(1), b"welcome back").unwrap();
+    a.try_send(NodeId(2), HandlerId(1), b"welcome back")
+        .unwrap();
 }
 
 /// A panicking handler must not take the endpoint (or its thread) down:
@@ -463,7 +464,10 @@ fn switched_soak_16_endpoints_5pct_faults_exactly_once() {
             f.dropped + f.duplicated + f.corrupted + f.delayed
         })
         .sum();
-    assert!(injected > 100, "5% over {total} sends must fire often: {injected}");
+    assert!(
+        injected > 100,
+        "5% over {total} sends must fire often: {injected}"
+    );
     let retransmitted: u64 = cluster
         .endpoints
         .iter()

@@ -49,7 +49,10 @@ fn ack_word_refuses_slot_wider_than_field() {
 #[test]
 fn ack_tracker_counts_invalid_slots_instead_of_aliasing() {
     let mut t = AckTracker::new();
-    assert!(!t.on_accept(NodeId(2), 1024, 0), "oversized slot must be refused");
+    assert!(
+        !t.on_accept(NodeId(2), 1024, 0),
+        "oversized slot must be refused"
+    );
     assert_eq!(t.invalid_slots(), 1);
     assert_eq!(t.accepted(), 0, "no ack may be queued for an invalid slot");
     assert!(t.on_accept(NodeId(2), 1023, 0));
@@ -64,7 +67,10 @@ fn seq_window_buffer_rejects_occupied_slot() {
     // A duplicate park must not overwrite the first frame.
     let (err, returned) = w.buffer(3, "second").unwrap_err();
     assert_eq!(err, SeqBufferError::Occupied);
-    assert_eq!(returned, "second", "the rejected item comes back to the caller");
+    assert_eq!(
+        returned, "second",
+        "the rejected item comes back to the caller"
+    );
     assert_eq!(w.buffer_misuse(), 1);
     // Delivering 0..=2 releases the *original* parked frame.
     for seq in 0..3 {
@@ -109,7 +115,10 @@ fn reassembly_caps_partials_per_source() {
     assert!(r.on_fragment(src, &tail).unwrap().is_none());
     // Survivors (msgs 1 and 2 were newer) still complete normally.
     let tail2 = fragment(2, HandlerId(1), &payload)[1].clone();
-    let (h, msg) = r.on_fragment(src, &tail2).unwrap().expect("msg 2 completes");
+    let (h, msg) = r
+        .on_fragment(src, &tail2)
+        .unwrap()
+        .expect("msg 2 completes");
     assert_eq!(h, HandlerId(1));
     assert_eq!(msg, payload);
 }
@@ -146,7 +155,11 @@ fn decoder_accepts_only_untouched_images() {
         let r = next(&mut rng);
         let (src, dst) = (NodeId(r as u16), NodeId((r >> 16) as u16));
         let payload = bytes::Bytes::copy_from_slice(&noise[..(r >> 8) as usize % 129]);
-        let (handler, slot, seq) = (HandlerId((r >> 32) as u16), (r >> 48) as u16, next(&mut rng));
+        let (handler, slot, seq) = (
+            HandlerId((r >> 32) as u16),
+            (r >> 48) as u16,
+            next(&mut rng),
+        );
         let mut frame = WireFrame::data(src, dst, handler, slot, seq as u32, payload);
         for _ in 0..next(&mut rng) % 5 {
             frame.piggy.push(next(&mut rng) as u16);
@@ -178,6 +191,9 @@ fn decoder_accepts_only_untouched_images() {
         if r & 2 == 2 {
             noise[0] = 0xF1; // past the version gate half the time
         }
-        assert_refused(&noise[..next(&mut rng) as usize % noise.len()], "random bytes");
+        assert_refused(
+            &noise[..next(&mut rng) as usize % noise.len()],
+            "random bytes",
+        );
     }
 }

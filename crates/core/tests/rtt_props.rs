@@ -219,8 +219,8 @@ fn wire_format_round_trips_across_socket_boundary() {
         let mut rbuf = [0u8; FM_FRAME_MAX];
         let (got, _) = rx.recv_from(&mut rbuf).unwrap();
         prop_assert_eq!(got, n, "datagram length preserved");
-        let decoded = WireFrame::decode_slice(&rbuf[..got])
-            .map_err(|e| format!("decode failed: {e:?}"))?;
+        let decoded =
+            WireFrame::decode_slice(&rbuf[..got]).map_err(|e| format!("decode failed: {e:?}"))?;
         prop_assert_eq!(decoded, frame, "socket round-trip must be lossless");
         Ok(())
     });

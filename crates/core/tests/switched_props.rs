@@ -22,9 +22,7 @@
 //! (≤ 12 hosts, tens of messages per stream) to stay fast at the default
 //! 64 cases.
 
-use fm_core::{
-    EndpointConfig, HandlerId, NodeId, SwitchConfig, SwitchTopology, SwitchedCluster,
-};
+use fm_core::{EndpointConfig, HandlerId, NodeId, SwitchConfig, SwitchTopology, SwitchedCluster};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::HashMap;

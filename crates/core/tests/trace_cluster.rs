@@ -8,7 +8,9 @@
 //! on dead-peer declarations. Everything runs single-threaded on seeded
 //! fault schedules, so failures reproduce.
 
-use fm_core::{EndpointConfig, FabricKind, FaultConfig, HandlerId, MemCluster, MemEndpoint, NodeId};
+use fm_core::{
+    EndpointConfig, FabricKind, FaultConfig, HandlerId, MemCluster, MemEndpoint, NodeId,
+};
 use fm_telemetry::merge::merge;
 use fm_telemetry::{ClusterClock, Counter, EventKind, MetricsAggregator};
 use std::collections::HashMap;

@@ -147,7 +147,10 @@ fn udp_soak_survives_five_percent_faults() {
     assert!(retransmitted > 0, "drops must have forced retransmissions");
     for ep in &nodes {
         let f = ep.fault_stats().unwrap();
-        assert!(f.dropped > 0 && f.duplicated > 0 && f.corrupted > 0, "{f:?}");
+        assert!(
+            f.dropped > 0 && f.duplicated > 0 && f.corrupted > 0,
+            "{f:?}"
+        );
     }
 }
 
@@ -217,7 +220,10 @@ fn udp_peer_restart_resumes_streams_exactly_once() {
     // on a dead port; the retry budget burns down and the peer dies.
     drop(b1);
     let death = loop {
-        assert!(Instant::now() < deadline, "dead-peer detection wedged: {a:?}");
+        assert!(
+            Instant::now() < deadline,
+            "dead-peer detection wedged: {a:?}"
+        );
         match a.send_checked(NodeId(1), h, &sent.to_le_bytes()) {
             Ok(()) => sent += 1,
             Err(SendError::PeerUnreachable(peer)) => {
@@ -269,7 +275,10 @@ fn udp_peer_restart_resumes_streams_exactly_once() {
     let mut sent2 = 0u32;
     while got_b2.lock().len() < 500 {
         assert!(Instant::now() < deadline, "epoch 2 wedged: {a:?}\n{b2:?}");
-        if sent2 < 500 && a.try_send(NodeId(1), h, &(1_000 + sent2).to_le_bytes()).is_ok() {
+        if sent2 < 500
+            && a.try_send(NodeId(1), h, &(1_000 + sent2).to_le_bytes())
+                .is_ok()
+        {
             sent2 += 1;
         }
         a.extract();
@@ -344,8 +353,7 @@ fn trace_contexts_survive_the_udp_wire_under_faults() {
         }
     }
 
-    let report =
-        fm_telemetry::merge::merge(&[a.telemetry().events(), b.telemetry().events()]);
+    let report = fm_telemetry::merge::merge(&[a.telemetry().events(), b.telemetry().events()]);
     assert!(
         report.flow_pairs() > 0,
         "sampled sends must pair with their receive spans across the wire \
@@ -363,8 +371,14 @@ fn trace_contexts_survive_the_udp_wire_under_faults() {
     );
     // Both directions of the echo appear: A-origin hop-0 crossings and
     // B-origin hop-1 crossings.
-    assert!(report.flows.iter().any(|f| f.src == 0 && f.dst == 1 && f.hop == 0));
-    assert!(report.flows.iter().any(|f| f.src == 1 && f.dst == 0 && f.hop == 1));
+    assert!(report
+        .flows
+        .iter()
+        .any(|f| f.src == 0 && f.dst == 1 && f.hop == 0));
+    assert!(report
+        .flows
+        .iter()
+        .any(|f| f.src == 1 && f.dst == 0 && f.hop == 1));
 }
 
 /// The wire format crosses a real socket boundary byte-identically: what
@@ -382,12 +396,7 @@ fn wire_frame_round_trips_across_a_socket() {
     let dst = rx.local_addr().unwrap();
 
     // A spread of shapes: empty, one byte, full payload, every-byte-value.
-    let payloads: Vec<Vec<u8>> = vec![
-        vec![],
-        vec![0xA5],
-        (0..128u8).collect(),
-        vec![0xFF; 128],
-    ];
+    let payloads: Vec<Vec<u8>> = vec![vec![], vec![0xA5], (0..128u8).collect(), vec![0xFF; 128]];
     for (i, payload) in payloads.into_iter().enumerate() {
         let mut frame = WireFrame::data(
             NodeId(3),
@@ -425,11 +434,16 @@ fn stray_datagram_surfaces_as_codec_error_gauge() {
     let _b = nodes.pop().unwrap(); // keeps node 1's port bound
     let mut a = nodes.pop().unwrap();
     let stray = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-    stray.send_to(&[0x00; 40], a.udp_local_addr().unwrap()).unwrap();
+    stray
+        .send_to(&[0x00; 40], a.udp_local_addr().unwrap())
+        .unwrap();
 
     let deadline = Instant::now() + WEDGE_AFTER;
     while a.codec_errors == 0 {
-        assert!(Instant::now() < deadline, "stray datagram never arrived: {a:?}");
+        assert!(
+            Instant::now() < deadline,
+            "stray datagram never arrived: {a:?}"
+        );
         a.extract();
     }
     let gauges = a.observability_gauges();

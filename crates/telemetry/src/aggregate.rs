@@ -394,9 +394,23 @@ mod tests {
         agg.register(a.clone());
         agg.register(b.clone());
         for i in 0..10 {
-            a.trace(i, EventKind::SpanSend { trace: 9, hop: 0, dst: 1 });
+            a.trace(
+                i,
+                EventKind::SpanSend {
+                    trace: 9,
+                    hop: 0,
+                    dst: 1,
+                },
+            );
         }
-        b.trace(3, EventKind::SpanWireIn { trace: 9, hop: 0, src: 0 });
+        b.trace(
+            3,
+            EventKind::SpanWireIn {
+                trace: 9,
+                hop: 0,
+                src: 0,
+            },
+        );
         agg.tick(1);
         assert!(agg.flights().is_empty(), "no dead peer yet");
         a.incr(Counter::DeadPeers);
@@ -467,14 +481,20 @@ mod tests {
         let mut agg = MetricsAggregator::new();
         agg.register(t);
         agg.register(Telemetry::new(1));
-        agg.set_gauges(0, vec![("udp_datagrams_out".into(), 42), ("peer_resets".into(), 2)]);
+        agg.set_gauges(
+            0,
+            vec![("udp_datagrams_out".into(), 42), ("peer_resets".into(), 2)],
+        );
         let prom = agg.prometheus();
         assert!(prom.contains("# TYPE fm_udp_datagrams_out gauge"));
         assert!(prom.contains("fm_udp_datagrams_out{node=\"0\"} 42"));
         assert!(prom.contains("fm_peer_resets{node=\"0\"} 2"));
         let csv = agg.csv();
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("node,sends,"), "existing columns keep their slots");
+        assert!(
+            lines[0].starts_with("node,sends,"),
+            "existing columns keep their slots"
+        );
         assert!(lines[0].ends_with(",peer_resets,udp_datagrams_out"));
         assert!(lines[1].ends_with(",2,42"));
         assert!(lines[2].ends_with(",0,0"), "unset gauges default to 0");
@@ -492,7 +512,12 @@ mod tests {
         assert!(prom.contains("fm_shard_forwarded_total{switch=\"3\"} 150"));
         let lanes = agg.shard_lane_events();
         assert!(lanes.iter().any(|l| l.contains("\"name\":\"switch 3\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"args\":{\"frames\":100}")), "rate delta");
+        assert!(
+            lanes
+                .iter()
+                .any(|l| l.contains("\"args\":{\"frames\":100}")),
+            "rate delta"
+        );
         // Lanes splice into a merged timeline without breaking the JSON.
         let doc = agg.merged().chrome_trace_with(&lanes);
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());

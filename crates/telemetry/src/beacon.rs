@@ -295,7 +295,12 @@ impl Writer {
                 self.u8(coll);
                 self.u32(epoch);
             }
-            EventKind::CollRoundBegin { coll, epoch, round, peer } => {
+            EventKind::CollRoundBegin {
+                coll,
+                epoch,
+                round,
+                peer,
+            } => {
                 self.u8(14);
                 self.u8(coll);
                 self.u32(epoch);
@@ -321,7 +326,9 @@ impl Writer {
 /// section from the *oldest* end if needed to stay under
 /// [`MAX_BEACON_BYTES`].
 pub fn encode(b: &Beacon) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::with_capacity(512) };
+    let mut w = Writer {
+        buf: Vec::with_capacity(512),
+    };
     w.u8(BEACON_MAGIC);
     w.u8(BEACON_VERSION);
     w.u8(b.kind().byte());
@@ -439,32 +446,68 @@ impl<'a> Reader<'a> {
         let node = self.u16()?;
         let tag = self.u8()?;
         let kind = match tag {
-            0 => EventKind::Send { dst: self.u16()?, slot: self.u16()?, seq: self.u32()? },
-            1 => EventKind::Bounce { peer: self.u16()?, slot: self.u16()? },
+            0 => EventKind::Send {
+                dst: self.u16()?,
+                slot: self.u16()?,
+                seq: self.u32()?,
+            },
+            1 => EventKind::Bounce {
+                peer: self.u16()?,
+                slot: self.u16()?,
+            },
             2 => EventKind::Retransmit {
                 peer: self.u16()?,
                 slot: self.u16()?,
                 timer: self.u8()? != 0,
             },
-            3 => EventKind::SlotReuse { slot: self.u16()?, gen: self.u8()? },
+            3 => EventKind::SlotReuse {
+                slot: self.u16()?,
+                gen: self.u8()?,
+            },
             4 => EventKind::PeerDead { peer: self.u16()? },
-            5 => EventKind::SpanSend { trace: self.u32()?, hop: self.u16()?, dst: self.u16()? },
-            6 => EventKind::SpanWireIn { trace: self.u32()?, hop: self.u16()?, src: self.u16()? },
-            7 => EventKind::SpanPark { trace: self.u32()?, hop: self.u16()?, src: self.u16()? },
+            5 => EventKind::SpanSend {
+                trace: self.u32()?,
+                hop: self.u16()?,
+                dst: self.u16()?,
+            },
+            6 => EventKind::SpanWireIn {
+                trace: self.u32()?,
+                hop: self.u16()?,
+                src: self.u16()?,
+            },
+            7 => EventKind::SpanPark {
+                trace: self.u32()?,
+                hop: self.u16()?,
+                src: self.u16()?,
+            },
             8 => EventKind::SpanHandlerStart {
                 trace: self.u32()?,
                 hop: self.u16()?,
                 src: self.u16()?,
             },
-            9 => EventKind::SpanHandlerEnd { trace: self.u32()?, hop: self.u16()? },
-            10 => EventKind::SpanAckOut { trace: self.u32()?, hop: self.u16()?, dst: self.u16()? },
-            11 => EventKind::SpanAckIn { trace: self.u32()?, hop: self.u16()?, peer: self.u16()? },
+            9 => EventKind::SpanHandlerEnd {
+                trace: self.u32()?,
+                hop: self.u16()?,
+            },
+            10 => EventKind::SpanAckOut {
+                trace: self.u32()?,
+                hop: self.u16()?,
+                dst: self.u16()?,
+            },
+            11 => EventKind::SpanAckIn {
+                trace: self.u32()?,
+                hop: self.u16()?,
+                peer: self.u16()?,
+            },
             12 => EventKind::SpanRetransmit {
                 trace: self.u32()?,
                 hop: self.u16()?,
                 peer: self.u16()?,
             },
-            13 => EventKind::CollBegin { coll: self.u8()?, epoch: self.u32()? },
+            13 => EventKind::CollBegin {
+                coll: self.u8()?,
+                epoch: self.u32()?,
+            },
             14 => EventKind::CollRoundBegin {
                 coll: self.u8()?,
                 epoch: self.u32()?,
@@ -476,7 +519,10 @@ impl<'a> Reader<'a> {
                 epoch: self.u32()?,
                 round: self.u16()?,
             },
-            16 => EventKind::CollEnd { coll: self.u8()?, epoch: self.u32()? },
+            16 => EventKind::CollEnd {
+                coll: self.u8()?,
+                epoch: self.u32()?,
+            },
             _ => return Err(BeaconError::Malformed),
         };
         Ok(TraceEvent { tick, node, kind })
@@ -499,7 +545,10 @@ pub fn decode(buf: &[u8]) -> Result<Beacon, BeaconError> {
     if crc32(&buf[..body_end]) != want {
         return Err(BeaconError::BadCrc);
     }
-    let mut r = Reader { buf: &buf[..body_end], at: 2 };
+    let mut r = Reader {
+        buf: &buf[..body_end],
+        at: 2,
+    };
     let kind = r.u8()?;
     let _reserved = r.u8()?;
     let source = r.u16()?;
@@ -515,14 +564,17 @@ pub fn decode(buf: &[u8]) -> Result<Beacon, BeaconError> {
             let nm = r.u8()? as usize;
             let mut metrics = Vec::with_capacity(nm);
             for _ in 0..nm {
-                metrics.push(MetricOctaves { summary: r.summary()?, octaves: r.octaves()? });
+                metrics.push(MetricOctaves {
+                    summary: r.summary()?,
+                    octaves: r.octaves()?,
+                });
             }
             let ng = r.u8()? as usize;
             let mut gauges = Vec::with_capacity(ng);
             for _ in 0..ng {
                 let len = r.u8()? as usize;
-                let name = String::from_utf8(r.take(len)?.to_vec())
-                    .map_err(|_| BeaconError::Malformed)?;
+                let name =
+                    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| BeaconError::Malformed)?;
                 gauges.push((name, r.u64()?));
             }
             let ne = r.u16()? as usize;
@@ -530,7 +582,12 @@ pub fn decode(buf: &[u8]) -> Result<Beacon, BeaconError> {
             for _ in 0..ne {
                 events.push(r.event()?);
             }
-            BeaconBody::Endpoint(EndpointBeacon { counters, metrics, gauges, events })
+            BeaconBody::Endpoint(EndpointBeacon {
+                counters,
+                metrics,
+                gauges,
+                events,
+            })
         }
         1 => {
             let switch_id = r.u16()?;
@@ -567,7 +624,12 @@ pub fn decode(buf: &[u8]) -> Result<Beacon, BeaconError> {
     if r.at != body_end {
         return Err(BeaconError::Malformed);
     }
-    Ok(Beacon { source, seq, sent_micros, body })
+    Ok(Beacon {
+        source,
+        seq,
+        sent_micros,
+        body,
+    })
 }
 
 // ---- the emitter -----------------------------------------------------------
@@ -651,7 +713,13 @@ impl Beaconer {
     /// passes to [`Beaconer::emit`].
     pub fn endpoint(telemetry: Telemetry, dst: SocketAddr, interval_us: u64) -> io::Result<Self> {
         let source = telemetry.node();
-        Self::new(Some(telemetry), SourceKind::Endpoint, source, dst, interval_us)
+        Self::new(
+            Some(telemetry),
+            SourceKind::Endpoint,
+            source,
+            dst,
+            interval_us,
+        )
     }
 
     /// A shard beaconer: the caller supplies a fresh [`ShardSample`] per
@@ -742,24 +810,53 @@ mod tests {
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
-            TraceEvent { tick: 1, node: 3, kind: EventKind::Send { dst: 1, slot: 2, seq: 9 } },
+            TraceEvent {
+                tick: 1,
+                node: 3,
+                kind: EventKind::Send {
+                    dst: 1,
+                    slot: 2,
+                    seq: 9,
+                },
+            },
             TraceEvent {
                 tick: 2,
                 node: 3,
-                kind: EventKind::Retransmit { peer: 1, slot: 2, timer: true },
+                kind: EventKind::Retransmit {
+                    peer: 1,
+                    slot: 2,
+                    timer: true,
+                },
             },
             TraceEvent {
                 tick: 3,
                 node: 3,
-                kind: EventKind::SpanSend { trace: 77, hop: 1, dst: 0 },
+                kind: EventKind::SpanSend {
+                    trace: 77,
+                    hop: 1,
+                    dst: 0,
+                },
             },
             TraceEvent {
                 tick: 4,
                 node: 3,
-                kind: EventKind::CollRoundBegin { coll: 3, epoch: 12, round: 2, peer: 5 },
+                kind: EventKind::CollRoundBegin {
+                    coll: 3,
+                    epoch: 12,
+                    round: 2,
+                    peer: 5,
+                },
             },
-            TraceEvent { tick: 5, node: 3, kind: EventKind::CollEnd { coll: 3, epoch: 12 } },
-            TraceEvent { tick: 6, node: 3, kind: EventKind::PeerDead { peer: 4 } },
+            TraceEvent {
+                tick: 5,
+                node: 3,
+                kind: EventKind::CollEnd { coll: 3, epoch: 12 },
+            },
+            TraceEvent {
+                tick: 6,
+                node: 3,
+                kind: EventKind::PeerDead { peer: 4 },
+            },
         ]
     }
 
@@ -808,7 +905,14 @@ mod tests {
                 dropped: 0,
                 timed_out: 1,
                 batch: 16,
-                occupancy: HistSummary { count: 9, min: 1, max: 64, p50: 8, p90: 32, p99: 64 },
+                occupancy: HistSummary {
+                    count: 9,
+                    min: 1,
+                    max: 64,
+                    p50: 8,
+                    p90: 32,
+                    p99: 64,
+                },
                 occupancy_octaves: vec![(0, 5), (1, 4)],
                 deficits: vec![0, 228, 114],
                 input_forwarded: vec![40, 35, 25],
@@ -871,7 +975,11 @@ mod tests {
             events.push(TraceEvent {
                 tick: i,
                 node: 0,
-                kind: EventKind::Send { dst: 1, slot: 0, seq: i as u32 },
+                kind: EventKind::Send {
+                    dst: 1,
+                    slot: 0,
+                    seq: i as u32,
+                },
             });
         }
         let b = Beacon {
@@ -888,7 +996,9 @@ mod tests {
         let wire = encode(&b);
         assert!(wire.len() <= MAX_BEACON_BYTES, "capped at {}", wire.len());
         let back = decode(&wire).expect("still well-formed");
-        let BeaconBody::Endpoint(e) = back.body else { panic!() };
+        let BeaconBody::Endpoint(e) = back.body else {
+            panic!()
+        };
         assert!(!e.events.is_empty() && e.events.len() < 2000);
         assert_eq!(e.events.last().unwrap().tick, 1999, "newest survive");
     }
@@ -900,9 +1010,15 @@ mod tests {
         let t = Telemetry::new(4);
         t.add(Counter::Sends, 17);
         t.record(Metric::AckRttTicks, 120);
-        t.trace(9, EventKind::Send { dst: 0, slot: 0, seq: 0 });
-        let mut b =
-            Beaconer::endpoint(t, rx.local_addr().unwrap(), 1000).expect("bind beaconer");
+        t.trace(
+            9,
+            EventKind::Send {
+                dst: 0,
+                slot: 0,
+                seq: 0,
+            },
+        );
+        let mut b = Beaconer::endpoint(t, rx.local_addr().unwrap(), 1000).expect("bind beaconer");
         b.emit(&[("peer_resets", 2)]);
         assert_eq!(b.stats.sent, 1);
         // Loopback delivery is immediate in practice; poll briefly.
@@ -918,7 +1034,9 @@ mod tests {
             .expect("beacon arrives");
         let beacon = decode(&buf[..n]).expect("decodes");
         assert_eq!(beacon.source, 4);
-        let BeaconBody::Endpoint(e) = beacon.body else { panic!("endpoint beacon") };
+        let BeaconBody::Endpoint(e) = beacon.body else {
+            panic!("endpoint beacon")
+        };
         assert_eq!(e.gauges, vec![("peer_resets".to_string(), 2)]);
         if crate::ENABLED {
             assert_eq!(e.counters[Counter::Sends as usize], 17);

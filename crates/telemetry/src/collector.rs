@@ -76,9 +76,17 @@ impl Default for DetectorConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Alarm {
     /// `node`'s retransmit delta crossed the storm threshold.
-    RetransmitStorm { node: u16, retransmits: u64, sends: u64 },
+    RetransmitStorm {
+        node: u16,
+        retransmits: u64,
+        sends: u64,
+    },
     /// `switch`'s per-input forwarding fairness collapsed.
-    IncastCapture { switch: u16, fairness: f64, frames: u64 },
+    IncastCapture {
+        switch: u16,
+        fairness: f64,
+        frames: u64,
+    },
     /// `node` declared `dead_peers` peer(s) dead since its last beacon.
     DeadPeer { node: u16, dead_peers: u64 },
 }
@@ -96,11 +104,19 @@ impl Alarm {
     /// One human-readable line.
     pub fn describe(&self) -> String {
         match self {
-            Alarm::RetransmitStorm { node, retransmits, sends } => format!(
+            Alarm::RetransmitStorm {
+                node,
+                retransmits,
+                sends,
+            } => format!(
                 "retransmit storm on endpoint {node}: {retransmits} retransmits \
                  against {sends} fresh sends in one beacon window"
             ),
-            Alarm::IncastCapture { switch, fairness, frames } => format!(
+            Alarm::IncastCapture {
+                switch,
+                fairness,
+                frames,
+            } => format!(
                 "incast capture on switch {switch}: input fairness {fairness:.3} \
                  over {frames} forwarded frames"
             ),
@@ -279,7 +295,9 @@ impl Collector {
     /// Drain the socket, ingesting every waiting datagram. Returns how
     /// many beacons were accepted this call.
     pub fn poll(&mut self) -> usize {
-        let Some(sock) = self.sock.take() else { return 0 };
+        let Some(sock) = self.sock.take() else {
+            return 0;
+        };
         let mut buf = [0u8; beacon::MAX_BEACON_BYTES];
         let mut accepted = 0;
         loop {
@@ -335,7 +353,10 @@ impl Collector {
 
     fn ingest_endpoint(&mut self, source: u16, seq: u32, skew: i64, body: beacon::EndpointBeacon) {
         let cfg = self.config;
-        let st = self.endpoints.entry(source).or_insert_with(EndpointState::new);
+        let st = self
+            .endpoints
+            .entry(source)
+            .or_insert_with(EndpointState::new);
         st.beacons += 1;
         st.min_skew_us = st.min_skew_us.min(skew);
         if let Some(last) = st.last_seq {
@@ -405,10 +426,17 @@ impl Collector {
         }
         let dead = deltas[Counter::DeadPeers as usize];
         if fire_storm {
-            self.push_alarm(Alarm::RetransmitStorm { node: source, retransmits, sends });
+            self.push_alarm(Alarm::RetransmitStorm {
+                node: source,
+                retransmits,
+                sends,
+            });
         }
         if dead > 0 {
-            self.push_alarm(Alarm::DeadPeer { node: source, dead_peers: dead });
+            self.push_alarm(Alarm::DeadPeer {
+                node: source,
+                dead_peers: dead,
+            });
         }
         for (coll, dur) in fresh_colls {
             self.coll_durations.entry(coll).or_default().record(dur);
@@ -459,7 +487,11 @@ impl Collector {
                 st.calm = 0;
                 if !st.capture_latched {
                     st.capture_latched = true;
-                    fire = Some(Alarm::IncastCapture { switch: source, fairness, frames });
+                    fire = Some(Alarm::IncastCapture {
+                        switch: source,
+                        fairness,
+                        frames,
+                    });
                 }
             } else if st.capture_latched {
                 st.calm += 1;
@@ -509,7 +541,9 @@ impl Collector {
 
     /// Latest cumulative value of `c` on `node`.
     pub fn counter(&self, node: u16, c: Counter) -> u64 {
-        self.endpoints.get(&node).map_or(0, |s| s.totals[c as usize])
+        self.endpoints
+            .get(&node)
+            .map_or(0, |s| s.totals[c as usize])
     }
 
     /// Minimum observed sender→collector skew for an endpoint, micros
@@ -604,7 +638,9 @@ impl Collector {
                 name = m.name()
             ));
             for (&n, st) in &self.endpoints {
-                let Some(mo) = st.metrics.get(i) else { continue };
+                let Some(mo) = st.metrics.get(i) else {
+                    continue;
+                };
                 let s = mo.summary;
                 for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
                     out.push_str(&format!(
@@ -612,7 +648,11 @@ impl Collector {
                         m.name()
                     ));
                 }
-                out.push_str(&format!("fm_{}_count{{node=\"{n}\"}} {}\n", m.name(), s.count));
+                out.push_str(&format!(
+                    "fm_{}_count{{node=\"{n}\"}} {}\n",
+                    m.name(),
+                    s.count
+                ));
             }
         }
         // Named transport gauges (UdpStats, peer_resets, ...).
@@ -663,9 +703,11 @@ impl Collector {
         );
         for (&coll, h) in &self.coll_durations {
             let name = coll_kind_name(coll);
-            for (q, v) in
-                [("0.5", h.quantile(0.5)), ("0.9", h.quantile(0.9)), ("0.99", h.quantile(0.99))]
-            {
+            for (q, v) in [
+                ("0.5", h.quantile(0.5)),
+                ("0.9", h.quantile(0.9)),
+                ("0.99", h.quantile(0.99)),
+            ] {
                 out.push_str(&format!(
                     "fm_collective_duration_ticks{{coll=\"{name}\",quantile=\"{q}\"}} {v}\n"
                 ));
@@ -690,7 +732,10 @@ impl Collector {
         // Shard fairness (latest window).
         out.push_str("# TYPE fm_shard_fairness gauge\n");
         for (&sw, st) in &self.shards {
-            out.push_str(&format!("fm_shard_fairness{{switch=\"{sw}\"}} {:.4}\n", st.fairness));
+            out.push_str(&format!(
+                "fm_shard_fairness{{switch=\"{sw}\"}} {:.4}\n",
+                st.fairness
+            ));
         }
         out
     }
@@ -700,7 +745,13 @@ impl Collector {
 /// fragment (`[a-zA-Z0-9_]`, anything else becomes `_`).
 fn sanitize_metric_name(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
@@ -717,9 +768,11 @@ pub(crate) fn shard_series_prometheus<'a>(
          sampled service turn).\n# TYPE fm_shard_queue_depth summary\n",
     );
     for (sw, s) in &samples {
-        for (q, v) in
-            [("0.5", s.occupancy.p50), ("0.9", s.occupancy.p90), ("0.99", s.occupancy.p99)]
-        {
+        for (q, v) in [
+            ("0.5", s.occupancy.p50),
+            ("0.9", s.occupancy.p90),
+            ("0.99", s.occupancy.p99),
+        ] {
             out.push_str(&format!(
                 "fm_shard_queue_depth{{switch=\"{sw}\",quantile=\"{q}\"}} {v}\n"
             ));
@@ -735,7 +788,9 @@ pub(crate) fn shard_series_prometheus<'a>(
     );
     for (sw, s) in &samples {
         for (i, d) in s.deficits.iter().enumerate() {
-            out.push_str(&format!("fm_shard_deficit{{switch=\"{sw}\",input=\"{i}\"}} {d}\n"));
+            out.push_str(&format!(
+                "fm_shard_deficit{{switch=\"{sw}\",input=\"{i}\"}} {d}\n"
+            ));
         }
     }
     out.push_str("# TYPE fm_shard_input_forwarded_total counter\n");
@@ -755,14 +810,20 @@ pub(crate) fn shard_series_prometheus<'a>(
         }
     }
     for (name, get) in [
-        ("forwarded", &(|s: &ShardSample| s.forwarded) as &dyn Fn(&ShardSample) -> u64),
+        (
+            "forwarded",
+            &(|s: &ShardSample| s.forwarded) as &dyn Fn(&ShardSample) -> u64,
+        ),
         ("stalled", &|s: &ShardSample| s.stalled),
         ("dropped", &|s: &ShardSample| s.dropped),
         ("timed_out", &|s: &ShardSample| s.timed_out),
     ] {
         out.push_str(&format!("# TYPE fm_shard_{name}_total counter\n"));
         for (sw, s) in &samples {
-            out.push_str(&format!("fm_shard_{name}_total{{switch=\"{sw}\"}} {}\n", get(s)));
+            out.push_str(&format!(
+                "fm_shard_{name}_total{{switch=\"{sw}\"}} {}\n",
+                get(s)
+            ));
         }
     }
     out.push_str("# TYPE fm_shard_batch gauge\n");
@@ -867,7 +928,14 @@ mod tests {
                 dropped: 0,
                 timed_out: 0,
                 batch: 8,
-                occupancy: HistSummary { count: 4, min: 1, max: 8, p50: 2, p90: 6, p99: 8 },
+                occupancy: HistSummary {
+                    count: 4,
+                    min: 1,
+                    max: 8,
+                    p50: 2,
+                    p90: 6,
+                    p99: 8,
+                },
                 occupancy_octaves: vec![(0, 4)],
                 deficits: vec![0; input_forwarded.len()],
                 input_forwarded,
@@ -879,15 +947,18 @@ mod tests {
     #[test]
     fn counters_delta_across_beacons_and_survive_loss() {
         let mut c = Collector::new();
-        c.ingest(&endpoint_beacon(3, 0, 100, counters(10, 0, 0), vec![]), 150).unwrap();
+        c.ingest(&endpoint_beacon(3, 0, 100, counters(10, 0, 0), vec![]), 150)
+            .unwrap();
         // Beacon seq 1 lost; seq 2 arrives with a bigger cumulative count.
-        c.ingest(&endpoint_beacon(3, 2, 300, counters(50, 0, 0), vec![]), 350).unwrap();
+        c.ingest(&endpoint_beacon(3, 2, 300, counters(50, 0, 0), vec![]), 350)
+            .unwrap();
         assert_eq!(c.counter(3, Counter::Sends), 50, "cumulative, not doubled");
         assert_eq!(c.stats.seq_gaps, 1);
         assert_eq!(c.endpoint_beacons(3), 2);
         assert_eq!(c.endpoint_skew_us(3), Some(50), "min recv-sent skew");
         // A restarted beaconer (seq back at 0) is not a giant loss gap.
-        c.ingest(&endpoint_beacon(3, 0, 400, counters(50, 0, 0), vec![]), 450).unwrap();
+        c.ingest(&endpoint_beacon(3, 0, 400, counters(50, 0, 0), vec![]), 450)
+            .unwrap();
         assert_eq!(c.stats.seq_gaps, 1, "backwards seq means restart, not loss");
     }
 
@@ -895,64 +966,117 @@ mod tests {
     fn storm_detector_fires_once_per_episode() {
         let mut c = Collector::new();
         // Baseline.
-        c.ingest(&endpoint_beacon(0, 0, 0, counters(100, 0, 0), vec![]), 1).unwrap();
+        c.ingest(&endpoint_beacon(0, 0, 0, counters(100, 0, 0), vec![]), 1)
+            .unwrap();
         // Three consecutive stormy windows: one alarm.
-        c.ingest(&endpoint_beacon(0, 1, 10, counters(300, 150, 0), vec![]), 11).unwrap();
-        c.ingest(&endpoint_beacon(0, 2, 20, counters(500, 300, 0), vec![]), 21).unwrap();
-        c.ingest(&endpoint_beacon(0, 3, 30, counters(700, 450, 0), vec![]), 31).unwrap();
+        c.ingest(
+            &endpoint_beacon(0, 1, 10, counters(300, 150, 0), vec![]),
+            11,
+        )
+        .unwrap();
+        c.ingest(
+            &endpoint_beacon(0, 2, 20, counters(500, 300, 0), vec![]),
+            21,
+        )
+        .unwrap();
+        c.ingest(
+            &endpoint_beacon(0, 3, 30, counters(700, 450, 0), vec![]),
+            31,
+        )
+        .unwrap();
         assert_eq!(c.alarm_counts().0, 1, "latched while the storm persists");
         // Calm re-arm, then a second episode: second alarm.
         for s in 4..8 {
             c.ingest(
-                &endpoint_beacon(0, s, s as u64 * 10, counters(700 + s as u64, 450, 0), vec![]),
+                &endpoint_beacon(
+                    0,
+                    s,
+                    s as u64 * 10,
+                    counters(700 + s as u64, 450, 0),
+                    vec![],
+                ),
                 s as u64 * 10 + 1,
             )
             .unwrap();
         }
-        c.ingest(&endpoint_beacon(0, 8, 80, counters(1200, 800, 0), vec![]), 81).unwrap();
+        c.ingest(
+            &endpoint_beacon(0, 8, 80, counters(1200, 800, 0), vec![]),
+            81,
+        )
+        .unwrap();
         assert_eq!(c.alarm_counts().0, 2, "re-armed after calm");
         assert!(matches!(
             c.alarms()[0],
-            Alarm::RetransmitStorm { node: 0, retransmits: 150, sends: 200 }
+            Alarm::RetransmitStorm {
+                node: 0,
+                retransmits: 150,
+                sends: 200
+            }
         ));
     }
 
     #[test]
     fn quiet_endpoint_never_storms() {
         let mut c = Collector::new();
-        c.ingest(&endpoint_beacon(1, 0, 0, counters(0, 0, 0), vec![]), 1).unwrap();
+        c.ingest(&endpoint_beacon(1, 0, 0, counters(0, 0, 0), vec![]), 1)
+            .unwrap();
         // Busy but clean, and lightly lossy below both thresholds.
-        c.ingest(&endpoint_beacon(1, 1, 10, counters(10_000, 30, 0), vec![]), 11).unwrap();
-        c.ingest(&endpoint_beacon(1, 2, 20, counters(20_000, 600, 0), vec![]), 21).unwrap();
+        c.ingest(
+            &endpoint_beacon(1, 1, 10, counters(10_000, 30, 0), vec![]),
+            11,
+        )
+        .unwrap();
+        c.ingest(
+            &endpoint_beacon(1, 2, 20, counters(20_000, 600, 0), vec![]),
+            21,
+        )
+        .unwrap();
         assert_eq!(c.alarm_counts().0, 0, "ratio guard holds");
     }
 
     #[test]
     fn dead_peer_fires_exactly_once_per_advance() {
         let mut c = Collector::new();
-        c.ingest(&endpoint_beacon(5, 0, 0, counters(10, 0, 0), vec![]), 1).unwrap();
-        c.ingest(&endpoint_beacon(5, 1, 10, counters(10, 0, 1), vec![]), 11).unwrap();
+        c.ingest(&endpoint_beacon(5, 0, 0, counters(10, 0, 0), vec![]), 1)
+            .unwrap();
+        c.ingest(&endpoint_beacon(5, 1, 10, counters(10, 0, 1), vec![]), 11)
+            .unwrap();
         // Same cumulative value repeated: no re-fire.
-        c.ingest(&endpoint_beacon(5, 2, 20, counters(10, 0, 1), vec![]), 21).unwrap();
-        c.ingest(&endpoint_beacon(5, 3, 30, counters(10, 0, 1), vec![]), 31).unwrap();
+        c.ingest(&endpoint_beacon(5, 2, 20, counters(10, 0, 1), vec![]), 21)
+            .unwrap();
+        c.ingest(&endpoint_beacon(5, 3, 30, counters(10, 0, 1), vec![]), 31)
+            .unwrap();
         assert_eq!(c.alarm_counts().2, 1);
-        assert!(matches!(c.alarms()[0], Alarm::DeadPeer { node: 5, dead_peers: 1 }));
+        assert!(matches!(
+            c.alarms()[0],
+            Alarm::DeadPeer {
+                node: 5,
+                dead_peers: 1
+            }
+        ));
     }
 
     #[test]
     fn incast_capture_fires_on_fairness_collapse() {
         let mut c = Collector::new();
         // Fair baseline and a fair window: no alarm.
-        c.ingest(&shard_beacon(2, 0, vec![100, 100, 100, 100]), 1).unwrap();
-        c.ingest(&shard_beacon(2, 1, vec![200, 200, 200, 200]), 2).unwrap();
+        c.ingest(&shard_beacon(2, 0, vec![100, 100, 100, 100]), 1)
+            .unwrap();
+        c.ingest(&shard_beacon(2, 1, vec![200, 200, 200, 200]), 2)
+            .unwrap();
         assert_eq!(c.alarm_counts().1, 0);
         assert!(c.shard_fairness(2) > 0.99);
         // One input hogs the next window: alarm, exactly once while latched.
-        c.ingest(&shard_beacon(2, 2, vec![1200, 201, 201, 201]), 3).unwrap();
-        c.ingest(&shard_beacon(2, 3, vec![2200, 202, 202, 202]), 4).unwrap();
+        c.ingest(&shard_beacon(2, 2, vec![1200, 201, 201, 201]), 3)
+            .unwrap();
+        c.ingest(&shard_beacon(2, 3, vec![2200, 202, 202, 202]), 4)
+            .unwrap();
         assert_eq!(c.alarm_counts().1, 1);
         assert!(c.shard_fairness(2) < 0.5);
-        let Alarm::IncastCapture { switch, fairness, .. } = c.alarms()[0] else {
+        let Alarm::IncastCapture {
+            switch, fairness, ..
+        } = c.alarms()[0]
+        else {
             panic!("incast alarm")
         };
         assert_eq!(switch, 2);
@@ -965,17 +1089,31 @@ mod tests {
         let send = TraceEvent {
             tick: 100,
             node: 0,
-            kind: EventKind::SpanSend { trace: 7, hop: 0, dst: 1 },
+            kind: EventKind::SpanSend {
+                trace: 7,
+                hop: 0,
+                dst: 1,
+            },
         };
         let recv = TraceEvent {
             tick: 160,
             node: 1,
-            kind: EventKind::SpanWireIn { trace: 7, hop: 0, src: 0 },
+            kind: EventKind::SpanWireIn {
+                trace: 7,
+                hop: 0,
+                src: 0,
+            },
         };
         // The same send ships in two overlapping beacon windows.
-        c.ingest(&endpoint_beacon(0, 0, 0, counters(1, 0, 0), vec![send]), 1).unwrap();
-        c.ingest(&endpoint_beacon(0, 1, 10, counters(2, 0, 0), vec![send]), 11).unwrap();
-        c.ingest(&endpoint_beacon(1, 0, 5, counters(0, 0, 0), vec![recv]), 15).unwrap();
+        c.ingest(&endpoint_beacon(0, 0, 0, counters(1, 0, 0), vec![send]), 1)
+            .unwrap();
+        c.ingest(
+            &endpoint_beacon(0, 1, 10, counters(2, 0, 0), vec![send]),
+            11,
+        )
+        .unwrap();
+        c.ingest(&endpoint_beacon(1, 0, 5, counters(0, 0, 0), vec![recv]), 15)
+            .unwrap();
         let report = c.merged();
         assert_eq!(report.flow_pairs(), 1, "deduped to one flow");
         assert_eq!(report.causal_violations, 0);
@@ -985,22 +1123,48 @@ mod tests {
     fn collective_spans_become_duration_series() {
         let mut c = Collector::new();
         let evs = vec![
-            TraceEvent { tick: 1000, node: 0, kind: EventKind::CollBegin { coll: 0, epoch: 1 } },
+            TraceEvent {
+                tick: 1000,
+                node: 0,
+                kind: EventKind::CollBegin { coll: 0, epoch: 1 },
+            },
             TraceEvent {
                 tick: 1010,
                 node: 0,
-                kind: EventKind::CollRoundBegin { coll: 0, epoch: 1, round: 0, peer: 1 },
+                kind: EventKind::CollRoundBegin {
+                    coll: 0,
+                    epoch: 1,
+                    round: 0,
+                    peer: 1,
+                },
             },
             TraceEvent {
                 tick: 1050,
                 node: 0,
-                kind: EventKind::CollRoundEnd { coll: 0, epoch: 1, round: 0 },
+                kind: EventKind::CollRoundEnd {
+                    coll: 0,
+                    epoch: 1,
+                    round: 0,
+                },
             },
-            TraceEvent { tick: 1100, node: 0, kind: EventKind::CollEnd { coll: 0, epoch: 1 } },
-            TraceEvent { tick: 2000, node: 0, kind: EventKind::CollBegin { coll: 3, epoch: 1 } },
-            TraceEvent { tick: 2500, node: 0, kind: EventKind::CollEnd { coll: 3, epoch: 1 } },
+            TraceEvent {
+                tick: 1100,
+                node: 0,
+                kind: EventKind::CollEnd { coll: 0, epoch: 1 },
+            },
+            TraceEvent {
+                tick: 2000,
+                node: 0,
+                kind: EventKind::CollBegin { coll: 3, epoch: 1 },
+            },
+            TraceEvent {
+                tick: 2500,
+                node: 0,
+                kind: EventKind::CollEnd { coll: 3, epoch: 1 },
+            },
         ];
-        c.ingest(&endpoint_beacon(0, 0, 0, counters(0, 0, 0), evs), 1).unwrap();
+        c.ingest(&endpoint_beacon(0, 0, 0, counters(0, 0, 0), evs), 1)
+            .unwrap();
         let prom = c.prometheus();
         assert!(prom.contains("fm_collective_duration_ticks{coll=\"barrier\",quantile=\"0.5\"}"));
         assert!(prom.contains("fm_collective_duration_ticks_count{coll=\"barrier\"} 1"));
@@ -1012,7 +1176,8 @@ mod tests {
         let mut c = Collector::new();
         c.ingest(&shard_beacon(0, 0, vec![10, 20]), 1).unwrap();
         c.ingest(&shard_beacon(0, 1, vec![30, 40]), 2).unwrap();
-        c.ingest(&endpoint_beacon(4, 0, 0, counters(9, 0, 0), vec![]), 3).unwrap();
+        c.ingest(&endpoint_beacon(4, 0, 0, counters(9, 0, 0), vec![]), 3)
+            .unwrap();
         let prom = c.prometheus();
         for needle in [
             "fm_shard_queue_depth{switch=\"0\",quantile=\"0.99\"}",
@@ -1030,7 +1195,10 @@ mod tests {
         ] {
             assert!(prom.contains(needle), "missing {needle} in:\n{prom}");
         }
-        assert!(!prom.contains("NaN") && !prom.contains("inf"), "finite values only");
+        assert!(
+            !prom.contains("NaN") && !prom.contains("inf"),
+            "finite values only"
+        );
     }
 
     #[test]
@@ -1041,13 +1209,24 @@ mod tests {
         let send = TraceEvent {
             tick: 5,
             node: 0,
-            kind: EventKind::SpanSend { trace: 1, hop: 0, dst: 1 },
+            kind: EventKind::SpanSend {
+                trace: 1,
+                hop: 0,
+                dst: 1,
+            },
         };
-        c.ingest(&endpoint_beacon(0, 0, 0, counters(1, 0, 0), vec![send]), 150).unwrap();
+        c.ingest(
+            &endpoint_beacon(0, 0, 0, counters(1, 0, 0), vec![send]),
+            150,
+        )
+        .unwrap();
         let doc = c.chrome_trace();
         assert!(doc.contains("\"name\":\"switch 1\""), "shard lane labeled");
         assert!(doc.contains("\"name\":\"queue_depth\"") && doc.contains("\"ph\":\"C\""));
-        assert!(doc.contains("\"args\":{\"frames\":100}"), "forwarding delta lane");
+        assert!(
+            doc.contains("\"args\":{\"frames\":100}"),
+            "forwarding delta lane"
+        );
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 
@@ -1069,7 +1248,8 @@ mod tests {
         let mut c = Collector::bind("127.0.0.1:0").expect("bind collector");
         let addr = c.local_addr().expect("bound");
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        tx.send_to(&endpoint_beacon(9, 0, 0, counters(3, 0, 0), vec![]), addr).unwrap();
+        tx.send_to(&endpoint_beacon(9, 0, 0, counters(3, 0, 0), vec![]), addr)
+            .unwrap();
         tx.send_to(&shard_beacon(0, 0, vec![1, 2]), addr).unwrap();
         let mut got = 0;
         for _ in 0..500 {

@@ -268,11 +268,15 @@ impl Telemetry {
     #[inline]
     pub fn trace(&self, tick: u64, kind: EventKind) {
         #[cfg(not(feature = "telemetry-off"))]
-        self.inner.ring.lock().expect("trace ring").push(TraceEvent {
-            tick,
-            node: self.node,
-            kind,
-        });
+        self.inner
+            .ring
+            .lock()
+            .expect("trace ring")
+            .push(TraceEvent {
+                tick,
+                node: self.node,
+                kind,
+            });
     }
 
     /// Retained trace events, oldest first.

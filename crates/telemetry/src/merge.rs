@@ -121,7 +121,9 @@ impl MergeReport {
                     coll_ends.entry((coll, epoch, e.node)).or_insert(e.ts);
                 }
                 EventKind::CollRoundEnd { coll, epoch, round } => {
-                    round_ends.entry((coll, epoch, round, e.node)).or_insert(e.ts);
+                    round_ends
+                        .entry((coll, epoch, round, e.node))
+                        .or_insert(e.ts);
                 }
                 _ => {}
             }
@@ -180,7 +182,9 @@ impl MergeReport {
                     }
                 }
                 EventKind::CollEnd { .. } => { /* folded into the slice */ }
-                EventKind::CollRoundBegin { coll, epoch, round, .. } => {
+                EventKind::CollRoundBegin {
+                    coll, epoch, round, ..
+                } => {
                     if let Some(&end) = round_ends.get(&(coll, epoch, round, e.node)) {
                         let dur = (end - ts).max(1);
                         push(
@@ -354,12 +358,56 @@ mod tests {
         let a = |t: u64| t;
         let b = |t: u64| (t as i64 + off) as u64;
         vec![
-            ev(snd, a(t0), EventKind::SpanSend { trace, hop: 0, dst: rcv }),
-            ev(rcv, b(t0 + d), EventKind::SpanWireIn { trace, hop: 0, src: snd }),
-            ev(rcv, b(t0 + d), EventKind::SpanAckOut { trace, hop: 0, dst: snd }),
-            ev(snd, a(t0 + 2 * d), EventKind::SpanAckIn { trace, hop: 0, peer: rcv }),
-            ev(rcv, b(t0 + d + 1), EventKind::SpanHandlerStart { trace, hop: 0, src: snd }),
-            ev(rcv, b(t0 + d + 2), EventKind::SpanHandlerEnd { trace, hop: 0 }),
+            ev(
+                snd,
+                a(t0),
+                EventKind::SpanSend {
+                    trace,
+                    hop: 0,
+                    dst: rcv,
+                },
+            ),
+            ev(
+                rcv,
+                b(t0 + d),
+                EventKind::SpanWireIn {
+                    trace,
+                    hop: 0,
+                    src: snd,
+                },
+            ),
+            ev(
+                rcv,
+                b(t0 + d),
+                EventKind::SpanAckOut {
+                    trace,
+                    hop: 0,
+                    dst: snd,
+                },
+            ),
+            ev(
+                snd,
+                a(t0 + 2 * d),
+                EventKind::SpanAckIn {
+                    trace,
+                    hop: 0,
+                    peer: rcv,
+                },
+            ),
+            ev(
+                rcv,
+                b(t0 + d + 1),
+                EventKind::SpanHandlerStart {
+                    trace,
+                    hop: 0,
+                    src: snd,
+                },
+            ),
+            ev(
+                rcv,
+                b(t0 + d + 2),
+                EventKind::SpanHandlerEnd { trace, hop: 0 },
+            ),
         ]
     }
 
@@ -385,8 +433,24 @@ mod tests {
         // A send whose frame was dropped (no wire-in anywhere), and a
         // wire-in whose send was overwritten.
         let evs = vec![
-            ev(0, 10, EventKind::SpanSend { trace: 1, hop: 0, dst: 1 }),
-            ev(1, 99, EventKind::SpanWireIn { trace: 2, hop: 0, src: 0 }),
+            ev(
+                0,
+                10,
+                EventKind::SpanSend {
+                    trace: 1,
+                    hop: 0,
+                    dst: 1,
+                },
+            ),
+            ev(
+                1,
+                99,
+                EventKind::SpanWireIn {
+                    trace: 2,
+                    hop: 0,
+                    src: 0,
+                },
+            ),
         ];
         let report = merge(&[evs]);
         assert_eq!(report.flow_pairs(), 0);
@@ -413,10 +477,44 @@ mod tests {
     fn collective_spans_render_as_nested_slices() {
         let evs = vec![
             ev(0, 100, EventKind::CollBegin { coll: 3, epoch: 9 }),
-            ev(0, 110, EventKind::CollRoundBegin { coll: 3, epoch: 9, round: 0, peer: 1 }),
-            ev(0, 150, EventKind::CollRoundEnd { coll: 3, epoch: 9, round: 0 }),
-            ev(0, 160, EventKind::CollRoundBegin { coll: 3, epoch: 9, round: 1, peer: 2 }),
-            ev(0, 190, EventKind::CollRoundEnd { coll: 3, epoch: 9, round: 1 }),
+            ev(
+                0,
+                110,
+                EventKind::CollRoundBegin {
+                    coll: 3,
+                    epoch: 9,
+                    round: 0,
+                    peer: 1,
+                },
+            ),
+            ev(
+                0,
+                150,
+                EventKind::CollRoundEnd {
+                    coll: 3,
+                    epoch: 9,
+                    round: 0,
+                },
+            ),
+            ev(
+                0,
+                160,
+                EventKind::CollRoundBegin {
+                    coll: 3,
+                    epoch: 9,
+                    round: 1,
+                    peer: 2,
+                },
+            ),
+            ev(
+                0,
+                190,
+                EventKind::CollRoundEnd {
+                    coll: 3,
+                    epoch: 9,
+                    round: 1,
+                },
+            ),
             ev(0, 200, EventKind::CollEnd { coll: 3, epoch: 9 }),
         ];
         let report = merge(&[evs]);

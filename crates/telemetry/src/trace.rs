@@ -73,7 +73,12 @@ pub enum EventKind {
     /// A rank started one communication round of a collective (`peer` is
     /// the partner it exchanges with this round; `u16::MAX` when the
     /// round has no single partner, e.g. a tree fan-in over children).
-    CollRoundBegin { coll: u8, epoch: u32, round: u16, peer: u16 },
+    CollRoundBegin {
+        coll: u8,
+        epoch: u32,
+        round: u16,
+        peer: u16,
+    },
     /// The round's sends/receives completed on this rank.
     CollRoundEnd { coll: u8, epoch: u32, round: u16 },
     /// The rank left the collective call.
@@ -174,7 +179,12 @@ impl EventKind {
                     coll_kind_name(coll)
                 )
             }
-            EventKind::CollRoundBegin { coll, epoch, round, peer } => {
+            EventKind::CollRoundBegin {
+                coll,
+                epoch,
+                round,
+                peer,
+            } => {
                 format!(
                     "{{\"coll\":\"{}\",\"epoch\":{epoch},\"round\":{round},\"peer\":{peer}}}",
                     coll_kind_name(coll)

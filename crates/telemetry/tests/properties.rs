@@ -165,7 +165,11 @@ fn event_ring_wraparound_keeps_newest() {
     let kept = t.events();
     assert_eq!(kept.len(), 8, "ring holds exactly its capacity");
     let ticks: Vec<u64> = kept.iter().map(|e| e.tick).collect();
-    assert_eq!(ticks, (12..20).collect::<Vec<_>>(), "oldest-first, newest kept");
+    assert_eq!(
+        ticks,
+        (12..20).collect::<Vec<_>>(),
+        "oldest-first, newest kept"
+    );
     // The chrome export carries every retained event.
     let chrome = chrome_trace(&kept);
     assert_eq!(chrome.matches("\"ph\":").count(), 8);
