@@ -5,7 +5,7 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fm_core::endpoint::{EndpointConfig, EndpointCore};
 use fm_core::queues::RejectQueue;
-use fm_core::{HandlerId, NodeId, WireFrame};
+use fm_core::{gen_tag, HandlerId, NodeId, WireFrame};
 use std::hint::black_box;
 
 fn bench_codec(c: &mut Criterion) {
@@ -52,21 +52,20 @@ fn bench_endpoint_cycle(c: &mut Criterion) {
 
 fn bench_reject_queue(c: &mut Criterion) {
     c.bench_function("protocol/reject_queue_reserve_ack", |b| {
-        let mut q: RejectQueue<u64> = RejectQueue::new(256);
+        let mut q = RejectQueue::new(256);
         b.iter(|| {
             let s = q.reserve(0, 1 << 40).expect("capacity");
             black_box(s);
-            q.ack(s, 0);
+            q.ack(s, gen_tag(q.gen(s)));
         });
     });
     c.bench_function("protocol/reject_queue_bounce_retx", |b| {
-        let mut q: RejectQueue<u64> = RejectQueue::new(256);
+        let mut q = RejectQueue::new(256);
         b.iter(|| {
             let s = q.reserve(0, 1 << 40).expect("capacity");
-            q.bounce(s, 0, 99);
-            let (s2, v) = q.pop_retransmit(0).expect("just bounced");
-            black_box(v);
-            q.ack(s2, 0);
+            q.bounce(s, gen_tag(q.gen(s)));
+            let s2 = q.pop_retransmit(0).expect("just bounced");
+            q.ack(black_box(s2), gen_tag(q.gen(s2)));
         });
     });
 }

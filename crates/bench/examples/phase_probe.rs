@@ -1,0 +1,88 @@
+//! Where a streamed 128-byte message spends its time in the protocol
+//! engine, leg by leg, and what the whole `MemEndpoint` loop costs around
+//! it. Run it in both builds to price the telemetry ledger:
+//!
+//! ```text
+//! cargo run --release -p fm-bench --example phase_probe
+//! cargo run --release -p fm-bench --example phase_probe --features telemetry-off
+//! ```
+//!
+//! The legs drive two bare `EndpointCore`s through the by-value adapters
+//! (`pop_outgoing` / `on_wire`), so `on_data` and `on_ack` include one
+//! frame copy each that the ring runtime does not make; the last column is
+//! the real thing, `MemCluster` over its SPSC rings. EXPERIMENTS.md records
+//! this program's output before and after the frames-stay-put change.
+
+use bytes::Bytes;
+use fm_core::{EndpointConfig, EndpointCore, HandlerId, MemCluster, NodeId};
+use std::hint::black_box;
+use std::time::Instant;
+
+const ROUNDS: usize = 30_000; // windows of 64 messages; the first tenth warms up
+const H: HandlerId = HandlerId(1);
+
+fn main() {
+    let payload = [0x5Au8; 128];
+    let window = EndpointConfig::default().window as f64;
+    let mut a = EndpointCore::new(NodeId(0), EndpointConfig::default());
+    let mut b = EndpointCore::new(NodeId(1), EndpointConfig::default());
+    b.register_handler_at(H, Box::new(|_, _, data| {
+        black_box(data.len());
+    }));
+    let mut legs = [0.0f64; 4]; // send, on_data, extract, on_ack
+    for round in 0..ROUNDS {
+        let t0 = Instant::now();
+        while a
+            .try_send(NodeId(1), H, Bytes::copy_from_slice(&payload))
+            .is_ok()
+        {}
+        let t1 = Instant::now();
+        while let Some(frame) = a.pop_outgoing() {
+            b.on_wire(frame);
+        }
+        let t2 = Instant::now();
+        b.extract(usize::MAX);
+        let t3 = Instant::now();
+        while let Some(frame) = b.pop_outgoing() {
+            a.on_wire(frame);
+        }
+        a.extract(usize::MAX);
+        let t4 = Instant::now();
+        if round >= ROUNDS / 10 {
+            for (leg, (from, to)) in [(t0, t1), (t1, t2), (t2, t3), (t3, t4)].iter().enumerate() {
+                legs[leg] += (*to - *from).as_nanos() as f64;
+            }
+        }
+    }
+    let per_msg = |ns: f64| ns / (ROUNDS - ROUNDS / 10) as f64 / window;
+
+    let mut nodes = MemCluster::with_config(2, EndpointConfig::default());
+    let (mut rx, mut tx) = (nodes.pop().unwrap(), nodes.pop().unwrap());
+    rx.register_handler_at(H, |_, _, data| {
+        black_box(data.len());
+    });
+    let (mut sent, mut started) = (0usize, Instant::now());
+    let total = ROUNDS * window as usize;
+    while sent < total {
+        if sent < total / 10 {
+            started = Instant::now(); // still warming up
+        }
+        while tx.try_send(NodeId(1), H, &payload).is_ok() {
+            sent += 1;
+        }
+        rx.extract();
+        tx.extract();
+    }
+    let stream = started.elapsed().as_nanos() as f64 / (total - total / 10) as f64;
+
+    println!(
+        "telemetry {:<3} | send {:5.1} | on_data {:5.1} | extract {:5.1} | on_ack {:5.1} | core sum {:5.1} | mem stream {:5.1}  (ns per 128-B message)",
+        if fm_telemetry::ENABLED { "on" } else { "off" },
+        per_msg(legs[0]),
+        per_msg(legs[1]),
+        per_msg(legs[2]),
+        per_msg(legs[3]),
+        per_msg(legs.iter().sum()),
+        stream,
+    );
+}

@@ -1,0 +1,581 @@
+//! The receive side of [`EndpointCore`]: the receive ring is the handler's
+//! buffer.
+//!
+//! A frame arrives as a validated header plus a borrow of its payload
+//! (still in the wire). Admission — sequence class, ring space, the
+//! source's ring quota — is decided on the header alone; only then is the
+//! payload copied, once, to wherever the decision sends it: the next
+//! receive-ring slot, the reorder window, a return image, or nowhere.
+//! `extract` runs each handler on the ring slot itself and releases the
+//! slot afterwards.
+
+use fm_myrinet::NodeId;
+
+use super::{grow, span, EndpointCore, OutEntry, RING_ACTIVE_TICKS};
+use crate::flow::{SeqClass, SeqWindow};
+use crate::frame::{FrameHeader, FrameKind, FrameSlot, WireFrame};
+use crate::queues::PacketRing;
+use crate::time::TimeSource;
+use fm_telemetry::{Counter, EventKind, Metric};
+
+impl EndpointCore {
+    /// Process one frame that arrived from the network: `head` and
+    /// `payload` as [`FrameHeader::parse`] split them, the payload still
+    /// lying in the transport's buffer.
+    pub fn on_frame(&mut self, head: &FrameHeader, payload: &[u8]) {
+        debug_assert_eq!(head.dst, self.id, "transport misrouted a frame");
+        // Wire-ingress span events are stamped with the tick of the
+        // `extract` that will process the arrival (`now` increments at the
+        // top of extract, but transports pump the wire just before calling
+        // it). Stamping at `now` instead would label every receive one
+        // tick *before* the send that caused it whenever the crossing
+        // completes within one service round — a systematic skew that
+        // makes the merged timeline's happens-before constraints
+        // cyclically infeasible on ring topologies.
+        //
+        // Under wall-clock time the opposite staleness bites: `now` still
+        // holds the *previous* extract's reading, so an endpoint that sat
+        // idle between service rounds would stamp this arrival tens of
+        // microseconds before the send that caused it — the same
+        // infeasibility, from the other direction. Re-read the clock at
+        // ingress instead (real time has genuinely advanced; the one
+        // Instant read is noise next to the recv syscall that got us here).
+        if self.config.time_source == TimeSource::WallMicros {
+            self.advance_clock();
+        }
+        // Piggybacked acks count regardless of what happens to the frame.
+        for &word in head.piggy.as_slice() {
+            self.on_ack_word(word, head.src);
+        }
+        match head.kind {
+            FrameKind::Data => self.on_data(head, payload),
+            FrameKind::Return => self.on_return(head),
+            FrameKind::Ack => { /* piggy area already processed above */ }
+        }
+    }
+
+    /// [`EndpointCore::on_frame`] for harnesses that carry frames by value.
+    pub fn on_wire(&mut self, frame: WireFrame) {
+        self.on_frame(&frame.head, &frame.payload);
+    }
+
+    /// Admit one incoming data frame through the per-source sequence
+    /// window. Four outcomes:
+    ///
+    /// * duplicate (retransmission of something already accepted) — drop
+    ///   it but re-ack, since the ack may be what got lost;
+    /// * in order — accept into the ring (bounce if full), ack, and pull
+    ///   any directly-following buffered frames in behind it;
+    /// * ahead within the reorder window — buffer and ack now, deliver
+    ///   when the gap fills;
+    /// * too far ahead — bounce without acking (bounds receiver memory;
+    ///   the sender's bounce path retransmits it later).
+    fn on_data(&mut self, head: &FrameHeader, payload: &[u8]) {
+        let FrameHeader {
+            src,
+            slot,
+            slot_gen: gen,
+            seq,
+            trace,
+            ..
+        } = *head;
+        // Span events fire only on *acceptance* (never for duplicates the
+        // sequence window suppresses), so every traced `(trace, hop)` wire
+        // crossing yields exactly one SpanWireIn even under loss-driven
+        // retransmission — the invariant the merged-timeline flow pairing
+        // relies on. See on_frame: ingress spans carry the tick of the
+        // extract that services them.
+        let arrival = self.now + 1;
+        let wire_in = |trace, hop| EventKind::SpanWireIn {
+            trace,
+            hop,
+            src: src.0,
+        };
+        *grow(&mut self.last_data, src.index()) = self.now;
+        match self.window_mut(src).classify(seq) {
+            SeqClass::Duplicate => {
+                self.stats.duplicates += 1;
+                self.telemetry.incr(Counter::ReAcks);
+                self.accept_ack(src, slot, gen);
+            }
+            // Return to sender: the receiver has no room (or this source
+            // is over its ring quota, or ran too far ahead); the source
+            // reserved reject-queue space for exactly this case. Not
+            // acked, not advanced — an in-order frame's retransmission
+            // will be InOrder again.
+            SeqClass::InOrder if !self.ring_admissible(src.index()) => self.bounce(head, payload),
+            SeqClass::TooFar => self.bounce(head, payload),
+            SeqClass::InOrder => {
+                *grow(&mut self.ring_share, src.index()) += 1;
+                let pushed = self.recv_ring.push_with(|at| at.fill(*head, payload));
+                debug_assert!(pushed, "ring_admissible checked capacity");
+                span(&self.telemetry, trace, arrival, wire_in);
+                self.accept_and_span(head, arrival);
+                // Split borrow: classify() above guarantees the window
+                // exists at src.index(), grow() the share entry.
+                let Self {
+                    recv_windows,
+                    recv_ring,
+                    ring_share,
+                    ring_quota,
+                    ..
+                } = self;
+                let win = &mut recv_windows[src.index()];
+                win.advance();
+                Self::drain_window_into(win, recv_ring, &mut ring_share[src.index()], *ring_quota);
+            }
+            // Park first, ack second: an acked frame is a frame the sender
+            // will never resend, so the ack must only go out once the
+            // frame is actually retained.
+            SeqClass::Ahead => match self
+                .window_mut(src)
+                .buffer(seq, FrameSlot::new(*head, payload))
+            {
+                Ok(()) => {
+                    span(&self.telemetry, trace, arrival, wire_in);
+                    span(&self.telemetry, trace, arrival, |trace, hop| {
+                        EventKind::SpanPark {
+                            trace,
+                            hop,
+                            src: src.0,
+                        }
+                    });
+                    self.accept_and_span(head, arrival);
+                }
+                Err(_) => {
+                    // classify() filters duplicates and out-of-window seqs,
+                    // so a refusal here is unreachable — but if it ever
+                    // fires, bouncing (unacked) is the safe recovery: the
+                    // sender retransmits instead of losing the frame.
+                    self.telemetry.incr(Counter::SeqBufferMisuse);
+                    self.bounce(head, payload);
+                }
+            },
+        }
+    }
+
+    /// Send a data frame back where it came from, unacked.
+    fn bounce(&mut self, head: &FrameHeader, payload: &[u8]) {
+        self.stats.rejected += 1;
+        self.returns
+            .push_back(FrameSlot::new(head.into_return(), payload));
+        self.outgoing.push_back(OutEntry::Return);
+    }
+
+    /// May one more in-order frame from `src` enter the receive ring?
+    /// Both ring capacity and the source's quota must have room. A
+    /// refusal is bounced exactly like a full ring: not acked, not
+    /// advanced, retransmitted in order.
+    fn ring_admissible(&self, src: usize) -> bool {
+        !self.recv_ring.is_full()
+            && (self.ring_share.get(src).copied().unwrap_or(0) as usize) < self.ring_quota
+    }
+
+    /// Recompute the per-source ring quota from the set of recently-active
+    /// sources. Called once per extract tick — O(sources), amortized away
+    /// by the deliveries the tick performs.
+    pub(super) fn refresh_ring_quota(&mut self) {
+        let now = self.now;
+        let active = self
+            .last_data
+            .iter()
+            .filter(|&&t| t != 0 && now.saturating_sub(t) <= RING_ACTIVE_TICKS)
+            .count();
+        self.ring_quota = (self.config.recv_ring / active.max(1)).max(1);
+    }
+
+    /// Queue a (re-)ack for an accepted frame, counting refusals — a slot
+    /// too wide for the 10-bit ack word would alias another slot on the
+    /// sender, so it is dropped unacked and recovered by the sender's
+    /// retransmission timer.
+    fn accept_ack(&mut self, src: NodeId, slot: u16, gen: u8) -> bool {
+        let ok = self.acks.on_accept(src, slot, gen);
+        if !ok {
+            self.telemetry.incr(Counter::InvalidAckSlots);
+        }
+        ok
+    }
+
+    /// [`Self::accept_ack`] for a freshly retained frame, with the
+    /// ack-out span of a sampled one.
+    fn accept_and_span(&mut self, head: &FrameHeader, arrival: u64) {
+        if self.accept_ack(head.src, head.slot, head.slot_gen) {
+            span(&self.telemetry, head.trace, arrival, |trace, hop| {
+                EventKind::SpanAckOut {
+                    trace,
+                    hop,
+                    dst: head.src.0,
+                }
+            });
+        }
+    }
+
+    fn window_mut(&mut self, src: NodeId) -> &mut SeqWindow<FrameSlot> {
+        let idx = src.index();
+        if idx >= self.recv_windows.len() {
+            let lookahead = self.config.reorder_window;
+            self.recv_windows
+                .resize_with(idx + 1, || SeqWindow::new(lookahead));
+        }
+        &mut self.recv_windows[idx]
+    }
+
+    /// Move consecutively-sequenced buffered frames into the receive
+    /// ring, stopping at the source's quota — a primed reorder buffer
+    /// must not refill every slot extract frees (that is the incast
+    /// capture path; see `ring_share`).
+    fn drain_window_into(
+        win: &mut SeqWindow<FrameSlot>,
+        ring: &mut PacketRing<FrameSlot>,
+        share: &mut u32,
+        quota: usize,
+    ) {
+        while win.buffered() > 0 && !ring.is_full() && (*share as usize) < quota {
+            let Some(frame) = win.take_ready() else { break };
+            let pushed = ring.push_with(|at| *at = frame);
+            debug_assert!(pushed, "checked not full above");
+            *share += 1;
+        }
+    }
+
+    /// Refill the receive ring from every source's reorder buffer,
+    /// starting at a rotating source so no source owns the front of the
+    /// scan. Under incast, K backlogged sources contend for the freed
+    /// ring slots every extract; rotation shares them ~1/K instead of
+    /// letting source order decide.
+    pub(super) fn drain_all_windows(&mut self) {
+        let Self {
+            recv_windows,
+            recv_ring,
+            ring_share,
+            ring_quota,
+            drain_rr,
+            ..
+        } = self;
+        let n = recv_windows.len();
+        if n == 0 {
+            return;
+        }
+        if ring_share.len() < n {
+            ring_share.resize(n, 0);
+        }
+        // `(drain_rr + 1) % n`, then `(drain_rr + k) % n` — as wrapping
+        // cursors, since this runs two or three times per extract.
+        let next = |i: usize| if i + 1 >= n { 0 } else { i + 1 };
+        *drain_rr = next(*drain_rr);
+        let mut i = *drain_rr;
+        for _ in 0..n {
+            if recv_ring.is_full() {
+                break;
+            }
+            let win = &mut recv_windows[i];
+            if win.buffered() > 0 {
+                Self::drain_window_into(win, recv_ring, &mut ring_share[i], *ring_quota);
+            }
+            i = next(i);
+        }
+    }
+
+    /// Run the handler of the frame at the head of the receive ring on the
+    /// frame where it lies, then release the ring slot — before the sends
+    /// the handler queued are flushed, so a handler that sends to its own
+    /// node finds the slot free again. Returns true when a handler ran to
+    /// completion (frames for unknown or panicking handlers are consumed
+    /// without counting as deliveries).
+    pub(super) fn deliver_head(&mut self) -> bool {
+        let frame = self.recv_ring.peek().expect("caller saw a frame");
+        let FrameHeader {
+            src,
+            handler,
+            trace,
+            ..
+        } = frame.head;
+        let mut taken = self.registry.take(handler);
+        let mut panicked = false;
+        if let Some(h) = taken.as_mut() {
+            span(&self.telemetry, trace, self.now, |trace, hop| {
+                EventKind::SpanHandlerStart {
+                    trace,
+                    hop,
+                    src: src.0,
+                }
+            });
+            // Time the handler only when telemetry is compiled in, and
+            // then only 1 delivery in 64 (the default trace sampling
+            // rate): two clock reads are ~50 ns against a ~250 ns message,
+            // the single largest instrumentation cost on the clean path,
+            // and a 1-in-64 sample still feeds the service-time histogram
+            // tens of thousands of points per second under load.
+            self.handler_probe = self.handler_probe.wrapping_add(1);
+            let start = (fm_telemetry::ENABLED && self.handler_probe & 63 == 0)
+                .then(std::time::Instant::now);
+            let outbox = &mut self.outbox;
+            panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                h(outbox, src, frame.payload())
+            }))
+            .is_err();
+            if let Some(t0) = start {
+                self.telemetry
+                    .record(Metric::HandlerNs, t0.elapsed().as_nanos() as u64);
+            }
+        }
+        self.recv_ring.release();
+        let share = grow(&mut self.ring_share, src.index());
+        *share = share.saturating_sub(1);
+        match taken {
+            None => {
+                // Unknown handler: the message is consumed (and was already
+                // acked on acceptance) — matching FM's "buffers do not
+                // persist"; we surface it in stats rather than crashing the
+                // node.
+                self.stats.unknown_handler += 1;
+                false
+            }
+            Some(_) if panicked => {
+                // The handler's internal state is suspect, so it is
+                // dropped rather than put back (later frames for this id
+                // count as unknown_handler), and any sends it queued
+                // before dying are discarded — a half-built causal burst
+                // must not escape. The node itself keeps running: one bad
+                // handler cannot wedge the cluster.
+                self.stats.handler_panics += 1;
+                drop(self.outbox.drain());
+                false
+            }
+            Some(h) => {
+                self.registry.put_back(handler, h);
+                self.stats.delivered += 1;
+                span(&self.telemetry, trace, self.now, |trace, hop| {
+                    EventKind::SpanHandlerEnd { trace, hop }
+                });
+                // Flush handler sends immediately so causally-related
+                // messages leave in issue order when the window allows;
+                // those of a sampled delivery leave one hop deeper in its
+                // trace.
+                self.active_trace = trace.sampled.then_some(trace);
+                self.flush_handler_sends();
+                self.active_trace = None;
+                true
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::{EndpointConfig, EndpointCore};
+    use crate::handler::HandlerId;
+    use fm_myrinet::NodeId;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    #[test]
+    fn full_ring_bounces_and_retransmission_recovers() {
+        let mut a = EndpointCore::new(NodeId(0), EndpointConfig::default());
+        let mut b = EndpointCore::new(
+            NodeId(1),
+            EndpointConfig {
+                recv_ring: 4,
+                ..Default::default()
+            },
+        );
+        let delivered = Arc::new(AtomicU64::new(0));
+        let d2 = delivered.clone();
+        let hid = b.register_handler(Box::new(move |_, _, data| {
+            // In order, and the bounced frame's bytes survived the trip.
+            assert_eq!(data, [d2.fetch_add(1, Ordering::SeqCst) as u8]);
+        }));
+        // Send 10 frames into a 4-deep ring without extracting. Seqs 0-3
+        // fill the ring; seq 4 is next-in-order but finds the ring full and
+        // bounces; seqs 5-9 are ahead of the in-order point, so the reorder
+        // window buffers and acks them for delivery once 4 lands.
+        for i in 0..10u8 {
+            a.try_send(NodeId(1), hid, [i]).unwrap();
+        }
+        pump(&mut a, &mut b);
+        assert_eq!(b.stats().rejected, 1);
+        assert_eq!(a.stats().bounced, 1);
+        assert_eq!(b.recv_buffered(), 5);
+        // Drain and retransmit until everything lands.
+        let mut rounds = 0;
+        while delivered.load(Ordering::SeqCst) < 10 {
+            b.extract(usize::MAX);
+            a.extract(usize::MAX); // paces retransmissions
+            pump(&mut a, &mut b);
+            rounds += 1;
+            assert!(rounds < 50, "no progress: {:?} / {:?}", a, b);
+        }
+        // The bounced in-order frame must have been retransmitted.
+        assert!(a.stats().retransmitted >= 1);
+        pump(&mut a, &mut b);
+        b.extract(usize::MAX);
+        a.extract(usize::MAX);
+        pump(&mut a, &mut b);
+        assert!(a.is_quiescent(), "{a:?}");
+        assert!(b.is_quiescent(), "{b:?}");
+    }
+
+    #[test]
+    fn handler_reply_from_handler() {
+        let (mut a, mut b) = pair();
+        let got_reply = Arc::new(AtomicU64::new(0));
+        let g2 = got_reply.clone();
+        let reply_h = a.register_handler(Box::new(move |_, src, data| {
+            assert_eq!(src, NodeId(1));
+            assert_eq!(data, b"pong");
+            g2.fetch_add(1, Ordering::SeqCst);
+        }));
+        // b's handler replies to the sender — the Active-Messages idiom.
+        let ping_h = b.register_handler(Box::new(move |out, src, _| {
+            out.send(src, reply_h, &b"pong"[..]);
+        }));
+        assert_eq!(ping_h, reply_h, "both registries assign id 1 here");
+        a.try_send(NodeId(1), ping_h, b"ping").unwrap();
+        pump(&mut a, &mut b);
+        b.extract(usize::MAX);
+        pump(&mut a, &mut b);
+        a.extract(usize::MAX);
+        assert_eq!(got_reply.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn unknown_handler_counted_not_fatal() {
+        let (mut a, mut b) = pair();
+        a.try_send(NodeId(1), HandlerId(77), b"?").unwrap();
+        pump(&mut a, &mut b);
+        assert_eq!(b.extract(usize::MAX), 0);
+        assert_eq!(b.stats().unknown_handler, 1);
+        // Still acked: sender's slot frees.
+        pump(&mut a, &mut b);
+        assert_eq!(a.outstanding(), 0);
+    }
+
+    /// Delivery happens in the ring slot; every way a delivery can end —
+    /// handler returns, handler panics, no handler — must give the slot
+    /// (and the source's share of the ring) back.
+    #[test]
+    fn every_kind_of_delivery_releases_its_ring_slot() {
+        let (mut a, mut b) = pair();
+        let seen = Arc::new(AtomicU64::new(0));
+        let s2 = seen.clone();
+        let good = b.register_handler(Box::new(move |_, _, data| {
+            s2.fetch_add(data[0] as u64, Ordering::SeqCst);
+        }));
+        let bad = b.register_handler(Box::new(|out, src, _| {
+            out.send(src, HandlerId(1), &b"must not escape"[..]);
+            panic!("handler bug");
+        }));
+        let unknown = HandlerId(77);
+        for (i, h) in [bad, good, unknown, good, bad, good]
+            .into_iter()
+            .enumerate()
+        {
+            a.try_send(NodeId(1), h, [1 << i]).unwrap();
+        }
+        pump(&mut a, &mut b);
+        assert_eq!(b.pending_extract(), 6);
+        assert_eq!(b.ring_share[0], 6);
+        for left in (0..6).rev() {
+            // A failed delivery uses no budget, so one call may retire two.
+            b.extract(1);
+            assert!(b.pending_extract() <= left, "slot {left} not released");
+        }
+        assert_eq!(b.pending_extract(), 0);
+        assert_eq!(b.ring_share[0], 0, "share ledger balanced");
+        let stats = b.stats();
+        // The second `bad` frame found the handler gone.
+        assert_eq!(
+            (stats.delivered, stats.handler_panics, stats.unknown_handler),
+            (3, 1, 2)
+        );
+        assert_eq!(seen.load(Ordering::SeqCst), 0b101010);
+        assert!(
+            std::iter::from_fn(|| b.pop_outgoing()).all(|f| f.head.kind == FrameKind::Ack),
+            "a panicking handler's sends are discarded"
+        );
+    }
+
+    #[test]
+    fn a_handler_sending_to_its_own_node_finds_its_ring_slot_free() {
+        // recv_ring 1: the loopback send a handler issues is flushed after
+        // the delivery released the only slot, so it is accepted.
+        let mut a = EndpointCore::new(
+            NodeId(0),
+            EndpointConfig {
+                recv_ring: 1,
+                ..Default::default()
+            },
+        );
+        let hops = Arc::new(AtomicU64::new(0));
+        let h2 = hops.clone();
+        a.register_handler_at(
+            HandlerId(1),
+            Box::new(move |out, me, _| {
+                if h2.fetch_add(1, Ordering::SeqCst) < 3 {
+                    out.send(me, HandlerId(1), &b"again"[..]);
+                }
+            }),
+        );
+        a.try_send(NodeId(0), HandlerId(1), b"go").unwrap();
+        assert_eq!(a.extract(usize::MAX), 4);
+        assert_eq!(a.stats().deferred_sends, 0);
+        assert!(a.is_quiescent());
+    }
+
+    #[test]
+    fn extract_budget_limits_deliveries() {
+        let (mut a, mut b) = pair();
+        let hid = b.register_handler(Box::new(|_, _, _| {}));
+        for _ in 0..5 {
+            a.try_send(NodeId(1), hid, [0]).unwrap();
+        }
+        pump(&mut a, &mut b);
+        assert_eq!(b.extract(2), 2);
+        assert_eq!(b.pending_extract(), 3);
+        assert_eq!(b.extract(usize::MAX), 3);
+    }
+
+    #[test]
+    fn traced_roundtrip_records_span_events() {
+        let cfg = EndpointConfig {
+            trace_one_in: 1,
+            ..Default::default()
+        };
+        let mut a = EndpointCore::new(NodeId(0), cfg);
+        let mut b = EndpointCore::new(NodeId(1), cfg);
+        let hid = b.register_handler(Box::new(|_, _, _| {}));
+        a.try_send(NodeId(1), hid, b"x").unwrap();
+        pump(&mut a, &mut b);
+        b.extract(usize::MAX);
+        pump(&mut a, &mut b);
+        assert_eq!(a.outstanding(), 0);
+        if !fm_telemetry::ENABLED {
+            assert!(a.telemetry().events().is_empty());
+            return;
+        }
+        let names = |ep: &EndpointCore| -> Vec<&str> {
+            ep.telemetry()
+                .events()
+                .iter()
+                .map(|e| e.kind.name())
+                .collect()
+        };
+        let (a_kinds, b_kinds) = (names(&a), names(&b));
+        assert!(a_kinds.contains(&"span_send"), "{a_kinds:?}");
+        assert!(a_kinds.contains(&"span_ack_in"), "{a_kinds:?}");
+        assert!(b_kinds.contains(&"span_wire_in"), "{b_kinds:?}");
+        assert!(b_kinds.contains(&"span_ack_out"), "{b_kinds:?}");
+        assert!(b_kinds.contains(&"span_handler_start"), "{b_kinds:?}");
+        assert!(b_kinds.contains(&"span_handler_end"), "{b_kinds:?}");
+        // All spans on both sides agree on the trace id.
+        let ids: std::collections::HashSet<u32> = a
+            .telemetry()
+            .events()
+            .iter()
+            .chain(b.telemetry().events().iter())
+            .filter_map(|e| e.kind.span().map(|(id, _)| id))
+            .collect();
+        assert_eq!(ids.len(), 1, "one message, one trace id");
+    }
+}

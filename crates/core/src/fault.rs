@@ -307,7 +307,7 @@ impl FaultInjector {
     /// caller must not feed the same frame back in (full-ring backpressure
     /// is handled downstream, on the already-decided [`OutboundFrame`]).
     pub fn admit(&mut self, frame: WireFrame, now: u64) {
-        let dst = frame.dst;
+        let dst = frame.head.dst;
         let Some(link) = self.links.get_mut(dst.index()) else {
             // Destination outside the cluster: undeliverable anyway.
             return;
@@ -511,7 +511,7 @@ mod tests {
         // ...and frames *from* it vanish too.
         let mut inj = FaultInjector::new(NodeId(1), 2, &cfg);
         let mut f = frame(0);
-        f.src = NodeId(1);
+        f.head.src = NodeId(1);
         inj.admit(f, 0);
         assert_eq!(inj.stats().stalled, 1);
         assert!(inj.pop_ready().is_none());

@@ -50,8 +50,8 @@
 //! Myrinet delegated integrity to link-level hardware CRC, so FM 1.0 never
 //! checks. Our fault-injection layer ([`crate::fault`]) flips bits in
 //! transit, so every frame carries an end-to-end checksum, computed in
-//! software once in [`WireFrame::encode_into`] and once in
-//! [`WireFrame::decode_slice`] — the two largest per-byte costs of a
+//! software once in [`FrameHeader::encode_into`] and once in
+//! [`FrameHeader::parse`] — the two largest per-byte costs of a
 //! frame, which is why [`crc32`] folds sixteen bytes per step. Decoding is
 //! *strict about total length* (`buf.len()` must equal header + declared
 //! payload + trailer): a bit flip in the length field then always surfaces
@@ -207,9 +207,14 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// One FM frame as it travels the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFrame {
+/// Everything a frame carries except its payload bytes: the 32-byte wire
+/// header, decoded. `Copy` and small, so it is what moves through the
+/// protocol engine while the payload stays where it was written — in a
+/// wire-ring slot on the way in ([`FrameHeader::parse`] borrows it), in a
+/// [`FrameSlot`] at rest, in the destination wire slot on the way out
+/// ([`FrameHeader::encode_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
     pub kind: FrameKind,
     pub src: NodeId,
     pub dst: NodeId,
@@ -233,6 +238,218 @@ pub struct WireFrame {
     /// Piggybacked acknowledgement slots (acks for frames *we* received
     /// from `dst`).
     pub piggy: PiggyAcks,
+}
+
+impl FrameHeader {
+    /// The header of a data frame with no trace context, generation 0 and
+    /// no piggybacked acks (set the fields that differ).
+    pub fn data(src: NodeId, dst: NodeId, handler: HandlerId, slot: u16, seq: u32) -> Self {
+        FrameHeader {
+            kind: FrameKind::Data,
+            handler,
+            slot,
+            seq,
+            ..FrameHeader::ack(src, dst, PiggyAcks::new())
+        }
+    }
+
+    /// The header of a standalone acknowledgement from `src` to `dst`.
+    pub fn ack(src: NodeId, dst: NodeId, words: PiggyAcks) -> Self {
+        FrameHeader {
+            kind: FrameKind::Ack,
+            src,
+            dst,
+            handler: HandlerId(0),
+            slot: 0,
+            slot_gen: 0,
+            seq: 0,
+            trace: TraceCtx::default(),
+            piggy: words,
+        }
+    }
+
+    /// The bounced (return-to-sender) form of a received data frame's
+    /// header: same slot, generation, sequence number and trace context —
+    /// what the sender needs to recognise its frame — direction reversed,
+    /// piggybacked acks dropped (they were consumed on arrival).
+    pub fn into_return(mut self) -> Self {
+        debug_assert_eq!(self.kind, FrameKind::Data);
+        self.kind = FrameKind::Return;
+        std::mem::swap(&mut self.src, &mut self.dst);
+        self.piggy = PiggyAcks::new();
+        self
+    }
+
+    /// Encode this header and `payload` into `buf` (at least
+    /// `FM_HEADER_BYTES + payload.len() + FM_CRC_BYTES` long, e.g. a fabric
+    /// ring slot), returning the encoded length. The one encoder: performs
+    /// no allocation and reads the payload exactly once.
+    #[inline]
+    pub fn encode_into(&self, payload: &[u8], buf: &mut [u8]) -> usize {
+        assert!(
+            payload.len() <= FM_FRAME_PAYLOAD,
+            "FM frame payload limited to {FM_FRAME_PAYLOAD} bytes (got {})",
+            payload.len()
+        );
+        let body = FM_HEADER_BYTES + payload.len();
+        let n = body + FM_CRC_BYTES;
+        assert!(
+            buf.len() >= n,
+            "encode buffer too small: {} < {n}",
+            buf.len()
+        );
+        buf[0] = VERSION_BYTE;
+        buf[1] = self.kind as u8;
+        buf[2] = payload.len() as u8;
+        buf[3] = if self.trace.sampled { FLAG_TRACED } else { 0 };
+        buf[4..6].copy_from_slice(&self.src.0.to_le_bytes());
+        buf[6..8].copy_from_slice(&self.dst.0.to_le_bytes());
+        buf[8..10].copy_from_slice(&self.handler.0.to_le_bytes());
+        buf[10..12].copy_from_slice(&self.slot.to_le_bytes());
+        buf[12] = self.piggy.len() as u8;
+        buf[13] = self.slot_gen;
+        buf[14..16].copy_from_slice(&self.trace.hop.to_le_bytes());
+        buf[16..20].copy_from_slice(&self.seq.to_le_bytes());
+        buf[20..24].copy_from_slice(&self.trace.id.to_le_bytes());
+        for i in 0..PIGGY_MAX {
+            let s = *self.piggy.slots.get(i).unwrap_or(&0);
+            buf[24 + 2 * i..26 + 2 * i].copy_from_slice(&s.to_le_bytes());
+        }
+        buf[FM_HEADER_BYTES..body].copy_from_slice(payload);
+        let crc = crc32(&buf[..body]);
+        buf[body..n].copy_from_slice(&crc.to_le_bytes());
+        n
+    }
+
+    /// Validate one encoded frame — version, kind, length, piggyback count,
+    /// exact total length, CRC — and split it into its header and a borrow
+    /// of its payload. The one validator: every byte that enters the
+    /// protocol engine from a wire passed through here, and nothing is
+    /// copied.
+    #[inline]
+    pub fn parse(buf: &[u8]) -> Result<(FrameHeader, &[u8]), CodecError> {
+        match buf.first() {
+            None => return Err(CodecError::Truncated { have: 0 }),
+            Some(&VERSION_BYTE) => {}
+            Some(&other) => return Err(CodecError::BadVersion(other)),
+        }
+        if buf.len() < FM_HEADER_BYTES {
+            return Err(CodecError::Truncated { have: buf.len() });
+        }
+        let kind = match buf[1] {
+            0 => FrameKind::Data,
+            1 => FrameKind::Return,
+            2 => FrameKind::Ack,
+            k => return Err(CodecError::BadKind(k)),
+        };
+        let len = buf[2];
+        if len as usize > FM_FRAME_PAYLOAD {
+            return Err(CodecError::BadLength(len));
+        }
+        let rd16 = |o: usize| u16::from_le_bytes([buf[o], buf[o + 1]]);
+        let rd32 = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
+        let piggy_count = buf[12];
+        if piggy_count as usize > PIGGY_MAX {
+            return Err(CodecError::BadPiggyCount(piggy_count));
+        }
+        let body = FM_HEADER_BYTES + len as usize;
+        let want = body + FM_CRC_BYTES;
+        if buf.len() < want {
+            return Err(CodecError::PayloadTruncated {
+                want,
+                have: buf.len(),
+            });
+        }
+        if buf.len() > want {
+            return Err(CodecError::LengthMismatch {
+                want,
+                have: buf.len(),
+            });
+        }
+        let stored = rd32(body);
+        let computed = crc32(&buf[..body]);
+        if computed != stored {
+            return Err(CodecError::BadCrc { computed, stored });
+        }
+        let mut piggy = PiggyAcks::new();
+        for i in 0..piggy_count as usize {
+            piggy.push(rd16(24 + 2 * i));
+        }
+        let trace = if buf[3] & FLAG_TRACED != 0 {
+            TraceCtx::sampled(rd32(20), rd16(14))
+        } else {
+            TraceCtx::default()
+        };
+        let head = FrameHeader {
+            kind,
+            src: NodeId(rd16(4)),
+            dst: NodeId(rd16(6)),
+            handler: HandlerId(rd16(8)),
+            slot: rd16(10),
+            slot_gen: buf[13],
+            seq: rd32(16),
+            trace,
+            piggy,
+        };
+        Ok((head, &buf[FM_HEADER_BYTES..body]))
+    }
+}
+
+/// A frame at rest: its header and its payload bytes held in place. This
+/// is what a send-window slot, a receive-ring slot, a reorder-window entry
+/// and a queued return image are made of — [`FrameSlot::fill`] is the one
+/// copy a payload makes on its way into any of them, and the frame is
+/// read (encoded from, handed to a handler) where it lies.
+#[derive(Debug, Clone)]
+pub struct FrameSlot {
+    pub head: FrameHeader,
+    len: u8,
+    bytes: [u8; FM_FRAME_PAYLOAD],
+}
+
+impl FrameSlot {
+    /// A slot holding `head` and a copy of `payload`.
+    pub fn new(head: FrameHeader, payload: &[u8]) -> Self {
+        let mut slot = FrameSlot::default();
+        slot.fill(head, payload);
+        slot
+    }
+
+    /// Overwrite this slot with `head` and a copy of `payload` (at most
+    /// [`FM_FRAME_PAYLOAD`] bytes — callers have checked, or
+    /// [`FrameHeader::parse`] has).
+    #[inline]
+    pub fn fill(&mut self, head: FrameHeader, payload: &[u8]) {
+        self.head = head;
+        self.bytes[..payload.len()].copy_from_slice(payload);
+        self.len = payload.len() as u8;
+    }
+
+    #[inline]
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl Default for FrameSlot {
+    fn default() -> Self {
+        FrameSlot {
+            head: FrameHeader::ack(NodeId(0), NodeId(0), PiggyAcks::new()),
+            len: 0,
+            bytes: [0; FM_FRAME_PAYLOAD],
+        }
+    }
+}
+
+/// One FM frame as an owned value: [`FrameHeader`]'s fields plus the
+/// payload in a `Bytes`. The protocol engine itself works on headers and
+/// borrowed payloads; this is the form the sans-IO harnesses shuttle between
+/// [`crate::endpoint::EndpointCore::pop_outgoing`] and
+/// [`crate::endpoint::EndpointCore::on_wire`], and what the fault injector
+/// and the full-ring backlog park.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireFrame {
+    pub head: FrameHeader,
     pub payload: Bytes,
 }
 
@@ -295,53 +512,19 @@ impl WireFrame {
             payload.len()
         );
         WireFrame {
-            kind: FrameKind::Data,
-            src,
-            dst,
-            handler,
-            slot,
-            slot_gen: 0,
-            seq,
-            trace: TraceCtx::default(),
-            piggy: PiggyAcks::new(),
+            head: FrameHeader::data(src, dst, handler, slot, seq),
             payload,
         }
     }
 
-    /// A standalone acknowledgement frame from `src` to `dst` covering the
-    /// given sender slots.
-    pub fn ack(src: NodeId, dst: NodeId, slots: &[u16]) -> Self {
+    /// An owned frame from a header and a copy of `payload` (inline in the
+    /// `Bytes`: no allocation for any legal frame).
+    #[inline]
+    pub fn from_parts(head: FrameHeader, payload: &[u8]) -> Self {
         WireFrame {
-            kind: FrameKind::Ack,
-            src,
-            dst,
-            handler: HandlerId(0),
-            slot: 0,
-            slot_gen: 0,
-            seq: 0,
-            trace: TraceCtx::default(),
-            piggy: PiggyAcks::from_slice(slots),
-            payload: Bytes::new(),
+            head,
+            payload: Bytes::copy_from_slice(payload),
         }
-    }
-
-    /// Convert a received data frame into its bounced (return-to-sender)
-    /// form: same payload and slot, direction reversed. The trace context
-    /// rides along so the eventual retransmission stays in its trace.
-    pub fn into_return(mut self) -> Self {
-        debug_assert_eq!(self.kind, FrameKind::Data);
-        self.kind = FrameKind::Return;
-        std::mem::swap(&mut self.src, &mut self.dst);
-        self.piggy = PiggyAcks::new();
-        self
-    }
-
-    /// Convert a bounced frame back into a data frame for retransmission.
-    pub fn into_retransmit(mut self) -> Self {
-        debug_assert_eq!(self.kind, FrameKind::Return);
-        self.kind = FrameKind::Data;
-        std::mem::swap(&mut self.src, &mut self.dst);
-        self
     }
 
     /// Total bytes this frame occupies on the wire (header + payload +
@@ -351,37 +534,10 @@ impl WireFrame {
     }
 
     /// Encode directly into `buf` (at least [`Self::wire_bytes`] long,
-    /// e.g. a fabric ring slot), returning the encoded length. Performs no
-    /// allocation — this is the short-message fast path.
+    /// e.g. a fabric ring slot), returning the encoded length — see
+    /// [`FrameHeader::encode_into`].
     pub fn encode_into(&self, buf: &mut [u8]) -> usize {
-        let n = self.wire_bytes();
-        assert!(
-            buf.len() >= n,
-            "encode buffer too small: {} < {n}",
-            buf.len()
-        );
-        let body = n - FM_CRC_BYTES;
-        buf[0] = VERSION_BYTE;
-        buf[1] = self.kind as u8;
-        buf[2] = self.payload.len() as u8;
-        buf[3] = if self.trace.sampled { FLAG_TRACED } else { 0 };
-        buf[4..6].copy_from_slice(&self.src.0.to_le_bytes());
-        buf[6..8].copy_from_slice(&self.dst.0.to_le_bytes());
-        buf[8..10].copy_from_slice(&self.handler.0.to_le_bytes());
-        buf[10..12].copy_from_slice(&self.slot.to_le_bytes());
-        buf[12] = self.piggy.len() as u8;
-        buf[13] = self.slot_gen;
-        buf[14..16].copy_from_slice(&self.trace.hop.to_le_bytes());
-        buf[16..20].copy_from_slice(&self.seq.to_le_bytes());
-        buf[20..24].copy_from_slice(&self.trace.id.to_le_bytes());
-        for i in 0..PIGGY_MAX {
-            let s = *self.piggy.slots.get(i).unwrap_or(&0);
-            buf[24 + 2 * i..26 + 2 * i].copy_from_slice(&s.to_le_bytes());
-        }
-        buf[FM_HEADER_BYTES..body].copy_from_slice(&self.payload);
-        let crc = crc32(&buf[..body]);
-        buf[body..n].copy_from_slice(&crc.to_le_bytes());
-        n
+        self.head.encode_into(&self.payload, buf)
     }
 
     /// Encode to wire bytes. With the inline small-buffer `Bytes`
@@ -398,74 +554,12 @@ impl WireFrame {
         Self::decode_slice(&buf[..])
     }
 
-    /// Decode from a raw byte slice (e.g. a fabric ring slot), copying the
-    /// payload out into an inline `Bytes`. Performs no allocation for any
-    /// legal frame.
+    /// Decode from a raw byte slice (e.g. a fabric ring slot):
+    /// [`FrameHeader::parse`], then the payload copied out into an inline
+    /// `Bytes`.
     pub fn decode_slice(buf: &[u8]) -> Result<Self, CodecError> {
-        match buf.first() {
-            None => return Err(CodecError::Truncated { have: 0 }),
-            Some(&VERSION_BYTE) => {}
-            Some(&other) => return Err(CodecError::BadVersion(other)),
-        }
-        if buf.len() < FM_HEADER_BYTES {
-            return Err(CodecError::Truncated { have: buf.len() });
-        }
-        let kind = match buf[1] {
-            0 => FrameKind::Data,
-            1 => FrameKind::Return,
-            2 => FrameKind::Ack,
-            k => return Err(CodecError::BadKind(k)),
-        };
-        let len = buf[2];
-        if len as usize > FM_FRAME_PAYLOAD {
-            return Err(CodecError::BadLength(len));
-        }
-        let rd16 = |o: usize| u16::from_le_bytes([buf[o], buf[o + 1]]);
-        let rd32 = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
-        let piggy_count = buf[12];
-        if piggy_count as usize > PIGGY_MAX {
-            return Err(CodecError::BadPiggyCount(piggy_count));
-        }
-        let body = FM_HEADER_BYTES + len as usize;
-        let want = body + FM_CRC_BYTES;
-        if buf.len() < want {
-            return Err(CodecError::PayloadTruncated {
-                want,
-                have: buf.len(),
-            });
-        }
-        if buf.len() > want {
-            return Err(CodecError::LengthMismatch {
-                want,
-                have: buf.len(),
-            });
-        }
-        let stored = rd32(body);
-        let computed = crc32(&buf[..body]);
-        if computed != stored {
-            return Err(CodecError::BadCrc { computed, stored });
-        }
-        let mut piggy = PiggyAcks::new();
-        for i in 0..piggy_count as usize {
-            piggy.push(rd16(24 + 2 * i));
-        }
-        let trace = if buf[3] & FLAG_TRACED != 0 {
-            TraceCtx::sampled(rd32(20), rd16(14))
-        } else {
-            TraceCtx::default()
-        };
-        Ok(WireFrame {
-            kind,
-            src: NodeId(rd16(4)),
-            dst: NodeId(rd16(6)),
-            handler: HandlerId(rd16(8)),
-            slot: rd16(10),
-            slot_gen: buf[13],
-            seq: rd32(16),
-            trace,
-            piggy,
-            payload: Bytes::copy_from_slice(&buf[FM_HEADER_BYTES..body]),
-        })
+        let (head, payload) = FrameHeader::parse(buf)?;
+        Ok(Self::from_parts(head, payload))
     }
 
     /// Read the (src, dst) pair out of an encoded frame without
@@ -502,8 +596,8 @@ mod tests {
             0xDEAD_BEEF,
             Bytes::from_static(b"hello fm"),
         );
-        f.piggy.push(5);
-        f.piggy.push(1000);
+        f.head.piggy.push(5);
+        f.head.piggy.push(1000);
         f
     }
 
@@ -528,10 +622,13 @@ mod tests {
 
     #[test]
     fn roundtrip_ack_frame() {
-        let f = WireFrame::ack(NodeId(1), NodeId(0), &[7, 8, 9]);
+        let f = WireFrame::from_parts(
+            FrameHeader::ack(NodeId(1), NodeId(0), PiggyAcks::from_slice(&[7, 8, 9])),
+            &[],
+        );
         let d = WireFrame::decode(&f.encode()).unwrap();
         assert_eq!(d, f);
-        assert_eq!(d.piggy.as_slice(), &[7, 8, 9]);
+        assert_eq!(d.head.piggy.as_slice(), &[7, 8, 9]);
         assert!(d.payload.is_empty());
     }
 
@@ -558,12 +655,12 @@ mod tests {
     #[test]
     fn roundtrip_trace_context() {
         let mut f = sample();
-        f.trace = TraceCtx::sampled(0xCAFE_F00D, 513);
+        f.head.trace = TraceCtx::sampled(0xCAFE_F00D, 513);
         let d = WireFrame::decode(&f.encode()).unwrap();
         assert_eq!(d, f);
-        assert!(d.trace.sampled);
-        assert_eq!(d.trace.id, 0xCAFE_F00D);
-        assert_eq!(d.trace.hop, 513);
+        assert!(d.head.trace.sampled);
+        assert_eq!(d.head.trace.id, 0xCAFE_F00D);
+        assert_eq!(d.head.trace.hop, 513);
     }
 
     #[test]
@@ -573,7 +670,10 @@ mod tests {
         assert_eq!(enc[3], 0, "flags byte clear for unsampled frames");
         assert_eq!(&enc[14..16], &[0, 0], "hop field zero");
         assert_eq!(&enc[20..24], &[0, 0, 0, 0], "trace id field zero");
-        assert_eq!(WireFrame::decode(&enc).unwrap().trace, TraceCtx::default());
+        assert_eq!(
+            WireFrame::decode(&enc).unwrap().head.trace,
+            TraceCtx::default()
+        );
     }
 
     #[test]
@@ -682,22 +782,40 @@ mod tests {
     }
 
     #[test]
-    fn return_and_retransmit_are_inverses() {
+    fn a_bounce_keeps_what_identifies_the_frame() {
         let mut f = sample();
-        f.trace = TraceCtx::sampled(99, 1);
-        let bounced = f.clone().into_return();
+        f.head.trace = TraceCtx::sampled(99, 1);
+        let bounced = f.head.into_return();
         assert_eq!(bounced.kind, FrameKind::Return);
-        assert_eq!(bounced.src, f.dst);
-        assert_eq!(bounced.dst, f.src);
-        assert_eq!(bounced.payload, f.payload);
+        assert_eq!((bounced.src, bounced.dst), (f.head.dst, f.head.src));
+        assert_eq!(
+            (bounced.slot, bounced.slot_gen, bounced.seq),
+            (19, 0, 0xDEAD_BEEF)
+        );
         assert!(bounced.piggy.is_empty(), "bounce drops piggybacked acks");
-        assert_eq!(bounced.trace, f.trace, "bounce keeps the trace context");
-        let retx = bounced.into_retransmit();
-        assert_eq!(retx.kind, FrameKind::Data);
-        assert_eq!(retx.src, f.src);
-        assert_eq!(retx.dst, f.dst);
-        assert_eq!(retx.slot, f.slot);
-        assert_eq!(retx.trace, f.trace, "retransmission stays in its trace");
+        assert_eq!(
+            bounced.trace, f.head.trace,
+            "bounce keeps the trace context"
+        );
+    }
+
+    #[test]
+    fn a_slot_holds_and_encodes_what_it_was_filled_with() {
+        let f = sample();
+        let mut slot = FrameSlot::new(f.head, &[0xEE; FM_FRAME_PAYLOAD]);
+        slot.fill(f.head, &f.payload);
+        assert_eq!(
+            slot.payload(),
+            &f.payload[..],
+            "a shorter refill hides the old tail"
+        );
+        let mut image = [0u8; FM_FRAME_MAX];
+        let n = slot.head.encode_into(slot.payload(), &mut image);
+        assert_eq!(&image[..n], &f.encode()[..]);
+        assert_eq!(
+            FrameHeader::parse(&image[..n]),
+            Ok((f.head, &f.payload[..]))
+        );
     }
 
     #[test]
@@ -721,7 +839,10 @@ mod tests {
     fn encode_into_matches_encode() {
         for f in [
             sample(),
-            WireFrame::ack(NodeId(1), NodeId(0), &[7, 8, 9]),
+            WireFrame::from_parts(
+                FrameHeader::ack(NodeId(1), NodeId(0), PiggyAcks::from_slice(&[7, 8, 9])),
+                &[],
+            ),
             WireFrame::data(
                 NodeId(0),
                 NodeId(1),

@@ -81,8 +81,8 @@ pub use flow::{
     ack_word, ack_word_parts, gen_tag, RetransmitConfig, SeqBufferError, SeqClass, SeqWindow,
 };
 pub use frame::{
-    crc32, CodecError, FrameKind, TraceCtx, WireFrame, FM_CRC_BYTES, FM_FRAME_MAX,
-    FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_WIRE_VERSION,
+    crc32, CodecError, FrameHeader, FrameKind, FrameSlot, TraceCtx, WireFrame, FM_CRC_BYTES,
+    FM_FRAME_MAX, FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_WIRE_VERSION,
 };
 pub use handler::{Handler, HandlerId, HandlerRegistry, Outbox};
 pub use mem::{ClusterRunner, FabricKind, MemCluster, MemEndpoint, ShutdownError};

@@ -30,6 +30,11 @@ pub struct CounterPair {
     /// Total packets the consumer has retired.
     pub consumed: u64,
     depth: u64,
+    /// `produced % depth` and `consumed % depth`, kept as wrapping cursors
+    /// so no queue operation divides by the (runtime, not necessarily
+    /// power-of-two) depth.
+    produce_at: usize,
+    consume_at: usize,
 }
 
 impl CounterPair {
@@ -39,6 +44,8 @@ impl CounterPair {
             produced: 0,
             consumed: 0,
             depth: depth as u64,
+            produce_at: 0,
+            consume_at: 0,
         }
     }
 
@@ -64,6 +71,15 @@ impl CounterPair {
         self.occupancy() == 0
     }
 
+    #[inline]
+    fn step(&self, at: usize) -> usize {
+        if at + 1 == self.depth as usize {
+            0
+        } else {
+            at + 1
+        }
+    }
+
     /// Producer side: advance `produced` if there is space.
     #[inline]
     pub fn try_produce(&mut self) -> bool {
@@ -71,6 +87,7 @@ impl CounterPair {
             false
         } else {
             self.produced += 1;
+            self.produce_at = self.step(self.produce_at);
             true
         }
     }
@@ -82,6 +99,7 @@ impl CounterPair {
             false
         } else {
             self.consumed += 1;
+            self.consume_at = self.step(self.consume_at);
             true
         }
     }
@@ -89,35 +107,40 @@ impl CounterPair {
     /// Ring index the next produced item goes to.
     #[inline]
     pub fn produce_index(&self) -> usize {
-        (self.produced % self.depth) as usize
+        self.produce_at
     }
 
     /// Ring index of the next item to consume.
     #[inline]
     pub fn consume_index(&self) -> usize {
-        (self.consumed % self.depth) as usize
+        self.consume_at
     }
 }
 
 /// A bounded single-producer/single-consumer ring coordinated by a
 /// [`CounterPair`]. Used for the LANai send queue, LANai receive queue and
 /// host receive queue.
+///
+/// The slots are allocated once and reused in place: the producer may
+/// write an item where it will live ([`PacketRing::push_with`]) and the
+/// consumer may read it there and then let go ([`PacketRing::peek`],
+/// [`PacketRing::release`]), so an item the size of a frame is never moved.
 #[derive(Debug, Clone)]
 pub struct PacketRing<T> {
-    slots: Vec<Option<T>>,
+    slots: Vec<T>,
     counters: CounterPair,
-    high_water: u64,
+}
+
+impl<T: Default> PacketRing<T> {
+    pub fn new(depth: usize) -> Self {
+        PacketRing {
+            slots: (0..depth).map(|_| T::default()).collect(),
+            counters: CounterPair::new(depth),
+        }
+    }
 }
 
 impl<T> PacketRing<T> {
-    pub fn new(depth: usize) -> Self {
-        PacketRing {
-            slots: (0..depth).map(|_| None).collect(),
-            counters: CounterPair::new(depth),
-            high_water: 0,
-        }
-    }
-
     pub fn depth(&self) -> usize {
         self.counters.depth()
     }
@@ -134,40 +157,19 @@ impl<T> PacketRing<T> {
         self.counters.is_full()
     }
 
-    /// Peak occupancy observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water as usize
-    }
-
     pub fn counters(&self) -> CounterPair {
         self.counters
     }
 
-    /// Producer: enqueue, failing (and returning the item) when full.
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.counters.is_full() {
-            return Err(item);
+    /// Producer: enqueue by writing the next slot where it stands (it still
+    /// holds whatever item last lived there). Returns false, without
+    /// calling `fill`, when the ring is full.
+    pub fn push_with(&mut self, fill: impl FnOnce(&mut T)) -> bool {
+        if self.is_full() {
+            return false;
         }
-        let idx = self.counters.produce_index();
-        debug_assert!(self.slots[idx].is_none(), "ring slot still occupied");
-        self.slots[idx] = Some(item);
-        let ok = self.counters.try_produce();
-        debug_assert!(ok);
-        self.high_water = self.high_water.max(self.counters.occupancy());
-        Ok(())
-    }
-
-    /// Consumer: dequeue the oldest item.
-    pub fn pop(&mut self) -> Option<T> {
-        if self.counters.is_empty() {
-            return None;
-        }
-        let idx = self.counters.consume_index();
-        let item = self.slots[idx].take();
-        debug_assert!(item.is_some(), "ring slot unexpectedly empty");
-        let ok = self.counters.try_consume();
-        debug_assert!(ok);
-        item
+        fill(&mut self.slots[self.counters.produce_index()]);
+        self.counters.try_produce()
     }
 
     /// Peek the oldest item without consuming.
@@ -175,8 +177,14 @@ impl<T> PacketRing<T> {
         if self.counters.is_empty() {
             None
         } else {
-            self.slots[self.counters.consume_index()].as_ref()
+            Some(&self.slots[self.counters.consume_index()])
         }
+    }
+
+    /// Consumer: retire the oldest item where it stands (the counterpart of
+    /// [`PacketRing::peek`]). Returns false when the ring is empty.
+    pub fn release(&mut self) -> bool {
+        self.counters.try_consume()
     }
 }
 
@@ -184,23 +192,22 @@ impl<T> PacketRing<T> {
 /// 16-bit ack words piggybacked on frames (see [`crate::flow::ack_word`]).
 pub const REJECT_SLOT_LIMIT: usize = 1 << 10;
 
+/// Bits of a slot's reuse generation that travel in an ack word.
+pub(crate) const GEN_TAG_MASK: u8 = 0x3F;
+
 /// State of one reject-queue slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SlotState<T> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotState {
     Free,
     /// Packet sent, neither acked nor returned yet. The slot reservation
     /// *is* the deadlock-avoidance buffer: if the packet bounces, this slot
     /// is guaranteed to have room for it. Unlike the paper's scheme (which
     /// only ever sees receiver-full loss and so can rely on the bounce to
-    /// carry the payload back), the slot retains a copy of the packet with
-    /// a retransmission deadline, so a frame lost *in the network* — or
-    /// whose ack was lost — is recovered by timeout.
+    /// carry the payload back), the slot's owner keeps the packet itself
+    /// for as long as the slot is held, and the slot carries a
+    /// retransmission deadline, so a frame lost *in the network* — or whose
+    /// ack was lost — is recovered by timeout.
     InFlight {
-        packet: Option<T>,
-        /// Low bits of the packet's sequence number; acks and bounces must
-        /// present a matching tag, so a delayed duplicate ack from a
-        /// previous occupancy of this slot cannot release the wrong packet.
-        tag: u8,
         /// Tick at which the retransmission timer fires.
         deadline: u64,
         /// Current retransmission timeout (doubles per timeout, capped).
@@ -211,8 +218,6 @@ enum SlotState<T> {
     },
     /// Packet bounced back; parked here awaiting paced retransmission.
     Returned {
-        packet: T,
-        tag: u8,
         rto: u64,
         retries: u32,
     },
@@ -226,9 +231,20 @@ enum SlotState<T> {
 /// that must be statically allocated" (Section 4.5) — capacity here is per
 /// *node*, independent of cluster size, and the property tests in
 /// `fm-core/tests` verify that memory stays bounded under overload.
+///
+/// The table holds slot *state* only. The packet a slot stands for lives
+/// with the caller, indexed by the slot id, from [`RejectQueue::reserve`]
+/// until the slot is freed — it is written once and never handed back and
+/// forth, so a bounce or a retransmission is a state flip here and a slot
+/// id there.
 #[derive(Debug, Clone)]
-pub struct RejectQueue<T> {
-    slots: Vec<SlotState<T>>,
+pub struct RejectQueue {
+    slots: Vec<SlotState>,
+    /// Per-slot reuse generation, bumped on every reservation. Its low
+    /// bits tag outgoing frames, and acks and bounces must present a
+    /// matching tag, so a delayed duplicate from a previous occupancy of a
+    /// slot cannot release or park the packet that holds it now.
+    gens: Vec<u8>,
     free: Vec<u16>,
     /// Returned slots in bounce order, awaiting retransmission.
     returned_fifo: VecDeque<u16>,
@@ -238,14 +254,15 @@ pub struct RejectQueue<T> {
     next_deadline: u64,
 }
 
-impl<T> RejectQueue<T> {
+impl RejectQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(
             capacity > 0 && capacity <= REJECT_SLOT_LIMIT,
             "reject queue capacity must be 1..={REJECT_SLOT_LIMIT}"
         );
         RejectQueue {
-            slots: (0..capacity).map(|_| SlotState::Free).collect(),
+            slots: vec![SlotState::Free; capacity],
+            gens: vec![0; capacity],
             free: (0..capacity as u16).rev().collect(),
             returned_fifo: VecDeque::new(),
             in_flight: 0,
@@ -258,6 +275,7 @@ impl<T> RejectQueue<T> {
     }
 
     /// Outstanding packets (in flight + returned-awaiting-retransmit).
+    #[inline]
     pub fn outstanding(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -271,136 +289,114 @@ impl<T> RejectQueue<T> {
         self.returned_fifo.len()
     }
 
+    #[inline]
     pub fn has_space(&self) -> bool {
         !self.free.is_empty()
+    }
+
+    /// The current reuse generation of `slot`.
+    #[inline]
+    pub fn gen(&self, slot: u16) -> u8 {
+        self.gens[slot as usize]
+    }
+
+    /// True while `slot` is still held by the reservation that gave it
+    /// generation `gen` — in flight or parked after a bounce.
+    #[inline]
+    pub fn holds(&self, slot: u16, gen: u8) -> bool {
+        self.slots
+            .get(slot as usize)
+            .is_some_and(|s| *s != SlotState::Free && self.gens[slot as usize] == gen)
     }
 
     /// True when some in-flight slot's retransmission deadline may have
     /// passed. A false positive triggers a harmless scan; never a false
     /// negative.
+    #[inline]
     pub fn timer_due(&self, now: u64) -> bool {
         self.next_deadline <= now
     }
 
-    /// Reserve a slot for a new outgoing packet, arming its retransmission
-    /// timer. `None` when the window is exhausted (the caller must
-    /// extract/ack before sending more). The caller attaches the packet
-    /// copy and generation tag with [`RejectQueue::store`] once the packet is
-    /// built around the slot id.
+    /// Reserve a slot for a new outgoing packet, advancing its generation
+    /// and arming its retransmission timer. `None` when the window is
+    /// exhausted (the caller must extract/ack before sending more).
+    #[inline]
     pub fn reserve(&mut self, now: u64, rto: u64) -> Option<u16> {
         let slot = self.free.pop()?;
-        debug_assert!(matches!(self.slots[slot as usize], SlotState::Free));
+        debug_assert_eq!(self.slots[slot as usize], SlotState::Free);
         let deadline = now.saturating_add(rto);
         self.slots[slot as usize] = SlotState::InFlight {
-            packet: None,
-            tag: 0,
             deadline,
             rto,
             retries: 0,
         };
+        self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
         self.in_flight += 1;
         self.next_deadline = self.next_deadline.min(deadline);
         Some(slot)
     }
 
-    /// Attach the retransmission copy and generation tag to a slot returned
-    /// by [`RejectQueue::reserve`].
-    pub fn store(&mut self, slot: u16, gen_tag: u8, pkt: T) {
-        if let Some(SlotState::InFlight { packet, tag, .. }) = self.slots.get_mut(slot as usize) {
-            *packet = Some(pkt);
-            *tag = gen_tag;
-        } else {
-            debug_assert!(false, "store on a slot that is not in flight");
-        }
+    /// `slot` is in flight under generation tag `tag`.
+    #[inline]
+    fn in_flight_as(&self, slot: u16, tag: u8) -> bool {
+        matches!(
+            self.slots.get(slot as usize),
+            Some(SlotState::InFlight { .. })
+        ) && self.gens[slot as usize] & GEN_TAG_MASK == tag
     }
 
     /// An acknowledgement arrived for `slot` with generation tag `tag`:
     /// release it. Returns false for a slot that was not in flight or whose
     /// tag does not match (a stale or corrupted ack — tolerated, counted by
     /// the caller).
+    #[inline]
     pub fn ack(&mut self, slot: u16, tag: u8) -> bool {
-        match self.slots.get_mut(slot as usize) {
-            Some(s @ SlotState::InFlight { .. }) => {
-                if !matches!(s, SlotState::InFlight { tag: t, .. } if *t == tag) {
-                    return false;
-                }
-                *s = SlotState::Free;
-                self.free.push(slot);
-                self.in_flight -= 1;
-                true
-            }
-            _ => false,
+        let ok = self.in_flight_as(slot, tag);
+        if ok {
+            self.slots[slot as usize] = SlotState::Free;
+            self.free.push(slot);
+            self.in_flight -= 1;
         }
+        ok
     }
 
-    /// The packet in `slot` bounced back: park it for retransmission.
+    /// The packet in `slot` bounced back: park the slot for retransmission.
     /// Returns false if the slot was not in flight or the tag disagrees
     /// (a bounce of a stale duplicate must not displace the packet that
-    /// currently owns the slot).
-    pub fn bounce(&mut self, slot: u16, tag: u8, pkt: T) -> bool {
-        match self.slots.get_mut(slot as usize) {
-            Some(s @ SlotState::InFlight { .. }) => {
-                let SlotState::InFlight {
-                    tag: t,
-                    rto,
-                    retries,
-                    ..
-                } = s
-                else {
-                    unreachable!()
-                };
-                if *t != tag {
-                    return false;
-                }
-                let (rto, retries) = (*rto, *retries);
-                *s = SlotState::Returned {
-                    packet: pkt,
-                    tag,
-                    rto,
-                    retries,
-                };
-                self.returned_fifo.push_back(slot);
-                self.in_flight -= 1;
-                true
-            }
-            _ => false,
+    /// currently owns the slot). Whatever the bounce carried is not
+    /// needed: the caller still holds the packet.
+    #[inline]
+    pub fn bounce(&mut self, slot: u16, tag: u8) -> bool {
+        if !self.in_flight_as(slot, tag) {
+            return false;
         }
+        if let SlotState::InFlight { rto, retries, .. } = self.slots[slot as usize] {
+            self.slots[slot as usize] = SlotState::Returned { rto, retries };
+            self.returned_fifo.push_back(slot);
+            self.in_flight -= 1;
+        }
+        true
     }
 
-    /// Take the oldest returned packet for retransmission; its slot stays
-    /// reserved (the retransmitted packet is still outstanding) and its
+    /// Take the oldest returned slot for retransmission; it stays reserved
+    /// (the retransmitted packet is still outstanding) and its
     /// retransmission timer is re-armed from `now`.
-    pub fn pop_retransmit(&mut self, now: u64) -> Option<(u16, T)>
-    where
-        T: Clone,
-    {
+    #[inline]
+    pub fn pop_retransmit(&mut self, now: u64) -> Option<u16> {
         loop {
             let slot = self.returned_fifo.pop_front()?;
-            match std::mem::replace(&mut self.slots[slot as usize], SlotState::Free) {
-                SlotState::Returned {
-                    packet,
-                    tag,
+            // Anything else: the slot was released (its peer died and the
+            // queue was purged) after the FIFO entry was recorded.
+            if let SlotState::Returned { rto, retries } = self.slots[slot as usize] {
+                let deadline = now.saturating_add(rto);
+                self.slots[slot as usize] = SlotState::InFlight {
+                    deadline,
                     rto,
                     retries,
-                } => {
-                    let deadline = now.saturating_add(rto);
-                    self.slots[slot as usize] = SlotState::InFlight {
-                        packet: Some(packet.clone()),
-                        tag,
-                        deadline,
-                        rto,
-                        retries,
-                    };
-                    self.in_flight += 1;
-                    self.next_deadline = self.next_deadline.min(deadline);
-                    return Some((slot, packet));
-                }
-                other => {
-                    // The slot was released (e.g. its peer died and the
-                    // queue was purged) after the FIFO entry was recorded;
-                    // put the state back and skip the stale entry.
-                    self.slots[slot as usize] = other;
-                }
+                };
+                self.in_flight += 1;
+                self.next_deadline = self.next_deadline.min(deadline);
+                return Some(slot);
             }
         }
     }
@@ -408,38 +404,33 @@ impl<T> RejectQueue<T> {
     /// Retransmit an in-flight packet ahead of its timer (hole repair: the
     /// sender saw later packets acknowledged past this one). The timer is
     /// re-armed from `now` at the slot's current timeout; the retry count
-    /// is left alone, since later acks prove the peer alive. `None` for a
-    /// slot that is free, parked after a bounce (its retransmission is
-    /// already queued), or holds no copy.
-    pub fn rearm(&mut self, slot: u16, now: u64) -> Option<&T> {
-        let Some(SlotState::InFlight {
-            packet: Some(packet),
-            deadline,
-            rto,
-            ..
-        }) = self.slots.get_mut(slot as usize)
+    /// is left alone, since later acks prove the peer alive. False for a
+    /// slot that is free or parked after a bounce (its retransmission is
+    /// already queued).
+    pub fn rearm(&mut self, slot: u16, now: u64) -> bool {
+        let Some(SlotState::InFlight { deadline, rto, .. }) = self.slots.get_mut(slot as usize)
         else {
-            return None;
+            return false;
         };
         *deadline = now.saturating_add(*rto);
         self.next_deadline = self.next_deadline.min(*deadline);
-        Some(packet)
+        true
     }
 
     /// Walk in-flight slots whose retransmission deadline has passed.
     /// For each expired slot: if its retry count reached `max_retries` the
-    /// slot is freed and `fail(slot, packet)` is invoked (the caller
-    /// declares the peer dead); otherwise the retry count increments, the
-    /// rto doubles (capped at `max_rto`, plus `jitter(rto)` to decorrelate
-    /// retransmit storms) and `retransmit(slot, &packet)` is invoked.
+    /// slot is freed and `fail(slot)` is invoked (the caller declares the
+    /// peer dead); otherwise the retry count increments, the rto doubles
+    /// (capped at `max_rto`, plus `jitter(rto)` to decorrelate retransmit
+    /// storms) and `retransmit(slot)` is invoked.
     pub fn scan_expired(
         &mut self,
         now: u64,
         max_retries: u32,
         max_rto: u64,
         mut jitter: impl FnMut(u64) -> u64,
-        mut retransmit: impl FnMut(u16, &T),
-        mut fail: impl FnMut(u16, T),
+        mut retransmit: impl FnMut(u16),
+        mut fail: impl FnMut(u16),
     ) {
         if !self.timer_due(now) {
             return;
@@ -447,11 +438,9 @@ impl<T> RejectQueue<T> {
         let mut next = u64::MAX;
         for idx in 0..self.slots.len() {
             let SlotState::InFlight {
-                packet,
                 deadline,
                 rto,
                 retries,
-                ..
             } = &mut self.slots[idx]
             else {
                 continue;
@@ -460,61 +449,40 @@ impl<T> RejectQueue<T> {
                 next = next.min(*deadline);
                 continue;
             }
-            let Some(pkt) = packet else {
-                // reserve() without store(): a caller that tracks packets
-                // elsewhere (or a unit test); nothing to retransmit.
-                *deadline = now.saturating_add(*rto);
-                next = next.min(*deadline);
-                continue;
-            };
             if *retries >= max_retries {
-                let pkt = packet.take().expect("checked above");
                 self.slots[idx] = SlotState::Free;
                 self.free.push(idx as u16);
                 self.in_flight -= 1;
-                fail(idx as u16, pkt);
+                fail(idx as u16);
                 continue;
             }
             *retries += 1;
             *rto = (*rto * 2).min(max_rto);
             *deadline = now.saturating_add(*rto + jitter(*rto));
             next = next.min(*deadline);
-            retransmit(idx as u16, pkt);
+            retransmit(idx as u16);
         }
         self.next_deadline = next;
     }
 
-    /// Release every slot whose packet matches `pred` (used to purge all
-    /// traffic toward a dead peer), invoking `dropped` for each. Stale
-    /// `returned_fifo` entries are skipped lazily by
-    /// [`RejectQueue::pop_retransmit`].
-    pub fn release_where(&mut self, mut pred: impl FnMut(&T) -> bool, mut dropped: impl FnMut(T)) {
+    /// Release every held slot `pred` picks (used to purge all traffic
+    /// toward a dead peer), returning how many. Stale `returned_fifo`
+    /// entries are skipped lazily by [`RejectQueue::pop_retransmit`].
+    pub fn release_where(&mut self, mut pred: impl FnMut(u16) -> bool) -> usize {
+        let mut released = 0;
         for idx in 0..self.slots.len() {
-            let matches = match &self.slots[idx] {
-                SlotState::InFlight {
-                    packet: Some(p), ..
-                } => pred(p),
-                SlotState::Returned { packet, .. } => pred(packet),
-                _ => false,
-            };
-            if !matches {
+            let state = self.slots[idx];
+            if state == SlotState::Free || !pred(idx as u16) {
                 continue;
             }
-            let was_in_flight = matches!(self.slots[idx], SlotState::InFlight { .. });
-            match std::mem::replace(&mut self.slots[idx], SlotState::Free) {
-                SlotState::InFlight { packet, .. } => {
-                    if let Some(p) = packet {
-                        dropped(p);
-                    }
-                }
-                SlotState::Returned { packet, .. } => dropped(packet),
-                SlotState::Free => unreachable!(),
-            }
+            self.slots[idx] = SlotState::Free;
             self.free.push(idx as u16);
-            if was_in_flight {
+            if matches!(state, SlotState::InFlight { .. }) {
                 self.in_flight -= 1;
             }
+            released += 1;
         }
+        released
     }
 }
 
@@ -552,180 +520,200 @@ mod tests {
         assert_eq!(c.produce_index(), 1);
     }
 
+    /// By-value push and pop over the in-place calls.
+    fn push(r: &mut PacketRing<u64>, v: u64) -> bool {
+        r.push_with(|slot| *slot = v)
+    }
+
+    fn pop(r: &mut PacketRing<u64>) -> Option<u64> {
+        let v = r.peek().copied();
+        assert_eq!(r.release(), v.is_some());
+        v
+    }
+
     #[test]
     fn ring_fifo_order() {
         let mut r = PacketRing::new(3);
-        r.push(1).unwrap();
-        r.push(2).unwrap();
+        assert!(push(&mut r, 1) && push(&mut r, 2));
         assert_eq!(r.peek(), Some(&1));
-        assert_eq!(r.pop(), Some(1));
-        r.push(3).unwrap();
-        r.push(4).unwrap();
+        assert_eq!(pop(&mut r), Some(1));
+        assert!(push(&mut r, 3) && push(&mut r, 4));
         assert!(r.is_full());
-        assert_eq!(r.push(5), Err(5));
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), Some(3));
-        assert_eq!(r.pop(), Some(4));
-        assert_eq!(r.pop(), None);
-        assert_eq!(r.high_water(), 3);
+        assert!(!push(&mut r, 5));
+        assert_eq!(pop(&mut r), Some(2));
+        assert_eq!(pop(&mut r), Some(3));
+        assert_eq!(pop(&mut r), Some(4));
+        assert_eq!(pop(&mut r), None);
     }
 
     #[test]
     fn ring_long_run_wraps_cleanly() {
+        // Depth 5: not a power of two, so the wrapping cursors (not a mask)
+        // are what keeps the indices right.
         let mut r = PacketRing::new(5);
         let mut next_in = 0u64;
         let mut next_out = 0u64;
         for step in 0..1_000 {
             if step % 3 != 0 {
-                if r.push(next_in).is_ok() {
+                if push(&mut r, next_in) {
                     next_in += 1;
                 }
-            } else if let Some(v) = r.pop() {
+            } else if let Some(v) = pop(&mut r) {
                 assert_eq!(v, next_out, "FIFO violated");
                 next_out += 1;
             }
         }
-        while let Some(v) = r.pop() {
+        while let Some(v) = pop(&mut r) {
             assert_eq!(v, next_out);
             next_out += 1;
         }
         assert_eq!(next_in, next_out);
     }
 
-    /// Reserve + store in one step with tag 0 and a far-future deadline —
-    /// the shape most tests want.
-    fn reserve_stored<T>(q: &mut RejectQueue<T>, pkt: T) -> Option<u16> {
-        let slot = q.reserve(0, 1 << 40)?;
-        q.store(slot, 0, pkt);
-        Some(slot)
+    #[test]
+    fn ring_items_are_written_and_read_in_place() {
+        let mut r: PacketRing<Vec<u8>> = PacketRing::new(2);
+        assert!(r.push_with(|slot| slot.extend_from_slice(b"one")));
+        assert!(r.push_with(|slot| slot.extend_from_slice(b"two")));
+        assert!(!r.push_with(|_| unreachable!("full ring must not call fill")));
+        assert_eq!(r.peek().map(Vec::as_slice), Some(&b"one"[..]));
+        assert!(r.release());
+        assert_eq!(r.len(), 1);
+        // The freed slot still holds its old item for the producer to
+        // overwrite: nothing was moved out.
+        assert!(r.push_with(|slot| {
+            assert_eq!(slot, b"one");
+            slot.clear();
+            slot.extend_from_slice(b"three");
+        }));
+        assert!(r.release());
+        assert_eq!(r.peek().map(Vec::as_slice), Some(&b"three"[..]));
+        assert!(r.release());
+        assert!(!r.release(), "nothing left to release");
     }
+
+    const FAR: u64 = 1 << 40;
 
     #[test]
     fn reject_queue_reserve_ack_cycle() {
-        let mut q: RejectQueue<&str> = RejectQueue::new(2);
-        let a = reserve_stored(&mut q, "a").unwrap();
-        let b = reserve_stored(&mut q, "b").unwrap();
+        let mut q = RejectQueue::new(2);
+        let a = q.reserve(0, FAR).unwrap();
+        let b = q.reserve(0, FAR).unwrap();
         assert_ne!(a, b);
         assert!(q.reserve(0, 1).is_none(), "window exhausted");
         assert_eq!(q.outstanding(), 2);
-        assert!(q.ack(a, 0));
-        assert!(!q.ack(a, 0), "double ack refused");
+        assert!(q.ack(a, q.gen(a)));
+        assert!(!q.ack(a, q.gen(a)), "double ack refused");
         assert_eq!(q.outstanding(), 1);
-        assert!(q.reserve(0, 1).is_some());
+        assert_eq!(q.reserve(0, 1), Some(a));
+        assert_eq!(q.gen(a), 2, "each reservation is a new generation");
     }
 
     #[test]
     fn reject_queue_bounce_and_retransmit() {
-        let mut q: RejectQueue<&str> = RejectQueue::new(3);
-        let a = reserve_stored(&mut q, "pkt-a").unwrap();
-        let b = reserve_stored(&mut q, "pkt-b").unwrap();
-        assert!(q.bounce(a, 0, "pkt-a"));
-        assert!(q.bounce(b, 0, "pkt-b"));
+        let mut q = RejectQueue::new(3);
+        let a = q.reserve(0, FAR).unwrap();
+        let b = q.reserve(0, FAR).unwrap();
+        assert!(q.bounce(a, 1));
+        assert!(q.bounce(b, 1));
         assert_eq!(q.in_flight(), 0);
         assert_eq!(q.returned(), 2);
+        assert!(q.holds(a, 1), "a parked slot is still held");
         // Retransmission order is bounce order.
-        let (s1, p1) = q.pop_retransmit(0).unwrap();
-        assert_eq!((s1, p1), (a, "pkt-a"));
+        assert_eq!(q.pop_retransmit(0), Some(a));
         assert_eq!(q.in_flight(), 1);
         // Slot stays outstanding until acked.
         assert_eq!(q.outstanding(), 2);
-        assert!(q.ack(a, 0));
-        let (s2, _) = q.pop_retransmit(0).unwrap();
-        assert_eq!(s2, b);
+        assert!(q.ack(a, 1));
+        assert!(!q.holds(a, 1));
+        assert_eq!(q.pop_retransmit(0), Some(b));
         assert!(q.pop_retransmit(0).is_none());
     }
 
     #[test]
     fn reject_queue_rejects_bad_slots_and_tags() {
-        let mut q: RejectQueue<()> = RejectQueue::new(2);
+        let mut q = RejectQueue::new(2);
         assert!(!q.ack(0, 0), "slot never reserved");
-        assert!(!q.bounce(7, 0, ()), "slot out of range");
+        assert!(!q.bounce(7, 0), "slot out of range");
+        assert!(!q.holds(7, 0));
         let a = q.reserve(0, 1).unwrap();
-        q.store(a, 3, ());
         assert!(!q.ack(a, 5), "tag mismatch refused");
-        assert!(!q.bounce(a, 5, ()), "bounce tag mismatch refused");
-        assert!(q.bounce(a, 3, ()));
-        assert!(!q.bounce(a, 3, ()), "double bounce refused");
+        assert!(!q.bounce(a, 5), "bounce tag mismatch refused");
+        assert!(q.bounce(a, 1));
+        assert!(!q.bounce(a, 1), "double bounce refused");
         assert!(
-            !q.ack(a, 3),
+            !q.ack(a, 1),
             "ack of a returned slot refused (not in flight)"
         );
     }
 
     #[test]
+    fn the_tag_is_the_low_six_bits_of_the_generation() {
+        let mut q = RejectQueue::new(1);
+        for _ in 0..65 {
+            let a = q.reserve(0, FAR).unwrap();
+            assert!(q.ack(a, q.gen(a) & GEN_TAG_MASK));
+        }
+        let a = q.reserve(0, FAR).unwrap();
+        assert_eq!(q.gen(a), 66);
+        assert!(!q.ack(a, 66), "the full generation is not a tag");
+        assert!(
+            q.holds(a, 66) && !q.holds(a, 2),
+            "held under the full generation"
+        );
+        assert!(q.ack(a, 2));
+    }
+
+    #[test]
     fn timer_expiry_retransmits_with_backoff_then_fails() {
-        let mut q: RejectQueue<&str> = RejectQueue::new(2);
+        let mut q = RejectQueue::new(2);
         let a = q.reserve(0, 10).unwrap();
-        q.store(a, 0, "pkt");
         assert!(!q.timer_due(5));
         assert!(q.timer_due(10));
         let mut retx = Vec::new();
         let mut failed = Vec::new();
         // First expiry: retry 1, rto doubles 10 -> 20, deadline 10+20=30.
-        q.scan_expired(
-            10,
-            2,
-            1000,
-            |_| 0,
-            |s, p| retx.push((s, *p)),
-            |s, p| failed.push((s, p)),
-        );
-        assert_eq!(retx, vec![(a, "pkt")]);
+        q.scan_expired(10, 2, 1000, |_| 0, |s| retx.push(s), |s| failed.push(s));
+        assert_eq!(retx, vec![a]);
         assert!(!q.timer_due(29));
         // Second expiry: retry 2 (== budget next time).
-        q.scan_expired(
-            30,
-            2,
-            1000,
-            |_| 0,
-            |s, p| retx.push((s, *p)),
-            |s, p| failed.push((s, p)),
-        );
+        q.scan_expired(30, 2, 1000, |_| 0, |s| retx.push(s), |s| failed.push(s));
         assert_eq!(retx.len(), 2);
         // Third expiry: budget exhausted -> fail, slot freed.
-        q.scan_expired(
-            100,
-            2,
-            1000,
-            |_| 0,
-            |s, p| retx.push((s, *p)),
-            |s, p| failed.push((s, p)),
-        );
-        assert_eq!(failed, vec![(a, "pkt")]);
+        q.scan_expired(100, 2, 1000, |_| 0, |s| retx.push(s), |s| failed.push(s));
+        assert_eq!(failed, vec![a]);
         assert_eq!(q.outstanding(), 0);
         assert!(q.has_space());
     }
 
     #[test]
     fn rearm_restarts_the_timer_of_in_flight_slots_only() {
-        let mut q: RejectQueue<&str> = RejectQueue::new(2);
+        let mut q = RejectQueue::new(2);
         let a = q.reserve(0, 10).unwrap();
-        q.store(a, 0, "pkt");
-        assert_eq!(q.rearm(a, 7), Some(&"pkt"));
+        assert!(q.rearm(a, 7));
         // The deadline moved from 10 to 17 (`timer_due` may still say yes
         // early: its cached bound is allowed to be stale-low).
         let mut fired = 0;
-        q.scan_expired(16, 9, 1000, |_| 0, |_, _| fired += 1, |_, _| {});
+        q.scan_expired(16, 9, 1000, |_| 0, |_| fired += 1, |_| {});
         assert_eq!(fired, 0);
         assert!(!q.timer_due(16));
-        q.scan_expired(17, 9, 1000, |_| 0, |_, _| fired += 1, |_, _| {});
+        q.scan_expired(17, 9, 1000, |_| 0, |_| fired += 1, |_| {});
         assert_eq!(fired, 1);
         // Not for a bounced slot, a free slot, or one outside the table.
-        assert!(q.bounce(a, 0, "pkt"));
-        assert_eq!(q.rearm(a, 8), None);
-        assert_eq!(q.rearm(1, 8), None);
-        assert_eq!(q.rearm(9, 8), None);
+        assert!(q.bounce(a, 1));
+        assert!(!q.rearm(a, 8));
+        assert!(!q.rearm(1, 8));
+        assert!(!q.rearm(9, 8));
     }
 
     #[test]
     fn rto_caps_at_max() {
-        let mut q: RejectQueue<u8> = RejectQueue::new(1);
-        let a = q.reserve(0, 8).unwrap();
-        q.store(a, 0, 1);
+        let mut q = RejectQueue::new(1);
+        q.reserve(0, 8).unwrap();
         let mut deadlines = Vec::new();
         let mut now = 8;
         for _ in 0..5 {
-            q.scan_expired(now, 100, 16, |_| 0, |_, _| {}, |_, _| {});
+            q.scan_expired(now, 100, 16, |_| 0, |_| {}, |_| {});
             // Next deadline is now + capped rto.
             let mut probe = now;
             while !q.timer_due(probe) {
@@ -738,20 +726,24 @@ mod tests {
     }
 
     #[test]
-    fn release_where_purges_matching_slots() {
-        let mut q: RejectQueue<u8> = RejectQueue::new(4);
-        let a = reserve_stored(&mut q, 1).unwrap();
-        let b = reserve_stored(&mut q, 2).unwrap();
-        let c = reserve_stored(&mut q, 1).unwrap();
-        q.bounce(c, 0, 1);
-        let mut dropped = Vec::new();
-        q.release_where(|p| *p == 1, |p| dropped.push(p));
-        dropped.sort_unstable();
-        assert_eq!(dropped, vec![1, 1], "both copies of peer-1 traffic freed");
-        assert_eq!(q.outstanding(), 1, "peer-2 slot untouched");
-        assert!(q.ack(b, 0));
+    fn release_where_purges_picked_slots() {
+        let mut q = RejectQueue::new(4);
+        let a = q.reserve(0, FAR).unwrap();
+        let b = q.reserve(0, FAR).unwrap();
+        let c = q.reserve(0, FAR).unwrap();
+        q.bounce(c, 1);
+        let mut asked = Vec::new();
+        let released = q.release_where(|slot| {
+            asked.push(slot);
+            slot != b
+        });
+        asked.sort_unstable();
+        assert_eq!(asked, vec![a, b, c], "only held slots are offered");
+        assert_eq!(released, 2, "in-flight and parked alike");
+        assert_eq!(q.outstanding(), 1, "b untouched");
+        assert_eq!(q.in_flight(), 1);
+        assert!(q.ack(b, 1));
         // The stale fifo entry for c is skipped, not retransmitted.
         assert!(q.pop_retransmit(0).is_none());
-        let _ = a;
     }
 }

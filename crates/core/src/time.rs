@@ -130,7 +130,7 @@ impl MicroClock {
 }
 
 /// One round of splitmix64 — the mixer behind the seed derivations here
-/// and the trace-id minting in `endpoint.rs`.
+/// and the trace-id minting in `endpoint/send.rs`.
 #[inline]
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

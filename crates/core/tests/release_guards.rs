@@ -18,12 +18,15 @@
 //! `.github/workflows/ci.yml`) so the guards are exercised with debug
 //! assertions compiled out.
 //!
-//! The same goes for the one decoder that faces the network
-//! (`WireFrame::decode_slice` / `peek_flow`): it must refuse garbage
-//! without panicking in the profile where overflow checks and
-//! `debug_assert!`s are gone, so its seeded mutation loop lives here too.
+//! The same goes for the one validator that faces the network
+//! (`FrameHeader::parse`, its by-value form `WireFrame::decode_slice`, and
+//! `peek_flow`): it must refuse garbage without panicking in the profile
+//! where overflow checks and `debug_assert!`s are gone, so its seeded
+//! mutation loop lives here too — and holds the two entry points to the
+//! same verdict on every buffer it makes.
 
 use fm_core::flow::{ack_word, AckTracker, SeqBufferError, SeqClass, SeqWindow};
+use fm_core::frame::FrameHeader;
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
 use fm_core::{CodecError, HandlerId, NodeId, TraceCtx, WireFrame, FM_FRAME_MAX};
 
@@ -54,9 +57,13 @@ fn ack_tracker_counts_invalid_slots_instead_of_aliasing() {
         "oversized slot must be refused"
     );
     assert_eq!(t.invalid_slots(), 1);
-    assert_eq!(t.accepted(), 0, "no ack may be queued for an invalid slot");
+    assert_eq!(
+        t.pending_total(),
+        0,
+        "no ack may be queued for an invalid slot"
+    );
     assert!(t.on_accept(NodeId(2), 1023, 0));
-    assert_eq!(t.accepted(), 1);
+    assert_eq!(t.pending_total(), 1);
 }
 
 #[test]
@@ -132,12 +139,28 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Decode `buf` through both entry points of the validator — by reference
+/// (what the runtime's receive path calls) and by value (what the sans-IO
+/// harnesses call) — and insist they agree: same acceptance, same header,
+/// same payload bytes, same error.
+fn decode(buf: &[u8]) -> Result<WireFrame, CodecError> {
+    let by_value = WireFrame::decode_slice(buf);
+    let by_ref = FrameHeader::parse(buf);
+    assert_eq!(
+        by_ref.map(|(head, payload)| (head, payload.to_vec())),
+        by_value
+            .clone()
+            .map(|frame| (frame.head, frame.payload.to_vec())),
+    );
+    by_value
+}
+
 /// What every buffer that is *not* an untouched frame image must get:
-/// no panic from either entry point, never `Ok`, and `BadVersion` / no
+/// no panic from any entry point, never `Ok`, and `BadVersion` / no
 /// peek whenever byte 0 is not `0xF1`.
 fn assert_refused(buf: &[u8], what: &str) {
     let peek = WireFrame::peek_flow(buf);
-    let err = WireFrame::decode_slice(buf).expect_err(what);
+    let err = decode(buf).expect_err(what);
     match buf.first() {
         None => assert_eq!(err, CodecError::Truncated { have: 0 }),
         Some(&0xF1) => assert!(!matches!(err, CodecError::BadVersion(_)), "{what}: {err}"),
@@ -162,14 +185,14 @@ fn decoder_accepts_only_untouched_images() {
         );
         let mut frame = WireFrame::data(src, dst, handler, slot, seq as u32, payload);
         for _ in 0..next(&mut rng) % 5 {
-            frame.piggy.push(next(&mut rng) as u16);
+            frame.head.piggy.push(next(&mut rng) as u16);
         }
         if r & 1 == 1 {
-            frame.trace = TraceCtx::sampled((seq >> 32) as u32, next(&mut rng) as u16);
+            frame.head.trace = TraceCtx::sampled((seq >> 32) as u32, next(&mut rng) as u16);
         }
         let mut image = [0u8; FM_FRAME_MAX + 1];
         let n = frame.encode_into(&mut image);
-        assert_eq!(WireFrame::decode_slice(&image[..n]).as_ref(), Ok(&frame));
+        assert_eq!(decode(&image[..n]).as_ref(), Ok(&frame));
         assert_eq!(WireFrame::peek_flow(&image[..n]), Some((src, dst)));
 
         assert_refused(&image[..n - 1], "truncated by one byte");

@@ -76,12 +76,11 @@ proptest! {
             rto_max: rto * 4,
             retry_budget: 8,
         };
-        let mut flow: SenderFlow<u32> = SenderFlow::new(8, cfg, derive_jitter_seed(1, 0));
+        let mut flow = SenderFlow::new(8, cfg, derive_jitter_seed(1, 0));
         let mut estimator = RttEstimator::new(rto, 1, rto * 4);
         let mut slots = Vec::new();
         for _ in &retransmit_mask {
             let slot = flow.begin_send(0).unwrap();
-            flow.store(slot, slot as u32);
             prop_assert!(!flow.slot_retransmitted(slot), "fresh slots are clean");
             slots.push(slot);
         }
@@ -89,7 +88,7 @@ proptest! {
         // fire: every slot retransmits once and is marked.
         let fire_at = rto * 2;
         if retransmit_mask.iter().any(|&r| r) {
-            flow.fire_timers(fire_at, |_, _| {}, |_, _| panic!("budget is generous"));
+            flow.fire_timers(fire_at, |_| {}, |_| panic!("budget is generous"));
         }
         // `retransmit_mask[i]` decides whether slot i's ack arrives after
         // that retransmission round (ambiguous) or we pretend it landed
@@ -134,7 +133,7 @@ proptest! {
             rto_max,
             retry_budget: 4,
         };
-        let mut flow: SenderFlow<()> = SenderFlow::new(4, cfg, 1);
+        let mut flow = SenderFlow::new(4, cfg, 1);
         flow.set_rto_initial(adapted);
         prop_assert!(flow.rto_initial() >= 1 && flow.rto_initial() <= rto_max);
     }
@@ -166,17 +165,16 @@ proptest! {
             retry_budget: 4,
         };
         let run = |jitter_seed: u64| -> Vec<(u64, Vec<u16>, Vec<u16>)> {
-            let mut flow: SenderFlow<u8> = SenderFlow::new(4, cfg, jitter_seed);
+            let mut flow = SenderFlow::new(4, cfg, jitter_seed);
             for _ in 0..4 {
-                let slot = flow.begin_send(0).unwrap();
-                flow.store(slot, slot as u8);
+                flow.begin_send(0).unwrap();
             }
             let mut log = Vec::new();
             for step in 1..=steps {
                 let now = step * rto;
                 let mut fired = Vec::new();
                 let mut failed = Vec::new();
-                flow.fire_timers(now, |s, _| fired.push(s), |s, _| failed.push(s));
+                flow.fire_timers(now, |s| fired.push(s), |s| failed.push(s));
                 log.push((now, fired, failed));
             }
             log
@@ -210,8 +208,8 @@ fn wire_format_round_trips_across_socket_boundary() {
             any::<u32>().generate(rng),
             Bytes::from(proptest::collection::vec(any::<u8>(), 0..=128).generate(rng)),
         );
-        frame.slot_gen = any::<u8>().generate(rng);
-        frame.piggy.push((0u16..1024).generate(rng));
+        frame.head.slot_gen = any::<u8>().generate(rng);
+        frame.head.piggy.push((0u16..1024).generate(rng));
 
         let mut buf = [0u8; FM_FRAME_MAX];
         let n = frame.encode_into(&mut buf);

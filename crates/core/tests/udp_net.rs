@@ -406,9 +406,9 @@ fn wire_frame_round_trips_across_a_socket() {
             0xDEAD_0000 + i as u32,
             Bytes::from(payload),
         );
-        frame.slot_gen = (i as u8) & 0x3F;
-        frame.piggy.push(41);
-        frame.piggy.push(999);
+        frame.head.slot_gen = (i as u8) & 0x3F;
+        frame.head.piggy.push(41);
+        frame.head.piggy.push(999);
 
         let mut buf = [0u8; FM_FRAME_MAX];
         let n = frame.encode_into(&mut buf);

@@ -11,13 +11,13 @@
 //! beacon path only widens a delta window (counters ship cumulative; the
 //! collector subtracts).
 //!
-//! ## Wire format (version 1, all integers little-endian)
+//! ## Wire format (version 2, all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     1  magic 0xB3 (distinct from every fm-core datagram: 0xE7
 //!               control, 0xF0|v framed data, 0..=2 legacy kinds)
-//!      1     1  version (1)
+//!      1     1  version (2)
 //!      2     1  source kind: 0 = endpoint, 1 = switch shard
 //!      3     1  reserved (0)
 //!      4     2  source id (node id or switch id)
@@ -30,14 +30,15 @@
 //! Endpoint body: counter count + cumulative `u64`s (in [`Counter::ALL`]
 //! order), per-metric `HistSummary` + non-empty octave `(group, count)`
 //! pairs, named gauges (`len`-prefixed ASCII name + `u64`), then the
-//! last-N trace events (tag byte + fixed per-variant payload). Shard body:
+//! last-N trace events (three `u64` words each, the same fixed-width form
+//! the trace ring stores: `TraceEvent::to_words`). Shard body:
 //! the [`ShardSample`] fields in declaration order. Every variable section
 //! is count-prefixed, so a decoder never reads past what the sender wrote;
 //! the trailing CRC rejects truncation and corruption outright.
 
 use crate::crc::crc32;
 use crate::hist::HistSummary;
-use crate::trace::{EventKind, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::{Counter, Metric, Telemetry};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -47,7 +48,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 pub const BEACON_MAGIC: u8 = 0xB3;
 
 /// Current beacon wire version.
-pub const BEACON_VERSION: u8 = 1;
+pub const BEACON_VERSION: u8 = 2;
 
 /// Hard bound on an encoded beacon; the encoder truncates the trace-event
 /// section (newest events kept) rather than exceed it, so a beacon always
@@ -172,6 +173,8 @@ impl std::error::Error for BeaconError {}
 
 const HEADER_LEN: usize = 18;
 const TRAILER_LEN: usize = 4;
+/// One encoded trace event: three `u64` words.
+const EVENT_BYTES: usize = 24;
 
 // ---- encoding --------------------------------------------------------------
 
@@ -214,111 +217,7 @@ impl Writer {
         }
     }
     fn event(&mut self, e: &TraceEvent) {
-        self.u64(e.tick);
-        self.u16(e.node);
-        match e.kind {
-            EventKind::Send { dst, slot, seq } => {
-                self.u8(0);
-                self.u16(dst);
-                self.u16(slot);
-                self.u32(seq);
-            }
-            EventKind::Bounce { peer, slot } => {
-                self.u8(1);
-                self.u16(peer);
-                self.u16(slot);
-            }
-            EventKind::Retransmit { peer, slot, timer } => {
-                self.u8(2);
-                self.u16(peer);
-                self.u16(slot);
-                self.u8(timer as u8);
-            }
-            EventKind::SlotReuse { slot, gen } => {
-                self.u8(3);
-                self.u16(slot);
-                self.u8(gen);
-            }
-            EventKind::PeerDead { peer } => {
-                self.u8(4);
-                self.u16(peer);
-            }
-            EventKind::SpanSend { trace, hop, dst } => {
-                self.u8(5);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(dst);
-            }
-            EventKind::SpanWireIn { trace, hop, src } => {
-                self.u8(6);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(src);
-            }
-            EventKind::SpanPark { trace, hop, src } => {
-                self.u8(7);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(src);
-            }
-            EventKind::SpanHandlerStart { trace, hop, src } => {
-                self.u8(8);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(src);
-            }
-            EventKind::SpanHandlerEnd { trace, hop } => {
-                self.u8(9);
-                self.u32(trace);
-                self.u16(hop);
-            }
-            EventKind::SpanAckOut { trace, hop, dst } => {
-                self.u8(10);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(dst);
-            }
-            EventKind::SpanAckIn { trace, hop, peer } => {
-                self.u8(11);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(peer);
-            }
-            EventKind::SpanRetransmit { trace, hop, peer } => {
-                self.u8(12);
-                self.u32(trace);
-                self.u16(hop);
-                self.u16(peer);
-            }
-            EventKind::CollBegin { coll, epoch } => {
-                self.u8(13);
-                self.u8(coll);
-                self.u32(epoch);
-            }
-            EventKind::CollRoundBegin {
-                coll,
-                epoch,
-                round,
-                peer,
-            } => {
-                self.u8(14);
-                self.u8(coll);
-                self.u32(epoch);
-                self.u16(round);
-                self.u16(peer);
-            }
-            EventKind::CollRoundEnd { coll, epoch, round } => {
-                self.u8(15);
-                self.u8(coll);
-                self.u32(epoch);
-                self.u16(round);
-            }
-            EventKind::CollEnd { coll, epoch } => {
-                self.u8(16);
-                self.u8(coll);
-                self.u32(epoch);
-            }
-        }
+        e.to_words().into_iter().for_each(|word| self.u64(word));
     }
 }
 
@@ -355,9 +254,11 @@ pub fn encode(b: &Beacon) -> Vec<u8> {
                 w.u64(*v);
             }
             // Budget the event section: whatever room remains under the
-            // datagram cap, newest events first (an event is ≤ 19 bytes).
+            // datagram cap, newest events first.
             let room = MAX_BEACON_BYTES.saturating_sub(w.buf.len() + 2 + TRAILER_LEN);
-            let fit = (room / 19).min(e.events.len()).min(u16::MAX as usize);
+            let fit = (room / EVENT_BYTES)
+                .min(e.events.len())
+                .min(u16::MAX as usize);
             let events = &e.events[e.events.len() - fit..];
             w.u16(events.len() as u16);
             for ev in events {
@@ -442,90 +343,8 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
     fn event(&mut self) -> Result<TraceEvent, BeaconError> {
-        let tick = self.u64()?;
-        let node = self.u16()?;
-        let tag = self.u8()?;
-        let kind = match tag {
-            0 => EventKind::Send {
-                dst: self.u16()?,
-                slot: self.u16()?,
-                seq: self.u32()?,
-            },
-            1 => EventKind::Bounce {
-                peer: self.u16()?,
-                slot: self.u16()?,
-            },
-            2 => EventKind::Retransmit {
-                peer: self.u16()?,
-                slot: self.u16()?,
-                timer: self.u8()? != 0,
-            },
-            3 => EventKind::SlotReuse {
-                slot: self.u16()?,
-                gen: self.u8()?,
-            },
-            4 => EventKind::PeerDead { peer: self.u16()? },
-            5 => EventKind::SpanSend {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                dst: self.u16()?,
-            },
-            6 => EventKind::SpanWireIn {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                src: self.u16()?,
-            },
-            7 => EventKind::SpanPark {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                src: self.u16()?,
-            },
-            8 => EventKind::SpanHandlerStart {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                src: self.u16()?,
-            },
-            9 => EventKind::SpanHandlerEnd {
-                trace: self.u32()?,
-                hop: self.u16()?,
-            },
-            10 => EventKind::SpanAckOut {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                dst: self.u16()?,
-            },
-            11 => EventKind::SpanAckIn {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                peer: self.u16()?,
-            },
-            12 => EventKind::SpanRetransmit {
-                trace: self.u32()?,
-                hop: self.u16()?,
-                peer: self.u16()?,
-            },
-            13 => EventKind::CollBegin {
-                coll: self.u8()?,
-                epoch: self.u32()?,
-            },
-            14 => EventKind::CollRoundBegin {
-                coll: self.u8()?,
-                epoch: self.u32()?,
-                round: self.u16()?,
-                peer: self.u16()?,
-            },
-            15 => EventKind::CollRoundEnd {
-                coll: self.u8()?,
-                epoch: self.u32()?,
-                round: self.u16()?,
-            },
-            16 => EventKind::CollEnd {
-                coll: self.u8()?,
-                epoch: self.u32()?,
-            },
-            _ => return Err(BeaconError::Malformed),
-        };
-        Ok(TraceEvent { tick, node, kind })
+        let words = [self.u64()?, self.u64()?, self.u64()?];
+        TraceEvent::from_words(words).ok_or(BeaconError::Malformed)
     }
 }
 
@@ -807,6 +626,7 @@ impl Beaconer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EventKind;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![

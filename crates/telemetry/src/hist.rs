@@ -64,6 +64,16 @@ pub fn bucket_upper(index: usize) -> u64 {
     }
 }
 
+/// `word += by` for a word only this thread writes: a relaxed load and store
+/// where a shared word needs an atomic read-modify-write.
+#[inline]
+pub(crate) fn bump(word: &AtomicU64, by: u64) {
+    word.store(
+        word.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
+}
+
 /// Point-in-time summary of one histogram (see [`Histogram::summary`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistSummary {
@@ -127,6 +137,24 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// [`Histogram::record`] for a histogram with **one writing thread**
+    /// (the `fm-telemetry` handle's contract): plain load + store per word
+    /// instead of five atomic read-modify-writes. Readers on other threads
+    /// stay safe — every word is still an atomic — but a second concurrent
+    /// writer would lose samples; shared histograms use `record`.
+    #[inline]
+    pub fn record_single_writer(&self, v: u64) {
+        bump(&self.buckets[bucket_index(v)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum, v);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.store(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {

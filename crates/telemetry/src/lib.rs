@@ -5,10 +5,10 @@
 //! unified way of producing such numbers: one cloneable [`Telemetry`]
 //! handle per endpoint carrying
 //!
-//! * **lock-free [`Counter`]s** — sends, bounces, retransmits, re-acks,
-//!   corrupt frames, dead peers, reassembly aborts, evicted partials, and
-//!   the release-mode guard counters (invalid ack slots, sequence-buffer
-//!   misuse) — relaxed atomic adds, readable any time via [`Telemetry::snapshot`];
+//! * **[`Counter`]s** — sends, bounces, retransmits, re-acks, corrupt
+//!   frames, dead peers, reassembly aborts, evicted partials, and the
+//!   release-mode guard counters (invalid ack slots, sequence-buffer
+//!   misuse) — readable any time via [`Telemetry::snapshot`];
 //! * **log-bucketed [`Histogram`]s** keyed by [`Metric`] — send→ack RTT,
 //!   handler service time, wire poll batch occupancy — zero-alloc recording
 //!   with p50/p90/p99 extraction (see [`hist`]);
@@ -18,6 +18,23 @@
 //!
 //! The handle is an `Arc` around the shared state: the endpoint core, the
 //! transport and any external observer all hold clones of the same handle.
+//!
+//! ## One writer, many readers
+//!
+//! FM gives each side of a queue its own counter so nothing on the message
+//! path does a synchronised read-modify-write (paper Section 4.4); the
+//! ledger follows the same rule. **All writes to one handle —
+//! [`Telemetry::incr`], [`add`](Telemetry::add),
+//! [`record`](Telemetry::record), [`trace`](Telemetry::trace), through any
+//! clone — must come from one thread at a time**: the thread that drives the
+//! endpoint the handle belongs to (ownership may move with the endpoint,
+//! e.g. into its service thread). Under that contract a write is a relaxed
+//! load and store per word and a trace event is a handful of stores into a
+//! ring readers snapshot without ever blocking the writer. Storage stays
+//! atomic, so reading from any thread is always safe and sees each counter
+//! only ever grow; two threads writing at once would be memory-safe but
+//! lose updates, and debug builds assert (on the writing thread's id) that
+//! it does not happen.
 //!
 //! ## The `telemetry-off` feature
 //!
@@ -50,7 +67,7 @@ pub use trace::{chrome_trace, coll_kind_name, EventKind, EventRing, TraceEvent};
 #[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(feature = "telemetry-off"))]
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// False when the crate was built with `telemetry-off` (every handle method
 /// is a no-op and snapshots read all-zero).
@@ -159,7 +176,36 @@ impl Metric {
 struct Inner {
     counters: [AtomicU64; Counter::COUNT],
     hists: [Histogram; Metric::COUNT],
-    ring: Mutex<EventRing>,
+    ring: EventRing,
+    /// Debug builds: tag of the thread inside a write right now (0 = none).
+    #[cfg(debug_assertions)]
+    writing: AtomicU64,
+}
+
+#[cfg(not(feature = "telemetry-off"))]
+impl Inner {
+    /// Run one write under the single-writer contract (module docs). Debug
+    /// builds claim the handle for this thread around `write` — with a load
+    /// and stores, like the write itself — and panic if another thread is
+    /// inside one.
+    #[inline]
+    fn write(&self, write: impl FnOnce(&Inner)) {
+        #[cfg(debug_assertions)]
+        {
+            // The address of a thread-local: unique among live threads.
+            thread_local!(static TAG: u8 = const { 0 });
+            let me = TAG.with(|t| t as *const u8 as u64);
+            let inside = self.writing.load(Ordering::Acquire);
+            debug_assert!(
+                inside == 0 || inside == me,
+                "two threads writing one Telemetry handle at once"
+            );
+            self.writing.store(me, Ordering::Relaxed);
+        }
+        write(self);
+        #[cfg(debug_assertions)]
+        self.writing.store(0, Ordering::Release);
+    }
 }
 
 /// A cloneable per-endpoint observability handle. Cheap to clone (an `Arc`
@@ -195,7 +241,9 @@ impl Telemetry {
             inner: Arc::new(Inner {
                 counters: std::array::from_fn(|_| AtomicU64::new(0)),
                 hists: std::array::from_fn(|_| Histogram::new()),
-                ring: Mutex::new(EventRing::new(trace_capacity)),
+                ring: EventRing::new(trace_capacity),
+                #[cfg(debug_assertions)]
+                writing: AtomicU64::new(0),
             }),
         }
     }
@@ -215,7 +263,8 @@ impl Telemetry {
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
         #[cfg(not(feature = "telemetry-off"))]
-        self.inner.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+        self.inner
+            .write(|inner| hist::bump(&inner.counters[c as usize], n));
     }
 
     /// Current value of `c`.
@@ -232,7 +281,8 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, m: Metric, v: u64) {
         #[cfg(not(feature = "telemetry-off"))]
-        self.inner.hists[m as usize].record(v);
+        self.inner
+            .write(|inner| inner.hists[m as usize].record_single_writer(v));
     }
 
     /// Summary (count/min/max/p50/p90/p99) of metric `m`.
@@ -268,21 +318,19 @@ impl Telemetry {
     #[inline]
     pub fn trace(&self, tick: u64, kind: EventKind) {
         #[cfg(not(feature = "telemetry-off"))]
-        self.inner
-            .ring
-            .lock()
-            .expect("trace ring")
-            .push(TraceEvent {
+        self.inner.write(|inner| {
+            inner.ring.push(TraceEvent {
                 tick,
                 node: self.node,
                 kind,
-            });
+            })
+        });
     }
 
-    /// Retained trace events, oldest first.
+    /// Retained trace events, oldest first (see [`EventRing::to_vec`]).
     pub fn events(&self) -> Vec<TraceEvent> {
         #[cfg(not(feature = "telemetry-off"))]
-        return self.inner.ring.lock().expect("trace ring").to_vec();
+        return self.inner.ring.to_vec();
         #[cfg(feature = "telemetry-off")]
         Vec::new()
     }
@@ -291,7 +339,7 @@ impl Telemetry {
     /// has since overwritten).
     pub fn events_recorded(&self) -> u64 {
         #[cfg(not(feature = "telemetry-off"))]
-        return self.inner.ring.lock().expect("trace ring").pushed();
+        return self.inner.ring.pushed();
         #[cfg(feature = "telemetry-off")]
         0
     }

@@ -8,6 +8,8 @@
 //! (`chrome://tracing` / Perfetto instant events on a per-node track), the
 //! time-axis view that makes ABA-style slot-reuse bugs visible.
 
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+
 /// One recorded protocol event. Everything is `Copy` — no heap data — so
 /// pushing an event never allocates. (`Hash` lets the beacon collector
 /// deduplicate overlapping last-N windows from successive beacons.)
@@ -226,68 +228,187 @@ impl TraceEvent {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring of [`TraceEvent`]s.
-#[derive(Debug, Clone)]
+impl TraceEvent {
+    /// This event as three words — the tick; the variant's one `u32` and two
+    /// `u16` fields; node, variant tag and the variant's one byte-sized
+    /// field — the fixed-width form an [`EventRing`] entry holds and a
+    /// telemetry beacon ships.
+    #[inline]
+    pub(crate) fn to_words(self) -> [u64; 3] {
+        use EventKind::*;
+        let (tag, d, b, c, a): (u8, u8, u16, u16, u32) = match self.kind {
+            Send { dst, slot, seq } => (0, 0, dst, slot, seq),
+            Bounce { peer, slot } => (1, 0, peer, slot, 0),
+            Retransmit { peer, slot, timer } => (2, timer as u8, peer, slot, 0),
+            SlotReuse { slot, gen } => (3, gen, slot, 0, 0),
+            PeerDead { peer } => (4, 0, peer, 0, 0),
+            SpanSend { trace, hop, dst } => (5, 0, hop, dst, trace),
+            SpanWireIn { trace, hop, src } => (6, 0, hop, src, trace),
+            SpanPark { trace, hop, src } => (7, 0, hop, src, trace),
+            SpanHandlerStart { trace, hop, src } => (8, 0, hop, src, trace),
+            SpanHandlerEnd { trace, hop } => (9, 0, hop, 0, trace),
+            SpanAckOut { trace, hop, dst } => (10, 0, hop, dst, trace),
+            SpanAckIn { trace, hop, peer } => (11, 0, hop, peer, trace),
+            SpanRetransmit { trace, hop, peer } => (12, 0, hop, peer, trace),
+            CollBegin { coll, epoch } => (13, coll, 0, 0, epoch),
+            CollRoundBegin {
+                coll,
+                epoch,
+                round,
+                peer,
+            } => (14, coll, round, peer, epoch),
+            CollRoundEnd { coll, epoch, round } => (15, coll, round, 0, epoch),
+            CollEnd { coll, epoch } => (16, coll, 0, 0, epoch),
+        };
+        [
+            self.tick,
+            (a as u64) << 32 | (b as u64) << 16 | c as u64,
+            (self.node as u64) << 16 | (tag as u64) << 8 | d as u64,
+        ]
+    }
+
+    /// Inverse of [`TraceEvent::to_words`]; `None` for a tag no variant has.
+    pub(crate) fn from_words([tick, args, meta]: [u64; 3]) -> Option<Self> {
+        use EventKind::*;
+        let (a, b, c) = ((args >> 32) as u32, (args >> 16) as u16, args as u16);
+        let (trace, epoch, hop, round, d) = (a, a, b, b, meta as u8);
+        let kind = match (meta >> 8) as u8 {
+            0 => Send {
+                dst: b,
+                slot: c,
+                seq: a,
+            },
+            1 => Bounce { peer: b, slot: c },
+            2 => Retransmit {
+                peer: b,
+                slot: c,
+                timer: d != 0,
+            },
+            3 => SlotReuse { slot: b, gen: d },
+            4 => PeerDead { peer: b },
+            5 => SpanSend { trace, hop, dst: c },
+            6 => SpanWireIn { trace, hop, src: c },
+            7 => SpanPark { trace, hop, src: c },
+            8 => SpanHandlerStart { trace, hop, src: c },
+            9 => SpanHandlerEnd { trace, hop },
+            10 => SpanAckOut { trace, hop, dst: c },
+            11 => SpanAckIn {
+                trace,
+                hop,
+                peer: c,
+            },
+            12 => SpanRetransmit {
+                trace,
+                hop,
+                peer: c,
+            },
+            13 => CollBegin { coll: d, epoch },
+            14 => CollRoundBegin {
+                coll: d,
+                epoch,
+                round,
+                peer: c,
+            },
+            15 => CollRoundEnd {
+                coll: d,
+                epoch,
+                round,
+            },
+            16 => CollEnd { coll: d, epoch },
+            _ => return None,
+        };
+        Some(TraceEvent {
+            tick,
+            node: (meta >> 16) as u16,
+            kind,
+        })
+    }
+}
+
+/// Fixed-capacity overwrite-oldest ring of [`TraceEvent`]s with **one
+/// writer and any number of readers, none of which ever blocks it**.
+///
+/// Every entry is four atomic words: a sequence stamp (the event's 1-based
+/// ordinal; 0 while the entry is being rewritten) and the three words of
+/// [`TraceEvent::to_words`]. [`EventRing::push`] is plain stores — no lock,
+/// no read-modify-write. [`EventRing::to_vec`] copies an entry and accepts
+/// it only if the stamp read before and after both equal the ordinal it
+/// expected there, so an entry the writer overwrote meanwhile is discarded,
+/// never returned torn.
+///
+/// Contract: `push` from one thread at a time. A second concurrent writer
+/// is memory-safe but loses events and publishes mixed entries.
+#[derive(Debug)]
 pub struct EventRing {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    /// Index the next push writes (== oldest entry once full).
-    head: usize,
+    slots: Box<[[AtomicU64; 4]]>,
+    /// Index the next push writes; only the writer reads it.
+    cursor: AtomicUsize,
     /// Total events ever pushed (so overwritten history is countable).
-    pushed: u64,
+    pushed: AtomicU64,
 }
 
 impl EventRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "an event ring needs at least one slot");
         EventRing {
-            buf: Vec::with_capacity(capacity),
-            cap: capacity,
-            head: 0,
-            pushed: 0,
+            slots: (0..capacity)
+                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+                .collect(),
+            cursor: AtomicUsize::new(0),
+            pushed: AtomicU64::new(0),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Events currently retained (<= capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Total events ever pushed, including overwritten ones.
     pub fn pushed(&self) -> u64 {
-        self.pushed
+        self.pushed.load(Ordering::Acquire)
     }
 
-    /// Record an event, overwriting the oldest once the ring is full. The
-    /// backing storage is allocated up front (first `capacity` pushes fill
-    /// the preallocated Vec), so steady-state pushes never allocate.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
+    /// Record an event, overwriting the oldest once the ring is full.
+    /// Never allocates, locks or waits.
+    #[inline]
+    pub fn push(&self, ev: TraceEvent) {
+        let n = self.pushed.load(Ordering::Relaxed);
+        let at = self.cursor.load(Ordering::Relaxed);
+        let [stamp, words @ ..] = &self.slots[at];
+        // Retire the old entry first. The Release fence orders this store
+        // before the data stores below; it pairs with the Acquire fence in
+        // `to_vec`, so a reader that saw any new word cannot then re-read
+        // the old stamp.
+        stamp.store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (word, value) in words.iter().zip(ev.to_words()) {
+            word.store(value, Ordering::Relaxed);
         }
-        self.pushed += 1;
+        // Publishes the words above to a reader's Acquire load of the stamp.
+        stamp.store(n + 1, Ordering::Release);
+        let next = at + 1;
+        self.cursor.store(
+            if next == self.slots.len() { 0 } else { next },
+            Ordering::Relaxed,
+        );
+        self.pushed.store(n + 1, Ordering::Release);
     }
 
-    /// Iterate retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (older, newer) = self.buf.split_at(self.head.min(self.buf.len()));
-        newer.iter().chain(older.iter())
-    }
-
-    /// Retained events, oldest first.
+    /// Retained events, oldest first: a snapshot that never stalls the
+    /// writer. Entries overwritten while it was taken are left out, so it
+    /// may hold fewer than `capacity` events on a busy ring.
     pub fn to_vec(&self) -> Vec<TraceEvent> {
-        self.iter().copied().collect()
+        let cap = self.slots.len() as u64;
+        let end = self.pushed();
+        let mut out = Vec::with_capacity(end.min(cap) as usize);
+        for n in end.saturating_sub(cap)..end {
+            let [stamp, words @ ..] = &self.slots[(n % cap) as usize];
+            if stamp.load(Ordering::Acquire) != n + 1 {
+                continue;
+            }
+            let copy = [0, 1, 2].map(|i| words[i].load(Ordering::Relaxed));
+            fence(Ordering::Acquire);
+            if stamp.load(Ordering::Relaxed) == n + 1 {
+                out.extend(TraceEvent::from_words(copy));
+            }
+        }
+        out
     }
 }
 
@@ -323,24 +444,92 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_on_wraparound() {
-        let mut r = EventRing::new(4);
+        let r = EventRing::new(4);
         for t in 0..10 {
             r.push(ev(t));
         }
-        assert_eq!(r.len(), 4);
         assert_eq!(r.pushed(), 10);
-        let ticks: Vec<u64> = r.iter().map(|e| e.tick).collect();
-        assert_eq!(ticks, vec![6, 7, 8, 9], "oldest-first, newest retained");
+        let kept = r.to_vec();
+        assert_eq!(
+            kept,
+            (6..10).map(ev).collect::<Vec<_>>(),
+            "oldest-first, newest retained"
+        );
     }
 
     #[test]
     fn partial_fill_iterates_in_order() {
-        let mut r = EventRing::new(8);
+        let r = EventRing::new(8);
         for t in 0..3 {
             r.push(ev(t));
         }
-        let ticks: Vec<u64> = r.iter().map(|e| e.tick).collect();
-        assert_eq!(ticks, vec![0, 1, 2]);
+        assert_eq!(r.to_vec(), (0..3).map(ev).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_variant_survives_the_ring() {
+        use EventKind::*;
+        let (trace, hop, coll, epoch, round) = (0xDEAD_BEEF, 0xABCD, 9, u32::MAX, 0xFFFE);
+        let kinds = [
+            Send {
+                dst: 1,
+                slot: 1023,
+                seq: u32::MAX,
+            },
+            Bounce { peer: 2, slot: 3 },
+            Retransmit {
+                peer: 4,
+                slot: 5,
+                timer: true,
+            },
+            SlotReuse { slot: 6, gen: 255 },
+            PeerDead { peer: u16::MAX },
+            SpanSend { trace, hop, dst: 7 },
+            SpanWireIn { trace, hop, src: 8 },
+            SpanPark { trace, hop, src: 9 },
+            SpanHandlerStart {
+                trace,
+                hop,
+                src: 10,
+            },
+            SpanHandlerEnd { trace, hop },
+            SpanAckOut {
+                trace,
+                hop,
+                dst: 11,
+            },
+            SpanAckIn {
+                trace,
+                hop,
+                peer: 12,
+            },
+            SpanRetransmit {
+                trace,
+                hop,
+                peer: 13,
+            },
+            CollBegin { coll, epoch },
+            CollRoundBegin {
+                coll,
+                epoch,
+                round,
+                peer: u16::MAX,
+            },
+            CollRoundEnd { coll, epoch, round },
+            CollEnd { coll, epoch },
+        ];
+        let r = EventRing::new(kinds.len());
+        let pushed: Vec<TraceEvent> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| TraceEvent {
+                tick: u64::MAX - i as u64,
+                node: 0xF00D,
+                kind,
+            })
+            .collect();
+        pushed.iter().for_each(|&e| r.push(e));
+        assert_eq!(r.to_vec(), pushed);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!   *upward*, by at most one part in 32 (the sub-bucket resolution).
 //!   This is the contract that let the bench bins and the testbed replace
 //!   their sorted-vec percentile code with the histogram.
-//! * Counter snapshots must be consistent under concurrent senders.
+//! * The single-writer ledger (counters, histograms, trace ring) must be
+//!   exact, monotone and untorn for a reader on another thread.
 //! * The event ring must keep exactly the newest `capacity` events across
 //!   wraparound while still counting every push.
 //! * Clock-offset estimation must recover a known injected offset to
@@ -13,7 +14,8 @@
 //!   merged-timeline renderer relies on.
 
 use fm_telemetry::{
-    chrome_trace, ClusterClock, Counter, EventKind, Histogram, RttSample, Telemetry, TraceEvent,
+    chrome_trace, ClusterClock, Counter, EventKind, Histogram, Metric, RttSample, Telemetry,
+    TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -119,37 +121,68 @@ proptest! {
     }
 }
 
+/// The single-writer ledger under a concurrent reader: one thread writes
+/// counters, a histogram and the trace ring with plain loads and stores
+/// while another polls all three. Nothing may be lost, no counter may be
+/// seen going backwards, and a trace snapshot may drop entries the writer
+/// overtook but never return a mixed one.
 #[test]
-fn counter_snapshot_consistent_under_concurrent_senders() {
-    // Only meaningful when the handle actually counts.
+fn single_writer_ledger_is_exact_under_a_concurrent_reader() {
     if !fm_telemetry::ENABLED {
         return;
     }
-    const THREADS: u64 = 4;
-    const PER_THREAD: u64 = 50_000;
-    let t = Telemetry::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            let t = t.clone();
-            s.spawn(move || {
-                for _ in 0..PER_THREAD {
-                    t.incr(Counter::Sends);
-                    t.add(Counter::Bounces, 2);
+    const WRITES: u64 = 1_000_000;
+    // Every field of an event is a function of its tick, so a torn entry
+    // (words from two different pushes) cannot pass for a real one.
+    let event_at = |tick: u64| EventKind::Send {
+        dst: tick as u16,
+        slot: (tick >> 16) as u16,
+        seq: (tick as u32).rotate_left(7),
+    };
+    let t = Telemetry::with_trace_capacity(5, 64);
+    let start = std::sync::Barrier::new(2);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let polls = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (mut polls, mut sends, mut samples, mut recorded) = (0u64, 0, 0, 0);
+            start.wait();
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let now = (
+                    t.counter(Counter::Sends),
+                    t.metric(Metric::HandlerNs).count,
+                    t.events_recorded(),
+                );
+                assert!(now.0 >= sends && now.1 >= samples && now.2 >= recorded);
+                (sends, samples, recorded) = now;
+                let snapshot = t.events();
+                for pair in snapshot.windows(2) {
+                    assert!(pair[0].tick < pair[1].tick, "oldest first");
                 }
-            });
+                for e in &snapshot {
+                    assert_eq!((e.node, e.kind), (5, event_at(e.tick)), "torn entry");
+                }
+                polls += 1;
+            }
+            polls
+        });
+        start.wait();
+        for i in 0..WRITES {
+            t.incr(Counter::Sends);
+            t.add(Counter::Bounces, 2);
+            t.record(Metric::HandlerNs, i % 1000);
+            t.trace(i, event_at(i));
         }
-        // Snapshots taken mid-run must never observe more bounces than
-        // twice the sends that produced them... they may observe fewer
-        // (the increments are two separate atomics), so only the final
-        // totals are exact.
-        for _ in 0..100 {
-            let s = t.snapshot();
-            let (sends, bounces) = (s.counter(Counter::Sends), s.counter(Counter::Bounces));
-            assert!(sends <= THREADS * PER_THREAD && bounces <= THREADS * PER_THREAD * 2);
-        }
+        done.store(true, std::sync::atomic::Ordering::Release);
+        reader.join().expect("reader")
     });
-    assert_eq!(t.counter(Counter::Sends), THREADS * PER_THREAD);
-    assert_eq!(t.counter(Counter::Bounces), THREADS * PER_THREAD * 2);
+    assert!(polls > 0);
+    assert_eq!(t.counter(Counter::Sends), WRITES);
+    assert_eq!(t.counter(Counter::Bounces), 2 * WRITES);
+    let hist = t.metric(Metric::HandlerNs);
+    assert_eq!((hist.count, hist.min, hist.max), (WRITES, 0, 999));
+    assert_eq!(t.events_recorded(), WRITES);
+    let ticks: Vec<u64> = t.events().iter().map(|e| e.tick).collect();
+    assert_eq!(ticks, (WRITES - 64..WRITES).collect::<Vec<_>>());
 }
 
 #[test]

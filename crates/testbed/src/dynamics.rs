@@ -208,7 +208,7 @@ fn flush(
 ) {
     while let Some(f) = ep.pop_outgoing() {
         let dst = if me == 0 { 1 } else { 0 };
-        debug_assert_eq!(f.dst, NodeId(dst as u16));
+        debug_assert_eq!(f.head.dst, NodeId(dst as u16));
         *wire_frames += 1;
         eng.schedule_in(flight, Ev::Deliver(dst, f));
     }

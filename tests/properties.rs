@@ -5,7 +5,7 @@ use bytes::Bytes;
 use fm_core::frame::{FrameKind, PiggyAcks, WireFrame};
 use fm_core::queues::{CounterPair, PacketRing, RejectQueue};
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
-use fm_core::{HandlerId, NodeId};
+use fm_core::{gen_tag, HandlerId, NodeId};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,8 +25,8 @@ proptest! {
             NodeId(src), NodeId(dst), HandlerId(handler), slot, seq,
             Bytes::from(payload),
         );
-        f.kind = match kind { 0 => FrameKind::Data, 1 => FrameKind::Return, _ => FrameKind::Ack };
-        f.piggy = PiggyAcks::from_slice(&piggy);
+        f.head.kind = match kind { 0 => FrameKind::Data, 1 => FrameKind::Return, _ => FrameKind::Ack };
+        f.head.piggy = PiggyAcks::from_slice(&piggy);
         let decoded = WireFrame::decode(&f.encode()).expect("own encoding decodes");
         prop_assert_eq!(decoded, f);
     }
@@ -89,7 +89,7 @@ proptest! {
         let mut next = 0u32;
         for push in ops {
             if push {
-                let ok = ring.push(next).is_ok();
+                let ok = ring.push_with(|slot| *slot = next);
                 if model.len() < depth {
                     prop_assert!(ok);
                     model.push_back(next);
@@ -98,77 +98,78 @@ proptest! {
                     prop_assert!(!ok, "ring accepted beyond depth");
                 }
             } else {
-                prop_assert_eq!(ring.pop(), model.pop_front());
+                prop_assert_eq!(ring.peek(), model.front());
+                prop_assert_eq!(ring.release(), model.pop_front().is_some());
             }
             prop_assert_eq!(ring.len(), model.len());
             let c: CounterPair = ring.counters();
             prop_assert!(c.occupancy() <= depth as u64);
         }
         // Drain and compare the tails.
-        while let Some(v) = ring.pop() {
+        while let Some(&v) = ring.peek() {
             prop_assert_eq!(Some(v), model.pop_front());
+            ring.release();
         }
         prop_assert!(model.is_empty());
     }
 
     /// RejectQueue: under arbitrary reserve/ack/bounce/retransmit traffic,
-    /// outstanding never exceeds capacity, acks only succeed for in-flight
-    /// slots, and every bounced payload is retransmitted intact. (Timers
-    /// are kept out of the picture with an astronomically large RTO; every
-    /// slot uses generation tag 0, exercising the tag-match path trivially.)
+    /// outstanding never exceeds capacity, acks and bounces only succeed
+    /// for in-flight slots presenting the slot's current generation tag,
+    /// and bounced slots come back for retransmission in bounce order.
+    /// (The queue tracks slots; the packet a slot stands for stays with
+    /// the caller. Timers are kept out of the picture with an
+    /// astronomically large RTO.)
     #[test]
     fn reject_queue_model(
         cap in 1usize..12,
         ops in proptest::collection::vec(0u8..4, 0..400),
     ) {
         const RTO: u64 = 1 << 40;
-        let mut q: RejectQueue<u32> = RejectQueue::new(cap);
+        let mut q = RejectQueue::new(cap);
         let mut in_flight: Vec<u16> = Vec::new();
-        let mut returned: std::collections::VecDeque<(u16, u32)> = Default::default();
-        let mut payload = 0u32;
+        let mut returned: std::collections::VecDeque<u16> = Default::default();
         for op in ops {
             match op {
                 0 => {
-                    // reserve
+                    // reserve: a new generation of whichever slot it is
+                    let before: Vec<u8> = (0..cap as u16).map(|s| q.gen(s)).collect();
                     match q.reserve(0, RTO) {
                         Some(slot) => {
                             prop_assert!(in_flight.len() + returned.len() < cap);
-                            q.store(slot, 0, payload);
-                            payload += 1;
+                            prop_assert_eq!(q.gen(slot), before[slot as usize].wrapping_add(1));
                             in_flight.push(slot);
                         }
                         None => prop_assert_eq!(in_flight.len() + returned.len(), cap),
                     }
                 }
                 1 => {
-                    // ack the oldest in-flight
+                    // ack the oldest in-flight: refused under the previous
+                    // occupant's tag, accepted under its own
                     if let Some(slot) = in_flight.first().copied() {
-                        prop_assert!(q.ack(slot, 0));
+                        let tag = gen_tag(q.gen(slot));
+                        prop_assert!(!q.ack(slot, gen_tag(q.gen(slot).wrapping_sub(1))));
+                        prop_assert!(q.ack(slot, tag));
+                        prop_assert!(!q.holds(slot, q.gen(slot)));
                         in_flight.remove(0);
                     } else {
-                        prop_assert!(!q.ack(0, 0) || !in_flight.is_empty());
+                        prop_assert!(!q.ack(0, gen_tag(q.gen(0))));
                     }
                 }
                 2 => {
                     // bounce the newest in-flight
                     if let Some(slot) = in_flight.pop() {
-                        let bounced = payload; // arbitrary distinct payload
-                        prop_assert!(q.bounce(slot, 0, bounced));
-                        returned.push_back((slot, bounced));
-                        payload += 1;
+                        prop_assert!(!q.bounce(slot, gen_tag(q.gen(slot).wrapping_sub(1))));
+                        prop_assert!(q.bounce(slot, gen_tag(q.gen(slot))));
+                        prop_assert!(q.holds(slot, q.gen(slot)), "parked, still held");
+                        returned.push_back(slot);
                     }
                 }
                 _ => {
                     // retransmit
-                    match q.pop_retransmit(0) {
-                        Some((slot, got)) => {
-                            let (eslot, epayload) =
-                                returned.pop_front().expect("model has a returned frame");
-                            prop_assert_eq!((slot, got), (eslot, epayload));
-                            in_flight.push(slot);
-                        }
-                        None => prop_assert!(returned.is_empty()),
-                    }
+                    let got = q.pop_retransmit(0);
+                    prop_assert_eq!(got, returned.pop_front());
+                    in_flight.extend(got);
                 }
             }
             prop_assert_eq!(q.outstanding(), in_flight.len() + returned.len());
@@ -258,10 +259,10 @@ proptest! {
         }
     }
 
-    /// RejectQueue bounce-and-retransmit: a packet can bounce and be
-    /// retransmitted any number of times; every cycle preserves payload and
-    /// bounce order, the slot stays outstanding throughout, and after the
-    /// final acks the window fully reopens.
+    /// RejectQueue bounce-and-retransmit: a slot can bounce and be
+    /// retransmitted any number of times; every cycle preserves bounce
+    /// order and the slot's generation, the slot stays outstanding
+    /// throughout, and after the final acks the window fully reopens.
     #[test]
     fn reject_queue_bounce_retransmit_cycles(
         cap in 1usize..10,
@@ -269,29 +270,28 @@ proptest! {
         cycles in proptest::collection::vec(1u8..4, 0..8),
     ) {
         const RTO: u64 = 1 << 40;
-        let mut q: RejectQueue<u32> = RejectQueue::new(cap);
-        let mut live: Vec<(u16, u32)> = Vec::new();
-        for i in 0..want.min(cap) {
-            let slot = q.reserve(0, RTO).expect("capacity available");
-            q.store(slot, 0, i as u32);
-            live.push((slot, i as u32));
-        }
+        let mut q = RejectQueue::new(cap);
+        let live: Vec<u16> = (0..want.min(cap))
+            .map(|_| q.reserve(0, RTO).expect("capacity available"))
+            .collect();
         for &k in &cycles {
             let k = (k as usize).min(live.len());
-            for &(slot, pkt) in &live[..k] {
-                prop_assert!(q.bounce(slot, 0, pkt));
+            for &slot in &live[..k] {
+                prop_assert!(q.bounce(slot, 1));
             }
             prop_assert_eq!(q.returned(), k);
             prop_assert_eq!(q.in_flight(), live.len() - k);
-            for &(slot, pkt) in &live[..k] {
-                prop_assert_eq!(q.pop_retransmit(0), Some((slot, pkt)));
+            for &slot in &live[..k] {
+                prop_assert_eq!(q.pop_retransmit(0), Some(slot));
             }
             prop_assert!(q.pop_retransmit(0).is_none());
-            // Re-bounced or not, every reserved slot stays outstanding.
+            // Re-bounced or not, every reserved slot stays outstanding,
+            // under the generation it was reserved with.
             prop_assert_eq!(q.outstanding(), live.len());
+            prop_assert!(live.iter().all(|&slot| q.holds(slot, 1)));
         }
-        for &(slot, _) in &live {
-            prop_assert!(q.ack(slot, 0));
+        for &slot in &live {
+            prop_assert!(q.ack(slot, 1));
         }
         prop_assert_eq!(q.outstanding(), 0);
         for _ in 0..cap {
