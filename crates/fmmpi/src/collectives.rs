@@ -97,7 +97,12 @@ pub(crate) fn bytes_to_f64s(src: Rank, b: &[u8]) -> Result<Vec<f64>, MpiError> {
 }
 
 /// Element-wise `acc = op(acc, theirs)` with a length check.
-pub(crate) fn combine(acc: &mut [f64], src: Rank, theirs: &[f64], op: ReduceOp) -> Result<(), MpiError> {
+pub(crate) fn combine(
+    acc: &mut [f64],
+    src: Rank,
+    theirs: &[f64],
+    op: ReduceOp,
+) -> Result<(), MpiError> {
     if theirs.len() != acc.len() {
         return Err(MpiError::LengthMismatch {
             src,
@@ -191,19 +196,34 @@ impl Communicator {
     // clock so they merge onto the message-span timeline and export as
     // per-collective duration series from the beacon collector.
     fn coll_begin(&self, kind: usize, epoch: u32) {
-        self.trace_coll(EventKind::CollBegin { coll: kind as u8, epoch });
+        self.trace_coll(EventKind::CollBegin {
+            coll: kind as u8,
+            epoch,
+        });
     }
 
     fn coll_end(&self, kind: usize, epoch: u32) {
-        self.trace_coll(EventKind::CollEnd { coll: kind as u8, epoch });
+        self.trace_coll(EventKind::CollEnd {
+            coll: kind as u8,
+            epoch,
+        });
     }
 
     fn round_begin(&self, kind: usize, epoch: u32, round: u16, peer: Rank) {
-        self.trace_coll(EventKind::CollRoundBegin { coll: kind as u8, epoch, round, peer });
+        self.trace_coll(EventKind::CollRoundBegin {
+            coll: kind as u8,
+            epoch,
+            round,
+            peer,
+        });
     }
 
     fn round_end(&self, kind: usize, epoch: u32, round: u16) {
-        self.trace_coll(EventKind::CollRoundEnd { coll: kind as u8, epoch, round });
+        self.trace_coll(EventKind::CollRoundEnd {
+            coll: kind as u8,
+            epoch,
+            round,
+        });
     }
 
     /// This rank's collective spanning tree for `root`, when the wiring
@@ -616,8 +636,7 @@ mod tests {
                 (c.rank(), out)
             }));
         }
-        let mut results: Vec<(u16, T)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let mut results: Vec<(u16, T)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         results.sort_by_key(|(r, _)| *r);
         results.into_iter().map(|(_, t)| t).collect()
     }
@@ -731,7 +750,9 @@ mod tests {
     fn linear_baselines_agree_with_trees() {
         let out = run_ranks(6, |c| {
             c.barrier_linear();
-            let a = c.allreduce_linear(&[c.rank() as f64], ReduceOp::Sum).unwrap();
+            let a = c
+                .allreduce_linear(&[c.rank() as f64], ReduceOp::Sum)
+                .unwrap();
             c.barrier();
             let b = c.allreduce(&[c.rank() as f64], ReduceOp::Sum).unwrap();
             (a, b)
@@ -818,10 +839,7 @@ mod tests {
                 c.reduce(0, &[1.0], ReduceOp::Sum)
             }
         });
-        assert_eq!(
-            out[0],
-            Err(MpiError::MisalignedReduce { src: 1, len: 3 })
-        );
+        assert_eq!(out[0], Err(MpiError::MisalignedReduce { src: 1, len: 3 }));
     }
 
     #[test]
@@ -846,9 +864,19 @@ mod tests {
         assert_eq!(coll_tag(TAG_BARRIER, 0), Tag(TAG_BARRIER));
         assert_eq!(coll_tag(TAG_BARRIER, COLL_SPAN), Tag(TAG_BARRIER));
         assert_eq!(coll_tag(TAG_BARRIER, COLL_SPAN + 7), Tag(TAG_BARRIER + 7));
-        for e in [0u32, 1, COLL_SPAN - 1, COLL_SPAN, 3 * COLL_SPAN + 5, u32::MAX] {
+        for e in [
+            0u32,
+            1,
+            COLL_SPAN - 1,
+            COLL_SPAN,
+            3 * COLL_SPAN + 5,
+            u32::MAX,
+        ] {
             let t = coll_tag(TAG_BARRIER, e).0;
-            assert!((TAG_BARRIER..TAG_BCAST).contains(&t), "epoch {e} escaped: {t:#x}");
+            assert!(
+                (TAG_BARRIER..TAG_BCAST).contains(&t),
+                "epoch {e} escaped: {t:#x}"
+            );
             let t = coll_tag(TAG_ALLREDUCE, e).0;
             assert!((TAG_ALLREDUCE..TAG_ALLREDUCE + COLL_SPAN).contains(&t));
         }

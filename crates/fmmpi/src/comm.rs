@@ -134,7 +134,10 @@ impl MpiCluster {
         let cluster =
             SwitchedCluster::with_switch_config(topo, Self::threaded_time(config), switch);
         let comms = Self::wire_switched(cluster);
-        let fabric = comms[0].fabric.clone().expect("switched comms carry the runner");
+        let fabric = comms[0]
+            .fabric
+            .clone()
+            .expect("switched comms carry the runner");
         (comms, fabric)
     }
 
@@ -245,7 +248,10 @@ impl Communicator {
             stats.delivered + stats.unknown_handler,
             stats.unknown_handler,
         );
-        assert!((ep.node_id().index()) < size, "node id outside the rank space");
+        assert!(
+            (ep.node_id().index()) < size,
+            "node id outside the rank space"
+        );
         Communicator::new(ep, size)
     }
 
@@ -289,7 +295,10 @@ impl Communicator {
         }
         let bytes = env.encode();
         // Large-handler 0 is the MPI sink on every rank.
-        if let Err(e) = self.ep.send_large(NodeId(dest), fm_core::HandlerId(0), &bytes) {
+        if let Err(e) = self
+            .ep
+            .send_large(NodeId(dest), fm_core::HandlerId(0), &bytes)
+        {
             panic!("MPI send to rank {dest}: {e}");
         }
     }
@@ -307,7 +316,11 @@ impl Communicator {
     }
 
     /// Non-blocking probe-and-receive.
-    pub fn try_recv(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Option<(Rank, Tag, Vec<u8>)> {
+    pub fn try_recv(
+        &mut self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Option<(Rank, Tag, Vec<u8>)> {
         self.ep.extract();
         self.inbox
             .lock()

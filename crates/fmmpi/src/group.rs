@@ -240,8 +240,10 @@ mod tests {
                 })
             })
             .collect();
-        let mut results: Vec<_> =
-            handles.into_iter().map(|h| h.join().expect("rank")).collect();
+        let mut results: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("rank"))
+            .collect();
         results.sort_by_key(|(r, _)| *r);
         results.into_iter().map(|(_, t)| t).collect()
     }
@@ -254,9 +256,7 @@ mod tests {
         });
         for (r, (size, grank, members)) in out.iter().enumerate() {
             assert_eq!(*size, 3);
-            let expect: Vec<Rank> = (0..6)
-                .filter(|x| x % 2 == r as u16 % 2)
-                .collect();
+            let expect: Vec<Rank> = (0..6).filter(|x| x % 2 == r as u16 % 2).collect();
             assert_eq!(members, &expect);
             assert_eq!(*grank as usize, r / 2);
         }

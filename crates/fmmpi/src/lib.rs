@@ -45,8 +45,8 @@ pub mod nonblocking;
 
 pub use comm::{Communicator, MpiCluster, ReduceOp};
 pub use group::Group;
-pub use nonblocking::RecvRequest;
 pub use matching::{Envelope, MatchQueue};
+pub use nonblocking::RecvRequest;
 
 /// A process rank within the cluster (0-based).
 pub type Rank = u16;

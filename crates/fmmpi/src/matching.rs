@@ -112,9 +112,10 @@ impl MatchQueue {
 
     /// Take the oldest matchable message satisfying the wildcard pattern.
     pub fn take(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Option<Envelope> {
-        let idx = self.visible.iter().position(|e| {
-            src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
-        })?;
+        let idx = self
+            .visible
+            .iter()
+            .position(|e| src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t))?;
         self.visible.remove(idx)
     }
 }

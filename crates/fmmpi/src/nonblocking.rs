@@ -161,8 +161,10 @@ mod tests {
                 })
             })
             .collect();
-        let mut results: Vec<_> =
-            handles.into_iter().map(|h| h.join().expect("rank")).collect();
+        let mut results: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("rank"))
+            .collect();
         results.sort_by_key(|(r, _)| *r);
         results.into_iter().map(|(_, t)| t).collect()
     }
@@ -226,8 +228,7 @@ mod tests {
         let out = run_ranks(n, move |c| {
             let me = c.rank() as usize;
             // Rank i sends i+j+1 bytes of value i to rank j.
-            let chunks: Vec<Vec<u8>> =
-                (0..n).map(|j| vec![me as u8; me + j + 1]).collect();
+            let chunks: Vec<Vec<u8>> = (0..n).map(|j| vec![me as u8; me + j + 1]).collect();
             c.alltoallv(&chunks)
         });
         for (j, rows) in out.iter().enumerate() {
@@ -241,7 +242,8 @@ mod tests {
     fn scan_prefix_sums() {
         let n = 5usize;
         let out = run_ranks(n, |c| {
-            c.scan(&[c.rank() as f64 + 1.0, 1.0], ReduceOp::Sum).unwrap()
+            c.scan(&[c.rank() as f64 + 1.0, 1.0], ReduceOp::Sum)
+                .unwrap()
         });
         for (i, v) in out.iter().enumerate() {
             let expect: f64 = (1..=i + 1).map(|x| x as f64).sum();

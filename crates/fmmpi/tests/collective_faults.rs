@@ -54,7 +54,10 @@ fn collectives_survive_5pct_faults_exactly_once() {
         })
         .collect();
 
-    let mut rows: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+    let mut rows: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank"))
+        .collect();
     rows.sort_by_key(|r| r.0);
 
     // Ground truth, bit-exact: recursive doubling combines in the same

@@ -27,7 +27,10 @@ fn run_comms<T: Send + 'static>(
             })
         })
         .collect();
-    let mut results: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+    let mut results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank"))
+        .collect();
     results.sort_by_key(|(r, _)| *r);
     results.into_iter().map(|(_, t)| t).collect()
 }
@@ -66,7 +69,10 @@ fn fat_tree_allreduce_is_bit_identical() {
         // Awkward values whose sum depends on order in general — recursive
         // doubling's symmetric pairing makes every rank compute the same
         // combination order anyway.
-        let mine = vec![(c.rank() as f64 + 0.1) * 1e10, 1.0 / (c.rank() as f64 + 3.0)];
+        let mine = vec![
+            (c.rank() as f64 + 0.1) * 1e10,
+            1.0 / (c.rank() as f64 + 3.0),
+        ];
         let v = c.allreduce(&mine, ReduceOp::Sum).unwrap();
         c.barrier();
         v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
@@ -83,9 +89,8 @@ fn chain_cluster_data_movement() {
     let n = 12usize;
     let out = run_comms(MpiCluster::switched(n), move |c| {
         let me = c.rank();
-        let chunks: Option<Vec<Vec<u8>>> = (me == 0).then(|| {
-            (0..n).map(|r| vec![r as u8; 4]).collect()
-        });
+        let chunks: Option<Vec<Vec<u8>>> =
+            (me == 0).then(|| (0..n).map(|r| vec![r as u8; 4]).collect());
         let mine = c.scatter(0, chunks.as_deref());
         let rows = c.gather(11, &mine);
         c.barrier();
@@ -203,11 +208,8 @@ fn adopting_an_unwrapped_endpoint_races_an_eager_sender() {
 #[should_panic(expected = "handlers must register before the first extract")]
 fn adopt_rejects_an_endpoint_that_already_extracted() {
     let topo = SwitchTopology::for_cluster(2);
-    let cluster = SwitchedCluster::with_switch_config(
-        &topo,
-        EndpointConfig::default(),
-        Default::default(),
-    );
+    let cluster =
+        SwitchedCluster::with_switch_config(&topo, EndpointConfig::default(), Default::default());
     let (mut endpoints, shards) = cluster.split();
     let runner = SwitchRunner::start(shards);
     let mut ep1 = endpoints.remove(1);
