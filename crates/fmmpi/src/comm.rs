@@ -4,15 +4,22 @@
 use fm_core::endpoint::EndpointConfig;
 use fm_core::mem::{MemCluster, MemEndpoint};
 use fm_core::{
-    FaultConfig, NodeId, SwitchConfig, SwitchRunner, SwitchTopology, SwitchedCluster, TimeSource,
+    FaultConfig, HandlerId, NodeId, SwitchConfig, SwitchRunner, SwitchTopology, SwitchedCluster,
+    TimeSource, FM_FRAME_PAYLOAD,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::collectives::N_COLL_KINDS;
-use crate::matching::{Envelope, MatchQueue};
+use crate::matching::{Envelope, MatchQueue, ENVELOPE_BYTES};
 use crate::{Rank, Tag};
+
+/// The frame handler every rank registers first: a message whose envelope
+/// and data fit one FM frame (the eager path) is sent straight to it.
+const EAGER_HANDLER: HandlerId = HandlerId(1);
+/// The large handler every rank registers first: a message that does not
+/// fit one frame goes through the segmentation extension to it.
+const SEGMENTED_HANDLER: HandlerId = HandlerId(0);
 
 /// Reduction operators over `f64` vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,12 +195,49 @@ impl MpiCluster {
     }
 }
 
+/// What the two receive handlers share with the communicator that owns
+/// them.
+#[derive(Default)]
+struct Inbox {
+    queue: MatchQueue,
+    /// Arrivals dropped before matching (see [`Inbox::vet`]).
+    malformed: u64,
+}
+
+impl Inbox {
+    /// The envelope header of an arriving `[envelope | data]` image, or
+    /// `None` (counted) when it cannot be filed: shorter than an envelope,
+    /// claiming a source other than the node FM delivered it `from` (which
+    /// would corrupt that rank's sequence stream), or a source outside the
+    /// `ranks` of this cluster (which would size a table from the wire).
+    fn vet(&mut self, from: NodeId, ranks: usize, msg: &[u8]) -> Option<(Tag, u32, Rank)> {
+        let head = Envelope::parse_header(msg)
+            .filter(|&(_, _, src)| src == from.0 && (src as usize) < ranks);
+        if head.is_none() {
+            self.malformed += 1;
+        }
+        head
+    }
+
+    /// File `data` under a vetted (or locally built) header.
+    fn admit(&mut self, (tag, seq, src): (Tag, u32, Rank), data: Vec<u8>) {
+        self.queue.push(Envelope {
+            tag,
+            seq,
+            src,
+            data,
+        });
+    }
+}
+
 /// One rank's endpoint plus its MPI state. Move it into the rank's thread.
 pub struct Communicator {
     ep: MemEndpoint,
     size: usize,
-    inbox: Arc<Mutex<MatchQueue>>,
-    next_seq_to: HashMap<Rank, u32>,
+    inbox: Arc<Mutex<Inbox>>,
+    /// Next sequence number toward each rank; both send paths draw from it,
+    /// so one-frame and segmented messages share one order per destination.
+    next_seq_to: Vec<u32>,
     /// The switch wiring, when the cluster is switch-routed; collectives
     /// consult it to build spanning trees over the real fabric.
     topo: Option<Arc<SwitchTopology>>,
@@ -207,19 +251,39 @@ pub struct Communicator {
 impl Communicator {
     fn new(mut ep: MemEndpoint, size: usize) -> Self {
         let topo = ep.topology().cloned();
-        let inbox: Arc<Mutex<MatchQueue>> = Arc::new(Mutex::new(MatchQueue::new()));
+        let inbox: Arc<Mutex<Inbox>> = Arc::default();
+        // Eager path: the frame is still in the receive ring; its data is
+        // copied once, into the `Vec` the receiver will be handed.
         let sink = inbox.clone();
-        let h = ep.register_large_handler(move |_, _src, msg| {
-            if let Some(env) = Envelope::decode(&msg) {
-                sink.lock().push(env);
+        let eager = ep.register_handler(move |_, from, frame| {
+            let mut inbox = sink.lock();
+            if let Some(head) = inbox.vet(from, size, frame) {
+                inbox.admit(head, frame[ENVELOPE_BYTES..].to_vec());
             }
         });
-        debug_assert_eq!(h.0, 0, "MPI message handler must be large-handler 0");
+        // Segmented path: the reassembled `Vec` becomes the receiver's
+        // once the envelope is stripped from its front, in place.
+        let sink = inbox.clone();
+        let segmented = ep.register_large_handler(move |_, from, mut data| {
+            let mut inbox = sink.lock();
+            if let Some(head) = inbox.vet(from, size, &data) {
+                data.drain(..ENVELOPE_BYTES);
+                inbox.admit(head, data);
+            }
+        });
+        // Ids travel on the wire, so every rank must hold the same ones: an
+        // endpoint that had handlers registered before it was wrapped would
+        // file its peers' messages under somebody else's handler.
+        assert_eq!(
+            (eager, segmented),
+            (EAGER_HANDLER, SEGMENTED_HANDLER),
+            "the MPI handlers must be the first registered on an endpoint"
+        );
         Communicator {
             ep,
             size,
             inbox,
-            next_seq_to: HashMap::new(),
+            next_seq_to: vec![0; size],
             topo,
             epochs: [0; N_COLL_KINDS],
             fabric: None,
@@ -237,7 +301,9 @@ impl Communicator {
     /// handler exists is consumed and acked as unknown-handler, so the
     /// sender never retransmits it — a silent message loss this guard
     /// turns into a loud construction error. Handshake traffic (UDP
-    /// hellos, acks) does not trip it.
+    /// hellos, acks) does not trip it. Also if the endpoint already has a
+    /// frame or large handler of its own: the MPI handler ids are fixed
+    /// (they travel on the wire), and they are the first of each kind.
     pub fn adopt(ep: MemEndpoint, size: usize) -> Self {
         let stats = ep.stats();
         assert!(
@@ -273,32 +339,37 @@ impl Communicator {
 
     /// Blocking tagged send of arbitrary size.
     pub fn send(&mut self, dest: Rank, tag: Tag, data: &[u8]) {
-        assert!((dest as usize) < self.size, "rank {dest} out of range");
         assert!(tag.is_user(), "tags >= 0xFFFF0000 are reserved");
         self.send_internal(dest, tag, data);
     }
 
     fn send_internal(&mut self, dest: Rank, tag: Tag, data: &[u8]) {
-        let me = self.rank();
-        let seq = self.next_seq_to.entry(dest).or_insert(0);
-        let env = Envelope {
-            tag,
-            seq: *seq,
-            src: me,
-            data: data.to_vec(),
-        };
-        *seq += 1;
-        if dest == self.rank() {
+        assert!((dest as usize) < self.size, "rank {dest} out of range");
+        let src = self.rank();
+        let next = &mut self.next_seq_to[dest as usize];
+        let seq = *next;
+        *next = seq.wrapping_add(1);
+        if dest == src {
             // Self-sends match locally without touching the network.
-            self.inbox.lock().push(env);
+            self.inbox.lock().admit((tag, seq, src), data.to_vec());
             return;
         }
-        let bytes = env.encode();
-        // Large-handler 0 is the MPI sink on every rank.
-        if let Err(e) = self
-            .ep
-            .send_large(NodeId(dest), fm_core::HandlerId(0), &bytes)
-        {
+        let head = Envelope::header(tag, seq, src);
+        let len = ENVELOPE_BYTES + data.len();
+        // Whether a message fits one frame is the whole choice of path.
+        let sent = if len <= FM_FRAME_PAYLOAD {
+            let mut frame = [0u8; FM_FRAME_PAYLOAD];
+            frame[..ENVELOPE_BYTES].copy_from_slice(&head);
+            frame[ENVELOPE_BYTES..len].copy_from_slice(data);
+            self.ep
+                .send_checked(NodeId(dest), EAGER_HANDLER, &frame[..len])
+        } else {
+            let mut bytes = Vec::with_capacity(len);
+            bytes.extend_from_slice(&head);
+            bytes.extend_from_slice(data);
+            self.ep.send_large(NodeId(dest), SEGMENTED_HANDLER, &bytes)
+        };
+        if let Err(e) = sent {
             panic!("MPI send to rank {dest}: {e}");
         }
     }
@@ -307,7 +378,7 @@ impl Communicator {
     /// `(source, tag, data)`.
     pub fn recv(&mut self, src: Option<Rank>, tag: Option<Tag>) -> (Rank, Tag, Vec<u8>) {
         loop {
-            if let Some(env) = self.inbox.lock().take(src, tag) {
+            if let Some(env) = self.inbox.lock().queue.take(src, tag) {
                 return (env.src, env.tag, env.data);
             }
             self.ep.extract();
@@ -324,6 +395,7 @@ impl Communicator {
         self.ep.extract();
         self.inbox
             .lock()
+            .queue
             .take(src, tag)
             .map(|env| (env.src, env.tag, env.data))
     }
@@ -337,7 +409,20 @@ impl Communicator {
     /// Messages that arrived out of their sequence order (evidence of FM's
     /// unordered delivery being papered over by this layer).
     pub fn reordered_messages(&self) -> u64 {
-        self.inbox.lock().reordered
+        self.inbox.lock().queue.reordered
+    }
+
+    /// Messages dropped by the matching queue because their sequence number
+    /// had already been admitted (see [`MatchQueue::stale`]).
+    pub fn stale_messages(&self) -> u64 {
+        self.inbox.lock().queue.stale
+    }
+
+    /// Arrivals dropped before matching: shorter than an envelope, or
+    /// carrying a source rank that is not the node FM delivered them from
+    /// or not a rank of this cluster.
+    pub fn malformed_messages(&self) -> u64 {
+        self.inbox.lock().malformed
     }
 
     /// Matched-queue occupancy: messages delivered but not yet received
@@ -345,7 +430,7 @@ impl Communicator {
     /// rank has received everything addressed to it — the exactly-once
     /// ledger the fault soaks audit.
     pub fn match_pending(&self) -> usize {
-        self.inbox.lock().pending()
+        self.inbox.lock().queue.pending()
     }
 
     /// Underlying FM endpoint statistics.
@@ -458,6 +543,98 @@ mod tests {
         }
         let got = t.join().unwrap();
         assert_eq!(got, (0..20).collect::<Vec<u8>>());
+    }
+
+    /// One thread drives both ranks: receive at `c1` while `c0` keeps its
+    /// acks flowing.
+    fn recv_inline(c0: &mut Communicator, c1: &mut Communicator) -> (Rank, Tag, Vec<u8>) {
+        loop {
+            if let Some(got) = c1.try_recv(None, None) {
+                return got;
+            }
+            c0.progress();
+        }
+    }
+
+    /// Either side of the one-frame boundary (118 B of data behind the
+    /// 10-B envelope) a message arrives intact; at or below it the message
+    /// is exactly one FM frame and reassembly never sees it, above it the
+    /// frame count is the fragment count.
+    #[test]
+    fn payload_sizes_across_the_frame_boundary() {
+        let mut comms = MpiCluster::new(2);
+        let mut c1 = comms.pop().unwrap();
+        let mut c0 = comms.pop().unwrap();
+        for (i, len) in [0usize, 1, 117, 118, 119, 128, 4096]
+            .into_iter()
+            .enumerate()
+        {
+            let data: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+            let tag = Tag(40 + i as u32);
+            let (sent, reassembly) = (c0.fm_stats().sent, c1.ep.reassembly_stats());
+            c0.send(1, tag, &data);
+            assert_eq!(recv_inline(&mut c0, &mut c1), (0, tag, data), "{len} B");
+            let frames = c0.fm_stats().sent - sent;
+            if len <= FM_FRAME_PAYLOAD - ENVELOPE_BYTES {
+                assert_eq!(frames, 1, "{len} B rides one frame");
+                assert_eq!(c1.ep.reassembly_stats(), reassembly, "{len} B");
+            } else {
+                let fragments = (len + ENVELOPE_BYTES).div_ceil(fm_core::seg::FRAG_DATA) as u64;
+                assert_eq!(frames, fragments, "{len} B is segmented");
+                let (frags, msgs) = c1.ep.reassembly_stats();
+                assert_eq!((frags, msgs), (reassembly.0 + fragments, reassembly.1 + 1));
+            }
+        }
+        assert_eq!((c1.match_pending(), c1.malformed_messages()), (0, 0));
+    }
+
+    /// An envelope is filed under the rank FM delivered it from or not at
+    /// all: node 0 forging rank 2's identity (or a rank outside the
+    /// cluster, or sending less than an envelope) on either path must not
+    /// disturb rank 2's sequence stream at rank 1.
+    #[test]
+    fn forged_and_short_envelopes_are_dropped_and_counted() {
+        let mut comms = MpiCluster::new(3);
+        let mut c2 = comms.pop().unwrap();
+        let mut c1 = comms.pop().unwrap();
+        let mut c0 = comms.pop().unwrap();
+        let forged = |src: Rank, len: usize| {
+            let mut msg = Envelope::header(Tag(1), 0, src).to_vec();
+            msg.resize(ENVELOPE_BYTES + len, 0xEE);
+            msg
+        };
+        for src in [2, u16::MAX] {
+            c0.ep.send(NodeId(1), EAGER_HANDLER, &forged(src, 16));
+            c0.ep
+                .send_large(NodeId(1), SEGMENTED_HANDLER, &forged(src, 300))
+                .unwrap();
+        }
+        c0.ep.send(NodeId(1), EAGER_HANDLER, b"short");
+        c0.ep
+            .send_large(NodeId(1), SEGMENTED_HANDLER, b"short")
+            .unwrap();
+        // The honest messages, sent after the forgeries.
+        c2.send(1, Tag(1), b"really from 2");
+        c0.send(1, Tag(1), b"really from 0");
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            got.extend(c1.try_recv(None, None));
+            c0.progress();
+            c2.progress();
+        }
+        got.sort();
+        assert_eq!(got[0], (0, Tag(1), b"really from 0".to_vec()));
+        assert_eq!(got[1], (2, Tag(1), b"really from 2".to_vec()));
+        assert_eq!(c1.malformed_messages(), 6);
+        assert_eq!((c1.match_pending(), c1.stale_messages()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "first registered")]
+    fn adopt_rejects_an_endpoint_with_handlers_of_its_own() {
+        let mut ep = MemCluster::new(1).pop().unwrap();
+        ep.register_handler(|_, _, _| {});
+        let _ = Communicator::adopt(ep, 1);
     }
 
     #[test]

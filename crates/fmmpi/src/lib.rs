@@ -7,13 +7,22 @@
 //! tag), plus the collectives an application kernel needs (`barrier`,
 //! `bcast`, `reduce`, `allreduce`, `gather`, `scatter`).
 //!
-//! Everything rides FM's primitives: messages of any size go through the
-//! segmentation extension (itself plain `FM_send` frames), matching runs in
-//! handlers during `FM_extract`, and collectives are trees/dissemination
-//! patterns of point-to-point messages. Because FM does **not** guarantee
-//! ordering (Table 3), every message carries a per-destination sequence
-//! number and the receiver admits messages to the matching queue strictly
-//! in sequence — restoring the per-source FIFO ordering MPI requires.
+//! Everything rides FM's primitives, and a message takes one of two paths
+//! by its size alone. One whose 10-byte envelope and data fit a single FM
+//! frame (up to 118 B of data: `FM_FRAME_PAYLOAD - ENVELOPE_BYTES`) is an
+//! ordinary `FM_send` of `[envelope | data]` to a frame handler every rank
+//! registers at the same id; the handler copies the data once, out of the
+//! receive ring into the `Vec` the receiver is handed. Anything longer goes
+//! through the segmentation extension (itself plain `FM_send` frames, as
+//! Section 5 anticipates for "larger messages"), and the reassembled buffer
+//! becomes the receiver's with the envelope stripped in place. Matching
+//! runs in those handlers during `FM_extract`, and collectives are
+//! trees/dissemination patterns of point-to-point messages. Because FM does
+//! **not** guarantee ordering (Table 3), every message on either path
+//! carries a sequence number drawn from one per-destination counter, and
+//! the receiver admits messages to one matching queue strictly in sequence
+//! — restoring the per-source FIFO ordering MPI requires, also between a
+//! short message and the long one sent ahead of it.
 //!
 //! ```
 //! use fm_mpi::{MpiCluster, Tag};

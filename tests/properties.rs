@@ -352,43 +352,60 @@ proptest! {
 
 proptest! {
     /// MPI matching: any arrival permutation of per-source-sequenced
-    /// envelopes becomes matchable in exactly the original per-source
-    /// order.
+    /// envelopes — with replays of sequence numbers already admitted or
+    /// already parked mixed in, from ranks up to 255, and the receiver
+    /// taking messages part-way through — becomes matchable in exactly the
+    /// original per-source order, each message once.
     #[test]
     fn match_queue_restores_fifo(
         counts in proptest::collection::vec(1usize..20, 1..4),
+        first_rank in 0u16..253,
+        replays in 0usize..12,
         seed in any::<u64>(),
     ) {
         use fm_mpi::{MatchQueue, Envelope, Tag};
-        // Build per-source sequenced streams, then shuffle arrivals.
+        // Build per-source sequenced streams, replay some of them, then
+        // shuffle arrivals.
         let mut arrivals = Vec::new();
-        for (src, &count) in counts.iter().enumerate() {
+        for (i, &count) in counts.iter().enumerate() {
             for seq in 0..count as u32 {
                 arrivals.push(Envelope {
                     tag: Tag(7),
                     seq,
-                    src: src as u16,
-                    data: vec![src as u8, seq as u8],
+                    src: first_rank + i as u16,
+                    data: vec![i as u8, seq as u8],
                 });
             }
         }
+        let total = arrivals.len();
         let mut rng = fm_des::rng::Xoshiro256::seed_from_u64(seed);
+        for _ in 0..replays {
+            arrivals.push(arrivals[rng.next_below(total as u64) as usize].clone());
+        }
         rng.shuffle(&mut arrivals);
+        let pause = rng.next_below(arrivals.len() as u64) as usize;
+
         let mut q = MatchQueue::new();
-        for env in arrivals {
-            q.push(env);
-        }
-        // Everything must be matchable now, in per-source seq order.
         let mut last_seq = vec![-1i64; counts.len()];
-        let total: usize = counts.iter().sum();
-        for _ in 0..total {
-            let env = q.take(None, None).expect("all contiguous");
-            let s = env.src as usize;
-            prop_assert_eq!(env.seq as i64, last_seq[s] + 1, "src {} out of order", s);
-            last_seq[s] = env.seq as i64;
+        let mut taken = 0;
+        for (n, env) in arrivals.into_iter().enumerate() {
+            q.push(env);
+            // Everything visible is matchable now, in per-source seq
+            // order; a replay of it that arrives later must stay out.
+            if n < pause {
+                continue;
+            }
+            while let Some(env) = q.take(None, None) {
+                let s = (env.src - first_rank) as usize;
+                prop_assert_eq!(env.seq as i64, last_seq[s] + 1, "src {} out of order", env.src);
+                prop_assert_eq!(&env.data, &vec![s as u8, env.seq as u8]);
+                last_seq[s] = env.seq as i64;
+                taken += 1;
+            }
         }
-        prop_assert!(q.take(None, None).is_none());
-        prop_assert_eq!(q.parked_len(), 0);
+        prop_assert_eq!(taken, total, "each message exactly once");
+        prop_assert_eq!(q.stale, replays as u64, "each replay dropped and counted");
+        prop_assert_eq!(q.pending(), 0);
     }
 
     /// Chain topology: latency grows monotonically with hop distance, and
