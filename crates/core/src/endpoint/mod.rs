@@ -83,7 +83,9 @@ pub struct EndpointStats {
     pub retransmitted: u64,
     /// Handler invocations (messages delivered).
     pub delivered: u64,
-    /// Incoming data frames we bounced for lack of ring space.
+    /// Incoming data frames we bounced: in order with no ring space, a
+    /// second copy of one parked beyond the ack reach, or too far ahead
+    /// (see [`EndpointConfig::reorder_window`]).
     pub rejected: u64,
     /// Our own frames that came back bounced.
     pub bounced: u64,
@@ -177,6 +179,17 @@ pub struct EndpointConfig {
     /// How far ahead of the next expected sequence number the receiver will
     /// buffer out-of-order frames per source; anything further is bounced
     /// back to the sender (bounding receiver memory).
+    ///
+    /// A parked frame is acknowledged only once it lies within the *ack
+    /// reach*, `reorder_window − window`, of the next expected sequence
+    /// number — at once if it arrives there, otherwise when the in-order
+    /// point catches up; a second copy of a frame parked beyond reach is
+    /// bounced, not re-acked. A sender's sequence numbers are its acked
+    /// ones plus at most `window` unacked ones, so it never runs more than
+    /// `reorder_window` ahead and nothing it sends is bounced as too far.
+    /// That assumes the sender's `window` is no larger than the receiver's,
+    /// which holds wherever one `EndpointConfig` builds every endpoint; a
+    /// larger foreign window falls back to bouncing, never to loss.
     pub reorder_window: u32,
     /// Causal-trace sampling rate: 1 in `trace_one_in` fresh sends mints a
     /// cluster-wide trace id and records span events along the message's
@@ -366,6 +379,9 @@ pub struct EndpointCore {
     /// Per-source receive windows: duplicate suppression + in-order
     /// delivery (indexed by `NodeId.0`, created lazily on first frame).
     recv_windows: Vec<SeqWindow<FrameSlot>>,
+    /// How far past a source's in-order point a parked frame is acked:
+    /// `reorder_window − window` (see [`EndpointConfig::reorder_window`]).
+    ack_reach: u32,
     /// Rotating start index for the reorder-buffer → receive-ring refill
     /// scan. Ring slots freed by deliveries are the scarce resource under
     /// incast; a fixed scan order would hand every freed slot to the
@@ -466,6 +482,9 @@ impl EndpointCore {
             send_order: Vec::new(),
             slot_flow: vec![SlotFlow::first_sent(0); config.window],
             recv_windows: Vec::new(),
+            ack_reach: config
+                .reorder_window
+                .saturating_sub(u32::try_from(config.window).unwrap_or(u32::MAX)),
             drain_rr: 0,
             ring_share: Vec::new(),
             last_data: Vec::new(),

@@ -14,7 +14,6 @@ use fm_myrinet::NodeId;
 use super::{grow, span, EndpointCore, OutEntry, RING_ACTIVE_TICKS};
 use crate::flow::{SeqClass, SeqWindow};
 use crate::frame::{FrameHeader, FrameKind, FrameSlot, WireFrame};
-use crate::queues::PacketRing;
 use crate::time::TimeSource;
 use fm_telemetry::{Counter, EventKind, Metric};
 
@@ -63,13 +62,17 @@ impl EndpointCore {
     /// window. Four outcomes:
     ///
     /// * duplicate (retransmission of something already accepted) — drop
-    ///   it but re-ack, since the ack may be what got lost;
+    ///   it but re-ack, since the ack may be what got lost; unless the
+    ///   accepted copy is parked beyond the ack reach and so was never
+    ///   acked: then bounce it, as the sender may not count it yet;
     /// * in order — accept into the ring (bounce if full), ack, and pull
     ///   any directly-following buffered frames in behind it;
-    /// * ahead within the reorder window — buffer and ack now, deliver
-    ///   when the gap fills;
+    /// * ahead within the reorder window — buffer, deliver when the gap
+    ///   fills, and ack once within the ack reach (now, or when the
+    ///   in-order point catches up: [`Self::ack_reached`]);
     /// * too far ahead — bounce without acking (bounds receiver memory;
-    ///   the sender's bounce path retransmits it later).
+    ///   the sender's bounce path retransmits it later). Only a sender
+    ///   with a larger window than ours can get here.
     fn on_data(&mut self, head: &FrameHeader, payload: &[u8]) {
         let FrameHeader {
             src,
@@ -92,7 +95,14 @@ impl EndpointCore {
             src: src.0,
         };
         *grow(&mut self.last_data, src.index()) = self.now;
-        match self.window_mut(src).classify(seq) {
+        let reach = self.ack_reach;
+        let win = self.window_mut(src);
+        let offset = seq.wrapping_sub(win.next_expected());
+        match win.classify(seq) {
+            // The first copy is parked beyond reach, so never acked (this is
+            // a timer resend or a network copy): acking it would let the
+            // sender run past the lookahead. Bounce it, like TooFar.
+            SeqClass::Duplicate if offset as i32 > reach as i32 => self.bounce(head, payload),
             SeqClass::Duplicate => {
                 self.stats.duplicates += 1;
                 self.telemetry.incr(Counter::ReAcks);
@@ -111,18 +121,11 @@ impl EndpointCore {
                 debug_assert!(pushed, "ring_admissible checked capacity");
                 span(&self.telemetry, trace, arrival, wire_in);
                 self.accept_and_span(head, arrival);
-                // Split borrow: classify() above guarantees the window
-                // exists at src.index(), grow() the share entry.
-                let Self {
-                    recv_windows,
-                    recv_ring,
-                    ring_share,
-                    ring_quota,
-                    ..
-                } = self;
-                let win = &mut recv_windows[src.index()];
-                win.advance();
-                Self::drain_window_into(win, recv_ring, &mut ring_share[src.index()], *ring_quota);
+                // classify() above guarantees the window exists at
+                // src.index(), grow() the share entry.
+                self.recv_windows[src.index()].advance();
+                self.ack_reached(src.index(), arrival);
+                self.drain_window(src.index(), arrival);
             }
             // Park first, ack second: an acked frame is a frame the sender
             // will never resend, so the ack must only go out once the
@@ -140,7 +143,9 @@ impl EndpointCore {
                             src: src.0,
                         }
                     });
-                    self.accept_and_span(head, arrival);
+                    if offset <= reach {
+                        self.accept_and_span(head, arrival);
+                    }
                 }
                 Err(_) => {
                     // classify() filters duplicates and out-of-window seqs,
@@ -220,21 +225,35 @@ impl EndpointCore {
         &mut self.recv_windows[idx]
     }
 
-    /// Move consecutively-sequenced buffered frames into the receive
-    /// ring, stopping at the source's quota — a primed reorder buffer
-    /// must not refill every slot extract frees (that is the incast
-    /// capture path; see `ring_share`).
-    fn drain_window_into(
-        win: &mut SeqWindow<FrameSlot>,
-        ring: &mut PacketRing<FrameSlot>,
-        share: &mut u32,
-        quota: usize,
-    ) {
-        while win.buffered() > 0 && !ring.is_full() && (*share as usize) < quota {
-            let Some(frame) = win.take_ready() else { break };
-            let pushed = ring.push_with(|at| *at = frame);
+    /// Source `src`'s in-order point just moved up by one, bringing the
+    /// frame parked `ack_reach` past it (if any) within reach: ack it now,
+    /// its ack-out span stamped at `tick`. Every parked frame is acked
+    /// exactly once — on parking within reach, or here, since offsets
+    /// shrink one step at a time.
+    fn ack_reached(&mut self, src: usize, tick: u64) {
+        if let Some(frame) = self.recv_windows[src].parked_at(self.ack_reach) {
+            let head = frame.head;
+            self.accept_and_span(&head, tick);
+        }
+    }
+
+    /// Move `src`'s consecutively-sequenced buffered frames into the
+    /// receive ring, stopping at the source's quota — a primed reorder
+    /// buffer must not refill every slot extract frees (that is the incast
+    /// capture path; see `ring_share`). Each release acks the frame it
+    /// brings within reach, stamped at `tick`.
+    fn drain_window(&mut self, src: usize, tick: u64) {
+        while self.recv_windows[src].buffered() > 0
+            && !self.recv_ring.is_full()
+            && (self.ring_share[src] as usize) < self.ring_quota
+        {
+            let Some(frame) = self.recv_windows[src].take_ready() else {
+                break;
+            };
+            let pushed = self.recv_ring.push_with(|at| *at = frame);
             debug_assert!(pushed, "checked not full above");
-            *share += 1;
+            self.ring_share[src] += 1;
+            self.ack_reached(src, tick);
         }
     }
 
@@ -244,33 +263,24 @@ impl EndpointCore {
     /// ring slots every extract; rotation shares them ~1/K instead of
     /// letting source order decide.
     pub(super) fn drain_all_windows(&mut self) {
-        let Self {
-            recv_windows,
-            recv_ring,
-            ring_share,
-            ring_quota,
-            drain_rr,
-            ..
-        } = self;
-        let n = recv_windows.len();
+        let n = self.recv_windows.len();
         if n == 0 {
             return;
         }
-        if ring_share.len() < n {
-            ring_share.resize(n, 0);
+        if self.ring_share.len() < n {
+            self.ring_share.resize(n, 0);
         }
         // `(drain_rr + 1) % n`, then `(drain_rr + k) % n` — as wrapping
         // cursors, since this runs two or three times per extract.
         let next = |i: usize| if i + 1 >= n { 0 } else { i + 1 };
-        *drain_rr = next(*drain_rr);
-        let mut i = *drain_rr;
+        self.drain_rr = next(self.drain_rr);
+        let mut i = self.drain_rr;
         for _ in 0..n {
-            if recv_ring.is_full() {
+            if self.recv_ring.is_full() {
                 break;
             }
-            let win = &mut recv_windows[i];
-            if win.buffered() > 0 {
-                Self::drain_window_into(win, recv_ring, &mut ring_share[i], *ring_quota);
+            if self.recv_windows[i].buffered() > 0 {
+                self.drain_window(i, self.now);
             }
             i = next(i);
         }
@@ -367,6 +377,7 @@ mod tests {
     use super::super::{EndpointConfig, EndpointCore};
     use crate::handler::HandlerId;
     use fm_myrinet::NodeId;
+    use fm_telemetry::Counter;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -534,6 +545,171 @@ mod tests {
         assert_eq!(b.extract(2), 2);
         assert_eq!(b.pending_extract(), 3);
         assert_eq!(b.extract(usize::MAX), 3);
+    }
+
+    /// `b`'s in-order point for frames from node 0.
+    fn next_expected(b: &EndpointCore) -> u32 {
+        b.recv_windows.first().map_or(0, |w| w.next_expected())
+    }
+
+    /// [`pump`], checking every frame on its way: a data frame lies at
+    /// most `reorder_window` past `b`'s in-order point when `b` gets it.
+    /// Returns how many of `b`'s bounces carried a frame past that point.
+    fn pump_checked(a: &mut EndpointCore, b: &mut EndpointCore) -> usize {
+        let lookahead = b.config.reorder_window as i32;
+        let mut past = 0;
+        loop {
+            let mut moved = false;
+            while let Some(f) = a.pop_outgoing() {
+                moved = true;
+                let ahead = f.head.seq.wrapping_sub(next_expected(b)) as i32;
+                if f.head.kind == FrameKind::Data {
+                    assert!(ahead <= lookahead, "seq {} is {ahead} ahead", f.head.seq);
+                }
+                b.on_wire(f);
+            }
+            while let Some(f) = b.pop_outgoing() {
+                moved = true;
+                let ahead = f.head.seq.wrapping_sub(next_expected(b)) as i32;
+                past += (f.head.kind == FrameKind::Return && ahead > 0) as usize;
+                a.on_wire(f);
+            }
+            if !moved {
+                return past;
+            }
+        }
+    }
+
+    /// A receiver with `cfg` whose handler checks that node 0's messages
+    /// arrive numbered 0, 1, 2, ..., and the count it has seen.
+    fn counting_receiver(cfg: EndpointConfig) -> (EndpointCore, HandlerId, Arc<AtomicU64>) {
+        let mut b = EndpointCore::new(NodeId(1), cfg);
+        let got = Arc::new(AtomicU64::new(0));
+        let g = got.clone();
+        let hid = b.register_handler(Box::new(move |_, _, data| {
+            let want = g.fetch_add(1, Ordering::SeqCst) as u32;
+            assert_eq!(data, want.to_le_bytes(), "exactly once, in order");
+        }));
+        (b, hid, got)
+    }
+
+    /// Send what the window takes of `msgs` numbered messages.
+    fn send_numbered(a: &mut EndpointCore, hid: HandlerId, sent: &mut u32, msgs: u32) {
+        while *sent < msgs && a.try_send(NodeId(1), hid, sent.to_le_bytes()).is_ok() {
+            *sent += 1;
+        }
+    }
+
+    /// Stream `msgs` messages over a lossless pair with `cfg` into a
+    /// receiver that extracts one message every fourth round, checking
+    /// every frame with [`pump_checked`], until both sides are quiescent.
+    /// Returns the pair and the deepest reorder-ring use seen.
+    fn slow_receiver_stream(cfg: EndpointConfig, msgs: u32) -> (EndpointCore, EndpointCore, usize) {
+        let mut a = EndpointCore::new(NodeId(0), cfg);
+        let (mut b, hid, got) = counting_receiver(cfg);
+        let (mut sent, mut deepest) = (0, 0);
+        for round in 0.. {
+            assert!(round < 100_000, "{a:?} {b:?}");
+            send_numbered(&mut a, hid, &mut sent, msgs);
+            assert_eq!(
+                pump_checked(&mut a, &mut b),
+                0,
+                "bounced past the in-order point"
+            );
+            deepest = deepest.max(b.recv_windows[0].storage().0);
+            if round % 4 == 0 {
+                b.extract(1);
+            }
+            a.extract(usize::MAX);
+            if got.load(Ordering::SeqCst) == msgs as u64 && a.is_quiescent() && b.is_quiescent() {
+                break;
+            }
+        }
+        (a, b, deepest)
+    }
+
+    #[test]
+    fn a_sender_never_runs_past_the_lookahead() {
+        let (a, b, deepest) = slow_receiver_stream(
+            EndpointConfig {
+                window: 8,
+                reorder_window: 32,
+                recv_ring: 1,
+                ..Default::default()
+            },
+            300,
+        );
+        assert!(deepest > 25, "frames were parked beyond the reach of 24");
+        assert!(b.stats().rejected > 0, "in-order bounces still happen");
+        assert_eq!(b.stats().rejected, a.stats().bounced);
+    }
+
+    #[test]
+    fn every_held_frame_is_acked_exactly_once() {
+        // Ack reach 24, 0 (window = lookahead) and 12.
+        for (window, reorder_window, recv_ring) in [(8, 32, 1), (8, 8, 1), (4, 16, 2)] {
+            let cfg = EndpointConfig {
+                window,
+                reorder_window,
+                recv_ring,
+                ..Default::default()
+            };
+            let (a, b, deepest) = slow_receiver_stream(cfg, 200);
+            let reach = reorder_window as usize - window;
+            assert!(deepest > reach + 1, "{cfg:?}: nothing was held");
+            assert_eq!(a.stats().acks_received, a.stats().sent, "{cfg:?}");
+            assert_eq!(b.stats().duplicates, 0, "{cfg:?}");
+            assert_eq!(b.telemetry().counter(Counter::ReAcks), 0, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_resend_of_a_frame_held_beyond_reach_is_bounced_not_acked() {
+        // Ack reach 8. With retry budget 8 a silently dropped resend would
+        // have its peer declared dead within the stall below.
+        let cfg = EndpointConfig {
+            window: 8,
+            reorder_window: 16,
+            recv_ring: 1,
+            rto_initial: 4,
+            rto_max: 64,
+            retry_budget: 8,
+            ..Default::default()
+        };
+        const MSGS: u32 = 64;
+        let mut a = EndpointCore::new(NodeId(0), cfg);
+        let (mut b, hid, got) = counting_receiver(cfg);
+        let mut sent = 0;
+        // The receiver stalls: it still takes frames off the wire and
+        // sends acks, but delivers nothing.
+        let mut held_bounces = 0;
+        for _ in 0..10 * cfg.rto_max {
+            send_numbered(&mut a, hid, &mut sent, MSGS);
+            held_bounces += pump_checked(&mut a, &mut b);
+            b.extract(0);
+            a.extract(usize::MAX);
+        }
+        assert!(a.stats().timer_retransmits > 0, "held frames timed out");
+        assert!(held_bounces > 0, "and their resends came back");
+        assert_eq!(b.stats().duplicates, 0, "none was re-acked");
+        assert!(!a.is_dead(NodeId(1)));
+        let mut rounds = 0;
+        while !(got.load(Ordering::SeqCst) == MSGS as u64 && a.is_quiescent() && b.is_quiescent()) {
+            rounds += 1;
+            assert!(rounds < 10_000, "{a:?} {b:?}");
+            send_numbered(&mut a, hid, &mut sent, MSGS);
+            pump_checked(&mut a, &mut b);
+            b.extract(usize::MAX);
+            a.extract(usize::MAX);
+        }
+        assert!(!a.is_dead(NodeId(1)));
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(sb.delivered, MSGS as u64);
+        assert_eq!(sb.rejected, sa.bounced);
+        assert_eq!(
+            sa.retransmitted,
+            sa.bounced + sa.timer_retransmits + sa.gap_retransmits
+        );
     }
 
     #[test]

@@ -41,8 +41,7 @@ impl EndpointCore {
         }
         // Fairness: deferred handler sends go out before fresh traffic.
         self.flush_deferred();
-        let trace = self.next_trace();
-        self.queue_data_frame(dst, handler, payload, trace)
+        self.queue_data_frame(dst, handler, payload, true)
     }
 
     /// The trace context the next fresh send carries: a delivery in
@@ -67,16 +66,19 @@ impl EndpointCore {
     }
 
     /// Reserve a window slot, assign the next per-destination sequence
-    /// number, build the frame in the slot, and queue it. Order matters:
-    /// the sequence number is allocated only *after* the slot reservation
-    /// succeeds — a sequence number burned on `WouldBlock` would leave a
-    /// permanent gap that stalls the receiver's in-order window.
+    /// number, build the frame in the slot, and queue it; a `traced` frame
+    /// gets [`Self::next_trace`]'s context, any other the all-zero one.
+    /// Order matters: the sequence number and the trace context are taken
+    /// only *after* the slot reservation succeeds — a sequence number
+    /// burned on `WouldBlock` would leave a permanent gap that stalls the
+    /// receiver's in-order window, and a trace sample burned there would
+    /// make `trace_one_in` count attempts instead of sends.
     fn queue_data_frame(
         &mut self,
         dst: NodeId,
         handler: HandlerId,
         payload: &[u8],
-        trace: TraceCtx,
+        traced: bool,
     ) -> Result<(), SendError> {
         if self.is_dead(dst) {
             return Err(SendError::PeerUnreachable(dst));
@@ -86,6 +88,11 @@ impl EndpointCore {
             .begin_send(self.now)
             .ok_or(SendError::WouldBlock)?;
         let seq = self.alloc_seq(dst);
+        let trace = if traced {
+            self.next_trace()
+        } else {
+            TraceCtx::default()
+        };
         let gen = self.sender.gen(slot);
         self.slot_flow[slot as usize] = SlotFlow::first_sent(seq);
         grow(&mut self.send_order, dst.index()).push_back((seq, slot));
@@ -225,7 +232,7 @@ impl EndpointCore {
             // Deferred sends lost their causal context when they were
             // parked (only (dst, handler, payload) is retained), so they
             // re-enter the wire untraced rather than mislabeled.
-            let queued = self.queue_data_frame(dst, handler, &payload, TraceCtx::default());
+            let queued = self.queue_data_frame(dst, handler, &payload, false);
             debug_assert!(queued.is_ok(), "can_send checked above");
         }
     }
@@ -521,6 +528,29 @@ mod tests {
             .collect();
         let every_third = [true, false, false, true, false, false, true];
         assert_eq!(sampled, every_third.map(|s| s && fm_telemetry::ENABLED));
+    }
+
+    #[test]
+    fn trace_sampling_counts_sends_not_attempts() {
+        // A one-slot window and one refused attempt per round: 1 in 4 of
+        // the 400 sends is sampled, whatever was refused in between.
+        let (mut a, mut b, hid) = stream_pair(EndpointConfig {
+            window: 1,
+            trace_one_in: 4,
+            ..Default::default()
+        });
+        let mut sampled = 0;
+        for _ in 0..400 {
+            send_n(&mut a, hid, 1);
+            assert_eq!(a.try_send(NodeId(1), hid, [0]), Err(SendError::WouldBlock));
+            carry(&mut a, &mut b, |f| {
+                sampled += f.head.trace.sampled as u32;
+                false
+            });
+            b.extract(usize::MAX);
+            carry(&mut b, &mut a, |_| false);
+        }
+        assert_eq!(sampled, if fm_telemetry::ENABLED { 100 } else { 0 });
     }
 
     #[test]

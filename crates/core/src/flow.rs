@@ -324,7 +324,9 @@ pub enum SeqClass {
     /// buffer until the gap fills.
     Ahead,
     /// Beyond the lookahead window: refuse (bounce, unacked) so receiver
-    /// memory stays bounded even under pathological reordering.
+    /// memory stays bounded even under pathological reordering. Under the
+    /// endpoint's ack reach only a sender with a larger window than the
+    /// receiver's gets here.
     TooFar,
 }
 
@@ -339,6 +341,14 @@ pub enum SeqClass {
 /// a receiver's reorder memory is `sources x (lookahead + 1)` frames
 /// however long the cluster lives. Comparisons use wrapping u32
 /// arithmetic, so the window is correct across sequence-number wraparound.
+///
+/// The window parks and releases; when a parked frame is *acknowledged*
+/// is the endpoint's call, made against [`SeqWindow::parked_at`]: only
+/// once it lies within `reach = lookahead − window` of `next`, so that a
+/// sender whose window is no larger than `window` can never run more
+/// than `lookahead` past `next` (see `EndpointConfig::reorder_window`).
+/// Offsets shrink one step per release, so "acked ⇔ offset ≤ reach"
+/// needs no per-entry flag.
 #[derive(Debug, Clone)]
 pub struct SeqWindow<T> {
     next: u32,
@@ -394,8 +404,15 @@ impl<T> SeqWindow<T> {
         (self.parked.len(), self.parked.capacity())
     }
 
+    /// The frame parked `offset` past the next expected sequence number,
+    /// if it has arrived.
+    #[inline]
+    pub fn parked_at(&self, offset: u32) -> Option<&T> {
+        self.parked.get(offset as usize)?.as_ref()
+    }
+
     fn is_parked(&self, delta: u32) -> bool {
-        matches!(self.parked.get(delta as usize), Some(Some(_)))
+        self.parked_at(delta).is_some()
     }
 
     /// Classify an arriving sequence number. The caller acts on the class

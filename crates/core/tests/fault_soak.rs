@@ -476,6 +476,92 @@ fn switched_soak_16_endpoints_5pct_faults_exactly_once() {
     assert!(retransmitted > 0, "drops must be recovered by timers");
 }
 
+/// The 7→1 incast of `incast_arbitration.rs` (window 32, ring 8, a
+/// receiver that delivers two messages a round) under 2 % drop / dup /
+/// delay. The senders overrun the receiver, so frames park beyond the ack
+/// reach: their timer resends bounce until the in-order point catches up,
+/// while frames lost behind them are repaired from acks. Exactly once, in
+/// order per source, then quiescence.
+#[test]
+fn switched_incast_2pct_faults_exactly_once() {
+    const HOSTS: usize = 8;
+    const MSGS: u32 = 1_500;
+    let cfg = EndpointConfig {
+        recv_ring: 8,
+        retransmit_per_extract: 8,
+        ..soak_config()
+    };
+    let faults = FaultConfig {
+        seed: 0x1CA5_7002,
+        default: fm_core::LinkFaults {
+            drop: 0.02,
+            dup: 0.02,
+            delay: 0.02,
+            ..fm_core::LinkFaults::NONE
+        },
+        ..Default::default()
+    };
+    let topo = SwitchTopology::for_cluster_wide(HOSTS);
+    let mut cluster = SwitchedCluster::with_faults(&topo, cfg, faults);
+    let got: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(vec![Vec::new(); HOSTS]));
+    let g = got.clone();
+    cluster.endpoints[0].register_handler_at(HandlerId(1), move |_, src, data| {
+        g.lock()[src.index()].push(u32::from_le_bytes(data.try_into().unwrap()));
+    });
+
+    let total = (HOSTS - 1) * MSGS as usize;
+    let delivered = || got.lock().iter().map(Vec::len).sum::<usize>();
+    let mut next = [0u32; HOSTS];
+    let mut iters = 0usize;
+    while delivered() < total {
+        iters += 1;
+        assert!(
+            iters < SOAK_ITER_CAP,
+            "incast wedged at {}/{total}",
+            delivered()
+        );
+        for (src, nx) in next.iter_mut().enumerate().skip(1) {
+            while *nx < MSGS {
+                match cluster.endpoints[src].try_send(NodeId(0), HandlerId(1), &nx.to_le_bytes()) {
+                    Ok(()) => *nx += 1,
+                    Err(SendError::WouldBlock) => break,
+                    Err(e) => panic!("sender {src}: {e}"),
+                }
+            }
+        }
+        cluster.endpoints[0].extract_budget(2);
+        for ep in &mut cluster.endpoints[1..] {
+            ep.service();
+        }
+        for shard in &mut cluster.shards {
+            shard.pump();
+        }
+    }
+    let mut settle = 0usize;
+    while !(cluster.endpoints.iter().all(|e| e.is_quiescent())
+        && cluster.shards.iter().all(|s| s.is_idle()))
+    {
+        cluster.drive_round();
+        settle += 1;
+        assert!(settle < SOAK_ITER_CAP, "incast never quiesced");
+    }
+
+    for (src, stream) in got.lock().iter().enumerate().skip(1) {
+        assert_eq!(stream.len(), MSGS as usize, "sender {src} delivery count");
+        for (k, &v) in stream.iter().enumerate() {
+            assert_eq!(v, k as u32, "sender {src} out of order at {k}");
+        }
+    }
+    let senders: Vec<EndpointStats> = cluster.endpoints[1..].iter().map(|e| e.stats()).collect();
+    assert!(
+        senders.iter().map(|s| s.gap_retransmits).sum::<u64>() > 0,
+        "hole repair never fired: {senders:?}"
+    );
+    for (src, ep) in cluster.endpoints.iter().enumerate().skip(1) {
+        assert!(!ep.is_peer_dead(NodeId(0)), "sender {src} gave up");
+    }
+}
+
 /// Dead-peer isolation at switch scale: one of 16 hosts is stalled (its
 /// inbound links blackhole) and never driven, while the other 15 stream
 /// through the same switches. The senders to the dead host must burn

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use fm_core::frame::{FrameKind, PiggyAcks, WireFrame};
 use fm_core::queues::{CounterPair, PacketRing, RejectQueue};
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
-use fm_core::{gen_tag, HandlerId, NodeId};
+use fm_core::{gen_tag, EndpointConfig, EndpointCore, HandlerId, NodeId};
 use proptest::prelude::*;
 
 proptest! {
@@ -627,5 +627,133 @@ fn seq_window_reservation_survives_park_release_churn() {
         }
         assert_eq!(drained, burst);
         assert_eq!(win.storage().0, 0, "an empty window holds no entries");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Ack reach: a sender never runs past the receiver's reorder window.
+// ---------------------------------------------------------------------------
+
+/// Messages per [`ack_reach_stream`] run.
+const ACK_REACH_MSGS: u32 = 300;
+
+/// Stream [`ACK_REACH_MSGS`] numbered messages from node 0 to node 1, both
+/// built from `cfg`, over a zero-latency wire that loses each frame with
+/// probability `drop` (seeded), into a receiver that extracts `budget`
+/// messages every `every` rounds. Returns what the receiver's handler saw
+/// and how many data frames reached it more than `reorder_window` past its
+/// in-order point (one source, one handler: delivered plus still in the
+/// receive ring).
+fn ack_reach_stream(
+    cfg: EndpointConfig,
+    every: u64,
+    budget: usize,
+    drop: f64,
+    seed: u64,
+) -> Result<(Vec<u32>, usize), String> {
+    let mut a = EndpointCore::new(NodeId(0), cfg);
+    let mut b = EndpointCore::new(NodeId(1), cfg);
+    let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let g = got.clone();
+    let hid = b.register_handler(Box::new(move |_, _, data| {
+        g.lock()
+            .unwrap()
+            .push(u32::from_le_bytes(data.try_into().unwrap()));
+    }));
+    let mut rng = fm_des::rng::Xoshiro256::seed_from_u64(seed);
+    let (mut sent, mut too_far) = (0u32, 0);
+    for round in 0u64.. {
+        if round > 200_000 || a.is_dead(NodeId(1)) {
+            return Err(format!("wedged after {round} rounds: {a:?} {b:?}"));
+        }
+        while sent < ACK_REACH_MSGS && a.try_send(NodeId(1), hid, sent.to_le_bytes()).is_ok() {
+            sent += 1;
+        }
+        let mut moved = true;
+        while moved {
+            moved = false;
+            while let Some(f) = a.pop_outgoing() {
+                moved = true;
+                if rng.next_bool(drop) {
+                    continue;
+                }
+                let point = (b.stats().delivered as usize + b.pending_extract()) as u32;
+                let ahead = f.head.seq.wrapping_sub(point) as i32;
+                too_far +=
+                    (f.head.kind == FrameKind::Data && ahead > cfg.reorder_window as i32) as usize;
+                b.on_wire(f);
+            }
+            while let Some(f) = b.pop_outgoing() {
+                moved = true;
+                if !rng.next_bool(drop) {
+                    a.on_wire(f);
+                }
+            }
+        }
+        if round % every == 0 {
+            b.extract(budget);
+        }
+        a.extract(usize::MAX);
+        if got.lock().unwrap().len() == ACK_REACH_MSGS as usize
+            && a.is_quiescent()
+            && b.is_quiescent()
+        {
+            break;
+        }
+    }
+    let got = got.lock().unwrap().clone();
+    Ok((got, too_far))
+}
+
+/// Endpoint sizing for [`ack_reach_stream`]: `window ≤ reorder_window ≤
+/// 256`, timers short enough for seeded drops to recover in a few hundred
+/// rounds.
+fn ack_reach_config(window: usize, extra: u32, ring: usize) -> EndpointConfig {
+    EndpointConfig {
+        window,
+        reorder_window: window as u32 + extra,
+        recv_ring: ring,
+        rto_initial: 8,
+        rto_max: 256,
+        retry_budget: 64,
+        ..Default::default()
+    }
+}
+
+proptest! {
+    /// Lossless: however slowly the receiver extracts, no data frame ever
+    /// arrives beyond its reorder window — a parked frame is acked only
+    /// within `reorder_window − window` of the in-order point, so too-far
+    /// bounces cannot happen — and every message lands once, in order.
+    #[test]
+    fn ack_reach_keeps_a_lossless_sender_within_the_lookahead(
+        window in 1usize..=64,
+        extra in 0u32..=192,
+        ring in 1usize..=16,
+        every in 1u64..=4,
+        budget in 1usize..=8,
+    ) {
+        let cfg = ack_reach_config(window, extra, ring);
+        let (got, too_far) = ack_reach_stream(cfg, every, budget, 0.0, 0)?;
+        prop_assert_eq!(too_far, 0, "{:?}", cfg);
+        prop_assert!(got.iter().copied().eq(0..ACK_REACH_MSGS), "{:?}", cfg);
+    }
+
+    /// Seeded drops of every frame kind, both ways: held frames time out,
+    /// bounce and are acked once within reach, lost ones are resent, and
+    /// every message still lands exactly once, in order.
+    #[test]
+    fn ack_reach_delivers_exactly_once_under_seeded_drops(
+        window in 1usize..=64,
+        extra in 0u32..=192,
+        ring in 1usize..=16,
+        every in 1u64..=4,
+        budget in 1usize..=8,
+        drop_pct in 1u32..=10,
+        seed in any::<u64>(),
+    ) {
+        let cfg = ack_reach_config(window, extra, ring);
+        let (got, _) = ack_reach_stream(cfg, every, budget, drop_pct as f64 / 100.0, seed)?;
+        prop_assert!(got.iter().copied().eq(0..ACK_REACH_MSGS), "{:?}: {:?}", cfg, got);
     }
 }
