@@ -411,10 +411,6 @@ impl<T> SeqWindow<T> {
         self.parked.get(offset as usize)?.as_ref()
     }
 
-    fn is_parked(&self, delta: u32) -> bool {
-        self.parked_at(delta).is_some()
-    }
-
     /// Classify an arriving sequence number. The caller acts on the class
     /// (deliver / re-ack / [`SeqWindow::buffer`] / bounce).
     pub fn classify(&self, seq: u32) -> SeqClass {
@@ -423,7 +419,7 @@ impl<T> SeqWindow<T> {
             SeqClass::Duplicate
         } else if delta as u32 > self.lookahead {
             SeqClass::TooFar
-        } else if self.is_parked(delta as u32) {
+        } else if self.parked_at(delta as u32).is_some() {
             // Includes `delta == 0`: a second copy of a frame that is
             // parked at the head waiting for ring space must not be
             // delivered beside it.
@@ -473,7 +469,7 @@ impl<T> SeqWindow<T> {
             self.buffer_misuse += 1;
             return Err((SeqBufferError::OutOfWindow, item));
         }
-        if self.is_parked(delta) {
+        if self.parked_at(delta).is_some() {
             self.buffer_misuse += 1;
             return Err((SeqBufferError::Occupied, item));
         }
@@ -492,7 +488,7 @@ impl<T> SeqWindow<T> {
     /// If the next expected frame is parked, release it (advancing the
     /// expectation). Call repeatedly to drain a filled gap.
     pub fn take_ready(&mut self) -> Option<T> {
-        if self.is_parked(0) {
+        if self.parked_at(0).is_some() {
             self.pop_head()
         } else {
             None
