@@ -17,20 +17,27 @@ fn bench_hold(c: &mut Criterion) {
     let mut g = c.benchmark_group("des_queue/hold");
     g.throughput(Throughput::Elements(OPS));
     for &pending in &[64usize, 4096] {
-        g.bench_with_input(BenchmarkId::new("heap", pending), &pending, |b, &pending| {
-            b.iter(|| {
-                let mut rng = Xoshiro256::seed_from_u64(1);
-                let mut e: Engine<u64> = Engine::new();
-                for i in 0..pending as u64 {
-                    e.schedule_at(Time::from_ps(rng.next_below(1_000_000)), i);
-                }
-                for _ in 0..OPS {
-                    let (t, v) = e.pop().expect("queue never drains");
-                    e.schedule_at(t + fm_des::Duration::from_ps(rng.next_below(100_000) + 1), v);
-                }
-                black_box(e.pending());
-            });
-        });
+        g.bench_with_input(
+            BenchmarkId::new("heap", pending),
+            &pending,
+            |b, &pending| {
+                b.iter(|| {
+                    let mut rng = Xoshiro256::seed_from_u64(1);
+                    let mut e: Engine<u64> = Engine::new();
+                    for i in 0..pending as u64 {
+                        e.schedule_at(Time::from_ps(rng.next_below(1_000_000)), i);
+                    }
+                    for _ in 0..OPS {
+                        let (t, v) = e.pop().expect("queue never drains");
+                        e.schedule_at(
+                            t + fm_des::Duration::from_ps(rng.next_below(100_000) + 1),
+                            v,
+                        );
+                    }
+                    black_box(e.pending());
+                });
+            },
+        );
         g.bench_with_input(
             BenchmarkId::new("calendar", pending),
             &pending,
@@ -43,7 +50,10 @@ fn bench_hold(c: &mut Criterion) {
                     }
                     for _ in 0..OPS {
                         let (t, v) = q.pop().expect("queue never drains");
-                        q.push(t + fm_des::Duration::from_ps(rng.next_below(100_000) + 1), v);
+                        q.push(
+                            t + fm_des::Duration::from_ps(rng.next_below(100_000) + 1),
+                            v,
+                        );
                     }
                     black_box(q.len());
                 });

@@ -81,7 +81,9 @@ fn bench_send_large(c: &mut Criterion) {
             let payload = vec![7u8; size];
             b.iter(|| {
                 let before = done.load(Ordering::Relaxed);
-                anode.send_large(NodeId(1), lh, black_box(&payload)).expect("peer alive");
+                anode
+                    .send_large(NodeId(1), lh, black_box(&payload))
+                    .expect("peer alive");
                 while done.load(Ordering::Relaxed) == before {
                     bnode.extract();
                     anode.extract();

@@ -38,7 +38,8 @@ fn bench_endpoint_cycle(c: &mut Criterion) {
         let h = r.register_handler(Box::new(|_, _, _| {}));
         let payload = Bytes::from_static(&[0u8; 64]);
         b.iter(|| {
-            a.try_send(NodeId(1), h, payload.clone()).expect("window open");
+            a.try_send(NodeId(1), h, payload.clone())
+                .expect("window open");
             while let Some(f) = a.pop_outgoing() {
                 r.on_wire(f);
             }
@@ -70,5 +71,10 @@ fn bench_reject_queue(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_codec, bench_endpoint_cycle, bench_reject_queue);
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_endpoint_cycle,
+    bench_reject_queue
+);
 criterion_main!(benches);

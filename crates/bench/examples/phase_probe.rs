@@ -26,9 +26,12 @@ fn main() {
     let window = EndpointConfig::default().window as f64;
     let mut a = EndpointCore::new(NodeId(0), EndpointConfig::default());
     let mut b = EndpointCore::new(NodeId(1), EndpointConfig::default());
-    b.register_handler_at(H, Box::new(|_, _, data| {
-        black_box(data.len());
-    }));
+    b.register_handler_at(
+        H,
+        Box::new(|_, _, data| {
+            black_box(data.len());
+        }),
+    );
     let mut legs = [0.0f64; 4]; // send, on_data, extract, on_ack
     for round in 0..ROUNDS {
         let t0 = Instant::now();

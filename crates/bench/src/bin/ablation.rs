@@ -39,7 +39,11 @@ fn main() {
             s.delivery_bursts.to_string(),
             format!("{:.2}", l.as_us_f64()),
         ]);
-        rows.push(vec!["agg_max".into(), agg.to_string(), format!("{:.3}", s.mbs)]);
+        rows.push(vec![
+            "agg_max".into(),
+            agg.to_string(),
+            format!("{:.3}", s.mbs),
+        ]);
     }
     println!("{}", t.render());
 
@@ -60,7 +64,11 @@ fn main() {
             s.ack_frames.to_string(),
             format!("{:.2}", l.as_us_f64()),
         ]);
-        rows.push(vec!["ack_batch".into(), batch.to_string(), format!("{:.3}", s.mbs)]);
+        rows.push(vec![
+            "ack_batch".into(),
+            batch.to_string(),
+            format!("{:.3}", s.mbs),
+        ]);
     }
     println!("{}", t.render());
 
@@ -74,7 +82,11 @@ fn main() {
         };
         let s = run_stream(Layer::FullFm, &cfg, N, COUNT);
         t.row([window.to_string(), format!("{:.2}", s.mbs)]);
-        rows.push(vec!["window".into(), window.to_string(), format!("{:.3}", s.mbs)]);
+        rows.push(vec![
+            "window".into(),
+            window.to_string(),
+            format!("{:.3}", s.mbs),
+        ]);
     }
     println!("{}", t.render());
 
@@ -93,7 +105,11 @@ fn main() {
             format!("{:.2}", s.mbs),
             format!("{:.2}", l.as_us_f64()),
         ]);
-        rows.push(vec!["send_queue".into(), sq.to_string(), format!("{:.3}", s.mbs)]);
+        rows.push(vec![
+            "send_queue".into(),
+            sq.to_string(),
+            format!("{:.3}", s.mbs),
+        ]);
     }
     println!("{}", t.render());
 

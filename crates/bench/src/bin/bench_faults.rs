@@ -173,7 +173,10 @@ fn main() {
     println!("wrote {out_path}");
     if !gate_failures.is_empty() {
         for f in &gate_failures {
-            eprintln!("bench_faults: gate failed at {:.0}%: {f}", GATED_RATE * 100.0);
+            eprintln!(
+                "bench_faults: gate failed at {:.0}%: {f}",
+                GATED_RATE * 100.0
+            );
         }
         std::process::exit(1);
     }

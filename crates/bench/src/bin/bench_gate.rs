@@ -201,7 +201,9 @@ fn main() {
     let wire_speedup = ring_wire / chan_wire;
 
     // Read the baseline *before* any chance of overwriting it via --out.
-    let baseline_wire = baseline_path.as_deref().and_then(|p| json_number(p, "ring_msgs_per_sec"));
+    let baseline_wire = baseline_path
+        .as_deref()
+        .and_then(|p| json_number(p, "ring_msgs_per_sec"));
     if let Some(p) = &baseline_path {
         if baseline_wire.is_none() {
             eprintln!("bench_gate: warning: no wire baseline readable from {p}");
@@ -231,8 +233,8 @@ fn main() {
     let wire_regression = baseline_wire.map(|b| (b - ring_wire) / b);
     let regression_ok = wire_regression.is_none_or(|r| r < MAX_WIRE_REGRESSION);
     // Injector overhead on the full stack (zero-rate injector vs none).
-    let injector_overhead = (ring_pp.msgs_per_sec - clean_faulty_pp.msgs_per_sec)
-        / ring_pp.msgs_per_sec;
+    let injector_overhead =
+        (ring_pp.msgs_per_sec - clean_faulty_pp.msgs_per_sec) / ring_pp.msgs_per_sec;
 
     // Telemetry overhead: instrumented vs telemetry-off probe runs of the
     // same ring ping-pong. Positive = instrumentation costs throughput.

@@ -31,8 +31,8 @@
 //! performance number).
 
 use fm_core::{
-    EndpointConfig, FaultConfig, HandlerId, LinkFaults, MemEndpoint, NodeId, Roster,
-    SwitchRunner, SwitchTopology, SwitchedCluster, TimeSource, UdpConfig,
+    EndpointConfig, FaultConfig, HandlerId, LinkFaults, MemEndpoint, NodeId, Roster, SwitchRunner,
+    SwitchTopology, SwitchedCluster, TimeSource, UdpConfig,
 };
 use fm_mpi::{Communicator, ReduceOp};
 use fm_telemetry::beacon::{self, Beacon, BeaconBody, Beaconer, ShardSample};
@@ -98,7 +98,11 @@ fn main() {
     let pair_msgs: u32 = if smoke { 1_500 } else { 6_000 };
     eprintln!("bench_obs: [1/4] two-process UDP pair, {pair_msgs} msgs/stream at 5% faults...");
     let delivered = run_udp_pair(&mut collector, addr, pair_msgs);
-    assert_eq!(delivered, 2 * pair_msgs as u64, "pair must deliver exactly-once");
+    assert_eq!(
+        delivered,
+        2 * pair_msgs as u64,
+        "pair must deliver exactly-once"
+    );
     let pair_beacons = (collector.endpoint_beacons(8), collector.endpoint_beacons(9));
     assert!(pair_beacons.0 > 0, "node 8 (child process) sent no beacons");
     assert!(pair_beacons.1 > 0, "node 9 (child process) sent no beacons");
@@ -115,8 +119,7 @@ fn main() {
         "bench_obs: [3/4] switched cluster: {storm_msgs}-msg storm at 40% drop, \
          then {incast_msgs}x7 incast..."
     );
-    let (shards_seen, fairness_clean) =
-        run_switched(&mut collector, addr, storm_msgs, incast_msgs);
+    let (shards_seen, fairness_clean) = run_switched(&mut collector, addr, storm_msgs, incast_msgs);
     synthetic_incast(&mut collector);
 
     // Phase 4: collective spans over threaded switch shards.
@@ -158,9 +161,18 @@ fn main() {
         .iter()
         .filter(|a| matches!(a, Alarm::IncastCapture { switch: 99, .. }))
         .count() as u64;
-    assert_eq!(seeded_storms, counting, "seeded retransmit storm must fire exactly once");
-    assert_eq!(seeded_dead, counting, "seeded dead peer must fire exactly once");
-    assert_eq!(seeded_incast, 1, "seeded incast capture must fire exactly once");
+    assert_eq!(
+        seeded_storms, counting,
+        "seeded retransmit storm must fire exactly once"
+    );
+    assert_eq!(
+        seeded_dead, counting,
+        "seeded dead peer must fire exactly once"
+    );
+    assert_eq!(
+        seeded_incast, 1,
+        "seeded incast capture must fire exactly once"
+    );
     assert_eq!(
         incast, 1,
         "no real shard may trip the fairness detector (DRR keeps incast fair)"
@@ -171,7 +183,10 @@ fn main() {
          (saw {coll_kinds} kinds; telemetry enabled: {})",
         fm_telemetry::ENABLED
     );
-    assert!(!prom.contains("NaN"), "prometheus output must not contain NaN");
+    assert!(
+        !prom.contains("NaN"),
+        "prometheus output must not contain NaN"
+    );
     for needle in [
         "fm_shard_queue_depth",
         "fm_shard_deficit",
@@ -179,7 +194,10 @@ fn main() {
         "fm_alarms_total",
         "fm_beacons_total",
     ] {
-        assert!(prom.contains(needle), "prometheus output missing {needle} series");
+        assert!(
+            prom.contains(needle),
+            "prometheus output missing {needle} series"
+        );
     }
 
     let stats = &collector.stats;
@@ -407,7 +425,13 @@ fn run_switched(
     let faults = FaultConfig::new(RUN_SEED).link(
         NodeId(0),
         NodeId(5),
-        LinkFaults { drop: 0.40, dup: 0.0, corrupt: 0.0, delay: 0.0, max_delay_ticks: 0 },
+        LinkFaults {
+            drop: 0.40,
+            dup: 0.0,
+            corrupt: 0.0,
+            delay: 0.0,
+            max_delay_ticks: 0,
+        },
     );
     let mut cluster = SwitchedCluster::with_faults(&topo, Default::default(), faults);
     for ep in &mut cluster.endpoints {
@@ -417,9 +441,7 @@ fn run_switched(
     let mut shard_beacons: Vec<Beaconer> = cluster
         .shards
         .iter()
-        .map(|s| {
-            Beaconer::shard(s.switch_id() as u16, addr, MANUAL).expect("shard beacon socket")
-        })
+        .map(|s| Beaconer::shard(s.switch_id() as u16, addr, MANUAL).expect("shard beacon socket"))
         .collect();
 
     let got = Arc::new(AtomicU64::new(0));
@@ -567,7 +589,10 @@ fn run_collectives(collector: &mut Collector, addr: SocketAddr, cycles: u32) -> 
         ep.enable_beacon(addr, 500).expect("beacon socket");
         tels.push(ep.telemetry().clone());
     }
-    let comms: Vec<Communicator> = eps.into_iter().map(|ep| Communicator::adopt(ep, 4)).collect();
+    let comms: Vec<Communicator> = eps
+        .into_iter()
+        .map(|ep| Communicator::adopt(ep, 4))
+        .collect();
     let runner = SwitchRunner::start(shards);
 
     let handles: Vec<_> = comms
@@ -576,7 +601,8 @@ fn run_collectives(collector: &mut Collector, addr: SocketAddr, cycles: u32) -> 
             std::thread::spawn(move || {
                 for _ in 0..cycles {
                     c.barrier();
-                    c.allreduce(&[c.rank() as f64; 4], ReduceOp::Sum).expect("clean fabric");
+                    c.allreduce(&[c.rank() as f64; 4], ReduceOp::Sum)
+                        .expect("clean fabric");
                     let word = [c.rank() as u8; 8];
                     c.bcast(0, &word);
                     c.barrier();
@@ -613,9 +639,9 @@ fn run_collectives(collector: &mut Collector, addr: SocketAddr, cycles: u32) -> 
     ["barrier", "allreduce", "bcast"]
         .iter()
         .filter(|kind| {
-            collector
-                .prometheus()
-                .contains(&format!("fm_collective_duration_ticks_count{{coll=\"{kind}\"}}"))
+            collector.prometheus().contains(&format!(
+                "fm_collective_duration_ticks_count{{coll=\"{kind}\"}}"
+            ))
         })
         .count()
 }

@@ -29,8 +29,7 @@
 //! modes — so the CI smoke job cannot stay green past a regression.
 
 use fm_core::{
-    ClusterRunner, EndpointConfig, HandlerId, NodeId, SwitchRunner, SwitchTopology,
-    SwitchedCluster,
+    ClusterRunner, EndpointConfig, HandlerId, NodeId, SwitchRunner, SwitchTopology, SwitchedCluster,
 };
 use fm_telemetry::Histogram;
 use fm_testbed::scaling::{
@@ -151,7 +150,11 @@ fn main() {
     // turned out to be exactly that). The max of three is a far more
     // stable estimator of what the fabric can actually carry.
     let reps = if smoke { 1 } else { 3 };
-    let (pair_count, rounds, warmup) = if smoke { (600, 200, 30) } else { (3000, 500, 50) };
+    let (pair_count, rounds, warmup) = if smoke {
+        (600, 200, 30)
+    } else {
+        (3000, 500, 50)
+    };
     let incast_ks: &[usize] = &[2, 4, 8, 15];
     let incast_msgs = if smoke { 150 } else { 600 };
     const TRUNK_FLOWS: usize = 8;
@@ -356,9 +359,9 @@ fn main() {
                     "GATE FAIL: aggregate bandwidth not non-decreasing 2->64 \
                      (allowance {MONOTONE_ALLOWANCE}): {aggregate:?}"
                 ),
-                "reject_bounded" => eprintln!(
-                    "GATE FAIL: reject-queue peak exceeded window {window}: {peaks:?}"
-                ),
+                "reject_bounded" => {
+                    eprintln!("GATE FAIL: reject-queue peak exceeded window {window}: {peaks:?}")
+                }
                 "reject_constant" => eprintln!(
                     "GATE FAIL: reject-queue peak varies with K (spread {spread} > {}): {peaks:?}",
                     window / 4

@@ -240,7 +240,12 @@ fn collective_json(r: &CollectiveReport, indent: &str) -> String {
     format!(
         "{{\n{i}  \"depth\": {}, \"expected_depth\": {}, \"delivered\": {}, \"span_ns\": {},\n\
          {i}  \"events\": {}, \"digest\": \"{:016x}\"\n{i}}}",
-        r.depth, r.expected_depth, r.delivered, r.span_ns, r.events, r.digest,
+        r.depth,
+        r.expected_depth,
+        r.delivered,
+        r.span_ns,
+        r.events,
+        r.digest,
         i = indent,
     )
 }
@@ -309,10 +314,17 @@ fn main() {
     eprintln!(
         "  determinism re-run at n={}: {} ({:.1}s)",
         top.n,
-        if deterministic { "bit-identical" } else { "DIVERGED" },
+        if deterministic {
+            "bit-identical"
+        } else {
+            "DIVERGED"
+        },
         t.elapsed().as_secs_f64()
     );
-    eprintln!("bench_sim: campaign done in {:.1}s", wall.elapsed().as_secs_f64());
+    eprintln!(
+        "bench_sim: campaign done in {:.1}s",
+        wall.elapsed().as_secs_f64()
+    );
 
     // ---------------------------------------------------------------- gates
     // Exactly-once *delivery*: every enqueued message delivered fresh
@@ -452,11 +464,7 @@ fn main() {
             if i + 1 < runs.len() { "," } else { "" },
         );
     }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"overload\": {},",
-        load_json(&over, "  ")
-    );
+    let _ = writeln!(json, "  ],\n  \"overload\": {},", load_json(&over, "  "));
     let _ = write!(
         json,
         concat!(

@@ -566,7 +566,10 @@ fn child_pingpong(mut ep: MemEndpoint, id: usize, other: NodeId, msgs: u32, dead
         let t = Instant::now();
         ep.send(other, h, &payload);
         while pongs.load(Ordering::Relaxed) <= round {
-            assert!(Instant::now() < deadline, "pingpong wedged at round {round}");
+            assert!(
+                Instant::now() < deadline,
+                "pingpong wedged at round {round}"
+            );
             if ep.extract() == 0 {
                 // The echo process can only run when we yield the CPU.
                 std::thread::yield_now();

@@ -29,7 +29,10 @@ fn main() {
             .collect(),
     };
 
-    println!("{}", render_figure("Figure 3", &[baseline.clone(), streamed.clone(), peak]));
+    println!(
+        "{}",
+        render_figure("Figure 3", &[baseline.clone(), streamed.clone(), peak])
+    );
 
     for c in [&baseline, &streamed] {
         let m = fm_bench::layer_metrics(c);

@@ -22,10 +22,7 @@ fn main() {
 
     println!(
         "{}",
-        render_figure(
-            "Figure 4",
-            &[hybrid.clone(), alldma.clone(), floor.clone()]
-        )
+        render_figure("Figure 4", &[hybrid.clone(), alldma.clone(), floor.clone()])
     );
 
     for c in [&hybrid, &alldma, &floor] {
@@ -46,5 +43,7 @@ fn main() {
         Some(n) => println!("\nall-DMA overtakes hybrid bandwidth at ~{n} B"),
         None => println!("\nno bandwidth crossover within 600 B (unexpected)"),
     }
-    println!("paper: hybrid t0 3.5 us / r_inf 21.2 / n1/2 44; all-DMA t0 7.5 us / r_inf 33.0 / n1/2 162");
+    println!(
+        "paper: hybrid t0 3.5 us / r_inf 21.2 / n1/2 44; all-DMA t0 7.5 us / r_inf 33.0 / n1/2 162"
+    );
 }

@@ -28,7 +28,12 @@ fn main() {
     }
 
     // Flow-control bookkeeping detail at the FM frame size.
-    let r = run_stream(Layer::FullFm, &TestbedConfig::default(), 128, count.min(10_000));
+    let r = run_stream(
+        Layer::FullFm,
+        &TestbedConfig::default(),
+        128,
+        count.min(10_000),
+    );
     println!(
         "\nat 128 B: {} standalone ack frames for {} data packets ({:.2} acks/packet), {} delivery bursts",
         r.ack_frames,

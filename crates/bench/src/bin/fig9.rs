@@ -6,7 +6,9 @@
 //! power only at ~4.4–6.9 KB vs FM's 54 B — two orders of magnitude), even
 //! though its large-message asymptote is comparable.
 
-use fm_bench::{layer_metrics, measure_layer, render_figure, stream_count, LayerCurves, FIGURE_SIZES};
+use fm_bench::{
+    layer_metrics, measure_layer, render_figure, stream_count, LayerCurves, FIGURE_SIZES,
+};
 use fm_metrics::derive_metrics;
 use fm_myrinet_api::{api_bandwidth_sweep, api_latency_sweep, ApiVariant};
 use fm_testbed::Layer;

@@ -18,7 +18,11 @@ fn main() {
     let count = fm_bench::stream_count();
 
     println!("FM 1.0 headline numbers (simulated testbed, {count}-packet streams)\n");
-    let rows: [(&str, usize); 3] = [("4-word message", 16), ("128-byte packet", 128), ("512-byte packet", 512)];
+    let rows: [(&str, usize); 3] = [
+        ("4-word message", 16),
+        ("128-byte packet", 128),
+        ("512-byte packet", 512),
+    ];
     for (what, n) in rows {
         let lat = run_pingpong(Layer::FullFm, &cfg, n, 50);
         let bw = run_stream(Layer::FullFm, &cfg, n, count);

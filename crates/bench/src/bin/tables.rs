@@ -40,7 +40,11 @@ fn table2() {
         "packet size achieving r_inf / 2",
         "fm_metrics::fit (curve crossing)",
     ]);
-    t.row(["t0", "startup overhead", "fm_metrics::fit (latency intercept)"]);
+    t.row([
+        "t0",
+        "startup overhead",
+        "fm_metrics::fit (latency intercept)",
+    ]);
     t.row(["l", "packet latency (one way)", "fm_testbed::run_pingpong"]);
     println!("{}", t.render());
 }
@@ -53,7 +57,11 @@ fn table3() {
         "direct from user space (PIO out, DMA in)",
         "user space + DMA region, scatter-gather",
     ]);
-    t.row(["delivery", "guaranteed (return-to-sender)", "not guaranteed"]);
+    t.row([
+        "delivery",
+        "guaranteed (return-to-sender)",
+        "not guaranteed",
+    ]);
     t.row(["delivery order", "no guarantee", "preserved"]);
     t.row(["reconfiguration", "manual", "automatic, continuous"]);
     t.row([
@@ -78,10 +86,20 @@ fn table3() {
 }
 
 fn table5() {
-    let mut t = Table::new(["characteristic", "regular memory", "DMA region", "LANai SRAM"])
-        .with_title("Figure 5: memory characteristics");
+    let mut t = Table::new([
+        "characteristic",
+        "regular memory",
+        "DMA region",
+        "LANai SRAM",
+    ])
+    .with_title("Figure 5: memory characteristics");
     t.row(["capacity", "virtual memory", "pinned physical", "128 KB"]);
-    t.row(["host access", "load/store", "load/store", "load/store (over SBus)"]);
+    t.row([
+        "host access",
+        "load/store",
+        "load/store",
+        "load/store (over SBus)",
+    ]);
     t.row(["LANai access", "none", "DMA only", "load/store"]);
     println!("{}", t.render());
 }

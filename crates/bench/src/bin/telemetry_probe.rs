@@ -68,7 +68,11 @@ fn main() {
     // the probe repeats the whole measurement and keeps the best run —
     // the standard way to strip scheduler noise from an A/B comparison.
     const REPS: usize = 3;
-    let (warmup, rounds) = if smoke { (500, 2_000) } else { (20_000, 100_000) };
+    let (warmup, rounds) = if smoke {
+        (500, 2_000)
+    } else {
+        (20_000, 100_000)
+    };
     let enabled = fm_telemetry::ENABLED;
     eprintln!(
         "telemetry_probe: ring ping-pong, telemetry {}, trace 1-in-{trace_one_in}, \

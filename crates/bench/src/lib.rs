@@ -142,14 +142,54 @@ pub struct PaperRow {
 /// The paper's Table 4 (FM rows; the Myrinet API rows live in
 /// `fm-myrinet-api`).
 pub const TABLE4_PAPER: [PaperRow; 8] = [
-    PaperRow { layer: Layer::LanaiBaseline, t0_us: 4.2, r_inf_mbs: 76.3, n_half_bytes: 315.0 },
-    PaperRow { layer: Layer::LanaiStreamed, t0_us: 3.5, r_inf_mbs: 76.3, n_half_bytes: 249.0 },
-    PaperRow { layer: Layer::Hybrid, t0_us: 3.5, r_inf_mbs: 21.2, n_half_bytes: 44.0 },
-    PaperRow { layer: Layer::HybridBufMgmt, t0_us: 3.8, r_inf_mbs: 21.9, n_half_bytes: 53.0 },
-    PaperRow { layer: Layer::FullFm, t0_us: 4.1, r_inf_mbs: 21.4, n_half_bytes: 54.0 },
-    PaperRow { layer: Layer::HybridBufMgmtSwitch, t0_us: 6.8, r_inf_mbs: 21.8, n_half_bytes: 127.0 },
-    PaperRow { layer: Layer::FullFmSwitch, t0_us: 6.9, r_inf_mbs: 21.7, n_half_bytes: 127.0 },
-    PaperRow { layer: Layer::AllDma, t0_us: 7.5, r_inf_mbs: 33.0, n_half_bytes: 162.0 },
+    PaperRow {
+        layer: Layer::LanaiBaseline,
+        t0_us: 4.2,
+        r_inf_mbs: 76.3,
+        n_half_bytes: 315.0,
+    },
+    PaperRow {
+        layer: Layer::LanaiStreamed,
+        t0_us: 3.5,
+        r_inf_mbs: 76.3,
+        n_half_bytes: 249.0,
+    },
+    PaperRow {
+        layer: Layer::Hybrid,
+        t0_us: 3.5,
+        r_inf_mbs: 21.2,
+        n_half_bytes: 44.0,
+    },
+    PaperRow {
+        layer: Layer::HybridBufMgmt,
+        t0_us: 3.8,
+        r_inf_mbs: 21.9,
+        n_half_bytes: 53.0,
+    },
+    PaperRow {
+        layer: Layer::FullFm,
+        t0_us: 4.1,
+        r_inf_mbs: 21.4,
+        n_half_bytes: 54.0,
+    },
+    PaperRow {
+        layer: Layer::HybridBufMgmtSwitch,
+        t0_us: 6.8,
+        r_inf_mbs: 21.8,
+        n_half_bytes: 127.0,
+    },
+    PaperRow {
+        layer: Layer::FullFmSwitch,
+        t0_us: 6.9,
+        r_inf_mbs: 21.7,
+        n_half_bytes: 127.0,
+    },
+    PaperRow {
+        layer: Layer::AllDma,
+        t0_us: 7.5,
+        r_inf_mbs: 33.0,
+        n_half_bytes: 162.0,
+    },
 ];
 
 /// Build the paper-vs-measured comparison table for a set of layers.

@@ -83,7 +83,14 @@ impl<E> CalendarQueue<E> {
             .rposition(|e| (e.time, e.seq) <= (t, seq))
             .map(|p| p + 1)
             .unwrap_or(0);
-        bucket.insert(pos, Entry { time: t, seq, event });
+        bucket.insert(
+            pos,
+            Entry {
+                time: t,
+                seq,
+                event,
+            },
+        );
         self.len += 1;
         self.maybe_resize();
     }

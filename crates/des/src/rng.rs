@@ -41,12 +41,7 @@ impl Xoshiro256 {
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         Xoshiro256 {
-            s: [
-                sm.next_u64(),
-                sm.next_u64(),
-                sm.next_u64(),
-                sm.next_u64(),
-            ],
+            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
 

@@ -323,7 +323,7 @@ mod tests {
         tw.set(Time::from_ns(10), 4.0); // 0 for 10ns
         tw.set(Time::from_ns(30), 2.0); // 4 for 20ns
         let avg = tw.average(Time::from_ns(40)); // 2 for 10ns
-        // (0*10 + 4*20 + 2*10) / 40 = 100/40
+                                                 // (0*10 + 4*20 + 2*10) / 40 = 100/40
         assert!((avg - 2.5).abs() < 1e-12);
         assert_eq!(tw.peak(), 4.0);
         assert_eq!(tw.current(), 2.0);

@@ -191,8 +191,14 @@ mod tests {
         let nb = per_packet_stream(&LcpCosts::baseline(), 0).as_ns_f64() / 12.5;
         let ns = per_packet_stream(&LcpCosts::streamed(), 0).as_ns_f64() / 12.5;
         assert!(ns < nb, "streamed must have smaller n_1/2");
-        assert!((260.0..360.0).contains(&nb), "baseline n_1/2 ~ 315 B, got {nb}");
-        assert!((200.0..290.0).contains(&ns), "streamed n_1/2 ~ 249 B, got {ns}");
+        assert!(
+            (260.0..360.0).contains(&nb),
+            "baseline n_1/2 ~ 315 B, got {nb}"
+        );
+        assert!(
+            (200.0..290.0).contains(&ns),
+            "streamed n_1/2 ~ 249 B, got {ns}"
+        );
     }
 
     #[test]
@@ -202,10 +208,7 @@ mod tests {
         let delta = instr(interp.interp_switch);
         assert_eq!(delta, Duration::from_ns(19 * 160));
         assert!((2.9..3.2).contains(&delta.as_us_f64()));
-        assert_eq!(
-            interp.recv_stream_instr() - plain.recv_stream_instr(),
-            19
-        );
+        assert_eq!(interp.recv_stream_instr() - plain.recv_stream_instr(), 19);
     }
 
     #[test]

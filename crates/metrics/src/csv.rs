@@ -21,7 +21,11 @@ pub fn to_string(header: &[&str], rows: &[Vec<String>]) -> String {
     let _ = writeln!(
         out,
         "{}",
-        header.iter().map(|h| field(h)).collect::<Vec<_>>().join(",")
+        header
+            .iter()
+            .map(|h| field(h))
+            .collect::<Vec<_>>()
+            .join(",")
     );
     for row in rows {
         debug_assert_eq!(row.len(), header.len(), "CSV row width mismatch");
@@ -55,10 +59,7 @@ mod tests {
 
     #[test]
     fn commas_and_quotes_escaped() {
-        let s = to_string(
-            &["layer"],
-            &[vec!["hybrid, with \"stuff\"".into()]],
-        );
+        let s = to_string(&["layer"], &[vec!["hybrid, with \"stuff\"".into()]]);
         assert_eq!(s, "layer\n\"hybrid, with \"\"stuff\"\"\"\n");
     }
 

@@ -174,13 +174,24 @@ mod tests {
         // r_inf = 80 bytes/us = 76.3 MB/s.
         assert!((m.r_inf_mbs - 76.3).abs() < 1.0, "r_inf {}", m.r_inf_mbs);
         // n_1/2 = 0.32/0.0125 = 25.6 B.
-        assert!((m.n_half_bytes - 25.6).abs() < 3.0, "n1/2 {}", m.n_half_bytes);
+        assert!(
+            (m.n_half_bytes - 25.6).abs() < 3.0,
+            "n1/2 {}",
+            m.n_half_bytes
+        );
     }
 
     #[test]
     fn n_half_interpolates_inside_sweep() {
         // Bandwidth hits half power between 100 and 200 bytes.
-        let bw = vec![(50usize, 10.0), (100, 20.0), (200, 40.0), (400, 60.0), (800, 75.0), (1600, 78.0)];
+        let bw = vec![
+            (50usize, 10.0),
+            (100, 20.0),
+            (200, 40.0),
+            (400, 60.0),
+            (800, 75.0),
+            (1600, 78.0),
+        ];
         let lat = vec![(50usize, 1.0), (1600, 2.0)];
         let m = derive_metrics(&lat, &bw);
         let half = m.r_inf_mbs / 2.0;

@@ -25,4 +25,6 @@
 pub mod consts;
 pub mod model;
 
-pub use model::{api_bandwidth_sweep, api_latency_sweep, run_api_pingpong, run_api_stream, ApiVariant};
+pub use model::{
+    api_bandwidth_sweep, api_latency_sweep, run_api_pingpong, run_api_stream, ApiVariant,
+};

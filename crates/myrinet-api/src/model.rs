@@ -195,7 +195,9 @@ fn api_message(
     // send. (None of this is on the *receiver's* critical path, which is
     // why the API's bandwidth suffers far more than its latency.)
     let flag_at = dend + instr(API_LOOP_INSTR);
-    let (_, comp_end) = s.bus.transact(s.host.free_at().max(flag_at), BusOp::StatusRead);
+    let (_, comp_end) = s
+        .bus
+        .transact(s.host.free_at().max(flag_at), BusOp::StatusRead);
     s.host.block_until(comp_end);
     let hs = s
         .host
@@ -206,7 +208,9 @@ fn api_message(
     let freed = s.chip.exec(hret_wake, API_RETURN_INSTR);
     s.lcp_resume(freed);
     // Host learns the buffer is free with one more status read.
-    let (_, free_seen) = s.bus.transact(s.host.free_at().max(freed), BusOp::StatusRead);
+    let (_, free_seen) = s
+        .bus
+        .transact(s.host.free_at().max(freed), BusOp::StatusRead);
     s.host.block_until(free_seen);
 
     (receiver_done, free_seen)
@@ -220,8 +224,26 @@ pub fn run_api_pingpong(variant: ApiVariant, n: usize, rounds: usize) -> Duratio
     let mut b = ApiNode::new();
     let mut t = Time::ZERO;
     for _ in 0..rounds {
-        let (done, _) = api_message(variant, &mut a, &mut b, &mut net, NodeId(0), NodeId(1), n, t);
-        let (back, _) = api_message(variant, &mut b, &mut a, &mut net, NodeId(1), NodeId(0), n, done);
+        let (done, _) = api_message(
+            variant,
+            &mut a,
+            &mut b,
+            &mut net,
+            NodeId(0),
+            NodeId(1),
+            n,
+            t,
+        );
+        let (back, _) = api_message(
+            variant,
+            &mut b,
+            &mut a,
+            &mut net,
+            NodeId(1),
+            NodeId(0),
+            n,
+            done,
+        );
         t = back;
     }
     Duration::from_ps(t.as_ps() / (2 * rounds as u64))
@@ -242,7 +264,16 @@ pub fn run_api_stream(variant: ApiVariant, n: usize, count: usize) -> f64 {
         } else {
             s.host.free_at()
         };
-        let (done, freed) = api_message(variant, &mut s, &mut r, &mut net, NodeId(0), NodeId(1), n, ready);
+        let (done, freed) = api_message(
+            variant,
+            &mut s,
+            &mut r,
+            &mut net,
+            NodeId(0),
+            NodeId(1),
+            n,
+            ready,
+        );
         released.push_back(freed);
         last_done = done;
     }
@@ -259,7 +290,11 @@ pub fn api_latency_sweep(variant: ApiVariant, sizes: &[usize], rounds: usize) ->
 }
 
 /// Bandwidth sweep for Figure 9(b).
-pub fn api_bandwidth_sweep(variant: ApiVariant, sizes: &[usize], count: usize) -> Vec<(usize, f64)> {
+pub fn api_bandwidth_sweep(
+    variant: ApiVariant,
+    sizes: &[usize],
+    count: usize,
+) -> Vec<(usize, f64)> {
     sizes
         .iter()
         .map(|&n| (n, run_api_stream(variant, n, count)))

@@ -45,7 +45,10 @@ pub struct ClosTopology {
 impl ClosTopology {
     /// A `k`-ary fat tree. `k` must be even and ≥ 2.
     pub fn new(k: u32) -> Self {
-        assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even, got {k}");
+        assert!(
+            k >= 2 && k.is_multiple_of(2),
+            "fat-tree arity must be even, got {k}"
+        );
         ClosTopology { k }
     }
 
@@ -194,10 +197,14 @@ impl ClosTopology {
     /// # Panics
     /// If the tree has more hosts than `u16` can index.
     pub fn to_tables(&self) -> SwitchTopology {
-        assert!(self.hosts() <= u16::MAX as u64 + 1, "too many hosts for NodeId");
+        assert!(
+            self.hosts() <= u16::MAX as u64 + 1,
+            "too many hosts for NodeId"
+        );
         let half = self.k / 2;
-        let host_switch: Vec<usize> =
-            (0..self.hosts()).map(|h| self.edge_of(h) as usize).collect();
+        let host_switch: Vec<usize> = (0..self.hosts())
+            .map(|h| self.edge_of(h) as usize)
+            .collect();
         let mut trunks = Vec::new();
         for pod in 0..self.k {
             for e in 0..half {
@@ -319,7 +326,9 @@ mod tests {
                 clos.path_into(src, dst, ClosTopology::flow_hash(src, dst), &mut path);
                 for w in path.windows(2) {
                     assert!(
-                        tables.neighbors_of(w[0] as usize).contains(&(w[1] as usize)),
+                        tables
+                            .neighbors_of(w[0] as usize)
+                            .contains(&(w[1] as usize)),
                         "computed path uses non-existent trunk {}–{}",
                         w[0],
                         w[1]

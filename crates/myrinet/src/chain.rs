@@ -41,7 +41,9 @@ impl ChainNetwork {
         );
         let nswitches = hosts.div_ceil(hosts_per_switch);
         ChainNetwork {
-            switches: (0..nswitches).map(|_| Switch::new(ports_per_switch)).collect(),
+            switches: (0..nswitches)
+                .map(|_| Switch::new(ports_per_switch))
+                .collect(),
             links: vec![[Time::ZERO; 2]; nswitches.saturating_sub(1)],
             host_link_free: vec![Time::ZERO; hosts],
             hosts_per_switch,
@@ -91,7 +93,10 @@ impl ChainNetwork {
             if sw == dst_sw {
                 // Final hop: out the destination host's port.
                 let (h, t) = self.switches[sw].route(head, dst_port, n);
-                return DeliveredPacket { head_at: h, tail_at: t };
+                return DeliveredPacket {
+                    head_at: h,
+                    tail_at: t,
+                };
             }
             // Route toward the neighbour; chain ports are the top two:
             // ports-1 = rightward (to sw+1), ports-2 = leftward.

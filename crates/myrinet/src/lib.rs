@@ -60,7 +60,10 @@ mod tests {
         let d1 = net.inject(t, NodeId(0), NodeId(3), n);
         let d2 = net.inject(t, NodeId(1), NodeId(3), n);
         // Second packet waits for the first to drain the shared output port.
-        assert_eq!(d1.tail_at, t + consts::wire_time(n) + consts::SWITCH_LATENCY);
+        assert_eq!(
+            d1.tail_at,
+            t + consts::wire_time(n) + consts::SWITCH_LATENCY
+        );
         assert!(d2.tail_at >= d1.tail_at + consts::wire_time(n));
     }
 

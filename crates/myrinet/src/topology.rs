@@ -79,7 +79,10 @@ impl SwitchTopology {
     /// switches, or any switch needs more than `ports` ports for its
     /// hosts plus trunks.
     pub fn custom(host_switch: Vec<usize>, trunks: Vec<(usize, usize)>, ports: usize) -> Self {
-        assert!(!host_switch.is_empty(), "a topology needs at least one host");
+        assert!(
+            !host_switch.is_empty(),
+            "a topology needs at least one host"
+        );
         // Host-less switches (fat-tree spines) exist only as trunk
         // endpoints, so the switch count must cover those too.
         let nswitches = host_switch
@@ -93,7 +96,10 @@ impl SwitchTopology {
         let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); nswitches];
         for (t, &(a, b)) in trunks.iter().enumerate() {
             assert!(a != b, "trunk self-loop on switch {a}");
-            assert!(a < nswitches && b < nswitches, "trunk ({a},{b}) out of range");
+            assert!(
+                a < nswitches && b < nswitches,
+                "trunk ({a},{b}) out of range"
+            );
             links[a].push(TrunkLink { trunk: t, peer: b });
             links[b].push(TrunkLink { trunk: t, peer: a });
             if !neighbors[a].contains(&b) {
@@ -328,7 +334,10 @@ impl SwitchTopology {
     /// If `from == to_switch` (there is nothing to route).
     pub fn flow_link(&self, from: usize, to_switch: usize, src: NodeId, dst: NodeId) -> usize {
         let choices = self.route_choices(from, to_switch);
-        assert!(!choices.is_empty(), "no route from switch {from} to {to_switch}");
+        assert!(
+            !choices.is_empty(),
+            "no route from switch {from} to {to_switch}"
+        );
         choices[Self::spread(from, Self::flow_hash(src, dst), choices.len())]
     }
 
@@ -362,7 +371,10 @@ impl SwitchTopology {
     /// # Panics
     /// If `root_switch` is out of range.
     pub fn spanning_parents(&self, root_switch: usize) -> Vec<Option<usize>> {
-        assert!(root_switch < self.switches(), "switch {root_switch} out of range");
+        assert!(
+            root_switch < self.switches(),
+            "switch {root_switch} out of range"
+        );
         let mut parents = vec![None; self.switches()];
         let mut seen = vec![false; self.switches()];
         seen[root_switch] = true;
@@ -426,11 +438,7 @@ mod tests {
     #[test]
     fn custom_star_routes_through_hub() {
         // Switch 0 is a hub with one host; leaves 1..=3 hold the rest.
-        let t = SwitchTopology::custom(
-            vec![0, 1, 1, 2, 2, 3, 3],
-            vec![(0, 1), (0, 2), (0, 3)],
-            8,
-        );
+        let t = SwitchTopology::custom(vec![0, 1, 1, 2, 2, 3, 3], vec![(0, 1), (0, 2), (0, 3)], 8);
         assert_eq!(t.next_hop(1, 3), 0);
         assert_eq!(t.next_hop(0, 3), 3);
         assert_eq!(t.hops(NodeId(1), NodeId(5)), 3);
@@ -514,7 +522,10 @@ mod tests {
                 used.insert(a);
             }
         }
-        assert!(used.len() > 1, "9 flows over 4 spines must spread: {used:?}");
+        assert!(
+            used.len() > 1,
+            "9 flows over 4 spines must spread: {used:?}"
+        );
     }
 
     #[test]

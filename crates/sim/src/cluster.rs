@@ -469,7 +469,11 @@ impl SimCluster {
     /// for every round `r` past the one `rank` itself was reached in,
     /// `rank + 2^r` (if in range). Rank 0 is the root.
     fn binomial_children(rank: u64, n: u64, depth: u32) -> Vec<u64> {
-        let first_round = if rank == 0 { 0 } else { 64 - rank.leading_zeros() };
+        let first_round = if rank == 0 {
+            0
+        } else {
+            64 - rank.leading_zeros()
+        };
         (first_round..depth)
             .map(|r| rank + (1u64 << r))
             .filter(|&c| c < n)
@@ -496,7 +500,8 @@ impl SimCluster {
 
     fn alloc_frame(&mut self, src: u32, dst: u32, seq: u32) -> u32 {
         self.path_buf.clear();
-        self.fabric.path_into(src as u64, dst as u64, &mut self.path_buf);
+        self.fabric
+            .path_into(src as u64, dst as u64, &mut self.path_buf);
         assert!(self.path_buf.len() <= MAX_PATH, "path longer than modeled");
         let mut path = [0u32; MAX_PATH];
         path[..self.path_buf.len()].copy_from_slice(&self.path_buf);
@@ -583,17 +588,19 @@ impl SimCluster {
             f.last_launch_ps = start_ps;
         }
         let start = Time::from_ps(start_ps);
-        self.engine
-            .schedule_at(start + Duration::from_ps(rto), Ev::Retx {
-                frame: fid,
-                stamp,
-            });
+        self.engine.schedule_at(
+            start + Duration::from_ps(rto),
+            Ev::Retx { frame: fid, stamp },
+        );
         if self.lose() {
             self.drop_copy(fid);
         } else {
             self.engine.schedule_at(
                 start + Duration::from_ps(cost.link_hop_ps),
-                Ev::SwArrive { sw: first_switch, frame: fid },
+                Ev::SwArrive {
+                    sw: first_switch,
+                    frame: fid,
+                },
             );
         }
     }
@@ -605,7 +612,9 @@ impl SimCluster {
             if !h.alive || h.outstanding >= window {
                 break;
             }
-            let Some(dst) = h.sendq.front().copied() else { break };
+            let Some(dst) = h.sendq.front().copied() else {
+                break;
+            };
             h.sendq.pop_front();
             if h.dead_peers.contains(&dst) {
                 h.failed_sends += 1;
@@ -624,11 +633,7 @@ impl SimCluster {
 
     fn note_sender_progress(&mut self, t: Time, host: u32) {
         let h = &mut self.hosts[host as usize];
-        if h.enqueued > 0
-            && h.outstanding == 0
-            && h.sendq.is_empty()
-            && h.finished_ps == u64::MAX
-        {
+        if h.enqueued > 0 && h.outstanding == 0 && h.sendq.is_empty() && h.finished_ps == u64::MAX {
             h.finished_ps = t.as_ps();
         }
     }
@@ -691,9 +696,13 @@ impl SimCluster {
                 self.drop_copy(fid);
             } else {
                 match next {
-                    Some(nsw) => self
-                        .engine
-                        .schedule_at(out, Ev::SwArrive { sw: nsw, frame: fid }),
+                    Some(nsw) => self.engine.schedule_at(
+                        out,
+                        Ev::SwArrive {
+                            sw: nsw,
+                            frame: fid,
+                        },
+                    ),
                     None => self.engine.schedule_at(out, Ev::HostArrive(fid)),
                 }
             }
@@ -869,8 +878,8 @@ impl SimCluster {
                 // and the fast ones capture every ring slot (Jain ~0.4).
                 // Capping the period bounds the spread and the quota
                 // lottery stays fair.
-                let delay = ((cost.rto_ps(0) / 8) << (f.bounces - 1).min(6))
-                    .max(cost.host_frame_ps);
+                let delay =
+                    ((cost.rto_ps(0) / 8) << (f.bounces - 1).min(6)).max(cost.host_frame_ps);
                 Some((f.stamp, delay))
             }
         };
@@ -896,7 +905,11 @@ impl SimCluster {
             } else {
                 f.miss += 1;
                 if f.miss > self.config.retry_budget {
-                    Act::Dead { src: f.src, dst: f.dst, miss: f.miss }
+                    Act::Dead {
+                        src: f.src,
+                        dst: f.dst,
+                        miss: f.miss,
+                    }
                 } else {
                     Act::Relaunch
                 }
@@ -983,7 +996,10 @@ mod tests {
     fn loss_is_recovered_by_retransmission() {
         let mut c = SimCluster::new(
             SimFabric::for_endpoints(8),
-            SimConfig { loss_p: 0.05, ..SimConfig::default() },
+            SimConfig {
+                loss_p: 0.05,
+                ..SimConfig::default()
+            },
             11,
         );
         for src in 1..8u32 {

@@ -111,7 +111,12 @@ pub fn uniform(n: u64, count: u64, config: SimConfig, seed: u64) -> LoadReport {
     }
     c.run_to_quiescence(MAX_EVENTS);
     let rates = finish_rates(&c, &senders, count);
-    load_report(&c, senders.len() as u64, senders.len() as u64 * count, &rates)
+    load_report(
+        &c,
+        senders.len() as u64,
+        senders.len() as u64 * count,
+        &rates,
+    )
 }
 
 /// Incast against a receiver serving 8× slower than calibrated — the

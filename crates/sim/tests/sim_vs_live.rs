@@ -74,7 +74,11 @@ fn incast_discipline_matches_live() {
 
         // Fairness agreement: both fair, and within tolerance of each
         // other despite completely different clocks.
-        assert!(live.fairness >= 0.8, "k={k}: live fairness {}", live.fairness);
+        assert!(
+            live.fairness >= 0.8,
+            "k={k}: live fairness {}",
+            live.fairness
+        );
         assert!(sim.fairness >= 0.8, "k={k}: sim fairness {}", sim.fairness);
         assert!(
             (live.fairness - sim.fairness).abs() <= 0.2,

@@ -25,8 +25,8 @@
 //!   adds the staging memcpy into the pinned DMA region, a descriptor
 //!   write, and a second host/LANai synchronization on the outbound path.
 
-use fm_sbus::HostCpu;
 use fm_des::Duration;
+use fm_sbus::HostCpu;
 
 /// Host-side per-operation instruction budgets for one layer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +128,8 @@ mod tests {
     fn buffer_mgmt_adds_about_300ns() {
         let min = HostCosts::minimal();
         let bm = min.with_buffer_mgmt();
-        let delta = (bm.send_instr() + bm.extract_instr())
-            - (min.send_instr() + min.extract_instr());
+        let delta =
+            (bm.send_instr() + bm.extract_instr()) - (min.send_instr() + min.extract_instr());
         let ns = HostCpu::instr(delta).as_ns_f64();
         // Paper: t0 3.5 -> 3.8 us when buffer management is added; the
         // host carries ~160 ns of it, the LANai the other ~320 ns.
@@ -140,8 +140,7 @@ mod tests {
     fn flow_control_adds_about_300ns() {
         let bm = HostCosts::minimal().with_buffer_mgmt();
         let fc = bm.with_flow_control();
-        let delta =
-            (fc.send_instr() + fc.extract_instr()) - (bm.send_instr() + bm.extract_instr());
+        let delta = (fc.send_instr() + fc.extract_instr()) - (bm.send_instr() + bm.extract_instr());
         let ns = HostCpu::instr(delta).as_ns_f64();
         // Paper: t0 3.8 -> 4.1 us when flow control is added.
         assert!((200.0..=320.0).contains(&ns), "fc delta {ns} ns");

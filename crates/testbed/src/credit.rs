@@ -176,8 +176,7 @@ pub fn run_credit_overload(cfg: CreditConfig) -> CreditReport {
         goodput_mbs: if elapsed == Duration::ZERO {
             0.0
         } else {
-            (delivered as f64 * cfg.payload as f64) / elapsed.as_secs_f64()
-                / (1u64 << 20) as f64
+            (delivered as f64 * cfg.payload as f64) / elapsed.as_secs_f64() / (1u64 << 20) as f64
         },
     }
 }

@@ -161,10 +161,18 @@ pub fn run_overload(cfg: DynamicsConfig) -> DynamicsReport {
                 }
             }
             Ev::Deliver(node, frame) => {
-                let ep = if node == 0 { &mut sender } else { &mut receiver };
+                let ep = if node == 0 {
+                    &mut sender
+                } else {
+                    &mut receiver
+                };
                 ep.on_wire(frame);
                 flush(
-                    if node == 0 { &mut sender } else { &mut receiver },
+                    if node == 0 {
+                        &mut sender
+                    } else {
+                        &mut receiver
+                    },
                     node,
                     cfg.flight,
                     &mut eng,

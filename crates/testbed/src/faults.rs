@@ -141,7 +141,9 @@ pub fn run_loss_point(rate: f64, cfg: FaultSweepConfig) -> FaultPoint {
     receiver.register_handler_at(
         HandlerId(1),
         Box::new(move |_, _, data| {
-            d2.lock().unwrap().push(u32::from_le_bytes(data[..4].try_into().unwrap()));
+            d2.lock()
+                .unwrap()
+                .push(u32::from_le_bytes(data[..4].try_into().unwrap()));
         }),
     );
 
@@ -365,7 +367,10 @@ mod tests {
         let p = run_loss_point(0.05, small());
         assert_eq!(p.delivered, 600);
         assert!(p.injected_drops > 0 && p.injected_corrupt > 0);
-        assert!(p.gap_retransmits > 0, "mid-stream drops recover by hole repair: {p:?}");
+        assert!(
+            p.gap_retransmits > 0,
+            "mid-stream drops recover by hole repair: {p:?}"
+        );
         assert!(
             p.timer_retransmits < p.gap_retransmits,
             "timers are the fallback, not the rule: {p:?}"

@@ -103,10 +103,7 @@ impl Layer {
     pub fn buffer_mgmt(self) -> bool {
         matches!(
             self,
-            Layer::HybridBufMgmt
-                | Layer::HybridBufMgmtSwitch
-                | Layer::FullFm
-                | Layer::FullFmSwitch
+            Layer::HybridBufMgmt | Layer::HybridBufMgmtSwitch | Layer::FullFm | Layer::FullFmSwitch
         )
     }
 

@@ -32,9 +32,7 @@
 //! multiple independent senders make arrival interleavings
 //! state-dependent.
 
-use fm_core::{
-    EndpointConfig, HandlerId, SwitchRunner, SwitchTopology, SwitchedCluster,
-};
+use fm_core::{EndpointConfig, HandlerId, SwitchRunner, SwitchTopology, SwitchedCluster};
 use fm_des::{Engine, Time};
 use fm_lanai::{DmaEngine, LanaiChip, LcpCosts};
 use fm_metrics::jain;
@@ -64,10 +62,7 @@ enum Ev {
     /// Sender `i` is ready to push its next packet.
     SenderReady(usize),
     /// Packet from sender `i` fully arrived at its receiver.
-    Arrive {
-        sender: usize,
-        tail: Time,
-    },
+    Arrive { sender: usize, tail: Time },
 }
 
 /// Common driver: `senders[i]` streams `count` packets of `n` bytes to
@@ -115,7 +110,13 @@ fn run_flows(
                 chip.block_until(dend);
                 sent[i] += 1;
                 let d = net.inject(dstart, src_of(i), dest_of(i), n);
-                eng.schedule_at(d.head_at, Ev::Arrive { sender: i, tail: d.tail_at });
+                eng.schedule_at(
+                    d.head_at,
+                    Ev::Arrive {
+                        sender: i,
+                        tail: d.tail_at,
+                    },
+                );
                 eng.schedule_at(dend, Ev::SenderReady(i));
             }
             Ev::Arrive { sender, tail } => {
@@ -401,7 +402,9 @@ pub fn live_incast_wired(
         assert!(round < 1_000_000, "live incast wedged");
     }
     let elapsed = start.elapsed();
-    let rates: Vec<f64> = (1..n).map(|src| count as f64 / finish_round[src] as f64).collect();
+    let rates: Vec<f64> = (1..n)
+        .map(|src| count as f64 / finish_round[src] as f64)
+        .collect();
     IncastReport {
         k,
         window: config.window,

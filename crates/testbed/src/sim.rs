@@ -175,13 +175,7 @@ fn lanai_half_trip(
 /// Sender-side chain: host hands packet `k` to its LANai; returns the time
 /// the packet is visible to the LCP (`hostsent` updated).
 #[allow(clippy::too_many_arguments)]
-fn host_submit(
-    layer: Layer,
-    hc: &HostCosts,
-    node: &mut SimNode,
-    n: usize,
-    ready: Time,
-) -> Time {
+fn host_submit(layer: Layer, hc: &HostCosts, node: &mut SimNode, n: usize, ready: Time) -> Time {
     let mut t = node.host.run(ready, HostCpu::instr(hc.send_instr()));
     if layer.all_dma() {
         // Staging copy into the pinned DMA region, then a descriptor.
@@ -252,7 +246,9 @@ fn lanai_recv(
     } else {
         lcp.recv_isolated_instr()
     };
-    let rexec = node.chip.exec(node.chip.proc_free_at().max(d.head_at), instr);
+    let rexec = node
+        .chip
+        .exec(node.chip.proc_free_at().max(d.head_at), instr);
     let (_, rend) = node.chip.start_dma(rexec, DmaEngine::NetIn, n);
     let complete = rend.max(d.tail_at);
     node.chip.block_until(complete);
@@ -303,7 +299,8 @@ fn host_half_trip(
     if layer.flow_control() {
         instr += hc.fc_ack_process;
     }
-    r.host.run(r.host.free_at().max(delivered), HostCpu::instr(instr))
+    r.host
+        .run(r.host.free_at().max(delivered), HostCpu::instr(instr))
 }
 
 fn host_pingpong(layer: Layer, n: usize, rounds: usize) -> Duration {
@@ -314,8 +311,30 @@ fn host_pingpong(layer: Layer, n: usize, rounds: usize) -> Duration {
     let mut b = SimNode::new();
     let mut t = Time::ZERO;
     for _ in 0..rounds {
-        t = host_half_trip(layer, &lcp, &hc, &mut net, &mut a, &mut b, NodeId(0), NodeId(1), n, t);
-        t = host_half_trip(layer, &lcp, &hc, &mut net, &mut b, &mut a, NodeId(1), NodeId(0), n, t);
+        t = host_half_trip(
+            layer,
+            &lcp,
+            &hc,
+            &mut net,
+            &mut a,
+            &mut b,
+            NodeId(0),
+            NodeId(1),
+            n,
+            t,
+        );
+        t = host_half_trip(
+            layer,
+            &lcp,
+            &hc,
+            &mut net,
+            &mut b,
+            &mut a,
+            NodeId(1),
+            NodeId(0),
+            n,
+            t,
+        );
     }
     Duration::from_ps(t.as_ps() / (2 * rounds as u64))
 }
@@ -330,7 +349,11 @@ fn host_stream(layer: Layer, cfg: &TestbedConfig, n: usize, count: usize) -> Str
         !fc || cfg.window >= 2 * cfg.ack_batch,
         "flow-control window must be at least two ack batches"
     );
-    let agg_max = if layer.buffer_mgmt() { cfg.agg_max.max(1) } else { 1 };
+    let agg_max = if layer.buffer_mgmt() {
+        cfg.agg_max.max(1)
+    } else {
+        1
+    };
     // How far the receiver pipeline may lag behind the sender loop. With
     // flow control it must stay close enough that the ack covering packet
     // k-window is computed before iteration k needs it.
@@ -402,9 +425,10 @@ fn host_stream(layer: Layer, cfg: &TestbedConfig, n: usize, count: usize) -> Str
                 delivery_bursts += 1;
                 // Host extracts each frame of the burst.
                 for &j in &burst {
-                    last_extract_end = rcv
-                        .host
-                        .run(rcv.host.free_at().max(host_visible), HostCpu::instr(hc.extract_instr()));
+                    last_extract_end = rcv.host.run(
+                        rcv.host.free_at().max(host_visible),
+                        HostCpu::instr(hc.extract_instr()),
+                    );
                     consumed[j] = last_extract_end;
                 }
                 // Flow control: emit one ack frame per full batch (plus a
@@ -413,15 +437,8 @@ fn host_stream(layer: Layer, cfg: &TestbedConfig, n: usize, count: usize) -> Str
                     let batch_end = burst[burst.len() - 1];
                     while acks_emitted + cfg.ack_batch <= batch_end + 1 {
                         let upto = acks_emitted + cfg.ack_batch - 1;
-                        let t = emit_ack(
-                            &lcp,
-                            &hc,
-                            cfg,
-                            &mut net,
-                            &mut rcv,
-                            &mut snd,
-                            consumed[upto],
-                        );
+                        let t =
+                            emit_ack(&lcp, &hc, cfg, &mut net, &mut rcv, &mut snd, consumed[upto]);
                         for j in acks_emitted..=upto {
                             ack_released[j] = t;
                         }
@@ -481,7 +498,15 @@ fn host_stream(layer: Layer, cfg: &TestbedConfig, n: usize, count: usize) -> Str
 
     // Final ack flush (partial batch) so accounting closes.
     if fc && acks_emitted < count {
-        let t = emit_ack(&lcp, &hc, cfg, &mut net, &mut rcv, &mut snd, consumed[count - 1]);
+        let t = emit_ack(
+            &lcp,
+            &hc,
+            cfg,
+            &mut net,
+            &mut rcv,
+            &mut snd,
+            consumed[count - 1],
+        );
         ack_released[acks_emitted..count].fill(t);
         ack_frames += 1;
     }
@@ -527,7 +552,9 @@ fn emit_ack(
     let d = net.inject(dstart, NodeId(1), NodeId(0), cfg.ack_bytes);
     // Sender-side LANai receives and delivers it like any packet — again
     // charging its instruction cost without stalling the forward pipeline.
-    let work = snd.chip.exec(snd.chip.proc_free_at(), lcp.recv_isolated_instr());
+    let work = snd
+        .chip
+        .exec(snd.chip.proc_free_at(), lcp.recv_isolated_instr());
     let (_, rend) = snd
         .chip
         .start_dma(work.max(d.head_at), DmaEngine::NetIn, cfg.ack_bytes);

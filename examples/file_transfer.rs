@@ -66,7 +66,10 @@ fn main() {
     assert_eq!(remote_sum, checksum, "checksums must agree");
 
     let mbs = FILE_BYTES as f64 / elapsed.as_secs_f64() / (1 << 20) as f64;
-    println!("transferred {FILE_BYTES} bytes in {:.1} ms = {mbs:.1} MB/s", elapsed.as_secs_f64() * 1e3);
+    println!(
+        "transferred {FILE_BYTES} bytes in {:.1} ms = {mbs:.1} MB/s",
+        elapsed.as_secs_f64() * 1e3
+    );
     println!("checksum verified remotely: {checksum:#018x}");
     println!("chunks that arrived out of order and were resequenced: {reordered}");
     let s = sender_ep.stats();

@@ -62,8 +62,7 @@ fn main() {
                     }
                     if me + 1 < n {
                         let (_, _, d) = comm.recv(Some((me + 1) as u16), Some(HALO_LEFT));
-                        u[CELLS_PER_RANK + 1] =
-                            f64::from_le_bytes(d.try_into().expect("8 bytes"));
+                        u[CELLS_PER_RANK + 1] = f64::from_le_bytes(d.try_into().expect("8 bytes"));
                     }
                     let prev = u.clone();
                     for i in 1..=CELLS_PER_RANK {
@@ -101,13 +100,24 @@ fn main() {
         })
         .collect();
 
-    let mut results: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+    let mut results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank"))
+        .collect();
     results.sort_by_key(|r| r.0);
 
     let (_, _, total, peak, _) = results[0];
     for &(_, _, t, p, _) in &results {
-        assert_eq!(t.to_bits(), total.to_bits(), "allreduce must agree bit-exactly");
-        assert_eq!(p.to_bits(), peak.to_bits(), "allreduce must agree bit-exactly");
+        assert_eq!(
+            t.to_bits(),
+            total.to_bits(),
+            "allreduce must agree bit-exactly"
+        );
+        assert_eq!(
+            p.to_bits(),
+            peak.to_bits(),
+            "allreduce must agree bit-exactly"
+        );
     }
     let sent: u64 = results.iter().map(|r| r.4.sent).sum();
     let retransmitted: u64 = results.iter().map(|r| r.4.retransmitted).sum();
@@ -118,5 +128,8 @@ fn main() {
         (total - 1000.0).abs() < 1e-6,
         "diffusion must conserve heat"
     );
-    println!("heat conservation verified across {RANKS} ranks and {} switches", topo.switches());
+    println!(
+        "heat conservation verified across {RANKS} ranks and {} switches",
+        topo.switches()
+    );
 }

@@ -81,7 +81,10 @@ fn main() {
 
     // -- counters + histograms: one JSON snapshot per endpoint ------------
     for (name, ep) in [("node 0 (sender)", &a), ("node 1 (receiver)", &b)] {
-        println!("telemetry snapshot, {name}:\n{}\n", ep.telemetry().snapshot().to_json());
+        println!(
+            "telemetry snapshot, {name}:\n{}\n",
+            ep.telemetry().snapshot().to_json()
+        );
     }
     let t = a.telemetry();
     println!(
@@ -109,8 +112,7 @@ fn main() {
     let report = agg.merged();
     std::fs::write("observed_merged.json", report.chrome_trace())
         .expect("write observed_merged.json");
-    std::fs::write("observed_metrics.prom", agg.prometheus())
-        .expect("write observed_metrics.prom");
+    std::fs::write("observed_metrics.prom", agg.prometheus()).expect("write observed_metrics.prom");
     println!(
         "\nmerged cluster timeline: {} events, {} flow pairs \
          ({} orphan sends, {} orphan receives, {} causal violations)",

@@ -53,8 +53,7 @@ fn main() {
                     }
                     if me + 1 < n {
                         let (_, _, d) = comm.recv(Some((me + 1) as u16), Some(HALO_LEFT));
-                        u[CELLS_PER_RANK + 1] =
-                            f64::from_le_bytes(d.try_into().expect("8 bytes"));
+                        u[CELLS_PER_RANK + 1] = f64::from_le_bytes(d.try_into().expect("8 bytes"));
                     }
                     // Explicit diffusion update on the interior.
                     let prev = u.clone();
@@ -66,8 +65,8 @@ fn main() {
                         u[1] = prev[1] + ALPHA * (prev[2] - prev[1]);
                     }
                     if me + 1 == n {
-                        u[CELLS_PER_RANK] =
-                            prev[CELLS_PER_RANK] + ALPHA * (prev[CELLS_PER_RANK - 1] - prev[CELLS_PER_RANK]);
+                        u[CELLS_PER_RANK] = prev[CELLS_PER_RANK]
+                            + ALPHA * (prev[CELLS_PER_RANK - 1] - prev[CELLS_PER_RANK]);
                     }
                 }
 
@@ -87,7 +86,10 @@ fn main() {
         })
         .collect();
 
-    let mut results: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+    let mut results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank"))
+        .collect();
     results.sort_by_key(|r| r.0);
 
     println!("1-D heat diffusion: {RANKS} ranks x {CELLS_PER_RANK} cells, {STEPS} steps\n");

@@ -51,7 +51,10 @@ fn main() {
         })
         .collect();
 
-    let mut stats: Vec<_> = handles.into_iter().map(|h| h.join().expect("node")).collect();
+    let mut stats: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("node"))
+        .collect();
     stats.sort_by_key(|(id, _)| id.0);
 
     println!("token ring: {NODES} nodes, {LAPS} laps = {hops_target} hops\n");

@@ -87,8 +87,7 @@ fn run_echo() {
         if now_in != last_in {
             last_in = now_in;
             last_activity = Instant::now();
-        } else if ep.stats().delivered > 0 && last_activity.elapsed() > Duration::from_millis(800)
-        {
+        } else if ep.stats().delivered > 0 && last_activity.elapsed() > Duration::from_millis(800) {
             return; // driver hung up; nothing in flight for a while
         }
         assert!(Instant::now() < deadline, "echo side wedged");
@@ -149,7 +148,10 @@ fn main() {
         let t = Instant::now();
         ep.send(NodeId(1), HandlerId(1), &payload);
         while pongs.load(Ordering::Relaxed) <= round {
-            assert!(Instant::now() < deadline, "pingpong wedged at round {round}");
+            assert!(
+                Instant::now() < deadline,
+                "pingpong wedged at round {round}"
+            );
             if ep.extract() == 0 {
                 std::thread::yield_now(); // the echo process needs the CPU
             }

@@ -30,7 +30,11 @@ fn main() {
 
                 // Team leaders (group rank 0) swap totals.
                 let other_total = if team.rank() == 0 {
-                    let peer = if me == team.global(0) && color == 0 { 1 } else { 0 };
+                    let peer = if me == team.global(0) && color == 0 {
+                        1
+                    } else {
+                        0
+                    };
                     let got = c.sendrecv(peer, peer, Tag(40), &team_total.to_le_bytes());
                     f64::from_le_bytes(got.try_into().expect("8B"))
                 } else {
@@ -48,7 +52,10 @@ fn main() {
         })
         .collect();
 
-    let mut rows: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+    let mut rows: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank"))
+        .collect();
     rows.sort_by_key(|r| r.0);
 
     // Ground truth: evens 1,3,5 -> squares of 1,3,5? No: x = rank+1, so

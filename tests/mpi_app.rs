@@ -27,7 +27,10 @@ fn spawn_ranks<T: Send + 'static>(
             })
         })
         .collect();
-    let mut results: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+    let mut results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("rank"))
+        .collect();
     results.sort_by_key(|(r, _)| *r);
     results.into_iter().map(|(_, t)| t).collect()
 }
@@ -52,7 +55,8 @@ fn distributed_dot_product_matches_serial() {
             .zip(&y[me * chunk..(me + 1) * chunk])
             .map(|(a, b)| a * b)
             .sum();
-        c.allreduce(&[local], ReduceOp::Sum).expect("aligned contributions")[0]
+        c.allreduce(&[local], ReduceOp::Sum)
+            .expect("aligned contributions")[0]
     });
     for got in outs {
         assert!(

@@ -162,8 +162,9 @@ fn table4_summary_metrics_match_committed() {
             f[4].parse::<f64>().unwrap(),
             f[6].parse::<f64>().unwrap(),
         );
-        let m = if let Some(v) =
-            [ApiVariant::SendImm, ApiVariant::Send].into_iter().find(|v| v.name() == name)
+        let m = if let Some(v) = [ApiVariant::SendImm, ApiVariant::Send]
+            .into_iter()
+            .find(|v| v.name() == name)
         {
             // The API never reaches half power within the figure sizes;
             // the table's metrics come from the kilobyte sweep (as in the
@@ -231,9 +232,7 @@ fn incast_invariants_hold_under_both_wirings() {
     // The wide wiring is the one that keeps paths short as n grows: by
     // n = 64 the tree chain is 11 switch traversals corner to corner, the
     // fat tree still 3.
-    let far = |t: &fm_myrinet::SwitchTopology| {
-        t.hops(fm_core::NodeId(0), fm_core::NodeId(63))
-    };
+    let far = |t: &fm_myrinet::SwitchTopology| t.hops(fm_core::NodeId(0), fm_core::NodeId(63));
     assert!(far(&ClusterWiring::Tree.topology(64)) > far(&ClusterWiring::Wide.topology(64)));
     assert_eq!(far(&ClusterWiring::Wide.topology(64)), 3);
 }
@@ -292,7 +291,10 @@ fn ablation_step_ordering_does_not_invert() {
             (f[0] == "ack_batch").then(|| (f[1].parse().unwrap(), f[2].parse().unwrap()))
         })
         .collect();
-    assert!(ack_batch.len() >= 3, "ablation.csv lost its ack_batch sweep");
+    assert!(
+        ack_batch.len() >= 3,
+        "ablation.csv lost its ack_batch sweep"
+    );
     for w in ack_batch.windows(2) {
         assert!(
             w[1].1 > w[0].1,

@@ -605,7 +605,8 @@ proptest! {
 #[test]
 fn seq_window_reservation_survives_park_release_churn() {
     let lookahead = 64u32;
-    let mut win: fm_core::SeqWindow<u32> = fm_core::SeqWindow::starting_at(u32::MAX - 1_000, lookahead);
+    let mut win: fm_core::SeqWindow<u32> =
+        fm_core::SeqWindow::starting_at(u32::MAX - 1_000, lookahead);
     let mut reserved = None;
     for cycle in 0..100_000u32 {
         let head = win.next_expected();

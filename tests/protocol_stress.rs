@@ -70,7 +70,10 @@ fn random_all_to_all_exactly_once() {
         })
         .collect();
 
-    let stats: Vec<_> = handles.into_iter().map(|h| h.join().expect("node")).collect();
+    let stats: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("node"))
+        .collect();
     assert_eq!(delivered.load(Ordering::Relaxed), NODES as u64 * PER_NODE);
     let total_sent: u64 = stats.iter().map(|s| s.sent).sum();
     assert_eq!(total_sent, NODES as u64 * PER_NODE);
