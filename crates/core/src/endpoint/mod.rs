@@ -16,7 +16,7 @@
 //! * [`EndpointCore::extract`] — `FM_extract`: retransmit parked frames,
 //!   run handlers on the ring's frames where they lie, flush
 //!   handler-issued sends and any acknowledgements that found no data
-//!   frame to ride on.
+//!   frame to ride on (a reply's may wait one more extract for one).
 //!
 //! A frame's bytes therefore move once per side: into its window slot when
 //! sent (and from there straight into the wire, however often it is
@@ -537,7 +537,10 @@ impl EndpointCore {
         self.recv_ring.len()
     }
 
-    /// Current virtual time (one tick per `extract` call).
+    /// The endpoint clock in its [`TimeSource`]'s unit: one tick per
+    /// `extract` call on the virtual tick; elapsed microseconds under
+    /// [`TimeSource::WallMicros`], read at each `extract` and each arriving
+    /// frame.
     pub fn now(&self) -> u64 {
         self.now
     }
@@ -579,9 +582,9 @@ impl EndpointCore {
     // ---- extraction ------------------------------------------------------
 
     /// `FM_extract`: deliver up to `max` messages to their handlers.
-    /// Returns the number delivered. Also advances the virtual clock,
-    /// services retransmission timers, paces bounce retransmissions and
-    /// flushes acknowledgements and handler-issued sends.
+    /// Returns the number delivered. Also advances the clock, services
+    /// retransmission timers, paces bounce retransmissions and flushes
+    /// handler-issued sends and acknowledgements ([`Self::flush_acks`]).
     pub fn extract(&mut self, max: usize) -> usize {
         self.advance_clock();
         self.refresh_ring_quota();
@@ -603,7 +606,7 @@ impl EndpointCore {
         }
         self.drain_all_windows();
         self.flush_deferred();
-        self.flush_acks(true);
+        self.flush_acks();
         delivered
     }
 

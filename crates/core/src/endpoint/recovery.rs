@@ -422,7 +422,7 @@ mod tests {
         // 0..=3 fill the ring, 4 bounces, 5..=9 park and are acked.
         send_n(&mut a, hid, 10);
         carry(&mut a, &mut b, |_| false);
-        b.flush_acks(true);
+        b.flush_acks();
         // The bounce is queued ahead of the acks that overtook it, so by
         // the time they arrive seq 4 is parked for its own retransmission.
         carry(&mut b, &mut a, |_| false);
@@ -550,7 +550,7 @@ mod tests {
             send_n(&mut a, HandlerId(1), 2);
             carry(&mut a, &mut b, |_| false);
         }
-        b.flush_acks(true);
+        b.flush_acks();
         let kinds = |b: &EndpointCore| -> Vec<&str> {
             b.outgoing
                 .iter()

@@ -535,6 +535,62 @@ mod tests {
     }
 
     #[test]
+    fn a_deferred_send_to_its_own_node_loops_back_once_the_ring_has_room() {
+        // recv_ring 1: of the two messages a handler sends its own node,
+        // the second finds the ring full and is deferred. It must wait for
+        // ring space, not leave as a network frame addressed to itself
+        // (which no wire delivers: its timer would declare this node dead).
+        let mut a = EndpointCore::new(
+            NodeId(0),
+            EndpointConfig {
+                recv_ring: 1,
+                rto_initial: 8,
+                rto_max: 8,
+                retry_budget: 4,
+                ..Default::default()
+            },
+        );
+        let got = Arc::new(AtomicU64::new(0));
+        let g = got.clone();
+        a.register_handler_at(
+            HandlerId(1),
+            Box::new(move |out, me, data| {
+                g.fetch_add(1, Ordering::SeqCst);
+                if data == b"go" {
+                    out.send(me, HandlerId(1), &b"one"[..]);
+                    out.send(me, HandlerId(1), &b"two"[..]);
+                }
+            }),
+        );
+        a.try_send(NodeId(0), HandlerId(1), b"go").unwrap();
+        for _ in 0..64 {
+            a.extract(usize::MAX);
+            assert_eq!(a.outgoing_len(), 0, "nothing for the wire");
+        }
+        assert_eq!(got.load(Ordering::SeqCst), 3);
+        let stats = a.stats();
+        assert_eq!((stats.deferred_sends, stats.loopback), (1, 3));
+        assert_eq!((stats.sent, stats.timer_retransmits), (0, 0));
+        assert!(!a.is_dead(NodeId(0)));
+        assert!(a.is_quiescent(), "{a:?}");
+    }
+
+    #[test]
+    fn a_handler_send_to_a_dead_peer_is_an_unreachable_drop_not_a_deferral() {
+        let mut a = EndpointCore::new(NodeId(0), EndpointConfig::default());
+        a.register_handler_at(
+            HandlerId(1),
+            Box::new(|out, _, _| out.send(NodeId(1), HandlerId(1), &b"lost"[..])),
+        );
+        a.mark_dead(NodeId(1));
+        a.try_send(NodeId(0), HandlerId(1), b"go").unwrap();
+        assert_eq!(a.extract(usize::MAX), 1);
+        let stats = a.stats();
+        assert_eq!((stats.deferred_sends, stats.unreachable_drops), (0, 1));
+        assert!(a.is_quiescent(), "{a:?}");
+    }
+
+    #[test]
     fn extract_budget_limits_deliveries() {
         let (mut a, mut b) = pair();
         let hid = b.register_handler(Box::new(|_, _, _| {}));

@@ -106,6 +106,7 @@ impl EndpointCore {
         head.trace = trace;
         self.frames[slot as usize].fill(head, payload);
         let piggy = self.acks.take_piggy(dst);
+        self.acks.note_sent(dst);
         self.outgoing.push_back(OutEntry::Data {
             dst,
             slot,
@@ -200,8 +201,9 @@ impl EndpointCore {
         Ok(())
     }
 
-    /// Send what a handler queued while it ran, in issue order; what the
-    /// window has no room for is parked in `deferred`.
+    /// Send what a handler queued while it ran, in issue order; what finds
+    /// the window (or, sent to this node, the receive ring) full is parked
+    /// in `deferred`, and what is addressed to a dead peer is dropped.
     pub(super) fn flush_handler_sends(&mut self) {
         if self.outbox.is_empty() {
             return;
@@ -209,15 +211,21 @@ impl EndpointCore {
         let mut queued = std::mem::take(&mut self.outbox_scratch);
         self.outbox.swap_queued(&mut queued);
         for (dst, handler, payload) in &queued {
-            if self.send_slice(*dst, *handler, payload).is_err() {
-                self.stats.deferred_sends += 1;
-                self.deferred.push_back((*dst, *handler, payload.clone()));
+            match self.send_slice(*dst, *handler, payload) {
+                Ok(()) => {}
+                Err(SendError::PeerUnreachable(_)) => self.stats.unreachable_drops += 1,
+                Err(_) => {
+                    self.stats.deferred_sends += 1;
+                    self.deferred.push_back((*dst, *handler, payload.clone()));
+                }
             }
         }
         queued.clear();
         self.outbox_scratch = queued;
     }
 
+    /// Re-issue parked handler sends, oldest first, until one still finds
+    /// no room. A send to this node loops back like any other.
     pub(super) fn flush_deferred(&mut self) {
         while let Some((dst, handler, payload)) = self.deferred.pop_front() {
             if self.is_dead(dst) {
@@ -225,28 +233,32 @@ impl EndpointCore {
                 self.stats.unreachable_drops += 1;
                 continue;
             }
-            if !self.sender.can_send() {
-                self.deferred.push_front((dst, handler, payload));
-                break;
-            }
             // Deferred sends lost their causal context when they were
             // parked (only (dst, handler, payload) is retained), so they
             // re-enter the wire untraced rather than mislabeled.
-            let queued = self.queue_data_frame(dst, handler, &payload, false);
-            debug_assert!(queued.is_ok(), "can_send checked above");
+            let sent = if dst == self.id {
+                self.loopback(handler, &payload)
+            } else {
+                self.queue_data_frame(dst, handler, &payload, false)
+            };
+            if sent.is_err() {
+                self.deferred.push_front((dst, handler, payload));
+                break;
+            }
         }
     }
 
-    /// Emit standalone ack frames. `force` drains everything (end of
-    /// extract); otherwise only full batches go.
-    pub fn flush_acks(&mut self, force: bool) {
+    /// The end-of-extract ack flush: queue standalone ack frames for every
+    /// pending ack, except a reply's partial batch, which waits one flush
+    /// for a data frame to carry it (see [`crate::flow::AckTracker`]).
+    pub fn flush_acks(&mut self) {
         let Self {
             acks,
             outgoing,
             stats,
             ..
         } = self;
-        acks.take_standalone(force, |dst, slots| {
+        acks.take_standalone(|dst, slots| {
             outgoing.push_back(OutEntry::Ack {
                 dst,
                 words: PiggyAcks::from_slice(slots),
@@ -468,6 +480,47 @@ mod tests {
         a.on_wire(f);
         assert_eq!(a.stats().acks_received, 1);
         assert_eq!(a.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_ping_pong_sends_no_ack_frames() {
+        // Each echo's ack waits one extract on a, then rides the next ping.
+        let (mut a, mut b) = pair();
+        let echo = a.register_handler(Box::new(|_, _, _| {}));
+        let ping = b.register_handler(Box::new(move |out, src, data| {
+            out.send_copy(src, echo, data);
+        }));
+        for round in 0..1_000u32 {
+            a.try_send(NodeId(1), ping, round.to_le_bytes()).unwrap();
+            pump(&mut a, &mut b);
+            assert_eq!(b.extract(usize::MAX), 1);
+            pump(&mut a, &mut b);
+            assert_eq!(a.extract(usize::MAX), 1);
+        }
+        assert_eq!(a.stats().ack_frames_sent, 0);
+        assert_eq!(b.stats().ack_frames_sent, 0);
+        // The last echo's ack is held; one more extract sends it, and it
+        // frees b's slot.
+        assert_eq!(b.outstanding(), 1);
+        a.extract(usize::MAX);
+        pump(&mut a, &mut b);
+        b.extract(usize::MAX);
+        assert!(a.is_quiescent() && b.is_quiescent(), "{a:?} {b:?}");
+    }
+
+    #[test]
+    fn a_one_way_stream_is_acked_in_full_batches_at_the_first_extract() {
+        let (mut a, mut b, hid) = stream_pair(EndpointConfig::default());
+        send_n(&mut a, hid, 10);
+        carry(&mut a, &mut b, |_| false);
+        assert_eq!(b.extract(usize::MAX), 10);
+        let batches: Vec<usize> = std::iter::from_fn(|| b.pop_outgoing())
+            .map(|f| {
+                assert_eq!(f.head.kind, FrameKind::Ack);
+                f.head.piggy.len()
+            })
+            .collect();
+        assert_eq!(batches, [4, 4, 2]);
     }
 
     #[test]

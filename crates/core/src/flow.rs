@@ -12,6 +12,7 @@
 //! is an [`AckTracker`] that batches acknowledgements and prefers
 //! piggybacking them on reverse-direction data frames ("FM 1.0 optimizes
 //! further by piggybacking acknowledgements on ordinary data packets"),
+//! holding a reply's ack one extract for the next data frame to carry it,
 //! plus a per-source [`SeqWindow`] that suppresses duplicates and releases
 //! frames in sequence order.
 //!
@@ -39,9 +40,9 @@ use crate::queues::{RejectQueue, GEN_TAG_MASK, REJECT_SLOT_LIMIT};
 use fm_myrinet::NodeId;
 use std::collections::VecDeque;
 
-/// How many accepted-but-unacknowledged frames trigger a standalone ack
-/// frame when no reverse traffic is available to piggyback on. One full
-/// piggyback area's worth.
+/// Acks per full batch: one piggyback area's worth. A reply's partial
+/// batch (fewer than this) may wait a flush for a data frame to ride on
+/// (see [`AckTracker`]); full batches always leave at the flush.
 pub const ACK_BATCH: usize = PIGGY_MAX;
 
 /// Bits of an ack word naming the reject-queue slot.
@@ -517,13 +518,39 @@ impl<T> SeqWindow<T> {
 /// every other per-peer table of the endpoint — a lookup on each accepted
 /// frame and each send is an index — and drained in node-id order, which is
 /// what keeps runs reproducible.
+///
+/// Acks ride data frames toward their peer whenever one is queued
+/// ([`AckTracker::take_piggy`]); what is left goes out in standalone ack
+/// frames at the end of each extract ([`AckTracker::take_standalone`]),
+/// with one exception. A data frame from P that arrives after we queued
+/// data to P, and before any other frame from P was accepted, is a
+/// *reply*: whoever drives this endpoint is in a request/response exchange
+/// with P and is likely to send P data next. When the newest ack pending
+/// toward P is for a reply, the partial batch toward P waits one flush for
+/// that data frame to carry it. A word that has waited once leaves at the
+/// next flush, so every ack leaves no later than the second flush after
+/// its frame was accepted, and a peer we never send data to is acked
+/// exactly as if the rule did not exist.
 #[derive(Debug, Clone, Default)]
 pub struct AckTracker {
-    pending: Vec<Vec<u16>>,
-    /// Ack words pending toward anyone (the sum of `pending`'s lengths).
+    pending: Vec<PeerAcks>,
+    /// Ack words pending toward anyone (the sum of the `words` lengths).
     total: usize,
     /// [`AckTracker::on_accept`] refusals.
     invalid_slots: u64,
+}
+
+/// One peer's entry in an [`AckTracker`].
+#[derive(Debug, Clone, Default)]
+struct PeerAcks {
+    /// Ack words owed to the peer, oldest first.
+    words: Vec<u16>,
+    /// We queued a data frame to the peer since its last accepted frame.
+    spoke: bool,
+    /// The peer's last accepted frame was a reply.
+    reply: bool,
+    /// Words at the front of `words` that a flush has already held once.
+    held: usize,
 }
 
 impl AckTracker {
@@ -546,20 +573,36 @@ impl AckTracker {
             self.invalid_slots += 1;
             return false;
         };
-        if src.index() >= self.pending.len() {
-            self.pending.resize_with(src.index() + 1, Vec::new);
-        }
-        self.pending[src.index()].push(word);
+        let peer = self.peer_mut(src);
+        peer.words.push(word);
+        peer.reply = std::mem::take(&mut peer.spoke);
         self.total += 1;
         true
     }
 
+    /// Record that a data frame to `dst` was queued, so the next frame
+    /// accepted from `dst` counts as a reply.
+    #[inline]
+    pub fn note_sent(&mut self, dst: NodeId) {
+        self.peer_mut(dst).spoke = true;
+    }
+
+    fn peer_mut(&mut self, node: NodeId) -> &mut PeerAcks {
+        if node.index() >= self.pending.len() {
+            self.pending
+                .resize_with(node.index() + 1, PeerAcks::default);
+        }
+        &mut self.pending[node.index()]
+    }
+
     /// Drop every pending ack toward `dst` (the peer died; acks to it
-    /// would only wedge quiescence). Keeps the entry's capacity.
+    /// would only wedge quiescence) and forget the exchange with it. Keeps
+    /// the entry's capacity.
     pub fn purge(&mut self, dst: NodeId) -> usize {
-        let n = self.pending.get_mut(dst.index()).map_or(0, |v| {
-            let n = v.len();
-            v.clear();
+        let n = self.pending.get_mut(dst.index()).map_or(0, |p| {
+            let n = p.words.len();
+            p.words.clear();
+            (p.spoke, p.reply, p.held) = (false, false, 0);
             n
         });
         self.total -= n;
@@ -568,7 +611,7 @@ impl AckTracker {
 
     /// Total acks pending toward `dst`.
     pub fn pending_for(&self, dst: NodeId) -> usize {
-        self.pending.get(dst.index()).map_or(0, Vec::len)
+        self.pending.get(dst.index()).map_or(0, |p| p.words.len())
     }
 
     /// Total acks pending toward anyone.
@@ -585,41 +628,47 @@ impl AckTracker {
     #[inline]
     pub fn take_piggy(&mut self, dst: NodeId) -> PiggyAcks {
         let mut p = PiggyAcks::new();
-        if let Some(v) = self.pending.get_mut(dst.index()) {
-            let take = v.len().min(PIGGY_MAX);
-            for slot in v.drain(..take) {
+        if let Some(peer) = self.pending.get_mut(dst.index()) {
+            let take = peer.words.len().min(PIGGY_MAX);
+            for slot in peer.words.drain(..take) {
                 let ok = p.push(slot);
                 debug_assert!(ok);
             }
+            peer.held = peer.held.saturating_sub(take);
             self.total -= take;
         }
         p
     }
 
-    /// Drain ack batches for standalone ack frames, handing each
-    /// frame-sized group (<= [`PIGGY_MAX`] slots) to `emit`, destinations
-    /// in node-id order. With `force`, every pending ack is drained (used
-    /// at the end of an extract call so a sender with no reverse traffic
-    /// is never starved of acks); otherwise only destinations with at
-    /// least [`ACK_BATCH`] pending are drained. Visitor-style so the
-    /// common nothing-to-do and everything-piggybacked cases allocate
-    /// nothing — and, with nothing pending at all, look at nothing.
-    pub fn take_standalone(&mut self, force: bool, mut emit: impl FnMut(NodeId, &[u16])) {
+    /// The end-of-extract flush: drain pending acks into standalone ack
+    /// frames, handing each frame-sized group (<= [`PIGGY_MAX`] slots) to
+    /// `emit`, destinations in node-id order. Everything goes except a
+    /// reply's partial batch that has not waited yet (see the type docs):
+    /// it is held for one flush, in case a data frame can carry it. A
+    /// sender with no reverse traffic is therefore never starved of acks.
+    /// Visitor-style so the common nothing-to-do and everything-piggybacked
+    /// cases allocate nothing — and, with nothing pending at all, look at
+    /// nothing.
+    pub fn take_standalone(&mut self, mut emit: impl FnMut(NodeId, &[u16])) {
         if self.total == 0 {
             return;
         }
-        for (node, v) in self.pending.iter_mut().enumerate() {
-            if v.is_empty() || (!force && v.len() < ACK_BATCH) {
+        for (node, peer) in self.pending.iter_mut().enumerate() {
+            if peer.words.is_empty() {
                 continue;
             }
-            let mut start = 0;
-            while start < v.len() && (force || v.len() - start >= ACK_BATCH) {
-                let take = (v.len() - start).min(PIGGY_MAX);
-                emit(NodeId(node as u16), &v[start..start + take]);
-                start += take;
+            let hold = if peer.reply && peer.held == 0 {
+                peer.words.len() % ACK_BATCH
+            } else {
+                0
+            };
+            let send = peer.words.len() - hold;
+            for group in peer.words[..send].chunks(PIGGY_MAX) {
+                emit(NodeId(node as u16), group);
             }
-            v.drain(..start);
-            self.total -= start;
+            peer.words.drain(..send);
+            peer.held = hold;
+            self.total -= send;
         }
     }
 
@@ -815,24 +864,41 @@ mod tests {
         assert_eq!(a.pending_total(), 1);
     }
 
-    fn collect_standalone(a: &mut AckTracker, force: bool) -> Vec<(NodeId, Vec<u16>)> {
+    fn collect_standalone(a: &mut AckTracker) -> Vec<(NodeId, Vec<u16>)> {
         let mut out = Vec::new();
-        a.take_standalone(force, |node, slots| out.push((node, slots.to_vec())));
+        a.take_standalone(|node, slots| out.push((node, slots.to_vec())));
         out
     }
 
     #[test]
     fn standalone_only_when_batch_reached() {
+        // Node 1's newest frame answers one of ours: the partial batch
+        // waits a flush for a data frame; then it goes, whatever the count.
         let mut a = AckTracker::new();
         a.on_accept(NodeId(1), 0, 0);
+        a.note_sent(NodeId(1));
         a.on_accept(NodeId(1), 1, 0);
-        assert!(collect_standalone(&mut a, false).is_empty(), "below batch");
+        assert!(collect_standalone(&mut a).is_empty(), "below batch");
         a.on_accept(NodeId(1), 2, 0);
+        a.note_sent(NodeId(1));
         a.on_accept(NodeId(1), 3, 0);
-        let out = collect_standalone(&mut a, false);
+        let out = collect_standalone(&mut a);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], (NodeId(1), vec![0, 1, 2, 3]));
         assert_eq!(a.pending_total(), 0);
+    }
+
+    #[test]
+    fn a_replys_full_batches_leave_and_its_remainder_rides_the_next_data_frame() {
+        let mut a = AckTracker::new();
+        for slot in 0..6 {
+            a.on_accept(NodeId(1), slot, 0);
+        }
+        a.note_sent(NodeId(1));
+        a.on_accept(NodeId(1), 6, 0);
+        assert_eq!(collect_standalone(&mut a), [(NodeId(1), vec![0, 1, 2, 3])]);
+        assert_eq!(a.take_piggy(NodeId(1)).as_slice(), &[4, 5, 6]);
+        assert!(collect_standalone(&mut a).is_empty());
     }
 
     #[test]
@@ -841,7 +907,7 @@ mod tests {
         a.on_accept(NodeId(5), 50, 0);
         a.on_accept(NodeId(2), 20, 0);
         a.on_accept(NodeId(2), 21, 0);
-        let out = collect_standalone(&mut a, true);
+        let out = collect_standalone(&mut a);
         assert_eq!(
             out,
             vec![(NodeId(2), vec![20, 21]), (NodeId(5), vec![50])],
@@ -856,7 +922,7 @@ mod tests {
         for slot in 0..10 {
             a.on_accept(NodeId(1), slot, 0);
         }
-        let out = collect_standalone(&mut a, true);
+        let out = collect_standalone(&mut a);
         let sizes: Vec<usize> = out.iter().map(|(_, v)| v.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
         let all: Vec<u16> = out.into_iter().flat_map(|(_, v)| v).collect();
@@ -875,5 +941,88 @@ mod tests {
             assert_eq!(p.as_slice(), &[round]);
         }
         assert_eq!(a.pending_total(), 0);
+    }
+
+    /// The [`AckTracker`] model: per peer, the words still owed, oldest
+    /// first, each with the number of flushes before its acceptance.
+    type Owed = Vec<VecDeque<(u16, u32)>>;
+
+    const PEERS: usize = 3;
+
+    /// `words` left the tracker toward one peer: each must be the oldest
+    /// word still owed to it.
+    fn emitted(owed: &mut VecDeque<(u16, u32)>, words: &[u16]) -> Result<(), String> {
+        for &word in words {
+            match owed.pop_front() {
+                Some((want, _)) if want == word => {}
+                other => return Err(format!("emitted {word}, owed {other:?}")),
+            }
+        }
+        Ok(())
+    }
+
+    /// One end-of-extract flush, checked against the model.
+    fn flush(
+        a: &mut AckTracker,
+        owed: &mut Owed,
+        flushes: &mut u32,
+        sent_to: &[bool],
+    ) -> Result<(), String> {
+        let mut out = Vec::new();
+        a.take_standalone(|node, words| out.push((node, words.to_vec())));
+        *flushes += 1;
+        for (node, words) in out {
+            proptest::prop_assert!(!words.is_empty() && words.len() <= PIGGY_MAX);
+            emitted(&mut owed[node.index()], &words)?;
+        }
+        for (peer, left) in owed.iter().enumerate() {
+            proptest::prop_assert!(
+                left.iter().all(|&(_, before)| before + 1 == *flushes),
+                "peer {peer}: a word outlived its second flush: {left:?}"
+            );
+            proptest::prop_assert!(
+                sent_to[peer] || left.is_empty(),
+                "peer {peer} was never sent to, yet {left:?} outlived a flush"
+            );
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of accepts, sends, piggybacks, flushes and
+        /// purges over three peers: every accepted word leaves exactly
+        /// once, in its peer's order, by the second flush after it was
+        /// accepted, and by the first toward a peer never sent to.
+        #[test]
+        fn ack_tracker_matches_its_model(ops in proptest::collection::vec(0usize..5 * PEERS, 1..300usize)) {
+            let mut a = AckTracker::new();
+            let mut owed: Owed = vec![VecDeque::new(); PEERS];
+            let mut sent_to = [false; PEERS];
+            let (mut next_slot, mut flushes) = (0u16, 0u32);
+            for op in ops {
+                let (peer, node) = (op / 5, NodeId((op / 5) as u16));
+                match op % 5 {
+                    0 => {
+                        proptest::prop_assert!(a.on_accept(node, next_slot, 0));
+                        owed[peer].push_back((next_slot, flushes));
+                        next_slot += 1;
+                    }
+                    1 => {
+                        a.note_sent(node);
+                        sent_to[peer] = true;
+                    }
+                    2 => emitted(&mut owed[peer], a.take_piggy(node).as_slice())?,
+                    3 => flush(&mut a, &mut owed, &mut flushes, &sent_to)?,
+                    _ => {
+                        proptest::prop_assert_eq!(a.purge(node), owed[peer].len());
+                        owed[peer].clear();
+                    }
+                }
+                proptest::prop_assert_eq!(a.pending_total(), owed.iter().map(VecDeque::len).sum::<usize>());
+            }
+            flush(&mut a, &mut owed, &mut flushes, &sent_to)?;
+            flush(&mut a, &mut owed, &mut flushes, &sent_to)?;
+            proptest::prop_assert_eq!(a.pending_total(), 0);
+        }
     }
 }

@@ -747,6 +747,11 @@ impl MemEndpoint {
             n += 1;
             self.deferred.extend(outbox.drain());
         }
+        if n == 0 && self.backlog.is_empty() {
+            // Nothing new to send, and extract flushed both queues just
+            // before; only a backlogged frame could get out on a second try.
+            return 0;
+        }
         self.flush_deferred();
         self.flush_wire();
         n

@@ -381,6 +381,43 @@ fn trace_contexts_survive_the_udp_wire_under_faults() {
         .any(|f| f.src == 1 && f.dst == 0 && f.hop == 1));
 }
 
+/// A reply carries its ack: an inline ping-pong puts only its pings and
+/// echoes on the wire, each echo's ack riding the next ping.
+#[test]
+fn udp_ping_pong_sends_two_datagrams_per_round() {
+    const ROUNDS: u64 = 1_000;
+    let mut nodes = MemCluster::with_fabric(2, udp_config(), FabricKind::Udp);
+    let mut b = nodes.pop().unwrap();
+    let mut a = nodes.pop().unwrap();
+    let echoes = Arc::new(Mutex::new(0u64));
+    let e = echoes.clone();
+    let echo = a.register_handler(move |_, _, _| *e.lock() += 1);
+    let ping = b.register_handler(move |out, src, data| out.send_copy(src, echo, data));
+    let deadline = Instant::now() + WEDGE_AFTER;
+    while a.udp_established(NodeId(1)) != Some(true) || b.udp_established(NodeId(0)) != Some(true) {
+        assert!(Instant::now() < deadline, "handshake never completed");
+        b.extract();
+        a.extract();
+    }
+    let datagrams = |a: &MemEndpoint, b: &MemEndpoint| {
+        a.udp_stats().unwrap().datagrams_out + b.udp_stats().unwrap().datagrams_out
+    };
+    let before = datagrams(&a, &b);
+    for round in 1..=ROUNDS {
+        a.send(NodeId(1), ping, &(round as u32).to_le_bytes());
+        while *echoes.lock() < round {
+            assert!(Instant::now() < deadline, "wedged at round {round}");
+            b.extract();
+            a.extract();
+        }
+    }
+    let sent = datagrams(&a, &b) - before;
+    assert!(sent <= 2 * ROUNDS, "{sent} datagrams for {ROUNDS} rounds");
+    for ep in [&a, &b] {
+        assert_eq!(ep.stats().retransmitted, 0, "{ep:?}");
+    }
+}
+
 /// The wire format crosses a real socket boundary byte-identically: what
 /// `encode_into` wrote on one socket, `decode_slice` reconstructs on the
 /// other, field for field.

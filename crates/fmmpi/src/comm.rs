@@ -556,6 +556,26 @@ mod tests {
         }
     }
 
+    /// In an inline ping-pong each side's ack for the message it just got
+    /// rides the message it sends next; only the first ping's and the last
+    /// echo's may travel alone.
+    #[test]
+    fn an_inline_ping_pong_acks_on_its_data_frames() {
+        let mut comms = MpiCluster::new(2);
+        let mut c1 = comms.pop().unwrap();
+        let mut c0 = comms.pop().unwrap();
+        for round in 0..1_000u32 {
+            c0.send(1, Tag(1), &round.to_le_bytes());
+            let (_, _, ping) = recv_inline(&mut c0, &mut c1);
+            c1.send(0, Tag(2), &ping);
+            let (_, _, echo) = recv_inline(&mut c1, &mut c0);
+            assert_eq!(echo, round.to_le_bytes());
+        }
+        for c in [&c0, &c1] {
+            assert!(c.fm_stats().ack_frames_sent <= 2, "{:?}", c.fm_stats());
+        }
+    }
+
     /// Either side of the one-frame boundary (118 B of data behind the
     /// 10-B envelope) a message arrives intact; at or below it the message
     /// is exactly one FM frame and reassembly never sees it, above it the
