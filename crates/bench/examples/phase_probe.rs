@@ -1,19 +1,22 @@
 //! Where a streamed 128-byte message spends its time in the protocol
-//! engine, leg by leg, and what the whole `MemEndpoint` loop costs around
-//! it. Run it in both builds to price the telemetry ledger:
+//! engine, leg by leg, what the whole `MemEndpoint` loop costs around it,
+//! and how much of that the endpoints' telemetry is:
 //!
 //! ```text
 //! cargo run --release -p fm-bench --example phase_probe
-//! cargo run --release -p fm-bench --example phase_probe --features telemetry-off
 //! ```
 //!
 //! The legs drive two bare `EndpointCore`s through the by-value adapters
 //! (`pop_outgoing` / `on_wire`), so `on_data` and `on_ack` include one
-//! frame copy each that the ring runtime does not make; the last column is
-//! the real thing, `MemCluster` over its SPSC rings. EXPERIMENTS.md records
-//! this program's output before and after the frames-stay-put change.
+//! frame copy each that the ring runtime does not make; the `mem stream`
+//! column is the real thing, `MemCluster` over its SPSC rings. The second
+//! line prices the stream's telemetry in the same process: the trace and
+//! histogram calls its two endpoints made per message, at the isolated ns
+//! per call ([`fm_bench::telemetry_price`]). EXPERIMENTS.md records this
+//! program's output across the changes that moved these numbers.
 
 use bytes::Bytes;
+use fm_bench::telemetry_price::TelemetryPrice;
 use fm_core::{EndpointConfig, EndpointCore, HandlerId, MemCluster, NodeId};
 use std::hint::black_box;
 use std::time::Instant;
@@ -77,15 +80,24 @@ fn main() {
         tx.extract();
     }
     let stream = started.elapsed().as_nanos() as f64 / (total - total / 10) as f64;
+    let tel = TelemetryPrice::of(&[tx.telemetry(), rx.telemetry()], total as u64);
 
     println!(
-        "telemetry {:<3} | send {:5.1} | on_data {:5.1} | extract {:5.1} | on_ack {:5.1} | core sum {:5.1} | mem stream {:5.1}  (ns per 128-B message)",
-        if fm_telemetry::ENABLED { "on" } else { "off" },
+        "send {:5.1} | on_data {:5.1} | extract {:5.1} | on_ack {:5.1} | core sum {:5.1} | mem stream {:5.1}  (ns per 128-B message)",
         per_msg(legs[0]),
         per_msg(legs[1]),
         per_msg(legs[2]),
         per_msg(legs[3]),
         per_msg(legs.iter().sum()),
         stream,
+    );
+    println!(
+        "telemetry: {:.3} trace x {:.2} ns + {:.3} record x {:.2} ns = {:.2} ns per message ({:.2}% of the stream)",
+        tel.trace_calls,
+        tel.trace_ns,
+        tel.record_calls,
+        tel.record_ns,
+        tel.ns_per_msg(),
+        100.0 * tel.ns_per_msg() / stream,
     );
 }

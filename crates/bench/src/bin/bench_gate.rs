@@ -25,23 +25,24 @@
 //! wire throughput is compared against it — the reliability layer must
 //! cost <10% on a clean network.
 //!
-//! A fifth section guards the **telemetry layer** (per-endpoint counters,
-//! histograms, event ring — the observability PR): when
-//! `--telemetry-on PATH` and `--telemetry-off PATH` point at
-//! `telemetry_probe` result files (one built normally, one with
-//! `--features telemetry-off`), the gate computes the instrumentation
-//! overhead on the clean ring ping-pong path and holds it to the same
-//! <10% budget.
+//! A fifth section guards the **telemetry layer** (per-endpoint
+//! histograms and event ring, causal trace sampling at the default
+//! 1-in-64): the calls the ring ping-pong made into its endpoints'
+//! telemetry handles, per message, priced at the isolated cost of each
+//! call timed in this process ([`fm_bench::telemetry_price`]), must stay
+//! under 10% of the ping-pong's own ns per message.
 //!
-//! `--smoke` shrinks the workloads to CI size and skips enforcement (the
-//! JSON is still written, with `"enforced": false`); without it the
-//! process exits nonzero when a gate fails. `--out PATH` overrides the
-//! output path.
+//! `--smoke` shrinks the workloads to CI size and skips enforcement of the
+//! machine-dependent gates (the JSON is still written, with
+//! `"enforced": false`); the telemetry budget, a ratio of two numbers
+//! taken in the same process, is enforced either way. Without `--smoke`
+//! the process exits nonzero when any gate fails. `--out PATH` overrides
+//! the output path.
 
 use fm_bench::alloc_track::CountingAlloc;
 use fm_bench::pingpong::pingpong;
-use fm_core::FaultConfig;
 use fm_core::{spsc_ring, HandlerId, NodeId, WireFrame, FM_FRAME_MAX};
+use fm_core::{EndpointConfig, FaultConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -57,9 +58,9 @@ const MIN_WIRE_SPEEDUP: f64 = 3.0;
 /// network is clean).
 const MAX_WIRE_REGRESSION: f64 = 0.10;
 
-/// Maximum tolerated telemetry overhead on the clean ring ping-pong path
-/// (instrumented vs `telemetry-off` probe builds). Same budget as the
-/// reliability layer: observability must be near-free.
+/// Maximum tolerated telemetry price on the clean ring ping-pong path, as
+/// a share of its ns per message. Same budget as the reliability layer:
+/// observability must be near-free.
 const MAX_TELEMETRY_OVERHEAD: f64 = 0.10;
 
 fn encoded_template() -> ([u8; FM_FRAME_MAX], usize) {
@@ -158,8 +159,6 @@ fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_fabric.json".to_string();
     let mut baseline_path: Option<String> = None;
-    let mut tel_on_path: Option<String> = None;
-    let mut tel_off_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let target = match a.as_str() {
@@ -169,14 +168,9 @@ fn main() {
             }
             "--out" => &mut out_path,
             "--baseline" => baseline_path.insert(String::new()),
-            "--telemetry-on" => tel_on_path.insert(String::new()),
-            "--telemetry-off" => tel_off_path.insert(String::new()),
             other => {
                 eprintln!("error: unknown argument `{other}`");
-                eprintln!(
-                    "usage: bench_gate [--smoke] [--out PATH] [--baseline PATH] \
-                     [--telemetry-on PATH --telemetry-off PATH]"
-                );
+                eprintln!("usage: bench_gate [--smoke] [--out PATH] [--baseline PATH]");
                 std::process::exit(2);
             }
         };
@@ -211,16 +205,10 @@ fn main() {
     }
 
     eprintln!("bench_gate: full-stack ping-pong ({rounds} rounds)...");
-    let ring_pp = pingpong(None, Default::default(), warmup, rounds, None);
+    let ring_pp = pingpong(None, warmup, rounds);
 
     eprintln!("bench_gate: reliability clean path (zero-rate injector, {rounds} rounds)...");
-    let clean_faulty_pp = pingpong(
-        Some(FaultConfig::new(0x000C_1EA4)),
-        Default::default(),
-        warmup,
-        rounds,
-        None,
-    );
+    let clean_faulty_pp = pingpong(Some(FaultConfig::new(0x000C_1EA4)), warmup, rounds);
 
     let allocs_per_1m = ring_pp.steady.allocs as f64 * 1e6 / ring_pp.frames as f64;
     let bytes_per_1m = ring_pp.steady.bytes as f64 * 1e6 / ring_pp.frames as f64;
@@ -236,29 +224,12 @@ fn main() {
     let injector_overhead =
         (ring_pp.msgs_per_sec - clean_faulty_pp.msgs_per_sec) / ring_pp.msgs_per_sec;
 
-    // Telemetry overhead: instrumented vs telemetry-off probe runs of the
-    // same ring ping-pong. Positive = instrumentation costs throughput.
-    let probe = |path: &Option<String>, key| path.as_deref().and_then(|p| json_number(p, key));
-    let tel_on = probe(&tel_on_path, "msgs_per_sec");
-    let tel_off = probe(&tel_off_path, "msgs_per_sec");
-    // The instrumented probe's causal-trace sample rate (1-in-N) and beacon
-    // pacing (micros; 0 = off), recorded so the overhead number is
-    // interpretable: tracing cost scales with the one, and the other says
-    // the figure covers the whole observability plane, not just counters.
-    let tel_trace_one_in = probe(&tel_on_path, "trace_one_in");
-    let tel_beacon_us = probe(&tel_on_path, "beacon_us");
-    for (path, parsed) in [(&tel_on_path, tel_on), (&tel_off_path, tel_off)] {
-        if let Some(p) = path {
-            if parsed.is_none() {
-                eprintln!("bench_gate: warning: no msgs_per_sec readable from {p}");
-            }
-        }
-    }
-    let telemetry_overhead = match (tel_on, tel_off) {
-        (Some(on), Some(off)) => Some((off - on) / off),
-        _ => None,
-    };
-    let telemetry_ok = telemetry_overhead.is_none_or(|o| o < MAX_TELEMETRY_OVERHEAD);
+    // Telemetry price: the ping-pong's own telemetry calls per message at
+    // the isolated ns per call, against its ns per message.
+    let tel = ring_pp.telemetry;
+    let pp_ns_per_msg = 1e9 / ring_pp.msgs_per_sec;
+    let telemetry_overhead = tel.ns_per_msg() / pp_ns_per_msg;
+    let telemetry_ok = telemetry_overhead < MAX_TELEMETRY_OVERHEAD;
 
     let json = format!(
         concat!(
@@ -291,10 +262,13 @@ fn main() {
             "  }},\n",
             "  \"telemetry\": {{\n",
             "    \"trace_one_in\": {tel_rate},\n",
-            "    \"beacon_us\": {tel_beacon},\n",
-            "    \"on_msgs_per_sec\": {tel_on},\n",
-            "    \"off_msgs_per_sec\": {tel_off},\n",
-            "    \"overhead_pct\": {tel_pct},\n",
+            "    \"trace_calls_per_msg\": {tel_traces:.4},\n",
+            "    \"record_calls_per_msg\": {tel_records:.4},\n",
+            "    \"trace_ns_per_call\": {tel_trace_ns:.2},\n",
+            "    \"record_ns_per_call\": {tel_record_ns:.2},\n",
+            "    \"price_ns_per_msg\": {tel_price:.2},\n",
+            "    \"pingpong_ns_per_msg\": {pp_ns:.1},\n",
+            "    \"overhead_pct\": {tel_pct:.2},\n",
             "    \"max_overhead_pct\": {tel_max:.1},\n",
             "    \"overhead_ok\": {telemetry_ok}\n",
             "  }},\n",
@@ -333,11 +307,14 @@ fn main() {
         cfp50 = clean_faulty_pp.p50_ns,
         cfp99 = clean_faulty_pp.p99_ns,
         inj_pct = injector_overhead * 100.0,
-        tel_rate = or_null(tel_trace_one_in, 0),
-        tel_beacon = or_null(tel_beacon_us, 0),
-        tel_on = or_null(tel_on, 0),
-        tel_off = or_null(tel_off, 0),
-        tel_pct = or_null(telemetry_overhead.map(|o| o * 100.0), 1),
+        tel_rate = EndpointConfig::default().trace_one_in,
+        tel_traces = tel.trace_calls,
+        tel_records = tel.record_calls,
+        tel_trace_ns = tel.trace_ns,
+        tel_record_ns = tel.record_ns,
+        tel_price = tel.ns_per_msg(),
+        pp_ns = pp_ns_per_msg,
+        tel_pct = telemetry_overhead * 100.0,
         tel_max = MAX_TELEMETRY_OVERHEAD * 100.0,
         telemetry_ok = telemetry_ok,
         min_speedup = MIN_WIRE_SPEEDUP,
@@ -373,16 +350,26 @@ fn main() {
             -injector_overhead * 100.0,
         ),
     }
-    match (tel_on, tel_off, telemetry_overhead) {
-        (Some(on), Some(off), Some(o)) => println!(
-            "telemetry: instrumented {on:.3e} vs telemetry-off {off:.3e} msg/s ({:+.1}% {})",
-            -o * 100.0,
-            if o >= 0.0 { "slower" } else { "faster" },
-        ),
-        _ => println!("telemetry: no probe results — overhead not measured"),
-    }
+    println!(
+        "telemetry: {:.3} trace x {:.2} ns + {:.3} record x {:.2} ns = {:.2} ns per message \
+         ({:.2}% of {pp_ns_per_msg:.0} ns)",
+        tel.trace_calls,
+        tel.trace_ns,
+        tel.record_calls,
+        tel.record_ns,
+        tel.ns_per_msg(),
+        telemetry_overhead * 100.0,
+    );
     println!("wrote {out_path}");
 
+    if !telemetry_ok {
+        eprintln!(
+            "GATE FAIL: telemetry costs {:.1}% of a clean ring ping-pong message (max {:.0}%)",
+            telemetry_overhead * 100.0,
+            MAX_TELEMETRY_OVERHEAD * 100.0
+        );
+        std::process::exit(1);
+    }
     if !smoke {
         let mut failed = false;
         if !speedup_ok {
@@ -406,16 +393,6 @@ fn main() {
                 failed = true;
             }
         }
-        if let Some(o) = telemetry_overhead {
-            if !telemetry_ok {
-                eprintln!(
-                    "GATE FAIL: telemetry overhead {:.1}% on the clean ring path (max {:.0}%)",
-                    o * 100.0,
-                    MAX_TELEMETRY_OVERHEAD * 100.0
-                );
-                failed = true;
-            }
-        }
         if failed {
             std::process::exit(1);
         }
@@ -426,6 +403,6 @@ fn main() {
             MAX_TELEMETRY_OVERHEAD * 100.0
         );
     } else {
-        println!("gate: smoke mode — thresholds reported, not enforced");
+        println!("gate: smoke mode — telemetry budget enforced, other thresholds reported only");
     }
 }

@@ -36,7 +36,7 @@ use fm_core::{
 };
 use fm_mpi::{Communicator, ReduceOp};
 use fm_telemetry::beacon::{self, Beacon, BeaconBody, Beaconer, ShardSample};
-use fm_telemetry::{Collector, Telemetry};
+use fm_telemetry::Collector;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
@@ -141,11 +141,8 @@ fn main() {
     // link makes node 0 storm, the closed port kills node 10's peer, and
     // the hand-built switch-99 samples collapse fairness. The lossy
     // two-process soak may legitimately raise extra storm alarms when
-    // the scheduler stalls a child (reported above, not gated). The
-    // counter-fed detectors read zero in a telemetry-off build; the
-    // synthetic incast samples are hand-built and fire either way.
+    // the scheduler stalls a child (reported above, not gated).
     use fm_telemetry::Alarm;
-    let counting = fm_telemetry::ENABLED as u64;
     let seeded_storms = collector
         .alarms()
         .iter()
@@ -162,13 +159,10 @@ fn main() {
         .filter(|a| matches!(a, Alarm::IncastCapture { switch: 99, .. }))
         .count() as u64;
     assert_eq!(
-        seeded_storms, counting,
+        seeded_storms, 1,
         "seeded retransmit storm must fire exactly once"
     );
-    assert_eq!(
-        seeded_dead, counting,
-        "seeded dead peer must fire exactly once"
-    );
+    assert_eq!(seeded_dead, 1, "seeded dead peer must fire exactly once");
     assert_eq!(
         seeded_incast, 1,
         "seeded incast capture must fire exactly once"
@@ -178,10 +172,9 @@ fn main() {
         "no real shard may trip the fairness detector (DRR keeps incast fair)"
     );
     assert!(
-        fm_telemetry::ENABLED == (coll_kinds >= 3),
+        coll_kinds >= 3,
         "collective duration series must cover barrier/allreduce/bcast \
-         (saw {coll_kinds} kinds; telemetry enabled: {})",
-        fm_telemetry::ENABLED
+         (saw {coll_kinds} kinds)"
     );
     assert!(
         !prom.contains("NaN"),
@@ -224,7 +217,6 @@ fn main() {
             "  \"bench\": \"obs\",\n",
             "  \"smoke\": {smoke},\n",
             "  \"seed\": {seed},\n",
-            "  \"telemetry_enabled\": {enabled},\n",
             "  \"alarms\": {{\n",
             "    \"retransmit_storm\": {storm},\n",
             "    \"incast_capture\": {incast},\n",
@@ -259,7 +251,6 @@ fn main() {
         ),
         smoke = smoke,
         seed = RUN_SEED,
-        enabled = fm_telemetry::ENABLED,
         storm = storm,
         incast = incast,
         dead = dead,
@@ -584,10 +575,8 @@ fn run_collectives(collector: &mut Collector, addr: SocketAddr, cycles: u32) -> 
     };
     let cluster = SwitchedCluster::new(&topo, config);
     let (mut eps, shards) = cluster.split();
-    let mut tels: Vec<Telemetry> = Vec::new();
     for ep in &mut eps {
         ep.enable_beacon(addr, 500).expect("beacon socket");
-        tels.push(ep.telemetry().clone());
     }
     let comms: Vec<Communicator> = eps
         .into_iter()
@@ -611,27 +600,28 @@ fn run_collectives(collector: &mut Collector, addr: SocketAddr, cycles: u32) -> 
                     c.progress();
                     std::thread::yield_now();
                 }
+                c
             })
         })
         .collect();
     // Poll while the ranks run so paced beacons don't pile up in the
     // socket buffer.
+    let mut ranks = Vec::new();
     for h in handles {
         while !h.is_finished() {
             collector.poll();
             std::thread::sleep(Duration::from_millis(1));
         }
-        h.join().expect("rank thread");
+        ranks.push(h.join().expect("rank thread"));
     }
     runner
         .shutdown(Duration::from_secs(30))
         .expect("shards drain and join");
 
-    // Final flush: a fresh beaconer per rank ships the newest event
-    // window, which covers the last full collective cycle.
-    for t in tels {
-        let mut b = Beaconer::endpoint(t, addr, 1).expect("flush beaconer");
-        b.emit(&[]);
+    // Final flush, from the ranks handed back: each ships its newest
+    // event window, which covers the last full collective cycle.
+    for mut c in ranks {
+        c.emit_beacon();
     }
     std::thread::sleep(Duration::from_millis(20));
     collector.poll();

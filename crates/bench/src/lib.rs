@@ -28,6 +28,7 @@ use fm_testbed::{bandwidth_sweep, latency_sweep, Layer, TestbedConfig};
 
 pub mod alloc_track;
 pub mod pingpong;
+pub mod telemetry_price;
 
 /// Where the figure/table outputs go, relative to the working directory.
 pub const RESULTS_DIR: &str = "results";

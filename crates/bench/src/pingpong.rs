@@ -1,9 +1,9 @@
-//! The full-stack ping-pong harness shared by `bench_gate` and
-//! `telemetry_probe`.
+//! The full-stack ping-pong harness behind `bench_gate`.
 //!
 //! Two `MemEndpoint`s run serial echo rounds over the ring fabric; the
-//! harness reports throughput, per-frame latency percentiles and the
-//! allocation delta across the measured section. Round-trip times are
+//! harness reports throughput, per-frame latency percentiles, the
+//! allocation delta across the measured section and what the endpoints'
+//! telemetry cost per message ([`TelemetryPrice`]). Round-trip times are
 //! recorded into an [`fm_telemetry::Histogram`] (log2-linear buckets,
 //! ≤1/32 relative quantization error) — the same extractor the testbed's
 //! loss sweep uses, replacing the sorted-`Vec` percentile code both used
@@ -11,9 +11,10 @@
 //!
 //! Allocation counts are only meaningful when the calling binary installs
 //! [`crate::alloc_track::CountingAlloc`] as its global allocator
-//! (`bench_gate` does; `telemetry_probe` does not and reads zeros).
+//! (`bench_gate` does; anything else reads zeros).
 
 use crate::alloc_track::{allocations, AllocSnapshot};
+use crate::telemetry_price::TelemetryPrice;
 use fm_core::mem::{FabricKind, MemCluster};
 use fm_core::{EndpointConfig, FaultConfig, HandlerId, NodeId};
 use fm_telemetry::Histogram;
@@ -30,25 +31,15 @@ pub struct PingPong {
     pub p99_ns: u64,
     pub steady: AllocSnapshot,
     pub frames: u64,
+    /// Both endpoints' telemetry calls over the whole run, warmup
+    /// included, priced per message.
+    pub telemetry: TelemetryPrice,
 }
 
-/// Serial echo rounds over the full protocol stack (window, acks, codec).
-/// `config` reaches both endpoints, so probe binaries can vary the trace
-/// sample rate (`EndpointConfig::trace_one_in`) against the same workload.
-///
-/// `beacon_us` (when `Some`) points both endpoints' out-of-band telemetry
-/// beacons at a throwaway local sink socket at that pacing interval, so
-/// the overhead gate can price the beacon path (snapshot + encode + UDP
-/// send from inside `extract`) on the same workload. The sink is never
-/// read; once its receive buffer fills the kernel drops the rest, which
-/// is exactly the cost profile of a slow or absent collector.
-pub fn pingpong(
-    faults: Option<FaultConfig>,
-    config: EndpointConfig,
-    warmup: u64,
-    rounds: u64,
-    beacon_us: Option<u64>,
-) -> PingPong {
+/// Serial echo rounds over the full protocol stack (window, acks, codec)
+/// with the default `EndpointConfig`.
+pub fn pingpong(faults: Option<FaultConfig>, warmup: u64, rounds: u64) -> PingPong {
+    let config = EndpointConfig::default();
     let mut nodes = match faults {
         // Zero-rate injector: every frame still pays the injector's
         // per-frame decision rolls — the clean-path worst case.
@@ -57,13 +48,6 @@ pub fn pingpong(
     };
     let mut b = nodes.pop().expect("node 1");
     let mut a = nodes.pop().expect("node 0");
-    let _beacon_sink = beacon_us.map(|us| {
-        let sink = std::net::UdpSocket::bind("127.0.0.1:0").expect("beacon sink");
-        let addr = sink.local_addr().expect("sink addr");
-        a.enable_beacon(addr, us).expect("beacon socket (a)");
-        b.enable_beacon(addr, us).expect("beacon socket (b)");
-        sink // kept alive so the port stays bound for the whole run
-    });
     let hb = b.register_handler(|out, src, data| out.send_copy(src, HandlerId(1), data));
     let echoes = Arc::new(AtomicU64::new(0));
     let e2 = echoes.clone();
@@ -79,6 +63,7 @@ pub fn pingpong(
             b.extract();
             std::thread::yield_now();
         }
+        b
     });
 
     let payload = [0x5Au8; 16];
@@ -105,7 +90,8 @@ pub fn pingpong(
     let elapsed = t0.elapsed();
     let steady = allocations().since(before);
     stop.store(true, Ordering::Relaxed);
-    tb.join().expect("echo thread");
+    let b = tb.join().expect("echo thread");
+    let telemetry = TelemetryPrice::of(&[a.telemetry(), b.telemetry()], 2 * (warmup + rounds));
     PingPong {
         // Each round moves two data frames (ping + echo).
         msgs_per_sec: 2.0 * rounds as f64 / elapsed.as_secs_f64(),
@@ -113,5 +99,6 @@ pub fn pingpong(
         p99_ns: rtts.quantile(0.99) / 2,
         steady,
         frames: 2 * rounds,
+        telemetry,
     }
 }

@@ -36,7 +36,7 @@ use crate::frame::{FrameSlot, PiggyAcks, TraceCtx, FM_FRAME_PAYLOAD};
 use crate::handler::{Handler, HandlerId, HandlerRegistry, Outbox};
 use crate::queues::PacketRing;
 use crate::time::{derive_jitter_seed, RttEstimator, TimeSource};
-use fm_telemetry::{Counter, EventKind, Telemetry};
+use fm_telemetry::{EventKind, Telemetry};
 
 mod recovery;
 mod recv;
@@ -73,7 +73,10 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Counters exposed for tests, examples and the overload experiments.
+/// The endpoint's event ledger: each protocol event is counted here once,
+/// by the one thread driving the endpoint, so plain `u64`s suffice. The
+/// exporters read these cells (`MemEndpoint::observability_counters`,
+/// [`Self::observability_pairs`]); tests and experiments read them directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EndpointStats {
     /// Data frames queued for the wire (first transmissions).
@@ -127,12 +130,19 @@ pub struct EndpointStats {
     /// for a restarted peer (handshake generation change on a real-network
     /// fabric).
     pub peer_resets: u64,
+    /// Peers declared dead after exhausting their retry budget.
+    pub dead_peers: u64,
+    /// Acks refused for a slot wider than the 10-bit ack word (the frame
+    /// stays unacked; the sender's timer recovers it).
+    pub invalid_ack_slots: u64,
+    /// Reorder-window parks refused (out of window or double; bounced).
+    pub seq_buffer_misuse: u64,
 }
 
 impl EndpointStats {
-    /// The stats fields the telemetry `Counter` enum does *not* already
-    /// cover, as `(name, value)` gauge pairs for the observability
-    /// exports (metrics aggregator columns, telemetry beacons).
+    /// The stats fields outside the `fm_telemetry::Counter` schema, as
+    /// `(name, value)` gauge pairs for the observability exports (metrics
+    /// aggregator columns, telemetry beacons).
     pub fn observability_pairs(&self) -> [(&'static str, u64); 5] {
         [
             ("gap_retransmits", self.gap_retransmits),
@@ -164,10 +174,11 @@ pub struct EndpointConfig {
     /// frame, so [`crate::mem::MemCluster::with_config`] rejects such
     /// configurations up front. Rounded up to a power of two.
     pub wire_ring: usize,
-    /// Initial retransmission timeout, in extract ticks (the endpoint has
-    /// no wall clock; each `extract` call advances time by one). Kept large
-    /// by default so the timers never fire on a healthy in-memory fabric —
-    /// bounces, not timeouts, drive the common recovery path.
+    /// Initial retransmission timeout, in units of the endpoint clock (see
+    /// `time_source`: one per `extract` call on the virtual tick, a
+    /// microsecond of wall time otherwise). Kept large by default so the
+    /// timers never fire on a healthy in-memory fabric — bounces, not
+    /// timeouts, drive the common recovery path.
     pub rto_initial: u64,
     /// Ceiling for the exponentially backed-off retransmission timeout.
     pub rto_max: u64,
@@ -195,8 +206,7 @@ pub struct EndpointConfig {
     /// cluster-wide trace id and records span events along the message's
     /// whole life (send, wire-in, handler, ack round-trip); handler-issued
     /// sends triggered by a traced delivery inherit the trace regardless
-    /// of this rate. `0` disables tracing; the `telemetry-off` feature
-    /// disables it unconditionally.
+    /// of this rate. `0` disables tracing.
     pub trace_one_in: u32,
     /// Capacity of the endpoint's bounded trace [`fm_telemetry::EventRing`]
     /// (protocol events and trace spans share it; the oldest entry is
@@ -414,10 +424,8 @@ pub struct EndpointCore {
     retx_scratch: Vec<u16>,
     fail_scratch: Vec<u16>,
     stats: EndpointStats,
-    /// Unified runtime telemetry: counters, latency histograms and the
-    /// protocol trace ring, written only by the thread driving this
-    /// endpoint. Compiles down to nothing under the `telemetry-off`
-    /// feature.
+    /// Runtime telemetry: latency histograms and the protocol trace ring,
+    /// written only by the thread driving this endpoint.
     telemetry: Telemetry,
     /// Round-robin pick of which deliveries get their handler timed
     /// (1 in 64; see `deliver_head`).
@@ -511,9 +519,8 @@ impl EndpointCore {
         self.stats
     }
 
-    /// This endpoint's telemetry handle (counters, histograms, trace ring).
-    /// Cheap to clone; safe to read from other threads while the endpoint
-    /// runs.
+    /// This endpoint's telemetry handle (histograms, trace ring). Cheap to
+    /// clone; safe to read from other threads while the endpoint runs.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -562,7 +569,6 @@ impl EndpointCore {
     /// what recovers it.
     pub fn note_corrupt(&mut self) {
         self.stats.corrupt += 1;
-        self.telemetry.incr(Counter::CorruptFrames);
     }
 
     // ---- handler registration -------------------------------------------

@@ -11,7 +11,7 @@ use fm_myrinet::NodeId;
 use super::{span, EndpointCore, OutEntry};
 use crate::flow::{ack_word_parts, SeqWindow};
 use crate::frame::FrameHeader;
-use fm_telemetry::{Counter, EventKind, Metric};
+use fm_telemetry::{EventKind, Metric};
 
 /// Why a frame is going out again.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -135,13 +135,9 @@ impl EndpointCore {
         flow.barrier = self.next_seq[dst.index()];
         flow.overtaken = 0;
         self.stats.retransmitted += 1;
-        self.telemetry.incr(Counter::Retransmits);
         match cause {
             Retransmit::Bounce => {}
-            Retransmit::Timer => {
-                self.stats.timer_retransmits += 1;
-                self.telemetry.incr(Counter::TimerRetransmits);
-            }
+            Retransmit::Timer => self.stats.timer_retransmits += 1,
             Retransmit::Gap => {
                 self.stats.gap_retransmits += 1;
                 flow.needed = self.config.window as u32;
@@ -177,7 +173,6 @@ impl EndpointCore {
     pub(super) fn on_return(&mut self, head: &FrameHeader) {
         if self.sender.on_bounce(head.slot, head.slot_gen) {
             self.stats.bounced += 1;
-            self.telemetry.incr(Counter::Bounces);
             self.telemetry.trace(
                 self.now,
                 EventKind::Bounce {
@@ -275,7 +270,7 @@ impl EndpointCore {
         }
         self.dead[idx] = true;
         self.newly_dead.push(peer);
-        self.telemetry.incr(Counter::DeadPeers);
+        self.stats.dead_peers += 1;
         self.telemetry
             .trace(self.now, EventKind::PeerDead { peer: peer.0 });
         self.stats.unreachable_drops += self.purge_peer(peer);

@@ -15,7 +15,7 @@ use super::{grow, span, EndpointCore, OutEntry, RING_ACTIVE_TICKS};
 use crate::flow::{SeqClass, SeqWindow};
 use crate::frame::{FrameHeader, FrameKind, FrameSlot, WireFrame};
 use crate::time::TimeSource;
-use fm_telemetry::{Counter, EventKind, Metric};
+use fm_telemetry::{EventKind, Metric};
 
 impl EndpointCore {
     /// Process one frame that arrived from the network: `head` and
@@ -105,7 +105,6 @@ impl EndpointCore {
             SeqClass::Duplicate if offset as i32 > reach as i32 => self.bounce(head, payload),
             SeqClass::Duplicate => {
                 self.stats.duplicates += 1;
-                self.telemetry.incr(Counter::ReAcks);
                 self.accept_ack(src, slot, gen);
             }
             // Return to sender: the receiver has no room (or this source
@@ -152,7 +151,7 @@ impl EndpointCore {
                     // so a refusal here is unreachable — but if it ever
                     // fires, bouncing (unacked) is the safe recovery: the
                     // sender retransmits instead of losing the frame.
-                    self.telemetry.incr(Counter::SeqBufferMisuse);
+                    self.stats.seq_buffer_misuse += 1;
                     self.bounce(head, payload);
                 }
             },
@@ -196,7 +195,7 @@ impl EndpointCore {
     fn accept_ack(&mut self, src: NodeId, slot: u16, gen: u8) -> bool {
         let ok = self.acks.on_accept(src, slot, gen);
         if !ok {
-            self.telemetry.incr(Counter::InvalidAckSlots);
+            self.stats.invalid_ack_slots += 1;
         }
         ok
     }
@@ -310,15 +309,13 @@ impl EndpointCore {
                     src: src.0,
                 }
             });
-            // Time the handler only when telemetry is compiled in, and
-            // then only 1 delivery in 64 (the default trace sampling
+            // Time only 1 delivery in 64 (the default trace sampling
             // rate): two clock reads are ~50 ns against a ~250 ns message,
             // the single largest instrumentation cost on the clean path,
             // and a 1-in-64 sample still feeds the service-time histogram
             // tens of thousands of points per second under load.
             self.handler_probe = self.handler_probe.wrapping_add(1);
-            let start = (fm_telemetry::ENABLED && self.handler_probe & 63 == 0)
-                .then(std::time::Instant::now);
+            let start = (self.handler_probe & 63 == 0).then(std::time::Instant::now);
             let outbox = &mut self.outbox;
             panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 h(outbox, src, frame.payload())
@@ -377,7 +374,6 @@ mod tests {
     use super::super::{EndpointConfig, EndpointCore};
     use crate::handler::HandlerId;
     use fm_myrinet::NodeId;
-    use fm_telemetry::Counter;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -715,7 +711,6 @@ mod tests {
             assert!(deepest > reach + 1, "{cfg:?}: nothing was held");
             assert_eq!(a.stats().acks_received, a.stats().sent, "{cfg:?}");
             assert_eq!(b.stats().duplicates, 0, "{cfg:?}");
-            assert_eq!(b.telemetry().counter(Counter::ReAcks), 0, "{cfg:?}");
         }
     }
 
@@ -782,10 +777,6 @@ mod tests {
         b.extract(usize::MAX);
         pump(&mut a, &mut b);
         assert_eq!(a.outstanding(), 0);
-        if !fm_telemetry::ENABLED {
-            assert!(a.telemetry().events().is_empty());
-            return;
-        }
         let names = |ep: &EndpointCore| -> Vec<&str> {
             ep.telemetry()
                 .events()

@@ -12,7 +12,7 @@ use super::{grow, span, EndpointCore, OutEntry, SendError, SlotFlow};
 use crate::frame::{FrameHeader, PiggyAcks, TraceCtx, WireFrame, FM_FRAME_PAYLOAD};
 use crate::handler::HandlerId;
 use crate::time::splitmix64;
-use fm_telemetry::{Counter, EventKind};
+use fm_telemetry::EventKind;
 
 impl EndpointCore {
     /// `FM_send`: queue a message of up to 128 bytes for `dst`. The payload
@@ -49,7 +49,7 @@ impl EndpointCore {
     /// chain, one hop deeper); otherwise 1 in `trace_one_in` sends mints a
     /// new trace id. Everything else sends the all-zero context.
     fn next_trace(&mut self) -> TraceCtx {
-        if !fm_telemetry::ENABLED || self.config.trace_one_in == 0 {
+        if self.config.trace_one_in == 0 {
             return TraceCtx::default();
         }
         if let Some(parent) = self.active_trace {
@@ -114,7 +114,6 @@ impl EndpointCore {
             piggy,
         });
         self.stats.sent += 1;
-        self.telemetry.incr(Counter::Sends);
         self.telemetry.trace(
             self.now,
             EventKind::Send {
@@ -525,10 +524,8 @@ mod tests {
 
     #[test]
     fn trace_context_sampling_and_inheritance() {
-        // trace_one_in = 1: every fresh send is sampled (when telemetry is
-        // compiled in). A handler-issued reply must inherit the trace id
-        // one hop deeper; with telemetry-off the context must round-trip
-        // as all zeroes regardless of the sampling config.
+        // trace_one_in = 1: every fresh send is sampled. A handler-issued
+        // reply must inherit the trace id one hop deeper.
         let cfg = EndpointConfig {
             trace_one_in: 1,
             ..Default::default()
@@ -541,32 +538,22 @@ mod tests {
         }));
         a.try_send(NodeId(1), ping_h, b"ping").unwrap();
         let ping = a.pop_outgoing().expect("ping queued");
-        if fm_telemetry::ENABLED {
-            assert!(ping.head.trace.sampled, "1-in-1 sampling must trace");
-            assert_eq!(ping.head.trace.hop, 0);
-        } else {
-            assert_eq!(ping.head.trace, TraceCtx::default());
-        }
+        assert!(ping.head.trace.sampled, "1-in-1 sampling must trace");
+        assert_eq!(ping.head.trace.hop, 0);
         let trace_id = ping.head.trace.id;
         b.on_wire(ping);
         assert_eq!(b.extract(usize::MAX), 1);
         let pong = b.pop_outgoing().expect("handler reply queued");
         assert_eq!(pong.head.kind, FrameKind::Data);
-        if fm_telemetry::ENABLED {
-            assert!(pong.head.trace.sampled, "reply must inherit the trace");
-            assert_eq!(pong.head.trace.id, trace_id);
-            assert_eq!(pong.head.trace.hop, 1, "reply is one causal hop deeper");
-        } else {
-            assert_eq!(pong.head.trace, TraceCtx::default());
-        }
+        assert!(pong.head.trace.sampled, "reply must inherit the trace");
+        assert_eq!(pong.head.trace.id, trace_id);
+        assert_eq!(pong.head.trace.hop, 1, "reply is one causal hop deeper");
         // A fresh send after delivery must NOT inherit the finished trace.
         b.try_send(NodeId(0), reply_h, b"fresh").unwrap();
         let fresh = b.pop_outgoing().unwrap();
-        if fm_telemetry::ENABLED {
-            assert!(fresh.head.trace.sampled, "1-in-1 samples fresh sends too");
-            assert_ne!(fresh.head.trace.id, trace_id, "fresh send mints its own id");
-            assert_eq!(fresh.head.trace.hop, 0);
-        }
+        assert!(fresh.head.trace.sampled, "1-in-1 samples fresh sends too");
+        assert_ne!(fresh.head.trace.id, trace_id, "fresh send mints its own id");
+        assert_eq!(fresh.head.trace.hop, 0);
     }
 
     #[test]
@@ -580,7 +567,7 @@ mod tests {
             .map(|f| f.head.trace.sampled)
             .collect();
         let every_third = [true, false, false, true, false, false, true];
-        assert_eq!(sampled, every_third.map(|s| s && fm_telemetry::ENABLED));
+        assert_eq!(sampled, every_third);
     }
 
     #[test]
@@ -603,7 +590,7 @@ mod tests {
             b.extract(usize::MAX);
             carry(&mut b, &mut a, |_| false);
         }
-        assert_eq!(sampled, if fm_telemetry::ENABLED { 100 } else { 0 });
+        assert_eq!(sampled, 100);
     }
 
     #[test]

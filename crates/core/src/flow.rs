@@ -62,8 +62,8 @@ pub fn gen_tag(gen: u8) -> u8 {
 /// be a `debug_assert!`, which meant a release build would silently pack
 /// an out-of-range slot whose low bits alias a *different* slot's ack word
 /// — a malformed or hostile frame could then falsely free an in-flight
-/// frame on the sender. Callers count refusals (see
-/// [`AckTracker::invalid_slots`]) instead of corrupting the window.
+/// frame on the sender. The endpoint counts refusals
+/// (`EndpointStats::invalid_ack_slots`) instead of corrupting the window.
 #[inline]
 pub fn ack_word(slot: u16, gen: u8) -> Option<u16> {
     if (slot as usize) >= REJECT_SLOT_LIMIT {
@@ -303,8 +303,9 @@ impl SenderFlow {
 /// Both variants used to be `debug_assert!`s, so a release build would
 /// silently park frames outside the window (pinning memory past the
 /// lookahead bound) or overwrite an already-buffered frame (dropping data
-/// that had been acknowledged). The checks are now always on; misuse is
-/// counted ([`SeqWindow::buffer_misuse`]) and the frame handed back.
+/// that had been acknowledged). The checks are now always on: the frame is
+/// handed back, and the endpoint counts the refusal
+/// (`EndpointStats::seq_buffer_misuse`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeqBufferError {
     /// The sequence number is not strictly ahead of `next_expected()` by
@@ -358,8 +359,6 @@ pub struct SeqWindow<T> {
     /// arrived. Empty whenever `parked_count` is 0.
     parked: VecDeque<Option<T>>,
     parked_count: usize,
-    /// [`SeqWindow::buffer`] calls refused for misuse.
-    buffer_misuse: u64,
 }
 
 impl<T> SeqWindow<T> {
@@ -383,7 +382,6 @@ impl<T> SeqWindow<T> {
             lookahead,
             parked: VecDeque::new(),
             parked_count: 0,
-            buffer_misuse: 0,
         }
     }
 
@@ -467,11 +465,9 @@ impl<T> SeqWindow<T> {
     pub fn buffer(&mut self, seq: u32, item: T) -> Result<(), (SeqBufferError, T)> {
         let delta = seq.wrapping_sub(self.next);
         if delta == 0 || delta > self.lookahead {
-            self.buffer_misuse += 1;
             return Err((SeqBufferError::OutOfWindow, item));
         }
         if self.parked_at(delta).is_some() {
-            self.buffer_misuse += 1;
             return Err((SeqBufferError::Occupied, item));
         }
         let idx = delta as usize;
@@ -504,12 +500,6 @@ impl<T> SeqWindow<T> {
         self.parked_count = 0;
         n
     }
-
-    /// [`SeqWindow::buffer`] calls refused for misuse (out-of-window or
-    /// double-insert).
-    pub fn buffer_misuse(&self) -> u64 {
-        self.buffer_misuse
-    }
 }
 
 /// Receiver-side acknowledgement batching.
@@ -536,8 +526,6 @@ pub struct AckTracker {
     pending: Vec<PeerAcks>,
     /// Ack words pending toward anyone (the sum of the `words` lengths).
     total: usize,
-    /// [`AckTracker::on_accept`] refusals.
-    invalid_slots: u64,
 }
 
 /// One peer's entry in an [`AckTracker`].
@@ -563,14 +551,12 @@ impl AckTracker {
     /// of an accepted frame) and must be (re-)acknowledged. The stored
     /// value is the packed [`ack_word`].
     ///
-    /// Returns `false` (counting the refusal) when `slot` does not fit the
-    /// ack word's 10-bit field — a malformed frame whose ack would alias
+    /// Returns `false` when `slot` does not fit the ack word's 10-bit field — a malformed frame whose ack would alias
     /// another slot on the sender. The frame should be dropped unacked;
     /// the sender recovers it by timeout.
     #[inline]
     pub fn on_accept(&mut self, src: NodeId, slot: u16, gen: u8) -> bool {
         let Some(word) = ack_word(slot, gen) else {
-            self.invalid_slots += 1;
             return false;
         };
         let peer = self.peer_mut(src);
@@ -670,11 +656,6 @@ impl AckTracker {
             peer.held = hold;
             self.total -= send;
         }
-    }
-
-    /// [`AckTracker::on_accept`] refusals: slots too wide for the ack word.
-    pub fn invalid_slots(&self) -> u64 {
-        self.invalid_slots
     }
 }
 
@@ -816,7 +797,6 @@ mod tests {
             w.buffer(u32::MAX, "old"),
             Err((SeqBufferError::OutOfWindow, "old"))
         );
-        assert_eq!(w.buffer_misuse(), 4);
         assert_eq!(w.buffered(), 1, "misuse never parked anything");
         // The valid parked frame still releases once the gap fills.
         w.advance();
@@ -858,7 +838,6 @@ mod tests {
     fn ack_tracker_refuses_oversized_slot() {
         let mut a = AckTracker::new();
         assert!(!a.on_accept(NodeId(1), 1024, 0));
-        assert_eq!(a.invalid_slots(), 1);
         assert_eq!(a.pending_total(), 0, "no aliased ack queued");
         assert!(a.on_accept(NodeId(1), 1023, 0));
         assert_eq!(a.pending_total(), 1);

@@ -122,8 +122,7 @@ pub enum FrameKind {
 /// a traced delivery inherit the id with `hop + 1`, so one id names the
 /// whole causal chain and `(id, hop)` names one wire crossing within it.
 /// The all-zero default (`sampled == false`) is what unsampled frames
-/// carry, and is the only value that ever appears when the `telemetry-off`
-/// feature is active.
+/// carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
     /// Whether this frame belongs to a sampled trace.

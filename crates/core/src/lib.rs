@@ -97,12 +97,10 @@ pub use udp::{
 pub use fm_myrinet::SwitchTopology;
 
 // Every endpoint carries an `fm_telemetry::Telemetry` handle (see
-// `EndpointCore::telemetry`); re-exported so callers can name the counter /
-// metric enums without a separate dependency. Build with the
-// `telemetry-off` feature to compile the handle down to nothing.
+// `EndpointCore::telemetry`); re-exported so callers can name the counter
+// schema and metric enums without a separate dependency.
 pub use fm_telemetry::{
     Counter as TelemetryCounter, EventKind as TraceEventKind, Metric as TelemetryMetric, Telemetry,
-    TelemetrySnapshot,
 };
 
 // FM addresses nodes with the same ids the network does.

@@ -132,7 +132,8 @@ pub struct MemEndpoint {
     /// Fault stage decorating the transmit path (None on a clean cluster).
     faults: Option<FaultInjector>,
     /// Frames that failed to decode for *structural* reasons (bad kind,
-    /// impossible length); CRC failures are counted separately in
+    /// impossible length), or decoded but were not a peer's frame for this
+    /// node (see `pump_wire`); CRC failures are counted separately in
     /// [`EndpointStats::corrupt`].
     pub codec_errors: u64,
     /// Large-message handlers that panicked (the handler is dropped; later
@@ -163,18 +164,11 @@ impl MemEndpoint {
         {
             let completed = completed_large.clone();
             let reasm = reasm.clone();
-            let telemetry = core.telemetry().clone();
             core.register_handler_at(
                 SEG_HANDLER,
                 Box::new(move |_out, src, frag| {
-                    let mut r = reasm.lock();
-                    let evicted_before = r.evicted_partials();
-                    if let Ok(Some((handler, msg))) = r.on_fragment(src, frag) {
+                    if let Ok(Some((handler, msg))) = reasm.lock().on_fragment(src, frag) {
                         completed.lock().push_back((src, handler, msg));
-                    }
-                    let evicted = r.evicted_partials() - evicted_before;
-                    if evicted > 0 {
-                        telemetry.add(Counter::EvictedPartials, evicted);
                     }
                 }),
             );
@@ -205,8 +199,8 @@ impl MemEndpoint {
         self.core.stats()
     }
 
-    /// This endpoint's telemetry handle (counters, histograms, trace ring);
-    /// see [`crate::endpoint::EndpointCore::telemetry`].
+    /// This endpoint's telemetry handle (histograms, trace ring); see
+    /// [`crate::endpoint::EndpointCore::telemetry`].
     pub fn telemetry(&self) -> &Telemetry {
         self.core.telemetry()
     }
@@ -242,15 +236,35 @@ impl MemEndpoint {
     /// the end of a phase, so the collector sees the final counters).
     /// No-op unless [`MemEndpoint::enable_beacon`] was called.
     pub fn emit_beacon(&mut self) {
-        let gauges = self.observability_gauges();
+        let (counters, gauges) = (self.observability_counters(), self.observability_gauges());
         if let Some(b) = self.beacon.as_mut() {
-            let pairs: Vec<(&str, u64)> = gauges.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-            b.emit(&pairs);
+            b.emit(counters, gauges);
         }
     }
 
+    /// This endpoint's counts in the [`Counter`] schema, as every exporter
+    /// ships them, read from the cells that count them: [`EndpointStats`]
+    /// and the reassembler.
+    pub fn observability_counters(&self) -> [u64; Counter::COUNT] {
+        let s = self.stats();
+        let r = self.reasm.lock();
+        Counter::ALL.map(|c| match c {
+            Counter::Sends => s.sent,
+            Counter::Bounces => s.bounced,
+            Counter::Retransmits => s.retransmitted,
+            Counter::TimerRetransmits => s.timer_retransmits,
+            Counter::ReAcks => s.duplicates,
+            Counter::CorruptFrames => s.corrupt,
+            Counter::DeadPeers => s.dead_peers,
+            Counter::ReassemblyAborts => r.aborted_partials(),
+            Counter::EvictedPartials => r.evicted_partials(),
+            Counter::InvalidAckSlots => s.invalid_ack_slots,
+            Counter::SeqBufferMisuse => s.seq_buffer_misuse,
+        })
+    }
+
     /// The named gauge values a beacon (or metrics aggregator) exports
-    /// for this endpoint beyond the counter enum: the
+    /// for this endpoint beyond the counter schema: the
     /// [`EndpointStats::observability_pairs`], this layer's own
     /// [`Self::codec_errors`] and [`Self::large_handler_panics`], and, on
     /// a UDP wiring, every [`UdpStats`] field.
@@ -484,7 +498,17 @@ impl MemEndpoint {
         if self.beacon.as_mut().is_some_and(|b| b.due()) {
             self.emit_beacon();
         }
-        n + self.dispatch_large()
+        // Only a delivery can complete a large message (the segmentation
+        // handler is the queue's one producer, and every dispatch drains
+        // it), so an extract that delivered nothing skips the lock.
+        let large = if n > 0 { self.dispatch_large() } else { 0 };
+        // Extract flushed both send queues just before; only a large
+        // handler's sends or a backlogged frame could get out now.
+        if large > 0 || !self.backlog.is_empty() {
+            self.flush_deferred();
+            self.flush_wire();
+        }
+        n + large
     }
 
     /// Segmentation extension: send a message of any size (fragments ride
@@ -598,6 +622,8 @@ impl MemEndpoint {
     /// handshake flagged as restarted (always empty on in-memory fabrics);
     /// the caller resets them *after* the borrow of `core` ends.
     fn pump_wire(&mut self) -> Vec<NodeId> {
+        let me = self.core.id();
+        let cluster = self.wire.cluster();
         let Self {
             wire,
             core,
@@ -606,13 +632,20 @@ impl MemEndpoint {
             ..
         } = self;
         // CRC failures are expected under fault injection and are counted
-        // on the endpoint (the retransmission timer recovers the frame);
-        // structural decode failures mean a codec bug or a stray datagram
-        // and keep their own counter.
+        // on the endpoint (the retransmission timer recovers the frame).
+        // Structural decode failures mean a codec bug or a stray datagram
+        // and keep their own counter — as does a well-formed frame that is
+        // not a peer's frame for this node (misaddressed, or from a source
+        // outside the cluster), which the core, indexing per-source state
+        // by `src`, must never see.
         wire.drain(telemetry, |bytes| match FrameHeader::parse(bytes) {
-            Ok((head, payload)) => core.on_frame(&head, payload),
+            Ok((head, payload))
+                if head.dst == me && head.src != me && head.src.index() < cluster =>
+            {
+                core.on_frame(&head, payload)
+            }
             Err(CodecError::BadCrc { .. }) => core.note_corrupt(),
-            Err(_) => *codec_errors += 1,
+            _ => *codec_errors += 1,
         })
     }
 
@@ -689,11 +722,7 @@ impl MemEndpoint {
     /// Purge this layer's state tied to `peer`: partially reassembled
     /// large messages from it, backlogged frames and deferred sends to it.
     fn purge_peer(&mut self, peer: NodeId) {
-        let aborted = self.reasm.lock().abort_source(peer);
-        if aborted > 0 {
-            self.telemetry
-                .add(Counter::ReassemblyAborts, aborted as u64);
-        }
+        self.reasm.lock().abort_source(peer);
         self.backlog.retain(|of| of.frame.head.dst != peer);
         self.deferred.retain(|(dst, _, _)| *dst != peer);
     }
@@ -719,6 +748,8 @@ impl MemEndpoint {
         }
     }
 
+    /// Run the large handler of every reassembled message, queueing what
+    /// they send; returns how many ran.
     fn dispatch_large(&mut self) -> usize {
         let mut n = 0;
         loop {
@@ -747,13 +778,6 @@ impl MemEndpoint {
             n += 1;
             self.deferred.extend(outbox.drain());
         }
-        if n == 0 && self.backlog.is_empty() {
-            // Nothing new to send, and extract flushed both queues just
-            // before; only a backlogged frame could get out on a second try.
-            return 0;
-        }
-        self.flush_deferred();
-        self.flush_wire();
         n
     }
 }

@@ -152,8 +152,10 @@ pub struct Reassembly {
     /// Statistics (read via the accessor methods below).
     completed: u64,
     fragments: u64,
-    errors: u64,
+    /// Malformed, inconsistent or duplicate fragments.
+    refused: u64,
     evicted_partials: u64,
+    aborted_partials: u64,
 }
 
 impl Default for Reassembly {
@@ -177,8 +179,9 @@ impl Reassembly {
             clock: 0,
             completed: 0,
             fragments: 0,
-            errors: 0,
+            refused: 0,
             evicted_partials: 0,
+            aborted_partials: 0,
         }
     }
 
@@ -194,7 +197,7 @@ impl Reassembly {
         let before = self.partial.len();
         self.partial.retain(|(s, _), _| *s != src);
         let dropped = before - self.partial.len();
-        self.errors += dropped as u64;
+        self.aborted_partials += dropped as u64;
         dropped
     }
 
@@ -208,7 +211,7 @@ impl Reassembly {
         let (h, data) = match parse(frag) {
             Ok(x) => x,
             Err(e) => {
-                self.errors += 1;
+                self.refused += 1;
                 return Err(e);
             }
         };
@@ -247,11 +250,11 @@ impl Reassembly {
         // shape (a msg_id collision after wraparound, or a stray fragment
         // from an aborted message, must not index out of bounds).
         if p.seen.len() != h.count as usize || p.buf.len() != h.total_len as usize {
-            self.errors += 1;
+            self.refused += 1;
             return Err(FragError::Inconsistent);
         }
         if p.seen[h.idx as usize] {
-            self.errors += 1;
+            self.refused += 1;
             return Err(FragError::Duplicate);
         }
         p.seen[h.idx as usize] = true;
@@ -287,12 +290,17 @@ impl Reassembly {
 
     /// Malformed / duplicate fragments plus aborted partial messages.
     pub fn errors(&self) -> u64 {
-        self.errors
+        self.refused + self.aborted_partials
     }
 
     /// Partial messages evicted by the per-source cap.
     pub fn evicted_partials(&self) -> u64 {
         self.evicted_partials
+    }
+
+    /// Partial messages dropped by [`Self::abort_source`].
+    pub fn aborted_partials(&self) -> u64 {
+        self.aborted_partials
     }
 }
 

@@ -28,7 +28,9 @@
 use fm_core::flow::{ack_word, AckTracker, SeqBufferError, SeqClass, SeqWindow};
 use fm_core::frame::FrameHeader;
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
-use fm_core::{CodecError, HandlerId, NodeId, TraceCtx, WireFrame, FM_FRAME_MAX};
+use fm_core::{
+    CodecError, EndpointConfig, EndpointCore, HandlerId, NodeId, TraceCtx, WireFrame, FM_FRAME_MAX,
+};
 
 /// Marker: when this test runs, the profile really has debug assertions
 /// compiled out, so the checks below cannot be satisfied by leftover
@@ -56,7 +58,6 @@ fn ack_tracker_counts_invalid_slots_instead_of_aliasing() {
         !t.on_accept(NodeId(2), 1024, 0),
         "oversized slot must be refused"
     );
-    assert_eq!(t.invalid_slots(), 1);
     assert_eq!(
         t.pending_total(),
         0,
@@ -64,6 +65,18 @@ fn ack_tracker_counts_invalid_slots_instead_of_aliasing() {
     );
     assert!(t.on_accept(NodeId(2), 1023, 0));
     assert_eq!(t.pending_total(), 1);
+    // The endpoint counts the refusal in its ledger.
+    let mut ep = EndpointCore::new(NodeId(0), EndpointConfig::default());
+    let wide = WireFrame::data(
+        NodeId(2),
+        NodeId(0),
+        HandlerId(1),
+        1024,
+        0,
+        Default::default(),
+    );
+    ep.on_wire(wide);
+    assert_eq!(ep.stats().invalid_ack_slots, 1);
 }
 
 #[test]
@@ -78,7 +91,6 @@ fn seq_window_buffer_rejects_occupied_slot() {
         returned, "second",
         "the rejected item comes back to the caller"
     );
-    assert_eq!(w.buffer_misuse(), 1);
     // Delivering 0..=2 releases the *original* parked frame.
     for seq in 0..3 {
         assert_eq!(w.classify(seq), SeqClass::InOrder);
@@ -99,7 +111,6 @@ fn seq_window_buffer_rejects_out_of_window_seqs() {
     // Behind the window (wrapping delta is huge).
     let (err, _) = w.buffer(u32::MAX, 99).unwrap_err();
     assert_eq!(err, SeqBufferError::OutOfWindow);
-    assert_eq!(w.buffer_misuse(), 3);
     assert_eq!(w.buffered(), 0, "no misuse may leave state behind");
 }
 

@@ -4,12 +4,14 @@
 //! through the ring fabric and check the observability pipeline
 //! end-to-end: trace contexts crossing the wire, span events landing in
 //! the per-endpoint rings, [`fm_telemetry::merge`] pairing sends with
-//! receives into a clock-aligned timeline, and the flight recorder firing
-//! on dead-peer declarations. Everything runs single-threaded on seeded
-//! fault schedules, so failures reproduce.
+//! receives into a clock-aligned timeline, the flight recorder firing on
+//! dead-peer declarations, and the exported counts matching the ledger
+//! that counts them. Everything runs single-threaded on seeded fault
+//! schedules, so failures reproduce.
 
 use fm_core::{
-    EndpointConfig, FabricKind, FaultConfig, HandlerId, MemCluster, MemEndpoint, NodeId,
+    seg, EndpointConfig, EndpointStats, FabricKind, FaultConfig, HandlerId, MemCluster,
+    MemEndpoint, NodeId,
 };
 use fm_telemetry::merge::merge;
 use fm_telemetry::{ClusterClock, Counter, EventKind, MetricsAggregator};
@@ -89,9 +91,6 @@ fn rings_of(nodes: &[MemEndpoint]) -> Vec<Vec<fm_telemetry::TraceEvent>> {
 /// counted orphans, never a panic or a double pairing.
 #[test]
 fn lossy_ring_pairs_traced_sends_exactly_once() {
-    if !fm_telemetry::ENABLED {
-        return;
-    }
     let nodes = drive_ring(0.05, 8, 32, 1);
     let rings = rings_of(&nodes);
     let report = merge(&rings);
@@ -129,9 +128,6 @@ fn lossy_ring_pairs_traced_sends_exactly_once() {
 /// timeline starts at zero.
 #[test]
 fn clean_cluster_merged_timeline_is_causal() {
-    if !fm_telemetry::ENABLED {
-        return;
-    }
     let nodes = drive_ring(0.0, 4, 16, 1);
     let report = merge(&rings_of(&nodes));
     assert!(report.flow_pairs() > 0);
@@ -160,9 +156,6 @@ fn clean_cluster_merged_timeline_is_causal() {
 /// still order every receive at-or-after its send.
 #[test]
 fn injected_clock_offset_is_recovered() {
-    if !fm_telemetry::ENABLED {
-        return;
-    }
     const SKEW: u64 = 500;
     let config = EndpointConfig {
         trace_one_in: 1,
@@ -211,9 +204,6 @@ fn injected_clock_offset_is_recovered() {
 /// chrome-trace JSON); quiet ticks afterward must not dump again.
 #[test]
 fn dead_peer_triggers_flight_recorder_dump() {
-    if !fm_telemetry::ENABLED {
-        return;
-    }
     let cfg = EndpointConfig {
         window: 16,
         recv_ring: 16,
@@ -230,6 +220,7 @@ fn dead_peer_triggers_flight_recorder_dump() {
 
     let mut agg = MetricsAggregator::new();
     agg.register(a.telemetry().clone());
+    agg.set_counters(0, a.observability_counters());
 
     for _ in 0..4 {
         a.try_send(NodeId(1), HandlerId(1), b"hello?").unwrap();
@@ -242,6 +233,7 @@ fn dead_peer_triggers_flight_recorder_dump() {
     }
     assert!(agg.flights().is_empty(), "dump before any scrape saw death");
 
+    agg.set_counters(0, a.observability_counters());
     let sample = agg.tick(1);
     assert!(sample.total(Counter::DeadPeers) > 0);
     assert_eq!(agg.flights().len(), 1, "death scrape captures one dump");
@@ -254,23 +246,158 @@ fn dead_peer_triggers_flight_recorder_dump() {
     assert_eq!(agg.flights().len(), 1, "quiet tick must not dump again");
 }
 
-/// The merge pipeline itself is feature-agnostic: with `telemetry-off`
-/// the rings are empty and the report degrades to an empty-but-valid
-/// document; with telemetry on it carries real flows. Either way nothing
-/// panics, so bins and CI can run one code path unconditionally.
-#[test]
-fn merge_pipeline_survives_telemetry_off() {
-    let nodes = drive_ring(0.0, 2, 8, 1);
-    let report = merge(&rings_of(&nodes));
-    if fm_telemetry::ENABLED {
-        assert!(report.flow_pairs() > 0);
-    } else {
-        assert!(report.events.is_empty());
-        assert_eq!(report.flow_pairs(), 0);
-        assert_eq!(report.orphan_sends + report.orphan_receives, 0);
+/// The `fm_<counter>_total` lines of a Prometheus scrape of `nodes` by a
+/// metrics aggregator fed the way every exporter is: each endpoint's
+/// handle and its ledger counters.
+fn exported_totals(nodes: &[MemEndpoint]) -> Vec<String> {
+    let mut agg = MetricsAggregator::new();
+    for ep in nodes {
+        agg.register(ep.telemetry().clone());
+        agg.set_counters(ep.node_id().0, ep.observability_counters());
     }
-    // The chrome-trace document is well-formed JSON either way.
-    let doc = report.chrome_trace();
-    assert!(doc.starts_with("{\"traceEvents\":["));
-    assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+    let prom = agg.prometheus();
+    prom.lines()
+        .filter(|l| l.starts_with("fm_") && l.contains("_total{"))
+        .map(String::from)
+        .collect()
+}
+
+/// `fm_<counter>_total{node="N"} V` for every counter, `value(c, N)` each.
+fn totals(nodes: u16, value: impl Fn(Counter, u16) -> u64) -> Vec<String> {
+    let line = |c: Counter, n| format!("fm_{}_total{{node=\"{n}\"}} {}", c.name(), value(c, n));
+    Counter::ALL
+        .iter()
+        .flat_map(|&c| (0..nodes).map(move |n| line(c, n)))
+        .collect()
+}
+
+/// What `examples/observed_cluster.rs` exports, pinned: its lossy
+/// 500-message run scrapes to the counts the example wrote while every
+/// event was still counted a second time, in the telemetry handle.
+#[test]
+fn observed_cluster_exports_its_pinned_counts() {
+    const MSGS: u64 = 500;
+    let config = EndpointConfig {
+        window: 32,
+        recv_ring: 32,
+        rto_initial: 64,
+        retry_budget: 32,
+        trace_one_in: 8,
+        ..Default::default()
+    };
+    let faults = FaultConfig::uniform(0x0B5E_87ED, 0.05);
+    let mut nodes = MemCluster::with_faulty_fabric(2, config, FabricKind::Ring, faults);
+    let received = Arc::new(AtomicU64::new(0));
+    let r = received.clone();
+    nodes[0].register_handler(|_, _, _| {});
+    let h = nodes[1].register_handler(move |_, _, _| {
+        r.fetch_add(1, Ordering::Relaxed);
+    });
+    let mut sent = 0u32;
+    while u64::from(sent) < MSGS
+        || received.load(Ordering::Relaxed) < MSGS
+        || !nodes.iter().all(|ep| ep.is_quiescent())
+    {
+        if u64::from(sent) < MSGS && nodes[0].try_send(NodeId(1), h, &sent.to_le_bytes()).is_ok() {
+            sent += 1;
+        }
+        for ep in &mut nodes {
+            ep.extract();
+        }
+    }
+    let pinned = totals(2, |c, node| match (c, node) {
+        (Counter::Sends, 0) => 500,
+        (Counter::Retransmits, 0) => 138,
+        (Counter::TimerRetransmits, 0) => 1,
+        (Counter::CorruptFrames, 0) => 19,
+        (Counter::ReAcks, 1) => 99,
+        (Counter::CorruptFrames, 1) => 14,
+        _ => 0,
+    });
+    assert_eq!(exported_totals(&nodes), pinned);
+}
+
+/// After a lossy run in which node 1 also gives up on a silent node 2,
+/// every exported count equals the cell that counts it: the endpoint's
+/// `EndpointStats`, or the reassembler's evictions and aborts.
+#[test]
+fn exported_counts_equal_the_ledger() {
+    let config = EndpointConfig {
+        window: 16,
+        recv_ring: 8,
+        rto_initial: 16,
+        rto_max: 64,
+        retry_budget: 8,
+        ..Default::default()
+    };
+    let faults = FaultConfig::uniform(0x1ED6_E500, 0.05);
+    let mut nodes = MemCluster::with_faulty_fabric(3, config, FabricKind::Ring, faults);
+    let received = Arc::new(AtomicU64::new(0));
+    let r = received.clone();
+    let h = nodes[1].register_handler(move |_, _, _| {
+        r.fetch_add(1, Ordering::Relaxed);
+    });
+    // Node 0 streams 200 messages at node 1, and node 2 opens 65 large
+    // messages there without finishing one: the 65th evicts the oldest
+    // (64 open per source), the rest are aborted once node 2 is dead.
+    let (mut sent, mut opened) = (0u32, 0u32);
+    for spins in 0.. {
+        assert!(spins < 100_000, "lossy phase wedged: {nodes:?}");
+        if sent < 200 && nodes[0].try_send(NodeId(1), h, &sent.to_le_bytes()).is_ok() {
+            sent += 1;
+        }
+        let opening = &seg::fragment(opened, h, &[7; 200])[0];
+        if opened < 65 && nodes[2].try_send(NodeId(1), HandlerId(0), opening).is_ok() {
+            opened += 1;
+        }
+        for ep in &mut nodes {
+            ep.extract();
+        }
+        if received.load(Ordering::Relaxed) == 200
+            && opened == 65
+            && nodes[0].is_quiescent()
+            && nodes[2].is_quiescent()
+        {
+            break;
+        }
+    }
+    // Node 2 falls silent; node 1's next message to it exhausts the
+    // retry budget.
+    nodes[1].try_send(NodeId(2), h, b"still there?").unwrap();
+    while !nodes[1].is_peer_dead(NodeId(2)) {
+        nodes[0].extract();
+        nodes[1].extract();
+    }
+
+    let stats: Vec<EndpointStats> = nodes.iter().map(MemEndpoint::stats).collect();
+    let ledger = totals(3, |c, node| {
+        let s = stats[node as usize];
+        let (evicted, aborted) = if node == 1 { (1, 64) } else { (0, 0) };
+        match c {
+            Counter::Sends => s.sent,
+            Counter::Bounces => s.bounced,
+            Counter::Retransmits => s.retransmitted,
+            Counter::TimerRetransmits => s.timer_retransmits,
+            Counter::ReAcks => s.duplicates,
+            Counter::CorruptFrames => s.corrupt,
+            Counter::DeadPeers => s.dead_peers,
+            Counter::ReassemblyAborts => aborted,
+            Counter::EvictedPartials => evicted,
+            Counter::InvalidAckSlots => s.invalid_ack_slots,
+            Counter::SeqBufferMisuse => s.seq_buffer_misuse,
+        }
+    });
+    assert_eq!(exported_totals(&nodes), ledger);
+    for (ep, s) in nodes.iter().zip(&stats) {
+        let dead_marks = (0..3).filter(|&p| ep.is_peer_dead(NodeId(p))).count();
+        assert_eq!(s.dead_peers, dead_marks as u64, "{ep:?}");
+    }
+    // The run exercised what it exports.
+    assert_eq!(stats[1].dead_peers, 1);
+    let some = |cell: fn(&EndpointStats) -> u64| stats.iter().any(|s| cell(s) > 0);
+    assert!(
+        some(|s| s.timer_retransmits) && some(|s| s.bounced),
+        "{stats:?}"
+    );
+    assert!(some(|s| s.duplicates) && some(|s| s.corrupt), "{stats:?}");
 }

@@ -298,9 +298,6 @@ fn udp_peer_restart_resumes_streams_exactly_once() {
 /// alignment.
 #[test]
 fn trace_contexts_survive_the_udp_wire_under_faults() {
-    if !fm_telemetry::ENABLED {
-        return; // spans compile out with the telemetry-off feature
-    }
     let lossy = LinkFaults {
         drop: 0.05,
         dup: 0.05,
@@ -459,8 +456,6 @@ fn wire_frame_round_trips_across_a_socket() {
     }
 }
 
-/// A peer speaking a different control-protocol version is counted and
-/// ignored — never "established", never resetting anything.
 /// A datagram that is not an FM frame (first byte anything but `0xF1`) and
 /// not a control packet reaches the frame sink, is refused by the one
 /// decoder, and is visible to every export path as a gauge — without
@@ -491,6 +486,40 @@ fn stray_datagram_surfaces_as_codec_error_gauge() {
     assert_eq!(a.stats().delivered, 0);
 }
 
+/// A well-formed, CRC-valid frame that is not a peer's frame for this node
+/// — addressed to another node, or from a source outside the cluster — is
+/// a stray too: counted with the codec errors and dropped, never
+/// delivered, acked or parked.
+#[test]
+fn stray_frames_for_another_node_or_from_outside_the_cluster_are_dropped() {
+    use fm_core::WireFrame;
+
+    let mut nodes = MemCluster::with_fabric(2, udp_config(), FabricKind::Udp);
+    let _b = nodes.pop().unwrap(); // keeps node 1's port bound
+    let mut a = nodes.pop().unwrap();
+    let h = a.register_handler(|_, _, _| {});
+    let stray = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    // Peer 1's seq 0 addressed to node 7, then node 60 000's seq 5.
+    for (src, dst, seq) in [(1, 7, 0), (60_000, 0, 5)] {
+        let frame = WireFrame::data(NodeId(src), NodeId(dst), h, 0, seq, Default::default());
+        let addr = a.udp_local_addr().unwrap();
+        stray.send_to(&frame.encode(), addr).unwrap();
+    }
+    let deadline = Instant::now() + WEDGE_AFTER;
+    while a.udp_stats().unwrap().datagrams_in < 2 {
+        assert!(Instant::now() < deadline, "strays never arrived: {a:?}");
+        a.extract();
+    }
+    for _ in 0..64 {
+        a.extract(); // any ack the frames earned would leave by now
+    }
+    assert_eq!(a.codec_errors, 2);
+    assert!(a.is_quiescent(), "{a:?}");
+    assert_eq!((a.stats().ack_frames_sent, a.stats().delivered), (0, 0));
+}
+
+/// A peer speaking a different control-protocol version is counted and
+/// ignored — never "established", never resetting anything.
 #[test]
 fn udp_rejects_foreign_control_versions() {
     use std::net::UdpSocket;

@@ -643,9 +643,6 @@ mod tests {
 
     #[test]
     fn collectives_emit_balanced_spans() {
-        if !fm_telemetry::ENABLED {
-            return; // spans compile out with the telemetry-off feature
-        }
         let out = run_ranks(4, |c| {
             c.barrier();
             c.allreduce(&[c.rank() as f64], ReduceOp::Sum).unwrap();

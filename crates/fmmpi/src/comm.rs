@@ -438,10 +438,16 @@ impl Communicator {
         self.ep.stats()
     }
 
-    /// This rank's telemetry handle (counters, histograms, trace ring —
-    /// including the collective spans the collectives module records).
+    /// This rank's telemetry handle (histograms, trace ring — including
+    /// the collective spans the collectives module records).
     pub fn telemetry(&self) -> &fm_telemetry::Telemetry {
         self.ep.telemetry()
+    }
+
+    /// Emit one telemetry beacon now (see [`MemEndpoint::emit_beacon`]):
+    /// a harness's final flush once the rank is done.
+    pub fn emit_beacon(&mut self) {
+        self.ep.emit_beacon();
     }
 
     // Internal send/recv on reserved tags, for the collectives module.

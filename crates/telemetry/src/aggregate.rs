@@ -1,13 +1,12 @@
 //! Cluster-wide metrics aggregation and export.
 //!
 //! A [`MetricsAggregator`] holds a clone of every endpoint's [`Telemetry`]
-//! handle and, on each [`MetricsAggregator::tick`], scrapes their counter
-//! snapshots, computes per-counter *deltas* since the previous tick and
-//! appends them to a bounded time series (a ring of deltas — constant
-//! memory no matter how long the cluster runs). The current state exports
-//! as Prometheus text exposition ([`MetricsAggregator::prometheus`]) or as
-//! CSV rows through the shared `fm-metrics` csv module
-//! ([`MetricsAggregator::csv`]).
+//! handle (histograms, trace ring) and the latest [`Counter`] values each
+//! endpoint's driver pushed ([`MetricsAggregator::set_counters`]). Each
+//! [`MetricsAggregator::tick`] reports per-counter *deltas* since the
+//! previous tick. The current state exports as Prometheus text exposition
+//! ([`MetricsAggregator::prometheus`]) or as CSV rows through the shared
+//! `fm-metrics` csv module ([`MetricsAggregator::csv`]).
 //!
 //! The aggregator doubles as a **flight recorder**: when a tick observes a
 //! `DeadPeers` counter advance on any endpoint, it merges the last-N trace
@@ -19,8 +18,8 @@
 use crate::beacon::ShardSample;
 use crate::collector::{shard_lane_fragments, shard_series_prometheus};
 use crate::merge::{self, MergeReport};
-use crate::{Counter, Metric, Telemetry, TelemetrySnapshot};
-use std::collections::{BTreeMap, VecDeque};
+use crate::{Counter, Metric, Telemetry};
+use std::collections::BTreeMap;
 
 /// Per-endpoint counter deltas observed by one tick.
 #[derive(Debug, Clone, Copy)]
@@ -65,25 +64,28 @@ pub struct FlightDump {
     pub json: String,
 }
 
-/// Scrapes registered endpoints into a bounded delta time series with
-/// Prometheus / CSV export and a dead-peer flight recorder.
+/// Scrapes registered endpoints into counter deltas with Prometheus / CSV
+/// export and a dead-peer flight recorder.
 pub struct MetricsAggregator {
     handles: Vec<Telemetry>,
-    last: Vec<TelemetrySnapshot>,
-    history: VecDeque<TickSample>,
+    /// The latest counters pushed per node, in [`Counter::ALL`] order.
+    counters: BTreeMap<u16, [u64; Counter::COUNT]>,
+    /// Each registered endpoint's counters at the previous tick (the delta
+    /// baseline), parallel to `handles`.
+    last: Vec<[u64; Counter::COUNT]>,
     history_cap: usize,
     flight_last_n: usize,
     flights: Vec<FlightDump>,
     /// Named transport gauges per node (e.g. `UdpStats` fields,
     /// `peer_resets`), exported alongside the counters.
     gauges: BTreeMap<u16, Vec<(String, u64)>>,
-    /// Per-switch-shard sample history, `(at, sample)`, bounded like the
-    /// tick history. The latest sample drives the Prometheus shard lanes;
+    /// Per-switch-shard sample history, `(at, sample)`, bounded by
+    /// `history_cap`. The latest sample drives the Prometheus shard lanes;
     /// the whole window drives the chrome-trace counter tracks.
     shards: BTreeMap<u16, Vec<(u64, ShardSample)>>,
 }
 
-/// Default bound on retained tick samples.
+/// Default bound on retained shard samples per switch.
 pub const DEFAULT_HISTORY: usize = 256;
 /// Default last-N merged events a flight dump retains.
 pub const DEFAULT_FLIGHT_EVENTS: usize = 512;
@@ -93,19 +95,26 @@ impl MetricsAggregator {
         Self::with_bounds(DEFAULT_HISTORY, DEFAULT_FLIGHT_EVENTS)
     }
 
-    /// `history` bounds the delta series; `flight_last_n` bounds how many
-    /// merged events a dead-peer dump retains.
+    /// `history` bounds each switch's shard-sample series; `flight_last_n`
+    /// bounds how many merged events a dead-peer dump retains.
     pub fn with_bounds(history: usize, flight_last_n: usize) -> Self {
         MetricsAggregator {
             handles: Vec::new(),
+            counters: BTreeMap::new(),
             last: Vec::new(),
-            history: VecDeque::new(),
             history_cap: history.max(1),
             flight_last_n: flight_last_n.max(1),
             flights: Vec::new(),
             gauges: BTreeMap::new(),
             shards: BTreeMap::new(),
         }
+    }
+
+    /// Attach (replace) a node's counters, in [`Counter::ALL`] order — the
+    /// endpoint's own ledger, read on the thread that drives it. They
+    /// export as `fm_<counter>_total{node=...}` and feed the tick deltas.
+    pub fn set_counters(&mut self, node: u16, counters: [u64; Counter::COUNT]) {
+        self.counters.insert(node, counters);
     }
 
     /// Attach (replace) a node's named transport gauges — values the
@@ -140,46 +149,43 @@ impl MetricsAggregator {
     }
 
     /// Register an endpoint's telemetry handle (a cheap `Arc` clone). The
-    /// baseline for its first delta is its state *now*.
+    /// baseline for its first delta is the counters set for it *now* (zero
+    /// if none are).
     pub fn register(&mut self, handle: Telemetry) {
-        self.last.push(handle.snapshot());
+        self.last.push(self.counters_of(handle.node()));
         self.handles.push(handle);
+    }
+
+    fn counters_of(&self, node: u16) -> [u64; Counter::COUNT] {
+        self.counters
+            .get(&node)
+            .copied()
+            .unwrap_or([0; Counter::COUNT])
     }
 
     pub fn endpoints(&self) -> usize {
         self.handles.len()
     }
 
-    /// Scrape every endpoint: record counter deltas since the previous
-    /// tick into the bounded series, and capture a flight dump if any
-    /// endpoint declared a peer dead since last time.
+    /// Scrape every endpoint: counter deltas since the previous tick, and a
+    /// flight dump if any endpoint declared a peer dead since last time.
     pub fn tick(&mut self, at: u64) -> TickSample {
         let mut nodes = Vec::with_capacity(self.handles.len());
         let mut dead_delta = 0u64;
         for (i, h) in self.handles.iter().enumerate() {
-            let snap = h.snapshot();
-            let prev = &self.last[i];
-            let deltas = std::array::from_fn(|j| {
-                let c = Counter::ALL[j];
-                snap.counter(c).saturating_sub(prev.counter(c))
-            });
+            let now = self.counters_of(h.node());
+            let prev = std::mem::replace(&mut self.last[i], now);
             let nd = NodeDelta {
-                node: snap.node,
-                deltas,
+                node: h.node(),
+                deltas: std::array::from_fn(|j| now[j].saturating_sub(prev[j])),
             };
             dead_delta += nd.delta(Counter::DeadPeers);
             nodes.push(nd);
-            self.last[i] = snap;
         }
-        let sample = TickSample { at, nodes };
-        if self.history.len() == self.history_cap {
-            self.history.pop_front();
-        }
-        self.history.push_back(sample.clone());
         if dead_delta > 0 {
             self.capture_flight(at, dead_delta);
         }
-        sample
+        TickSample { at, nodes }
     }
 
     fn capture_flight(&mut self, at: u64, dead_peer_delta: u64) {
@@ -198,11 +204,6 @@ impl MetricsAggregator {
         });
     }
 
-    /// Retained tick samples, oldest first.
-    pub fn history(&self) -> impl Iterator<Item = &TickSample> {
-        self.history.iter()
-    }
-
     /// Flight dumps captured so far (one per dead-peer-observing tick).
     pub fn flights(&self) -> &[FlightDump] {
         &self.flights
@@ -219,20 +220,16 @@ impl MetricsAggregator {
     /// `fm_<counter>_total{node="N"}` counters plus per-metric quantile
     /// gauges and sample counts.
     pub fn prometheus(&self) -> String {
-        let snaps: Vec<_> = self.handles.iter().map(|h| h.snapshot()).collect();
         let mut out = String::new();
         for c in Counter::ALL {
             out.push_str(&format!(
                 "# HELP fm_{name}_total Total {name} across the run.\n# TYPE fm_{name}_total counter\n",
                 name = c.name()
             ));
-            for s in &snaps {
-                out.push_str(&format!(
-                    "fm_{}_total{{node=\"{}\"}} {}\n",
-                    c.name(),
-                    s.node,
-                    s.counter(c)
-                ));
+            for h in &self.handles {
+                let node = h.node();
+                let v = self.counters_of(node)[c as usize];
+                out.push_str(&format!("fm_{}_total{{node=\"{node}\"}} {v}\n", c.name()));
             }
         }
         for m in Metric::ALL {
@@ -240,22 +237,18 @@ impl MetricsAggregator {
                 "# HELP fm_{name} {name} distribution summary.\n# TYPE fm_{name} summary\n",
                 name = m.name()
             ));
-            for s in &snaps {
-                let h = s.metric(m);
-                for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
+            for h in &self.handles {
+                let (node, s) = (h.node(), h.metric(m));
+                for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
                     out.push_str(&format!(
-                        "fm_{}{{node=\"{}\",quantile=\"{}\"}} {}\n",
-                        m.name(),
-                        s.node,
-                        q,
-                        v
+                        "fm_{}{{node=\"{node}\",quantile=\"{q}\"}} {v}\n",
+                        m.name()
                     ));
                 }
                 out.push_str(&format!(
-                    "fm_{}_count{{node=\"{}\"}} {}\n",
+                    "fm_{}_count{{node=\"{node}\"}} {}\n",
                     m.name(),
-                    s.node,
-                    h.count
+                    s.count
                 ));
             }
         }
@@ -319,18 +312,14 @@ impl MetricsAggregator {
             .handles
             .iter()
             .map(|h| {
-                let s = h.snapshot();
-                let mut row = vec![s.node.to_string()];
-                for c in Counter::ALL {
-                    row.push(s.counter(c).to_string());
-                }
+                let node = h.node();
+                let mut row = vec![node.to_string()];
+                row.extend(self.counters_of(node).iter().map(u64::to_string));
                 for m in Metric::ALL {
-                    let hs = s.metric(m);
-                    row.push(hs.count.to_string());
-                    row.push(hs.p50.to_string());
-                    row.push(hs.p99.to_string());
+                    let s = h.metric(m);
+                    row.extend([s.count, s.p50, s.p99].map(|v| v.to_string()));
                 }
-                let gauges = self.gauges.get(&s.node);
+                let gauges = self.gauges.get(&node);
                 for col in &gauge_cols {
                     let v = gauges
                         .and_then(|g| g.iter().find(|(n, _)| n == col))
@@ -353,37 +342,26 @@ impl Default for MetricsAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventKind, ENABLED};
+    use crate::EventKind;
 
-    #[test]
-    fn tick_reports_deltas_not_totals() {
-        let t = Telemetry::new(0);
-        let mut agg = MetricsAggregator::new();
-        t.add(Counter::Sends, 5); // before register → baseline, not a delta
-        agg.register(t.clone());
-        t.add(Counter::Sends, 3);
-        let s1 = agg.tick(1);
-        t.add(Counter::Sends, 2);
-        let s2 = agg.tick(2);
-        if ENABLED {
-            assert_eq!(s1.total(Counter::Sends), 3);
-            assert_eq!(s2.total(Counter::Sends), 2);
-        } else {
-            assert_eq!(s1.total(Counter::Sends), 0);
-        }
-        assert_eq!(agg.history().count(), 2);
+    /// Counters with `sends` set and everything else zero.
+    fn sends(n: u64) -> [u64; Counter::COUNT] {
+        let mut c = [0; Counter::COUNT];
+        c[Counter::Sends as usize] = n;
+        c
     }
 
     #[test]
-    fn history_is_bounded() {
-        let t = Telemetry::new(0);
-        let mut agg = MetricsAggregator::with_bounds(4, 16);
-        agg.register(t);
-        for i in 0..10 {
-            agg.tick(i);
-        }
-        assert_eq!(agg.history().count(), 4);
-        assert_eq!(agg.history().next().unwrap().at, 6, "oldest evicted");
+    fn tick_reports_deltas_not_totals() {
+        let mut agg = MetricsAggregator::new();
+        agg.set_counters(0, sends(5)); // before register → baseline, not a delta
+        agg.register(Telemetry::new(0));
+        agg.set_counters(0, sends(8));
+        let s1 = agg.tick(1);
+        agg.set_counters(0, sends(10));
+        let s2 = agg.tick(2);
+        assert_eq!(s1.total(Counter::Sends), 3);
+        assert_eq!(s2.total(Counter::Sends), 2);
     }
 
     #[test]
@@ -413,40 +391,32 @@ mod tests {
         );
         agg.tick(1);
         assert!(agg.flights().is_empty(), "no dead peer yet");
-        a.incr(Counter::DeadPeers);
+        let mut dead = [0; Counter::COUNT];
+        dead[Counter::DeadPeers as usize] = 1;
+        agg.set_counters(0, dead);
         agg.tick(2);
-        if ENABLED {
-            assert_eq!(agg.flights().len(), 1);
-            let f = &agg.flights()[0];
-            assert_eq!(f.at, 2);
-            assert_eq!(f.dead_peer_delta, 1);
-            assert_eq!(f.events, 4, "last-N cut applied");
-            assert!(f.json.starts_with("{\"traceEvents\":["));
-        } else {
-            assert!(agg.flights().is_empty());
-        }
+        assert_eq!(agg.flights().len(), 1);
+        let f = &agg.flights()[0];
+        assert_eq!(f.at, 2);
+        assert_eq!(f.dead_peer_delta, 1);
+        assert_eq!(f.events, 4, "last-N cut applied");
+        assert!(f.json.starts_with("{\"traceEvents\":["));
         agg.tick(3);
-        assert_eq!(
-            agg.flights().len(),
-            usize::from(ENABLED),
-            "no new dump without a new death"
-        );
+        assert_eq!(agg.flights().len(), 1, "no new dump without a new death");
     }
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let t = Telemetry::new(2);
-        t.add(Counter::Sends, 7);
         t.record(Metric::AckRttTicks, 4);
         let mut agg = MetricsAggregator::new();
         agg.register(t);
+        agg.set_counters(2, sends(7));
         let text = agg.prometheus();
         assert!(text.contains("# TYPE fm_sends_total counter"));
-        if ENABLED {
-            assert!(text.contains("fm_sends_total{node=\"2\"} 7"));
-            assert!(text.contains("fm_ack_rtt_ticks{node=\"2\",quantile=\"0.5\"}"));
-            assert!(text.contains("fm_ack_rtt_ticks_count{node=\"2\"} 1"));
-        }
+        assert!(text.contains("fm_sends_total{node=\"2\"} 7"));
+        assert!(text.contains("fm_ack_rtt_ticks{node=\"2\",quantile=\"0.5\"}"));
+        assert!(text.contains("fm_ack_rtt_ticks_count{node=\"2\"} 1"));
         for c in Counter::ALL {
             assert!(text.contains(&format!("fm_{}_total", c.name())));
         }

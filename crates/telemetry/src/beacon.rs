@@ -91,7 +91,7 @@ pub struct EndpointBeacon {
     /// One entry per [`Metric::ALL`] metric.
     pub metrics: Vec<MetricOctaves>,
     /// Named transport gauges (e.g. `udp_datagrams_out`, `peer_resets`) —
-    /// cumulative values the telemetry handle itself does not track.
+    /// cumulative values the counter schema does not cover.
     pub gauges: Vec<(String, u64)>,
     /// The newest retained trace events at emission time. Successive
     /// beacons overlap; receivers deduplicate on event identity.
@@ -344,7 +344,11 @@ impl<'a> Reader<'a> {
     }
     fn event(&mut self) -> Result<TraceEvent, BeaconError> {
         let words = [self.u64()?, self.u64()?, self.u64()?];
-        TraceEvent::from_words(words).ok_or(BeaconError::Malformed)
+        // Only the one spelling `to_words` writes: set bits in a field the
+        // event's kind does not use are garbage, not a second encoding.
+        TraceEvent::from_words(words)
+            .filter(|e| e.to_words() == words)
+            .ok_or(BeaconError::Malformed)
     }
 }
 
@@ -369,7 +373,9 @@ pub fn decode(buf: &[u8]) -> Result<Beacon, BeaconError> {
         at: 2,
     };
     let kind = r.u8()?;
-    let _reserved = r.u8()?;
+    if r.u8()? != 0 {
+        return Err(BeaconError::Malformed); // the reserved byte
+    }
     let source = r.u16()?;
     let seq = r.u32()?;
     let sent_micros = r.u64()?;
@@ -527,8 +533,8 @@ impl Beaconer {
         })
     }
 
-    /// An endpoint beaconer: each emission snapshots `telemetry` (counters,
-    /// metric octaves, trace events) plus whatever gauges the caller
+    /// An endpoint beaconer: each emission snapshots `telemetry` (metric
+    /// octaves, trace events) plus whatever counters and gauges the caller
     /// passes to [`Beaconer::emit`].
     pub fn endpoint(telemetry: Telemetry, dst: SocketAddr, interval_us: u64) -> io::Result<Self> {
         let source = telemetry.node();
@@ -573,27 +579,26 @@ impl Beaconer {
         self.seq = self.seq.wrapping_add(1);
     }
 
-    /// Emit one endpoint beacon now (callers normally gate on
+    /// Emit one endpoint beacon now, carrying the endpoint's `counters` (in
+    /// [`Counter::ALL`] order) and named `gauges` (callers normally gate on
     /// [`Beaconer::due`]; call directly for a final flush so the collector
     /// sees the end-of-run counter state).
     ///
     /// # Panics
     /// If this beaconer was built with [`Beaconer::shard`].
-    pub fn emit(&mut self, gauges: &[(&str, u64)]) {
+    pub fn emit(&mut self, counters: [u64; Counter::COUNT], gauges: Vec<(String, u64)>) {
         let t = self.telemetry.as_ref().expect("endpoint beaconer");
-        let snap = t.snapshot();
-        let counters = Counter::ALL.iter().map(|&c| snap.counter(c)).collect();
         let metrics = Metric::ALL
             .iter()
             .map(|&m| MetricOctaves {
-                summary: snap.metric(m),
+                summary: t.metric(m),
                 octaves: t.metric_octaves(m),
             })
             .collect();
         let body = EndpointBeacon {
-            counters,
+            counters: counters.to_vec(),
             metrics,
-            gauges: gauges.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+            gauges,
             events: {
                 let mut evs = t.events();
                 if evs.len() > DEFAULT_BEACON_EVENTS {
@@ -788,6 +793,112 @@ mod tests {
         assert_eq!(decode(&short), Err(BeaconError::Malformed));
     }
 
+    /// Seeded beacon `i`: an endpoint (even `i`) or shard (odd `i`) body
+    /// whose words and section lengths (a few entries at most) derive
+    /// from `i`.
+    fn seeded_beacon(i: u64) -> Beacon {
+        let x = |k: u32| {
+            (i + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(7 * k)
+        };
+        let len = |k: u32, max: u64| (x(k) % (max + 1)) as usize;
+        let words = |k: u32, max: u64| (0..len(k, max) as u32).map(x).collect::<Vec<u64>>();
+        let summary = HistSummary {
+            count: x(1),
+            min: x(2),
+            max: x(3),
+            p50: x(4),
+            p90: x(5),
+            p99: x(6),
+        };
+        let octaves = vec![(x(7) as u8, x(8)); len(9, 3)];
+        let body = if i.is_multiple_of(2) {
+            BeaconBody::Endpoint(EndpointBeacon {
+                counters: words(10, Counter::COUNT as u64),
+                metrics: vec![MetricOctaves { summary, octaves }; len(11, 3)],
+                gauges: (0..len(12, 3))
+                    .map(|g| (format!("gauge_{g}"), x(13)))
+                    .collect(),
+                events: sample_events()[..len(14, 6)].to_vec(),
+            })
+        } else {
+            BeaconBody::Shard(ShardSample {
+                switch_id: x(15) as u16,
+                forwarded: x(16),
+                stalled: x(17),
+                dropped: x(18),
+                timed_out: x(19),
+                batch: x(20),
+                occupancy: summary,
+                occupancy_octaves: octaves,
+                deficits: words(21, 4).into_iter().map(|d| d as i64).collect(),
+                input_forwarded: words(22, 4),
+                output_forwarded: words(23, 4),
+            })
+        };
+        Beacon {
+            source: x(24) as u16,
+            seq: x(25) as u32,
+            sent_micros: x(26),
+            body,
+        }
+    }
+
+    /// `body` framed as a datagram under a valid CRC, so only the body
+    /// parser can reject it.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out
+    }
+
+    /// Structure-aware decoder sweep (run in release CI): seeded endpoint
+    /// and shard beacons are truncated at every length, extended with
+    /// seeded bytes, flipped at every bit and rewritten at every byte —
+    /// each count prefix among them — to boundary values, then re-sealed.
+    /// Every result must be refused, or decode to a beacon that encodes
+    /// back to exactly the input; nothing may panic.
+    #[test]
+    fn decoder_sweep_refuses_or_round_trips_every_mutation() {
+        let mut accepted = 0;
+        for i in 0..32 {
+            let wire = encode(&seeded_beacon(i));
+            let body = &wire[..wire.len() - TRAILER_LEN];
+            let mut check = |body: &[u8]| {
+                let input = sealed(body);
+                if let Ok(b) = decode(&input) {
+                    assert_eq!(encode(&b), input, "accepted a non-canonical beacon");
+                    accepted += 1;
+                }
+            };
+            for cut in 0..body.len() {
+                check(&body[..cut]);
+            }
+            for extra in 1..=16u8 {
+                let mut longer = body.to_vec();
+                longer.extend((0..extra).map(|b| b.wrapping_mul(i as u8 | 1)));
+                check(&longer);
+            }
+            let mut edited = body.to_vec();
+            for at in 0..body.len() {
+                for bit in 0..8 {
+                    edited[at] ^= 1 << bit;
+                    check(&edited);
+                    edited[at] ^= 1 << bit;
+                }
+                let b = body[at];
+                for v in [0, 1, 0x7F, 0xFF, b.wrapping_add(1), b.wrapping_sub(1)] {
+                    edited[at] = v;
+                    check(&edited);
+                }
+                edited[at] = b;
+            }
+            check(body);
+        }
+        assert!(accepted >= 32, "every unmutated beacon round-trips");
+    }
+
     #[test]
     fn oversized_event_window_is_truncated_newest_kept() {
         let mut events = Vec::new();
@@ -828,7 +939,6 @@ mod tests {
         let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.set_nonblocking(true).unwrap();
         let t = Telemetry::new(4);
-        t.add(Counter::Sends, 17);
         t.record(Metric::AckRttTicks, 120);
         t.trace(
             9,
@@ -839,7 +949,9 @@ mod tests {
             },
         );
         let mut b = Beaconer::endpoint(t, rx.local_addr().unwrap(), 1000).expect("bind beaconer");
-        b.emit(&[("peer_resets", 2)]);
+        let mut counters = [0; Counter::COUNT];
+        counters[Counter::Sends as usize] = 17;
+        b.emit(counters, vec![("peer_resets".into(), 2)]);
         assert_eq!(b.stats.sent, 1);
         // Loopback delivery is immediate in practice; poll briefly.
         let mut buf = [0u8; MAX_BEACON_BYTES];
@@ -858,11 +970,9 @@ mod tests {
             panic!("endpoint beacon")
         };
         assert_eq!(e.gauges, vec![("peer_resets".to_string(), 2)]);
-        if crate::ENABLED {
-            assert_eq!(e.counters[Counter::Sends as usize], 17);
-            assert_eq!(e.events.len(), 1);
-            assert_eq!(e.metrics[Metric::AckRttTicks as usize].summary.count, 1);
-        }
+        assert_eq!(e.counters[Counter::Sends as usize], 17);
+        assert_eq!(e.events.len(), 1);
+        assert_eq!(e.metrics[Metric::AckRttTicks as usize].summary.count, 1);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The workspace's one CRC-32: IEEE 802.3 (reflected polynomial
 //! `0xEDB88320`, init and final xor `!0`, check value `0xCBF43926`).
 //!
-//! It lives in this crate, un-gated by `telemetry-off`, because the
-//! dependency arrow points from `fm-core` to here: the frame codec
-//! re-exports it (`fm_core::crc32`) for the frame trailer, and
-//! [`crate::beacon`] uses it for the beacon trailer.
+//! It lives in this crate because the dependency arrow points from
+//! `fm-core` to here: the frame codec re-exports it (`fm_core::crc32`) for
+//! the frame trailer, and [`crate::beacon`] uses it for the beacon trailer.
 //!
 //! Slicing-by-16: sixteen 256-entry tables (16 KiB, built at compile time)
 //! let one step fold sixteen input bytes into the running remainder with

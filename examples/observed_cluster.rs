@@ -4,15 +4,17 @@
 //! cargo run --example observed_cluster
 //! ```
 //!
-//! Every endpoint carries an `fm_telemetry::Telemetry` handle: lock-free
-//! counters for each protocol event (sends, bounces, retransmits,
-//! re-acks, CRC rejects, dead peers...), log-bucketed latency histograms
-//! (send→ack RTT, handler service time, poll batch occupancy), and a
-//! bounded ring of typed trace events. This example runs a lossy two-node
-//! exchange, prints the JSON snapshot of both endpoints, and exports the
-//! sender's event ring as `observed_trace.json` — load it at
-//! `chrome://tracing` (or <https://ui.perfetto.dev>) to scrub through the
-//! protocol's life frame by frame.
+//! Every endpoint counts each protocol event once, in its `EndpointStats`
+//! ledger (sends, bounces, retransmits, re-acks, CRC rejects, dead
+//! peers...), and carries an `fm_telemetry::Telemetry` handle with what
+//! has no other home: log-bucketed latency histograms (send→ack RTT,
+//! handler service time, poll batch occupancy) and a bounded ring of typed
+//! trace events. This example runs a lossy two-node exchange, prints both
+//! endpoints' exported counts (`observability_counters`) and histogram
+//! summaries, and exports the sender's event ring as
+//! `observed_trace.json` — load it at `chrome://tracing` (or
+//! <https://ui.perfetto.dev>) to scrub through the protocol's life frame
+//! by frame.
 //!
 //! It then feeds both endpoints to a [`MetricsAggregator`] and dumps the
 //! *merged* cluster view: every ring clock-aligned onto one timeline
@@ -21,12 +23,10 @@
 //! scrape (`observed_metrics.prom`). For a bigger version of the same
 //! pipeline — four endpoints, multi-hop causal chains — see the
 //! `trace_merge` binary in `fm-bench`.
-//!
-//! Build with `--features fm-core/telemetry-off` and the same program
-//! still runs; every counter reads zero and the trace is empty, because
-//! the instrumentation compiles to no-ops.
 
-use fm_repro::fm_core::{EndpointConfig, FabricKind, FaultConfig, TelemetryCounter};
+use fm_repro::fm_core::{
+    EndpointConfig, FabricKind, FaultConfig, TelemetryCounter, TelemetryMetric,
+};
 use fm_repro::fm_telemetry::MetricsAggregator;
 use fm_repro::prelude::*;
 
@@ -79,20 +79,33 @@ fn main() {
         received.load(Ordering::Relaxed)
     );
 
-    // -- counters + histograms: one JSON snapshot per endpoint ------------
+    // -- counters + histograms, per endpoint -------------------------------
     for (name, ep) in [("node 0 (sender)", &a), ("node 1 (receiver)", &b)] {
-        println!(
-            "telemetry snapshot, {name}:\n{}\n",
-            ep.telemetry().snapshot().to_json()
-        );
+        println!("telemetry, {name}:");
+        for (c, v) in TelemetryCounter::ALL
+            .iter()
+            .zip(ep.observability_counters())
+        {
+            println!("  {:<18} {v}", c.name());
+        }
+        for m in TelemetryMetric::ALL {
+            let s = ep.telemetry().metric(m);
+            println!(
+                "  {:<18} count {} p50 {} p99 {}",
+                m.name(),
+                s.count,
+                s.p50,
+                s.p99
+            );
+        }
     }
-    let t = a.telemetry();
     println!(
         "sender recovered from loss: {} retransmits ({} timer-driven), {} re-acks seen by peer",
-        t.counter(TelemetryCounter::Retransmits),
-        t.counter(TelemetryCounter::TimerRetransmits),
-        b.telemetry().counter(TelemetryCounter::ReAcks),
+        a.stats().retransmitted,
+        a.stats().timer_retransmits,
+        b.stats().duplicates,
     );
+    let t = a.telemetry();
 
     // -- event ring: chrome://tracing export ------------------------------
     let trace = t.chrome_trace();
@@ -106,8 +119,10 @@ fn main() {
 
     // -- merged cluster view: aggregate + clock-align both endpoints ------
     let mut agg = MetricsAggregator::new();
-    agg.register(a.telemetry().clone());
-    agg.register(b.telemetry().clone());
+    for ep in [&a, &b] {
+        agg.register(ep.telemetry().clone());
+        agg.set_counters(ep.node_id().0, ep.observability_counters());
+    }
     agg.tick(1); // one scrape: the delta baseline for the Prometheus export
     let report = agg.merged();
     std::fs::write("observed_merged.json", report.chrome_trace())

@@ -15,13 +15,13 @@
 //! Discovery works the way the `bench_udp` harness and a real deployment
 //! would: the echo child binds with an *empty* roster and learns the
 //! driver's address from the hello handshake; only the driver needs a
-//! roster entry. At the end the driver prints its telemetry snapshot
-//! (the same counters/histograms `observed_cluster` shows for the
-//! in-memory fabric), the adaptive RTT estimate the wall-clock timers
+//! roster entry. At the end the driver prints its telemetry (the same
+//! counters/histograms `observed_cluster` shows for the in-memory fabric), the adaptive RTT estimate the wall-clock timers
 //! converged to, and the round-trip percentiles.
 
 use fm_repro::fm_core::{
-    EndpointConfig, FaultConfig, HandlerId, NodeId, Roster, TelemetryCounter, UdpConfig,
+    EndpointConfig, FaultConfig, HandlerId, NodeId, Roster, TelemetryCounter, TelemetryMetric,
+    UdpConfig,
 };
 use fm_repro::prelude::*;
 use std::io::{BufRead, BufReader};
@@ -174,21 +174,31 @@ fn main() {
         pct(0.99),
     );
 
-    // -- telemetry: same snapshot observed_cluster prints -----------------
-    println!(
-        "\ntelemetry snapshot, driver:\n{}\n",
-        ep.telemetry().snapshot().to_json()
-    );
-    let t = ep.telemetry();
+    // -- telemetry: the same printout observed_cluster shows --------------
+    println!("\ntelemetry, driver:");
+    for (c, v) in TelemetryCounter::ALL
+        .iter()
+        .zip(ep.observability_counters())
+    {
+        println!("  {:<18} {v}", c.name());
+    }
+    for m in TelemetryMetric::ALL {
+        let s = ep.telemetry().metric(m);
+        println!(
+            "  {:<18} count {} p50 {} p99 {}",
+            m.name(),
+            s.count,
+            s.p50,
+            s.p99
+        );
+    }
+    let stats = ep.stats();
     let rtt = ep.rtt();
     let wire = ep.udp_stats().expect("udp wiring");
     println!(
         "recovered from injected faults: {} retransmits ({} timer-driven), \
          {} datagrams out / {} in",
-        t.counter(TelemetryCounter::Retransmits),
-        t.counter(TelemetryCounter::TimerRetransmits),
-        wire.datagrams_out,
-        wire.datagrams_in,
+        stats.retransmitted, stats.timer_retransmits, wire.datagrams_out, wire.datagrams_in,
     );
     println!(
         "adaptive timers: srtt {} us, rto {} us (wall-clock, Karn-filtered)",
