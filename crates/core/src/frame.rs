@@ -52,7 +52,8 @@
 //! transit, so every frame carries an end-to-end checksum, computed in
 //! software once in [`FrameHeader::encode_into`] and once in
 //! [`FrameHeader::parse`] — the two largest per-byte costs of a
-//! frame, which is why [`crc32`] folds sixteen bytes per step. Decoding is
+//! frame, which is why [`crc32`] folds with carry-less multiplies where the
+//! CPU has them and sixteen table bytes per step where it does not. Decoding is
 //! *strict about total length* (`buf.len()` must equal header + declared
 //! payload + trailer): a bit flip in the length field then always surfaces
 //! as a structural error rather than silently moving where the CRC is read,
@@ -89,15 +90,24 @@ pub const FM_CRC_BYTES: usize = 4;
 pub const FM_FRAME_MAX: usize = FM_HEADER_BYTES + FM_FRAME_PAYLOAD + FM_CRC_BYTES;
 
 /// CRC-32 (IEEE 802.3) of the frame trailer; public so tests and the fault
-/// injector can recompute it. The implementation — slicing-by-16 over
-/// 16 KiB of compile-time tables, safe Rust — is `fm_telemetry::crc`, the
-/// one copy in the workspace (it sits below this crate in the dependency
-/// order, and the telemetry beacons checksum with it too).
+/// injector can recompute it. The implementation is `fm_telemetry::crc`,
+/// the one copy in the workspace (it sits below this crate in the
+/// dependency order, and the telemetry beacons checksum with it too).
 ///
-/// Not the hardware CRC32C instruction: that is a different polynomial
-/// (Castagnoli), so adopting it would change every frame on the wire, need
-/// `unsafe` intrinsics, and fork the codec per platform with a software
-/// fallback beside it. Table slicing keeps one wire format and one path.
+/// One polynomial (reflected `0xEDB88320`), so one wire format, on two
+/// paths picked at run time:
+/// - On x86_64 CPUs where `is_x86_feature_detected!` reports `pclmulqdq` and
+///   `sse4.1`, a carry-less-multiply fold (four 16-byte lanes per 64 bytes,
+///   one lane per 16 after that, a Barrett reduction to 32 bits). Its one
+///   `unsafe` is the call into that `#[target_feature]` function. It is
+///   sound because the call happens only after detection has confirmed
+///   both features, and the function body is safe code with no raw pointers.
+/// - Everywhere else, the slicing-by-16 fallback: 16 KiB of compile-time
+///   tables, safe Rust.
+///
+/// Median `frame.crc32_ns_128` (`benchmark/`, 2-vCPU x86_64 VM): 59 ns by
+/// slicing-by-16, 9 ns by the fold. Both paths are tested against a
+/// bit-at-a-time reference on every host.
 pub use fm_telemetry::crc32;
 
 /// Maximum acknowledgements piggybacked on one frame.
@@ -109,8 +119,9 @@ pub enum FrameKind {
     /// An ordinary data frame carrying a handler id and payload.
     Data = 0,
     /// A data frame bounced back to its sender by a full receiver
-    /// (return-to-sender flow control). Carries the original payload so the
-    /// sender can retransmit without having kept a copy.
+    /// (return-to-sender flow control). It still carries the original
+    /// payload, but the sender never reads it: the sender retransmits from
+    /// the window slot it keeps until the frame is acked.
     Return = 1,
     /// A standalone acknowledgement (slots in the piggyback area).
     Ack = 2,
