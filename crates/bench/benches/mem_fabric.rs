@@ -97,7 +97,8 @@ fn bench_send_large(c: &mut Criterion) {
 /// Encoded 156-byte frames (CRC trailer included) over the raw SPSC ring
 /// (encode-in-place, batched drain). Push/drain cycles run on the bench
 /// thread so the number isolates fabric cost, not scheduler noise.
-/// `scripts/bench_gate` gates this wire against its channel baseline (>= 3x).
+/// `bench_gate` gates the same push-then-drain wire against its channel
+/// baseline (>= 3x).
 fn bench_wire_fabric(c: &mut Criterion) {
     const BATCH: usize = 256;
     let frame = WireFrame::data(

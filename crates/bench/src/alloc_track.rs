@@ -1,8 +1,8 @@
 //! A counting global allocator for allocation-regression measurements.
 //!
-//! `scripts/bench_gate` (the `bench_gate` binary) installs [`CountingAlloc`]
-//! as the process allocator and snapshots [`allocations`] around the
-//! steady-state section of its workloads; the delta is how
+//! The `bench_gate` binary installs [`CountingAlloc`] as the process
+//! allocator and snapshots [`allocations`] around the steady-state
+//! section of its workloads; the delta is how
 //! `BENCH_fabric.json` proves the short-message path performs zero heap
 //! allocations. Counting uses relaxed atomics — a few nanoseconds per
 //! allocation — so the same binary still produces meaningful throughput

@@ -10,16 +10,15 @@
 //!
 //! Every run is deterministic (fixed seed per point) and doubles as an
 //! exactly-once check: the experiment panics if any message is lost,
-//! duplicated or reordered. `--smoke` shrinks the per-point message count
-//! for CI; `--out PATH` overrides the output path.
+//! duplicated or reordered. `--smoke` shrinks the per-point message count.
 //!
 //! The binary is its own gate (exit 1): at the 1 % point a lost frame may
 //! cost at most [`MAX_RETRANSMITS_PER_LOSS`] retransmissions
 //! (`retransmitted / (drops + crc_rejected)`) and the median latency may
 //! be at most [`MAX_P50_OVER_CLEAN`] times the clean wire's.
 
+use fm_bench::report::{Args, Gate, Report};
 use fm_testbed::faults::{run_loss_point, FaultSweepConfig};
-use std::fmt::Write as _;
 
 /// The injected per-category fault rates of the sweep.
 const RATES: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
@@ -38,37 +37,16 @@ const MAX_RETRANSMITS_PER_LOSS_SMOKE: f64 = 3.0;
 const MAX_P50_OVER_CLEAN: f64 = 10.0;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path = "BENCH_faults.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                eprintln!("usage: bench_faults [--smoke] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = Args::parse("BENCH_faults.json", &[]);
     let cfg = FaultSweepConfig {
-        count: if smoke { 2_000 } else { 20_000 },
+        count: if args.smoke { 2_000 } else { 20_000 },
         ..Default::default()
     };
 
-    let mut points = String::new();
+    let mut points = Vec::new();
+    let mut gates = Vec::new();
     let mut clean_p50_ps = 0u64;
-    let mut gate_failures = Vec::new();
-    for (i, &rate) in RATES.iter().enumerate() {
+    for rate in RATES {
         eprintln!(
             "bench_faults: rate {:.0}% ({} messages)...",
             rate * 100.0,
@@ -81,31 +59,30 @@ fn main() {
             clean_p50_ps = p.p50.as_ps();
         }
         if rate == GATED_RATE {
-            let per_loss = p.retransmitted as f64 / (p.injected_drops + p.crc_rejected) as f64;
-            let max_per_loss = if smoke {
+            let max_per_loss = if args.smoke {
                 MAX_RETRANSMITS_PER_LOSS_SMOKE
             } else {
                 MAX_RETRANSMITS_PER_LOSS
             };
-            if per_loss > max_per_loss {
-                gate_failures.push(format!(
-                    "{per_loss:.2} retransmissions per lost frame (limit {max_per_loss})"
-                ));
-            }
-            let over_clean = p.p50.as_ps() as f64 / clean_p50_ps as f64;
-            if over_clean > MAX_P50_OVER_CLEAN {
-                gate_failures.push(format!(
-                    "p50 is {over_clean:.1}x the clean wire's (limit {MAX_P50_OVER_CLEAN})"
-                ));
-            }
+            gates.push(Gate::at_most(
+                "retransmits_per_loss_at_1pct",
+                p.retransmitted as f64 / (p.injected_drops + p.crc_rejected) as f64,
+                max_per_loss,
+            ));
+            gates.push(Gate::at_most(
+                "p50_over_clean_at_1pct",
+                p.p50.as_ps() as f64 / clean_p50_ps as f64,
+                MAX_P50_OVER_CLEAN,
+            ));
         }
+        let us = |ps: u64| ps as f64 / 1e6;
         println!(
             "rate {:>4.1}%: goodput {:>8.2} MB/s  p50 {:>7.1} us  p99 {:>8.1} us  \
              (drops {} dups {} corrupt {} delays {} | rtx {} timer {} gap {} dedup {})",
             rate * 100.0,
             p.goodput_mbs,
-            p.p50.as_ps() as f64 / 1e6,
-            p.p99.as_ps() as f64 / 1e6,
+            us(p.p50.as_ps()),
+            us(p.p99.as_ps()),
             p.injected_drops,
             p.injected_dups,
             p.injected_corrupt,
@@ -115,69 +92,41 @@ fn main() {
             p.gap_retransmits,
             p.duplicates_suppressed,
         );
-        write!(
-            points,
-            concat!(
-                "    {{\n",
-                "      \"rate\": {rate},\n",
-                "      \"delivered\": {delivered},\n",
-                "      \"goodput_mbs\": {goodput:.3},\n",
-                "      \"p50_us\": {p50:.2},\n",
-                "      \"p99_us\": {p99:.2},\n",
-                "      \"elapsed_us\": {elapsed:.1},\n",
-                "      \"injected\": {{ \"drops\": {drops}, \"dups\": {dups}, \"corrupt\": {corrupt}, \"delays\": {delays} }},\n",
-                "      \"recovery\": {{ \"crc_rejected\": {crc}, \"retransmitted\": {rtx}, \"timer_retransmits\": {trtx}, \"gap_retransmits\": {grtx}, \"duplicates_suppressed\": {dedup} }}\n",
-                "    }}{comma}\n",
-            ),
-            rate = rate,
-            delivered = p.delivered,
-            goodput = p.goodput_mbs,
-            p50 = p.p50.as_ps() as f64 / 1e6,
-            p99 = p.p99.as_ps() as f64 / 1e6,
-            elapsed = p.elapsed.as_ps() as f64 / 1e6,
-            drops = p.injected_drops,
-            dups = p.injected_dups,
-            corrupt = p.injected_corrupt,
-            delays = p.injected_delays,
-            crc = p.crc_rejected,
-            rtx = p.retransmitted,
-            trtx = p.timer_retransmits,
-            grtx = p.gap_retransmits,
-            dedup = p.duplicates_suppressed,
-            comma = if i + 1 < RATES.len() { "," } else { "" },
-        )
-        .expect("writing to String cannot fail");
+        points.push(
+            Report::new()
+                .num("rate", rate, 2)
+                .set("delivered", p.delivered)
+                .num("goodput_mbs", p.goodput_mbs, 3)
+                .num("p50_us", us(p.p50.as_ps()), 2)
+                .num("p99_us", us(p.p99.as_ps()), 2)
+                .num("elapsed_us", us(p.elapsed.as_ps()), 1)
+                .set(
+                    "injected",
+                    Report::new()
+                        .set("drops", p.injected_drops)
+                        .set("dups", p.injected_dups)
+                        .set("corrupt", p.injected_corrupt)
+                        .set("delays", p.injected_delays),
+                )
+                .set(
+                    "recovery",
+                    Report::new()
+                        .set("crc_rejected", p.crc_rejected)
+                        .set("retransmitted", p.retransmitted)
+                        .set("timer_retransmits", p.timer_retransmits)
+                        .set("gap_retransmits", p.gap_retransmits)
+                        .set("duplicates_suppressed", p.duplicates_suppressed),
+                ),
+        );
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fault_sweep\",\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"messages_per_point\": {count},\n",
-            "  \"payload_bytes\": {payload},\n",
-            "  \"seed\": {seed},\n",
-            "  \"exactly_once\": true,\n",
-            "  \"points\": [\n",
-            "{points}",
-            "  ]\n",
-            "}}\n",
-        ),
-        smoke = smoke,
-        count = cfg.count,
-        payload = cfg.payload,
-        seed = cfg.seed,
-        points = points,
-    );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("wrote {out_path}");
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!(
-                "bench_faults: gate failed at {:.0}%: {f}",
-                GATED_RATE * 100.0
-            );
-        }
-        std::process::exit(1);
-    }
+    Report::new()
+        .set("bench", "fault_sweep")
+        .set("smoke", args.smoke)
+        .set("messages_per_point", cfg.count)
+        .set("payload_bytes", cfg.payload)
+        .set("seed", cfg.seed)
+        .set("exactly_once", true)
+        .set("points", points)
+        .finish(&args.out, &gates)
 }

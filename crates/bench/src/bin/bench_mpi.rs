@@ -25,9 +25,9 @@
 //! * sub-linear growth: the tree's busiest-link load must grow more
 //!   slowly from 16 to 64 ranks than the linear baseline's.
 //!
-//! A nonzero exit on gate failure; `--out PATH` overrides the output
-//! path.
+//! A nonzero exit on gate failure.
 
+use fm_bench::report::{Args, Gate, Json, Report};
 use fm_core::endpoint::EndpointConfig;
 use fm_core::{SwitchConfig, SwitchTopology};
 use fm_mpi::{Communicator, MpiCluster, ReduceOp};
@@ -142,27 +142,8 @@ struct SizeRow {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_mpi.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_mpi [--smoke] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let iters: u32 = if smoke { 2 } else { 8 };
+    let args = Args::parse("BENCH_mpi.json", &[]);
+    let iters: u32 = if args.smoke { 2 } else { 8 };
 
     let mut rows = Vec::new();
     for &n in &SIZES {
@@ -176,102 +157,45 @@ fn main() {
         });
     }
 
-    let at = |n: usize| rows.iter().find(|r| r.n == n).expect("size measured");
-    let last = rows.last().expect("sizes nonempty");
-    let barrier_ratio = last.barrier_linear.busiest_link / last.barrier_tree.busiest_link;
-    let allreduce_ratio = last.allreduce_linear.busiest_link / last.allreduce_tree.busiest_link;
     // Growth from 16 -> max size: the tree must scale sub-linearly
     // relative to the baseline.
-    let barrier_tree_growth = last.barrier_tree.busiest_link / at(16).barrier_tree.busiest_link;
-    let barrier_linear_growth =
-        last.barrier_linear.busiest_link / at(16).barrier_linear.busiest_link;
-    let allreduce_tree_growth =
-        last.allreduce_tree.busiest_link / at(16).allreduce_tree.busiest_link;
-    let allreduce_linear_growth =
-        last.allreduce_linear.busiest_link / at(16).allreduce_linear.busiest_link;
-
-    struct Gate {
-        name: &'static str,
-        value: f64,
-        bound: f64,
-        pass: bool,
-    }
+    let at16 = rows.iter().find(|r| r.n == 16).expect("size measured");
+    let last = rows.last().expect("sizes nonempty");
+    let growth = |pick: fn(&SizeRow) -> &Phase| pick(last).busiest_link / pick(at16).busiest_link;
     let gates = [
-        Gate {
-            name: "barrier_busiest_link_ratio_at_max",
-            value: barrier_ratio,
-            bound: MIN_RATIO_AT_MAX,
-            pass: barrier_ratio >= MIN_RATIO_AT_MAX,
-        },
-        Gate {
-            name: "allreduce_busiest_link_ratio_at_max",
-            value: allreduce_ratio,
-            bound: MIN_RATIO_AT_MAX,
-            pass: allreduce_ratio >= MIN_RATIO_AT_MAX,
-        },
-        Gate {
-            name: "barrier_tree_growth_sublinear_vs_baseline",
-            value: barrier_tree_growth,
-            bound: barrier_linear_growth,
-            pass: barrier_tree_growth < barrier_linear_growth,
-        },
-        Gate {
-            name: "allreduce_tree_growth_sublinear_vs_baseline",
-            value: allreduce_tree_growth,
-            bound: allreduce_linear_growth,
-            pass: allreduce_tree_growth < allreduce_linear_growth,
-        },
+        Gate::at_least(
+            "barrier_busiest_link_ratio_at_max",
+            last.barrier_linear.busiest_link / last.barrier_tree.busiest_link,
+            MIN_RATIO_AT_MAX,
+        ),
+        Gate::at_least(
+            "allreduce_busiest_link_ratio_at_max",
+            last.allreduce_linear.busiest_link / last.allreduce_tree.busiest_link,
+            MIN_RATIO_AT_MAX,
+        ),
+        Gate::below(
+            "barrier_tree_growth_sublinear_vs_baseline",
+            growth(|r| &r.barrier_tree),
+            growth(|r| &r.barrier_linear),
+        ),
+        Gate::below(
+            "allreduce_tree_growth_sublinear_vs_baseline",
+            growth(|r| &r.allreduce_tree),
+            growth(|r| &r.allreduce_linear),
+        ),
     ];
-    let all_pass = gates.iter().all(|g| g.pass);
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"mpi_collectives\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"iters_per_op\": {iters},\n"));
-    json.push_str("  \"unit\": \"frames on busiest link per collective op\",\n");
-    json.push_str("  \"topology\": \"for_cluster_wide (fat tree past 8 hosts)\",\n");
-    json.push_str("  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"barrier\": {{\"tree\": {:.2}, \"linear\": {:.2}, \
-             \"ratio\": {:.2}, \"tree_wall_us\": {:.1}, \"linear_wall_us\": {:.1}}}, \
-             \"allreduce\": {{\"tree\": {:.2}, \"linear\": {:.2}, \"ratio\": {:.2}, \
-             \"tree_wall_us\": {:.1}, \"linear_wall_us\": {:.1}}}}}{}\n",
-            r.n,
-            r.barrier_tree.busiest_link,
-            r.barrier_linear.busiest_link,
-            r.barrier_linear.busiest_link / r.barrier_tree.busiest_link,
-            r.barrier_tree.wall_us,
-            r.barrier_linear.wall_us,
-            r.allreduce_tree.busiest_link,
-            r.allreduce_linear.busiest_link,
-            r.allreduce_linear.busiest_link / r.allreduce_tree.busiest_link,
-            r.allreduce_tree.wall_us,
-            r.allreduce_linear.wall_us,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gates\": [\n");
-    for (i, g) in gates.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.3}, \"bound\": {:.3}, \"pass\": {}}}{}\n",
-            g.name,
-            g.value,
-            g.bound,
-            g.pass,
-            if i + 1 < gates.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"enforced\": true,\n");
-    json.push_str(&format!("  \"pass\": {all_pass}\n"));
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write result JSON");
 
     println!("bench_mpi: busiest-link frames per op (linear/tree ratio)");
+    let mut sizes = Vec::new();
     for r in &rows {
+        let pair = |tree: &Phase, linear: &Phase| {
+            Report::new()
+                .num("tree", tree.busiest_link, 2)
+                .num("linear", linear.busiest_link, 2)
+                .num("ratio", linear.busiest_link / tree.busiest_link, 2)
+                .num("tree_wall_us", tree.wall_us, 1)
+                .num("linear_wall_us", linear.wall_us, 1)
+        };
         println!(
             "  n={:>2}: barrier {:>6.1} vs {:>6.1} ({:>4.1}x)   allreduce {:>6.1} vs {:>6.1} ({:>4.1}x)",
             r.n,
@@ -282,19 +206,22 @@ fn main() {
             r.allreduce_tree.busiest_link,
             r.allreduce_linear.busiest_link / r.allreduce_tree.busiest_link,
         );
-    }
-    for g in &gates {
-        println!(
-            "  gate {:<45} value {:>8.3} bound {:>8.3} {}",
-            g.name,
-            g.value,
-            g.bound,
-            if g.pass { "PASS" } else { "FAIL" }
+        sizes.push(
+            Report::new()
+                .set("n", r.n)
+                .set("barrier", pair(&r.barrier_tree, &r.barrier_linear))
+                .set("allreduce", pair(&r.allreduce_tree, &r.allreduce_linear)),
         );
     }
-    println!("wrote {out_path}");
-    if !all_pass {
-        eprintln!("bench_mpi: gate failure");
-        std::process::exit(1);
-    }
+    Report::new()
+        .set("bench", "mpi_collectives")
+        .set("smoke", args.smoke)
+        .set("iters_per_op", iters)
+        .set("unit", "frames on busiest link per collective op")
+        .set("topology", "for_cluster_wide (fat tree past 8 hosts)")
+        .set("sizes", sizes)
+        .set("gates", gates.iter().map(Json::from).collect::<Vec<_>>())
+        .set("enforced", true)
+        .set("pass", gates.iter().all(|g| g.pass))
+        .finish(&args.out, &gates)
 }

@@ -45,17 +45,12 @@
 //! `--smoke` caps the ladder at 8192 endpoints for CI; the full ladder
 //! tops out at 1,024,000 (Clos k=160).
 
+use fm_bench::report::{gate_section, Args, Gate, Report};
 use fm_sim::{
     churn, collective, incast, overload, uniform, ChurnReport, CollectiveReport, LoadReport,
     SimConfig, TABLES_MAX_HOSTS,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
-
-fn usage() -> ! {
-    eprintln!("usage: bench_sim [--smoke] [--out PATH] [--ladder N,N,...]");
-    std::process::exit(2);
-}
 
 const SEED: u64 = 42;
 const FAIRNESS_FLOOR: f64 = 0.8;
@@ -186,100 +181,72 @@ fn run_size(requested: u64, config: SimConfig) -> SizeRun {
     }
 }
 
-fn load_json(r: &LoadReport, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"flows\": {}, \"msgs\": {}, \"delivered\": {}, \"dups\": {}, \"rejected\": {},\n\
-         {i}  \"dead_detections\": {}, \"sim_ns\": {}, \"mbs\": {:.2}, \"fairness\": {:.4},\n\
-         {i}  \"p50_ns\": {}, \"p99_ns\": {}, \"events\": {},\n\
-         {i}  \"peak_outstanding\": {}, \"peak_ring\": {}, \"peak_pull\": {}, \"switch_port_entries\": {},\n\
-         {i}  \"digest\": \"{:016x}\"\n{i}}}",
-        r.flows,
-        r.msgs,
-        r.delivered,
-        r.dups,
-        r.rejected,
-        r.dead_detections,
-        r.sim_ns,
-        r.mbs,
-        r.fairness,
-        r.p50_ns,
-        r.p99_ns,
-        r.events,
-        r.peaks.outstanding,
-        r.peaks.ring,
-        r.peaks.pull,
-        r.peaks.switch_port_entries,
-        r.digest,
-        i = indent,
-    )
+fn load_json(r: &LoadReport) -> Report {
+    Report::new()
+        .set("flows", r.flows)
+        .set("msgs", r.msgs)
+        .set("delivered", r.delivered)
+        .set("dups", r.dups)
+        .set("rejected", r.rejected)
+        .set("dead_detections", r.dead_detections)
+        .set("sim_ns", r.sim_ns)
+        .num("mbs", r.mbs, 2)
+        .num("fairness", r.fairness, 4)
+        .set("p50_ns", r.p50_ns)
+        .set("p99_ns", r.p99_ns)
+        .set("events", r.events)
+        .set("peak_outstanding", r.peaks.outstanding)
+        .set("peak_ring", r.peaks.ring)
+        .set("peak_pull", r.peaks.pull)
+        .set("switch_port_entries", r.peaks.switch_port_entries)
+        .set("digest", hex(r.digest))
 }
 
-fn churn_json(r: &ChurnReport, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"participants\": {}, \"epochs\": {}, \"enqueued\": {}, \"delivered\": {}, \"dups\": {},\n\
-         {i}  \"failed_sends\": {}, \"abandoned\": {}, \"dead_detections\": {}, \"max_detect_miss\": {},\n\
-         {i}  \"max_peer_state\": {}, \"sim_ns\": {}, \"events\": {}, \"digest\": \"{:016x}\"\n{i}}}",
-        r.participants,
-        r.epochs,
-        r.enqueued,
-        r.delivered,
-        r.dups,
-        r.failed_sends,
-        r.abandoned,
-        r.dead_detections,
-        r.max_detect_miss,
-        r.max_peer_state,
-        r.sim_ns,
-        r.events,
-        r.digest,
-        i = indent,
-    )
+fn churn_json(r: &ChurnReport) -> Report {
+    Report::new()
+        .set("participants", r.participants)
+        .set("epochs", r.epochs)
+        .set("enqueued", r.enqueued)
+        .set("delivered", r.delivered)
+        .set("dups", r.dups)
+        .set("failed_sends", r.failed_sends)
+        .set("abandoned", r.abandoned)
+        .set("dead_detections", r.dead_detections)
+        .set("max_detect_miss", r.max_detect_miss)
+        .set("max_peer_state", r.max_peer_state)
+        .set("sim_ns", r.sim_ns)
+        .set("events", r.events)
+        .set("digest", hex(r.digest))
 }
 
-fn collective_json(r: &CollectiveReport, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"depth\": {}, \"expected_depth\": {}, \"delivered\": {}, \"span_ns\": {},\n\
-         {i}  \"events\": {}, \"digest\": \"{:016x}\"\n{i}}}",
-        r.depth,
-        r.expected_depth,
-        r.delivered,
-        r.span_ns,
-        r.events,
-        r.digest,
-        i = indent,
-    )
+fn collective_json(r: &CollectiveReport) -> Report {
+    Report::new()
+        .set("depth", r.depth)
+        .set("expected_depth", r.expected_depth)
+        .set("delivered", r.delivered)
+        .set("span_ns", r.span_ns)
+        .set("events", r.events)
+        .set("digest", hex(r.digest))
+}
+
+fn hex(digest: u64) -> String {
+    format!("{digest:016x}")
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut out = String::from("BENCH_sim.json");
-    let mut custom: Option<Vec<u64>> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            "--ladder" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                custom = Some(
-                    spec.split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
-            _ => usage(),
-        }
-    }
-
+    let args = Args::parse("BENCH_sim.json", &["--ladder"]);
+    let smoke = args.smoke;
     let config = SimConfig::default();
     config.check();
-    let default_ladder: &[u64] = if smoke {
-        &[64, 1_000, 8_000]
-    } else {
-        &[64, 1_000, 10_000, 100_000, 1_000_000]
+    let ladder: Vec<u64> = match args.get("--ladder") {
+        Some(spec) => spec
+            .split(',')
+            .map(|s| s.trim().parse())
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|_| args.fail("--ladder takes sizes like 64,4096")),
+        None if smoke => vec![64, 1_000, 8_000],
+        None => vec![64, 1_000, 10_000, 100_000, 1_000_000],
     };
-    let ladder: Vec<u64> = custom.unwrap_or_else(|| default_ladder.to_vec());
-    assert!(!ladder.is_empty(), "ladder must name at least one size");
 
     eprintln!(
         "bench_sim: {} campaign, ladder {:?}",
@@ -391,126 +358,75 @@ fn main() {
             && r.churn.max_detect_miss <= config.retry_budget + 1
             && r.churn.max_peer_state <= 4
     });
-
-    let enforced: Vec<(&str, bool)> = vec![
-        ("exactly_once", exactly_once),
-        ("dup_noise", dup_noise),
-        ("window_bounded", window_bounded),
-        ("ring_bounded", ring_bounded),
-        ("pull_bounded", pull_bounded),
-        ("switch_state", switch_state),
-        ("routing_state", routing_state),
-        ("fairness", fairness),
-        ("collective_depth", collective_depth),
-        ("churn", churn_ok),
-        ("deterministic", deterministic),
+    let gates = [
+        Gate::holds("exactly_once", exactly_once),
+        Gate::holds("dup_noise", dup_noise),
+        Gate::holds("window_bounded", window_bounded),
+        Gate::holds("ring_bounded", ring_bounded),
+        Gate::holds("pull_bounded", pull_bounded),
+        Gate::holds("switch_state", switch_state),
+        Gate::holds("routing_state", routing_state),
+        Gate::holds("fairness", fairness),
+        Gate::holds("collective_depth", collective_depth),
+        Gate::holds("churn", churn_ok),
+        Gate::holds("deterministic", deterministic),
     ];
 
     // ----------------------------------------------------------------- json
     let cost = config.cost;
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        concat!(
-            "{{\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"cost_model\": {{\n",
-            "    \"host_frame_ps\": {hf}, \"shard_frame_ps\": {sf}, \"link_hop_ps\": {lh},\n",
-            "    \"ack_reverse_ps\": {ar}, \"bounce_reverse_ps\": {br},\n",
-            "    \"rto_initial_ps\": {ri}, \"rto_max_ps\": {rm}\n",
-            "  }},\n",
-            "  \"config\": {{\n",
-            "    \"window\": {w}, \"recv_ring\": {rr}, \"drr_batch\": {db},\n",
-            "    \"retry_budget\": {rb}, \"msg_bytes\": {mb}\n",
-            "  }},\n",
-            "  \"sizes\": [\n"
-        ),
-        mode = if smoke { "smoke" } else { "full" },
-        seed = SEED,
-        hf = cost.host_frame_ps,
-        sf = cost.shard_frame_ps,
-        lh = cost.link_hop_ps,
-        ar = cost.ack_reverse_ps,
-        br = cost.bounce_reverse_ps,
-        ri = cost.rto_initial_ps,
-        rm = cost.rto_max_ps,
-        w = config.window,
-        rr = config.recv_ring,
-        db = config.drr_batch,
-        rb = config.retry_budget,
-        mb = config.msg_bytes,
-    );
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\n      \"requested\": {}, \"n\": {}, \"fabric\": \"{}\",\n      \
-             \"switches\": {}, \"ports\": {}, \"routing_bytes\": {},\n      \
-             \"incast_k\": {},\n      \"incast\": {},\n      \
-             \"uniform_count\": {},\n      \"uniform\": {},\n      \
-             \"collective\": {},\n      \"churn\": {}\n    }}{}",
-            r.requested,
-            r.n,
-            r.fabric,
-            r.switches,
-            r.ports,
-            r.routing_bytes,
-            r.incast_k,
-            load_json(&r.incast, "      "),
-            r.uniform_count,
-            load_json(&r.uniform, "      "),
-            collective_json(&r.collective, "      "),
-            churn_json(&r.churn, "      "),
-            if i + 1 < runs.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],\n  \"overload\": {},", load_json(&over, "  "));
-    let _ = write!(
-        json,
-        concat!(
-            "  \"determinism\": {{\n",
-            "    \"n\": {n},\n",
-            "    \"incast_digest\": \"{i1:016x}\", \"incast_digest_rerun\": \"{i2:016x}\",\n",
-            "    \"churn_digest\": \"{c1:016x}\", \"churn_digest_rerun\": \"{c2:016x}\",\n",
-            "    \"bit_identical\": {same}\n",
-            "  }},\n",
-            "  \"gate\": {{\n"
-        ),
-        n = top.n,
-        i1 = top.incast.digest,
-        i2 = inc2.digest,
-        c1 = top.churn.digest,
-        c2 = ch2.digest,
-        same = deterministic,
-    );
-    for (name, ok) in &enforced {
-        let _ = writeln!(json, "    \"{name}\": {ok},");
-    }
-    let _ = write!(
-        json,
-        "    \"enforced_gates\": [{}]\n  }}\n}}\n",
-        enforced
-            .iter()
-            .map(|(name, _)| format!("\"{name}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-
-    std::fs::write(&out, &json).unwrap_or_else(|e| {
-        eprintln!("bench_sim: cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("{json}");
-
-    let mut failed = false;
-    for &(name, ok) in &enforced {
-        if !ok {
-            eprintln!("bench_sim: GATE FAILED: {name}");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("bench_sim: all gates green -> {out}");
+    let sizes: Vec<Report> = runs
+        .iter()
+        .map(|r| {
+            Report::new()
+                .set("requested", r.requested)
+                .set("n", r.n)
+                .set("fabric", r.fabric.as_str())
+                .set("switches", r.switches)
+                .set("ports", r.ports)
+                .set("routing_bytes", r.routing_bytes)
+                .set("incast_k", r.incast_k)
+                .set("incast", load_json(&r.incast))
+                .set("uniform_count", r.uniform_count)
+                .set("uniform", load_json(&r.uniform))
+                .set("collective", collective_json(&r.collective))
+                .set("churn", churn_json(&r.churn))
+        })
+        .collect();
+    Report::new()
+        .set("mode", if smoke { "smoke" } else { "full" })
+        .set("seed", SEED)
+        .set(
+            "cost_model",
+            Report::new()
+                .set("host_frame_ps", cost.host_frame_ps)
+                .set("shard_frame_ps", cost.shard_frame_ps)
+                .set("link_hop_ps", cost.link_hop_ps)
+                .set("ack_reverse_ps", cost.ack_reverse_ps)
+                .set("bounce_reverse_ps", cost.bounce_reverse_ps)
+                .set("rto_initial_ps", cost.rto_initial_ps)
+                .set("rto_max_ps", cost.rto_max_ps),
+        )
+        .set(
+            "config",
+            Report::new()
+                .set("window", config.window)
+                .set("recv_ring", config.recv_ring)
+                .set("drr_batch", config.drr_batch)
+                .set("retry_budget", config.retry_budget)
+                .set("msg_bytes", config.msg_bytes),
+        )
+        .set("sizes", sizes)
+        .set("overload", load_json(&over))
+        .set(
+            "determinism",
+            Report::new()
+                .set("n", top.n)
+                .set("incast_digest", hex(top.incast.digest))
+                .set("incast_digest_rerun", hex(inc2.digest))
+                .set("churn_digest", hex(top.churn.digest))
+                .set("churn_digest_rerun", hex(ch2.digest))
+                .set("bit_identical", deterministic),
+        )
+        .set("gate", gate_section(&gates))
+        .finish(&args.out, &gates)
 }

@@ -7,61 +7,40 @@
 //! point regresses, the merged timeline shows where sampled frames spent
 //! their time (send → wire → switch ring → handler), and the per-shard
 //! poll-occupancy histograms show whether the adaptive batcher saw a busy
-//! or an idle fabric. CI runs it in smoke mode and uploads the trace as
-//! an artifact, so a future dip is inspectable from the run page at
-//! <https://ui.perfetto.dev> without a local repro.
+//! or an idle fabric.
 //!
 //! ```sh
-//! cargo run --bin trace_scaling -- [--smoke] [--out PREFIX]
-//!                                  [--trace-one-in N] [--n HOSTS]
+//! cargo run --release -p fm-bench --bin trace_scaling -- [--smoke] [--out PREFIX]
 //! ```
 //!
-//! Writes `PREFIX.trace.json`, `PREFIX.prom` and `PREFIX.csv`. Exits
-//! nonzero if the merged timeline contains no cross-endpoint flow pair
-//! while telemetry is enabled — the same pipeline gate as `trace_merge`,
-//! now pointed at the switched runtime.
+//! Writes `PREFIX.trace.json`, `PREFIX.prom` and `PREFIX.csv` and gates
+//! the merged view like `trace_merge` ([`fm_bench::merged_trace`]), now
+//! pointed at the switched runtime.
 //!
 //! Switch shards are first-class in every output: the drive loop samples
 //! each shard periodically, so the Prometheus/CSV scrape carries per-shard
 //! queue-depth, deficit and per-port forwarding series, and the chrome
 //! trace gains counter lanes per shard alongside the span flows.
 
+use fm_bench::report::Args;
 use fm_core::{EndpointConfig, HandlerId, NodeId, SwitchTopology, SwitchedCluster};
 use fm_telemetry::MetricsAggregator;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut prefix = "trace_scaling".to_string();
-    let mut trace_one_in: u32 = 8;
-    let mut n: usize = 8;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => prefix = p.clone(),
-                None => usage("--out requires a prefix"),
-            },
-            "--trace-one-in" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => trace_one_in = v,
-                None => usage("--trace-one-in requires an integer"),
-            },
-            "--n" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 2 => n = v,
-                _ => usage("--n requires a host count >= 2"),
-            },
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
-    let count: usize = if smoke { 150 } else { 600 };
-    let pairs = n / 2;
+/// Hosts: `bench_scaling`'s n=8 sweep point.
+const N: usize = 8;
+/// Causal trace sampling for the diagnosis timeline.
+const TRACE_ONE_IN: u32 = 8;
 
-    let topo = SwitchTopology::for_cluster_wide(n);
+fn main() {
+    let args = Args::parse("trace_scaling", &[]);
+    let count: usize = if args.smoke { 150 } else { 600 };
+    let pairs = N / 2;
+
+    let topo = SwitchTopology::for_cluster_wide(N);
     let config = EndpointConfig {
-        trace_one_in,
+        trace_one_in: TRACE_ONE_IN,
         ..Default::default()
     };
     let mut cluster = SwitchedCluster::new(&topo, config);
@@ -74,7 +53,7 @@ fn main() {
     }
 
     eprintln!(
-        "trace_scaling: n={n} ({pairs} pairs x {count} msgs), trace 1-in-{trace_one_in}, \
+        "trace_scaling: n={N} ({pairs} pairs x {count} msgs), trace 1-in-{TRACE_ONE_IN}, \
          {} switch shard(s)...",
         cluster.shards.len()
     );
@@ -83,9 +62,6 @@ fn main() {
     // stable timelines, not scheduler roulette.
     let payload = [0xC3u8; 128];
     let mut agg = MetricsAggregator::new();
-    for ep in &cluster.endpoints {
-        agg.register(ep.telemetry().clone());
-    }
     let mut queued = vec![0usize; pairs];
     let mut rounds = 0usize;
     loop {
@@ -135,30 +111,10 @@ fn main() {
     for shard in &cluster.shards {
         agg.record_shard(final_at, shard.sample());
     }
-    for ep in &cluster.endpoints {
-        agg.set_counters(ep.node_id().0, ep.observability_counters());
-        agg.set_gauges(ep.node_id().0, ep.observability_gauges());
-    }
-    agg.tick(1);
-    let report = agg.merged();
-
-    let trace_path = format!("{prefix}.trace.json");
-    let prom_path = format!("{prefix}.prom");
-    let csv_path = format!("{prefix}.csv");
-    let shard_lanes = agg.shard_lane_events();
-    std::fs::write(&trace_path, report.chrome_trace_with(&shard_lanes))
-        .unwrap_or_else(|e| panic!("writing {trace_path}: {e}"));
-    std::fs::write(&prom_path, agg.prometheus())
-        .unwrap_or_else(|e| panic!("writing {prom_path}: {e}"));
-    std::fs::write(&csv_path, agg.csv()).unwrap_or_else(|e| panic!("writing {csv_path}: {e}"));
 
     println!(
-        "delivered {} msgs over {rounds} drive rounds; merged {} events from {n} endpoints, \
-         {} shard-lane points from {} shard(s)",
-        pairs * count,
-        report.events.len(),
-        shard_lanes.len(),
-        cluster.shards.len(),
+        "delivered {} msgs over {rounds} drive rounds",
+        pairs * count
     );
     for shard in &cluster.shards {
         let occ = shard.occupancy_histogram();
@@ -172,24 +128,5 @@ fn main() {
             occ.quantile(0.99),
         );
     }
-    println!(
-        "flows: {} cross-endpoint pairs, {} orphan sends, {} orphan receives, \
-         {} causal violations",
-        report.flow_pairs(),
-        report.orphan_sends,
-        report.orphan_receives,
-        report.causal_violations,
-    );
-    println!("wrote {trace_path}, {prom_path}, {csv_path}");
-
-    if report.flow_pairs() == 0 {
-        eprintln!("trace_scaling: FAIL — no cross-endpoint flow pair in the merged trace");
-        std::process::exit(1);
-    }
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
-    eprintln!("usage: trace_scaling [--smoke] [--out PREFIX] [--trace-one-in N] [--n HOSTS]");
-    std::process::exit(2);
+    fm_bench::merged_trace::finish(&args.out, agg, &cluster.endpoints)
 }

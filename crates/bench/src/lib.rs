@@ -1,9 +1,10 @@
 //! # fm-bench — regenerates every table and figure of the paper
 //!
-//! One binary per artifact (run from the workspace root; outputs land in
-//! `results/`):
+//! The `repro` binary writes one artifact per subcommand (run from the
+//! workspace root; outputs land in `results/`), or all of them with
+//! `repro all`:
 //!
-//! | binary | artifact | what it shows |
+//! | `repro` subcommand | artifact | what it shows |
 //! |---|---|---|
 //! | `fig3` | Figure 3(a/b) | LANai-to-LANai: baseline vs streamed vs theoretical peak |
 //! | `fig4` | Figure 4(a/b) | minimal host-to-host: hybrid vs all-DMA SBus management |
@@ -15,20 +16,29 @@
 //! | `headline` | abstract / Section 5 | FM's headline numbers |
 //! | `overload` | extension | return-to-sender dynamics under receiver overload |
 //! | `scaling` | extension | switch scaling: disjoint pairs and incast fairness |
+//! | `ablation` | extension | design-knob sweeps (aggregation, ack batching, window, send queue) |
 //! | `tables` | Tables 1/2/3, Fig 5/6 | the qualitative tables, rendered from the code |
+//!
+//! The `bench_*` and `trace_*` binaries are the gates: each parses its
+//! arguments, writes its report and decides its exit status through
+//! [`report`]. `bench_udp` and `bench_obs` share the two-process harness
+//! in [`udp_pair`]; `trace_merge` and `trace_scaling` share
+//! [`merged_trace`].
 //!
 //! Criterion microbenches (`cargo bench`) measure the *real* library — the
 //! threaded MemFabric runtime, the protocol engine, the frame codec — plus
 //! the `des_queue` ablation (binary heap vs calendar queue) called out in
 //! DESIGN.md.
 
-use fm_des::Duration;
 use fm_metrics::{csv, derive_metrics, AsciiPlot, LayerMetrics, Table};
 use fm_testbed::{bandwidth_sweep, latency_sweep, Layer, TestbedConfig};
 
 pub mod alloc_track;
+pub mod merged_trace;
 pub mod pingpong;
+pub mod report;
 pub mod telemetry_price;
+pub mod udp_pair;
 
 /// Where the figure/table outputs go, relative to the working directory.
 pub const RESULTS_DIR: &str = "results";
@@ -38,15 +48,6 @@ pub use fm_testbed::experiments::FIGURE_SIZES;
 
 /// Ping-pong rounds per latency point.
 pub use fm_testbed::experiments::PINGPONG_ROUNDS;
-
-/// Stream length: the paper's 65 535 packets, overridable for quick runs
-/// via the `FM_STREAM_COUNT` environment variable.
-pub fn stream_count() -> usize {
-    std::env::var("FM_STREAM_COUNT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(fm_testbed::experiments::PAPER_STREAM_COUNT)
-}
 
 /// One measured curve pair for a layer.
 #[derive(Debug, Clone)]
@@ -219,20 +220,9 @@ pub fn comparison_table(rows: &[(PaperRow, LayerMetrics)]) -> Table {
     t
 }
 
-/// Pretty duration for report text.
-pub fn fmt_us(d: Duration) -> String {
-    format!("{:.2} us", d.as_us_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_count_env_override() {
-        // Uses the default when unset (the test runner does not set it).
-        assert!(stream_count() == 65_535 || std::env::var("FM_STREAM_COUNT").is_ok());
-    }
 
     #[test]
     fn measure_and_render_smoke() {

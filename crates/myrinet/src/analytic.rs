@@ -8,7 +8,7 @@
 //! ```
 //!
 //! These curves are plotted in Figure 3 as the bound no LANai control
-//! program can beat; `fm-bench --bin appendix-a` prints them, and the
+//! program can beat; `fm-bench`'s `repro appendix-a` prints them, and the
 //! testbed's LCP models are asserted to stay above the latency bound and
 //! below the bandwidth bound.
 

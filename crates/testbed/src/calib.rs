@@ -5,7 +5,7 @@
 //! `fm-sbus::consts::HOST_INSTR`). The LANai-side budgets live in
 //! `fm-lanai::lcp`; this module holds only what the *host program* does.
 //!
-//! Calibration notes (`fm-bench --bin table4` prints paper-vs-measured):
+//! Calibration notes (`fm-bench`'s `repro table4` prints paper-vs-measured):
 //!
 //! * **hybrid** (Table 4 row 3: t0 3.5 µs, r_inf 21.2 MB/s, n_1/2 44 B) —
 //!   the outbound cost is dominated by PIO double-word writes at

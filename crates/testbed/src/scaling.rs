@@ -19,13 +19,13 @@
 //!   real `fm-core` [`SwitchedCluster`] with one thread per endpoint and
 //!   per switch shard (pairs) or a deterministic round-robin drive
 //!   (incast), moving real encoded frames through real switch shards.
-//!   These are what `--bin scaling` and `--bin bench_scaling` run.
+//!   These are what `repro scaling` and `bench_scaling` run.
 //! * **Analytic** ([`parallel_pairs`], [`incast`]) — the original
 //!   extrapolation from the two-node timing model, driven by the event
-//!   engine over the crossbar's occupancy calculator. Kept behind the
-//!   `scaling` bin's `--analytic` flag as a comparison baseline, and
-//!   because the LANai-level timing claims (linear crossbar scaling, fair
-//!   1/k incast sharing) are only expressible there.
+//!   engine over the crossbar's occupancy calculator. Kept, with its own
+//!   tests, as a comparison baseline, and because the LANai-level timing
+//!   claims (linear crossbar scaling, fair 1/k incast sharing) are only
+//!   expressible there.
 //!
 //! The analytic runs use the LANai-level streamed layer (the
 //! network-facing part of the stack) driven by the event engine, since

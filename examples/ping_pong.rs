@@ -17,7 +17,7 @@
 //!    overhead 1995 user-level messaging was designed to avoid.
 //!
 //! The reproduction of the paper's 1995 hardware numbers lives in the
-//! simulated testbed (`cargo run -p fm-bench --bin fig8`).
+//! simulated testbed (`cargo run -p fm-bench --bin repro -- fig8`).
 
 use fm_repro::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};

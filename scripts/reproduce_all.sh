@@ -1,24 +1,15 @@
 #!/usr/bin/env bash
-# Regenerate every artifact of the reproduction from scratch.
-# Usage: scripts/reproduce_all.sh [quick]
-#   quick: use 8000-packet streams instead of the paper's 65535.
+# Regenerate every artifact of the reproduction from scratch: the test
+# suites, every table and figure under results/ (each artifact writes its
+# own results/NAME.txt and CSVs), and the Criterion microbenches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-if [ "${1:-}" = "quick" ]; then
-  export FM_STREAM_COUNT=8000
-  echo "(quick mode: FM_STREAM_COUNT=$FM_STREAM_COUNT)"
-fi
 
 echo "== tests =="
 cargo test --workspace
 
 echo "== figures and tables =="
-cargo build --release -p fm-bench
-for bin in fig3 fig4 fig7 fig8 fig9 table4 appendix-a headline overload scaling ablation tables; do
-  echo "--- $bin"
-  ./target/release/$bin | tee "results/$bin.txt"
-done
+cargo run --release -p fm-bench --bin repro -- all
 
 echo "== microbenches =="
 cargo bench --workspace

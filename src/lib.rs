@@ -13,7 +13,7 @@
 //! fabric ([`fm_core::mem::MemFabric`]).
 //!
 //! Start with [`fm_core`] for the messaging API, [`fm_testbed`] to run the
-//! simulated cluster, and the `fm-bench` binaries (`fig3` … `table4`) to
+//! simulated cluster, and `fm-bench`'s `repro` binary (`repro all`) to
 //! regenerate every figure and table of the paper's evaluation.
 
 pub use fm_core;
