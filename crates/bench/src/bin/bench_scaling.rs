@@ -1,29 +1,31 @@
-//! Switch-scale gate: aggregate bandwidth + tail latency vs cluster size,
+//! Switch-scale gate: pair throughput and tail latency vs cluster size,
 //! incast fairness and reject-queue boundedness, and the multi-trunk
 //! capacity win, on the live switched runtime.
 //!
-//! Runs clusters of 2→64 endpoints (`--smoke`: 2→8 for the wall-clock
-//! sweep) through `fm_core::SwitchedCluster` — real threads, real SPSC
-//! rings, frames store-and-forwarded through switch shards wired as the
-//! fat-tree `SwitchTopology::for_cluster_wide` — and emits
+//! Runs clusters of 2→64 endpoints (`--smoke`: 2→8) through
+//! `fm_core::SwitchedCluster` — real SPSC rings, frames store-and-forwarded
+//! through switch shards wired as the fat-tree
+//! `SwitchTopology::for_cluster_wide`, driven in deterministic rounds for
+//! the counted columns and by real threads for the wall-clock ones — and
+//! emits
 //! `BENCH_scaling.json` with four sections:
 //!
-//! * `points`  — per cluster size: disjoint-pair aggregate bandwidth
-//!   (wall-clock, best of three runs), pingpong p50/p99 one-way latency
-//!   between the two most distant hosts, and the hop count between them;
+//! * `points`  — per cluster size: delivered messages per drive round for
+//!   the disjoint pairs (`fm_testbed::scaling::rounds_pairs`), their
+//!   threaded aggregate bandwidth (wall clock, best of three runs),
+//!   pingpong p50/p99 one-way latency between the two most distant hosts,
+//!   and the hop count between them;
 //! * `incast`  — per sender count K: every sender's peak reject-queue
 //!   occupancy while overloading one receiver, receiver bounces, and
 //!   Jain-fairness over per-sender completion rates (deterministic:
 //!   single-threaded drive);
 //! * `trunks`  — deterministic drive-round counts for 8 all-crossing
 //!   flows over 1 vs 4 parallel trunks, and the resulting speedup;
-//! * `gate`    — the assertions, with `enforced_gates` naming which ones
-//!   fail the run. Deterministic gates (reject bounds, incast bounces and
-//!   fairness, trunk speedup) are enforced even under `--smoke`: they are
-//!   exact protocol properties, not timing measurements, so CI noise is
-//!   no excuse. The wall-clock monotonicity gate is enforced only on full
-//!   runs, with a 15% allowance and best-of-3 points to shed scheduler
-//!   noise (a single-measurement n=8 dip shipped a red gate once).
+//! * `gate`    — the assertions, every one counted in drive rounds and
+//!   enforced in both modes: pair throughput doubling with the pair count,
+//!   reject bounds, incast bounces and fairness, trunk speedup. The
+//!   wall-clock columns are reported, never gated: 64 endpoint threads
+//!   plus shards on a two-core host cannot keep aggregate bandwidth flat.
 
 use fm_bench::report::{gate_section, Args, Gate, Report};
 use fm_core::{
@@ -31,7 +33,8 @@ use fm_core::{
 };
 use fm_telemetry::Histogram;
 use fm_testbed::scaling::{
-    incast_config, live_incast, live_parallel_pairs, rounds_cross_pairs, LIVE_MSG_BYTES,
+    incast_config, live_incast, live_parallel_pairs, rounds_cross_pairs, rounds_pairs,
+    LIVE_MSG_BYTES,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,8 +47,14 @@ const FAIRNESS_FLOOR: f64 = 0.8;
 /// trunk carries half the single-trunk load: the exact speedup is 2.0,
 /// and anything under 1.5 means trunk selection stopped spreading.
 const TRUNK_SPEEDUP_FLOOR: f64 = 1.5;
-/// Wall-clock monotonicity allowance per size step.
-const MONOTONE_ALLOWANCE: f64 = 0.85;
+/// Required growth of delivered messages per drive round when the pair
+/// count doubles. Neighbour pairs share no port, so the measured curve
+/// doubles exactly at every step from 2 to 64 endpoints (same round count
+/// at every size); a fabric that serialized pairs would fall toward 1. The
+/// pairs stay inside one leaf switch, so this gates a shard serving its
+/// inputs side by side, not trunk capacity: a shard serving one input per
+/// pump reads 1.00.
+const PAIR_STEP_FLOOR: f64 = 1.9;
 
 /// One-way latency percentiles for a pingpong between host 0 and the most
 /// distant host of an `n`-endpoint switched cluster.
@@ -132,24 +141,27 @@ fn main() {
     );
 
     let mut points = Vec::new();
-    let mut aggregate = Vec::new();
+    let mut rates = Vec::new();
     for &n in sizes {
         let pairs = n / 2;
+        let counted = rounds_pairs(n, pair_count);
+        let rate = counted.delivered as f64 / counted.rounds as f64;
         let bw = (0..reps)
             .map(|_| live_parallel_pairs(pairs, pair_count))
             .max_by(|a, b| a.total_mbs.total_cmp(&b.total_mbs))
             .expect("at least one rep");
         let (p50_us, p99_us, hops) = switched_pingpong(n, warmup, rounds);
         println!(
-            "  n={n:>2}: {:.1} MB/s aggregate over {pairs} pairs (fairness {:.3}), \
-             p50 {p50_us:.1}us / p99 {p99_us:.1}us over {hops} hop(s)",
+            "  n={n:>2}: {rate:.1} msgs/round over {pairs} pairs; threaded {:.1} MB/s \
+             (fairness {:.3}), p50 {p50_us:.1}us / p99 {p99_us:.1}us over {hops} hop(s)",
             bw.total_mbs, bw.fairness
         );
-        aggregate.push(bw.total_mbs);
+        rates.push(rate);
         points.push(
             Report::new()
                 .set("n", n)
                 .set("pairs", pairs)
+                .num("msgs_per_round", rate, 2)
                 .num("aggregate_mbs", bw.total_mbs, 2)
                 .num("fairness", bw.fairness, 4)
                 .num("p50_us", p50_us, 2)
@@ -162,12 +174,12 @@ fn main() {
     let mut incasts = Vec::new();
     let (mut peaks, mut min_rejected, mut fairness_top_k) = (Vec::new(), u64::MAX, 0.0);
     for &k in incast_ks {
-        let r = live_incast(k, incast_msgs, incast_config());
-        let peak = r.peak_outstanding.iter().copied().max().unwrap_or(0);
+        let (r, mbs) = live_incast(k, incast_msgs, incast_config());
+        let peak = r.peaks.outstanding;
         println!(
             "  incast k={k:>2}: peak reject-queue {peak}/{window}, {} bounces, \
              {:.1} MB/s, fairness {:.3}",
-            r.rejected, r.total_mbs, r.fairness
+            r.rejected, mbs, r.fairness
         );
         peaks.push(peak);
         min_rejected = min_rejected.min(r.rejected);
@@ -177,7 +189,7 @@ fn main() {
                 .set("k", k)
                 .set("peak_outstanding", peak)
                 .set("rejected", r.rejected)
-                .num("total_mbs", r.total_mbs, 2)
+                .num("total_mbs", mbs, 2)
                 .num("fairness", r.fairness, 4),
         );
     }
@@ -190,21 +202,16 @@ fn main() {
          {rounds_w4} over 4 ({trunk_speedup:.2}x)"
     );
 
-    // Monotonicity gets a 15% wall-clock allowance per step on top of
-    // best-of-3 — a genuine serialization bug (every pair through one
-    // blocked port) costs far more than that — and is enforced only on
-    // full runs. The reject-queue bound is exact (a correctness property,
-    // not a timing one); "constant in K" tolerates a quarter-window of
-    // spread; fairness, the bounce count and the trunk speedup are
-    // deterministic drive-round measurements.
-    let worst_step = aggregate
+    // The reject-queue bound is exact; "constant in K" tolerates a
+    // quarter-window of spread. Everything here is counted in drive rounds.
+    let worst_step = rates
         .windows(2)
         .map(|w| w[1] / w[0])
         .fold(f64::INFINITY, f64::min);
     let peak_max = peaks.iter().copied().max().unwrap_or(0);
     let spread = peak_max - peaks.iter().copied().min().unwrap_or(0);
     let gates = [
-        Gate::at_least("monotone_2_64", worst_step, MONOTONE_ALLOWANCE).enforced_if(!smoke),
+        Gate::at_least("monotone_2_64", worst_step, PAIR_STEP_FLOOR),
         Gate::at_most("reject_bounded", peak_max as f64, window as f64),
         Gate::at_most("reject_constant", spread as f64, (window / 4) as f64),
         Gate::at_least("fairness_k15", fairness_top_k, FAIRNESS_FLOOR),

@@ -670,20 +670,19 @@ fn scaling() -> String {
         ]);
     }
     for k in [1usize, 2, 4, 7] {
-        let r = live_incast(k, FLOW_MSGS / 4, incast_config());
-        let peak = r.peak_outstanding.iter().copied().max().unwrap_or(0);
+        let (r, mbs) = live_incast(k, FLOW_MSGS / 4, incast_config());
         t.row([
             "incast -> node 0".to_string(),
             k.to_string(),
-            format!("{:.1}", r.total_mbs),
-            format!("{:.1}", r.total_mbs / k as f64),
+            format!("{mbs:.1}"),
+            format!("{:.1}", mbs / k as f64),
             format!("{:.4}", r.fairness),
-            format!("{peak}/{}", r.window),
+            format!("{}/{}", r.peaks.outstanding, incast_config().window),
         ]);
         rows.push(vec![
             "incast".into(),
             k.to_string(),
-            format!("{:.3}", r.total_mbs),
+            format!("{mbs:.3}"),
             format!("{:.4}", r.fairness),
         ]);
     }

@@ -29,14 +29,17 @@
 //!   guaranteed, ordering is not (Table 3).
 //!
 //! The protocol logic is pure state machinery ([`endpoint::EndpointCore`])
-//! with no I/O or clock, so the same code runs in two harnesses:
+//! with no I/O or clock, so the same code runs in every harness:
 //!
 //! * [`mem`] — a real runtime across OS threads over in-memory SPSC rings
 //!   (bytes actually move, handlers actually run); this is what the examples
 //!   and most tests use;
+//! * [`switched`] driven in deterministic rounds — `fm-testbed`'s scale
+//!   campaign runs this very engine at up to 4 096 endpoints;
 //! * `fm-testbed` — the calibrated discrete-event simulation that
 //!   regenerates the paper's figures, which reuses [`flow`] for its window
-//!   accounting.
+//!   accounting and runs [`endpoint::EndpointCore`] itself where arrival
+//!   order depends on state.
 //!
 //! Messages larger than one frame are *not* part of FM 1.0 — the paper
 //! (Section 5) prescribes segmentation and reassembly above the layer. The
@@ -57,7 +60,6 @@
 //! ([`SendError::PeerUnreachable`]), and [`fault`] injects seeded,
 //! deterministic faults underneath it all to prove the machinery works.
 
-pub mod cost;
 pub mod endpoint;
 pub mod fabric;
 pub mod fault;
@@ -73,7 +75,6 @@ pub mod time;
 pub mod udp;
 mod wire;
 
-pub use cost::CostModel;
 pub use endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
 pub use fabric::{spsc_ring, BufferPool, RingConsumer, RingProducer};
 pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultStats, LinkFaults};

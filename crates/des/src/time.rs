@@ -9,7 +9,7 @@
 //! All arithmetic here is **checked in every build profile**. The original
 //! operators compiled down to plain `+`/`-`/`*`, which panic under debug
 //! assertions but silently wrap in release — and release is exactly how the
-//! million-endpoint simulation campaigns run. A wrapped `Time` would reorder
+//! long simulation runs are made. A wrapped `Time` would reorder
 //! the pending-event set and corrupt a simulation without any diagnostic, so
 //! (mirroring the release-guard policy used for the protocol invariants in
 //! `fm-core`) overflow and underflow are promoted to explicit panics with a

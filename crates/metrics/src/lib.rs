@@ -30,7 +30,7 @@ pub const MB: f64 = (1u64 << 20) as f64;
 /// Jain's fairness index over per-flow rates (or any share vector):
 /// `(Σx)² / (n·Σx²)`. 1.0 when all shares are equal, `1/n` when one flow
 /// starves the rest; 1.0 for empty or all-zero input (nothing to be unfair
-/// about). The one definition behind the live scaling harness, the DES
+/// about). The one definition behind the scaling harness, the scale
 /// campaign's fairness gates and the collector's incast-capture detector.
 pub fn jain(xs: &[f64]) -> f64 {
     let sum: f64 = xs.iter().sum();

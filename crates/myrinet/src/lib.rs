@@ -13,9 +13,13 @@
 //! contend for the same destination (a virtual-cut-through approximation of
 //! wormhole blocking, adequate for the paper's two-node experiments and
 //! stress-tested in `tests/`).
+//!
+//! [`topology`] is the other half: the static routing structure (switches,
+//! trunks, ECMP route tables) that `fm-core`'s switched runtime forwards
+//! real frames over, from the live benches up to the 4 096-endpoint scale
+//! campaign.
 
 pub mod analytic;
-pub mod bigtree;
 pub mod chain;
 pub mod consts;
 pub mod network;
@@ -23,7 +27,6 @@ pub mod packet;
 pub mod switch;
 pub mod topology;
 
-pub use bigtree::ClosTopology;
 pub use chain::ChainNetwork;
 pub use consts::*;
 pub use network::{DeliveredPacket, Network, NetworkConfig};

@@ -12,20 +12,20 @@
 //! runtime state (bounces race with fresh sends), so this harness runs the
 //! real protocol engine (`fm-core::EndpointCore`) on the discrete-event
 //! engine (`fm-des::Engine`), with frame flight times taken from the
-//! calibrated FM layer.
+//! calibrated FM layer. `run_pair` is that two-node loop; the loss sweep
+//! ([`crate::faults`]) runs it over a faulty wire.
 
 use fm_core::endpoint::{EndpointConfig, EndpointCore};
 use fm_core::{HandlerId, NodeId, WireFrame};
 use fm_des::{Duration, Engine, Time};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Parameters of one overload run.
 #[derive(Debug, Clone, Copy)]
 pub struct DynamicsConfig {
     /// Messages the sender will inject.
     pub count: usize,
-    /// Payload bytes per message (<= 128).
+    /// Payload bytes per message (4..=128).
     pub payload: usize,
     /// One-way frame flight time (use the calibrated FM latency).
     pub flight: Duration,
@@ -81,145 +81,206 @@ pub struct DynamicsReport {
     pub wire_frames: u64,
 }
 
-#[derive(Debug)]
-enum Ev {
-    SendTick,
-    ExtractTick,
-    Deliver(u8, WireFrame),
-}
-
 /// Run a two-node overload experiment: node 0 streams `count` messages at
 /// node 1, which extracts only every `extract_period`.
 pub fn run_overload(cfg: DynamicsConfig) -> DynamicsReport {
-    assert!(cfg.payload <= 128);
-    let ep_cfg = EndpointConfig {
+    let config = EndpointConfig {
         window: cfg.window,
         recv_ring: cfg.recv_ring,
         reorder_window: cfg.reorder_window,
         ..Default::default()
     };
-    let mut sender = EndpointCore::new(NodeId(0), ep_cfg);
-    let mut receiver = EndpointCore::new(NodeId(1), ep_cfg);
-    let delivered = Arc::new(AtomicU64::new(0));
-    let d2 = delivered.clone();
-    receiver.register_handler_at(
-        HandlerId(1),
-        Box::new(move |_, _, _| {
-            d2.fetch_add(1, Ordering::Relaxed);
-        }),
-    );
-
-    let payload = vec![0xA5u8; cfg.payload];
     let send_period = if cfg.send_period == Duration::ZERO {
         Duration::from_ps((cfg.flight.as_ps() / 4).max(1))
     } else {
         cfg.send_period
     };
-
-    let mut eng: Engine<Ev> = Engine::new();
-    eng.schedule_at(Time::ZERO, Ev::SendTick);
-    eng.schedule_at(Time::ZERO, Ev::ExtractTick);
-
-    let mut sent = 0usize;
-    let mut wire_frames = 0u64;
-    let mut peak_outstanding = 0usize;
-    let mut last_delivery_time = Time::ZERO;
-    let mut last_delivered_count = 0u64;
-
-    while let Some((now, ev)) = eng.pop() {
-        match ev {
-            Ev::SendTick => {
-                if sent < cfg.count {
-                    if sender
-                        .try_send(NodeId(1), HandlerId(1), payload.clone())
-                        .is_ok()
-                    {
-                        sent += 1;
-                    } else {
-                        // Window full: service the protocol (retransmits,
-                        // ack processing) like a real FM_send spin would.
-                        sender.extract(usize::MAX);
-                    }
-                    eng.schedule_in(send_period, Ev::SendTick);
-                } else if !sender.is_quiescent() {
-                    sender.extract(usize::MAX);
-                    eng.schedule_in(send_period, Ev::SendTick);
-                }
-                peak_outstanding = peak_outstanding.max(sender.outstanding());
-                flush(&mut sender, 0, cfg.flight, &mut eng, &mut wire_frames);
-            }
-            Ev::ExtractTick => {
-                receiver.extract(cfg.extract_budget);
-                flush(&mut receiver, 1, cfg.flight, &mut eng, &mut wire_frames);
-                let d = delivered.load(Ordering::Relaxed);
-                if d > last_delivered_count {
-                    last_delivered_count = d;
-                    last_delivery_time = now;
-                }
-                if d < cfg.count as u64 || !receiver.is_quiescent() {
-                    eng.schedule_in(cfg.extract_period, Ev::ExtractTick);
-                }
-            }
-            Ev::Deliver(node, frame) => {
-                let ep = if node == 0 {
-                    &mut sender
-                } else {
-                    &mut receiver
-                };
-                ep.on_wire(frame);
-                flush(
-                    if node == 0 {
-                        &mut sender
-                    } else {
-                        &mut receiver
-                    },
-                    node,
-                    cfg.flight,
-                    &mut eng,
-                    &mut wire_frames,
-                );
-            }
-        }
-        if delivered.load(Ordering::Relaxed) >= cfg.count as u64
-            && sender.is_quiescent()
-            && receiver.is_quiescent()
-        {
-            break;
-        }
-    }
-
-    let d = delivered.load(Ordering::Relaxed);
-    let elapsed = last_delivery_time.since(Time::ZERO);
+    let spec = PairSpec {
+        count: cfg.count,
+        payload: cfg.payload,
+        send_period,
+        extract_period: cfg.extract_period,
+        extract_budget: cfg.extract_budget,
+        max_events: u64::MAX,
+    };
+    let run = run_pair(config, spec, |frame, emit| emit(cfg.flight, frame));
+    let d = run.delivered.len() as u64;
+    let elapsed = run.last_delivery().since(Time::ZERO);
     DynamicsReport {
         elapsed,
         delivered: d,
-        rejected: receiver.stats().rejected,
-        retransmitted: sender.stats().retransmitted,
-        peak_outstanding,
+        rejected: run.receiver.stats().rejected,
+        retransmitted: run.sender.stats().retransmitted,
+        peak_outstanding: run.peak_outstanding,
         goodput_mbs: if elapsed == Duration::ZERO {
             0.0
         } else {
             (d as f64 * cfg.payload as f64) / elapsed.as_secs_f64() / (1u64 << 20) as f64
         },
-        wire_frames,
+        wire_frames: run.wire_frames,
     }
 }
 
-/// Ship an endpoint's queued frames: each becomes a Deliver event at the
-/// peer after one flight time.
-fn flush(
-    ep: &mut EndpointCore,
-    me: u8,
-    flight: Duration,
-    eng: &mut Engine<Ev>,
-    wire_frames: &mut u64,
-) {
-    while let Some(f) = ep.pop_outgoing() {
-        let dst = if me == 0 { 1 } else { 0 };
-        debug_assert_eq!(f.head.dst, NodeId(dst as u16));
-        *wire_frames += 1;
-        eng.schedule_in(flight, Ev::Deliver(dst, f));
+/// The shape of one two-node run (see [`run_pair`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairSpec {
+    /// Messages node 0 sends to node 1.
+    pub count: usize,
+    /// Payload bytes per message (4..=128); the first word is the
+    /// message's index.
+    pub payload: usize,
+    pub send_period: Duration,
+    pub extract_period: Duration,
+    /// Deliveries per receiver extract.
+    pub extract_budget: usize,
+    /// Events after which the run is declared wedged.
+    pub max_events: u64,
+}
+
+/// What a two-node run leaves behind.
+pub(crate) struct PairRun {
+    pub sender: EndpointCore,
+    pub receiver: EndpointCore,
+    /// When the sender accepted each message, by index.
+    pub sent_at: Vec<Time>,
+    /// Message indices in delivery order, each with the time of the
+    /// extract that ran its handler.
+    pub delivered: Vec<(u32, Time)>,
+    pub peak_outstanding: usize,
+    /// Frames either endpoint put on the wire (data, returns and acks).
+    pub wire_frames: u64,
+}
+
+impl PairRun {
+    pub fn last_delivery(&self) -> Time {
+        self.delivered.last().map_or(Time::ZERO, |&(_, t)| t)
     }
+}
+
+#[derive(Debug)]
+enum Ev {
+    SendTick,
+    ExtractTick,
+    /// A frame lands at node `0`/`1`.
+    Deliver(u8, WireFrame),
+}
+
+/// The two-node loop both DES experiments share. Node 0 offers its next
+/// message on every send tick, servicing its protocol instead while the
+/// window is full (a spinning `FM_send`); node 1 extracts on every extract
+/// tick. Every frame either one emits goes through `wire`, which calls
+/// `emit(flight, frame)` once per copy it lets through: the one thing the
+/// overload and loss experiments do differently. Runs until every message
+/// is delivered and both endpoints are quiescent.
+///
+/// # Panics
+/// Past `spec.max_events` events: the protocol stopped making progress.
+pub(crate) fn run_pair(
+    config: EndpointConfig,
+    spec: PairSpec,
+    mut wire: impl FnMut(WireFrame, &mut dyn FnMut(Duration, WireFrame)),
+) -> PairRun {
+    assert!((4..=128).contains(&spec.payload));
+    let delivered_idx: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let d2 = delivered_idx.clone();
+    let mut receiver = EndpointCore::new(NodeId(1), config);
+    receiver.register_handler_at(
+        HandlerId(1),
+        Box::new(move |_, _, data| {
+            let index = u32::from_le_bytes(data[..4].try_into().expect("4 bytes"));
+            d2.lock()
+                .expect("the handler never panics holding it")
+                .push(index);
+        }),
+    );
+    let mut run = PairRun {
+        sender: EndpointCore::new(NodeId(0), config),
+        receiver,
+        sent_at: Vec::with_capacity(spec.count),
+        delivered: Vec::with_capacity(spec.count),
+        peak_outstanding: 0,
+        wire_frames: 0,
+    };
+    let mut eng: Engine<Ev> = Engine::new();
+    eng.schedule_at(Time::ZERO, Ev::SendTick);
+    eng.schedule_at(Time::ZERO, Ev::ExtractTick);
+    let mut flush = |ep: &mut EndpointCore, me: u8, eng: &mut Engine<Ev>, frames: &mut u64| {
+        while let Some(frame) = ep.pop_outgoing() {
+            *frames += 1;
+            wire(frame, &mut |flight, f| {
+                eng.schedule_in(flight, Ev::Deliver(1 - me, f))
+            });
+        }
+    };
+    let mut events = 0u64;
+    while let Some((now, ev)) = eng.pop() {
+        events += 1;
+        let PairRun {
+            sender,
+            receiver,
+            sent_at,
+            delivered,
+            peak_outstanding,
+            wire_frames,
+        } = &mut run;
+        assert!(
+            events <= spec.max_events,
+            "two-node run wedged: {events} events, sent {}/{}, delivered {}\n\
+             sender: {sender:?}\nreceiver: {receiver:?}",
+            sent_at.len(),
+            spec.count,
+            delivered.len(),
+        );
+        match ev {
+            Ev::SendTick => {
+                if sent_at.len() < spec.count {
+                    let mut payload = vec![0xA5u8; spec.payload];
+                    payload[..4].copy_from_slice(&(sent_at.len() as u32).to_le_bytes());
+                    if sender.try_send(NodeId(1), HandlerId(1), payload).is_ok() {
+                        sent_at.push(now);
+                    } else {
+                        sender.extract(usize::MAX);
+                    }
+                    eng.schedule_in(spec.send_period, Ev::SendTick);
+                } else if !sender.is_quiescent() {
+                    sender.extract(usize::MAX);
+                    eng.schedule_in(spec.send_period, Ev::SendTick);
+                }
+                *peak_outstanding = (*peak_outstanding).max(sender.outstanding());
+                flush(sender, 0, &mut eng, wire_frames);
+            }
+            Ev::ExtractTick => {
+                receiver.extract(spec.extract_budget);
+                flush(receiver, 1, &mut eng, wire_frames);
+                let idx = delivered_idx
+                    .lock()
+                    .expect("the handler never panics holding it");
+                delivered.extend(idx[delivered.len()..].iter().map(|&i| (i, now)));
+                // Keep ticking until the sender quiesces too: a resend
+                // arriving after the receiver went quiet is re-acked, and
+                // only an extract puts that ack on the wire.
+                if delivered.len() < spec.count
+                    || !receiver.is_quiescent()
+                    || !sender.is_quiescent()
+                {
+                    eng.schedule_in(spec.extract_period, Ev::ExtractTick);
+                }
+            }
+            Ev::Deliver(node, frame) => {
+                let ep = if node == 0 {
+                    &mut *sender
+                } else {
+                    &mut *receiver
+                };
+                ep.on_wire(frame);
+                flush(ep, node, &mut eng, wire_frames);
+            }
+        }
+        if delivered.len() >= spec.count && sender.is_quiescent() && receiver.is_quiescent() {
+            break;
+        }
+    }
+    run
 }
 
 #[cfg(test)]

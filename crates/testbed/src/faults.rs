@@ -19,11 +19,11 @@
 //! binary): delivered goodput and p50/p99 end-to-end message latency as a
 //! function of the injected fault rate.
 
-use fm_core::endpoint::{EndpointConfig, EndpointCore};
-use fm_core::{HandlerId, NodeId, WireFrame};
+use crate::dynamics::{run_pair, PairSpec};
+use fm_core::endpoint::EndpointConfig;
+use fm_core::{NodeId, WireFrame};
 use fm_des::rng::Xoshiro256;
-use fm_des::{Duration, Engine, Time};
-use std::sync::{Arc, Mutex};
+use fm_des::{Duration, Time};
 
 /// Parameters of one loss-sweep point.
 #[derive(Debug, Clone, Copy)]
@@ -105,14 +105,6 @@ pub struct FaultPoint {
     pub p99: Duration,
 }
 
-#[derive(Debug)]
-enum Ev {
-    SendTick,
-    ExtractTick,
-    /// A (possibly duplicated/delayed) frame lands at node `0`/`1`.
-    Deliver(u8, WireFrame),
-}
-
 /// Run one point of the sweep: two nodes, `rate` applied independently to
 /// drop / duplication / corruption / delay on every frame in both
 /// directions.
@@ -122,8 +114,7 @@ enum Ev {
 /// sweep doubles as an end-to-end exactly-once check.
 pub fn run_loss_point(rate: f64, cfg: FaultSweepConfig) -> FaultPoint {
     assert!((0.0..=0.5).contains(&rate), "rate {rate} out of range");
-    assert!((4..=128).contains(&cfg.payload));
-    let ep_cfg = EndpointConfig {
+    let config = EndpointConfig {
         window: cfg.window,
         recv_ring: cfg.recv_ring,
         rto_initial: cfg.rto_initial,
@@ -131,206 +122,100 @@ pub fn run_loss_point(rate: f64, cfg: FaultSweepConfig) -> FaultPoint {
         retry_budget: cfg.retry_budget,
         ..Default::default()
     };
-    let mut sender = EndpointCore::new(NodeId(0), ep_cfg);
-    let mut receiver = EndpointCore::new(NodeId(1), ep_cfg);
-
-    // The handler records delivered message indices; the event loop stamps
-    // them with the simulated delivery time right after each extract.
-    let delivered_idx: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let d2 = delivered_idx.clone();
-    receiver.register_handler_at(
-        HandlerId(1),
-        Box::new(move |_, _, data| {
-            d2.lock()
-                .unwrap()
-                .push(u32::from_le_bytes(data[..4].try_into().unwrap()));
-        }),
-    );
-
+    let spec = PairSpec {
+        count: cfg.count,
+        payload: cfg.payload,
+        send_period: cfg.send_period,
+        extract_period: cfg.extract_period,
+        extract_budget: usize::MAX,
+        // A healthy run needs a few events per message plus the periodic
+        // ticks; far past that, a falsely freed window slot (say) has the
+        // receiver waiting forever.
+        max_events: 1_000 * cfg.count as u64 + 100_000,
+    };
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ (rate * 1e9) as u64);
-    let mut inject_time: Vec<Time> = Vec::with_capacity(cfg.count);
-    let mut deliver_time: Vec<Option<Time>> = vec![None; cfg.count];
-    let mut stamped = 0usize; // delivered_idx entries already time-stamped
-
-    let mut eng: Engine<Ev> = Engine::new();
-    eng.schedule_at(Time::ZERO, Ev::SendTick);
-    eng.schedule_at(Time::ZERO, Ev::ExtractTick);
-
-    let mut sent = 0usize;
-    let mut injected_drops = 0u64;
-    let mut injected_dups = 0u64;
-    let mut injected_corrupt = 0u64;
-    let mut injected_delays = 0u64;
-    let mut crc_rejected = 0u64;
-    let mut last_delivery = Time::ZERO;
-
-    // The faulty wire: every outgoing frame rolls each fault category
-    // independently. Delivery events carry the decoded frame.
-    macro_rules! flush {
-        ($ep:expr, $me:expr) => {
-            while let Some(frame) = $ep.pop_outgoing() {
-                let dst: u8 = if $me == 0 { 1 } else { 0 };
-                if rng.next_bool(rate) {
-                    injected_drops += 1;
-                    continue;
-                }
-                let copies = if rng.next_bool(rate) {
-                    injected_dups += 1;
-                    2
-                } else {
-                    1
-                };
-                for _ in 0..copies {
-                    let mut flight = cfg.flight;
-                    if rng.next_bool(rate) {
-                        injected_delays += 1;
-                        let extra = rng.next_range(1, cfg.max_extra_flights + 1);
-                        flight = Duration::from_ps(cfg.flight.as_ps() * (1 + extra));
-                    }
-                    if rng.next_bool(rate) {
-                        injected_corrupt += 1;
-                        // Through the real codec: encode, flip one bit,
-                        // let the CRC judge.
-                        let enc = frame.encode();
-                        let mut damaged = enc.to_vec();
-                        let bit = rng.next_below(damaged.len() as u64 * 8) as u32;
-                        fm_core::fault::flip_bit(&mut damaged, bit);
-                        match WireFrame::decode(&bytes::Bytes::from(damaged)) {
-                            Ok(f) => eng.schedule_in(flight, Ev::Deliver(dst, f)),
-                            Err(_) => crc_rejected += 1, // discarded at the NIC
-                        }
-                    } else {
-                        eng.schedule_in(flight, Ev::Deliver(dst, frame.clone()));
-                    }
-                }
-            }
+    let (mut drops, mut dups, mut corrupt, mut delays, mut crc_rejected) = (0, 0, 0, 0, 0);
+    // The faulty wire: every frame rolls each fault category independently.
+    let run = run_pair(config, spec, |frame, emit| {
+        if rng.next_bool(rate) {
+            drops += 1;
+            return;
+        }
+        let copies = if rng.next_bool(rate) {
+            dups += 1;
+            2
+        } else {
+            1
         };
-    }
-
-    // Wedge guard: a healthy run needs a few events per message plus the
-    // periodic ticks; blowing far past that means the protocol stopped
-    // making progress (e.g. a falsely-freed window slot leaving a receiver
-    // waiting forever). Panic with the state rather than spin silently.
-    let event_cap = 1_000 * cfg.count as u64 + 100_000;
-    let mut events = 0u64;
-
-    while let Some((now, ev)) = eng.pop() {
-        events += 1;
-        assert!(
-            events <= event_cap,
-            "loss sweep wedged at rate {rate}: {events} events, sent {sent}/{}, \
-             delivered {stamped}, sender quiescent {}, receiver quiescent {}\n\
-             sender: {:?}\nreceiver: {:?}",
-            cfg.count,
-            sender.is_quiescent(),
-            receiver.is_quiescent(),
-            sender.stats(),
-            receiver.stats(),
-        );
-        match ev {
-            Ev::SendTick => {
-                if sent < cfg.count {
-                    let mut payload = vec![0xA5u8; cfg.payload];
-                    payload[..4].copy_from_slice(&(sent as u32).to_le_bytes());
-                    if sender
-                        .try_send(NodeId(1), HandlerId(1), bytes::Bytes::from(payload))
-                        .is_ok()
-                    {
-                        inject_time.push(now);
-                        sent += 1;
-                    } else {
-                        sender.extract(usize::MAX);
-                    }
-                    eng.schedule_in(cfg.send_period, Ev::SendTick);
-                } else if !sender.is_quiescent() {
-                    sender.extract(usize::MAX);
-                    eng.schedule_in(cfg.send_period, Ev::SendTick);
-                }
-                flush!(&mut sender, 0);
+        for _ in 0..copies {
+            let mut flight = cfg.flight;
+            if rng.next_bool(rate) {
+                delays += 1;
+                let extra = rng.next_range(1, cfg.max_extra_flights + 1);
+                flight = Duration::from_ps(cfg.flight.as_ps() * (1 + extra));
             }
-            Ev::ExtractTick => {
-                receiver.extract(usize::MAX);
-                flush!(&mut receiver, 1);
-                {
-                    let idx = delivered_idx.lock().unwrap();
-                    for &i in &idx[stamped..] {
-                        last_delivery = now;
-                        deliver_time[i as usize] = Some(now);
-                    }
-                    stamped = idx.len();
+            if rng.next_bool(rate) {
+                corrupt += 1;
+                // Through the real codec: encode, flip one bit, let the
+                // CRC judge.
+                let mut damaged = frame.encode().to_vec();
+                let bit = rng.next_below(damaged.len() as u64 * 8) as u32;
+                fm_core::fault::flip_bit(&mut damaged, bit);
+                match WireFrame::decode(&bytes::Bytes::from(damaged)) {
+                    Ok(f) => emit(flight, f),
+                    Err(_) => crc_rejected += 1, // discarded at the NIC
                 }
-                // Keep ticking until the *sender* quiesces too: a timer
-                // retransmit arriving after the receiver has gone quiet
-                // is re-acked into the AckTracker, and only an extract
-                // flushes acks onto the wire.
-                if stamped < cfg.count || !receiver.is_quiescent() || !sender.is_quiescent() {
-                    eng.schedule_in(cfg.extract_period, Ev::ExtractTick);
-                }
-            }
-            Ev::Deliver(node, frame) => {
-                let (ep, me) = if node == 0 {
-                    (&mut sender, 0u8)
-                } else {
-                    (&mut receiver, 1u8)
-                };
-                ep.on_wire(frame);
-                if me == 0 {
-                    flush!(&mut sender, 0);
-                } else {
-                    flush!(&mut receiver, 1);
-                }
+            } else {
+                emit(flight, frame.clone());
             }
         }
-        if stamped >= cfg.count && sender.is_quiescent() && receiver.is_quiescent() {
-            break;
-        }
-    }
+    });
 
     // Exactly once, in order: indices 0..count verbatim.
-    {
-        let idx = delivered_idx.lock().unwrap();
-        assert_eq!(idx.len(), cfg.count, "lost or duplicated messages");
-        for (expect, &got) in idx.iter().enumerate() {
-            assert_eq!(got as usize, expect, "delivered out of order");
-        }
+    assert_eq!(
+        run.delivered.len(),
+        cfg.count,
+        "lost or duplicated messages"
+    );
+    for (expect, &(got, _)) in run.delivered.iter().enumerate() {
+        assert_eq!(got as usize, expect, "delivered out of order");
     }
     assert!(
-        !sender.is_dead(NodeId(1)),
+        !run.sender.is_dead(NodeId(1)),
         "retry budget too small for rate {rate}"
     );
     assert_eq!(
-        crc_rejected, injected_corrupt,
+        crc_rejected, corrupt,
         "a corrupted frame slipped past the CRC"
     );
 
     // Inject→deliver latency percentiles via the shared fm-telemetry
     // histogram (log2-linear buckets, ≤1/32 relative quantization) — the
-    // same extractor the bench gate reads, replacing this module's old
-    // sorted-Vec percentile code.
+    // same extractor the bench gate reads.
     let lat = fm_telemetry::Histogram::new();
-    for (d, i) in deliver_time.iter().zip(&inject_time) {
-        lat.record(d.expect("all delivered").since(*i).as_ps());
+    for (&(_, at), sent) in run.delivered.iter().zip(&run.sent_at) {
+        lat.record(at.since(*sent).as_ps());
     }
     let pct = |p: f64| Duration::from_ps(lat.quantile(p));
-
-    let elapsed = last_delivery.since(Time::ZERO);
+    let (s, r) = (run.sender.stats(), run.receiver.stats());
+    let elapsed = run.last_delivery().since(Time::ZERO);
     FaultPoint {
         rate,
-        delivered: stamped as u64,
-        injected_drops,
-        injected_dups,
-        injected_corrupt,
-        injected_delays,
+        delivered: run.delivered.len() as u64,
+        injected_drops: drops,
+        injected_dups: dups,
+        injected_corrupt: corrupt,
+        injected_delays: delays,
         crc_rejected,
-        retransmitted: sender.stats().retransmitted + receiver.stats().retransmitted,
-        timer_retransmits: sender.stats().timer_retransmits + receiver.stats().timer_retransmits,
-        gap_retransmits: sender.stats().gap_retransmits + receiver.stats().gap_retransmits,
-        duplicates_suppressed: sender.stats().duplicates + receiver.stats().duplicates,
+        retransmitted: s.retransmitted + r.retransmitted,
+        timer_retransmits: s.timer_retransmits + r.timer_retransmits,
+        gap_retransmits: s.gap_retransmits + r.gap_retransmits,
+        duplicates_suppressed: s.duplicates + r.duplicates,
         elapsed,
         goodput_mbs: if elapsed == Duration::ZERO {
             0.0
         } else {
-            (stamped as f64 * cfg.payload as f64) / elapsed.as_secs_f64() / (1u64 << 20) as f64
+            (cfg.count as f64 * cfg.payload as f64) / elapsed.as_secs_f64() / (1u64 << 20) as f64
         },
         p50: pct(0.50),
         p99: pct(0.99),

@@ -17,8 +17,15 @@
 //! order. This is exact for pipelines of this shape, bit-deterministic, and
 //! auditable — each time increment maps to a named constant from the paper.
 //! The general event-driven engine (`fm-des::Engine`) drives the
-//! protocol-dynamics experiments ([`dynamics`]) where arrival interleaving
-//! is not statically known (rejection storms under overload).
+//! protocol-dynamics experiments ([`dynamics`], [`faults`]) where arrival
+//! interleaving is not statically known (rejection storms under overload,
+//! a lossy wire).
+//!
+//! ## Beyond two nodes
+//!
+//! [`scaling`] and [`campaign`] run the shipped engine itself — real
+//! `fm-core` switched clusters, driven in deterministic rounds — from the
+//! live incast to the 4 096-endpoint scale campaign behind `bench_sim`.
 //!
 //! ## Layers
 //!
@@ -27,6 +34,7 @@
 //! budgets ([`calib::HostCosts`]).
 
 pub mod calib;
+pub mod campaign;
 pub mod credit;
 pub mod dynamics;
 pub mod experiments;

@@ -15,11 +15,13 @@
 //!
 //! Two implementations coexist:
 //!
-//! * **Live** ([`live_parallel_pairs`], [`live_incast`]) — the default: a
-//!   real `fm-core` [`SwitchedCluster`] with one thread per endpoint and
-//!   per switch shard (pairs) or a deterministic round-robin drive
-//!   (incast), moving real encoded frames through real switch shards.
-//!   These are what `repro scaling` and `bench_scaling` run.
+//! * **Live** ([`live_parallel_pairs`], [`live_incast`], [`rounds_pairs`],
+//!   [`rounds_cross_pairs`]) — the default: a real `fm-core`
+//!   [`SwitchedCluster`] with one thread per endpoint and per switch shard
+//!   (`live_parallel_pairs`) or driven in deterministic rounds by the
+//!   campaign's [`Drive`] (the rest), moving real encoded frames through
+//!   real switch shards. These are what `repro scaling` and
+//!   `bench_scaling` run.
 //! * **Analytic** ([`parallel_pairs`], [`incast`]) — the original
 //!   extrapolation from the two-node timing model, driven by the event
 //!   engine over the crossbar's occupancy calculator. Kept, with its own
@@ -32,12 +34,12 @@
 //! multiple independent senders make arrival interleavings
 //! state-dependent.
 
+use crate::campaign::{self, Drive, LoadReport};
 use fm_core::{EndpointConfig, HandlerId, SwitchRunner, SwitchTopology, SwitchedCluster};
 use fm_des::{Engine, Time};
 use fm_lanai::{DmaEngine, LanaiChip, LcpCosts};
 use fm_metrics::jain;
 use fm_myrinet::{Network, NetworkConfig, NodeId};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -213,28 +215,6 @@ impl ClusterWiring {
     }
 }
 
-/// Result of a live incast run.
-#[derive(Debug, Clone)]
-pub struct IncastReport {
-    /// Senders.
-    pub k: usize,
-    /// The send window (= reject-queue capacity) each sender ran with.
-    pub window: usize,
-    /// Peak reject-queue occupancy observed per sender, sampled every
-    /// drive round. The paper's Section 4.5 claim under test: this stays
-    /// ≤ `window` — and does not grow with `k`.
-    pub peak_outstanding: Vec<usize>,
-    /// Messages delivered at the receiver (must equal `k × count`).
-    pub delivered: u64,
-    /// Frames the receiver bounced back to their senders.
-    pub rejected: u64,
-    /// Aggregate goodput over the wall-clock run, MB/s (2^20).
-    pub total_mbs: f64,
-    /// Jain's index over per-sender completion rates (deterministic: from
-    /// the drive-round index at which each sender's last message landed).
-    pub fairness: f64,
-}
-
 /// k disjoint neighbor pairs (`2i → 2i+1`) streaming concurrently over a
 /// real [`SwitchedCluster`] of `2k` endpoints — one thread per endpoint,
 /// one per switch shard. Neighbor pairing keeps most pairs intra-switch on
@@ -327,95 +307,44 @@ pub fn live_parallel_pairs_wired(k: usize, count: usize, wiring: ClusterWiring) 
 
 /// k senders (hosts `1..=k`) blast `count` messages each at host 0 over a
 /// real [`SwitchedCluster`], with a receiver deliberately under-provisioned
-/// (small receive ring, throttled extract) so return-to-sender bounces
-/// actually happen across the switch path. Deterministic single-threaded
-/// drive; samples each sender's reject-queue occupancy every round.
-pub fn live_incast(k: usize, count: usize, config: EndpointConfig) -> IncastReport {
-    live_incast_wired(k, count, config, ClusterWiring::Wide)
+/// (small receive ring, two deliveries per round) so return-to-sender
+/// bounces actually happen across the switch path: [`campaign::incast_on`]
+/// over `k + 1` hosts. Returns the report and its wall-clock goodput, MB/s
+/// (2^20).
+pub fn live_incast(k: usize, count: usize, config: EndpointConfig) -> (LoadReport, f64) {
+    let start = Instant::now();
+    let r = live_incast_wired(k, count, config, ClusterWiring::Wide);
+    let bytes = (LIVE_MSG_BYTES * k * count) as f64;
+    (
+        r,
+        bytes / start.elapsed().as_secs_f64() / (1u64 << 20) as f64,
+    )
 }
 
-/// [`live_incast`] over an explicit [`ClusterWiring`].
+/// `count` messages over each of the neighbour pairs `2i → 2i+1` of the
+/// `n`-host fat tree, one way, counted in drive rounds.
+pub fn rounds_pairs(n: usize, count: usize) -> LoadReport {
+    let flows: Vec<(usize, usize)> = (0..n / 2).map(|i| (2 * i, 2 * i + 1)).collect();
+    let topo = SwitchTopology::for_cluster_wide(n);
+    let d = Drive::new(&topo, EndpointConfig::default());
+    delivered_all(campaign::run_flows(d, &flows, count))
+}
+
+/// `r`, once every message it sent has landed.
+fn delivered_all(r: LoadReport) -> LoadReport {
+    assert_eq!(r.delivered, r.msgs, "a counted run lost messages");
+    r
+}
+
+/// [`live_incast`]'s run over an explicit [`ClusterWiring`], untimed.
 pub fn live_incast_wired(
     k: usize,
     count: usize,
     config: EndpointConfig,
     wiring: ClusterWiring,
-) -> IncastReport {
-    assert!(k >= 1);
-    let n = k + 1;
-    let topo = wiring.topology(n);
-    let mut cluster = SwitchedCluster::new(&topo, config);
-    let seen: Arc<std::sync::Mutex<HashSet<(u16, u32)>>> = Default::default();
-    let counts: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let s2 = seen.clone();
-    let c2 = counts.clone();
-    cluster.endpoints[0].register_handler_at(HandlerId(1), move |_, src, data| {
-        let v = u32::from_le_bytes(data[..4].try_into().unwrap());
-        assert!(
-            s2.lock().unwrap().insert((src.0, v)),
-            "duplicate delivery of {v} from {src:?}"
-        );
-        c2[src.index()].fetch_add(1, Ordering::Relaxed);
-    });
-    let mut payload = [0x5Au8; LIVE_MSG_BYTES];
-    let mut queued = vec![0u32; n];
-    let mut last_seen = vec![0usize; n];
-    let mut finish_round = vec![0usize; n];
-    let mut peak = vec![0usize; n];
-    let start = Instant::now();
-    let mut round = 0usize;
-    loop {
-        round += 1;
-        let mut all_sent = true;
-        for src in 1..n {
-            while (queued[src] as usize) < count {
-                payload[..4].copy_from_slice(&queued[src].to_le_bytes());
-                match cluster.endpoints[src].try_send(fm_core::NodeId(0), HandlerId(1), &payload) {
-                    Ok(()) => queued[src] += 1,
-                    Err(_) => break,
-                }
-            }
-            all_sent &= queued[src] as usize == count;
-            peak[src] = peak[src].max(cluster.endpoints[src].outstanding());
-        }
-        // Throttled receiver: a tiny extract budget keeps it overloaded so
-        // the reject path stays hot for the whole run.
-        cluster.endpoints[0].extract_budget(2);
-        for src in 1..n {
-            cluster.endpoints[src].service();
-        }
-        for shard in &mut cluster.shards {
-            shard.pump();
-        }
-        let mut total = 0usize;
-        for src in 1..n {
-            let got = counts[src].load(Ordering::Relaxed) as usize;
-            if got > last_seen[src] {
-                last_seen[src] = got;
-                finish_round[src] = round;
-            }
-            total += got;
-        }
-        if all_sent && total == k * count {
-            break;
-        }
-        assert!(round < 1_000_000, "live incast wedged");
-    }
-    let elapsed = start.elapsed();
-    let rates: Vec<f64> = (1..n)
-        .map(|src| count as f64 / finish_round[src] as f64)
-        .collect();
-    IncastReport {
-        k,
-        window: config.window,
-        peak_outstanding: peak[1..].to_vec(),
-        delivered: (k * count) as u64,
-        rejected: cluster.endpoints[0].stats().rejected,
-        total_mbs: (LIVE_MSG_BYTES * k * count) as f64
-            / elapsed.as_secs_f64()
-            / (1u64 << 20) as f64,
-        fairness: jain(&rates),
-    }
+) -> LoadReport {
+    let d = Drive::new(&wiring.topology(k + 1), config);
+    delivered_all(campaign::incast_on(d, k, count, 1))
 }
 
 /// The receiver/sender sizing [`live_incast`] is normally run with: a
@@ -450,43 +379,13 @@ pub fn rounds_cross_pairs(k: usize, width: usize, count: usize) -> usize {
         wire_ring: 8,
         ..Default::default()
     };
-    let mut cluster = SwitchedCluster::new(&topo, config);
-    let counts: Vec<Arc<AtomicU64>> = (0..k).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    for (pair, counter) in counts.iter().enumerate() {
-        let c = counter.clone();
-        cluster.endpoints[k + pair].register_handler_at(HandlerId(1), move |_, _, _| {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let payload = [0x77u8; LIVE_MSG_BYTES];
-    let mut queued = vec![0usize; k];
-    let mut round = 0usize;
-    loop {
-        round += 1;
-        let mut all_sent = true;
-        for (pair, q) in queued.iter_mut().enumerate() {
-            while *q < count {
-                match cluster.endpoints[pair].try_send(
-                    fm_core::NodeId((k + pair) as u16),
-                    HandlerId(1),
-                    &payload,
-                ) {
-                    Ok(()) => *q += 1,
-                    Err(_) => break,
-                }
-            }
-            all_sent &= *q == count;
-        }
-        cluster.drive_round();
-        if all_sent
-            && counts
-                .iter()
-                .all(|c| c.load(Ordering::Relaxed) as usize == count)
-        {
-            return round;
-        }
-        assert!(round < 1_000_000, "cross-pairs wedged at width {width}");
-    }
+    let flows: Vec<(usize, usize)> = (0..k).map(|pair| (pair, k + pair)).collect();
+    delivered_all(campaign::run_flows(
+        Drive::new(&topo, config),
+        &flows,
+        count,
+    ))
+    .rounds as usize
 }
 
 #[cfg(test)]
@@ -564,12 +463,19 @@ mod tests {
     }
 
     #[test]
+    fn counted_pairs_past_the_window_all_land_in_the_same_rounds() {
+        // 200 messages a pair outrun the 64-frame window, so every sender
+        // refills it after rounds in which the whole cluster is quiescent.
+        let (two, eight) = (rounds_pairs(2, 200), rounds_pairs(8, 200));
+        assert_eq!((two.delivered, eight.delivered), (200, 800));
+        assert_eq!(two.rounds, eight.rounds);
+    }
+
+    #[test]
     fn live_incast_keeps_reject_queue_within_window() {
-        let r = live_incast(3, 120, incast_config());
-        assert_eq!(r.delivered, 360);
+        let (r, _) = live_incast(3, 120, incast_config());
+        assert_eq!((r.delivered, r.violations), (360, 0));
         assert!(r.rejected > 0, "under-provisioned receiver must bounce");
-        for (i, &p) in r.peak_outstanding.iter().enumerate() {
-            assert!(p <= r.window, "sender {i} peak {p} > window {}", r.window);
-        }
+        assert!(r.peaks.outstanding <= incast_config().window, "{r:?}");
     }
 }

@@ -215,14 +215,16 @@ fn incast_invariants_hold_under_both_wirings() {
             r.rejected > 0,
             "{wiring:?}: incast must actually exercise the bounce path"
         );
-        for (i, &peak) in r.peak_outstanding.iter().enumerate() {
-            assert!(
-                peak <= r.window,
-                "{wiring:?}: sender {} reject queue {peak} > window {}",
-                i + 1,
-                r.window
-            );
-        }
+        assert_eq!(
+            r.violations, 0,
+            "{wiring:?}: duplicate or reordered delivery"
+        );
+        assert!(
+            r.peaks.outstanding <= incast_config().window,
+            "{wiring:?}: a reject queue reached {} > window {}",
+            r.peaks.outstanding,
+            incast_config().window
+        );
         assert!(
             r.fairness >= 0.8,
             "{wiring:?}: K={K} fairness {:.4} < 0.8 (capture effect is back)",
