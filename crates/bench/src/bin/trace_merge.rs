@@ -12,15 +12,16 @@
 //! cargo run --release -p fm-bench --bin trace_merge -- [--smoke] [--out PREFIX]
 //! ```
 //!
-//! Writes `PREFIX.trace.json`, `PREFIX.prom` and `PREFIX.csv`, and exits
+//! Every endpoint beacons into one collector as the run goes, which writes
+//! `PREFIX.trace.json`, `PREFIX.prom` and `PREFIX.csv`; the bin exits
 //! nonzero unless the merged timeline pairs a cross-endpoint flow, shows
 //! all four endpoint lanes and never places a receive before its send
 //! ([`fm_bench::merged_trace`]).
 
+use fm_bench::merged_trace::{self, Beacons};
 use fm_bench::report::Args;
 use fm_core::mem::{FabricKind, MemCluster};
 use fm_core::{EndpointConfig, FaultConfig, HandlerId, NodeId};
-use fm_telemetry::MetricsAggregator;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,6 +72,7 @@ fn main() {
          trace 1-in-{TRACE_ONE_IN}...",
         LOSS * 100.0
     );
+    let mut beacons = Beacons::new(&nodes, &[]);
     let mut launched = 0u64;
     let mut spins: u64 = 0;
     loop {
@@ -84,6 +86,7 @@ fn main() {
         for ep in &mut nodes {
             ep.extract();
         }
+        beacons.beacon(&nodes, &[]);
         let done = delivered.load(Ordering::Relaxed) >= want
             && launched == tokens
             && nodes.iter().all(|ep| ep.is_quiescent());
@@ -100,5 +103,5 @@ fn main() {
         }
     }
     println!("delivered {want} hops");
-    fm_bench::merged_trace::finish(&args.out, MetricsAggregator::new(), &nodes)
+    merged_trace::finish(&args.out, beacons, &nodes, &[])
 }

@@ -17,14 +17,14 @@
 //! the merged view like `trace_merge` ([`fm_bench::merged_trace`]), now
 //! pointed at the switched runtime.
 //!
-//! Switch shards are first-class in every output: the drive loop samples
-//! each shard periodically, so the Prometheus/CSV scrape carries per-shard
+//! Switch shards are first-class in every output: they beacon beside the
+//! endpoints as the run goes, so the Prometheus scrape carries per-shard
 //! queue-depth, deficit and per-port forwarding series, and the chrome
 //! trace gains counter lanes per shard alongside the span flows.
 
+use fm_bench::merged_trace::{self, Beacons};
 use fm_bench::report::Args;
 use fm_core::{EndpointConfig, HandlerId, NodeId, SwitchTopology, SwitchedCluster};
-use fm_telemetry::MetricsAggregator;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,21 +61,11 @@ fn main() {
     // threaded sweep, but a replayable interleaving — diagnosis wants
     // stable timelines, not scheduler roulette.
     let payload = [0xC3u8; 128];
-    let mut agg = MetricsAggregator::new();
+    let mut beacons = Beacons::new(&cluster.endpoints, &cluster.shards);
     let mut queued = vec![0usize; pairs];
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        // Periodic shard samples give the chrome-trace counter lanes real
-        // time series (occupancy/deficits evolving over the run), not one
-        // end-of-run point. Tick-domain timestamps — the same clock the
-        // span events carry, so the lanes line up with the flows.
-        if rounds.is_multiple_of(4) {
-            let at = cluster.endpoints[0].now();
-            for shard in &cluster.shards {
-                agg.record_shard(at, shard.sample());
-            }
-        }
         let mut all_sent = true;
         for (pair, q) in queued.iter_mut().enumerate() {
             while *q < count {
@@ -91,6 +81,7 @@ fn main() {
             all_sent &= *q == count;
         }
         cluster.drive_round();
+        beacons.beacon(&cluster.endpoints, &cluster.shards);
         if all_sent
             && delivered
                 .iter()
@@ -106,10 +97,7 @@ fn main() {
     // Trailing acks, so sender windows close before the scrape.
     for _ in 0..50 {
         cluster.drive_round();
-    }
-    let final_at = cluster.endpoints[0].now();
-    for shard in &cluster.shards {
-        agg.record_shard(final_at, shard.sample());
+        beacons.beacon(&cluster.endpoints, &cluster.shards);
     }
 
     println!(
@@ -128,5 +116,5 @@ fn main() {
             occ.quantile(0.99),
         );
     }
-    fm_bench::merged_trace::finish(&args.out, agg, &cluster.endpoints)
+    merged_trace::finish(&args.out, beacons, &cluster.endpoints, &cluster.shards)
 }

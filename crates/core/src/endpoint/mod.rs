@@ -447,7 +447,7 @@ impl std::fmt::Debug for EndpointCore {
             .field("id", &self.id)
             .field("now", &self.now)
             .field("outstanding", &self.sender.outstanding())
-            .field("ring", &self.recv_ring.len())
+            .field("ring", &self.pending_extract())
             .field("outgoing", &self.outgoing.len())
             .field("buffered", &self.recv_buffered())
             .field("stats", &self.stats)

@@ -263,8 +263,7 @@ impl MemEndpoint {
         })
     }
 
-    /// The named gauge values a beacon (or metrics aggregator) exports
-    /// for this endpoint beyond the counter schema: the
+    /// The named gauge values a beacon exports for this endpoint beyond the counter schema: the
     /// [`EndpointStats::observability_pairs`], this layer's own
     /// [`Self::codec_errors`] and [`Self::large_handler_panics`], and, on
     /// a UDP wiring, every [`UdpStats`] field.
@@ -586,6 +585,11 @@ impl MemEndpoint {
     /// Messages outstanding in the send window.
     pub fn outstanding(&self) -> usize {
         self.core.outstanding()
+    }
+
+    /// Frames waiting in the receive ring, not yet extracted.
+    pub fn ring_len(&self) -> usize {
+        self.core.pending_extract()
     }
 
     /// Reassembly statistics: (fragments seen, messages completed).

@@ -227,6 +227,11 @@ impl SwitchShard {
         self.inputs.iter().all(|i| i.stash.is_empty())
     }
 
+    /// Frames parked in the input stashes, over all inputs.
+    pub fn stashed(&self) -> usize {
+        self.inputs.iter().map(|i| i.stash.len()).sum()
+    }
+
     /// The current adaptive poll batch.
     pub fn batch(&self) -> usize {
         self.batch
@@ -463,10 +468,7 @@ impl std::fmt::Debug for SwitchShard {
             .field("inputs", &self.inputs.len())
             .field("outputs", &self.outputs.len())
             .field("batch", &self.batch)
-            .field(
-                "stashed",
-                &self.inputs.iter().map(|i| i.stash.len()).sum::<usize>(),
-            )
+            .field("stashed", &self.stashed())
             .field("stats", &self.stats)
             .finish()
     }

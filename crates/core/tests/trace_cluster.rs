@@ -4,8 +4,8 @@
 //! through the ring fabric and check the observability pipeline
 //! end-to-end: trace contexts crossing the wire, span events landing in
 //! the per-endpoint rings, [`fm_telemetry::merge`] pairing sends with
-//! receives into a clock-aligned timeline, the flight recorder firing on
-//! dead-peer declarations, and the exported counts matching the ledger
+//! receives into a clock-aligned timeline, beacons raising a dead-peer
+//! alarm in the collector, and the exported counts matching the ledger
 //! that counts them. Everything runs single-threaded on seeded fault
 //! schedules, so failures reproduce.
 
@@ -14,7 +14,7 @@ use fm_core::{
     MemEndpoint, NodeId,
 };
 use fm_telemetry::merge::merge;
-use fm_telemetry::{ClusterClock, Counter, EventKind, MetricsAggregator};
+use fm_telemetry::{Alarm, BeaconSource, ClusterClock, Collector, Counter, EventKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -199,11 +199,20 @@ fn injected_clock_offset_is_recovered() {
     assert_eq!(report.causal_violations, 0);
 }
 
-/// A dead-peer declaration must surface in the next aggregator scrape and
-/// capture exactly one flight-recorder dump (the last-N merged events as
-/// chrome-trace JSON); quiet ticks afterward must not dump again.
+/// The next beacon from `ep`, stamped with its tick, into `collector`.
+fn beacon(collector: &mut Collector, src: &mut BeaconSource, ep: &MemEndpoint) {
+    let (counters, gauges) = (ep.observability_counters(), ep.observability_gauges());
+    let datagram = src.endpoint_beacon(ep.now(), counters, gauges);
+    collector
+        .ingest(&datagram, ep.now())
+        .expect("a fresh beacon");
+}
+
+/// A dead-peer declaration surfaces in the next beacon as exactly one
+/// `DeadPeer` alarm, a quiet beacon after it raises none, and the
+/// collector's merged window shows the declaration.
 #[test]
-fn dead_peer_triggers_flight_recorder_dump() {
+fn dead_peer_raises_one_alarm_and_shows_in_the_merged_window() {
     let cfg = EndpointConfig {
         window: 16,
         recv_ring: 16,
@@ -218,10 +227,9 @@ fn dead_peer_triggers_flight_recorder_dump() {
     let _stalled = nodes.pop().unwrap(); // node 1: never driven, frames blackhole
     let mut a = nodes.pop().unwrap();
 
-    let mut agg = MetricsAggregator::new();
-    agg.register(a.telemetry().clone());
-    agg.set_counters(0, a.observability_counters());
-
+    let mut collector = Collector::new();
+    let mut src = BeaconSource::endpoint(a.telemetry().clone());
+    beacon(&mut collector, &mut src, &a);
     for _ in 0..4 {
         a.try_send(NodeId(1), HandlerId(1), b"hello?").unwrap();
     }
@@ -231,33 +239,46 @@ fn dead_peer_triggers_flight_recorder_dump() {
         assert!(iters < 10_000, "dead-peer detection wedged");
         a.extract();
     }
-    assert!(agg.flights().is_empty(), "dump before any scrape saw death");
+    assert!(
+        collector.alarms().is_empty(),
+        "alarm before a beacon saw death"
+    );
 
-    agg.set_counters(0, a.observability_counters());
-    let sample = agg.tick(1);
-    assert!(sample.total(Counter::DeadPeers) > 0);
-    assert_eq!(agg.flights().len(), 1, "death scrape captures one dump");
-    let dump = &agg.flights()[0];
-    assert!(dump.dead_peer_delta > 0);
-    assert!(dump.events > 0, "flight dump carries recent events");
-    assert!(dump.json.starts_with("{\"traceEvents\":["));
+    beacon(&mut collector, &mut src, &a);
+    let dead = Alarm::DeadPeer {
+        node: 0,
+        dead_peers: 1,
+    };
+    assert_eq!(
+        collector.alarms(),
+        [dead],
+        "the death beacon raises one alarm"
+    );
+    assert!(collector.chrome_trace().contains("\"name\":\"peer_dead\""));
 
-    agg.tick(2);
-    assert_eq!(agg.flights().len(), 1, "quiet tick must not dump again");
+    beacon(&mut collector, &mut src, &a);
+    assert_eq!(collector.alarms(), [dead], "a quiet beacon raises none");
 }
 
-/// The `fm_<counter>_total` lines of a Prometheus scrape of `nodes` by a
-/// metrics aggregator fed the way every exporter is: each endpoint's
-/// handle and its ledger counters.
+/// The `fm_<counter>_total{node=...}` lines of the Prometheus scrape a
+/// collector serves once every endpoint of `nodes` has beaconed into it,
+/// the way every exporter is fed.
 fn exported_totals(nodes: &[MemEndpoint]) -> Vec<String> {
-    let mut agg = MetricsAggregator::new();
+    let mut collector = Collector::new();
     for ep in nodes {
-        agg.register(ep.telemetry().clone());
-        agg.set_counters(ep.node_id().0, ep.observability_counters());
+        beacon(
+            &mut collector,
+            &mut BeaconSource::endpoint(ep.telemetry().clone()),
+            ep,
+        );
     }
-    let prom = agg.prometheus();
+    let names: Vec<String> = Counter::ALL
+        .iter()
+        .map(|c| format!("fm_{}_total{{node=", c.name()))
+        .collect();
+    let prom = collector.prometheus();
     prom.lines()
-        .filter(|l| l.starts_with("fm_") && l.contains("_total{"))
+        .filter(|l| names.iter().any(|n| l.starts_with(n.as_str())))
         .map(String::from)
         .collect()
 }

@@ -98,8 +98,8 @@ pub struct EndpointBeacon {
     pub events: Vec<TraceEvent>,
 }
 
-/// A point-in-time scrape of one switch shard, shippable as a beacon body
-/// and recordable as a [`crate::aggregate::MetricsAggregator`] lane.
+/// A point-in-time scrape of one switch shard: a shard beacon's body, and
+/// one point of the collector's per-shard series and lanes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSample {
     pub switch_id: u16,
@@ -469,35 +469,105 @@ pub struct BeaconStats {
     pub send_errors: u64,
 }
 
-/// Periodically emits beacons from one source on its own ephemeral UDP
-/// socket. Designed to sit on a hot path: [`Beaconer::due`] is a counter
-/// mask most calls (no syscall, no clock read) and only consults the
-/// clock every 64th call.
-pub struct Beaconer {
-    sock: UdpSocket,
-    dst: SocketAddr,
+/// Builds one source's beacon datagrams without a socket: the next
+/// sequence number, the snapshot and the encoding. [`Beaconer`] sends
+/// these bytes; an in-process harness hands the same bytes to
+/// [`Collector::ingest`](crate::collector::Collector::ingest), stamped with
+/// its own clock (a tick or a round) instead of wall-clock micros.
+#[derive(Debug)]
+pub struct BeaconSource {
     telemetry: Option<Telemetry>,
-    kind: SourceKind,
     source: u16,
-    interval: Duration,
-    next: Instant,
-    calls: u32,
     seq: u32,
-    pub stats: BeaconStats,
 }
 
-impl std::fmt::Debug for Beaconer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Beaconer")
-            .field("kind", &self.kind)
-            .field("source", &self.source)
-            .field("dst", &self.dst)
-            .field("seq", &self.seq)
-            .finish()
+impl BeaconSource {
+    /// An endpoint source: each beacon snapshots `telemetry` (metric
+    /// octaves, the newest trace events) beside the caller's counters and
+    /// gauges.
+    pub fn endpoint(telemetry: Telemetry) -> Self {
+        let source = telemetry.node();
+        BeaconSource {
+            telemetry: Some(telemetry),
+            source,
+            seq: 0,
+        }
+    }
+
+    /// A switch-shard source: the caller supplies each [`ShardSample`]
+    /// (the shard cannot be captured here — it may live on its own thread).
+    pub fn shard(switch_id: u16) -> Self {
+        BeaconSource {
+            telemetry: None,
+            source: switch_id,
+            seq: 0,
+        }
+    }
+
+    fn next(&mut self, sent_micros: u64, body: BeaconBody) -> Vec<u8> {
+        let seq = self.seq;
+        self.seq = seq.wrapping_add(1);
+        encode(&Beacon {
+            source: self.source,
+            seq,
+            sent_micros,
+            body,
+        })
+    }
+
+    /// The next endpoint beacon, carrying the endpoint's `counters` (in
+    /// [`Counter::ALL`] order) and named `gauges`, stamped `sent_micros`.
+    ///
+    /// # Panics
+    /// If this source was built with [`BeaconSource::shard`].
+    pub fn endpoint_beacon(
+        &mut self,
+        sent_micros: u64,
+        counters: [u64; Counter::COUNT],
+        gauges: Vec<(String, u64)>,
+    ) -> Vec<u8> {
+        let t = self.telemetry.as_ref().expect("endpoint beacon source");
+        let metrics = Metric::ALL
+            .iter()
+            .map(|&m| MetricOctaves {
+                summary: t.metric(m),
+                octaves: t.metric_octaves(m),
+            })
+            .collect();
+        let mut events = t.events();
+        events.drain(..events.len().saturating_sub(DEFAULT_BEACON_EVENTS));
+        let body = EndpointBeacon {
+            counters: counters.to_vec(),
+            metrics,
+            gauges,
+            events,
+        };
+        self.next(sent_micros, BeaconBody::Endpoint(body))
+    }
+
+    /// The next shard beacon, carrying `sample`, stamped `sent_micros`.
+    pub fn shard_beacon(&mut self, sent_micros: u64, sample: &ShardSample) -> Vec<u8> {
+        self.next(sent_micros, BeaconBody::Shard(sample.clone()))
     }
 }
 
-fn unix_micros() -> u64 {
+/// Periodically emits one [`BeaconSource`]'s beacons on its own ephemeral
+/// UDP socket, stamped with wall-clock micros. Designed to sit on a hot
+/// path: [`Beaconer::due`] is a counter mask most calls (no syscall, no
+/// clock read) and only consults the clock every 64th call.
+#[derive(Debug)]
+pub struct Beaconer {
+    sock: UdpSocket,
+    dst: SocketAddr,
+    beacons: BeaconSource,
+    interval: Duration,
+    next: Instant,
+    calls: u32,
+    pub stats: BeaconStats,
+}
+
+/// Wall-clock micros since the Unix epoch, the beacons' socket clock.
+pub(crate) fn unix_micros() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
@@ -505,13 +575,7 @@ fn unix_micros() -> u64 {
 }
 
 impl Beaconer {
-    fn new(
-        telemetry: Option<Telemetry>,
-        kind: SourceKind,
-        source: u16,
-        dst: SocketAddr,
-        interval_us: u64,
-    ) -> io::Result<Self> {
+    fn new(beacons: BeaconSource, dst: SocketAddr, interval_us: u64) -> io::Result<Self> {
         let bind_on: SocketAddr = if dst.is_ipv4() {
             "0.0.0.0:0".parse().unwrap()
         } else {
@@ -522,40 +586,22 @@ impl Beaconer {
         Ok(Beaconer {
             sock,
             dst,
-            telemetry,
-            kind,
-            source,
+            beacons,
             interval: Duration::from_micros(interval_us.max(1)),
             next: Instant::now(),
             calls: 0,
-            seq: 0,
             stats: BeaconStats::default(),
         })
     }
 
-    /// An endpoint beaconer: each emission snapshots `telemetry` (metric
-    /// octaves, trace events) plus whatever counters and gauges the caller
-    /// passes to [`Beaconer::emit`].
+    /// An endpoint beaconer (see [`BeaconSource::endpoint`]).
     pub fn endpoint(telemetry: Telemetry, dst: SocketAddr, interval_us: u64) -> io::Result<Self> {
-        let source = telemetry.node();
-        Self::new(
-            Some(telemetry),
-            SourceKind::Endpoint,
-            source,
-            dst,
-            interval_us,
-        )
+        Self::new(BeaconSource::endpoint(telemetry), dst, interval_us)
     }
 
-    /// A shard beaconer: the caller supplies a fresh [`ShardSample`] per
-    /// [`Beaconer::emit_shard`] (the shard cannot be captured here — it
-    /// lives on its own thread).
+    /// A shard beaconer (see [`BeaconSource::shard`]).
     pub fn shard(switch_id: u16, dst: SocketAddr, interval_us: u64) -> io::Result<Self> {
-        Self::new(None, SourceKind::Shard, switch_id, dst, interval_us)
-    }
-
-    pub fn source(&self) -> u16 {
-        self.source
+        Self::new(BeaconSource::shard(switch_id), dst, interval_us)
     }
 
     /// True when an interval has elapsed since the last emission. Cheap
@@ -576,54 +622,24 @@ impl Beaconer {
             Ok(_) => self.stats.sent += 1,
             Err(_) => self.stats.send_errors += 1,
         }
-        self.seq = self.seq.wrapping_add(1);
     }
 
-    /// Emit one endpoint beacon now, carrying the endpoint's `counters` (in
-    /// [`Counter::ALL`] order) and named `gauges` (callers normally gate on
-    /// [`Beaconer::due`]; call directly for a final flush so the collector
-    /// sees the end-of-run counter state).
+    /// Emit one endpoint beacon now ([`BeaconSource::endpoint_beacon`];
+    /// callers normally gate on [`Beaconer::due`], and call directly for a
+    /// final flush so the collector sees the end-of-run counter state).
     ///
     /// # Panics
     /// If this beaconer was built with [`Beaconer::shard`].
     pub fn emit(&mut self, counters: [u64; Counter::COUNT], gauges: Vec<(String, u64)>) {
-        let t = self.telemetry.as_ref().expect("endpoint beaconer");
-        let metrics = Metric::ALL
-            .iter()
-            .map(|&m| MetricOctaves {
-                summary: t.metric(m),
-                octaves: t.metric_octaves(m),
-            })
-            .collect();
-        let body = EndpointBeacon {
-            counters: counters.to_vec(),
-            metrics,
-            gauges,
-            events: {
-                let mut evs = t.events();
-                if evs.len() > DEFAULT_BEACON_EVENTS {
-                    evs.drain(..evs.len() - DEFAULT_BEACON_EVENTS);
-                }
-                evs
-            },
-        };
-        let datagram = encode(&Beacon {
-            source: self.source,
-            seq: self.seq,
-            sent_micros: unix_micros(),
-            body: BeaconBody::Endpoint(body),
-        });
+        let datagram = self
+            .beacons
+            .endpoint_beacon(unix_micros(), counters, gauges);
         self.send(&datagram);
     }
 
     /// Emit one shard beacon now from a caller-captured sample.
     pub fn emit_shard(&mut self, sample: &ShardSample) {
-        let datagram = encode(&Beacon {
-            source: self.source,
-            seq: self.seq,
-            sent_micros: unix_micros(),
-            body: BeaconBody::Shard(sample.clone()),
-        });
+        let datagram = self.beacons.shard_beacon(unix_micros(), sample);
         self.send(&datagram);
     }
 }

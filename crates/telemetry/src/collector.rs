@@ -1,12 +1,16 @@
 //! The beacon collector: live cluster-wide observability from out-of-band
 //! telemetry datagrams.
 //!
-//! A [`Collector`] binds one UDP socket and ingests [`crate::beacon`]
-//! datagrams from any number of endpoints and switch shards — typically
-//! across OS processes. From the raw beacons it maintains:
+//! A [`Collector`] ingests [`crate::beacon`] datagrams from any number of
+//! endpoints and switch shards: off one UDP socket when they live in other
+//! OS processes ([`Collector::bind`], [`Collector::poll`]), or handed to
+//! [`Collector::ingest`] by an in-process harness that builds the same
+//! bytes with a [`crate::beacon::BeaconSource`]. Beacons are the only way
+//! in, and from them it maintains:
 //!
 //! * **cumulative counters and deltas** per endpoint (beacons carry
-//!   cumulative values, so a lost beacon merely widens one delta window);
+//!   cumulative values, so a lost beacon merely widens one delta window,
+//!   and the per-source sequence numbers count the loss);
 //! * **health detectors** over those deltas, firing typed [`Alarm`]s:
 //!   *retransmit storm* (an endpoint's retransmit delta dwarfing its fresh
 //!   sends), *incast capture* (a shard's per-input forwarding fairness —
@@ -21,8 +25,9 @@
 //!   ([`Collector::merged`]);
 //! * **rolling exports**: Prometheus text ([`Collector::prometheus`]) with
 //!   per-shard queue-depth/deficit/forwarding series and per-collective
-//!   span timings, and merged chrome-trace windows
-//!   ([`Collector::chrome_trace`]) with one counter lane per shard.
+//!   span timings, one CSV row per endpoint ([`Collector::csv`]), and
+//!   merged chrome-trace windows ([`Collector::chrome_trace`]) with one
+//!   counter lane per shard.
 //!
 //! Everything is bounded: per-source event windows, shard sample history
 //! and the alarm list all cap out, so a collector can watch a cluster
@@ -32,11 +37,10 @@ use crate::beacon::{self, BeaconBody, BeaconError, ShardSample};
 use crate::hist::Histogram;
 use crate::merge::{self, MergeReport};
 use crate::trace::{coll_kind_name, EventKind, TraceEvent};
-use crate::Counter;
+use crate::{Counter, Metric};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Thresholds for the counter-delta health detectors.
 #[derive(Debug, Clone, Copy)]
@@ -152,6 +156,36 @@ pub fn jain_fairness(shares: &[u64]) -> f64 {
     fm_metrics::jain(&shares)
 }
 
+/// Per-source beacon arrivals, kept alike for endpoints and shards.
+#[derive(Default)]
+struct Arrivals {
+    beacons: u64,
+    last_seq: Option<u32>,
+    /// Minimum observed `recv − sent` micros: sender-to-collector clock
+    /// offset plus minimum network delay (the NTP minimum filter).
+    min_skew_us: Option<i64>,
+}
+
+impl Arrivals {
+    /// Note one beacon; returns how many of the source's beacons were lost
+    /// in flight since its previous one. A sequence that jumps *backwards*
+    /// (a huge wrapped "gap") is a restarted source — a new beaconer
+    /// reusing the id — not a loss signal.
+    fn note(&mut self, seq: u32, skew: i64) -> u64 {
+        self.beacons += 1;
+        self.min_skew_us = Some(self.min_skew_us.map_or(skew, |m| m.min(skew)));
+        let gap = self
+            .last_seq
+            .replace(seq)
+            .map_or(1, |last| seq.wrapping_sub(last));
+        if gap > 1 && gap < u32::MAX / 2 {
+            (gap - 1) as u64
+        } else {
+            0
+        }
+    }
+}
+
 /// Per-endpoint ingest state.
 struct EndpointState {
     /// Latest cumulative counters (padded/truncated to `Counter::COUNT`).
@@ -160,16 +194,13 @@ struct EndpointState {
     metrics: Vec<beacon::MetricOctaves>,
     /// Latest named gauges.
     gauges: Vec<(String, u64)>,
-    /// Deduplicated trace events (successive beacons overlap), bounded.
+    /// Deduplicated trace events (successive beacons overlap), bounded;
+    /// `seen` holds exactly the retained ones.
     events: Vec<TraceEvent>,
     seen: HashSet<TraceEvent>,
     /// Open collective spans: (coll, epoch) → begin tick.
     open_colls: HashMap<(u8, u32), u64>,
-    beacons: u64,
-    last_seq: Option<u32>,
-    /// Minimum observed `recv − sent` micros: sender-to-collector clock
-    /// offset plus minimum network delay (the NTP minimum filter).
-    min_skew_us: i64,
+    arrivals: Arrivals,
     storm_latched: bool,
     calm: u32,
 }
@@ -183,22 +214,23 @@ impl EndpointState {
             events: Vec::new(),
             seen: HashSet::new(),
             open_colls: HashMap::new(),
-            beacons: 0,
-            last_seq: None,
-            min_skew_us: i64::MAX,
+            arrivals: Arrivals::default(),
             storm_latched: false,
             calm: 0,
         }
+    }
+
+    fn gauge(&self, name: &str) -> Option<u64> {
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }
 
 /// Per-shard ingest state.
 struct ShardState {
     last: Option<ShardSample>,
-    /// `(recv_micros_since_collector_start, sample)` history, bounded.
+    /// `(recv stamp, sample)` history, bounded.
     history: Vec<(u64, ShardSample)>,
-    beacons: u64,
-    min_skew_us: i64,
+    arrivals: Arrivals,
     /// Latest fairness index over the per-input forwarding deltas.
     fairness: f64,
     capture_latched: bool,
@@ -210,8 +242,7 @@ impl ShardState {
         ShardState {
             last: None,
             history: Vec::new(),
-            beacons: 0,
-            min_skew_us: i64::MAX,
+            arrivals: Arrivals::default(),
             fairness: 1.0,
             capture_latched: false,
             calm: 0,
@@ -285,13 +316,6 @@ impl Collector {
         self.sock.as_ref().and_then(|s| s.local_addr().ok())
     }
 
-    fn unix_micros() -> u64 {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0)
-    }
-
     /// Drain the socket, ingesting every waiting datagram. Returns how
     /// many beacons were accepted this call.
     pub fn poll(&mut self) -> usize {
@@ -303,7 +327,7 @@ impl Collector {
         loop {
             match sock.recv_from(&mut buf) {
                 Ok((n, _)) => {
-                    if self.ingest(&buf[..n], Self::unix_micros()).is_ok() {
+                    if self.ingest(&buf[..n], beacon::unix_micros()).is_ok() {
                         accepted += 1;
                     }
                 }
@@ -315,9 +339,10 @@ impl Collector {
         accepted
     }
 
-    /// Ingest one datagram received at `recv_micros` (Unix micros — the
-    /// same clock the beacon timestamps use). Public so tests and
-    /// single-process harnesses can bypass the socket.
+    /// Ingest one datagram received at `recv_micros`, on the clock the
+    /// beacon was stamped with: Unix micros off the socket, or the tick or
+    /// round an in-process harness stamps its beacons with (shard lanes
+    /// are drawn on this axis).
     pub fn ingest(&mut self, datagram: &[u8], recv_micros: u64) -> Result<(), BeaconError> {
         self.stats.datagrams += 1;
         let b = match beacon::decode(datagram) {
@@ -357,18 +382,7 @@ impl Collector {
             .endpoints
             .entry(source)
             .or_insert_with(EndpointState::new);
-        st.beacons += 1;
-        st.min_skew_us = st.min_skew_us.min(skew);
-        if let Some(last) = st.last_seq {
-            let gap = seq.wrapping_sub(last);
-            // A forward gap is lost beacons; a sequence that jumps
-            // *backwards* (huge wrapped "gap") is a restarted source —
-            // a new beaconer reusing the node id — not a loss signal.
-            if gap > 1 && gap < u32::MAX / 2 {
-                self.stats.seq_gaps += (gap - 1) as u64;
-            }
-        }
-        st.last_seq = Some(seq);
+        self.stats.seq_gaps += st.arrivals.note(seq, skew);
 
         // Counter deltas against the previous beacon's cumulative values.
         let mut deltas = [0u64; Counter::COUNT];
@@ -400,9 +414,9 @@ impl Collector {
             }
             st.events.push(ev);
         }
-        if st.events.len() > EVENT_CAP {
-            let cut = st.events.len() - EVENT_CAP;
-            st.events.drain(..cut);
+        let cut = st.events.len().saturating_sub(EVENT_CAP);
+        for ev in st.events.drain(..cut) {
+            st.seen.remove(&ev);
         }
 
         // Detectors.
@@ -446,15 +460,14 @@ impl Collector {
     fn ingest_shard(
         &mut self,
         source: u16,
-        _seq: u32,
+        seq: u32,
         skew: i64,
         recv_micros: u64,
         body: ShardSample,
     ) {
         let cfg = self.config;
         let st = self.shards.entry(source).or_insert_with(ShardState::new);
-        st.beacons += 1;
-        st.min_skew_us = st.min_skew_us.min(skew);
+        self.stats.seq_gaps += st.arrivals.note(seq, skew);
 
         // Per-input forwarding deltas since the last beacon drive the
         // fairness detector; the first beacon only sets the baseline.
@@ -536,7 +549,7 @@ impl Collector {
 
     /// Beacons accepted from endpoint `node`.
     pub fn endpoint_beacons(&self, node: u16) -> u64 {
-        self.endpoints.get(&node).map_or(0, |s| s.beacons)
+        self.endpoints.get(&node).map_or(0, |s| s.arrivals.beacons)
     }
 
     /// Latest cumulative value of `c` on `node`.
@@ -550,10 +563,7 @@ impl Collector {
     /// (clock offset plus minimum network delay — the beacon-timestamp
     /// clock sync). `None` before the first beacon.
     pub fn endpoint_skew_us(&self, node: u16) -> Option<i64> {
-        self.endpoints
-            .get(&node)
-            .filter(|s| s.min_skew_us != i64::MAX)
-            .map(|s| s.min_skew_us)
+        self.endpoints.get(&node)?.arrivals.min_skew_us
     }
 
     /// Latest per-input forwarding fairness for a shard (1.0 before two
@@ -563,8 +573,7 @@ impl Collector {
     }
 
     /// Merge every endpoint's collected trace events into one aligned
-    /// cluster timeline (the PR-4 machinery, fed from beacons instead of
-    /// in-process rings).
+    /// cluster timeline ([`crate::merge`]).
     pub fn merged(&self) -> MergeReport {
         let per_node: Vec<Vec<TraceEvent>> =
             self.endpoints.values().map(|s| s.events.clone()).collect();
@@ -596,13 +605,13 @@ impl Collector {
         for (&n, st) in &self.endpoints {
             out.push_str(&format!(
                 "fm_beacons_total{{kind=\"endpoint\",source=\"{n}\"}} {}\n",
-                st.beacons
+                st.arrivals.beacons
             ));
         }
         for (&sw, st) in &self.shards {
             out.push_str(&format!(
                 "fm_beacons_total{{kind=\"shard\",source=\"{sw}\"}} {}\n",
-                st.beacons
+                st.arrivals.beacons
             ));
         }
         for (name, v) in [
@@ -631,7 +640,7 @@ impl Collector {
             }
         }
         // Metric summaries.
-        for (i, m) in crate::Metric::ALL.iter().enumerate() {
+        for (i, m) in Metric::ALL.iter().enumerate() {
             out.push_str(&format!(
                 "# HELP fm_{name} {name} distribution summary (from beacons).\n\
                  # TYPE fm_{name} summary\n",
@@ -656,18 +665,11 @@ impl Collector {
             }
         }
         // Named transport gauges (UdpStats, peer_resets, ...).
-        let mut gauge_names: Vec<String> = self
-            .endpoints
-            .values()
-            .flat_map(|s| s.gauges.iter().map(|(n, _)| n.clone()))
-            .collect();
-        gauge_names.sort();
-        gauge_names.dedup();
-        for g in &gauge_names {
+        for g in &self.gauge_names() {
             let san = sanitize_metric_name(g);
             out.push_str(&format!("# TYPE fm_{san} gauge\n"));
             for (&n, st) in &self.endpoints {
-                if let Some((_, v)) = st.gauges.iter().find(|(name, _)| name == g) {
+                if let Some(v) = st.gauge(g) {
                     out.push_str(&format!("fm_{san}{{node=\"{n}\"}} {v}\n"));
                 }
             }
@@ -678,23 +680,21 @@ impl Collector {
              (clock offset + min delay), micros.\n# TYPE fm_beacon_skew_us gauge\n",
         );
         for (&n, st) in &self.endpoints {
-            if st.min_skew_us != i64::MAX {
+            if let Some(skew) = st.arrivals.min_skew_us {
                 out.push_str(&format!(
-                    "fm_beacon_skew_us{{kind=\"endpoint\",source=\"{n}\"}} {}\n",
-                    st.min_skew_us
+                    "fm_beacon_skew_us{{kind=\"endpoint\",source=\"{n}\"}} {skew}\n"
                 ));
             }
         }
         for (&sw, st) in &self.shards {
-            if st.min_skew_us != i64::MAX {
+            if let Some(skew) = st.arrivals.min_skew_us {
                 out.push_str(&format!(
-                    "fm_beacon_skew_us{{kind=\"shard\",source=\"{sw}\"}} {}\n",
-                    st.min_skew_us
+                    "fm_beacon_skew_us{{kind=\"shard\",source=\"{sw}\"}} {skew}\n"
                 ));
             }
         }
         // Shard lanes.
-        out.push_str(&shard_prometheus(&self.shards));
+        out.push_str(&shard_series_prometheus(&self.shards));
         // Collective span timings.
         out.push_str(
             "# HELP fm_collective_duration_ticks Collective call duration \
@@ -739,6 +739,50 @@ impl Collector {
         }
         out
     }
+
+    /// Sorted union of every endpoint's gauge names.
+    fn gauge_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self
+            .endpoints
+            .values()
+            .flat_map(|s| s.gauges.iter().map(|(n, _)| n.clone()))
+            .collect();
+        names.sort();
+        names.dedup();
+        names
+    }
+
+    /// Every endpoint's latest state as CSV, one row per endpoint, through
+    /// the shared `fm-metrics` csv module. Columns: `node`, the counters in
+    /// [`Counter::ALL`] order, `<metric>_{count,p50,p99}`, then the named
+    /// gauges, sorted and appended last so the other columns never move (a
+    /// gauge an endpoint did not ship reads 0).
+    pub fn csv(&self) -> String {
+        let gauges = self.gauge_names();
+        let metric_cols = Metric::ALL
+            .iter()
+            .flat_map(|m| ["count", "p50", "p99"].map(|q| format!("{}_{q}", m.name())));
+        let mut header: Vec<String> = vec!["node".into()];
+        header.extend(Counter::ALL.iter().map(|c| c.name().to_string()));
+        header.extend(metric_cols);
+        header.extend(gauges.iter().cloned());
+        let rows: Vec<Vec<String>> = self
+            .endpoints
+            .iter()
+            .map(|(&n, st)| {
+                let mut row = vec![n.to_string()];
+                row.extend(st.totals.iter().map(u64::to_string));
+                for i in 0..Metric::COUNT {
+                    let s = st.metrics.get(i).map(|m| m.summary).unwrap_or_default();
+                    row.extend([s.count, s.p50, s.p99].map(|v| v.to_string()));
+                }
+                row.extend(gauges.iter().map(|g| st.gauge(g).unwrap_or(0).to_string()));
+                row
+            })
+            .collect();
+        let header: Vec<&str> = header.iter().map(String::as_str).collect();
+        fm_metrics::csv::to_string(&header, &rows)
+    }
 }
 
 /// Sanitize a wire-supplied gauge name into a Prometheus metric-name
@@ -755,13 +799,14 @@ fn sanitize_metric_name(name: &str) -> String {
         .collect()
 }
 
-/// Render the per-shard series every scrape surface shares: queue-depth
-/// quantiles, DRR deficits, per-port forwarding totals, drop/stall
-/// counters. `latest` maps switch id → its newest sample.
-pub(crate) fn shard_series_prometheus<'a>(
-    latest: impl Iterator<Item = (u16, &'a ShardSample)>,
-) -> String {
-    let samples: Vec<(u16, &ShardSample)> = latest.collect();
+/// Render the per-shard series from each shard's newest sample:
+/// queue-depth quantiles, DRR deficits, per-port forwarding totals,
+/// drop/stall counters.
+fn shard_series_prometheus(shards: &BTreeMap<u16, ShardState>) -> String {
+    let samples: Vec<(u16, &ShardSample)> = shards
+        .iter()
+        .filter_map(|(&sw, st)| st.last.as_ref().map(|s| (sw, s)))
+        .collect();
     let mut out = String::new();
     out.push_str(
         "# HELP fm_shard_queue_depth Switch shard poll-occupancy (frames per \
@@ -833,20 +878,12 @@ pub(crate) fn shard_series_prometheus<'a>(
     out
 }
 
-fn shard_prometheus(shards: &BTreeMap<u16, ShardState>) -> String {
-    shard_series_prometheus(
-        shards
-            .iter()
-            .filter_map(|(&sw, st)| st.last.as_ref().map(|s| (sw, s))),
-    )
-}
-
 /// Chrome-trace counter-lane fragments for one shard's sample history:
 /// a `queue_depth` counter track (p50/p99) and a `forwarded` rate track
 /// (delta per window), on a dedicated pid so Perfetto draws them as lanes
 /// under "switch N". `history` is `(ts, sample)` with `ts` in the
 /// document's time unit.
-pub fn shard_lane_fragments(switch: u16, history: &[(u64, ShardSample)]) -> Vec<String> {
+fn shard_lane_fragments(switch: u16, history: &[(u64, ShardSample)]) -> Vec<String> {
     if history.is_empty() {
         return Vec::new();
     }
@@ -884,8 +921,9 @@ pub fn shard_lane_fragments(switch: u16, history: &[(u64, ShardSample)]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::beacon::{encode, Beacon, BeaconBody, EndpointBeacon};
+    use crate::beacon::{encode, Beacon, BeaconBody, BeaconSource, EndpointBeacon};
     use crate::hist::HistSummary;
+    use crate::Telemetry;
 
     fn endpoint_beacon(
         source: u16,
@@ -960,6 +998,31 @@ mod tests {
         c.ingest(&endpoint_beacon(3, 0, 400, counters(50, 0, 0), vec![]), 450)
             .unwrap();
         assert_eq!(c.stats.seq_gaps, 1, "backwards seq means restart, not loss");
+        // A lost shard beacon is counted the same way.
+        c.ingest(&shard_beacon(1, 0, vec![1]), 500).unwrap();
+        c.ingest(&shard_beacon(1, 2, vec![2]), 600).unwrap();
+        assert_eq!(c.stats.seq_gaps, 2, "shard seq 1 lost");
+    }
+
+    #[test]
+    fn dedup_set_is_bounded_with_the_event_window() {
+        let mut c = Collector::new();
+        let ev = |tick| TraceEvent {
+            tick,
+            node: 0,
+            kind: EventKind::SlotReuse { slot: 1, gen: 1 },
+        };
+        // Windows of 96 events advancing by 48: every event ships twice.
+        let total = EVENT_CAP as u64 + 1_000;
+        for (seq, start) in (0..total).step_by(48).enumerate() {
+            let window = (start..start + 96).map(ev).collect();
+            let beacon = endpoint_beacon(0, seq as u32, 0, counters(0, 0, 0), window);
+            c.ingest(&beacon, 1).unwrap();
+        }
+        let st = &c.endpoints[&0];
+        assert_eq!(st.events.len(), EVENT_CAP);
+        assert!(st.seen.len() <= EVENT_CAP, "{} remembered", st.seen.len());
+        assert!(st.events.iter().all(|e| st.seen.contains(e)));
     }
 
     #[test]
@@ -1228,6 +1291,30 @@ mod tests {
             "forwarding delta lane"
         );
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+    }
+
+    #[test]
+    fn csv_has_one_row_per_endpoint_and_gauges_last() {
+        let mut c = Collector::new();
+        c.ingest(&endpoint_beacon(0, 0, 0, counters(7, 0, 0), vec![]), 1)
+            .unwrap();
+        let t = Telemetry::new(1);
+        t.record(Metric::AckRttTicks, 4);
+        let gauges = vec![("peer_resets".into(), 2)];
+        let beacon = BeaconSource::endpoint(t).endpoint_beacon(0, [0; Counter::COUNT], gauges);
+        c.ingest(&beacon, 1).unwrap();
+        let csv = c.csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 3, "header + 2 endpoints");
+        assert!(lines[0].starts_with("node,sends,"), "{}", lines[0]);
+        assert!(lines[0].contains(",ack_rtt_ticks_count,ack_rtt_ticks_p50,"));
+        assert!(lines[0].ends_with(",peer_resets,udp_datagrams_out"));
+        assert!(lines[1].starts_with("0,7,"));
+        assert!(lines[1].ends_with(",0,5"), "an unset gauge reads 0");
+        assert!(lines[2].ends_with(",2,0"), "an unset gauge reads 0");
+        let prom = c.prometheus();
+        assert!(prom.contains("fm_ack_rtt_ticks{node=\"1\",quantile=\"0.5\"} 4"));
+        assert!(prom.contains("fm_ack_rtt_ticks_count{node=\"1\"} 1"));
     }
 
     #[test]

@@ -16,7 +16,13 @@
 //! Protocol *counts* are not stored here. Each event is counted once, in
 //! the endpoint's own single-writer statistics; [`Counter`] is only the
 //! export schema — the names and [`Counter::ALL`] order in which beacons
-//! and the [`MetricsAggregator`] carry those counts.
+//! carry those counts.
+//!
+//! Everything leaves an endpoint or a switch shard the same way: as a
+//! [`beacon`] datagram, built by a [`BeaconSource`], sent over UDP by a
+//! [`Beaconer`] or handed straight to a [`Collector`] by an in-process
+//! harness. The collector is the one exporter: Prometheus text, CSV, the
+//! merged chrome-trace timeline and the health alarms.
 //!
 //! The handle is an `Arc` around the shared state: the endpoint core, the
 //! transport and any external observer all hold clones of the same handle.
@@ -37,7 +43,6 @@
 //! writing at once would be memory-safe but lose updates, and debug builds
 //! assert (on the writing thread's id) that it does not happen.
 
-pub mod aggregate;
 pub mod beacon;
 pub mod clocksync;
 pub mod collector;
@@ -46,8 +51,9 @@ pub mod hist;
 pub mod merge;
 pub mod trace;
 
-pub use aggregate::{FlightDump, MetricsAggregator, TickSample};
-pub use beacon::{Beacon, BeaconBody, BeaconError, Beaconer, EndpointBeacon, ShardSample};
+pub use beacon::{
+    Beacon, BeaconBody, BeaconError, BeaconSource, Beaconer, EndpointBeacon, ShardSample,
+};
 pub use clocksync::{ClockEstimate, ClusterClock, OffsetEstimator, RttSample};
 pub use collector::{Alarm, Collector, DetectorConfig};
 pub use crc::crc32;
@@ -63,8 +69,8 @@ use std::sync::Arc;
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// The protocol counts an endpoint exports: the schema (names and
-/// [`Counter::ALL`] order) of beacons and aggregator scrapes. The counts
-/// themselves live in the endpoint's own statistics.
+/// [`Counter::ALL`] order) of beacons and of the [`Collector`]'s exports.
+/// The counts themselves live in the endpoint's own statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {

@@ -80,7 +80,7 @@ impl MergeReport {
 
     /// Render as a chrome-trace JSON document, splicing `extra` event
     /// fragments (already-serialized JSON objects, e.g. the per-shard
-    /// counter lanes from [`crate::collector::shard_lane_fragments`]) into
+    /// counter lanes [`crate::collector::Collector::chrome_trace`] draws) into
     /// the `traceEvents` array.
     pub fn chrome_trace_with(&self, extra: &[String]) -> String {
         let mut out = String::from("{\"traceEvents\":[");

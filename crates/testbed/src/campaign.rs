@@ -130,17 +130,6 @@ pub struct Peaks {
     pub stash: usize,
 }
 
-/// `field: N` out of `value`'s `Debug` form, the one place `MemEndpoint`
-/// and `SwitchShard` report their ring and stash depths. The field is
-/// matched whole, delimiter included, so `recv_ring: 8` is not `ring: 8`.
-fn debug_field(value: &impl Debug, field: &str) -> usize {
-    let text = format!("{value:?}");
-    let whole = |sep| text.split(&format!("{sep}{field}: ")).nth(1);
-    let tail = whole("{ ").or_else(|| whole(", "));
-    let digits = tail.and_then(|t| t.split(|c: char| !c.is_ascii_digit()).next());
-    digits.and_then(|d| d.parse().ok()).expect("a count")
-}
-
 fn lock(ledger: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
     ledger.lock().expect("the ledger's handlers never panic")
 }
@@ -245,11 +234,11 @@ impl Drive {
         }
         let pumped: usize = self.cluster.shards.iter_mut().map(|s| s.pump()).sum();
         if self.throttle_every.is_some() {
-            let ring = debug_field(&self.cluster.endpoints[SLOW], "ring");
+            let ring = self.cluster.endpoints[SLOW].ring_len();
             self.peaks.ring = self.peaks.ring.max(ring);
         }
         let shards = self.cluster.shards.iter().filter(|s| !s.is_idle());
-        let stash = shards.map(|s| debug_field(s, "stashed")).sum();
+        let stash = shards.map(|s| s.stashed()).sum();
         self.peaks.stash = self.peaks.stash.max(stash);
         work + pumped
     }
@@ -544,16 +533,16 @@ mod tests {
     }
 
     #[test]
-    fn debug_field_reads_the_live_ring_and_stash_not_the_config() {
+    fn occupancy_accessors_read_the_live_ring_and_stash_not_the_config() {
         let mut d = Drive::new(&SwitchTopology::for_cluster_wide(64), campaign_config());
-        let ring = |d: &Drive| debug_field(&d.cluster.endpoints[SLOW], "ring");
+        let ring = |d: &Drive| d.cluster.endpoints[SLOW].ring_len();
         assert_eq!(ring(&d), 0, "not recv_ring: 8");
         d.throttle_every = Some(1);
         (1..64).for_each(|s| d.enqueue(s, SLOW, 8));
         (0..4).for_each(|_| _ = d.step());
         assert!((1..=8).contains(&ring(&d)) && d.peaks.stash > 0);
         let mut shards = d.cluster.shards.iter();
-        assert!(shards.all(|s| (debug_field(s, "stashed") == 0) == s.is_idle()));
+        assert!(shards.all(|s| (s.stashed() == 0) == s.is_idle()));
     }
 
     #[test]

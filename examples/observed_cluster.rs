@@ -16,18 +16,19 @@
 //! <https://ui.perfetto.dev>) to scrub through the protocol's life frame
 //! by frame.
 //!
-//! It then feeds both endpoints to a [`MetricsAggregator`] and dumps the
-//! *merged* cluster view: every ring clock-aligned onto one timeline
-//! (`observed_merged.json`, one process lane per endpoint with flow
-//! arrows tying each traced send to its receive) plus a Prometheus text
-//! scrape (`observed_metrics.prom`). For a bigger version of the same
+//! Both endpoints also beacon every round into one [`Collector`] — the
+//! same datagrams a multi-process cluster sends over UDP, handed over
+//! in-process — which dumps the *merged* cluster view: every endpoint's
+//! events clock-aligned onto one timeline (`observed_merged.json`, one
+//! process lane per endpoint with flow arrows tying each traced send to
+//! its receive) plus a Prometheus text scrape (`observed_metrics.prom`). For a bigger version of the same
 //! pipeline — four endpoints, multi-hop causal chains — see the
 //! `trace_merge` binary in `fm-bench`.
 
 use fm_repro::fm_core::{
     EndpointConfig, FabricKind, FaultConfig, TelemetryCounter, TelemetryMetric,
 };
-use fm_repro::fm_telemetry::MetricsAggregator;
+use fm_repro::fm_telemetry::{BeaconSource, Collector};
 use fm_repro::prelude::*;
 
 /// Messages pushed through the lossy wire.
@@ -62,6 +63,8 @@ fn main() {
     });
     assert_eq!(ha, hb, "symmetric registration gives symmetric ids");
 
+    let mut collector = Collector::new();
+    let mut beacons = [&a, &b].map(|ep| BeaconSource::endpoint(ep.telemetry().clone()));
     let mut sent = 0u32;
     while sent < MSGS
         || received.load(Ordering::Relaxed) < MSGS
@@ -73,6 +76,12 @@ fn main() {
         }
         a.extract();
         b.extract();
+        let at = a.now();
+        for (src, ep) in beacons.iter_mut().zip([&a, &b]) {
+            let (counters, gauges) = (ep.observability_counters(), ep.observability_gauges());
+            let beacon = src.endpoint_beacon(at, counters, gauges);
+            collector.ingest(&beacon, at).expect("a fresh beacon");
+        }
     }
     println!(
         "delivered {}/{MSGS} through a 5% lossy wire\n",
@@ -117,17 +126,12 @@ fn main() {
         t.events_recorded()
     );
 
-    // -- merged cluster view: aggregate + clock-align both endpoints ------
-    let mut agg = MetricsAggregator::new();
-    for ep in [&a, &b] {
-        agg.register(ep.telemetry().clone());
-        agg.set_counters(ep.node_id().0, ep.observability_counters());
-    }
-    agg.tick(1); // one scrape: the delta baseline for the Prometheus export
-    let report = agg.merged();
-    std::fs::write("observed_merged.json", report.chrome_trace())
+    // -- merged cluster view: the collector clock-aligns both endpoints ---
+    let report = collector.merged();
+    std::fs::write("observed_merged.json", collector.chrome_trace())
         .expect("write observed_merged.json");
-    std::fs::write("observed_metrics.prom", agg.prometheus()).expect("write observed_metrics.prom");
+    std::fs::write("observed_metrics.prom", collector.prometheus())
+        .expect("write observed_metrics.prom");
     println!(
         "\nmerged cluster timeline: {} events, {} flow pairs \
          ({} orphan sends, {} orphan receives, {} causal violations)",
