@@ -24,11 +24,6 @@
 //! [`report`]. `bench_udp` and `bench_obs` share the two-process harness
 //! in [`udp_pair`]; `trace_merge` and `trace_scaling` share
 //! [`merged_trace`].
-//!
-//! Criterion microbenches (`cargo bench`) measure the *real* library — the
-//! threaded MemFabric runtime, the protocol engine, the frame codec — plus
-//! the `des_queue` ablation (binary heap vs calendar queue) called out in
-//! DESIGN.md.
 
 use fm_metrics::{csv, derive_metrics, AsciiPlot, LayerMetrics, Table};
 use fm_testbed::{bandwidth_sweep, latency_sweep, Layer, TestbedConfig};

@@ -21,10 +21,6 @@
 //! * counters are monotonically increasing `u64`s (never masked until slot
 //!   lookup), so full/empty is `produced - consumed == depth` with no
 //!   wasted slot and wraparound-correct arithmetic.
-//!
-//! [`BufferPool`] complements the ring on the *large*-message path: chunk
-//! staging buffers (> one frame) are recycled instead of reallocated, so
-//! steady-state streaming does not grow the heap either.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -246,81 +242,6 @@ impl RingConsumer {
     }
 }
 
-/// A free list recycling large-message staging buffers.
-///
-/// The short-message path never allocates (frames live in ring slots and
-/// inline `Bytes`); this pool extends the same property to the
-/// multi-fragment path, where senders stage chunks in `Vec<u8>` buffers
-/// bigger than one frame. `get` hands back a cleared buffer from the free
-/// list when one is available; `put` returns it, keeping at most
-/// `max_retained` around so a burst cannot pin memory forever.
-#[derive(Debug)]
-pub struct BufferPool {
-    free: Vec<Vec<u8>>,
-    max_retained: usize,
-    /// Statistics.
-    pub stats: PoolStats,
-}
-
-/// Statistics kept by a [`BufferPool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Buffers handed out in total.
-    pub gets: u64,
-    /// Gets served from the free list (no allocation).
-    pub reused: u64,
-    /// Buffers returned but dropped because the pool was full.
-    pub dropped: u64,
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        Self::with_limit(16)
-    }
-}
-
-impl BufferPool {
-    /// A pool retaining at most `max_retained` free buffers.
-    pub fn with_limit(max_retained: usize) -> Self {
-        BufferPool {
-            free: Vec::new(),
-            max_retained,
-            stats: PoolStats::default(),
-        }
-    }
-
-    /// Buffers currently sitting in the free list.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
-    /// An empty buffer with at least `capacity` bytes reserved, recycled
-    /// when possible.
-    pub fn get(&mut self, capacity: usize) -> Vec<u8> {
-        self.stats.gets += 1;
-        match self.free.pop() {
-            Some(mut buf) => {
-                self.stats.reused += 1;
-                buf.clear();
-                if buf.capacity() < capacity {
-                    buf.reserve(capacity - buf.len());
-                }
-                buf
-            }
-            None => Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Return a buffer to the free list (dropped if the list is full).
-    pub fn put(&mut self, buf: Vec<u8>) {
-        if self.free.len() < self.max_retained {
-            self.free.push(buf);
-        } else {
-            self.stats.dropped += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,31 +368,5 @@ mod tests {
         assert_eq!(stats.pushed, N);
         assert_eq!(c.stats.polled, N);
         assert!(c.stats.batches <= N);
-    }
-
-    #[test]
-    fn buffer_pool_recycles() {
-        let mut pool = BufferPool::with_limit(2);
-        let a = pool.get(100);
-        assert!(a.capacity() >= 100);
-        let ptr = a.as_ptr();
-        pool.put(a);
-        let b = pool.get(50);
-        assert_eq!(b.as_ptr(), ptr, "buffer must be reused, not reallocated");
-        assert_eq!(pool.stats.reused, 1);
-        pool.put(b);
-        pool.put(Vec::new());
-        pool.put(Vec::new()); // third return exceeds the limit
-        assert_eq!(pool.idle(), 2);
-        assert_eq!(pool.stats.dropped, 1);
-    }
-
-    #[test]
-    fn buffer_pool_grows_recycled_buffers() {
-        let mut pool = BufferPool::with_limit(4);
-        pool.put(Vec::with_capacity(8));
-        let buf = pool.get(1000);
-        assert!(buf.is_empty());
-        assert!(buf.capacity() >= 1000);
     }
 }

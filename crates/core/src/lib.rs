@@ -44,8 +44,7 @@
 //! Messages larger than one frame are *not* part of FM 1.0 — the paper
 //! (Section 5) prescribes segmentation and reassembly above the layer. The
 //! [`seg`] module implements that prescription as a documented extension
-//! used by `fm-mpi` and the examples, and [`stream`] builds ordered byte
-//! streams (the paper's TCP-over-FM direction) on top of it.
+//! used by `fm-mpi` and the examples.
 //!
 //! **Beyond the paper — reliability layer.** The paper's fabric (Myrinet)
 //! had a bit error rate low enough to treat the wire as perfect; ours is a
@@ -69,14 +68,13 @@ pub mod handler;
 pub mod mem;
 pub mod queues;
 pub mod seg;
-pub mod stream;
 pub mod switched;
 pub mod time;
 pub mod udp;
 mod wire;
 
 pub use endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
-pub use fabric::{spsc_ring, BufferPool, RingConsumer, RingProducer};
+pub use fabric::{spsc_ring, RingConsumer, RingProducer};
 pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultStats, LinkFaults};
 pub use flow::{
     ack_word, ack_word_parts, gen_tag, RetransmitConfig, SeqBufferError, SeqClass, SeqWindow,

@@ -85,7 +85,8 @@ pub struct FragHeader {
 pub enum FragError {
     /// Payload shorter than the subheader.
     Truncated,
-    /// Index >= count, zero count, or total length inconsistent with count.
+    /// Index >= count, zero count, total length inconsistent with count,
+    /// or a shape or handler that disagrees with the open partial message.
     Inconsistent,
     /// Same (src, msg_id, idx) seen twice — impossible under FM's
     /// exactly-once delivery; indicates a transport bug.
@@ -215,7 +216,6 @@ impl Reassembly {
                 return Err(e);
             }
         };
-        self.fragments += 1;
         self.clock += 1;
         let key = (src, h.msg_id);
         if !self.partial.contains_key(&key) {
@@ -247,9 +247,13 @@ impl Reassembly {
             started: clock,
         });
         // A fragment keyed into an existing partial must agree with its
-        // shape (a msg_id collision after wraparound, or a stray fragment
-        // from an aborted message, must not index out of bounds).
-        if p.seen.len() != h.count as usize || p.buf.len() != h.total_len as usize {
+        // shape and handler (a msg_id collision after wraparound, or a stray
+        // fragment from an aborted message, must neither index out of bounds
+        // nor complete another handler's message).
+        if p.seen.len() != h.count as usize
+            || p.buf.len() != h.total_len as usize
+            || p.handler != h.handler
+        {
             self.refused += 1;
             return Err(FragError::Inconsistent);
         }
@@ -259,6 +263,7 @@ impl Reassembly {
         }
         p.seen[h.idx as usize] = true;
         p.remaining -= 1;
+        self.fragments += 1;
         let off = h.idx as usize * FRAG_DATA;
         p.buf[off..off + data.len()].copy_from_slice(data);
         if p.remaining == 0 {
@@ -397,6 +402,26 @@ mod tests {
             Err(FragError::Duplicate)
         );
         assert_eq!(r.errors(), 1);
+        assert_eq!(r.fragments(), 1, "a refused fragment is not accepted");
+    }
+
+    #[test]
+    fn fragment_for_another_handler_is_refused() {
+        let frags = fragment(1, HandlerId(1), &[0u8; 300]);
+        let mut r = Reassembly::new();
+        r.on_fragment(NodeId(0), &frags[0]).unwrap();
+        // Fragment 1 of the same (src, msg_id) tagged for handler 2 must
+        // not complete handler 1's partial.
+        let other = fragment(1, HandlerId(2), &[0u8; 300]);
+        assert_eq!(
+            r.on_fragment(NodeId(0), &other[1]),
+            Err(FragError::Inconsistent)
+        );
+        assert_eq!((r.fragments(), r.errors()), (1, 1));
+        r.on_fragment(NodeId(0), &frags[1]).unwrap();
+        let done = r.on_fragment(NodeId(0), &frags[2]).unwrap();
+        assert_eq!(done, Some((HandlerId(1), vec![0u8; 300])));
+        assert_eq!(r.fragments(), 3);
     }
 
     #[test]

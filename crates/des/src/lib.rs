@@ -22,17 +22,11 @@
 //!    entry plus an enum dispatch; tens of millions of events per second,
 //!    enough to stream the paper's 65 535-packet bandwidth tests in
 //!    milliseconds.
-//!
-//! Two queue disciplines are provided — the default binary heap and a
-//! calendar queue ([`calendar::CalendarQueue`]) — so the `des_queue`
-//! ablation bench can compare them.
 
-pub mod calendar;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use time::{Duration, Time};
 
 use std::cmp::Ordering;

@@ -1,17 +1,24 @@
-//! Measurement collection: streaming summaries, fixed-bucket histograms,
-//! and time-weighted occupancy statistics (queue depths, busy fractions).
+//! Measurement collection: streaming summaries and time-weighted
+//! occupancy statistics (queue depths).
 
 use crate::time::{Duration, Time};
 
 /// Streaming scalar summary (count / min / max / mean / variance) using
 /// Welford's numerically stable online algorithm.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Summary {
+    /// Same as [`Summary::new`]: min/max must start at ±∞, not 0.0.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Summary {
@@ -98,62 +105,6 @@ impl Summary {
     }
 }
 
-/// Histogram over duration values with logarithmic (powers-of-two ns) buckets.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    /// `buckets[i]` counts samples with ns in `[2^i, 2^(i+1))`; bucket 0 also
-    /// holds sub-ns samples.
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; 64],
-            total: 0,
-        }
-    }
-
-    pub fn record(&mut self, d: Duration) {
-        let ns = d.as_ns();
-        let idx = if ns <= 1 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx.min(63)] += 1;
-        self.total += 1;
-    }
-
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile (upper edge of the bucket containing it).
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return 0;
-        }
-        let target = ((self.total as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
-    }
-}
-
 /// Time-weighted value tracker: integrates `value(t) dt` so that
 /// `average()` is the true time-average (queue occupancy, utilization).
 #[derive(Debug, Clone)]
@@ -209,54 +160,6 @@ impl TimeWeighted {
     }
 }
 
-/// Busy/idle tracker for a single resource (a DMA engine, a bus): reports
-/// utilization as the busy fraction of elapsed time.
-#[derive(Debug, Clone)]
-pub struct Utilization {
-    busy_since: Option<Time>,
-    busy_total: Duration,
-    start: Time,
-}
-
-impl Utilization {
-    pub fn new(start: Time) -> Self {
-        Utilization {
-            busy_since: None,
-            busy_total: Duration::ZERO,
-            start,
-        }
-    }
-
-    pub fn set_busy(&mut self, now: Time) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
-    }
-
-    pub fn set_idle(&mut self, now: Time) {
-        if let Some(since) = self.busy_since.take() {
-            self.busy_total += now.saturating_since(since);
-        }
-    }
-
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
-    /// Busy fraction in `[0, 1]` over `[start, now]`.
-    pub fn fraction(&self, now: Time) -> f64 {
-        let elapsed = now.saturating_since(self.start);
-        if elapsed == Duration::ZERO {
-            return 0.0;
-        }
-        let mut busy = self.busy_total;
-        if let Some(since) = self.busy_since {
-            busy += now.saturating_since(since);
-        }
-        busy.as_ps() as f64 / elapsed.as_ps() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,22 +202,21 @@ mod tests {
     }
 
     #[test]
+    fn summary_default_matches_new() {
+        let mut s = Summary::default();
+        s.record(5.0);
+        assert_eq!(s.min(), 5.0);
+        assert_eq!(s.max(), 5.0);
+        let mut neg = Summary::default();
+        neg.record(-3.0);
+        assert_eq!(neg.max(), -3.0);
+    }
+
+    #[test]
     fn summary_empty_is_nan() {
         let s = Summary::new();
         assert!(s.mean().is_nan());
         assert!(s.variance().is_nan());
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for ns in [1u64, 2, 3, 10, 100, 1000, 10_000] {
-            h.record(Duration::from_ns(ns));
-        }
-        assert_eq!(h.total(), 7);
-        // Median falls in the bucket containing 10ns => upper edge 16ns.
-        assert_eq!(h.quantile_ns(0.5), 16);
-        assert!(h.quantile_ns(1.0) >= 10_000);
     }
 
     #[test]
@@ -327,27 +229,5 @@ mod tests {
         assert!((avg - 2.5).abs() < 1e-12);
         assert_eq!(tw.peak(), 4.0);
         assert_eq!(tw.current(), 2.0);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut u = Utilization::new(Time::ZERO);
-        u.set_busy(Time::from_ns(10));
-        u.set_idle(Time::from_ns(30));
-        assert!((u.fraction(Time::from_ns(40)) - 0.5).abs() < 1e-12);
-        // Still-busy interval counts up to `now`.
-        u.set_busy(Time::from_ns(40));
-        assert!((u.fraction(Time::from_ns(60)) - (20.0 + 20.0) / 60.0).abs() < 1e-12);
-        assert!(u.is_busy());
-    }
-
-    #[test]
-    fn utilization_idempotent_transitions() {
-        let mut u = Utilization::new(Time::ZERO);
-        u.set_busy(Time::from_ns(5));
-        u.set_busy(Time::from_ns(9)); // no-op: already busy
-        u.set_idle(Time::from_ns(10));
-        u.set_idle(Time::from_ns(11)); // no-op: already idle
-        assert!((u.fraction(Time::from_ns(10)) - 0.5).abs() < 1e-12);
     }
 }

@@ -8,14 +8,14 @@
 //! wrapped instant reorders the pending-event set with no diagnostic at
 //! all. These tests pin the promoted guards: every operator is now checked
 //! in every profile, fallible and saturating variants exist for callers
-//! with a real clamping need, and the calendar queue's push-into-the-past
+//! with a real clamping need, and the engine's schedule-into-the-past
 //! guard holds in release.
 //!
 //! Run in release (`cargo test --release -p fm-des --test overflow_guards`)
 //! these tests only mean something because the guards are `assert!`/
 //! `checked_*`, not `debug_assert!`.
 
-use fm_des::{CalendarQueue, Duration, Engine, Time};
+use fm_des::{Duration, Engine, Time};
 
 /// The largest in-range duration: u64::MAX picoseconds (~213 days).
 const MAX_D: Duration = Duration(u64::MAX);
@@ -114,17 +114,6 @@ fn campaign_scale_arithmetic_stays_in_range() {
 }
 
 #[test]
-#[should_panic(expected = "push into the past")]
-fn calendar_rejects_past_push_in_release() {
-    let mut q = CalendarQueue::new(1_000, 8);
-    q.push(Time::from_us(10), 1u32);
-    assert_eq!(q.pop().map(|(_, v)| v), Some(1));
-    // Now strictly before the last popped instant: must panic, not
-    // silently corrupt bucket order.
-    q.push(Time::from_us(9), 2u32);
-}
-
-#[test]
 #[should_panic(expected = "past")]
 fn engine_rejects_past_schedule_in_release() {
     let mut eng: Engine<u32> = Engine::new();
@@ -136,14 +125,11 @@ fn engine_rejects_past_schedule_in_release() {
 #[test]
 fn stat_counters_are_u64_wide() {
     // The audit found the event/sample counters already u64 (Summary::n,
-    // LatencyHistogram totals, Engine::dispatched); this pins the width so
-    // a refactor to u32 — fine at testbed scale, wrapping at campaign
-    // scale — fails loudly here.
+    // Engine::dispatched); this pins the width so a refactor to u32 — fine
+    // at testbed scale, wrapping at campaign scale — fails loudly here.
     let mut s = fm_des::stats::Summary::new();
     s.record(1.0);
     let _: u64 = s.count();
-    let h = fm_des::stats::LatencyHistogram::new();
-    let _: u64 = h.total();
     let eng: Engine<u32> = Engine::new();
     let _: u64 = eng.dispatched();
 }

@@ -1,9 +1,9 @@
-//! Property tests for the DES substrate itself — the calendar queue, the
-//! RNG streams, and the statistics collectors the million-endpoint
-//! campaigns lean on. Until now `crates/des` had only inline unit tests;
-//! these suites pin the contracts the simulator assumes:
+//! Property tests for the DES substrate itself — the engine's pending-event
+//! set, the RNG streams, and the statistics collectors the
+//! million-endpoint campaigns lean on. These suites pin the contracts the
+//! simulator assumes:
 //!
-//! * the calendar queue is observationally equivalent to a binary-heap
+//! * the `Engine` is observationally equivalent to a reference binary-heap
 //!   pending-event set on *random* push/pop interleavings, including the
 //!   FIFO tie-break for equal timestamps (dispatch order = insert order);
 //! * RNG splitting is reproducible: the same parent state always derives
@@ -15,8 +15,8 @@
 //!   recording.
 
 use fm_des::rng::Xoshiro256;
-use fm_des::stats::{LatencyHistogram, Summary, TimeWeighted};
-use fm_des::{CalendarQueue, Duration, Engine, Time};
+use fm_des::stats::{Summary, TimeWeighted};
+use fm_des::{Engine, Time};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,68 +41,47 @@ impl HeapModel {
 
 proptest! {
     /// Random interleavings of pushes (with random forward offsets,
-    /// including ties) and pops drain identically from the calendar
-    /// queue, the binary-heap model, and the production `Engine`.
+    /// including ties) and pops drain identically from the production
+    /// `Engine` and the binary-heap model.
     #[test]
-    fn calendar_matches_heap_model(
-        width in 1u64..5_000,
-        buckets in 1usize..64,
+    fn engine_matches_heap_model(
         offsets in prop::collection::vec(0u64..20_000, 1..400),
         pop_bits in prop::collection::vec(any::<bool>(), 1..400),
     ) {
-        let mut cal = CalendarQueue::new(width, buckets);
         let mut model = HeapModel::default();
         let mut eng: Engine<u64> = Engine::new();
         let mut horizon = 0u64; // pushes never go behind the last pop
-        let mut drained_cal = Vec::new();
-        let mut drained_model = Vec::new();
-        let mut drained_eng = Vec::new();
         for (i, &off) in offsets.iter().enumerate() {
             // Bias ties: every third event lands exactly on the horizon.
             let t = Time::from_ps(horizon + if i % 3 == 0 { 0 } else { off });
-            cal.push(t, i as u64);
             model.push(t, i as u64);
             eng.schedule_at(t, i as u64);
             if pop_bits[i % pop_bits.len()] {
-                let got = cal.pop();
-                let want = model.pop();
-                let eng_got = eng.pop();
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(got, eng_got);
+                let got = eng.pop();
+                prop_assert_eq!(got, model.pop());
                 if let Some((pt, _)) = got {
                     horizon = horizon.max(pt.as_ps());
                 }
             }
         }
         loop {
-            match (cal.pop(), model.pop(), eng.pop()) {
-                (None, None, None) => break,
-                (a, b, c) => {
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(a, c);
-                    drained_cal.push(a);
-                    drained_model.push(b);
-                    drained_eng.push(c);
-                }
+            match (eng.pop(), model.pop()) {
+                (None, None) => break,
+                (a, b) => prop_assert_eq!(a, b),
             }
         }
-        prop_assert_eq!(drained_cal.len(), drained_model.len());
-        prop_assert_eq!(drained_model.len(), drained_eng.len());
     }
 
-    /// Equal-time events drain in insertion order from both structures —
-    /// the FIFO tie-break is deterministic, not incidental.
+    /// Equal-time events drain in insertion order — the FIFO tie-break is
+    /// deterministic, not incidental.
     #[test]
     fn equal_time_events_stay_fifo(n in 1usize..200, t_ps in 0u64..1_000_000) {
         let t = Time::from_ps(t_ps);
-        let mut cal = CalendarQueue::new(1_000, 8);
         let mut eng: Engine<usize> = Engine::new();
         for i in 0..n {
-            cal.push(t, i);
             eng.schedule_at(t, i);
         }
         for i in 0..n {
-            prop_assert_eq!(cal.pop(), Some((t, i)));
             prop_assert_eq!(eng.pop(), Some((t, i)));
         }
     }
@@ -198,31 +177,6 @@ proptest! {
         prop_assert!((a.mean() - s.mean()).abs() / scale < 1e-9);
         if xs.len() >= 2 && k >= 1 {
             prop_assert!((a.variance() - s.variance()).abs() / scale < 1e-6);
-        }
-    }
-
-    /// Histogram quantiles stay within one power-of-two bucket of the
-    /// exact order statistic.
-    #[test]
-    fn histogram_quantile_brackets_exact(
-        ns in prop::collection::vec(1u64..10_000_000, 1..300),
-    ) {
-        let mut h = LatencyHistogram::new();
-        for &v in &ns {
-            h.record(Duration::from_ns(v));
-        }
-        let mut sorted = ns.clone();
-        sorted.sort_unstable();
-        for &q in &[0.5, 0.9, 0.99] {
-            let idx = (((sorted.len() as f64) * q).ceil() as usize)
-                .clamp(1, sorted.len()) - 1;
-            let exact = sorted[idx];
-            let approx = h.quantile_ns(q);
-            // The reported value is the upper edge of the containing
-            // power-of-two bucket: >= exact, < 2x the next power of two.
-            prop_assert!(approx >= exact, "q{}: {} < exact {}", q, approx, exact);
-            prop_assert!(approx <= exact.next_power_of_two().max(2) * 2,
-                "q{}: {} too far above exact {}", q, approx, exact);
         }
     }
 

@@ -1,8 +1,8 @@
-//! The 1-D heat stencil scaled onto the switch-routed cluster: 64 ranks
-//! across a fat tree (11 leaf switches, 4 spines), halo exchanges with
-//! neighbours every step, and a topology-aware allreduce checking heat
-//! conservation — the `examples/stencil.rs` workload grown from a
-//! 4-rank pairwise mesh to the cluster the paper's Section 7 aims FM at.
+//! A 1-D heat-diffusion stencil on fm-mpi, run on the switch-routed
+//! cluster: 64 ranks across a fat tree (11 leaf switches, 4 spines), halo
+//! exchanges with neighbours every step, and a topology-aware allreduce
+//! checking heat conservation — the tightly-coupled workload at the
+//! cluster scale the paper's Section 7 aims FM at.
 //!
 //! ```sh
 //! cargo run --release --example mpi_stencil            # 200 steps
