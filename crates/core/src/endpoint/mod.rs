@@ -618,18 +618,21 @@ impl EndpointCore {
 
     /// Advance `now` per the configured time source. Wall time is pinned
     /// strictly monotonic: an extract burst faster than the microsecond
-    /// clock still moves `now` by at least one, so trace stamps stay
-    /// distinct and deadline math never sees a frozen clock.
+    /// clock still moves `now` by at least one, so deadline math never sees
+    /// a frozen clock.
     fn advance_clock(&mut self) {
         self.now = match self.config.time_source {
             TimeSource::VirtualTick => self.now + 1,
-            TimeSource::WallMicros => {
-                let origin = *self
-                    .clock_origin
-                    .get_or_insert_with(std::time::Instant::now);
-                (origin.elapsed().as_micros() as u64).max(self.now + 1)
-            }
+            TimeSource::WallMicros => self.wall_micros().max(self.now + 1),
         };
+    }
+
+    /// Microseconds since this endpoint first read the wall clock.
+    fn wall_micros(&mut self) -> u64 {
+        let origin = *self
+            .clock_origin
+            .get_or_insert_with(std::time::Instant::now);
+        origin.elapsed().as_micros() as u64
     }
 
     /// True when this endpoint holds no protocol state that still needs the

@@ -39,8 +39,12 @@ impl EndpointCore {
         // infeasibility, from the other direction. Re-read the clock at
         // ingress instead (real time has genuinely advanced; the one
         // Instant read is noise next to the recv syscall that got us here).
+        // The re-read adds no tick of its own: a burst of arrivals inside
+        // one microsecond would otherwise run this clock ahead of wall
+        // time, by a different amount on every endpoint, and no constant
+        // offset could then align their traces.
         if self.config.time_source == TimeSource::WallMicros {
-            self.advance_clock();
+            self.now = self.now.max(self.wall_micros());
         }
         // Piggybacked acks count regardless of what happens to the frame.
         for &word in head.piggy.as_slice() {

@@ -31,9 +31,10 @@
 //! trip, so a stale ack (bounded lifetime: late duplicates still in
 //! flight) can never see its tag again.
 //!
-//! Both the real threaded runtime (`fm-core::mem`) and the timed simulator
-//! (`fm-testbed`) drive these same state machines; the simulator only adds
-//! instruction-cost charges around the calls.
+//! `EndpointCore` drives these state machines on every runtime: threads and
+//! rings (`fm-core::mem`), UDP, and `fm-testbed`'s virtual-time harnesses,
+//! which run the endpoint itself. The paper-figure simulation in
+//! `fm-testbed` prices flow control with its own layer costs instead.
 
 use crate::frame::{PiggyAcks, PIGGY_MAX};
 use crate::queues::{RejectQueue, GEN_TAG_MASK, REJECT_SLOT_LIMIT};

@@ -1,40 +1,21 @@
-//! Collective operations over [`Communicator`]: barrier, broadcast,
-//! reduce, allreduce, gather, scatter, alltoall.
+//! Collective operations over [`Communicator`], all run by one engine
+//! (DESIGN.md, "One collective engine").
 //!
-//! Two algorithm families, picked per call by the communicator's wiring:
+//! Each algorithm is a pure function from `(size, me, root[, topology])` to
+//! this rank's *schedule*: [`Step`]s that each send to or receive from one
+//! peer, with [`Step::Round`] marking the traced rounds. One executor,
+//! [`Communicator::run`], walks a schedule in a [`Scope`] (rank map, tag,
+//! span); its [`Payload`] says whether sends forward the newest receipt,
+//! carry one chunk per peer, or carry an accumulator that every receipt is
+//! folded into. With more than one switch, barrier, bcast and reduce follow
+//! the topology spanning tree ([`topo_tree`]); elsewhere every pair is one
+//! hop and the rank-space algorithms are already optimal. The `*_linear`
+//! variants are the all-to-root baselines `bench_mpi` measures against.
 //!
-//! * **Topology-aware spanning trees** (switch-routed clusters): the
-//!   collective tree is computed from the actual
-//!   [`fm_core::SwitchTopology`] — a BFS spanning tree over the switches
-//!   (`spanning_parents`), contracted onto ranks by electing one
-//!   *representative* rank per switch. A representative's children are
-//!   its switch-local ranks plus the representatives of child switches,
-//!   so each trunk of the spanning tree carries each collective payload
-//!   exactly once per direction instead of once per subscriber the way a
-//!   rank-arithmetic tree laid over the fabric would.
-//! * **Rank-space log-depth algorithms** (pairwise mesh, single-switch
-//!   clusters, UDP): dissemination barrier, binomial bcast/reduce — the
-//!   textbook MPI algorithms of the paper's era, which are already
-//!   optimal when every rank pair is one hop apart.
-//!
-//! **allreduce** uses recursive doubling on power-of-two communicators
-//! (`log2(n)` rounds, every rank finishing with the bit-identical result —
-//! the exchange pairing is symmetric and the operators commute exactly in
-//! IEEE arithmetic) and falls back to reduce-to-0 + broadcast otherwise.
-//!
-//! Each collective call derives its reserved tag from a per-communicator,
-//! per-kind epoch counter so back-to-back collectives never cross-match.
-//! Kind sub-spaces are `0x1000` tags apart, and epochs **wrap within the
-//! sub-space** ([`coll_tag`]): an unwrapped `BASE + epoch` would walk out
-//! of its space after 4096 calls and alias the next kind's tags (a late
-//! barrier matching an early bcast). Correctness across the wrap rests on
-//! the per-pair FIFO the matching layer restores: tag reuse 4096 epochs
-//! later still matches in program order.
-//!
-//! The `*_linear` variants are the naive all-to-root baselines
-//! (`O(size)` critical path, every payload crossing the root's one
-//! downlink); they exist for `bench_mpi` to measure the trees against and
-//! are not what applications should call.
+//! Every reserved tag sub-space is in the table below. A kind's per-call
+//! epoch wraps within its sub-space ([`coll_tag`]); reuse 4096 epochs later
+//! still matches in program order through the per-pair FIFO the matching
+//! layer restores.
 
 use fm_core::{NodeId, SwitchTopology};
 use fm_telemetry::EventKind;
@@ -42,43 +23,48 @@ use fm_telemetry::EventKind;
 use crate::comm::{Communicator, ReduceOp};
 use crate::{MpiError, Rank, Tag};
 
-/// `peer` value in a [`EventKind::CollRoundBegin`] span when the round
-/// has no single partner (a fan to several children at once).
+/// `peer` of a [`Step::Round`] with no single partner.
 pub(crate) const NO_PEER: Rank = Rank::MAX;
 
-/// Internal tag sub-space bases (all >= [`Tag::RESERVED`]). Each kind
-/// owns `COLL_SPAN` consecutive tags; see [`coll_tag`].
+/// Tags per reserved sub-space.
+pub(crate) const COLL_SPAN: u32 = 0x1000;
+
+// The reserved tag table: the base of every internal sub-space.
 const TAG_BARRIER: u32 = Tag::RESERVED;
 const TAG_BCAST: u32 = Tag::RESERVED + 0x1000;
 const TAG_REDUCE: u32 = Tag::RESERVED + 0x2000;
 const TAG_GATHER: u32 = Tag::RESERVED + 0x3000;
 const TAG_SCATTER: u32 = Tag::RESERVED + 0x4000;
 const TAG_ALLTOALL: u32 = Tag::RESERVED + 0x5000;
-// 0x6000..0x9000 belong to `nonblocking.rs`, 0xA000 to `group.rs`.
+const TAG_ALLGATHER: u32 = Tag::RESERVED + 0x6000;
+const TAG_ALLTOALLV: u32 = Tag::RESERVED + 0x7000;
+const TAG_SCAN: u32 = Tag::RESERVED + 0x8000;
+pub(crate) const TAG_SENDRECV: u32 = Tag::RESERVED + 0x9000;
+pub(crate) const TAG_GROUP: u32 = Tag::RESERVED + 0xA000;
 const TAG_ALLREDUCE: u32 = Tag::RESERVED + 0xB000;
 
-/// Tags per collective kind.
-pub(crate) const COLL_SPAN: u32 = 0x1000;
-
-/// Epoch-counter indices into `Communicator::epochs`, one per kind.
-pub(crate) const KIND_BARRIER: usize = 0;
-pub(crate) const KIND_BCAST: usize = 1;
-pub(crate) const KIND_REDUCE: usize = 2;
-pub(crate) const KIND_ALLREDUCE: usize = 3;
-pub(crate) const KIND_GATHER: usize = 4;
-pub(crate) const KIND_SCATTER: usize = 5;
-pub(crate) const KIND_ALLTOALL: usize = 6;
-pub(crate) const KIND_ALLGATHER: usize = 7;
-pub(crate) const KIND_ALLTOALLV: usize = 8;
-pub(crate) const KIND_SCAN: usize = 9;
-pub(crate) const N_COLL_KINDS: usize = 10;
-
-/// The reserved tag for epoch `epoch` of the kind based at `base`. The
-/// epoch wraps within the kind's `COLL_SPAN`-tag sub-space, so no epoch
-/// ever aliases a neighbouring kind's tags.
-pub(crate) fn coll_tag(base: u32, epoch: u32) -> Tag {
-    Tag(base + (epoch & (COLL_SPAN - 1)))
+/// The reserved tag `offset` into the sub-space at `base`; the offset wraps
+/// within the sub-space, so no count of calls or contexts leaves it.
+pub(crate) fn coll_tag(base: u32, offset: u32) -> Tag {
+    Tag(base + (offset & (COLL_SPAN - 1)))
 }
+
+/// A collective kind: `.0` indexes its epoch counter and is its spans'
+/// `coll`; `.1` is its tag sub-space.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kind(pub u8, u32);
+
+pub(crate) const N_COLL_KINDS: usize = 10;
+pub(crate) const BARRIER: Kind = Kind(0, TAG_BARRIER);
+pub(crate) const BCAST: Kind = Kind(1, TAG_BCAST);
+pub(crate) const REDUCE: Kind = Kind(2, TAG_REDUCE);
+pub(crate) const ALLREDUCE: Kind = Kind(3, TAG_ALLREDUCE);
+pub(crate) const GATHER: Kind = Kind(4, TAG_GATHER);
+pub(crate) const SCATTER: Kind = Kind(5, TAG_SCATTER);
+pub(crate) const ALLTOALL: Kind = Kind(6, TAG_ALLTOALL);
+pub(crate) const ALLGATHER: Kind = Kind(7, TAG_ALLGATHER);
+pub(crate) const ALLTOALLV: Kind = Kind(8, TAG_ALLTOALLV);
+pub(crate) const SCAN: Kind = Kind(9, TAG_SCAN);
 
 pub(crate) fn f64s_to_bytes(xs: &[f64]) -> Vec<u8> {
     xs.iter().flat_map(|x| x.to_le_bytes()).collect()
@@ -96,146 +82,333 @@ pub(crate) fn bytes_to_f64s(src: Rank, b: &[u8]) -> Result<Vec<f64>, MpiError> {
         .collect())
 }
 
-/// Element-wise `acc = op(acc, theirs)` with a length check.
-pub(crate) fn combine(
-    acc: &mut [f64],
-    src: Rank,
-    theirs: &[f64],
-    op: ReduceOp,
-) -> Result<(), MpiError> {
+/// Combines an accumulator element with a receipt's: `fold(acc, theirs)`.
+pub(crate) type Fold<'a> = &'a dyn Fn(f64, f64) -> f64;
+
+/// Decode `src`'s contribution and fold it into `acc`.
+fn fold_in(acc: &mut [f64], src: Rank, b: &[u8], fold: Fold) -> Result<(), MpiError> {
+    let theirs = bytes_to_f64s(src, b)?;
     if theirs.len() != acc.len() {
-        return Err(MpiError::LengthMismatch {
-            src,
-            got: theirs.len(),
-            expect: acc.len(),
-        });
+        let (got, expect) = (theirs.len(), acc.len());
+        return Err(MpiError::LengthMismatch { src, got, expect });
     }
-    for (a, b) in acc.iter_mut().zip(theirs) {
-        *a = op.apply(*a, *b);
+    for (a, t) in acc.iter_mut().zip(theirs) {
+        *a = fold(*a, t);
     }
     Ok(())
 }
 
-/// One rank's place in the collective spanning tree for a given root.
+/// One step of a schedule, with peers in the schedule's rank space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Start traced round `.0` with partner `.1`, ending the open one.
+    Round(u16, Rank),
+    Send(Rank),
+    Recv(Rank),
+}
+
+/// What a schedule's sends carry, and what becomes of its receipts.
+pub(crate) enum Payload<'a> {
+    /// The newest receipt, or these bytes before the first one.
+    Forward(&'a [u8]),
+    /// `chunks[r]` to rank `r`.
+    Personal(&'a [Vec<u8>]),
+    /// The accumulator, which every receipt is folded into. A malformed
+    /// receipt turns it into the error and ends the schedule.
+    Combine(&'a mut Result<Vec<f64>, MpiError>, Fold<'a>),
+}
+
+/// Where a schedule runs: `size` ranks, schedule rank `r` being `map[r]`
+/// (or `r` when `map` is `None`), this one `me`; on `tag`; traced as
+/// `span` (the kind's `coll` id, epoch) when set.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope<'a> {
+    pub map: Option<&'a [Rank]>,
+    pub size: usize,
+    pub me: Rank,
+    pub tag: Tag,
+    pub span: Option<(u8, u32)>,
+}
+
+impl<'a> Scope<'a> {
+    /// An untraced scope.
+    pub(crate) fn new(map: Option<&'a [Rank]>, size: usize, me: Rank, tag: Tag) -> Self {
+        Scope {
+            map,
+            size,
+            me,
+            tag,
+            span: None,
+        }
+    }
+}
+
+/// Receipts in arrival order, each with its sender's schedule rank.
+pub(crate) type Receipts = Vec<(Rank, Vec<u8>)>;
+
+/// One rank's place in a collective tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CollTree {
     /// `None` exactly at the root rank.
     pub parent: Option<Rank>,
-    /// Switch-local ranks first (ascending), then child-switch
-    /// representatives (ascending switch id). Order is identical on every
-    /// rank, so fan-in and fan-out pair up deterministically.
+    /// In an order every rank agrees on, so fan-in and fan-out pair up.
     pub children: Vec<Rank>,
+    /// The reduce round of the send to the parent.
+    pub up: u16,
 }
 
-/// Build the rank-level spanning tree for `root` over `topo`.
-///
-/// The switch graph's BFS spanning tree rooted at the root's switch is
-/// contracted onto ranks: every switch with hosts elects a representative
-/// (the root on its own switch, the lowest rank elsewhere), each
-/// representative parents its switch-local ranks, and a representative's
-/// parent is the representative of the nearest ancestor switch that has
-/// hosts (fat-tree spines are host-less and are skipped over).
+/// The rank-level spanning tree for `root` over `topo`: the switch graph's
+/// BFS tree from the root's switch, contracted onto one representative per
+/// switch with hosts (the root on its own switch, the lowest rank
+/// elsewhere). A representative parents its switch-local ranks, then the
+/// representatives of its child switches; its parent is the representative
+/// of the nearest ancestor switch with hosts (fat-tree spines have none).
+/// A reduce sends up after one round per child.
 pub(crate) fn topo_tree(topo: &SwitchTopology, size: usize, root: Rank, me: Rank) -> CollTree {
     debug_assert_eq!(topo.hosts(), size);
-    let root_sw = topo.switch_of(NodeId(root));
-    let parents = topo.spanning_parents(root_sw);
-    let nsw = topo.switches();
-    let mut rep: Vec<Option<Rank>> = vec![None; nsw];
-    for r in 0..size as Rank {
-        let s = topo.switch_of(NodeId(r));
-        if rep[s].is_none() {
-            rep[s] = Some(r);
-        }
+    let (root_sw, me_sw) = (topo.switch_of(NodeId(root)), topo.switch_of(NodeId(me)));
+    let mut rep: Vec<Option<Rank>> = vec![None; topo.switches()];
+    for r in (0..size as Rank).rev() {
+        rep[topo.switch_of(NodeId(r))] = Some(r);
     }
     rep[root_sw] = Some(root);
-    // Nearest ancestor switch (in the BFS tree) that has a representative.
-    let up = |mut s: usize| -> usize {
-        loop {
-            let p = parents[s].expect("only the root switch lacks a parent");
-            if rep[p].is_some() {
-                return p;
-            }
-            s = p;
-        }
-    };
-    let me_sw = topo.switch_of(NodeId(me));
     let my_rep = rep[me_sw].expect("my own switch has hosts");
     if me != my_rep {
         // Leaf of the local fan-out: one hop to the local representative.
+        let (parent, children, up) = (Some(my_rep), Vec::new(), 0);
         return CollTree {
-            parent: Some(my_rep),
-            children: Vec::new(),
+            parent,
+            children,
+            up,
         };
     }
-    let mut children: Vec<Rank> = topo
-        .hosts_on(me_sw)
-        .map(|h| h.0)
-        .filter(|&r| r != me)
-        .collect();
-    for (s, r) in rep.iter().enumerate() {
-        if s != me_sw && s != root_sw {
-            if let Some(r) = *r {
-                if up(s) == me_sw {
-                    children.push(r);
-                }
-            }
-        }
-    }
-    let parent = if me == root {
-        None
-    } else {
-        Some(rep[up(me_sw)].expect("ancestor representative exists"))
+    // Nearest ancestor switch (in the BFS tree) that has a representative.
+    let parents = topo.spanning_parents(root_sw);
+    let up = |s: usize| {
+        let mut ancestors = std::iter::successors(parents[s], |&a| parents[a]);
+        ancestors
+            .find(|&a| rep[a].is_some())
+            .expect("an ancestor with hosts")
     };
-    CollTree { parent, children }
+    let local = topo.hosts_on(me_sw).map(|h| h.0).filter(|&r| r != me);
+    let reps = (rep.iter().enumerate())
+        .filter(|&(s, r)| r.is_some() && s != me_sw && s != root_sw && up(s) == me_sw)
+        .filter_map(|(_, r)| *r);
+    let children: Vec<Rank> = local.chain(reps).collect();
+    let parent = (me != root).then(|| rep[up(me_sw)].expect("ancestor representative"));
+    let up = children.len() as u16;
+    CollTree {
+        parent,
+        children,
+        up,
+    }
+}
+
+/// The binomial tree in rank space: renumbered so the root is 0, a rank's
+/// children set each bit below its lowest set bit, its parent clears that
+/// bit, and a reduce sends up in that bit's round.
+pub(crate) fn binomial(size: usize, me: Rank, root: Rank) -> CollTree {
+    let v = (me as usize + size - root as usize) % size;
+    let real = |x: usize| ((x + root as usize) % size) as Rank;
+    let children = (0..v.trailing_zeros()).map(|i| v | 1 << i);
+    CollTree {
+        parent: (v != 0).then(|| real(v & (v - 1))),
+        children: children.take_while(|&c| c < size).map(real).collect(),
+        up: v.trailing_zeros() as u16,
+    }
+}
+
+/// Down a tree (bcast): from the parent, then to each child, a round each.
+pub(crate) fn fan_down(tree: &CollTree) -> Vec<Step> {
+    let recv = tree.parent.map(|p| (p, Step::Recv(p)));
+    let sends = tree.children.iter().map(|&c| (c, Step::Send(c)));
+    (recv.into_iter().chain(sends).zip(0..))
+        .flat_map(|((peer, step), round)| [Step::Round(round, peer), step])
+        .collect()
+}
+
+/// Up a tree (reduce): from each child, a round each, then to the parent.
+pub(crate) fn fan_up(tree: &CollTree) -> Vec<Step> {
+    let recvs = (tree.children.iter().zip(0..)).map(|(&c, round)| (round, c, Step::Recv(c)));
+    let send = tree.parent.map(|p| (tree.up, p, Step::Send(p)));
+    (recvs.chain(send))
+        .flat_map(|(round, peer, step)| [Step::Round(round, peer), step])
+        .collect()
+}
+
+/// The tree barrier: round 0 hears from the whole subtree, reports up and
+/// waits for the release; round 1 releases the subtree.
+pub(crate) fn tree_barrier(tree: &CollTree) -> Vec<Step> {
+    let up = tree.parent.map(|p| [Step::Send(p), Step::Recv(p)]);
+    let mut s = vec![Step::Round(0, tree.parent.unwrap_or(NO_PEER))];
+    s.extend(tree.children.iter().map(|&c| Step::Recv(c)));
+    s.extend(up.into_iter().flatten());
+    s.push(Step::Round(1, NO_PEER));
+    s.extend(tree.children.iter().map(|&c| Step::Send(c)));
+    s
+}
+
+/// Rounds `r = 0, 1, …` while `2^r < size`, round `r` sending to
+/// `pair(2^r).0` (its partner) and receiving from `pair(2^r).1`.
+fn doubling(size: usize, pair: impl Fn(usize) -> (usize, usize)) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for r in (0u16..).take_while(|&r| 1usize << r < size) {
+        let (to, from) = pair(1 << r);
+        let (to, from) = (to as Rank, from as Rank);
+        steps.extend([Step::Round(r, to), Step::Send(to), Step::Recv(from)]);
+    }
+    steps
+}
+
+/// The dissemination barrier: round `r` signals `me + 2^r` and waits for
+/// `me - 2^r`; the distinct partner per round keeps rounds apart.
+pub(crate) fn dissemination(size: usize, me: Rank) -> Vec<Step> {
+    let me = me as usize;
+    doubling(size, |d| ((me + d) % size, (me + size - d) % size))
+}
+
+/// Recursive doubling (power-of-two sizes): round `r` pairs `me ^ 2^r`.
+pub(crate) fn recursive_doubling(size: usize, me: Rank) -> Vec<Step> {
+    let me = me as usize;
+    doubling(size, |d| (me ^ d, me ^ d))
+}
+
+fn others(size: usize, me: Rank) -> impl Iterator<Item = Rank> {
+    (0..size as Rank).filter(move |&r| r != me)
+}
+
+/// Linear fan-in: every rank sends to `root`, which receives in rank order.
+pub(crate) fn fan_in(size: usize, me: Rank, root: Rank) -> Vec<Step> {
+    if me != root {
+        return vec![Step::Send(root)];
+    }
+    others(size, root).map(Step::Recv).collect()
+}
+
+/// Linear fan-out: `root` sends to every other rank in rank order.
+pub(crate) fn fan_out(size: usize, me: Rank, root: Rank) -> Vec<Step> {
+    if me != root {
+        return vec![Step::Recv(root)];
+    }
+    others(size, root).map(Step::Send).collect()
+}
+
+/// The pairwise exchange: send to every other rank, then receive from each.
+pub(crate) fn pairwise(size: usize, me: Rank) -> Vec<Step> {
+    let sends = others(size, me).map(Step::Send);
+    sends.chain(others(size, me).map(Step::Recv)).collect()
+}
+
+/// The ring: `size - 1` shifts, each sending right and receiving left.
+pub(crate) fn ring(size: usize, me: Rank) -> Vec<Step> {
+    let (right, left) = ((me as usize + 1) % size, (me as usize + size - 1) % size);
+    let shift = [Step::Send(right as Rank), Step::Recv(left as Rank)];
+    (1..size).flat_map(|_| shift).collect()
+}
+
+/// The chain: receive the prefix from the left neighbour, pass it right.
+pub(crate) fn chain(size: usize, me: Rank) -> Vec<Step> {
+    let left = me.checked_sub(1).map(Step::Recv);
+    let right = (me as usize + 1 < size).then(|| Step::Send(me + 1));
+    left.into_iter().chain(right).collect()
+}
+
+/// Contributions in rank order: `mine` at `me`, each receipt at its sender.
+fn by_rank(size: usize, me: Rank, mine: Vec<u8>, got: Receipts) -> Vec<Vec<u8>> {
+    let mut out = vec![Vec::new(); size];
+    for (r, bytes) in std::iter::once((me, mine)).chain(got) {
+        out[r as usize] = bytes;
+    }
+    out
 }
 
 impl Communicator {
-    // Collective-span tracing: every instrumented collective brackets the
-    // whole call with `CollBegin`/`CollEnd` and each communication round
-    // with `CollRoundBegin`/`CollRoundEnd`, all stamped on the endpoint's
-    // clock so they merge onto the message-span timeline and export as
-    // per-collective duration series from the beacon collector.
-    fn coll_begin(&self, kind: usize, epoch: u32) {
-        self.trace_coll(EventKind::CollBegin {
-            coll: kind as u8,
-            epoch,
-        });
+    /// The executor: run this rank's `sched` in `at`, returning the receipts
+    /// (which [`Payload::Combine`] folds instead). A traced call is bracketed
+    /// by `CollBegin`/`CollEnd`, each of its rounds by
+    /// `CollRoundBegin`/`CollRoundEnd`; untraced schedules have no rounds.
+    pub(crate) fn run(&mut self, sched: &[Step], at: Scope, mut payload: Payload) -> Receipts {
+        let global = |r: Rank| at.map.map_or(r, |m| m[r as usize]);
+        let (coll, epoch) = at.span.unwrap_or_default();
+        let (mut got, mut open) = (Receipts::new(), None);
+        self.mark(at, false);
+        for &step in sched {
+            match step {
+                Step::Round(round, peer) => {
+                    if let Some(round) = open.replace(round) {
+                        self.trace_coll(EventKind::CollRoundEnd { coll, epoch, round });
+                    }
+                    let begin = EventKind::CollRoundBegin {
+                        coll,
+                        epoch,
+                        round,
+                        peer,
+                    };
+                    self.trace_coll(begin);
+                }
+                Step::Send(to) => {
+                    let encoded;
+                    let bytes = match &payload {
+                        Payload::Forward(start) => got.last().map_or(*start, |(_, b)| b),
+                        Payload::Personal(chunks) => &chunks[to as usize],
+                        Payload::Combine(sum, _) => {
+                            encoded = f64s_to_bytes(sum.as_deref().unwrap_or_default());
+                            &encoded
+                        }
+                    };
+                    self.send_reserved(global(to), at.tag, bytes);
+                }
+                Step::Recv(from) => {
+                    let bytes = self.recv_reserved(global(from), at.tag);
+                    let Payload::Combine(sum, fold) = &mut payload else {
+                        got.push((from, bytes));
+                        continue;
+                    };
+                    if let Ok(acc) = &mut **sum {
+                        if let Err(e) = fold_in(acc, global(from), &bytes, *fold) {
+                            **sum = Err(e);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(round) = open {
+            self.trace_coll(EventKind::CollRoundEnd { coll, epoch, round });
+        }
+        self.mark(at, true);
+        got
     }
 
-    fn coll_end(&self, kind: usize, epoch: u32) {
-        self.trace_coll(EventKind::CollEnd {
-            coll: kind as u8,
-            epoch,
-        });
+    /// Trace the start, or with `end` the end, of a traced call.
+    fn mark(&self, at: Scope, end: bool) {
+        if let Some((coll, epoch)) = at.span {
+            self.trace_coll(match end {
+                false => EventKind::CollBegin { coll, epoch },
+                true => EventKind::CollEnd { coll, epoch },
+            });
+        }
     }
 
-    fn round_begin(&self, kind: usize, epoch: u32, round: u16, peer: Rank) {
-        self.trace_coll(EventKind::CollRoundBegin {
-            coll: kind as u8,
-            epoch,
-            round,
-            peer,
-        });
+    /// The next call of `kind` over the whole communicator, on its epoch's
+    /// tag, and traced when `traced`.
+    pub(crate) fn call(&mut self, kind: Kind, traced: bool) -> Scope<'static> {
+        let epoch = self.bump_epoch(kind);
+        let mut at = Scope::new(None, self.size(), self.rank(), coll_tag(kind.1, epoch));
+        at.span = traced.then_some((kind.0, epoch));
+        at
     }
 
-    fn round_end(&self, kind: usize, epoch: u32, round: u16) {
-        self.trace_coll(EventKind::CollRoundEnd {
-            coll: kind as u8,
-            epoch,
-            round,
-        });
-    }
-
-    /// This rank's collective spanning tree for `root`, when the wiring
-    /// makes a topology tree worthwhile (more than one switch). On a
-    /// single switch — or the mesh, where every pair is one hop — the
-    /// rank-space algorithms are already optimal and this returns `None`.
+    /// The topology spanning tree for `root`, with more than one switch.
     fn coll_tree(&self, root: Rank) -> Option<CollTree> {
         let topo = self.topology()?;
-        if topo.switches() <= 1 || topo.hosts() != self.size() {
-            return None;
-        }
-        Some(topo_tree(topo, self.size(), root, self.rank()))
+        let worthwhile = self.size() > 1 && topo.switches() > 1 && topo.hosts() == self.size();
+        worthwhile.then(|| topo_tree(topo, self.size(), root, self.rank()))
+    }
+
+    /// The topology tree for `root` where worthwhile, the binomial otherwise.
+    fn tree(&self, root: Rank) -> CollTree {
+        (self.coll_tree(root)).unwrap_or_else(|| binomial(self.size(), self.rank(), root))
     }
 
     /// Barrier: returns when every rank has entered. Switch-routed
@@ -243,127 +416,21 @@ impl Communicator {
     /// (each trunk crossed once per direction); otherwise the
     /// dissemination algorithm runs in `ceil(log2(size))` rounds.
     pub fn barrier(&mut self) {
-        let epoch = self.bump_epoch(KIND_BARRIER);
-        self.coll_begin(KIND_BARRIER, epoch);
-        self.barrier_rounds(epoch);
-        self.coll_end(KIND_BARRIER, epoch);
-    }
-
-    fn barrier_rounds(&mut self, epoch: u32) {
-        let size = self.size() as u32;
-        if size == 1 {
-            return;
-        }
-        let tag = coll_tag(TAG_BARRIER, epoch);
-        if let Some(tree) = self.coll_tree(0) {
-            // Round 0, fan-in: wait for the whole subtree, report up,
-            // wait for the release.
-            self.round_begin(KIND_BARRIER, epoch, 0, tree.parent.unwrap_or(NO_PEER));
-            for &c in &tree.children {
-                let _ = self.recv_reserved(c, tag);
-            }
-            if let Some(p) = tree.parent {
-                self.send_reserved(p, tag, &[]);
-                let _ = self.recv_reserved(p, tag);
-            }
-            self.round_end(KIND_BARRIER, epoch, 0);
-            // Round 1, fan-out: release the subtree.
-            self.round_begin(KIND_BARRIER, epoch, 1, NO_PEER);
-            for &c in &tree.children {
-                self.send_reserved(c, tag, &[]);
-            }
-            self.round_end(KIND_BARRIER, epoch, 1);
-            return;
-        }
-        let me = self.rank() as u32;
-        // Rounds share the epoch's tag; per-pair FIFO plus the distinct
-        // partner per round (distances 1, 2, 4, … < size are distinct
-        // mod size) make rounds unambiguous.
-        let mut dist = 1u32;
-        let mut round = 0u16;
-        while dist < size {
-            let to = ((me + dist) % size) as Rank;
-            let from = ((me + size - dist) % size) as Rank;
-            self.round_begin(KIND_BARRIER, epoch, round, to);
-            self.send_reserved(to, tag, &[]);
-            let _ = self.recv_reserved(from, tag);
-            self.round_end(KIND_BARRIER, epoch, round);
-            dist *= 2;
-            round += 1;
-        }
+        let sched = match self.coll_tree(0) {
+            Some(tree) => tree_barrier(&tree),
+            None => dissemination(self.size(), self.rank()),
+        };
+        let at = self.call(BARRIER, true);
+        self.run(&sched, at, Payload::Forward(&[]));
     }
 
     /// Broadcast `data` from `root`; every rank returns the root's bytes.
     /// Tree-shaped to the topology on switched clusters, binomial in rank
     /// space otherwise.
     pub fn bcast(&mut self, root: Rank, data: &[u8]) -> Vec<u8> {
-        let epoch = self.bump_epoch(KIND_BCAST);
-        self.coll_begin(KIND_BCAST, epoch);
-        let buf = self.bcast_rounds(root, data, epoch);
-        self.coll_end(KIND_BCAST, epoch);
-        buf
-    }
-
-    fn bcast_rounds(&mut self, root: Rank, data: &[u8], epoch: u32) -> Vec<u8> {
-        let size = self.size() as u32;
-        if size == 1 {
-            return data.to_vec();
-        }
-        let tag = coll_tag(TAG_BCAST, epoch);
-        let mut round = 0u16;
-        if let Some(tree) = self.coll_tree(root) {
-            let buf = match tree.parent {
-                None => data.to_vec(),
-                Some(p) => {
-                    self.round_begin(KIND_BCAST, epoch, round, p);
-                    let b = self.recv_reserved(p, tag);
-                    self.round_end(KIND_BCAST, epoch, round);
-                    round += 1;
-                    b
-                }
-            };
-            for &c in &tree.children {
-                self.round_begin(KIND_BCAST, epoch, round, c);
-                self.send_reserved(c, tag, &buf);
-                self.round_end(KIND_BCAST, epoch, round);
-                round += 1;
-            }
-            return buf;
-        }
-        let me = self.rank() as u32;
-        // Virtual rank with the root mapped to 0.
-        let vrank = (me + size - root as u32) % size;
-        let buf = if vrank == 0 {
-            data.to_vec()
-        } else {
-            // Receive from the parent: clear the lowest set bit.
-            let parent_v = vrank & (vrank - 1);
-            let parent = ((parent_v + root as u32) % size) as Rank;
-            self.round_begin(KIND_BCAST, epoch, round, parent);
-            let b = self.recv_reserved(parent, tag);
-            self.round_end(KIND_BCAST, epoch, round);
-            round += 1;
-            b
-        };
-        // Forward to children: set bits above the lowest set bit.
-        let lowest = if vrank == 0 {
-            size.next_power_of_two()
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut bit = 1u32;
-        while bit < lowest && bit < size {
-            let child_v = vrank | bit;
-            if child_v != vrank && child_v < size {
-                let child = ((child_v + root as u32) % size) as Rank;
-                self.round_begin(KIND_BCAST, epoch, round, child);
-                self.send_reserved(child, tag, &buf);
-                self.round_end(KIND_BCAST, epoch, round);
-                round += 1;
-            }
-            bit <<= 1;
-        }
-        buf
+        let (sched, at) = (fan_down(&self.tree(root)), self.call(BCAST, true));
+        let mut got = self.run(&sched, at, Payload::Forward(data));
+        got.pop().map_or_else(|| data.to_vec(), |(_, b)| b)
     }
 
     /// Element-wise reduction of `data` across all ranks; `root` returns
@@ -375,73 +442,10 @@ impl Communicator {
         data: &[f64],
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>, MpiError> {
-        let epoch = self.bump_epoch(KIND_REDUCE);
-        self.coll_begin(KIND_REDUCE, epoch);
-        let r = self.reduce_rounds(root, data, op, epoch);
-        self.coll_end(KIND_REDUCE, epoch);
-        r
-    }
-
-    fn reduce_rounds(
-        &mut self,
-        root: Rank,
-        data: &[f64],
-        op: ReduceOp,
-        epoch: u32,
-    ) -> Result<Option<Vec<f64>>, MpiError> {
-        let size = self.size() as u32;
-        let tag = coll_tag(TAG_REDUCE, epoch);
-        let mut acc = data.to_vec();
-        let mut round = 0u16;
-        if let Some(tree) = self.coll_tree(root) {
-            // Combine the whole subtree, then pass one payload up — the
-            // inverse of the bcast fan-out, so each trunk carries one
-            // combined contribution instead of one per descendant rank.
-            for &c in &tree.children {
-                self.round_begin(KIND_REDUCE, epoch, round, c);
-                let recvd = self.recv_reserved(c, tag);
-                self.round_end(KIND_REDUCE, epoch, round);
-                round += 1;
-                let theirs = bytes_to_f64s(c, &recvd)?;
-                combine(&mut acc, c, &theirs, op)?;
-            }
-            return match tree.parent {
-                Some(p) => {
-                    self.round_begin(KIND_REDUCE, epoch, round, p);
-                    self.send_reserved(p, tag, &f64s_to_bytes(&acc));
-                    self.round_end(KIND_REDUCE, epoch, round);
-                    Ok(None)
-                }
-                None => Ok(Some(acc)),
-            };
-        }
-        let me = self.rank() as u32;
-        let vrank = (me + size - root as u32) % size;
-        // Binomial tree, leaves first: at round `bit`, ranks with that bit
-        // set send to their parent and exit; others receive and merge.
-        let mut bit = 1u32;
-        while bit < size {
-            if vrank & bit != 0 {
-                let parent_v = vrank & !bit;
-                let parent = ((parent_v + root as u32) % size) as Rank;
-                self.round_begin(KIND_REDUCE, epoch, round, parent);
-                self.send_reserved(parent, tag, &f64s_to_bytes(&acc));
-                self.round_end(KIND_REDUCE, epoch, round);
-                return Ok(None);
-            }
-            let child_v = vrank | bit;
-            if child_v < size {
-                let child = ((child_v + root as u32) % size) as Rank;
-                self.round_begin(KIND_REDUCE, epoch, round, child);
-                let recvd = self.recv_reserved(child, tag);
-                self.round_end(KIND_REDUCE, epoch, round);
-                let theirs = bytes_to_f64s(child, &recvd)?;
-                combine(&mut acc, child, &theirs, op)?;
-            }
-            bit <<= 1;
-            round += 1;
-        }
-        Ok(Some(acc))
+        let (sched, at) = (fan_up(&self.tree(root)), self.call(REDUCE, true));
+        let (mut sum, fold) = (Ok(data.to_vec()), |a, b| op.apply(a, b));
+        self.run(&sched, at, Payload::Combine(&mut sum, &fold));
+        sum.map(|acc| (at.me == root).then_some(acc))
     }
 
     /// Reduction delivered to every rank. Power-of-two communicators run
@@ -449,110 +453,63 @@ impl Communicator {
     /// the depth of reduce + broadcast, and bit-identical results on every
     /// rank; other sizes reduce to rank 0 and broadcast.
     pub fn allreduce(&mut self, data: &[f64], op: ReduceOp) -> Result<Vec<f64>, MpiError> {
-        let size = self.size();
-        if size == 1 {
+        if self.size() == 1 {
             return Ok(data.to_vec());
         }
-        let epoch = self.bump_epoch(KIND_ALLREDUCE);
-        self.coll_begin(KIND_ALLREDUCE, epoch);
-        let r = self.allreduce_rounds(data, op, epoch);
-        self.coll_end(KIND_ALLREDUCE, epoch);
-        r
-    }
-
-    fn allreduce_rounds(
-        &mut self,
-        data: &[f64],
-        op: ReduceOp,
-        epoch: u32,
-    ) -> Result<Vec<f64>, MpiError> {
-        let size = self.size();
-        if size.is_power_of_two() {
-            let tag = coll_tag(TAG_ALLREDUCE, epoch);
-            let me = self.rank() as usize;
-            let mut acc = data.to_vec();
-            let mut dist = 1usize;
-            let mut round = 0u16;
-            while dist < size {
-                let partner = (me ^ dist) as Rank;
-                self.round_begin(KIND_ALLREDUCE, epoch, round, partner);
-                self.send_reserved(partner, tag, &f64s_to_bytes(&acc));
-                let recvd = self.recv_reserved(partner, tag);
-                self.round_end(KIND_ALLREDUCE, epoch, round);
-                let theirs = bytes_to_f64s(partner, &recvd)?;
-                combine(&mut acc, partner, &theirs, op)?;
-                dist <<= 1;
-                round += 1;
-            }
-            return Ok(acc);
+        let at = self.call(ALLREDUCE, true);
+        if at.size.is_power_of_two() {
+            let (mut sum, fold) = (Ok(data.to_vec()), |a, b| op.apply(a, b));
+            let sched = recursive_doubling(at.size, at.me);
+            self.run(&sched, at, Payload::Combine(&mut sum, &fold));
+            return sum;
         }
-        // Non-power-of-two: reduce + bcast, which emit their own spans
-        // nested inside this allreduce's begin/end bracket.
-        let result = self.reduce(0, data, op)?;
-        let bytes = self.bcast(0, &f64s_to_bytes(result.as_deref().unwrap_or(&[])));
-        bytes_to_f64s(0, &bytes)
+        // Reduce + bcast, whose own spans nest inside this call's.
+        self.mark(at, false);
+        let result = self.reduce(0, data, op).and_then(|sum| {
+            let bytes = self.bcast(0, &f64s_to_bytes(sum.as_deref().unwrap_or(&[])));
+            bytes_to_f64s(0, &bytes)
+        });
+        self.mark(at, true);
+        result
     }
 
     /// Gather every rank's bytes at `root` (rank order). `root` gets
     /// `Some(vec_of_contributions)`.
     pub fn gather(&mut self, root: Rank, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let epoch = self.bump_epoch(KIND_GATHER);
-        let tag = coll_tag(TAG_GATHER, epoch);
-        if self.rank() != root {
-            self.send_reserved(root, tag, data);
-            return None;
-        }
-        let mut out = vec![Vec::new(); self.size()];
-        out[root as usize] = data.to_vec();
-        for r in 0..self.size() as Rank {
-            if r != root {
-                out[r as usize] = self.recv_reserved(r, tag);
-            }
-        }
-        Some(out)
+        let at = self.call(GATHER, false);
+        self.gather_on(at, root, data)
     }
 
     /// Scatter one chunk per rank from `root`; returns this rank's chunk.
     /// `chunks` is only read at the root and must have `size` entries.
     pub fn scatter(&mut self, root: Rank, chunks: Option<&[Vec<u8>]>) -> Vec<u8> {
-        let epoch = self.bump_epoch(KIND_SCATTER);
-        let tag = coll_tag(TAG_SCATTER, epoch);
-        if self.rank() == root {
-            let chunks = chunks.expect("root must supply chunks");
-            assert_eq!(chunks.len(), self.size(), "one chunk per rank");
-            for r in 0..self.size() as Rank {
-                if r != root {
-                    self.send_reserved(r, tag, &chunks[r as usize]);
-                }
-            }
-            chunks[root as usize].clone()
-        } else {
-            self.recv_reserved(root, tag)
-        }
+        let at = self.call(SCATTER, false);
+        let chunks = match at.me == root {
+            true => chunks.expect("root must supply chunks"),
+            false => &[],
+        };
+        assert!(
+            at.me != root || chunks.len() == at.size,
+            "one chunk per rank"
+        );
+        let sched = fan_out(at.size, at.me, root);
+        let mut got = self.run(&sched, at, Payload::Personal(chunks));
+        got.pop()
+            .map_or_else(|| chunks[root as usize].clone(), |(_, b)| b)
     }
 
     /// Personalized all-to-all: `chunks[r]` goes to rank `r`; returns what
     /// every rank sent to us, in rank order.
     pub fn alltoall(&mut self, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        self.exchange(ALLTOALL, chunks)
+    }
+
+    /// The pairwise exchange behind `alltoall` and `alltoallv`.
+    pub(crate) fn exchange(&mut self, kind: Kind, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
         assert_eq!(chunks.len(), self.size(), "one chunk per rank");
-        let epoch = self.bump_epoch(KIND_ALLTOALL);
-        let tag = coll_tag(TAG_ALLTOALL, epoch);
-        let me = self.rank();
-        let mut out = vec![Vec::new(); self.size()];
-        out[me as usize] = chunks[me as usize].clone();
-        // Send everything, then receive everything; FM's windows plus the
-        // blocking-send service loop keep this deadlock-free.
-        for r in 0..self.size() as Rank {
-            if r != me {
-                self.send_reserved(r, tag, &chunks[r as usize]);
-            }
-        }
-        for r in 0..self.size() as Rank {
-            if r != me {
-                out[r as usize] = self.recv_reserved(r, tag);
-            }
-        }
-        out
+        let at = self.call(kind, false);
+        let got = self.run(&pairwise(at.size, at.me), at, Payload::Personal(chunks));
+        by_rank(at.size, at.me, chunks[at.me as usize].clone(), got)
     }
 
     /// The naive linear barrier: every rank reports to rank 0, which
@@ -561,85 +518,57 @@ impl Communicator {
     /// spanning-tree barrier against this; applications should call
     /// [`Communicator::barrier`].
     pub fn barrier_linear(&mut self) {
-        let epoch = self.bump_epoch(KIND_BARRIER);
-        if self.size() == 1 {
-            return;
-        }
-        let tag = coll_tag(TAG_BARRIER, epoch);
-        if self.rank() == 0 {
-            for r in 1..self.size() as Rank {
-                let _ = self.recv_reserved(r, tag);
-            }
-            for r in 1..self.size() as Rank {
-                self.send_reserved(r, tag, &[]);
-            }
-        } else {
-            self.send_reserved(0, tag, &[]);
-            let _ = self.recv_reserved(0, tag);
-        }
+        let at = self.call(BARRIER, false);
+        self.gather_on(at, 0, &[]);
+        self.bcast_on(at, 0, &[]);
     }
 
     /// The naive linear allreduce: every contribution goes straight to
     /// rank 0, which combines in rank order and unicasts the result back
     /// to each rank. **Baseline only** — see [`Communicator::barrier_linear`].
     pub fn allreduce_linear(&mut self, data: &[f64], op: ReduceOp) -> Result<Vec<f64>, MpiError> {
-        let epoch = self.bump_epoch(KIND_ALLREDUCE);
-        if self.size() == 1 {
-            return Ok(data.to_vec());
-        }
-        let tag = coll_tag(TAG_ALLREDUCE, epoch);
-        if self.rank() == 0 {
-            let mut acc = data.to_vec();
-            for r in 1..self.size() as Rank {
-                let theirs = bytes_to_f64s(r, &self.recv_reserved(r, tag))?;
-                combine(&mut acc, r, &theirs, op)?;
-            }
-            let bytes = f64s_to_bytes(&acc);
-            for r in 1..self.size() as Rank {
-                self.send_reserved(r, tag, &bytes);
-            }
-            Ok(acc)
-        } else {
-            self.send_reserved(0, tag, &f64s_to_bytes(data));
-            bytes_to_f64s(0, &self.recv_reserved(0, tag))
-        }
+        let at = self.call(ALLREDUCE, false);
+        self.allreduce_on(at, at.tag, data, op)
+    }
+
+    // The linear collectives, over the whole communicator for `gather`, the
+    // baselines and `split`, and over a group for every `Group` collective.
+    // A linear barrier gathers nothing to rank 0 and broadcasts it back.
+
+    pub(crate) fn bcast_on(&mut self, at: Scope, root: Rank, data: &[u8]) -> Vec<u8> {
+        let sched = fan_out(at.size, at.me, root);
+        let mut got = self.run(&sched, at, Payload::Forward(data));
+        got.pop().map_or_else(|| data.to_vec(), |(_, b)| b)
+    }
+
+    pub(crate) fn gather_on(&mut self, at: Scope, root: Rank, data: &[u8]) -> Option<Vec<Vec<u8>>> {
+        let got = self.run(&fan_in(at.size, at.me, root), at, Payload::Forward(data));
+        (at.me == root).then(|| by_rank(at.size, root, data.to_vec(), got))
+    }
+
+    /// Linear allreduce: contributions fan in to rank 0, which folds them in
+    /// rank order, and the result fans back out on tag `out`.
+    pub(crate) fn allreduce_on(
+        &mut self,
+        at: Scope,
+        out: Tag,
+        data: &[f64],
+        op: ReduceOp,
+    ) -> Result<Vec<f64>, MpiError> {
+        let (mut sum, fold) = (Ok(data.to_vec()), |a, b| op.apply(a, b));
+        let sched = fan_in(at.size, at.me, 0);
+        self.run(&sched, at, Payload::Combine(&mut sum, &fold));
+        let bytes = self.bcast_on(Scope { tag: out, ..at }, 0, &f64s_to_bytes(&sum?));
+        bytes_to_f64s(at.map.map_or(0, |m| m[0]), &bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MpiCluster, MpiError, ReduceOp, Tag};
-
-    /// Run `f` on every rank of an `n`-rank cluster, collecting results.
-    fn run_ranks<T: Send + 'static>(
-        n: usize,
-        f: impl Fn(&mut crate::Communicator) -> T + Send + Sync + Clone + 'static,
-    ) -> Vec<T> {
-        run_comms(MpiCluster::new(n), f)
-    }
-
-    fn run_comms<T: Send + 'static>(
-        comms: Vec<crate::Communicator>,
-        f: impl Fn(&mut crate::Communicator) -> T + Send + Sync + Clone + 'static,
-    ) -> Vec<T> {
-        let mut handles = Vec::new();
-        for mut c in comms {
-            let f = f.clone();
-            handles.push(std::thread::spawn(move || {
-                let out = f(&mut c);
-                // Give trailing acks a chance to drain.
-                for _ in 0..5 {
-                    c.progress();
-                    std::thread::yield_now();
-                }
-                (c.rank(), out)
-            }));
-        }
-        let mut results: Vec<(u16, T)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        results.sort_by_key(|(r, _)| *r);
-        results.into_iter().map(|(_, t)| t).collect()
-    }
+    use crate::testing::run_ranks;
+    use crate::{MpiError, ReduceOp, Tag};
+    use std::collections::VecDeque;
 
     #[test]
     fn collectives_emit_balanced_spans() {
@@ -941,6 +870,138 @@ mod tests {
                 }
             }
             assert_eq!(seen.len(), 15, "root {root} spans all other ranks");
+        }
+    }
+
+    /// Every rank's schedule, run symbolically on one thread: per-(src, dst)
+    /// FIFO queues (`queues[src * n + dst]`, empty on entry and on exit)
+    /// carry the set of ranks whose contribution a message holds, one bit
+    /// each. With `combine` a send carries all the rank holds, otherwise the
+    /// newest receipt (or the rank's own bit before one). Panics on a
+    /// deadlock or a message left queued. Returns, per rank, the union of
+    /// its own bit and every receipt, its newest holding, and its receipt
+    /// count.
+    fn simulate(
+        scheds: &[Vec<Step>],
+        combine: bool,
+        queues: &mut [VecDeque<u64>],
+    ) -> Vec<(u64, u64, usize)> {
+        let n = scheds.len();
+        let mut pc = vec![0; n];
+        let mut held: Vec<_> = (0..n).map(|r| (1 << r, 1 << r, 0)).collect();
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for (r, sched) in scheds.iter().enumerate() {
+                while let Some(&step) = sched.get(pc[r]) {
+                    let (all, newest, count) = &mut held[r];
+                    match step {
+                        Step::Round(..) => {}
+                        Step::Send(to) => {
+                            assert_ne!(to as usize, r, "rank {r} sends to itself");
+                            let bits = if combine { *all } else { *newest };
+                            queues[r * n + to as usize].push_back(bits);
+                        }
+                        Step::Recv(from) => {
+                            let Some(bits) = queues[from as usize * n + r].pop_front() else {
+                                break;
+                            };
+                            (*all, *newest, *count) = (*all | bits, bits, *count + 1);
+                        }
+                    }
+                    pc[r] += 1;
+                    progressed = true;
+                }
+            }
+        }
+        for (r, sched) in scheds.iter().enumerate() {
+            assert_eq!(pc[r], sched.len(), "rank {r} deadlocked at step {}", pc[r]);
+        }
+        if let Some(q) = queues.iter().position(|q| !q.is_empty()) {
+            panic!(
+                "a message from rank {} to rank {} was left queued",
+                q / n,
+                q % n
+            );
+        }
+        held
+    }
+
+    /// Every algorithm, for every size from 1 to 64 and every root, with the
+    /// topology trees over a chain of 3-host switches and over the wide
+    /// wiring: no deadlock, nothing left queued, a bcast (or scatter)
+    /// reaching every rank exactly once, and every rank that must hold all
+    /// contributions (the reduce or gather root, every barrier and
+    /// allreduce rank) holding all of them. No FM, no threads.
+    #[test]
+    fn every_schedule_completes_and_delivers() {
+        for n in 1..=64usize {
+            let all = u64::MAX >> (64 - n);
+            let mut queues = vec![VecDeque::new(); n * n];
+            let mut run = |sched: &dyn Fn(Rank) -> Vec<Step>, combine| {
+                let scheds: Vec<_> = (0..n as Rank).map(sched).collect();
+                simulate(&scheds, combine, &mut queues)
+            };
+            let topos = [
+                SwitchTopology::chain(n, 3, 8),
+                SwitchTopology::for_cluster_wide(n),
+            ];
+            let linear_barrier = |me| [fan_in(n, me, 0), fan_out(n, me, 0)].concat();
+            let mut everyone = vec![
+                ("dissemination", run(&|me| dissemination(n, me), true)),
+                ("linear barrier", run(&linear_barrier, true)),
+                ("pairwise", run(&|me| pairwise(n, me), false)),
+                ("ring", run(&|me| ring(n, me), false)),
+            ];
+            if n.is_power_of_two() {
+                everyone.push((
+                    "recursive doubling",
+                    run(&|me| recursive_doubling(n, me), true),
+                ));
+            }
+            for topo in &topos {
+                let tree_barrier = |me| tree_barrier(&topo_tree(topo, n, 0, me));
+                everyone.push(("tree barrier", run(&tree_barrier, true)));
+            }
+            for (name, held) in everyone {
+                for (r, &(bits, _, _)) in held.iter().enumerate() {
+                    assert_eq!(bits, all, "{name}: n={n} rank {r} missed a contribution");
+                }
+            }
+            for (i, &(bits, _, _)) in run(&|me| chain(n, me), true).iter().enumerate() {
+                assert_eq!(bits, u64::MAX >> (63 - i), "scan: n={n} rank {i}");
+            }
+            let once = |root: Rank, held: Vec<(u64, u64, usize)>, name: &str| {
+                for (r, &(_, newest, count)) in held.iter().enumerate() {
+                    let from_root = (newest, count) == (1 << root, (r != root as usize) as usize);
+                    assert!(
+                        from_root,
+                        "{name}: n={n} root={root} rank {r}: {count} receipts"
+                    );
+                }
+            };
+            for root in 0..n as Rank {
+                let mut trees: Vec<Vec<CollTree>> = (topos.iter())
+                    .map(|topo| {
+                        (0..n as Rank)
+                            .map(|me| topo_tree(topo, n, root, me))
+                            .collect()
+                    })
+                    .collect();
+                trees.push((0..n as Rank).map(|me| binomial(n, me, root)).collect());
+                for tree in trees {
+                    let reduce = run(&|me| fan_up(&tree[me as usize]), true);
+                    assert_eq!(reduce[root as usize].0, all, "reduce: n={n} root={root}");
+                    once(
+                        root,
+                        run(&|me| fan_down(&tree[me as usize]), false),
+                        "bcast",
+                    );
+                }
+                let gather = run(&|me| fan_in(n, me, root), false);
+                assert_eq!(gather[root as usize].0, all, "gather: n={n} root={root}");
+                once(root, run(&|me| fan_out(n, me, root), false), "scatter");
+            }
         }
     }
 }

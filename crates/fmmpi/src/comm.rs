@@ -10,7 +10,7 @@ use fm_core::{
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use crate::collectives::N_COLL_KINDS;
+use crate::collectives::{Kind, N_COLL_KINDS};
 use crate::matching::{Envelope, MatchQueue, ENVELOPE_BYTES};
 use crate::{Rank, Tag};
 
@@ -463,9 +463,9 @@ impl Communicator {
 
     /// Next epoch for one collective kind (post-increment; wraps within
     /// the kind's tag sub-space at use time, see `collectives::coll_tag`).
-    pub(crate) fn bump_epoch(&mut self, kind: usize) -> u32 {
-        let e = self.epochs[kind];
-        self.epochs[kind] = e.wrapping_add(1);
+    pub(crate) fn bump_epoch(&mut self, kind: Kind) -> u32 {
+        let e = self.epochs[kind.0 as usize];
+        self.epochs[kind.0 as usize] = e.wrapping_add(1);
         e
     }
 

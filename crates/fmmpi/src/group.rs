@@ -4,16 +4,17 @@
 //! A [`Group`] is a view over the parent communicator: a sorted member
 //! list, this process's index within it, and a *context id* that keeps the
 //! group's internal traffic (reserved tags) from ever matching another
-//! group's. Group collectives use simple robust algorithms (linear trees
-//! and rings) — groups are typically small; the log-depth versions live on
-//! the full communicator in [`crate::collectives`].
+//! group's. Group collectives run the linear schedules of
+//! [`crate::collectives`] over the member list — groups are typically
+//! small; the log-depth versions live on the full communicator.
 
-use crate::collectives::{bytes_to_f64s, combine, f64s_to_bytes};
+use crate::collectives::{coll_tag, Scope, TAG_GROUP};
 use crate::comm::{Communicator, ReduceOp};
 use crate::{MpiError, Rank, Tag};
 
-/// Tag space for group-scoped traffic: `BASE + context * STRIDE + op`.
-const GROUP_TAG_BASE: u32 = Tag::RESERVED + 0xA000;
+/// Group traffic uses tag `context * STRIDE + op` of the group sub-space.
+/// Contexts past `COLL_SPAN / STRIDE` wrap around inside it, which is safe:
+/// the groups of one split are disjoint.
 const GROUP_TAG_STRIDE: u32 = 8;
 const OP_SPLIT: u32 = 0;
 const OP_BARRIER: u32 = 1;
@@ -54,46 +55,22 @@ impl Group {
     }
 
     fn tag(&self, op: u32) -> Tag {
-        Tag(GROUP_TAG_BASE + self.context * GROUP_TAG_STRIDE + op)
+        coll_tag(TAG_GROUP, self.context.wrapping_mul(GROUP_TAG_STRIDE) + op)
     }
 
-    /// Linear-chain barrier within the group: gather-to-leader then
-    /// release.
+    fn scope(&self, op: u32) -> Scope<'_> {
+        Scope::new(Some(&self.members), self.size(), self.rank(), self.tag(op))
+    }
+
+    /// Linear barrier within the group: gather-to-leader then release.
     pub fn barrier(&self, comm: &mut Communicator) {
-        if self.size() <= 1 {
-            return;
-        }
-        let tag = self.tag(OP_BARRIER);
-        let leader = self.global(0);
-        if self.my_index == 0 {
-            for gr in 1..self.size() as Rank {
-                let _ = comm.recv_reserved(self.global(gr), tag);
-            }
-            for gr in 1..self.size() as Rank {
-                comm.send_reserved(self.global(gr), tag, &[]);
-            }
-        } else {
-            comm.send_reserved(leader, tag, &[]);
-            let _ = comm.recv_reserved(leader, tag);
-        }
+        comm.gather_on(self.scope(OP_BARRIER), 0, &[]);
+        comm.bcast_on(self.scope(OP_BARRIER), 0, &[]);
     }
 
     /// Broadcast from group rank `root` (linear fan-out).
     pub fn bcast(&self, comm: &mut Communicator, root: Rank, data: &[u8]) -> Vec<u8> {
-        if self.size() <= 1 {
-            return data.to_vec();
-        }
-        let tag = self.tag(OP_BCAST);
-        if self.rank() == root {
-            for gr in 0..self.size() as Rank {
-                if gr != root {
-                    comm.send_reserved(self.global(gr), tag, data);
-                }
-            }
-            data.to_vec()
-        } else {
-            comm.recv_reserved(self.global(root), tag)
-        }
+        comm.bcast_on(self.scope(OP_BCAST), root, data)
     }
 
     /// Reduce to group rank 0 (linear gather), then broadcast — an
@@ -105,36 +82,12 @@ impl Group {
         data: &[f64],
         op: ReduceOp,
     ) -> Result<Vec<f64>, MpiError> {
-        let tag = self.tag(OP_REDUCE);
-        let mut acc = data.to_vec();
-        if self.my_index == 0 {
-            for gr in 1..self.size() as Rank {
-                let src = self.global(gr);
-                let theirs = bytes_to_f64s(src, &comm.recv_reserved(src, tag))?;
-                combine(&mut acc, src, &theirs, op)?;
-            }
-        } else {
-            comm.send_reserved(self.global(0), tag, &f64s_to_bytes(&acc));
-        }
-        let out = self.bcast(comm, 0, &f64s_to_bytes(&acc));
-        bytes_to_f64s(self.global(0), &out)
+        comm.allreduce_on(self.scope(OP_REDUCE), self.tag(OP_BCAST), data, op)
     }
 
     /// Gather members' bytes at group rank `root` (group-rank order).
     pub fn gather(&self, comm: &mut Communicator, root: Rank, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let tag = self.tag(OP_GATHER);
-        if self.rank() != root {
-            comm.send_reserved(self.global(root), tag, data);
-            return None;
-        }
-        let mut out = vec![Vec::new(); self.size()];
-        out[root as usize] = data.to_vec();
-        for gr in 0..self.size() as Rank {
-            if gr != root {
-                out[gr as usize] = comm.recv_reserved(self.global(gr), tag);
-            }
-        }
-        Some(out)
+        comm.gather_on(self.scope(OP_GATHER), root, data)
     }
 }
 
@@ -148,63 +101,26 @@ impl Communicator {
     /// the same context — adequate for the test/application patterns here
     /// (full context management is MPI-runtime territory).
     pub fn split(&mut self, color: u32, key: i32) -> Group {
-        let n = self.size();
-        let me = self.rank();
-        let tag = Tag(GROUP_TAG_BASE + OP_SPLIT);
-        // All-to-all exchange of (color, key): everyone sends to rank 0,
-        // rank 0 broadcasts the table. Simple and collective-safe.
-        let mine = {
-            let mut v = Vec::with_capacity(8);
-            v.extend_from_slice(&color.to_le_bytes());
-            v.extend_from_slice(&key.to_le_bytes());
-            v
+        let (n, me) = (self.size(), self.rank());
+        // Every rank's (color, key) fans in to rank 0, which fans the
+        // table back out.
+        let at = Scope::new(None, n, me, coll_tag(TAG_GROUP, OP_SPLIT));
+        let rows = self.gather_on(at, 0, &[color.to_le_bytes(), key.to_le_bytes()].concat());
+        let table = self.bcast_on(at, 0, &rows.map_or_else(Vec::new, |rows| rows.concat()));
+        let word = |r: Rank, at: usize| -> [u8; 4] {
+            table[r as usize * 8 + at..][..4].try_into().expect("4B")
         };
-        let table: Vec<(u32, i32)> = if me == 0 {
-            let mut table = vec![(0u32, 0i32); n];
-            table[0] = (color, key);
-            for r in 1..n as Rank {
-                let b = self.recv_reserved(r, tag);
-                table[r as usize] = (
-                    u32::from_le_bytes(b[0..4].try_into().expect("4B")),
-                    i32::from_le_bytes(b[4..8].try_into().expect("4B")),
-                );
-            }
-            let flat: Vec<u8> = table
-                .iter()
-                .flat_map(|(c, k)| {
-                    let mut v = c.to_le_bytes().to_vec();
-                    v.extend_from_slice(&k.to_le_bytes());
-                    v
-                })
-                .collect();
-            for r in 1..n as Rank {
-                self.send_reserved(r, tag, &flat);
-            }
-            table
-        } else {
-            self.send_reserved(0, tag, &mine);
-            let flat = self.recv_reserved(0, tag);
-            flat.chunks_exact(8)
-                .map(|c| {
-                    (
-                        u32::from_le_bytes(c[0..4].try_into().expect("4B")),
-                        i32::from_le_bytes(c[4..8].try_into().expect("4B")),
-                    )
-                })
-                .collect()
-        };
-
+        let color_of = |r| u32::from_le_bytes(word(r, 0));
+        let key_of = |r| i32::from_le_bytes(word(r, 4));
         // Members of my color, sorted by (key, global rank).
-        let mut members: Vec<Rank> = (0..n as Rank)
-            .filter(|&r| table[r as usize].0 == color)
-            .collect();
-        members.sort_by_key(|&r| (table[r as usize].1, r));
+        let mut members: Vec<Rank> = (0..n as Rank).filter(|&r| color_of(r) == color).collect();
+        members.sort_by_key(|&r| (key_of(r), r));
         let my_index = members
             .iter()
             .position(|&r| r == me)
             .expect("caller is in its own color group");
         // Context: the color's index among the distinct colors present.
-        let mut colors: Vec<u32> = table.iter().map(|(c, _)| *c).collect();
+        let mut colors: Vec<u32> = (0..n as Rank).map(color_of).collect();
         colors.sort_unstable();
         colors.dedup();
         let context = colors.iter().position(|&c| c == color).expect("present") as u32;
@@ -219,34 +135,7 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MpiCluster;
-
-    fn run_ranks<T: Send + 'static>(
-        n: usize,
-        f: impl Fn(&mut Communicator) -> T + Send + Sync + Clone + 'static,
-    ) -> Vec<T> {
-        let comms = MpiCluster::new(n);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut c| {
-                let f = f.clone();
-                std::thread::spawn(move || {
-                    let out = f(&mut c);
-                    for _ in 0..5 {
-                        c.progress();
-                        std::thread::yield_now();
-                    }
-                    (c.rank(), out)
-                })
-            })
-            .collect();
-        let mut results: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("rank"))
-            .collect();
-        results.sort_by_key(|(r, _)| *r);
-        results.into_iter().map(|(_, t)| t).collect()
-    }
+    use crate::testing::run_ranks;
 
     #[test]
     fn split_even_odd_groups() {
@@ -317,6 +206,30 @@ mod tests {
         });
         for (size, v) in out {
             assert_eq!((size, v), (1, 7.0));
+        }
+    }
+
+    /// A split with more than 512 colors must not push group traffic out of
+    /// the group sub-space: at context 512 the old layout reached the
+    /// allreduce tags, and from 3072 on it overflowed into user tags. No
+    /// threads: the tags are pure arithmetic.
+    #[test]
+    fn group_tags_stay_inside_the_group_subspace() {
+        use crate::collectives::{COLL_SPAN, TAG_GROUP};
+        for context in [511, 512, 3072] {
+            let group = Group {
+                members: vec![0],
+                my_index: 0,
+                context,
+            };
+            for op in [OP_SPLIT, OP_BARRIER, OP_BCAST, OP_REDUCE, OP_GATHER] {
+                let tag = group.tag(op);
+                let inside = (TAG_GROUP..TAG_GROUP + COLL_SPAN).contains(&tag.0);
+                assert!(
+                    !tag.is_user() && inside,
+                    "context {context} op {op}: {tag:?}"
+                );
+            }
         }
     }
 }

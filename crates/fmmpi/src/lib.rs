@@ -115,6 +115,41 @@ impl Tag {
     }
 }
 
+/// The rank harness of the unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::{Communicator, MpiCluster};
+
+    /// Run `f` on every rank of an `n`-rank mesh cluster, each on its own
+    /// thread, and collect the results in rank order.
+    pub(crate) fn run_ranks<T: Send + 'static>(
+        n: usize,
+        f: impl Fn(&mut Communicator) -> T + Send + Sync + Clone + 'static,
+    ) -> Vec<T> {
+        let handles: Vec<_> = MpiCluster::new(n)
+            .into_iter()
+            .map(|mut c| {
+                let f = f.clone();
+                std::thread::spawn(move || {
+                    let out = f(&mut c);
+                    // Give trailing acks a chance to drain.
+                    for _ in 0..5 {
+                        c.progress();
+                        std::thread::yield_now();
+                    }
+                    (c.rank(), out)
+                })
+            })
+            .collect();
+        let mut results: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("rank"))
+            .collect();
+        results.sort_by_key(|(r, _)| *r);
+        results.into_iter().map(|(_, t)| t).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

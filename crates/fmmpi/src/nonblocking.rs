@@ -7,18 +7,10 @@
 //! exposed as [`RecvRequest`]: post it, compute, then `wait`/`test`.
 
 use crate::collectives::{
-    bytes_to_f64s, coll_tag, f64s_to_bytes, KIND_ALLGATHER, KIND_ALLTOALLV, KIND_SCAN,
+    chain, coll_tag, ring, Payload, ALLGATHER, ALLTOALLV, SCAN, TAG_SENDRECV,
 };
 use crate::comm::{Communicator, ReduceOp};
 use crate::{MpiError, Rank, Tag};
-
-/// Internal tag space for the second-tier collectives (distinct from the
-/// spaces used in `collectives.rs`). Like those, each kind owns a
-/// `COLL_SPAN`-tag sub-space and per-call epochs wrap within it.
-const TAG_ALLGATHER: u32 = Tag::RESERVED + 0x6000;
-const TAG_ALLTOALLV: u32 = Tag::RESERVED + 0x7000;
-const TAG_SCAN: u32 = Tag::RESERVED + 0x8000;
-const TAG_SENDRECV: u32 = Tag::RESERVED + 0x9000;
 
 /// A posted receive: a match pattern waiting for its message.
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +50,7 @@ impl Communicator {
     /// dedicated exchange space.
     pub fn sendrecv(&mut self, dest: Rank, src: Rank, tag: Tag, data: &[u8]) -> Vec<u8> {
         assert!(tag.is_user());
-        let t = Tag(TAG_SENDRECV + tag.0 % 0x0FFF);
+        let t = coll_tag(TAG_SENDRECV, tag.0 % 0x0FFF);
         self.send_reserved(dest, t, data);
         self.recv_reserved(src, t)
     }
@@ -66,47 +58,20 @@ impl Communicator {
     /// Every rank contributes `data`; every rank gets all contributions in
     /// rank order (ring algorithm: size-1 shifts).
     pub fn allgather(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        let n = self.size();
-        let me = self.rank() as usize;
-        let mut out = vec![Vec::new(); n];
-        out[me] = data.to_vec();
-        if n == 1 {
-            return out;
-        }
-        let right = ((me + 1) % n) as Rank;
-        let left = ((me + n - 1) % n) as Rank;
-        let tag = coll_tag(TAG_ALLGATHER, self.bump_epoch(KIND_ALLGATHER));
-        // Pass blocks around the ring; step k forwards the block that
-        // originated k hops to the left.
-        let mut carry = data.to_vec();
-        for step in 0..n - 1 {
-            self.send_reserved(right, tag, &carry);
-            carry = self.recv_reserved(left, tag);
-            let origin = (me + n - 1 - step) % n;
-            out[origin] = carry.clone();
-        }
+        let at = self.call(ALLGATHER, false);
+        let got = self.run(&ring(at.size, at.me), at, Payload::Forward(data));
+        // Shift k brings the block of the rank k + 1 to the left: reversed,
+        // the receipts follow `data` in rank order from `me + 1` on.
+        let rest = got.into_iter().rev().map(|(_, block)| block);
+        let mut out: Vec<Vec<u8>> = std::iter::once(data.to_vec()).chain(rest).collect();
+        out.rotate_right(at.me as usize);
         out
     }
 
     /// Personalized all-to-all with per-destination sizes (`chunks[r]`
     /// goes to rank `r`; chunks may have different lengths).
     pub fn alltoallv(&mut self, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        assert_eq!(chunks.len(), self.size(), "one chunk per rank");
-        let me = self.rank();
-        let tag = coll_tag(TAG_ALLTOALLV, self.bump_epoch(KIND_ALLTOALLV));
-        let mut out = vec![Vec::new(); self.size()];
-        out[me as usize] = chunks[me as usize].clone();
-        for r in 0..self.size() as Rank {
-            if r != me {
-                self.send_reserved(r, tag, &chunks[r as usize]);
-            }
-        }
-        for r in 0..self.size() as Rank {
-            if r != me {
-                out[r as usize] = self.recv_reserved(r, tag);
-            }
-        }
-        out
+        self.exchange(ALLTOALLV, chunks)
     }
 
     /// Inclusive prefix reduction: rank `i` returns `op` applied over the
@@ -114,60 +79,19 @@ impl Communicator {
     /// inherently sequential; the pipeline overlaps across elements). A
     /// malformed or wrong-length upstream prefix surfaces as [`MpiError`].
     pub fn scan(&mut self, data: &[f64], op: ReduceOp) -> Result<Vec<f64>, MpiError> {
-        let me = self.rank();
-        let tag = coll_tag(TAG_SCAN, self.bump_epoch(KIND_SCAN));
-        let mut acc = data.to_vec();
-        if me > 0 {
-            let prev = bytes_to_f64s(me - 1, &self.recv_reserved(me - 1, tag))?;
-            if prev.len() != acc.len() {
-                return Err(MpiError::LengthMismatch {
-                    src: me - 1,
-                    got: prev.len(),
-                    expect: acc.len(),
-                });
-            }
-            for (a, v) in acc.iter_mut().zip(prev) {
-                *a = op.apply(v, *a);
-            }
-        }
-        if (me as usize) + 1 < self.size() {
-            self.send_reserved(me + 1, tag, &f64s_to_bytes(&acc));
-        }
-        Ok(acc)
+        let at = self.call(SCAN, false);
+        // The prefix from the left is the left operand.
+        let (mut sum, fold) = (Ok(data.to_vec()), |mine, prefix| op.apply(prefix, mine));
+        let sched = chain(at.size, at.me);
+        self.run(&sched, at, Payload::Combine(&mut sum, &fold));
+        sum
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MpiCluster;
-
-    fn run_ranks<T: Send + 'static>(
-        n: usize,
-        f: impl Fn(&mut Communicator) -> T + Send + Sync + Clone + 'static,
-    ) -> Vec<T> {
-        let comms = MpiCluster::new(n);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut c| {
-                let f = f.clone();
-                std::thread::spawn(move || {
-                    let out = f(&mut c);
-                    for _ in 0..5 {
-                        c.progress();
-                        std::thread::yield_now();
-                    }
-                    (c.rank(), out)
-                })
-            })
-            .collect();
-        let mut results: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("rank"))
-            .collect();
-        results.sort_by_key(|(r, _)| *r);
-        results.into_iter().map(|(_, t)| t).collect()
-    }
+    use crate::testing::run_ranks;
 
     #[test]
     fn irecv_test_then_wait() {

@@ -1,10 +1,12 @@
 //! # fm-testbed — the simulated SPARCstation/Myrinet testbed
 //!
 //! Composes the hardware substrates (`fm-des`, `fm-myrinet`, `fm-sbus`,
-//! `fm-lanai`) and the FM protocol machinery (`fm-core::flow`) into the
-//! two-workstation testbed of the paper, and runs its experiments:
-//! ping-pong latency (50 round trips, halved) and streaming bandwidth
-//! (65 535 packets), exactly as Section 4.1 specifies.
+//! `fm-lanai`) into the two-workstation testbed of the paper, with FM's
+//! layers (flow control included) priced by their own costs in [`sim`],
+//! and runs its experiments: ping-pong latency (50 round trips, halved) and
+//! streaming bandwidth (65 535 packets), exactly as Section 4.1 specifies.
+//! The overload, loss and scale harnesses run `fm-core`'s `EndpointCore`
+//! itself on virtual time.
 //!
 //! ## Simulation method
 //!
