@@ -51,9 +51,8 @@ pub enum SendError {
     /// Payload exceeds [`FM_FRAME_PAYLOAD`]. Use the segmentation layer.
     TooLarge { len: usize },
     /// The destination exhausted its retransmission retry budget and has
-    /// been declared dead. Sends to it fail fast until the peer is revived
-    /// with [`EndpointCore::revive_peer`]; traffic to other peers is
-    /// unaffected.
+    /// been declared dead. Sends to it fail fast until both ends call
+    /// [`EndpointCore::reset_peer`]; traffic to other peers is unaffected.
     PeerUnreachable(NodeId),
 }
 
@@ -92,7 +91,7 @@ pub struct EndpointStats {
     pub rejected: u64,
     /// Our own frames that came back bounced.
     pub bounced: u64,
-    /// Ack slots processed (piggybacked or standalone).
+    /// Acks processed (piggybacked or standalone), stale ones included.
     pub acks_received: u64,
     /// Standalone ack frames we emitted.
     pub ack_frames_sent: u64,
@@ -132,9 +131,10 @@ pub struct EndpointStats {
     pub peer_resets: u64,
     /// Peers declared dead after exhausting their retry budget.
     pub dead_peers: u64,
-    /// Acks refused for a slot wider than the 10-bit ack word (the frame
-    /// stays unacked; the sender's timer recovers it).
-    pub invalid_ack_slots: u64,
+    /// Acks that named no frame outstanding to their sender (a re-ack of
+    /// a frame already freed, or an ack that outlived its frame); they
+    /// free nothing.
+    pub stale_acks: u64,
     /// Reorder-window parks refused (out of window or double; bounced).
     pub seq_buffer_misuse: u64,
 }
@@ -273,23 +273,23 @@ pub const GAP_REPAIR_ACKS: u32 = 3;
 /// from there, so queueing it — or queueing it again — copies nothing.
 #[derive(Debug, Clone, Copy)]
 enum OutEntry {
-    /// The data frame held in window slot `slot`, to leave for `dst` with
-    /// `piggy` attached. If the send that got generation `gen` no longer
-    /// holds the slot by then (a late ack overtook a queued resend), only
-    /// the acks go, as a standalone frame.
+    /// Data frame `seq` to `dst`, held in window slot `slot`, to leave with
+    /// `piggy` attached. If the slot no longer holds that frame by then (a
+    /// late ack overtook a queued resend), only the acks go, as a
+    /// standalone frame.
     Data {
         dst: NodeId,
         slot: u16,
-        gen: u8,
+        seq: u32,
         piggy: PiggyAcks,
     },
     /// A standalone acknowledgement, whole.
-    Ack { dst: NodeId, words: PiggyAcks },
+    Ack { dst: NodeId, acks: PiggyAcks },
     /// The oldest image in `returns`.
     Return,
 }
 
-const _: () = assert!(std::mem::size_of::<OutEntry>() <= 16);
+const _: () = assert!(std::mem::size_of::<OutEntry>() <= 24);
 
 /// What hole repair knows about the frame occupying one window slot.
 #[derive(Debug, Clone, Copy)]
@@ -381,8 +381,9 @@ pub struct EndpointCore {
     /// Unacknowledged data frames per destination (indexed by `NodeId.0`)
     /// as `(seq, slot)` in sequence order: one entry per window slot held
     /// toward that peer, removed by the ack that frees the slot. An ack
-    /// that frees anything but the front has overtaken every entry before
-    /// it — the signal hole repair counts.
+    /// names its frame by seq and is resolved here; one that frees
+    /// anything but the front has overtaken every entry before it — the
+    /// signal hole repair counts.
     send_order: Vec<VecDeque<(u32, u16)>>,
     /// Hole-repair state per window slot (indexed by slot id).
     slot_flow: Vec<SlotFlow>,
@@ -637,7 +638,10 @@ impl EndpointCore {
 
     /// True when this endpoint holds no protocol state that still needs the
     /// network: nothing outstanding, nothing queued, nothing to extract,
-    /// nothing parked in a reorder buffer.
+    /// nothing parked in a reorder buffer. The verdict is local: a sender
+    /// whose frames were all acked reads quiescent while its peer may still
+    /// hold some of them parked behind a hole, so a cluster is quiescent
+    /// only when every endpoint is.
     pub fn is_quiescent(&self) -> bool {
         self.sender.outstanding() == 0
             && self.outgoing.is_empty()
@@ -648,57 +652,5 @@ impl EndpointCore {
     }
 }
 
-/// Shared fixtures for the engine's unit tests (`send.rs`, `recv.rs`,
-/// `recovery.rs`): endpoint pairs and zero-latency wires between them.
 #[cfg(test)]
-mod testkit {
-    use super::*;
-    pub use crate::frame::{FrameKind, WireFrame};
-
-    pub fn pair() -> (EndpointCore, EndpointCore) {
-        (
-            EndpointCore::new(NodeId(0), EndpointConfig::default()),
-            EndpointCore::new(NodeId(1), EndpointConfig::default()),
-        )
-    }
-
-    /// Move `from`'s queued frames to `to`, losing those `lose` picks.
-    pub fn carry(
-        from: &mut EndpointCore,
-        to: &mut EndpointCore,
-        mut lose: impl FnMut(&WireFrame) -> bool,
-    ) -> bool {
-        let mut moved = false;
-        while let Some(f) = from.pop_outgoing() {
-            moved = true;
-            if !lose(&f) {
-                to.on_wire(f);
-            }
-        }
-        moved
-    }
-
-    /// Move every queued frame from `a` to `b` and vice versa until both
-    /// wires are empty (a zero-latency lossless network).
-    pub fn pump(a: &mut EndpointCore, b: &mut EndpointCore) {
-        while carry(a, b, |_| false) | carry(b, a, |_| false) {}
-    }
-
-    /// A sender/receiver pair with a sink handler on the receiver.
-    pub fn stream_pair(cfg: EndpointConfig) -> (EndpointCore, EndpointCore, HandlerId) {
-        let a = EndpointCore::new(NodeId(0), cfg);
-        let mut b = EndpointCore::new(NodeId(1), cfg);
-        let hid = b.register_handler(Box::new(|_, _, _| {}));
-        (a, b, hid)
-    }
-
-    pub fn send_n(a: &mut EndpointCore, hid: HandlerId, n: usize) {
-        for _ in 0..n {
-            a.try_send(NodeId(1), hid, [0u8; 8]).unwrap();
-        }
-    }
-
-    pub fn is_data(f: &WireFrame, seq: u32) -> bool {
-        f.head.kind == FrameKind::Data && f.head.seq == seq
-    }
-}
+mod testkit;

@@ -2,14 +2,15 @@
 //! bounces, silence and death.
 //!
 //! Every window slot keeps its frame until it is acknowledged, so nothing
-//! here handles frame bytes: a bounce validates a tag and flips the slot's
-//! state, and a retransmission — paced after a bounce, fired by a timer, or
-//! triggered by hole repair — is the slot's id going back on the wire queue.
+//! here handles frame bytes: an ack or a bounce is checked against the
+//! frame its slot holds and flips the slot's state, and a retransmission —
+//! paced after a bounce, fired by a timer, or triggered by hole repair —
+//! is the slot's id going back on the wire queue.
 
 use fm_myrinet::NodeId;
 
 use super::{span, EndpointCore, OutEntry};
-use crate::flow::{ack_word_parts, SeqWindow};
+use crate::flow::SeqWindow;
 use crate::frame::FrameHeader;
 use fm_telemetry::{EventKind, Metric};
 
@@ -37,63 +38,72 @@ impl EndpointCore {
         std::mem::take(&mut self.newly_dead)
     }
 
-    /// Clear the dead mark for `peer`, allowing sends again. Sequence and
-    /// window state survives, so a genuinely recovered peer resumes where
-    /// it left off; frames dropped while dead are gone (their loss was
-    /// already surfaced through `unreachable_drops` / `PeerUnreachable`).
-    pub fn revive_peer(&mut self, peer: NodeId) {
-        if let Some(flag) = self.dead.get_mut(peer.index()) {
-            *flag = false;
+    /// Does window slot `slot` hold data frame `seq` to `dst`? A slot's
+    /// frame stays behind when the slot is freed, so the slot must be held
+    /// too.
+    pub(super) fn holds_frame(&self, slot: u16, dst: NodeId, seq: u32) -> bool {
+        self.sender.holds(slot) && {
+            let head = &self.frames[slot as usize].head;
+            head.dst == dst && head.seq == seq
         }
     }
 
-    /// One ack word arrived from `from`, piggybacked or standalone.
-    pub(super) fn on_ack_word(&mut self, word: u16, from: NodeId) {
-        let slot = ack_word_parts(word).0;
+    /// The ack for frame `seq` arrived from `from`, piggybacked or
+    /// standalone. It is resolved through `from`'s send order: at the
+    /// front on the clean in-order path, by binary search past a hole. A
+    /// seq not outstanding to `from` frees nothing and counts as stale; an
+    /// outstanding frame parked after a bounce stays parked (its resend is
+    /// acked again).
+    pub(super) fn on_ack(&mut self, seq: u32, from: NodeId) {
+        self.stats.acks_received += 1;
+        let found = self
+            .send_order
+            .get(from.index())
+            .and_then(|order| match order.front() {
+                Some(&(front, slot)) if front == seq => Some((0, slot)),
+                _ => order
+                    .binary_search_by(|&(s, _)| (s.wrapping_sub(seq) as i32).cmp(&0))
+                    .ok()
+                    .map(|pos| (pos, order[pos].1)),
+            });
+        let Some((pos, slot)) = found else {
+            self.stats.stale_acks += 1;
+            return;
+        };
         // Karn's rule needs the flag *before* on_ack frees the slot: a
         // retransmitted slot's ack is ambiguous between transmissions
         // and must never become an RTT sample.
         let karn_clean = !self.sender.slot_retransmitted(slot);
-        if let Some(rtt) = self.sender.on_ack(word, self.now) {
-            self.telemetry.record(Metric::AckRttTicks, rtt);
-            if karn_clean && self.config.adaptive_rto {
-                self.rtt.on_sample(rtt);
-                self.sender.set_rto_initial(self.rtt.rto());
-            }
-            self.note_acked(slot);
-            // The one valid ack of a traced frame closes that trace's
-            // send→ack round trip (clocksync's t3); like every ingress
-            // span it carries the tick of the extract that services it.
-            let trace = self.frames[slot as usize].head.trace;
-            span(&self.telemetry, trace, self.now + 1, |trace, hop| {
-                EventKind::SpanAckIn {
-                    trace,
-                    hop,
-                    peer: from.0,
-                }
-            });
-        }
-        self.stats.acks_received += 1;
-    }
-
-    /// A valid ack just freed `slot`: drop its send-order entry. In order
-    /// (the clean path) that is the front of its destination's list and
-    /// nothing else happens.
-    fn note_acked(&mut self, slot: u16) {
-        let FrameHeader { dst, seq, .. } = self.frames[slot as usize].head;
-        let Some(order) = self.send_order.get_mut(dst.index()) else {
+        let Some(rtt) = self.sender.on_ack(slot, self.now) else {
             return;
         };
-        if order.front().is_some_and(|&(front, _)| front == seq) {
-            order.pop_front();
-        } else {
-            self.repair_holes(dst, seq);
+        self.telemetry.record(Metric::AckRttTicks, rtt);
+        if karn_clean && self.config.adaptive_rto {
+            self.rtt.on_sample(rtt);
+            self.sender.set_rto_initial(self.rtt.rto());
         }
+        if pos == 0 {
+            self.send_order[from.index()].pop_front();
+        } else {
+            self.repair_holes(from, pos, seq);
+        }
+        // The one valid ack of a traced frame closes that trace's
+        // send→ack round trip (clocksync's t3); like every ingress span it
+        // carries the tick of the extract that services it.
+        let trace = self.frames[slot as usize].head.trace;
+        span(&self.telemetry, trace, self.now + 1, |trace, hop| {
+            EventKind::SpanAckIn {
+                trace,
+                hop,
+                peer: from.0,
+            }
+        });
     }
 
-    /// Sender-side hole repair, from acks alone (no wire change). The ack
-    /// for `acked` freed a frame behind still-held ones, so it overtook
-    /// each of them that was last transmitted before `acked` first left.
+    /// Sender-side hole repair, from acks alone. The ack for `acked`
+    /// (entry `pos` of `dst`'s send order) freed a frame behind still-held
+    /// ones, so it overtook each of them that was last transmitted before
+    /// `acked` first left.
     /// A held in-flight frame overtaken [`super::GAP_REPAIR_ACKS`] times is
     /// retransmitted at once instead of waiting out its timer while the
     /// receiver parks (and acks) ever more successors behind the hole. A
@@ -101,12 +111,8 @@ impl EndpointCore {
     /// on a FIFO path its bounce arrives before any ack that overtook it,
     /// so return-to-sender arbitration is undisturbed.
     #[cold]
-    fn repair_holes(&mut self, dst: NodeId, acked: u32) {
+    fn repair_holes(&mut self, dst: NodeId, pos: usize, acked: u32) {
         let order = &mut self.send_order[dst.index()];
-        let Ok(pos) = order.binary_search_by(|&(seq, _)| (seq.wrapping_sub(acked) as i32).cmp(&0))
-        else {
-            return;
-        };
         order.remove(pos);
         let mut repairs = std::mem::take(&mut self.retx_scratch);
         for &(_, slot) in order.range(..pos) {
@@ -161,17 +167,18 @@ impl EndpointCore {
         self.outgoing.push_back(OutEntry::Data {
             dst,
             slot,
-            gen: self.sender.gen(slot),
+            seq: self.frames[slot as usize].head.seq,
             piggy: self.acks.take_piggy(dst),
         });
     }
 
     /// One of our frames came back: the receiver had no room. The slot
-    /// still holds the frame, so the returned copy only has to prove (by
-    /// slot and generation) which frame it is; the slot is parked for a
-    /// paced retransmission.
+    /// still holds the frame, so the returned copy only has to prove which
+    /// frame it is — its slot, found in O(1), must hold the frame with the
+    /// returned destination and seq; the slot is parked for a paced
+    /// retransmission.
     pub(super) fn on_return(&mut self, head: &FrameHeader) {
-        if self.sender.on_bounce(head.slot, head.slot_gen) {
+        if self.holds_frame(head.slot, head.src, head.seq) && self.sender.on_bounce(head.slot) {
             self.stats.bounced += 1;
             self.telemetry.trace(
                 self.now,
@@ -283,10 +290,14 @@ impl EndpointCore {
     /// receive window expects 0), the receive window is rebuilt (the new
     /// incarnation sends from 0), and everything still in flight toward
     /// the old incarnation is purged and counted in `unreachable_drops`,
-    /// exactly as if the peer had died (see [`Self::purge_peer`]). The dead
-    /// mark, if set, is cleared: a handshaking peer is demonstrably
-    /// alive. Plain [`EndpointCore::revive_peer`] is for a peer that kept
-    /// its state (a transient stall); this is for one that lost it.
+    /// exactly as if the peer had died (see `purge_peer`). The dead
+    /// mark, if set, is cleared: this is the one way back from a dead peer,
+    /// and both ends must apply it. A peer declared dead has lost frames
+    /// both ways (purged from window slots here, purged from the reorder
+    /// window there), so resuming the old streams would leave a hole
+    /// neither end ever fills. Sequence numbers restart at 0, so the
+    /// fabric must hold no frame of the old streams (the UDP handshake's
+    /// new generation, or a drained fabric) when both ends reset.
     pub fn reset_peer(&mut self, peer: NodeId) {
         let idx = peer.index();
         self.stats.unreachable_drops += self.purge_peer(peer);
@@ -296,7 +307,9 @@ impl EndpointCore {
         if let Some(win) = self.recv_windows.get_mut(idx) {
             *win = SeqWindow::new(self.config.reorder_window);
         }
-        self.revive_peer(peer);
+        if let Some(dead) = self.dead.get_mut(idx) {
+            *dead = false;
+        }
         self.stats.peer_resets += 1;
     }
 }
@@ -439,10 +452,14 @@ mod tests {
         carry(&mut a, &mut b, |_| false);
         let mut bounce = b.pop_outgoing().expect("seq 4 bounced");
         assert_eq!((bounce.head.kind, bounce.head.seq), (FrameKind::Return, 4));
-        // A return with a stale generation is refused outright...
+        // A return naming its slot under another seq, or coming from
+        // another node, is refused outright...
         let mut stale = bounce.clone();
-        stale.head.slot_gen = stale.head.slot_gen.wrapping_sub(1);
+        stale.head.seq -= 1;
         a.on_wire(stale);
+        let mut foreign = bounce.clone();
+        foreign.head.src = NodeId(2);
+        a.on_wire(foreign);
         assert_eq!(a.stats().bounced, 0);
         // ...and one whose payload was altered still parks the slot.
         bounce.payload = bytes::Bytes::from_static(b"not what was sent");
@@ -491,13 +508,73 @@ mod tests {
         assert_eq!(b.outstanding(), 0, "and frees b's slot");
         assert!(a.pop_outgoing().is_none(), "nothing left to resend");
         assert!(a.is_quiescent(), "{a:?}");
-        // The freed slot is reused under a new generation, and only the
-        // new frame is emitted for it.
+        // The freed slot is reused by the next seq, and only the new frame
+        // is emitted for it.
         send_n(&mut a, hid, 1);
         let next = a.pop_outgoing().expect("fresh frame").head;
-        assert_eq!((next.slot, next.slot_gen, next.seq), (0, 2, 1));
+        assert_eq!((next.slot, next.seq), (0, 1));
         assert!(a.pop_outgoing().is_none());
         assert_eq!(a.outstanding(), 1);
+    }
+
+    /// The hazard a reused-slot name had: an ack held back in the network
+    /// while its slot is reused 64 times names that slot under the same
+    /// 6-bit generation tag as its current occupant. Named by seq, it
+    /// names a frame long freed and frees nothing.
+    #[test]
+    fn an_ack_that_outlives_64_reuses_of_its_slot_frees_nothing() {
+        let (mut a, mut b, _) = stream_pair(EndpointConfig {
+            window: 1,
+            rto_initial: 4,
+            ..Default::default()
+        });
+        let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = got.clone();
+        let hid = b.register_handler(Box::new(move |_, _, data| {
+            log.lock().unwrap().push(data[0])
+        }));
+        let send = |a: &mut EndpointCore, i: u8| a.try_send(NodeId(1), hid, [i]).unwrap();
+        // Seq 0 is delivered; its ack is held back in the network. The
+        // timer resends seq 0, and the re-ack of that copy frees slot 0.
+        send(&mut a, 0);
+        carry(&mut a, &mut b, |_| false);
+        b.extract(usize::MAX);
+        let held = b.pop_outgoing().expect("the ack of seq 0");
+        while a.stats().timer_retransmits == 0 {
+            a.extract(usize::MAX);
+        }
+        carry(&mut a, &mut b, |_| false);
+        b.extract(usize::MAX);
+        carry(&mut b, &mut a, |_| false);
+        assert_eq!(a.outstanding(), 0);
+        // Slot 0 carries seqs 1..=63 out and back, then seq 64 — its 64th
+        // reuse — which the network loses.
+        for i in 1..=63 {
+            send(&mut a, i);
+            carry(&mut a, &mut b, |_| false);
+            b.extract(usize::MAX);
+            carry(&mut b, &mut a, |_| false);
+        }
+        send(&mut a, 64);
+        assert_eq!(
+            a.pop_outgoing().map(|f| (f.head.slot, f.head.seq)),
+            Some((0, 64))
+        );
+        a.on_wire(held);
+        // Seq 64's timer resends it; nothing else is lost.
+        for _ in 0..64 {
+            a.extract(usize::MAX);
+            carry(&mut a, &mut b, |_| false);
+            b.extract(usize::MAX);
+            carry(&mut b, &mut a, |_| false);
+        }
+        assert_eq!(
+            *got.lock().unwrap(),
+            (0..=64).collect::<Vec<u8>>(),
+            "each once"
+        );
+        assert!(a.is_quiescent() && b.is_quiescent(), "{a:?} {b:?}");
+        assert_eq!(a.stats().stale_acks, 1);
     }
 
     #[test]
@@ -578,7 +655,8 @@ mod tests {
         assert_eq!(a.send_order[1].len(), 5);
         a.mark_dead(NodeId(1));
         assert!(a.send_order[1].is_empty());
-        a.revive_peer(NodeId(1));
+        a.reset_peer(NodeId(1));
+        assert!(!a.is_dead(NodeId(1)), "a reset clears the dead mark");
         send_n(&mut a, hid, 3);
         assert_eq!(a.send_order[1].len(), 3);
         a.reset_peer(NodeId(1));

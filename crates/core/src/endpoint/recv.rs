@@ -47,8 +47,8 @@ impl EndpointCore {
             self.now = self.now.max(self.wall_micros());
         }
         // Piggybacked acks count regardless of what happens to the frame.
-        for &word in head.piggy.as_slice() {
-            self.on_ack_word(word, head.src);
+        for seq in head.piggy.iter() {
+            self.on_ack(seq, head.src);
         }
         match head.kind {
             FrameKind::Data => self.on_data(head, payload),
@@ -79,12 +79,7 @@ impl EndpointCore {
     ///   with a larger window than ours can get here.
     fn on_data(&mut self, head: &FrameHeader, payload: &[u8]) {
         let FrameHeader {
-            src,
-            slot,
-            slot_gen: gen,
-            seq,
-            trace,
-            ..
+            src, seq, trace, ..
         } = *head;
         // Span events fire only on *acceptance* (never for duplicates the
         // sequence window suppresses), so every traced `(trace, hop)` wire
@@ -109,7 +104,7 @@ impl EndpointCore {
             SeqClass::Duplicate if offset as i32 > reach as i32 => self.bounce(head, payload),
             SeqClass::Duplicate => {
                 self.stats.duplicates += 1;
-                self.accept_ack(src, slot, gen);
+                self.acks.on_accept(src, seq);
             }
             // Return to sender: the receiver has no room (or this source
             // is over its ring quota, or ran too far ahead); the source
@@ -192,30 +187,17 @@ impl EndpointCore {
         self.ring_quota = (self.config.recv_ring / active.max(1)).max(1);
     }
 
-    /// Queue a (re-)ack for an accepted frame, counting refusals — a slot
-    /// too wide for the 10-bit ack word would alias another slot on the
-    /// sender, so it is dropped unacked and recovered by the sender's
-    /// retransmission timer.
-    fn accept_ack(&mut self, src: NodeId, slot: u16, gen: u8) -> bool {
-        let ok = self.acks.on_accept(src, slot, gen);
-        if !ok {
-            self.stats.invalid_ack_slots += 1;
-        }
-        ok
-    }
-
-    /// [`Self::accept_ack`] for a freshly retained frame, with the
-    /// ack-out span of a sampled one.
+    /// Queue the ack for a freshly retained frame, with the ack-out span
+    /// of a sampled one.
     fn accept_and_span(&mut self, head: &FrameHeader, arrival: u64) {
-        if self.accept_ack(head.src, head.slot, head.slot_gen) {
-            span(&self.telemetry, head.trace, arrival, |trace, hop| {
-                EventKind::SpanAckOut {
-                    trace,
-                    hop,
-                    dst: head.src.0,
-                }
-            });
-        }
+        self.acks.on_accept(head.src, head.seq);
+        span(&self.telemetry, head.trace, arrival, |trace, hop| {
+            EventKind::SpanAckOut {
+                trace,
+                hop,
+                dst: head.src.0,
+            }
+        });
     }
 
     fn window_mut(&mut self, src: NodeId) -> &mut SeqWindow<FrameSlot> {

@@ -9,7 +9,7 @@
 use fm_myrinet::NodeId;
 
 use super::{grow, span, EndpointCore, OutEntry, SendError, SlotFlow};
-use crate::frame::{FrameHeader, PiggyAcks, TraceCtx, WireFrame, FM_FRAME_PAYLOAD};
+use crate::frame::{FrameHeader, TraceCtx, WireFrame, FM_FRAME_PAYLOAD};
 use crate::handler::HandlerId;
 use crate::time::splitmix64;
 use fm_telemetry::EventKind;
@@ -93,16 +93,14 @@ impl EndpointCore {
         } else {
             TraceCtx::default()
         };
-        let gen = self.sender.gen(slot);
         self.slot_flow[slot as usize] = SlotFlow::first_sent(seq);
         grow(&mut self.send_order, dst.index()).push_back((seq, slot));
         // The slot's copy carries no piggybacked acks of its own: each
         // (re)transmission claims fresh ones into its queue entry, and
-        // emission stamps them in — replaying stale ack words would be
-        // wrong. The trace context does live in the slot, so a retried
-        // frame stays in its trace and its ack can be attributed to it.
+        // emission stamps them in — replaying stale acks would be wrong.
+        // The trace context does live in the slot, so a retried frame
+        // stays in its trace and its ack can be attributed to it.
         let mut head = FrameHeader::data(self.id, dst, handler, slot, seq);
-        head.slot_gen = gen;
         head.trace = trace;
         self.frames[slot as usize].fill(head, payload);
         let piggy = self.acks.take_piggy(dst);
@@ -110,7 +108,7 @@ impl EndpointCore {
         self.outgoing.push_back(OutEntry::Data {
             dst,
             slot,
-            gen,
+            seq,
             piggy,
         });
         self.stats.sent += 1;
@@ -129,14 +127,6 @@ impl EndpointCore {
                 dst: dst.0,
             }
         });
-        if gen & 0x3F == 0 && gen != 0 {
-            // The slot's 6-bit generation *tag* wrapped — the one reuse
-            // moment an ABA-style diagnosis wants on the trace. (Tracing
-            // every reuse would emit one event per steady-state frame and
-            // measurably tax the send path.)
-            self.telemetry
-                .trace(self.now, EventKind::SlotReuse { slot, gen });
-        }
         Ok(())
     }
 
@@ -257,11 +247,8 @@ impl EndpointCore {
             stats,
             ..
         } = self;
-        acks.take_standalone(|dst, slots| {
-            outgoing.push_back(OutEntry::Ack {
-                dst,
-                words: PiggyAcks::from_slice(slots),
-            });
+        acks.take_standalone(|dst, batch| {
+            outgoing.push_back(OutEntry::Ack { dst, acks: batch });
             stats.ack_frames_sent += 1;
         });
     }
@@ -281,12 +268,12 @@ impl EndpointCore {
                 Some(OutEntry::Data {
                     dst,
                     slot,
-                    gen,
-                    piggy: words,
-                }) if !self.sender.holds(slot, gen) => {
-                    if !words.is_empty() {
+                    seq,
+                    piggy: acks,
+                }) if !self.holds_frame(slot, dst, seq) => {
+                    if !acks.is_empty() {
                         self.stats.ack_frames_sent += 1;
-                        break OutEntry::Ack { dst, words };
+                        break OutEntry::Ack { dst, acks };
                     }
                 }
                 Some(live) => break live,
@@ -298,7 +285,7 @@ impl EndpointCore {
                 frame.head.piggy = piggy;
                 sink(&frame.head, frame.payload());
             }
-            OutEntry::Ack { dst, words } => sink(&FrameHeader::ack(self.id, dst, words), &[]),
+            OutEntry::Ack { dst, acks } => sink(&FrameHeader::ack(self.id, dst, acks), &[]),
             OutEntry::Return => {
                 let image = self.returns.front().expect("one image per Return entry");
                 sink(&image.head, image.payload());
@@ -408,10 +395,7 @@ mod tests {
         assert_eq!(a.outgoing_len(), 1);
         let sent = a.pop_outgoing().expect("queued");
         assert_eq!(&sent.payload[..], b"written once");
-        assert_eq!(
-            (sent.head.slot, sent.head.slot_gen, sent.head.seq),
-            (0, 1, 0)
-        );
+        assert_eq!((sent.head.slot, sent.head.seq), (0, 0));
         assert_eq!(a.outstanding(), 1, "the slot keeps the frame until acked");
     }
 

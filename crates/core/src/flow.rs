@@ -16,20 +16,15 @@
 //! plus a per-source [`SeqWindow`] that suppresses duplicates and releases
 //! frames in sequence order.
 //!
-//! Acks travel as 16-bit **ack words** ([`ack_word`]): the low 10 bits name
-//! the sender's reject-queue slot, the high 6 bits echo the slot's reuse
-//! *generation* (stamped into the frame header, [`crate::frame::WireFrame::slot_gen`]).
-//! The tag closes an ABA hazard that only exists once the network can
-//! duplicate and delay: a stale ack for a previous occupant of a recycled
-//! slot must not release the packet currently in it. The tag is the slot
-//! generation rather than the sequence number on purpose — a slot can sit
-//! unacknowledged through long backoff while the link's sequence number
-//! advances by hundreds, so a seq-derived tag aliases whenever the delta
-//! is a multiple of the tag width (observed as falsely-acked, permanently
-//! lost frames under 10% injected faults). A generation tag advances once
-//! per reuse of that slot, and each reuse requires a completed ack round
-//! trip, so a stale ack (bounded lifetime: late duplicates still in
-//! flight) can never see its tag again.
+//! An ack names its frame by the frame's 32-bit per-pair sequence number,
+//! the name the receiver already delivers and suppresses duplicates by.
+//! The sender resolves it through its per-peer send order to the window
+//! slot the frame holds (`EndpointCore`'s `send_order`); an ack for a seq
+//! not outstanding to that peer — a late duplicate, or a stale ack that
+//! outlived its frame — frees nothing. A sequence number repeats only
+//! after 2^32 later frames to the same peer, or after a `reset_peer`
+//! (which needs the old streams' frames gone), so a stale ack names a
+//! frame that is gone rather than the one now holding its slot.
 //!
 //! `EndpointCore` drives these state machines on every runtime: threads and
 //! rings (`fm-core::mem`), UDP, and `fm-testbed`'s virtual-time harnesses,
@@ -37,7 +32,7 @@
 //! `fm-testbed` prices flow control with its own layer costs instead.
 
 use crate::frame::{PiggyAcks, PIGGY_MAX};
-use crate::queues::{RejectQueue, GEN_TAG_MASK, REJECT_SLOT_LIMIT};
+use crate::queues::RejectQueue;
 use fm_myrinet::NodeId;
 use std::collections::VecDeque;
 
@@ -45,42 +40,6 @@ use std::collections::VecDeque;
 /// batch (fewer than this) may wait a flush for a data frame to ride on
 /// (see [`AckTracker`]); full batches always leave at the flush.
 pub const ACK_BATCH: usize = PIGGY_MAX;
-
-/// Bits of an ack word naming the reject-queue slot.
-pub const ACK_SLOT_BITS: u32 = 10;
-
-/// The generation tag carried in an ack word's high bits: the low 6 bits
-/// of the slot's reuse generation ([`crate::frame::WireFrame::slot_gen`]).
-#[inline]
-pub fn gen_tag(gen: u8) -> u8 {
-    gen & GEN_TAG_MASK
-}
-
-/// Pack a reject-queue slot and the slot's generation tag into the 16-bit
-/// ack word carried in frame piggyback areas.
-///
-/// Returns `None` when `slot` does not fit the 10-bit field. This used to
-/// be a `debug_assert!`, which meant a release build would silently pack
-/// an out-of-range slot whose low bits alias a *different* slot's ack word
-/// — a malformed or hostile frame could then falsely free an in-flight
-/// frame on the sender. The endpoint counts refusals
-/// (`EndpointStats::invalid_ack_slots`) instead of corrupting the window.
-#[inline]
-pub fn ack_word(slot: u16, gen: u8) -> Option<u16> {
-    if (slot as usize) >= REJECT_SLOT_LIMIT {
-        return None;
-    }
-    Some(slot | ((gen_tag(gen) as u16) << ACK_SLOT_BITS))
-}
-
-/// Split an ack word back into (slot, generation tag).
-#[inline]
-pub fn ack_word_parts(word: u16) -> (u16, u8) {
-    (
-        word & ((1 << ACK_SLOT_BITS) - 1),
-        (word >> ACK_SLOT_BITS) as u8,
-    )
-}
 
 /// Retransmission-timer knobs shared by every slot of a [`SenderFlow`].
 /// Time is the endpoint's virtual tick (one tick per `extract`/service
@@ -153,7 +112,7 @@ impl SenderFlow {
     }
 
     /// Reserve a window slot for a fresh packet, arming its retransmission
-    /// timer at `now`. The slot's generation ([`SenderFlow::gen`]) is new.
+    /// timer at `now`.
     #[inline]
     pub fn begin_send(&mut self, now: u64) -> Option<u16> {
         let slot = self.reject.reserve(now, self.retransmit.rto_initial)?;
@@ -184,36 +143,27 @@ impl SenderFlow {
         self.retransmit.rto_initial
     }
 
-    /// The current reuse generation of `slot` — stamp it into the frame
-    /// header so the receiver's acks echo it.
+    /// True while `slot` is reserved (see [`RejectQueue::holds`]).
     #[inline]
-    pub fn gen(&self, slot: u16) -> u8 {
-        self.reject.gen(slot)
+    pub fn holds(&self, slot: u16) -> bool {
+        self.reject.holds(slot)
     }
 
-    /// True while `slot` is still held by the send that got generation
-    /// `gen` (see [`RejectQueue::holds`]).
-    #[inline]
-    pub fn holds(&self, slot: u16, gen: u8) -> bool {
-        self.reject.holds(slot, gen)
-    }
-
-    /// Process one piggybacked ack word. On a valid ack, returns the
+    /// The packet in `slot` was acked: free the slot and return the
     /// send→ack round trip in ticks (`now` minus the slot's reservation
-    /// tick); strays and mistagged acks return `None`.
+    /// tick). `None`, freeing nothing, unless the slot is in flight.
     #[inline]
-    pub fn on_ack(&mut self, word: u16, now: u64) -> Option<u64> {
-        let (slot, tag) = ack_word_parts(word);
+    pub fn on_ack(&mut self, slot: u16, now: u64) -> Option<u64> {
         self.reject
-            .ack(slot, tag)
+            .ack(slot)
             .then(|| now.saturating_sub(self.sent_at[slot as usize]))
     }
 
-    /// A frame bounced back; park its slot for retransmission. `gen` is
-    /// the bounced frame's own generation (validates slot ownership).
+    /// The packet in `slot` bounced back; park the slot for
+    /// retransmission. False unless the slot is in flight.
     #[inline]
-    pub fn on_bounce(&mut self, slot: u16, gen: u8) -> bool {
-        self.reject.bounce(slot, gen_tag(gen))
+    pub fn on_bounce(&mut self, slot: u16) -> bool {
+        self.reject.bounce(slot)
     }
 
     /// Next parked slot to retransmit (it stays reserved, timer re-armed
@@ -505,10 +455,11 @@ impl<T> SeqWindow<T> {
 
 /// Receiver-side acknowledgement batching.
 ///
-/// Pending ack words are kept per peer in a table indexed by node id, like
-/// every other per-peer table of the endpoint — a lookup on each accepted
-/// frame and each send is an index — and drained in node-id order, which is
-/// what keeps runs reproducible.
+/// Pending acks (the sequence numbers of retained frames) are kept per
+/// peer in a table indexed by node id, like every other per-peer table of
+/// the endpoint — a lookup on each accepted frame and each send is an
+/// index — and drained in node-id order, which is what keeps runs
+/// reproducible.
 ///
 /// Acks ride data frames toward their peer whenever one is queued
 /// ([`AckTracker::take_piggy`]); what is left goes out in standalone ack
@@ -518,27 +469,27 @@ impl<T> SeqWindow<T> {
 /// *reply*: whoever drives this endpoint is in a request/response exchange
 /// with P and is likely to send P data next. When the newest ack pending
 /// toward P is for a reply, the partial batch toward P waits one flush for
-/// that data frame to carry it. A word that has waited once leaves at the
+/// that data frame to carry it. An ack that has waited once leaves at the
 /// next flush, so every ack leaves no later than the second flush after
 /// its frame was accepted, and a peer we never send data to is acked
 /// exactly as if the rule did not exist.
 #[derive(Debug, Clone, Default)]
 pub struct AckTracker {
     pending: Vec<PeerAcks>,
-    /// Ack words pending toward anyone (the sum of the `words` lengths).
+    /// Acks pending toward anyone (the sum of the `seqs` lengths).
     total: usize,
 }
 
 /// One peer's entry in an [`AckTracker`].
 #[derive(Debug, Clone, Default)]
 struct PeerAcks {
-    /// Ack words owed to the peer, oldest first.
-    words: Vec<u16>,
+    /// Sequence numbers of the peer's frames owed an ack, oldest first.
+    seqs: Vec<u32>,
     /// We queued a data frame to the peer since its last accepted frame.
     spoke: bool,
     /// The peer's last accepted frame was a reply.
     reply: bool,
-    /// Words at the front of `words` that a flush has already held once.
+    /// Acks at the front of `seqs` that a flush has already held once.
     held: usize,
 }
 
@@ -547,24 +498,14 @@ impl AckTracker {
         Self::default()
     }
 
-    /// Record that a data frame from `src` occupying sender slot `slot`
-    /// under generation `gen` was accepted (or recognized as a duplicate
-    /// of an accepted frame) and must be (re-)acknowledged. The stored
-    /// value is the packed [`ack_word`].
-    ///
-    /// Returns `false` when `slot` does not fit the ack word's 10-bit field — a malformed frame whose ack would alias
-    /// another slot on the sender. The frame should be dropped unacked;
-    /// the sender recovers it by timeout.
+    /// Record that data frame `seq` from `src` was retained (or recognized
+    /// as a duplicate of a retained frame) and must be (re-)acknowledged.
     #[inline]
-    pub fn on_accept(&mut self, src: NodeId, slot: u16, gen: u8) -> bool {
-        let Some(word) = ack_word(slot, gen) else {
-            return false;
-        };
+    pub fn on_accept(&mut self, src: NodeId, seq: u32) {
         let peer = self.peer_mut(src);
-        peer.words.push(word);
+        peer.seqs.push(seq);
         peer.reply = std::mem::take(&mut peer.spoke);
         self.total += 1;
-        true
     }
 
     /// Record that a data frame to `dst` was queued, so the next frame
@@ -587,8 +528,8 @@ impl AckTracker {
     /// the entry's capacity.
     pub fn purge(&mut self, dst: NodeId) -> usize {
         let n = self.pending.get_mut(dst.index()).map_or(0, |p| {
-            let n = p.words.len();
-            p.words.clear();
+            let n = p.seqs.len();
+            p.seqs.clear();
             (p.spoke, p.reply, p.held) = (false, false, 0);
             n
         });
@@ -598,7 +539,7 @@ impl AckTracker {
 
     /// Total acks pending toward `dst`.
     pub fn pending_for(&self, dst: NodeId) -> usize {
-        self.pending.get(dst.index()).map_or(0, |p| p.words.len())
+        self.pending.get(dst.index()).map_or(0, |p| p.seqs.len())
     }
 
     /// Total acks pending toward anyone.
@@ -614,46 +555,47 @@ impl AckTracker {
     /// on a steady ping-pong the accept/piggyback cycle allocates nothing.
     #[inline]
     pub fn take_piggy(&mut self, dst: NodeId) -> PiggyAcks {
-        let mut p = PiggyAcks::new();
-        if let Some(peer) = self.pending.get_mut(dst.index()) {
-            let take = peer.words.len().min(PIGGY_MAX);
-            for slot in peer.words.drain(..take) {
-                let ok = p.push(slot);
-                debug_assert!(ok);
-            }
-            peer.held = peer.held.saturating_sub(take);
-            self.total -= take;
-        }
-        p
+        let Some(peer) = self.pending.get_mut(dst.index()) else {
+            return PiggyAcks::new();
+        };
+        let acks = PiggyAcks::from_prefix(&peer.seqs);
+        let take = acks.len();
+        peer.seqs.drain(..take);
+        peer.held = peer.held.saturating_sub(take);
+        self.total -= take;
+        acks
     }
 
     /// The end-of-extract flush: drain pending acks into standalone ack
-    /// frames, handing each frame-sized group (<= [`PIGGY_MAX`] slots) to
-    /// `emit`, destinations in node-id order. Everything goes except a
+    /// frames, handing each frame's worth ([`PiggyAcks`]) to `emit`,
+    /// destinations in node-id order. Everything goes except a
     /// reply's partial batch that has not waited yet (see the type docs):
     /// it is held for one flush, in case a data frame can carry it. A
     /// sender with no reverse traffic is therefore never starved of acks.
     /// Visitor-style so the common nothing-to-do and everything-piggybacked
     /// cases allocate nothing — and, with nothing pending at all, look at
     /// nothing.
-    pub fn take_standalone(&mut self, mut emit: impl FnMut(NodeId, &[u16])) {
+    pub fn take_standalone(&mut self, mut emit: impl FnMut(NodeId, PiggyAcks)) {
         if self.total == 0 {
             return;
         }
         for (node, peer) in self.pending.iter_mut().enumerate() {
-            if peer.words.is_empty() {
+            if peer.seqs.is_empty() {
                 continue;
             }
             let hold = if peer.reply && peer.held == 0 {
-                peer.words.len() % ACK_BATCH
+                peer.seqs.len() % ACK_BATCH
             } else {
                 0
             };
-            let send = peer.words.len() - hold;
-            for group in peer.words[..send].chunks(PIGGY_MAX) {
-                emit(NodeId(node as u16), group);
+            let send = peer.seqs.len() - hold;
+            let mut sent = 0;
+            while sent < send {
+                let acks = PiggyAcks::from_prefix(&peer.seqs[sent..send]);
+                sent += acks.len();
+                emit(NodeId(node as u16), acks);
             }
-            peer.words.drain(..send);
+            peer.seqs.drain(..send);
             peer.held = hold;
             self.total -= send;
         }
@@ -669,30 +611,13 @@ mod tests {
     }
 
     #[test]
-    fn ack_word_packs_slot_and_tag() {
-        assert_eq!(ack_word_parts(ack_word(0, 0).unwrap()), (0, 0));
-        assert_eq!(ack_word_parts(ack_word(1023, 0x67).unwrap()), (1023, 0x27));
-        let w = ack_word(513, 0xFF).unwrap();
-        assert_eq!(ack_word_parts(w), (513, 0x3F));
-    }
-
-    #[test]
-    fn ack_word_refuses_oversized_slots() {
-        // 1024 would alias slot 0's word in the 10-bit field; the old
-        // debug_assert let release builds do exactly that.
-        assert_eq!(ack_word(1024, 0), None);
-        assert_eq!(ack_word(u16::MAX, 0x3F), None);
-        assert!(ack_word((REJECT_SLOT_LIMIT - 1) as u16, 0).is_some());
-    }
-
-    #[test]
     fn sender_window_blocks_then_reopens() {
         let mut s = flow(2);
         let a = s.begin_send(0).unwrap();
         let _b = s.begin_send(0).unwrap();
         assert!(s.begin_send(0).is_none());
         assert!(!s.can_send());
-        s.on_ack(ack_word(a, s.gen(a)).unwrap(), 0);
+        s.on_ack(a, 0);
         assert!(s.can_send());
         let c = s.begin_send(0).unwrap();
         assert_eq!(c, a, "slot recycled");
@@ -703,15 +628,15 @@ mod tests {
     fn bounce_then_retransmit_then_ack() {
         let mut s = flow(4);
         let slot = s.begin_send(0).unwrap();
-        let gen = s.gen(slot);
-        assert!(s.on_bounce(slot, gen));
+        assert!(s.on_bounce(slot));
         assert_eq!(s.pending_retransmits(), 1);
         assert!(!s.slot_retransmitted(slot));
+        assert!(s.on_ack(slot, 0).is_none(), "a parked slot is not acked");
         assert_eq!(s.pop_retransmit(0), Some(slot));
         assert!(s.slot_retransmitted(slot), "Karn's flag");
-        assert!(s.holds(slot, gen));
-        assert!(s.on_ack(ack_word(slot, gen).unwrap(), 0).is_some());
-        assert!(!s.holds(slot, gen));
+        assert!(s.holds(slot));
+        assert!(s.on_ack(slot, 0).is_some());
+        assert!(!s.holds(slot));
         assert_eq!(s.outstanding(), 0);
     }
 
@@ -719,34 +644,21 @@ mod tests {
     fn on_ack_reports_round_trip_ticks() {
         let mut s = flow(2);
         let slot = s.begin_send(100).unwrap();
-        let gen = s.gen(slot);
-        assert_eq!(s.on_ack(ack_word(slot, gen).unwrap(), 175), Some(75));
-        // A stray re-ack reports nothing.
-        assert_eq!(s.on_ack(ack_word(slot, gen).unwrap(), 200), None);
+        assert_eq!(s.on_ack(slot, 175), Some(75));
+        // A second ack of the freed slot reports nothing.
+        assert_eq!(s.on_ack(slot, 200), None);
     }
 
     #[test]
-    fn stray_and_mistagged_acks_are_refused_not_fatal() {
+    fn stray_acks_and_bounces_are_refused_not_fatal() {
         let mut s = flow(2);
-        assert_eq!(s.on_ack(ack_word(0, 0).unwrap(), 0), None);
-        assert_eq!(
-            s.on_ack(ack_word(17, 0).unwrap(), 0),
-            None,
-            "past the window"
-        );
+        assert_eq!(s.on_ack(0, 0), None, "never reserved");
+        assert_eq!(s.on_ack(17, 0), None, "past the window");
+        assert!(!s.on_bounce(17));
         let slot = s.begin_send(0).unwrap();
-        let gen = s.gen(slot);
-        // Ack for the same slot under a stale generation must not free it
-        // (the previous occupant's tag is gen - 1); nor may a stale bounce
-        // park it.
-        assert_eq!(
-            s.on_ack(ack_word(slot, gen.wrapping_sub(1)).unwrap(), 0),
-            None
-        );
-        assert!(!s.on_bounce(slot, gen.wrapping_sub(1)));
+        assert!(s.on_bounce(slot));
+        assert!(!s.on_bounce(slot), "already parked");
         assert_eq!(s.outstanding(), 1);
-        assert!(s.on_ack(ack_word(slot, gen).unwrap(), 0).is_some());
-        assert_eq!(s.outstanding(), 0);
     }
 
     #[test]
@@ -824,11 +736,11 @@ mod tests {
     #[test]
     fn ack_tracker_piggyback_prefers_oldest() {
         let mut a = AckTracker::new();
-        for slot in 0..6 {
-            a.on_accept(NodeId(1), slot, 0);
+        for seq in 0..6 {
+            a.on_accept(NodeId(1), seq);
         }
         let p = a.take_piggy(NodeId(1));
-        assert_eq!(p.as_slice(), &[0, 1, 2, 3]);
+        assert_eq!(p.iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
         assert_eq!(a.pending_for(NodeId(1)), 2);
         assert_eq!(a.pending_total(), 2);
         // No pending acks toward node 2.
@@ -836,17 +748,23 @@ mod tests {
     }
 
     #[test]
-    fn ack_tracker_refuses_oversized_slot() {
+    fn acks_too_far_apart_for_one_frame_go_in_the_next() {
+        // A late duplicate re-acks a seq far behind the stream's.
         let mut a = AckTracker::new();
-        assert!(!a.on_accept(NodeId(1), 1024, 0));
-        assert_eq!(a.pending_total(), 0, "no aliased ack queued");
-        assert!(a.on_accept(NodeId(1), 1023, 0));
-        assert_eq!(a.pending_total(), 1);
+        for seq in [40_000, 3, 40_001, 40_002] {
+            a.on_accept(NodeId(1), seq);
+        }
+        assert_eq!(a.take_piggy(NodeId(1)).iter().collect::<Vec<_>>(), [40_000]);
+        assert_eq!(a.pending_total(), 3);
+        assert_eq!(
+            collect_standalone(&mut a),
+            [(NodeId(1), vec![3]), (NodeId(1), vec![40_001, 40_002])]
+        );
     }
 
-    fn collect_standalone(a: &mut AckTracker) -> Vec<(NodeId, Vec<u16>)> {
+    fn collect_standalone(a: &mut AckTracker) -> Vec<(NodeId, Vec<u32>)> {
         let mut out = Vec::new();
-        a.take_standalone(|node, slots| out.push((node, slots.to_vec())));
+        a.take_standalone(|node, acks| out.push((node, acks.iter().collect())));
         out
     }
 
@@ -855,13 +773,13 @@ mod tests {
         // Node 1's newest frame answers one of ours: the partial batch
         // waits a flush for a data frame; then it goes, whatever the count.
         let mut a = AckTracker::new();
-        a.on_accept(NodeId(1), 0, 0);
+        a.on_accept(NodeId(1), 0);
         a.note_sent(NodeId(1));
-        a.on_accept(NodeId(1), 1, 0);
+        a.on_accept(NodeId(1), 1);
         assert!(collect_standalone(&mut a).is_empty(), "below batch");
-        a.on_accept(NodeId(1), 2, 0);
+        a.on_accept(NodeId(1), 2);
         a.note_sent(NodeId(1));
-        a.on_accept(NodeId(1), 3, 0);
+        a.on_accept(NodeId(1), 3);
         let out = collect_standalone(&mut a);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], (NodeId(1), vec![0, 1, 2, 3]));
@@ -871,22 +789,25 @@ mod tests {
     #[test]
     fn a_replys_full_batches_leave_and_its_remainder_rides_the_next_data_frame() {
         let mut a = AckTracker::new();
-        for slot in 0..6 {
-            a.on_accept(NodeId(1), slot, 0);
+        for seq in 0..6 {
+            a.on_accept(NodeId(1), seq);
         }
         a.note_sent(NodeId(1));
-        a.on_accept(NodeId(1), 6, 0);
+        a.on_accept(NodeId(1), 6);
         assert_eq!(collect_standalone(&mut a), [(NodeId(1), vec![0, 1, 2, 3])]);
-        assert_eq!(a.take_piggy(NodeId(1)).as_slice(), &[4, 5, 6]);
+        assert_eq!(
+            a.take_piggy(NodeId(1)).iter().collect::<Vec<_>>(),
+            [4, 5, 6]
+        );
         assert!(collect_standalone(&mut a).is_empty());
     }
 
     #[test]
     fn force_flush_drains_everything_in_node_order() {
         let mut a = AckTracker::new();
-        a.on_accept(NodeId(5), 50, 0);
-        a.on_accept(NodeId(2), 20, 0);
-        a.on_accept(NodeId(2), 21, 0);
+        a.on_accept(NodeId(5), 50);
+        a.on_accept(NodeId(2), 20);
+        a.on_accept(NodeId(2), 21);
         let out = collect_standalone(&mut a);
         assert_eq!(
             out,
@@ -899,14 +820,14 @@ mod tests {
     #[test]
     fn big_backlog_splits_into_frame_sized_groups() {
         let mut a = AckTracker::new();
-        for slot in 0..10 {
-            a.on_accept(NodeId(1), slot, 0);
+        for seq in 0..10 {
+            a.on_accept(NodeId(1), seq);
         }
         let out = collect_standalone(&mut a);
         let sizes: Vec<usize> = out.iter().map(|(_, v)| v.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
-        let all: Vec<u16> = out.into_iter().flat_map(|(_, v)| v).collect();
-        assert_eq!(all, (0..10).collect::<Vec<u16>>());
+        let all: Vec<u32> = out.into_iter().flat_map(|(_, v)| v).collect();
+        assert_eq!(all, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -916,26 +837,26 @@ mod tests {
         // free.
         let mut a = AckTracker::new();
         for round in 0..100 {
-            a.on_accept(NodeId(1), round, 0);
+            a.on_accept(NodeId(1), round);
             let p = a.take_piggy(NodeId(1));
-            assert_eq!(p.as_slice(), &[round]);
+            assert_eq!(p.iter().collect::<Vec<_>>(), [round]);
         }
         assert_eq!(a.pending_total(), 0);
     }
 
-    /// The [`AckTracker`] model: per peer, the words still owed, oldest
+    /// The [`AckTracker`] model: per peer, the acks still owed, oldest
     /// first, each with the number of flushes before its acceptance.
-    type Owed = Vec<VecDeque<(u16, u32)>>;
+    type Owed = Vec<VecDeque<(u32, u32)>>;
 
     const PEERS: usize = 3;
 
-    /// `words` left the tracker toward one peer: each must be the oldest
-    /// word still owed to it.
-    fn emitted(owed: &mut VecDeque<(u16, u32)>, words: &[u16]) -> Result<(), String> {
-        for &word in words {
+    /// `acks` left the tracker toward one peer: each must be the oldest
+    /// ack still owed to it.
+    fn emitted(owed: &mut VecDeque<(u32, u32)>, acks: PiggyAcks) -> Result<(), String> {
+        for seq in acks.iter() {
             match owed.pop_front() {
-                Some((want, _)) if want == word => {}
-                other => return Err(format!("emitted {word}, owed {other:?}")),
+                Some((want, _)) if want == seq => {}
+                other => return Err(format!("emitted {seq}, owed {other:?}")),
             }
         }
         Ok(())
@@ -949,16 +870,16 @@ mod tests {
         sent_to: &[bool],
     ) -> Result<(), String> {
         let mut out = Vec::new();
-        a.take_standalone(|node, words| out.push((node, words.to_vec())));
+        a.take_standalone(|node, acks| out.push((node, acks)));
         *flushes += 1;
-        for (node, words) in out {
-            proptest::prop_assert!(!words.is_empty() && words.len() <= PIGGY_MAX);
-            emitted(&mut owed[node.index()], &words)?;
+        for (node, acks) in out {
+            proptest::prop_assert!(!acks.is_empty() && acks.len() <= PIGGY_MAX);
+            emitted(&mut owed[node.index()], acks)?;
         }
         for (peer, left) in owed.iter().enumerate() {
             proptest::prop_assert!(
                 left.iter().all(|&(_, before)| before + 1 == *flushes),
-                "peer {peer}: a word outlived its second flush: {left:?}"
+                "peer {peer}: an ack outlived its second flush: {left:?}"
             );
             proptest::prop_assert!(
                 sent_to[peer] || left.is_empty(),
@@ -970,28 +891,30 @@ mod tests {
 
     proptest::proptest! {
         /// Random interleavings of accepts, sends, piggybacks, flushes and
-        /// purges over three peers: every accepted word leaves exactly
+        /// purges over three peers: every accepted ack leaves exactly
         /// once, in its peer's order, by the second flush after it was
-        /// accepted, and by the first toward a peer never sent to.
+        /// accepted, and by the first toward a peer never sent to. Every
+        /// fourth seq jumps 40 000 ahead, so some neighbours do not share
+        /// a frame.
         #[test]
         fn ack_tracker_matches_its_model(ops in proptest::collection::vec(0usize..5 * PEERS, 1..300usize)) {
             let mut a = AckTracker::new();
             let mut owed: Owed = vec![VecDeque::new(); PEERS];
             let mut sent_to = [false; PEERS];
-            let (mut next_slot, mut flushes) = (0u16, 0u32);
+            let (mut next_seq, mut flushes) = (0u32, 0u32);
             for op in ops {
                 let (peer, node) = (op / 5, NodeId((op / 5) as u16));
                 match op % 5 {
                     0 => {
-                        proptest::prop_assert!(a.on_accept(node, next_slot, 0));
-                        owed[peer].push_back((next_slot, flushes));
-                        next_slot += 1;
+                        a.on_accept(node, next_seq);
+                        owed[peer].push_back((next_seq, flushes));
+                        next_seq = next_seq.wrapping_add(if next_seq % 4 == 3 { 40_000 } else { 1 });
                     }
                     1 => {
                         a.note_sent(node);
                         sent_to[peer] = true;
                     }
-                    2 => emitted(&mut owed[peer], a.take_piggy(node).as_slice())?,
+                    2 => emitted(&mut owed[peer], a.take_piggy(node))?,
                     3 => flush(&mut a, &mut owed, &mut flushes, &sent_to)?,
                     _ => {
                         proptest::prop_assert_eq!(a.purge(node), owed[peer].len());

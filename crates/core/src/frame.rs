@@ -6,42 +6,46 @@
 //! toward wire time but not payload ("message length refers to the payload",
 //! Section 4.1).
 //!
-//! Layout, little-endian:
+//! Layout (version 2), little-endian:
 //!
 //! ```text
 //! offset  size  field
-//!      0     1  version marker  (0xF0 | version; always 0xF1)
+//!      0     1  version marker  (0xF0 | version; always 0xF2)
 //!      1     1  kind            (0 = Data, 1 = Return, 2 = Ack)
 //!      2     1  payload length  (0..=128)
-//!      3     1  flags           (bit 0: trace context sampled)
+//!      3     1  flags           (bit 0: trace context sampled;
+//!                                bits 1..=7: piggybacked ack count, 0..=4)
 //!      4     2  src node id
 //!      6     2  dst node id
 //!      8     2  handler id
-//!     10     2  sender slot id  (reject-queue reservation index)
-//!     12     1  piggyback count
-//!     13     1  slot generation tag (incremented per reuse of the slot;
-//!               echoed back in ack words so a stale ack cannot release a
-//!               recycled slot — see `crate::flow::ack_word`)
-//!     14     2  trace hop stamp (causal depth of this send in its trace)
-//!     16     4  sender sequence number (per-destination, drives the
-//!               receiver's duplicate-suppression window)
-//!     20     4  trace id (cluster-wide causal trace the frame belongs to;
+//!     10     2  sender slot id  (reject-queue reservation index; a
+//!               returned frame's O(1) way back to its window slot)
+//!     12     4  sender sequence number (per-destination: drives the
+//!               receiver's duplicate-suppression window and names the
+//!               frame in acks)
+//!     16     4  trace id (cluster-wide causal trace the frame belongs to;
 //!               0 and flags bit 0 clear when the frame is unsampled)
-//!     24     8  piggybacked ack words (4 x u16, unused filled with 0)
+//!     20     2  trace hop stamp (causal depth of this send in its trace)
+//!     22     4  first piggybacked ack: the sequence number it acks
+//!     26     6  the other acks: 3 x i16, each seq minus the first's
+//!               (unused ones 0)
 //!     32     N  payload
 //!   32+N     4  CRC32 (IEEE) over header + payload, little-endian
 //! ```
 //!
 //! This is the only layout the decoder accepts: a buffer whose first byte
-//! is anything else is refused as [`CodecError::BadVersion`] before another
-//! byte is read.
+//! is anything else — a version-1 frame included — is refused as
+//! [`CodecError::BadVersion`] before another byte is read.
 //!
-//! Acknowledgements piggyback on data frames (up to [`PIGGY_MAX`] ack
-//! words, see [`crate::flow::ack_word`]); standalone `Ack` frames carry
-//! their words in the same piggyback area and have no payload.
+//! Acknowledgements piggyback on data frames: up to [`PIGGY_MAX`] of them,
+//! each the full 32-bit sequence number of a frame the receiver retained
+//! (see [`PiggyAcks`]); standalone `Ack` frames carry theirs in the same
+//! area and have no payload. Acks toward one peer name nearby sequence
+//! numbers, so one base and three 16-bit deltas hold four of them; an ack
+//! more than an `i16` away from the first simply waits for the next frame.
 //!
-//! The trace context rides the same way the `slot_gen` ack tags do: a few
-//! fixed header bytes, zero extra packets. A sampled frame carries a 32-bit
+//! The trace context rides the same way the acks do: a few fixed header
+//! bytes, zero extra packets. A sampled frame carries a 32-bit
 //! trace id and a 16-bit hop stamp; endpoints record span events against
 //! the id so `fm_telemetry::merge` can stitch one message's life across
 //! endpoints (see DESIGN.md, "Beyond the paper: cluster-wide tracing").
@@ -74,13 +78,20 @@ pub const FM_HEADER_BYTES: usize = 32;
 
 /// Wire format version, encoded as `0xF0 | FM_WIRE_VERSION` in byte 0 of
 /// every frame.
-pub const FM_WIRE_VERSION: u8 = 1;
+pub const FM_WIRE_VERSION: u8 = 2;
 
 /// Byte 0 of every frame.
 const VERSION_BYTE: u8 = 0xF0 | FM_WIRE_VERSION;
 
-/// Flags byte, bit 0: the frame carries a sampled trace context.
+/// Flags byte, bit 0: the frame carries a sampled trace context. The bits
+/// above it hold the piggybacked ack count.
 const FLAG_TRACED: u8 = 0x01;
+
+/// Offset of the piggyback area: the first acked seq, then the deltas.
+const PIGGY_AT: usize = 22;
+
+/// Bytes of the piggyback area: one `u32` and `PIGGY_MAX - 1` `i16`s.
+const PIGGY_BYTES: usize = 4 + 2 * (PIGGY_MAX - 1);
 
 /// CRC32 trailer appended after the payload.
 pub const FM_CRC_BYTES: usize = 4;
@@ -123,7 +134,7 @@ pub enum FrameKind {
     /// payload, but the sender never reads it: the sender retransmits from
     /// the window slot it keeps until the frame is acked.
     Return = 1,
-    /// A standalone acknowledgement (slots in the piggyback area).
+    /// A standalone acknowledgement (acked seqs in the piggyback area).
     Ack = 2,
 }
 
@@ -177,7 +188,7 @@ pub enum CodecError {
     BadKind(u8),
     /// Length field exceeds [`FM_FRAME_PAYLOAD`].
     BadLength(u8),
-    /// Piggyback count exceeds [`PIGGY_MAX`].
+    /// Piggyback count (the flags byte's bits 1..=7) exceeds [`PIGGY_MAX`].
     BadPiggyCount(u8),
     /// Buffer shorter than header + declared payload + CRC trailer.
     PayloadTruncated { want: usize, have: usize },
@@ -229,30 +240,25 @@ pub struct FrameHeader {
     pub src: NodeId,
     pub dst: NodeId,
     pub handler: HandlerId,
-    /// The sender's reject-queue slot this frame occupies until acked.
+    /// The sender's reject-queue slot this frame occupies until acked. A
+    /// bounce finds the slot by it; the slot's frame must then have the
+    /// same destination and `seq` for the bounce to count.
     pub slot: u16,
-    /// The slot's reuse generation at send time, echoed back in ack words.
-    /// Tags acks instead of the sequence number because a slot can sit
-    /// unacknowledged (backoff) while the link's sequence number advances
-    /// arbitrarily far — a seq-derived tag then aliases on any multiple of
-    /// its width, but a generation only advances one ack round-trip per
-    /// step (see [`crate::flow::ack_word`]).
-    pub slot_gen: u8,
-    /// Per-(src, dst) sequence number. The reliability layer uses it for
-    /// duplicate suppression and in-order delivery at the receiver.
+    /// Per-(src, dst) sequence number: the frame's one name. The receiver
+    /// suppresses duplicates and delivers in order by it, and acks it.
     pub seq: u32,
     /// Causal trace context (all-zero when the send was not sampled).
     /// Survives bounce and retransmission, so a retried frame stays in its
     /// trace.
     pub trace: TraceCtx,
-    /// Piggybacked acknowledgement slots (acks for frames *we* received
-    /// from `dst`).
+    /// Piggybacked acknowledgements: sequence numbers of frames *we*
+    /// received from `dst`.
     pub piggy: PiggyAcks,
 }
 
 impl FrameHeader {
-    /// The header of a data frame with no trace context, generation 0 and
-    /// no piggybacked acks (set the fields that differ).
+    /// The header of a data frame with no trace context and no
+    /// piggybacked acks (set the fields that differ).
     pub fn data(src: NodeId, dst: NodeId, handler: HandlerId, slot: u16, seq: u32) -> Self {
         FrameHeader {
             kind: FrameKind::Data,
@@ -264,22 +270,21 @@ impl FrameHeader {
     }
 
     /// The header of a standalone acknowledgement from `src` to `dst`.
-    pub fn ack(src: NodeId, dst: NodeId, words: PiggyAcks) -> Self {
+    pub fn ack(src: NodeId, dst: NodeId, acks: PiggyAcks) -> Self {
         FrameHeader {
             kind: FrameKind::Ack,
             src,
             dst,
             handler: HandlerId(0),
             slot: 0,
-            slot_gen: 0,
             seq: 0,
             trace: TraceCtx::default(),
-            piggy: words,
+            piggy: acks,
         }
     }
 
     /// The bounced (return-to-sender) form of a received data frame's
-    /// header: same slot, generation, sequence number and trace context —
+    /// header: same slot, sequence number and trace context —
     /// what the sender needs to recognise its frame — direction reversed,
     /// piggybacked acks dropped (they were consumed on arrival).
     pub fn into_return(mut self) -> Self {
@@ -311,20 +316,16 @@ impl FrameHeader {
         buf[0] = VERSION_BYTE;
         buf[1] = self.kind as u8;
         buf[2] = payload.len() as u8;
-        buf[3] = if self.trace.sampled { FLAG_TRACED } else { 0 };
+        let acks = &self.piggy;
+        buf[3] = acks.len << 1 | if self.trace.sampled { FLAG_TRACED } else { 0 };
         buf[4..6].copy_from_slice(&self.src.0.to_le_bytes());
         buf[6..8].copy_from_slice(&self.dst.0.to_le_bytes());
         buf[8..10].copy_from_slice(&self.handler.0.to_le_bytes());
         buf[10..12].copy_from_slice(&self.slot.to_le_bytes());
-        buf[12] = self.piggy.len() as u8;
-        buf[13] = self.slot_gen;
-        buf[14..16].copy_from_slice(&self.trace.hop.to_le_bytes());
-        buf[16..20].copy_from_slice(&self.seq.to_le_bytes());
-        buf[20..24].copy_from_slice(&self.trace.id.to_le_bytes());
-        for i in 0..PIGGY_MAX {
-            let s = *self.piggy.slots.get(i).unwrap_or(&0);
-            buf[24 + 2 * i..26 + 2 * i].copy_from_slice(&s.to_le_bytes());
-        }
+        buf[12..16].copy_from_slice(&self.seq.to_le_bytes());
+        buf[16..20].copy_from_slice(&self.trace.id.to_le_bytes());
+        buf[20..22].copy_from_slice(&self.trace.hop.to_le_bytes());
+        buf[PIGGY_AT..FM_HEADER_BYTES].copy_from_slice(&acks.area);
         buf[FM_HEADER_BYTES..body].copy_from_slice(payload);
         let crc = crc32(&buf[..body]);
         buf[body..n].copy_from_slice(&crc.to_le_bytes());
@@ -358,7 +359,7 @@ impl FrameHeader {
         }
         let rd16 = |o: usize| u16::from_le_bytes([buf[o], buf[o + 1]]);
         let rd32 = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
-        let piggy_count = buf[12];
+        let piggy_count = buf[3] >> 1;
         if piggy_count as usize > PIGGY_MAX {
             return Err(CodecError::BadPiggyCount(piggy_count));
         }
@@ -381,12 +382,14 @@ impl FrameHeader {
         if computed != stored {
             return Err(CodecError::BadCrc { computed, stored });
         }
-        let mut piggy = PiggyAcks::new();
-        for i in 0..piggy_count as usize {
-            piggy.push(rd16(24 + 2 * i));
-        }
+        // The area is taken whole: bytes past the `len` acks are carried
+        // (and encode back as they came), never read.
+        let piggy = PiggyAcks {
+            area: buf[PIGGY_AT..FM_HEADER_BYTES].try_into().unwrap(),
+            len: piggy_count,
+        };
         let trace = if buf[3] & FLAG_TRACED != 0 {
-            TraceCtx::sampled(rd32(20), rd16(14))
+            TraceCtx::sampled(rd32(16), rd16(20))
         } else {
             TraceCtx::default()
         };
@@ -396,8 +399,7 @@ impl FrameHeader {
             dst: NodeId(rd16(6)),
             handler: HandlerId(rd16(8)),
             slot: rd16(10),
-            slot_gen: buf[13],
-            seq: rd32(16),
+            seq: rd32(12),
             trace,
             piggy,
         };
@@ -463,10 +465,16 @@ pub struct WireFrame {
     pub payload: Bytes,
 }
 
-/// A small inline set of piggybacked ack slot ids (max [`PIGGY_MAX`]).
+/// The acks one frame carries: up to [`PIGGY_MAX`] sequence numbers of
+/// frames its sender retained from its destination, oldest first, held as
+/// the wire's piggyback area holds them — the first in full, the rest as
+/// 16-bit deltas from it, so a seq more than an `i16` away from the first
+/// goes in the next frame ([`PiggyAcks::from_prefix`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PiggyAcks {
-    slots: [u16; PIGGY_MAX],
+    /// The area's bytes, little-endian. Past the `len` acks they are 0,
+    /// unless a decoded frame carried something else there.
+    area: [u8; PIGGY_BYTES],
     len: u8,
 }
 
@@ -475,22 +483,28 @@ impl PiggyAcks {
         Self::default()
     }
 
-    pub fn from_slice(s: &[u16]) -> Self {
-        assert!(s.len() <= PIGGY_MAX, "too many piggybacked acks");
-        let mut p = PiggyAcks::default();
-        p.slots[..s.len()].copy_from_slice(s);
-        p.len = s.len() as u8;
-        p
+    fn first(&self) -> u32 {
+        u32::from_le_bytes(self.area[..4].try_into().unwrap())
     }
 
-    pub fn push(&mut self, slot: u16) -> bool {
-        if (self.len as usize) < PIGGY_MAX {
-            self.slots[self.len as usize] = slot;
-            self.len += 1;
-            true
-        } else {
-            false
+    /// The acks for the longest prefix of `seqs` (oldest first) that one
+    /// frame carries: at most [`PIGGY_MAX`], stopping before the first seq
+    /// more than an `i16` away from `seqs[0]`.
+    pub fn from_prefix(seqs: &[u32]) -> Self {
+        let mut acks = PiggyAcks::default();
+        let Some((&first, rest)) = seqs.split_first() else {
+            return acks;
+        };
+        acks.area[..4].copy_from_slice(&first.to_le_bytes());
+        acks.len = 1;
+        for (i, &seq) in rest.iter().take(PIGGY_MAX - 1).enumerate() {
+            let Ok(delta) = i16::try_from(seq.wrapping_sub(first) as i32) else {
+                break;
+            };
+            acks.area[4 + 2 * i..6 + 2 * i].copy_from_slice(&delta.to_le_bytes());
+            acks.len += 1;
         }
+        acks
     }
 
     pub fn len(&self) -> usize {
@@ -501,8 +515,16 @@ impl PiggyAcks {
         self.len == 0
     }
 
-    pub fn as_slice(&self) -> &[u16] {
-        &self.slots[..self.len as usize]
+    /// The acked sequence numbers, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let first = self.first();
+        (0..self.len()).map(move |i| match i {
+            0 => first,
+            _ => {
+                let delta = i16::from_le_bytes([self.area[2 + 2 * i], self.area[3 + 2 * i]]);
+                first.wrapping_add(delta as u32)
+            }
+        })
     }
 }
 
@@ -597,6 +619,12 @@ impl WireFrame {
 mod tests {
     use super::*;
 
+    fn acks(seqs: &[u32]) -> PiggyAcks {
+        let p = PiggyAcks::from_prefix(seqs);
+        assert_eq!(p.len(), seqs.len(), "{seqs:?} fit one frame");
+        p
+    }
+
     fn sample() -> WireFrame {
         let mut f = WireFrame::data(
             NodeId(3),
@@ -606,8 +634,7 @@ mod tests {
             0xDEAD_BEEF,
             Bytes::from_static(b"hello fm"),
         );
-        f.head.piggy.push(5);
-        f.head.piggy.push(1000);
+        f.head.piggy = acks(&[5, 1000]);
         f
     }
 
@@ -633,12 +660,12 @@ mod tests {
     #[test]
     fn roundtrip_ack_frame() {
         let f = WireFrame::from_parts(
-            FrameHeader::ack(NodeId(1), NodeId(0), PiggyAcks::from_slice(&[7, 8, 9])),
+            FrameHeader::ack(NodeId(1), NodeId(0), acks(&[7, 8, 9])),
             &[],
         );
         let d = WireFrame::decode(&f.encode()).unwrap();
         assert_eq!(d, f);
-        assert_eq!(d.head.piggy.as_slice(), &[7, 8, 9]);
+        assert_eq!(d.head.piggy.iter().collect::<Vec<_>>(), [7, 8, 9]);
         assert!(d.payload.is_empty());
     }
 
@@ -677,9 +704,13 @@ mod tests {
     fn unsampled_trace_encodes_as_zeroes() {
         let f = sample();
         let enc = f.encode();
-        assert_eq!(enc[3], 0, "flags byte clear for unsampled frames");
-        assert_eq!(&enc[14..16], &[0, 0], "hop field zero");
-        assert_eq!(&enc[20..24], &[0, 0, 0, 0], "trace id field zero");
+        assert_eq!(
+            enc[3] & FLAG_TRACED,
+            0,
+            "trace flag clear for unsampled frames"
+        );
+        assert_eq!(&enc[16..20], &[0, 0, 0, 0], "trace id field zero");
+        assert_eq!(&enc[20..22], &[0, 0], "hop field zero");
         assert_eq!(
             WireFrame::decode(&enc).unwrap().head.trace,
             TraceCtx::default()
@@ -688,10 +719,10 @@ mod tests {
 
     #[test]
     fn decode_accepts_one_layout() {
-        // A later version, the retired headerless layout (byte 0 was the
-        // kind, 0..=2), arbitrary bytes: anything but 0xF1 up front is
-        // refused before the rest of the buffer is looked at.
-        for first in [0xF2, 0xF0, 0x00, 0x01, 0x02, 0x7F] {
+        // The previous version, a later one, the retired headerless layout
+        // (byte 0 was the kind, 0..=2), arbitrary bytes: anything but 0xF2
+        // up front is refused before the rest of the buffer is looked at.
+        for first in [0xF1, 0xF3, 0xF0, 0x00, 0x01, 0x02, 0x7F] {
             let mut enc = sample().encode().to_vec();
             enc[0] = first;
             assert_eq!(
@@ -725,7 +756,7 @@ mod tests {
             Err(CodecError::Truncated { have: 0 })
         ));
         assert!(matches!(
-            WireFrame::decode(&Bytes::from_static(b"\xF1x")),
+            WireFrame::decode(&Bytes::from_static(b"\xF2x")),
             Err(CodecError::Truncated { have: 2 })
         ));
         let mut bad = sample().encode().to_vec();
@@ -741,7 +772,7 @@ mod tests {
             Err(CodecError::BadLength(200))
         ));
         let mut bad = sample().encode().to_vec();
-        bad[12] = 5;
+        bad[3] = 5 << 1;
         assert!(matches!(
             WireFrame::decode(&Bytes::from(bad)),
             Err(CodecError::BadPiggyCount(5))
@@ -780,7 +811,7 @@ mod tests {
         // A flip in the seq field (not covered by any structural check)
         // must still be caught by the CRC.
         let mut enc = sample().encode().to_vec();
-        enc[17] ^= 0x10;
+        enc[13] ^= 0x10;
         assert!(WireFrame::decode_slice(&enc).is_err());
     }
 
@@ -798,10 +829,7 @@ mod tests {
         let bounced = f.head.into_return();
         assert_eq!(bounced.kind, FrameKind::Return);
         assert_eq!((bounced.src, bounced.dst), (f.head.dst, f.head.src));
-        assert_eq!(
-            (bounced.slot, bounced.slot_gen, bounced.seq),
-            (19, 0, 0xDEAD_BEEF)
-        );
+        assert_eq!((bounced.slot, bounced.seq), (19, 0xDEAD_BEEF));
         assert!(bounced.piggy.is_empty(), "bounce drops piggybacked acks");
         assert_eq!(
             bounced.trace, f.head.trace,
@@ -830,13 +858,54 @@ mod tests {
 
     #[test]
     fn piggy_acks_bounded() {
-        let mut p = PiggyAcks::new();
-        for i in 0..PIGGY_MAX as u16 {
-            assert!(p.push(i));
+        let p = PiggyAcks::from_prefix(&[0, 1, 2, 3, 99]);
+        assert_eq!(p.len(), PIGGY_MAX, "fifth ack must wait");
+        assert_eq!(p.iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert!(PiggyAcks::from_prefix(&[]).is_empty());
+    }
+
+    #[test]
+    fn acks_within_an_i16_of_the_first_share_a_frame() {
+        // Across the seq wrap and at both ends of the delta range.
+        let base = u32::MAX - 5;
+        for past in [base.wrapping_add(32_768), base.wrapping_sub(32_769)] {
+            let p = PiggyAcks::from_prefix(&[base, past, base]);
+            assert_eq!(p.iter().collect::<Vec<_>>(), [base], "{past} waits");
         }
-        assert!(!p.push(99), "fifth ack must be refused");
-        assert_eq!(p.len(), PIGGY_MAX);
-        assert_eq!(p.as_slice(), &[0, 1, 2, 3]);
+        let p = acks(&[
+            base,
+            base.wrapping_add(32_767),
+            base.wrapping_sub(32_768),
+            7,
+        ]);
+        let f = WireFrame::from_parts(FrameHeader::ack(NodeId(2), NodeId(1), p), &[]);
+        let d = WireFrame::decode(&f.encode()).unwrap();
+        assert_eq!(d.head.piggy, p);
+        let seqs = [
+            base,
+            base.wrapping_add(32_767),
+            base.wrapping_sub(32_768),
+            7,
+        ];
+        assert_eq!(d.head.piggy.iter().collect::<Vec<_>>(), seqs);
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused() {
+        // An empty v1 data frame as v1 laid it out: piggyback count at byte
+        // 12, the slot-generation tag at 13, one 16-bit ack word at 24.
+        let mut v1 = [0u8; FM_HEADER_BYTES + FM_CRC_BYTES];
+        v1[0] = 0xF1;
+        v1[6] = 1;
+        v1[12] = 1;
+        v1[13] = 5;
+        v1[24..26].copy_from_slice(&(3u16 | 5 << 10).to_le_bytes());
+        let crc = crc32(&v1[..FM_HEADER_BYTES]);
+        v1[FM_HEADER_BYTES..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            WireFrame::decode_slice(&v1),
+            Err(CodecError::BadVersion(0xF1))
+        );
     }
 
     #[test]
@@ -850,7 +919,7 @@ mod tests {
         for f in [
             sample(),
             WireFrame::from_parts(
-                FrameHeader::ack(NodeId(1), NodeId(0), PiggyAcks::from_slice(&[7, 8, 9])),
+                FrameHeader::ack(NodeId(1), NodeId(0), acks(&[7, 8, 9])),
                 &[],
             ),
             WireFrame::data(

@@ -76,9 +76,7 @@ mod wire;
 pub use endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
 pub use fabric::{spsc_ring, RingConsumer, RingProducer};
 pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultStats, LinkFaults};
-pub use flow::{
-    ack_word, ack_word_parts, gen_tag, RetransmitConfig, SeqBufferError, SeqClass, SeqWindow,
-};
+pub use flow::{RetransmitConfig, SeqBufferError, SeqClass, SeqWindow};
 pub use frame::{
     crc32, CodecError, FrameHeader, FrameKind, FrameSlot, TraceCtx, WireFrame, FM_CRC_BYTES,
     FM_FRAME_MAX, FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_WIRE_VERSION,

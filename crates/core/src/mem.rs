@@ -258,7 +258,7 @@ impl MemEndpoint {
             Counter::DeadPeers => s.dead_peers,
             Counter::ReassemblyAborts => r.aborted_partials(),
             Counter::EvictedPartials => r.evicted_partials(),
-            Counter::InvalidAckSlots => s.invalid_ack_slots,
+            Counter::StaleAcks => s.stale_acks,
             Counter::SeqBufferMisuse => s.seq_buffer_misuse,
         })
     }
@@ -361,8 +361,10 @@ impl MemEndpoint {
     /// the receive window are all discarded, and the dead mark (if any) is
     /// cleared. Called automatically when the UDP handshake observes the
     /// peer restart with a new generation; public for embedders running
-    /// their own membership protocol. Plain [`Self::revive_peer`] is the
-    /// gentler variant for a peer that was merely slow.
+    /// their own membership protocol, and the one way back from a peer
+    /// declared dead: both ends reset, once the fabric holds none of the
+    /// old streams' frames (see
+    /// [`crate::endpoint::EndpointCore::reset_peer`]).
     pub fn reset_peer(&mut self, peer: NodeId) {
         self.core.reset_peer(peer);
         self.purge_peer(peer);
@@ -559,15 +561,14 @@ impl MemEndpoint {
             && self.faults.as_ref().is_none_or(|f| f.idle())
     }
 
+    /// Out-of-order frames parked in the receive sequence windows.
+    pub fn recv_buffered(&self) -> usize {
+        self.core.recv_buffered()
+    }
+
     /// True when `peer` has been declared dead (retry budget exhausted).
     pub fn is_peer_dead(&self, peer: NodeId) -> bool {
         self.core.is_dead(peer)
-    }
-
-    /// Clear the dead mark for `peer` (see
-    /// [`crate::endpoint::EndpointCore::revive_peer`]).
-    pub fn revive_peer(&mut self, peer: NodeId) {
-        self.core.revive_peer(peer);
     }
 
     /// Fault-injection counters, when this endpoint's transmit path has an

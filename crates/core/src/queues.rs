@@ -188,13 +188,6 @@ impl<T> PacketRing<T> {
     }
 }
 
-/// Slots are limited so a slot id plus a 6-bit generation tag pack into the
-/// 16-bit ack words piggybacked on frames (see [`crate::flow::ack_word`]).
-pub const REJECT_SLOT_LIMIT: usize = 1 << 10;
-
-/// Bits of a slot's reuse generation that travel in an ack word.
-pub(crate) const GEN_TAG_MASK: u8 = 0x3F;
-
 /// State of one reject-queue slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
@@ -236,15 +229,12 @@ enum SlotState {
 /// with the caller, indexed by the slot id, from [`RejectQueue::reserve`]
 /// until the slot is freed — it is written once and never handed back and
 /// forth, so a bounce or a retransmission is a state flip here and a slot
-/// id there.
+/// id there. Which packet an ack or a bounce names is the caller's to
+/// check, against the packet it keeps (by sequence number); this table
+/// only refuses a transition its state does not allow.
 #[derive(Debug, Clone)]
 pub struct RejectQueue {
     slots: Vec<SlotState>,
-    /// Per-slot reuse generation, bumped on every reservation. Its low
-    /// bits tag outgoing frames, and acks and bounces must present a
-    /// matching tag, so a delayed duplicate from a previous occupancy of a
-    /// slot cannot release or park the packet that holds it now.
-    gens: Vec<u8>,
     free: Vec<u16>,
     /// Returned slots in bounce order, awaiting retransmission.
     returned_fifo: VecDeque<u16>,
@@ -257,12 +247,11 @@ pub struct RejectQueue {
 impl RejectQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(
-            capacity > 0 && capacity <= REJECT_SLOT_LIMIT,
-            "reject queue capacity must be 1..={REJECT_SLOT_LIMIT}"
+            capacity > 0 && capacity <= 1 << 16,
+            "reject queue capacity must be 1..=65536 (slot ids are u16)"
         );
         RejectQueue {
             slots: vec![SlotState::Free; capacity],
-            gens: vec![0; capacity],
             free: (0..capacity as u16).rev().collect(),
             returned_fifo: VecDeque::new(),
             in_flight: 0,
@@ -294,19 +283,12 @@ impl RejectQueue {
         !self.free.is_empty()
     }
 
-    /// The current reuse generation of `slot`.
+    /// True while `slot` is reserved — in flight or parked after a bounce.
     #[inline]
-    pub fn gen(&self, slot: u16) -> u8 {
-        self.gens[slot as usize]
-    }
-
-    /// True while `slot` is still held by the reservation that gave it
-    /// generation `gen` — in flight or parked after a bounce.
-    #[inline]
-    pub fn holds(&self, slot: u16, gen: u8) -> bool {
+    pub fn holds(&self, slot: u16) -> bool {
         self.slots
             .get(slot as usize)
-            .is_some_and(|s| *s != SlotState::Free && self.gens[slot as usize] == gen)
+            .is_some_and(|s| *s != SlotState::Free)
     }
 
     /// True when some in-flight slot's retransmission deadline may have
@@ -317,8 +299,8 @@ impl RejectQueue {
         self.next_deadline <= now
     }
 
-    /// Reserve a slot for a new outgoing packet, advancing its generation
-    /// and arming its retransmission timer. `None` when the window is
+    /// Reserve a slot for a new outgoing packet, arming its retransmission
+    /// timer. `None` when the window is
     /// exhausted (the caller must extract/ack before sending more).
     #[inline]
     pub fn reserve(&mut self, now: u64, rto: u64) -> Option<u16> {
@@ -330,28 +312,25 @@ impl RejectQueue {
             rto,
             retries: 0,
         };
-        self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
         self.in_flight += 1;
         self.next_deadline = self.next_deadline.min(deadline);
         Some(slot)
     }
 
-    /// `slot` is in flight under generation tag `tag`.
     #[inline]
-    fn in_flight_as(&self, slot: u16, tag: u8) -> bool {
+    fn is_in_flight(&self, slot: u16) -> bool {
         matches!(
             self.slots.get(slot as usize),
             Some(SlotState::InFlight { .. })
-        ) && self.gens[slot as usize] & GEN_TAG_MASK == tag
+        )
     }
 
-    /// An acknowledgement arrived for `slot` with generation tag `tag`:
-    /// release it. Returns false for a slot that was not in flight or whose
-    /// tag does not match (a stale or corrupted ack — tolerated, counted by
-    /// the caller).
+    /// An acknowledgement arrived for the packet in `slot`: release it.
+    /// Returns false for a slot that is not in flight (free, or parked
+    /// after a bounce: the parked copy is resent and acked again).
     #[inline]
-    pub fn ack(&mut self, slot: u16, tag: u8) -> bool {
-        let ok = self.in_flight_as(slot, tag);
+    pub fn ack(&mut self, slot: u16) -> bool {
+        let ok = self.is_in_flight(slot);
         if ok {
             self.slots[slot as usize] = SlotState::Free;
             self.free.push(slot);
@@ -361,13 +340,11 @@ impl RejectQueue {
     }
 
     /// The packet in `slot` bounced back: park the slot for retransmission.
-    /// Returns false if the slot was not in flight or the tag disagrees
-    /// (a bounce of a stale duplicate must not displace the packet that
-    /// currently owns the slot). Whatever the bounce carried is not
-    /// needed: the caller still holds the packet.
+    /// Returns false if the slot was not in flight. Whatever the bounce
+    /// carried is not needed: the caller still holds the packet.
     #[inline]
-    pub fn bounce(&mut self, slot: u16, tag: u8) -> bool {
-        if !self.in_flight_as(slot, tag) {
+    pub fn bounce(&mut self, slot: u16) -> bool {
+        if !self.is_in_flight(slot) {
             return false;
         }
         if let SlotState::InFlight { rto, retries, .. } = self.slots[slot as usize] {
@@ -602,11 +579,10 @@ mod tests {
         assert_ne!(a, b);
         assert!(q.reserve(0, 1).is_none(), "window exhausted");
         assert_eq!(q.outstanding(), 2);
-        assert!(q.ack(a, q.gen(a)));
-        assert!(!q.ack(a, q.gen(a)), "double ack refused");
+        assert!(q.ack(a));
+        assert!(!q.ack(a), "double ack refused");
         assert_eq!(q.outstanding(), 1);
         assert_eq!(q.reserve(0, 1), Some(a));
-        assert_eq!(q.gen(a), 2, "each reservation is a new generation");
     }
 
     #[test]
@@ -614,54 +590,32 @@ mod tests {
         let mut q = RejectQueue::new(3);
         let a = q.reserve(0, FAR).unwrap();
         let b = q.reserve(0, FAR).unwrap();
-        assert!(q.bounce(a, 1));
-        assert!(q.bounce(b, 1));
+        assert!(q.bounce(a));
+        assert!(q.bounce(b));
         assert_eq!(q.in_flight(), 0);
         assert_eq!(q.returned(), 2);
-        assert!(q.holds(a, 1), "a parked slot is still held");
+        assert!(q.holds(a), "a parked slot is still held");
         // Retransmission order is bounce order.
         assert_eq!(q.pop_retransmit(0), Some(a));
         assert_eq!(q.in_flight(), 1);
         // Slot stays outstanding until acked.
         assert_eq!(q.outstanding(), 2);
-        assert!(q.ack(a, 1));
-        assert!(!q.holds(a, 1));
+        assert!(q.ack(a));
+        assert!(!q.holds(a));
         assert_eq!(q.pop_retransmit(0), Some(b));
         assert!(q.pop_retransmit(0).is_none());
     }
 
     #[test]
-    fn reject_queue_rejects_bad_slots_and_tags() {
+    fn reject_queue_rejects_bad_slots_and_states() {
         let mut q = RejectQueue::new(2);
-        assert!(!q.ack(0, 0), "slot never reserved");
-        assert!(!q.bounce(7, 0), "slot out of range");
-        assert!(!q.holds(7, 0));
+        assert!(!q.ack(0), "slot never reserved");
+        assert!(!q.bounce(7), "slot out of range");
+        assert!(!q.holds(7));
         let a = q.reserve(0, 1).unwrap();
-        assert!(!q.ack(a, 5), "tag mismatch refused");
-        assert!(!q.bounce(a, 5), "bounce tag mismatch refused");
-        assert!(q.bounce(a, 1));
-        assert!(!q.bounce(a, 1), "double bounce refused");
-        assert!(
-            !q.ack(a, 1),
-            "ack of a returned slot refused (not in flight)"
-        );
-    }
-
-    #[test]
-    fn the_tag_is_the_low_six_bits_of_the_generation() {
-        let mut q = RejectQueue::new(1);
-        for _ in 0..65 {
-            let a = q.reserve(0, FAR).unwrap();
-            assert!(q.ack(a, q.gen(a) & GEN_TAG_MASK));
-        }
-        let a = q.reserve(0, FAR).unwrap();
-        assert_eq!(q.gen(a), 66);
-        assert!(!q.ack(a, 66), "the full generation is not a tag");
-        assert!(
-            q.holds(a, 66) && !q.holds(a, 2),
-            "held under the full generation"
-        );
-        assert!(q.ack(a, 2));
+        assert!(q.bounce(a));
+        assert!(!q.bounce(a), "double bounce refused");
+        assert!(!q.ack(a), "ack of a returned slot refused (not in flight)");
     }
 
     #[test]
@@ -700,7 +654,7 @@ mod tests {
         q.scan_expired(17, 9, 1000, |_| 0, |_| fired += 1, |_| {});
         assert_eq!(fired, 1);
         // Not for a bounced slot, a free slot, or one outside the table.
-        assert!(q.bounce(a, 1));
+        assert!(q.bounce(a));
         assert!(!q.rearm(a, 8));
         assert!(!q.rearm(1, 8));
         assert!(!q.rearm(9, 8));
@@ -731,7 +685,7 @@ mod tests {
         let a = q.reserve(0, FAR).unwrap();
         let b = q.reserve(0, FAR).unwrap();
         let c = q.reserve(0, FAR).unwrap();
-        q.bounce(c, 1);
+        q.bounce(c);
         let mut asked = Vec::new();
         let released = q.release_where(|slot| {
             asked.push(slot);
@@ -742,7 +696,7 @@ mod tests {
         assert_eq!(released, 2, "in-flight and parked alike");
         assert_eq!(q.outstanding(), 1, "b untouched");
         assert_eq!(q.in_flight(), 1);
-        assert!(q.ack(b, 1));
+        assert!(q.ack(b));
         // The stale fifo entry for c is skipped, not retransmitted.
         assert!(q.pop_retransmit(0).is_none());
     }

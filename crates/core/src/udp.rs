@@ -20,7 +20,7 @@
 //!   pump, and handshake pacing on its own wall microsecond clock.
 //!
 //! Control datagrams are distinguished from wire frames by their first
-//! byte: every frame starts `0xF0 | version` (`0xF1`) and control
+//! byte: every frame starts `0xF0 | version` (`0xF2`) and control
 //! packets start with [`CTRL_MAGIC`] (`0xE7`). A control
 //! packet carries its own CRC32; a corrupted one is dropped and the
 //! periodic hello retry recovers the exchange.

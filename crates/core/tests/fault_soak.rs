@@ -209,7 +209,8 @@ fn heavy_corruption_never_reaches_handlers() {
 
 /// One stalled peer degrades gracefully: senders to it burn their retry
 /// budget and get [`SendError::PeerUnreachable`], while traffic between
-/// the live nodes keeps flowing; nothing wedges.
+/// the live nodes keeps flowing; nothing wedges. Once the stall lifts, a
+/// reset at both ends brings the peer back.
 #[test]
 fn stalled_peer_fails_fast_rest_of_cluster_flows() {
     let cfg = EndpointConfig {
@@ -222,7 +223,7 @@ fn stalled_peer_fails_fast_rest_of_cluster_flows() {
     };
     let faults = FaultConfig::new(99).stall(NodeId(2));
     let mut nodes = MemCluster::with_faulty_fabric(3, cfg, FabricKind::Ring, faults);
-    let _dead = nodes.pop().unwrap(); // node 2: never driven, and stalled anyway
+    let mut dead = nodes.pop().unwrap(); // node 2: not driven while stalled
     let mut b = nodes.pop().unwrap();
     let mut a = nodes.pop().unwrap();
 
@@ -279,12 +280,46 @@ fn stalled_peer_fails_fast_rest_of_cluster_flows() {
     assert_eq!(live.load(Ordering::Relaxed), sent_live);
     assert!(!a.is_peer_dead(NodeId(1)));
 
-    // Revival clears the mark and reopens the path (the peer is still
-    // stalled here, so frames blackhole again — but sends are accepted).
-    a.revive_peer(NodeId(2));
+    // The way back: lift the stall (a clean injector on every endpoint),
+    // drain the fabric, then reset the pair at both ends. The purged
+    // frames left a hole in the old streams; the reset starts new ones.
+    let back = Arc::new(AtomicU64::new(0));
+    let k = back.clone();
+    let hd = dead.register_handler(move |_, _, _| {
+        k.fetch_add(1, Ordering::Relaxed);
+    });
+    for ep in [&mut a, &mut b, &mut dead] {
+        ep.inject_faults(&FaultConfig::new(99));
+    }
+    for _ in 0..64 {
+        a.extract();
+        b.extract();
+        dead.extract();
+    }
+    a.reset_peer(NodeId(2));
+    dead.reset_peer(NodeId(0));
     assert!(!a.is_peer_dead(NodeId(2)));
-    a.try_send(NodeId(2), HandlerId(1), b"welcome back")
-        .unwrap();
+    for i in 0..8u8 {
+        a.send(NodeId(2), hd, &[i]);
+    }
+    let mut rounds = 0;
+    while back.load(Ordering::Relaxed) < 8 || !a.is_quiescent() || !dead.is_quiescent() {
+        rounds += 1;
+        assert!(rounds < 2_000, "the reset peer wedged: {a:?} {dead:?}");
+        a.extract();
+        dead.extract();
+    }
+    for _ in 0..64 {
+        a.extract();
+        dead.extract();
+    }
+    assert_eq!(
+        back.load(Ordering::Relaxed),
+        8,
+        "each delivered exactly once"
+    );
+    assert_eq!((a.recv_buffered(), dead.recv_buffered()), (0, 0));
+    assert!(a.is_quiescent() && dead.is_quiescent());
 }
 
 /// A panicking handler must not take the endpoint (or its thread) down:

@@ -1,22 +1,22 @@
 //! Release-profile regression tests for the protocol guards.
 //!
-//! Three guards in this crate used to be `debug_assert!`s, which compile
-//! to nothing under `--release` — exactly the profile every benchmark and
+//! Guards in this crate used to be `debug_assert!`s, which compile to
+//! nothing under `--release` — exactly the profile every benchmark and
 //! deployment uses. A caller breaking the contract in release would
 //! silently corrupt protocol state:
 //!
-//! * `flow::ack_word` happily truncated slots >= 1024 into the 10-bit
-//!   field, aliasing the ack onto an unrelated send record;
 //! * `SeqWindow::buffer` overwrote an already-parked frame (losing the
 //!   first one) or parked an out-of-window sequence that `release()`
 //!   would then never free;
 //! * `seg::Reassembly` grew its partial-message map without bound while
 //!   a peer stayed alive.
 //!
-//! All three are now checked in every profile. These tests drive each
-//! misuse path; CI runs this file under `--release` specifically (see
-//! `.github/workflows/ci.yml`) so the guards are exercised with debug
-//! assertions compiled out.
+//! Both are now checked in every profile. Acks name a frame's sequence
+//! number and are resolved per sending peer, so a hostile frame naming
+//! another peer's frames must free none of them.
+//! These tests drive each misuse path; CI runs this file under
+//! `--release` specifically (see `.github/workflows/ci.yml`) so the guards
+//! are exercised with debug assertions compiled out.
 //!
 //! The same goes for the one validator that faces the network
 //! (`FrameHeader::parse`, its by-value form `WireFrame::decode_slice`, and
@@ -25,8 +25,8 @@
 //! mutation loop lives here too — and holds the two entry points to the
 //! same verdict on every buffer it makes.
 
-use fm_core::flow::{ack_word, AckTracker, SeqBufferError, SeqClass, SeqWindow};
-use fm_core::frame::FrameHeader;
+use fm_core::flow::{SeqBufferError, SeqClass, SeqWindow};
+use fm_core::frame::{FrameHeader, PiggyAcks};
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
 use fm_core::{
     CodecError, EndpointConfig, EndpointCore, HandlerId, NodeId, TraceCtx, WireFrame, FM_FRAME_MAX,
@@ -43,40 +43,34 @@ fn built_without_debug_assertions() {
 }
 
 #[test]
-fn ack_word_refuses_slot_wider_than_field() {
-    // 1024 truncated into the 10-bit slot field would alias slot 0.
-    assert_eq!(ack_word(1024, 3), None);
-    assert_eq!(ack_word(u16::MAX, 0), None);
-    // The last representable slot still encodes.
-    assert!(ack_word(1023, 3).is_some());
-}
-
-#[test]
-fn ack_tracker_counts_invalid_slots_instead_of_aliasing() {
-    let mut t = AckTracker::new();
-    assert!(
-        !t.on_accept(NodeId(2), 1024, 0),
-        "oversized slot must be refused"
-    );
-    assert_eq!(
-        t.pending_total(),
-        0,
-        "no ack may be queued for an invalid slot"
-    );
-    assert!(t.on_accept(NodeId(2), 1023, 0));
-    assert_eq!(t.pending_total(), 1);
-    // The endpoint counts the refusal in its ledger.
-    let mut ep = EndpointCore::new(NodeId(0), EndpointConfig::default());
-    let wide = WireFrame::data(
-        NodeId(2),
-        NodeId(0),
-        HandlerId(1),
-        1024,
-        0,
-        Default::default(),
-    );
-    ep.on_wire(wide);
-    assert_eq!(ep.stats().invalid_ack_slots, 1);
+fn a_third_nodes_acks_and_returns_free_nothing() {
+    // The victim has four frames outstanding to node 1, seqs 0..=3.
+    let mut victim = EndpointCore::new(NodeId(0), EndpointConfig::default());
+    for i in 0..4u8 {
+        victim.try_send(NodeId(1), HandlerId(1), [i]).unwrap();
+    }
+    let sent: Vec<WireFrame> = std::iter::from_fn(|| victim.pop_outgoing()).collect();
+    let seqs: Vec<u32> = sent.iter().map(|f| f.head.seq).collect();
+    let acks = PiggyAcks::from_prefix(&seqs);
+    assert_eq!(acks.len(), 4);
+    // Node 2 names all four, piggybacked on data and standalone, and
+    // returns each of them as if it had bounced it.
+    let mut hostile = WireFrame::data(NodeId(2), NodeId(0), HandlerId(1), 0, 0, Default::default());
+    hostile.head.piggy = acks;
+    victim.on_wire(hostile);
+    victim.on_frame(&FrameHeader::ack(NodeId(2), NodeId(0), acks), &[]);
+    for f in &sent {
+        let mut bounce = f.head.into_return();
+        bounce.src = NodeId(2);
+        victim.on_frame(&bounce, &[]);
+    }
+    assert_eq!(victim.outstanding(), 4, "nothing freed");
+    assert_eq!(victim.stats().stale_acks, 8);
+    assert_eq!(victim.stats().bounced, 0);
+    // Node 1's own acks still free them.
+    victim.on_frame(&FrameHeader::ack(NodeId(1), NodeId(0), acks), &[]);
+    assert_eq!(victim.outstanding(), 0);
+    assert_eq!(victim.stats().stale_acks, 8);
 }
 
 #[test]
@@ -168,13 +162,13 @@ fn decode(buf: &[u8]) -> Result<WireFrame, CodecError> {
 
 /// What every buffer that is *not* an untouched frame image must get:
 /// no panic from any entry point, never `Ok`, and `BadVersion` / no
-/// peek whenever byte 0 is not `0xF1`.
+/// peek whenever byte 0 is not `0xF2`.
 fn assert_refused(buf: &[u8], what: &str) {
     let peek = WireFrame::peek_flow(buf);
     let err = decode(buf).expect_err(what);
     match buf.first() {
         None => assert_eq!(err, CodecError::Truncated { have: 0 }),
-        Some(&0xF1) => assert!(!matches!(err, CodecError::BadVersion(_)), "{what}: {err}"),
+        Some(&0xF2) => assert!(!matches!(err, CodecError::BadVersion(_)), "{what}: {err}"),
         Some(&other) => assert_eq!((err, peek), (CodecError::BadVersion(other), None), "{what}"),
     }
 }
@@ -195,9 +189,14 @@ fn decoder_accepts_only_untouched_images() {
             next(&mut rng),
         );
         let mut frame = WireFrame::data(src, dst, handler, slot, seq as u32, payload);
-        for _ in 0..next(&mut rng) % 5 {
-            frame.head.piggy.push(next(&mut rng) as u16);
-        }
+        let first_ack = next(&mut rng) as u32;
+        let acks: Vec<u32> = (0..next(&mut rng) % 5)
+            .map(|i| match i {
+                0 => first_ack,
+                _ => first_ack.wrapping_add(next(&mut rng) as i16 as u32),
+            })
+            .collect();
+        frame.head.piggy = PiggyAcks::from_prefix(&acks);
         if r & 1 == 1 {
             frame.head.trace = TraceCtx::sampled((seq >> 32) as u32, next(&mut rng) as u16);
         }
@@ -208,10 +207,10 @@ fn decoder_accepts_only_untouched_images() {
 
         assert_refused(&image[..n - 1], "truncated by one byte");
         assert_refused(&image[..n + 1], "extended by one byte");
-        for first in 0x00..=0x02 {
+        for first in [0x00, 0x01, 0x02, 0xF1] {
             let mut forced = image;
             forced[0] = first;
-            assert_refused(&forced[..n], "first byte of the retired layout");
+            assert_refused(&forced[..n], "first byte of a retired layout");
         }
         // One flipped bit, then a second, different one: CRC-32 catches
         // every 1- and 2-bit error at this length.
@@ -223,7 +222,7 @@ fn decoder_accepts_only_untouched_images() {
             assert_refused(&image[..n], "flipped bits");
         }
         if r & 2 == 2 {
-            noise[0] = 0xF1; // past the version gate half the time
+            noise[0] = 0xF2; // past the version gate half the time
         }
         assert_refused(
             &noise[..next(&mut rng) as usize % noise.len()],

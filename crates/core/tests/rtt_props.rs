@@ -10,7 +10,7 @@
 //! properties cover the space.
 
 use fm_core::flow::SenderFlow;
-use fm_core::{ack_word, derive_jitter_seed, RetransmitConfig, RttEstimator};
+use fm_core::{derive_jitter_seed, RetransmitConfig, RttEstimator};
 use proptest::prelude::*;
 
 proptest! {
@@ -103,8 +103,7 @@ proptest! {
                 karn_clean, !fired_any,
                 "slot {} retransmit flag must match the timer round", i
             );
-            let word = ack_word(slot, flow.gen(slot)).unwrap();
-            if let Some(sample) = flow.on_ack(word, fire_at + 10) {
+            if let Some(sample) = flow.on_ack(slot, fire_at + 10) {
                 if karn_clean {
                     estimator.on_sample(sample);
                     clean_samples += 1;
@@ -204,12 +203,19 @@ fn wire_format_round_trips_across_socket_boundary() {
             NodeId(any::<u16>().generate(rng)),
             NodeId(any::<u16>().generate(rng)),
             HandlerId(any::<u16>().generate(rng)),
-            (0u16..1024).generate(rng), // slot: 10-bit ack-word field
+            any::<u16>().generate(rng),
             any::<u32>().generate(rng),
             Bytes::from(proptest::collection::vec(any::<u8>(), 0..=128).generate(rng)),
         );
-        frame.head.slot_gen = any::<u8>().generate(rng);
-        frame.head.piggy.push((0u16..1024).generate(rng));
+        // The piggyback area: a full first acked seq, then up to three
+        // 16-bit deltas from it, each of the whole i16 range.
+        let first = any::<u32>().generate(rng);
+        let deltas = proptest::collection::vec(any::<i16>(), 0..=3).generate(rng);
+        let acks: Vec<u32> = std::iter::once(first)
+            .chain(deltas.iter().map(|&d| first.wrapping_add(d as u32)))
+            .collect();
+        frame.head.piggy = fm_core::frame::PiggyAcks::from_prefix(&acks);
+        assert_eq!(frame.head.piggy.len(), acks.len());
 
         let mut buf = [0u8; FM_FRAME_MAX];
         let n = frame.encode_into(&mut buf);

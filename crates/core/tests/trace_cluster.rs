@@ -294,7 +294,13 @@ fn totals(nodes: u16, value: impl Fn(Counter, u16) -> u64) -> Vec<String> {
 
 /// What `examples/observed_cluster.rs` exports, pinned: its lossy
 /// 500-message run scrapes to the counts the example wrote while every
-/// event was still counted a second time, in the telemetry handle.
+/// event was still counted a second time, in the telemetry handle —
+/// except two that the wire-format-2 change moved. Node 0's 62 stale acks
+/// are re-acks of duplicates whose frames were already freed, counted
+/// since acks name seqs. One of the injected bit flips lands on a byte
+/// that was the piggyback count in version 1 (refused as a codec error)
+/// and is part of the seq in version 2 (caught by the CRC), so node 1
+/// counts 15 corrupt frames, not 14.
 #[test]
 fn observed_cluster_exports_its_pinned_counts() {
     const MSGS: u64 = 500;
@@ -332,7 +338,8 @@ fn observed_cluster_exports_its_pinned_counts() {
         (Counter::TimerRetransmits, 0) => 1,
         (Counter::CorruptFrames, 0) => 19,
         (Counter::ReAcks, 1) => 99,
-        (Counter::CorruptFrames, 1) => 14,
+        (Counter::CorruptFrames, 1) => 15,
+        (Counter::StaleAcks, 0) => 62,
         _ => 0,
     });
     assert_eq!(exported_totals(&nodes), pinned);
@@ -404,7 +411,7 @@ fn exported_counts_equal_the_ledger() {
             Counter::DeadPeers => s.dead_peers,
             Counter::ReassemblyAborts => aborted,
             Counter::EvictedPartials => evicted,
-            Counter::InvalidAckSlots => s.invalid_ack_slots,
+            Counter::StaleAcks => s.stale_acks,
             Counter::SeqBufferMisuse => s.seq_buffer_misuse,
         }
     });

@@ -249,8 +249,8 @@ fn udp_peer_restart_resumes_streams_exactly_once() {
 
     // Restart: B2 binds a *new* port with a *new* generation and hellos A
     // (it got A's address in its roster). A must notice the generation
-    // change, reset the streams, and clear the dead mark — no manual
-    // revive_peer required.
+    // change, reset the streams, and clear the dead mark; B2 starts its
+    // streams fresh, so both ends are reset.
     let mut roster_b2 = Roster::new(2);
     roster_b2.set(NodeId(0), a_addr);
     let mut b2 = MemEndpoint::bind_udp(
@@ -440,9 +440,17 @@ fn wire_frame_round_trips_across_a_socket() {
             0xDEAD_0000 + i as u32,
             Bytes::from(payload),
         );
-        frame.head.slot_gen = (i as u8) & 0x3F;
-        frame.head.piggy.push(41);
-        frame.head.piggy.push(999);
+        // The piggyback area: i + 1 acks, across the seq wrap and at both
+        // ends of the 16-bit delta range.
+        let first = u32::MAX - i as u32;
+        let acks = [
+            first,
+            first.wrapping_add(32_767),
+            first.wrapping_sub(32_768),
+            first.wrapping_add(1),
+        ];
+        frame.head.piggy = fm_core::frame::PiggyAcks::from_prefix(&acks[..=i]);
+        assert_eq!(frame.head.piggy.len(), i + 1);
 
         let mut buf = [0u8; FM_FRAME_MAX];
         let n = frame.encode_into(&mut buf);
@@ -456,7 +464,7 @@ fn wire_frame_round_trips_across_a_socket() {
     }
 }
 
-/// A datagram that is not an FM frame (first byte anything but `0xF1`) and
+/// A datagram that is not an FM frame (first byte anything but `0xF2`) and
 /// not a control packet reaches the frame sink, is refused by the one
 /// decoder, and is visible to every export path as a gauge — without
 /// being mistaken for wire corruption or delivered.

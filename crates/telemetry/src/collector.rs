@@ -1010,7 +1010,7 @@ mod tests {
         let ev = |tick| TraceEvent {
             tick,
             node: 0,
-            kind: EventKind::SlotReuse { slot: 1, gen: 1 },
+            kind: EventKind::PeerDead { peer: 1 },
         };
         // Windows of 96 events advancing by 48: every event ships twice.
         let total = EVENT_CAP as u64 + 1_000;

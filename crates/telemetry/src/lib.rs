@@ -93,10 +93,10 @@ pub enum Counter {
     /// Partial reassemblies evicted by the per-source cap (a live peer
     /// churning msg_ids without completing them).
     EvictedPartials,
-    /// Ack-word packs refused because the slot exceeded the 10-bit range —
-    /// the release-mode aliasing bug this counter replaced a `debug_assert!`
-    /// for.
-    InvalidAckSlots,
+    /// Acks that named no frame outstanding to their sender: a re-ack of
+    /// a frame already freed, or an ack that outlived its frame. They free
+    /// nothing.
+    StaleAcks,
     /// `SeqWindow::buffer` misuse caught at runtime (out-of-window or
     /// double-insert), likewise previously only a `debug_assert!`.
     SeqBufferMisuse,
@@ -116,7 +116,7 @@ impl Counter {
         Counter::DeadPeers,
         Counter::ReassemblyAborts,
         Counter::EvictedPartials,
-        Counter::InvalidAckSlots,
+        Counter::StaleAcks,
         Counter::SeqBufferMisuse,
     ];
 
@@ -132,7 +132,7 @@ impl Counter {
             Counter::DeadPeers => "dead_peers",
             Counter::ReassemblyAborts => "reassembly_aborts",
             Counter::EvictedPartials => "evicted_partials",
-            Counter::InvalidAckSlots => "invalid_ack_slots",
+            Counter::StaleAcks => "stale_acks",
             Counter::SeqBufferMisuse => "seq_buffer_misuse",
         }
     }
@@ -301,7 +301,7 @@ mod tests {
     fn trace_ring_is_bounded() {
         let t = Telemetry::with_trace_capacity(0, 8);
         for i in 0..100 {
-            t.trace(i, EventKind::SlotReuse { slot: 1, gen: 1 });
+            t.trace(i, EventKind::PeerDead { peer: 1 });
         }
         let evs = t.events();
         assert_eq!(evs.len(), 8);

@@ -32,9 +32,6 @@ pub enum EventKind {
     /// A frame was retransmitted; `timer` distinguishes timeout recovery
     /// from bounce-driven resends.
     Retransmit { peer: u16, slot: u16, timer: bool },
-    /// A send-window slot was reserved for the 2nd+ time (its generation
-    /// tag advanced) — the reuse events an ABA diagnosis needs.
-    SlotReuse { slot: u16, gen: u8 },
     /// A peer exhausted its retry budget and was declared dead.
     PeerDead { peer: u16 },
     // ---- causal-trace span events ------------------------------------
@@ -114,7 +111,6 @@ impl EventKind {
             EventKind::Send { .. } => "send",
             EventKind::Bounce { .. } => "bounce",
             EventKind::Retransmit { .. } => "retransmit",
-            EventKind::SlotReuse { .. } => "slot_reuse",
             EventKind::PeerDead { .. } => "peer_dead",
             EventKind::SpanSend { .. } => "span_send",
             EventKind::SpanWireIn { .. } => "span_wire_in",
@@ -155,7 +151,6 @@ impl EventKind {
             EventKind::Retransmit { peer, slot, timer } => {
                 format!("{{\"peer\":{peer},\"slot\":{slot},\"timer\":{timer}}}")
             }
-            EventKind::SlotReuse { slot, gen } => format!("{{\"slot\":{slot},\"gen\":{gen}}}"),
             EventKind::PeerDead { peer } => format!("{{\"peer\":{peer}}}"),
             EventKind::SpanSend { trace, hop, dst } => {
                 format!("{{\"trace\":{trace},\"hop\":{hop},\"dst\":{dst}}}")
@@ -240,7 +235,6 @@ impl TraceEvent {
             Send { dst, slot, seq } => (0, 0, dst, slot, seq),
             Bounce { peer, slot } => (1, 0, peer, slot, 0),
             Retransmit { peer, slot, timer } => (2, timer as u8, peer, slot, 0),
-            SlotReuse { slot, gen } => (3, gen, slot, 0, 0),
             PeerDead { peer } => (4, 0, peer, 0, 0),
             SpanSend { trace, hop, dst } => (5, 0, hop, dst, trace),
             SpanWireIn { trace, hop, src } => (6, 0, hop, src, trace),
@@ -284,7 +278,6 @@ impl TraceEvent {
                 slot: c,
                 timer: d != 0,
             },
-            3 => SlotReuse { slot: b, gen: d },
             4 => PeerDead { peer: b },
             5 => SpanSend { trace, hop, dst: c },
             6 => SpanWireIn { trace, hop, src: c },
@@ -482,7 +475,6 @@ mod tests {
                 slot: 5,
                 timer: true,
             },
-            SlotReuse { slot: 6, gen: 255 },
             PeerDead { peer: u16::MAX },
             SpanSend { trace, hop, dst: 7 },
             SpanWireIn { trace, hop, src: 8 },
@@ -530,6 +522,10 @@ mod tests {
             .collect();
         pushed.iter().for_each(|&e| r.push(e));
         assert_eq!(r.to_vec(), pushed);
+        // Tag 3, retired with the slot-reuse event, decodes as no event.
+        for tag in [3u64, 17] {
+            assert_eq!(TraceEvent::from_words([0, 0, tag << 8]), None);
+        }
     }
 
     #[test]

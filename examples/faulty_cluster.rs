@@ -15,7 +15,8 @@
 //!
 //! Act two stalls a peer entirely: sends to it burn the bounded retry
 //! budget, fail fast with `SendError::PeerUnreachable`, and the rest of
-//! the cluster keeps flowing.
+//! the cluster keeps flowing. Then the stall lifts and both ends reset the
+//! link, the one way back from a peer declared dead.
 
 use fm_repro::fm_core::{EndpointConfig, FabricKind, FaultConfig, SendError};
 use fm_repro::prelude::*;
@@ -108,9 +109,18 @@ fn stalled_peer() {
     let mut live = nodes.pop().expect("node 1");
     let mut origin = nodes.pop().expect("node 0");
 
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    let back = Arc::new(AtomicU32::new(0));
+    let k = back.clone();
     let h = origin.register_handler(|_, _, _| {});
     assert_eq!(h, live.register_handler(|_, _, _| {}));
-    assert_eq!(h, dead.register_handler(|_, _, _| {}));
+    assert_eq!(
+        h,
+        dead.register_handler(move |_, _, _| {
+            k.fetch_add(1, Ordering::Relaxed);
+        })
+    );
 
     // Sends to the stalled node are accepted until the retransmission
     // timers burn the retry budget and declare it dead...
@@ -135,10 +145,42 @@ fn stalled_peer() {
     while live.extract() == 0 {}
     println!("  live peer still receiving: ok");
 
-    // Operators can re-arm a link once the peer recovers.
-    origin.revive_peer(NodeId(2));
-    assert!(origin.try_send(NodeId(2), h, b"welcome back").is_ok());
-    println!("  after revive_peer: sends accepted again");
+    // The peer recovers: lift the stall (a clean injector everywhere) and
+    // drain the fabric. Frames were purged both ways when it was declared
+    // dead, so the old streams have a hole neither end will fill; a reset
+    // at both ends starts new ones.
+    for ep in [&mut origin, &mut live, &mut dead] {
+        ep.inject_faults(&FaultConfig::new(0xDEAD));
+    }
+    for _ in 0..64 {
+        origin.extract();
+        live.extract();
+        dead.extract();
+    }
+    origin.reset_peer(NodeId(2));
+    dead.reset_peer(NodeId(0));
+    for i in 0..8u8 {
+        origin.send(NodeId(2), h, &[i]);
+    }
+    let mut rounds = 0;
+    while back.load(Ordering::Relaxed) < 8 || !origin.is_quiescent() || !dead.is_quiescent() {
+        rounds += 1;
+        assert!(rounds < 2_000, "the reset peer wedged");
+        origin.extract();
+        dead.extract();
+    }
+    for _ in 0..64 {
+        origin.extract();
+        dead.extract();
+    }
+    assert_eq!(
+        back.load(Ordering::Relaxed),
+        8,
+        "each delivered exactly once"
+    );
+    assert_eq!((origin.recv_buffered(), dead.recv_buffered()), (0, 0));
+    assert!(origin.is_quiescent() && dead.is_quiescent());
+    println!("  after reset_peer at both ends: 8/8 delivered exactly once");
 }
 
 fn main() {

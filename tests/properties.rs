@@ -2,11 +2,27 @@
 //! and invariants, spanning crates.
 
 use bytes::Bytes;
-use fm_core::frame::{FrameKind, PiggyAcks, WireFrame};
+use fm_core::frame::{FrameHeader, FrameKind, PiggyAcks, WireFrame};
 use fm_core::queues::{CounterPair, PacketRing, RejectQueue};
 use fm_core::seg::{fragment, Reassembly, FRAG_DATA};
-use fm_core::{gen_tag, EndpointConfig, EndpointCore, HandlerId, NodeId};
+use fm_core::{EndpointConfig, EndpointCore, HandlerId, NodeId};
 use proptest::prelude::*;
+
+/// The acks for `base` and, after it, `base + delta` for each of the rest
+/// of `deltas` (at most [`fm_core::frame::PIGGY_MAX`] in all): a set one
+/// frame carries.
+fn piggy_acks(base: u32, deltas: &[i16]) -> PiggyAcks {
+    let mut seqs: Vec<u32> = deltas
+        .iter()
+        .map(|&d| base.wrapping_add(d as u32))
+        .collect();
+    if let Some(first) = seqs.first_mut() {
+        *first = base;
+    }
+    let acks = PiggyAcks::from_prefix(&seqs);
+    assert_eq!(acks.len(), seqs.len(), "{seqs:?} fit one frame");
+    acks
+}
 
 proptest! {
     /// Frame codec: encode/decode is the identity for every valid frame.
@@ -18,7 +34,8 @@ proptest! {
         handler in any::<u16>(),
         slot in any::<u16>(),
         seq in any::<u32>(),
-        piggy in proptest::collection::vec(any::<u16>(), 0..=4),
+        ack_base in any::<u32>(),
+        ack_deltas in proptest::collection::vec(any::<i16>(), 0..=4),
         payload in proptest::collection::vec(any::<u8>(), 0..=128),
     ) {
         let mut f = WireFrame::data(
@@ -26,7 +43,7 @@ proptest! {
             Bytes::from(payload),
         );
         f.head.kind = match kind { 0 => FrameKind::Data, 1 => FrameKind::Return, _ => FrameKind::Ack };
-        f.head.piggy = PiggyAcks::from_slice(&piggy);
+        f.head.piggy = piggy_acks(ack_base, &ack_deltas);
         let decoded = WireFrame::decode(&f.encode()).expect("own encoding decodes");
         prop_assert_eq!(decoded, f);
     }
@@ -113,68 +130,98 @@ proptest! {
         prop_assert!(model.is_empty());
     }
 
-    /// RejectQueue: under arbitrary reserve/ack/bounce/retransmit traffic,
-    /// outstanding never exceeds capacity, acks and bounces only succeed
-    /// for in-flight slots presenting the slot's current generation tag,
-    /// and bounced slots come back for retransmission in bounce order.
-    /// (The queue tracks slots; the packet a slot stands for stays with
-    /// the caller. Timers are kept out of the picture with an
-    /// astronomically large RTO.)
+    /// The reject queue as the endpoint drives it, acks and returns naming
+    /// frames by sequence number: under arbitrary send/ack/bounce/
+    /// retransmit traffic, outstanding never exceeds the window; an ack
+    /// frees exactly the in-flight frame it names, once — a double ack, an
+    /// ack for a seq never sent, and an ack from a node the frame was not
+    /// sent to free nothing and count as stale; a return is refused unless
+    /// its slot holds the frame with its seq; and bounced frames come back
+    /// for retransmission in bounce order. (Timers are kept out of the
+    /// picture with an astronomically large RTO.)
     #[test]
     fn reject_queue_model(
         cap in 1usize..12,
-        ops in proptest::collection::vec(0u8..4, 0..400),
+        ops in proptest::collection::vec(0u8..5, 0..400),
     ) {
+        use std::collections::{BTreeSet, HashMap, VecDeque};
         const RTO: u64 = 1 << 40;
-        let mut q = RejectQueue::new(cap);
-        let mut in_flight: Vec<u16> = Vec::new();
-        let mut returned: std::collections::VecDeque<u16> = Default::default();
+        let peer = NodeId(1);
+        let mut a = EndpointCore::new(NodeId(0), EndpointConfig {
+            window: cap,
+            rto_initial: RTO,
+            rto_max: RTO,
+            retransmit_per_extract: usize::MAX,
+            ..Default::default()
+        });
+        let ack = |a: &mut EndpointCore, from: NodeId, seq: u32| {
+            let acks = PiggyAcks::from_prefix(&[seq]);
+            a.on_frame(&FrameHeader::ack(from, NodeId(0), acks), &[]);
+        };
+        let mut slot_of: HashMap<u32, u16> = HashMap::new();
+        let mut in_flight: BTreeSet<u32> = BTreeSet::new();
+        let mut returned: VecDeque<u32> = VecDeque::new();
+        let (mut next_seq, mut stale) = (0u32, 0u64);
         for op in ops {
             match op {
-                0 => {
-                    // reserve: a new generation of whichever slot it is
-                    let before: Vec<u8> = (0..cap as u16).map(|s| q.gen(s)).collect();
-                    match q.reserve(0, RTO) {
-                        Some(slot) => {
-                            prop_assert!(in_flight.len() + returned.len() < cap);
-                            prop_assert_eq!(q.gen(slot), before[slot as usize].wrapping_add(1));
-                            in_flight.push(slot);
-                        }
-                        None => prop_assert_eq!(in_flight.len() + returned.len(), cap),
+                0 => match a.try_send(peer, HandlerId(1), [op]) {
+                    Ok(()) => {
+                        prop_assert!(in_flight.len() + returned.len() < cap);
+                        let f = a.pop_outgoing().expect("the fresh frame");
+                        prop_assert_eq!(f.head.seq, next_seq);
+                        slot_of.insert(next_seq, f.head.slot);
+                        in_flight.insert(next_seq);
+                        next_seq += 1;
                     }
-                }
+                    Err(_) => prop_assert_eq!(in_flight.len() + returned.len(), cap),
+                },
                 1 => {
-                    // ack the oldest in-flight: refused under the previous
-                    // occupant's tag, accepted under its own
-                    if let Some(slot) = in_flight.first().copied() {
-                        let tag = gen_tag(q.gen(slot));
-                        prop_assert!(!q.ack(slot, gen_tag(q.gen(slot).wrapping_sub(1))));
-                        prop_assert!(q.ack(slot, tag));
-                        prop_assert!(!q.holds(slot, q.gen(slot)));
-                        in_flight.remove(0);
-                    } else {
-                        prop_assert!(!q.ack(0, gen_tag(q.gen(0))));
+                    // Ack the oldest in-flight frame, then again.
+                    if let Some(seq) = in_flight.pop_first() {
+                        ack(&mut a, peer, seq);
+                        ack(&mut a, peer, seq);
+                        stale += 1;
                     }
                 }
                 2 => {
-                    // bounce the newest in-flight
-                    if let Some(slot) = in_flight.pop() {
-                        prop_assert!(!q.bounce(slot, gen_tag(q.gen(slot).wrapping_sub(1))));
-                        prop_assert!(q.bounce(slot, gen_tag(q.gen(slot))));
-                        prop_assert!(q.holds(slot, q.gen(slot)), "parked, still held");
-                        returned.push_back(slot);
+                    // Acks naming no outstanding frame of this peer's.
+                    ack(&mut a, peer, next_seq);
+                    stale += 1;
+                    if let Some(&seq) = in_flight.first() {
+                        ack(&mut a, NodeId(2), seq);
+                        stale += 1;
+                    }
+                }
+                3 => {
+                    // Bounce the newest in-flight frame: first as a return
+                    // whose seq does not match its slot's frame, then as
+                    // itself.
+                    if let Some(seq) = in_flight.pop_last() {
+                        let slot = slot_of[&seq];
+                        let bounced = a.stats().bounced;
+                        let mut head = FrameHeader::data(NodeId(0), peer, HandlerId(1), slot, seq + 1)
+                            .into_return();
+                        a.on_frame(&head, &[]);
+                        prop_assert_eq!(a.stats().bounced, bounced, "mismatched return parked");
+                        head.seq = seq;
+                        a.on_frame(&head, &[]);
+                        prop_assert_eq!(a.stats().bounced, bounced + 1);
+                        // Parked, it is outstanding but not acked.
+                        ack(&mut a, peer, seq);
+                        returned.push_back(seq);
                     }
                 }
                 _ => {
-                    // retransmit
-                    let got = q.pop_retransmit(0);
-                    prop_assert_eq!(got, returned.pop_front());
-                    in_flight.extend(got);
+                    a.extract(0);
+                    let resent: Vec<u32> =
+                        std::iter::from_fn(|| a.pop_outgoing()).map(|f| f.head.seq).collect();
+                    prop_assert_eq!(&resent, &Vec::from(std::mem::take(&mut returned)));
+                    in_flight.extend(resent);
                 }
             }
-            prop_assert_eq!(q.outstanding(), in_flight.len() + returned.len());
-            prop_assert_eq!(q.in_flight(), in_flight.len());
-            prop_assert_eq!(q.returned(), returned.len());
+            prop_assert!(a.outstanding() <= cap);
+            prop_assert_eq!(a.outstanding(), in_flight.len() + returned.len());
+            prop_assert_eq!(a.stats().stale_acks, stale);
         }
     }
 
@@ -261,8 +308,8 @@ proptest! {
 
     /// RejectQueue bounce-and-retransmit: a slot can bounce and be
     /// retransmitted any number of times; every cycle preserves bounce
-    /// order and the slot's generation, the slot stays outstanding
-    /// throughout, and after the final acks the window fully reopens.
+    /// order, the slot stays outstanding throughout, and after the final
+    /// acks the window fully reopens.
     #[test]
     fn reject_queue_bounce_retransmit_cycles(
         cap in 1usize..10,
@@ -277,7 +324,7 @@ proptest! {
         for &k in &cycles {
             let k = (k as usize).min(live.len());
             for &slot in &live[..k] {
-                prop_assert!(q.bounce(slot, 1));
+                prop_assert!(q.bounce(slot));
             }
             prop_assert_eq!(q.returned(), k);
             prop_assert_eq!(q.in_flight(), live.len() - k);
@@ -285,13 +332,12 @@ proptest! {
                 prop_assert_eq!(q.pop_retransmit(0), Some(slot));
             }
             prop_assert!(q.pop_retransmit(0).is_none());
-            // Re-bounced or not, every reserved slot stays outstanding,
-            // under the generation it was reserved with.
+            // Re-bounced or not, every reserved slot stays outstanding.
             prop_assert_eq!(q.outstanding(), live.len());
-            prop_assert!(live.iter().all(|&slot| q.holds(slot, 1)));
+            prop_assert!(live.iter().all(|&slot| q.holds(slot)));
         }
         for &slot in &live {
-            prop_assert!(q.ack(slot, 1));
+            prop_assert!(q.ack(slot));
         }
         prop_assert_eq!(q.outstanding(), 0);
         for _ in 0..cap {
@@ -578,21 +624,22 @@ proptest! {
         prop_assert_eq!(win.buffered(), 0);
     }
 
-    /// Ack words survive the pack/unpack roundtrip: the slot comes back
-    /// exactly, the tag matches the slot generation's low six bits.
+    /// Piggybacked acks are full sequence numbers: any seqs within an
+    /// `i16` of the first share a frame and come back exactly; one outside
+    /// that range is refused, to ride the next frame — never truncated
+    /// into a different seq.
     #[test]
-    fn ack_word_roundtrip(slot in 0u16..1024, gen in any::<u8>()) {
-        let word = fm_core::ack_word(slot, gen).expect("slot fits the 10-bit field");
-        let (s, tag) = fm_core::ack_word_parts(word);
-        prop_assert_eq!(s, slot);
-        prop_assert_eq!(tag, fm_core::gen_tag(gen));
-    }
-
-    /// Slots outside the 10-bit field are refused outright — a release
-    /// build must never pack a word whose low bits alias another slot.
-    #[test]
-    fn ack_word_rejects_wide_slots(slot in 1024u16..=u16::MAX, gen in any::<u8>()) {
-        prop_assert_eq!(fm_core::ack_word(slot, gen), None);
+    fn piggy_acks_round_trip_or_wait_for_the_next_frame(
+        base in any::<u32>(),
+        deltas in proptest::collection::vec(any::<i16>(), 0..=4),
+        far in 32_768u32..=u32::MAX - 32_768,
+    ) {
+        let acks = piggy_acks(base, &deltas);
+        let f = WireFrame::from_parts(FrameHeader::ack(NodeId(1), NodeId(0), acks), &[]);
+        let back = WireFrame::decode(&f.encode()).expect("own encoding decodes");
+        prop_assert_eq!(back.head.piggy, acks);
+        let one = PiggyAcks::from_prefix(&[base, base.wrapping_add(far)]);
+        prop_assert_eq!(one.iter().collect::<Vec<_>>(), vec![base]);
     }
 }
 
