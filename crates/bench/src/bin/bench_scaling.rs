@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 /// Incast fairness floor at the highest K (the ROADMAP target).
 const FAIRNESS_FLOOR: f64 = 0.8;
 /// Required deterministic round-count speedup of 4 trunks over 1. The
-/// flow hash spreads 8 flows [4,1,1,2] over 4 trunks, so the busiest
+/// flow hash spreads 8 flows `[4, 1, 1, 2]` over 4 trunks, so the busiest
 /// trunk carries half the single-trunk load: the exact speedup is 2.0,
 /// and anything under 1.5 means trunk selection stopped spreading.
 const TRUNK_SPEEDUP_FLOOR: f64 = 1.5;

@@ -17,6 +17,10 @@
 //!   run handlers on the ring's frames where they lie, flush
 //!   handler-issued sends and any acknowledgements that found no data
 //!   frame to ride on (a reply's may wait one more extract for one).
+//!   Frames for the reserved [`SEG_HANDLER`] are fragments: extract
+//!   appends them to their source's message in the core's own
+//!   [`Reassembly`] and queues each completed one for
+//!   [`EndpointCore::take_large`].
 //!
 //! A frame's bytes therefore move once per side: into its window slot when
 //! sent (and from there straight into the wire, however often it is
@@ -35,6 +39,7 @@ use crate::flow::{AckTracker, RetransmitConfig, SenderFlow, SeqWindow};
 use crate::frame::{FrameSlot, PiggyAcks, TraceCtx, FM_FRAME_PAYLOAD};
 use crate::handler::{Handler, HandlerId, HandlerRegistry, Outbox};
 use crate::queues::PacketRing;
+use crate::seg::{Reassembly, SEG_HANDLER};
 use crate::time::{derive_jitter_seed, RttEstimator, TimeSource};
 use fm_telemetry::{EventKind, Telemetry};
 
@@ -361,6 +366,12 @@ pub struct EndpointCore {
     /// subsequent extract/send opportunity.
     deferred: VecDeque<(NodeId, HandlerId, Bytes)>,
     outbox: Outbox,
+    /// Fragments delivered to [`SEG_HANDLER`], one open message per
+    /// source (the receive window hands them over in order).
+    reasm: Reassembly,
+    /// Reassembled messages as `(source, large-handler id, message)`,
+    /// oldest first, until [`Self::take_large`] takes them.
+    large_done: VecDeque<(NodeId, HandlerId, Vec<u8>)>,
     /// Scratch for flushing handler-issued sends; its capacity is reused
     /// across deliveries so the extract hot path never allocates.
     outbox_scratch: Vec<(NodeId, HandlerId, Bytes)>,
@@ -479,6 +490,8 @@ impl EndpointCore {
             returns: VecDeque::new(),
             deferred: VecDeque::new(),
             outbox: Outbox::new(id),
+            reasm: Reassembly::new(),
+            large_done: VecDeque::new(),
             outbox_scratch: Vec::new(),
             now: 0,
             clock_origin: None,
@@ -565,6 +578,17 @@ impl EndpointCore {
         &self.rtt
     }
 
+    /// The reassembler fed by frames for [`SEG_HANDLER`] (its counts).
+    pub fn reassembly(&self) -> &Reassembly {
+        &self.reasm
+    }
+
+    /// Take the oldest reassembled large message, as `(source,
+    /// large-handler id, message)`.
+    pub fn take_large(&mut self) -> Option<(NodeId, HandlerId, Vec<u8>)> {
+        self.large_done.pop_front()
+    }
+
     /// Record a frame the transport discarded for a CRC mismatch. The frame
     /// never reaches the protocol; the sender's retransmission timer is
     /// what recovers it.
@@ -578,7 +602,13 @@ impl EndpointCore {
         self.registry.register(h)
     }
 
+    /// Register `h` at a fixed id.
+    ///
+    /// # Panics
+    /// On [`SEG_HANDLER`]: frames for it are fragments, which the core
+    /// reassembles itself.
     pub fn register_handler_at(&mut self, id: HandlerId, h: Handler) {
+        assert_ne!(id, SEG_HANDLER, "handler id 0 is reserved for segmentation");
         self.registry.register_at(id, h);
     }
 
@@ -638,7 +668,8 @@ impl EndpointCore {
 
     /// True when this endpoint holds no protocol state that still needs the
     /// network: nothing outstanding, nothing queued, nothing to extract,
-    /// nothing parked in a reorder buffer. The verdict is local: a sender
+    /// nothing parked in a reorder buffer, no large message half
+    /// reassembled or waiting to be taken. The verdict is local: a sender
     /// whose frames were all acked reads quiescent while its peer may still
     /// hold some of them parked behind a hole, so a cluster is quiescent
     /// only when every endpoint is.
@@ -649,6 +680,8 @@ impl EndpointCore {
             && self.deferred.is_empty()
             && self.acks.pending_total() == 0
             && self.recv_buffered() == 0
+            && self.reasm.in_progress() == 0
+            && self.large_done.is_empty()
     }
 }
 

@@ -33,7 +33,7 @@ impl EndpointCore {
 
     /// Drain the list of peers declared dead since the last call. The
     /// transport uses this to purge per-peer state outside the core (e.g.
-    /// partially reassembled large messages).
+    /// frames parked for a full wire).
     pub fn take_newly_dead(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.newly_dead)
     }
@@ -227,7 +227,9 @@ impl EndpointCore {
     /// times it was queued for the wire: frames in window slots toward it
     /// (their queue entries go with the slots), deferred sends and queued
     /// control frames toward it, pending acks (not messages: uncounted) and
-    /// frames from it parked in the reorder window.
+    /// frames from it parked in the reorder window. Its half-reassembled
+    /// large message, if any, is aborted too (counted by the reassembler,
+    /// once: a later purge finds nothing open).
     fn purge_peer(&mut self, peer: NodeId) -> u64 {
         let idx = peer.index();
         let Self {
@@ -257,6 +259,7 @@ impl EndpointCore {
         self.deferred.retain(|(dst, _, _)| *dst != peer);
         drops += (before - self.deferred.len()) as u64;
         self.acks.purge(peer);
+        self.reasm.abort_source(peer);
         if let Some(win) = self.recv_windows.get_mut(idx) {
             drops += win.clear_buffered() as u64;
         }

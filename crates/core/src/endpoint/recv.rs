@@ -13,7 +13,8 @@ use fm_myrinet::NodeId;
 
 use super::{grow, span, EndpointCore, OutEntry, RING_ACTIVE_TICKS};
 use crate::flow::{SeqClass, SeqWindow};
-use crate::frame::{FrameHeader, FrameKind, FrameSlot, WireFrame};
+use crate::frame::{FrameHeader, FrameKind, FrameSlot, TraceCtx, WireFrame};
+use crate::seg::SEG_HANDLER;
 use crate::time::TimeSource;
 use fm_telemetry::{EventKind, Metric};
 
@@ -276,7 +277,8 @@ impl EndpointCore {
     /// the handler queued are flushed, so a handler that sends to its own
     /// node finds the slot free again. Returns true when a handler ran to
     /// completion (frames for unknown or panicking handlers are consumed
-    /// without counting as deliveries).
+    /// without counting as deliveries). A fragment goes to the reassembler
+    /// instead, and always counts.
     pub(super) fn deliver_head(&mut self) -> bool {
         let frame = self.recv_ring.peek().expect("caller saw a frame");
         let FrameHeader {
@@ -285,6 +287,9 @@ impl EndpointCore {
             trace,
             ..
         } = frame.head;
+        if handler == SEG_HANDLER {
+            return self.deliver_fragment(src, trace);
+        }
         let mut taken = self.registry.take(handler);
         let mut panicked = false;
         if let Some(h) = taken.as_mut() {
@@ -312,9 +317,7 @@ impl EndpointCore {
                     .record(Metric::HandlerNs, t0.elapsed().as_nanos() as u64);
             }
         }
-        self.recv_ring.release();
-        let share = grow(&mut self.ring_share, src.index());
-        *share = share.saturating_sub(1);
+        self.release_head(src);
         match taken {
             None => {
                 // Unknown handler: the message is consumed (and was already
@@ -351,6 +354,37 @@ impl EndpointCore {
                 true
             }
         }
+    }
+
+    /// Append the fragment at the head of the receive ring to its source's
+    /// message (the receive window delivers a source's frames in order),
+    /// queueing the message once its last fragment is in. A fragment the
+    /// reassembler refuses is counted there and consumed.
+    fn deliver_fragment(&mut self, src: NodeId, trace: TraceCtx) -> bool {
+        let frame = self.recv_ring.peek().expect("caller saw a frame");
+        span(&self.telemetry, trace, self.now, |trace, hop| {
+            EventKind::SpanHandlerStart {
+                trace,
+                hop,
+                src: src.0,
+            }
+        });
+        if let Ok(Some((handler, msg))) = self.reasm.on_fragment(src, frame.payload()) {
+            self.large_done.push_back((src, handler, msg));
+        }
+        self.release_head(src);
+        self.stats.delivered += 1;
+        span(&self.telemetry, trace, self.now, |trace, hop| {
+            EventKind::SpanHandlerEnd { trace, hop }
+        });
+        true
+    }
+
+    /// Free the head ring slot, a frame from `src`, and its share.
+    fn release_head(&mut self, src: NodeId) {
+        self.recv_ring.release();
+        let share = grow(&mut self.ring_share, src.index());
+        *share = share.saturating_sub(1);
     }
 }
 

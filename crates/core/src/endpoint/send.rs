@@ -9,7 +9,7 @@
 use fm_myrinet::NodeId;
 
 use super::{grow, span, EndpointCore, OutEntry, SendError, SlotFlow};
-use crate::frame::{FrameHeader, TraceCtx, WireFrame, FM_FRAME_PAYLOAD};
+use crate::frame::{FrameHeader, FrameSlot, TraceCtx, WireFrame, FM_FRAME_PAYLOAD};
 use crate::handler::HandlerId;
 use crate::time::splitmix64;
 use fm_telemetry::EventKind;
@@ -36,12 +36,25 @@ impl EndpointCore {
         if payload.len() > FM_FRAME_PAYLOAD {
             return Err(SendError::TooLarge { len: payload.len() });
         }
+        self.send_filled(dst, handler, |slot, head| slot.fill(head, payload))
+    }
+
+    /// Send one frame whose payload, already checked to fit, `fill` writes
+    /// into the slot the frame occupies: a window slot, or for this node
+    /// a receive-ring slot.
+    #[inline]
+    fn send_filled(
+        &mut self,
+        dst: NodeId,
+        handler: HandlerId,
+        fill: impl FnOnce(&mut FrameSlot, FrameHeader),
+    ) -> Result<(), SendError> {
         if dst == self.id {
-            return self.loopback(handler, payload);
+            return self.loopback(handler, fill);
         }
         // Fairness: deferred handler sends go out before fresh traffic.
         self.flush_deferred();
-        self.queue_data_frame(dst, handler, payload, true)
+        self.queue_data_frame(dst, handler, fill, true)
     }
 
     /// The trace context the next fresh send carries: a delivery in
@@ -66,7 +79,8 @@ impl EndpointCore {
     }
 
     /// Reserve a window slot, assign the next per-destination sequence
-    /// number, build the frame in the slot, and queue it; a `traced` frame
+    /// number, build the frame in the slot (`fill` writes the header and
+    /// the payload), and queue it; a `traced` frame
     /// gets [`Self::next_trace`]'s context, any other the all-zero one.
     /// Order matters: the sequence number and the trace context are taken
     /// only *after* the slot reservation succeeds — a sequence number
@@ -77,7 +91,7 @@ impl EndpointCore {
         &mut self,
         dst: NodeId,
         handler: HandlerId,
-        payload: &[u8],
+        fill: impl FnOnce(&mut FrameSlot, FrameHeader),
         traced: bool,
     ) -> Result<(), SendError> {
         if self.is_dead(dst) {
@@ -102,7 +116,7 @@ impl EndpointCore {
         // stays in its trace and its ack can be attributed to it.
         let mut head = FrameHeader::data(self.id, dst, handler, slot, seq);
         head.trace = trace;
-        self.frames[slot as usize].fill(head, payload);
+        fill(&mut self.frames[slot as usize], head);
         let piggy = self.acks.take_piggy(dst);
         self.acks.note_sent(dst);
         self.outgoing.push_back(OutEntry::Data {
@@ -154,6 +168,8 @@ impl EndpointCore {
     /// Vectored send: gather `parts` into one frame (the scatter-gather
     /// convenience the Myrinet API advertises, provided here without its
     /// descriptor-handshake costs). The parts must total <= 128 bytes.
+    /// They are copied once, straight into the frame's slot; this is how
+    /// `send_large` puts a fragment's subheader and data on the wire.
     pub fn try_send_gather(
         &mut self,
         dst: NodeId,
@@ -164,23 +180,19 @@ impl EndpointCore {
         if len > FM_FRAME_PAYLOAD {
             return Err(SendError::TooLarge { len });
         }
-        // Gathered on the stack: like every frame-sized send, this path
-        // allocates nothing.
-        let mut buf = [0u8; FM_FRAME_PAYLOAD];
-        let mut at = 0;
-        for p in parts {
-            buf[at..at + p.len()].copy_from_slice(p);
-            at += p.len();
-        }
-        self.send_slice(dst, handler, &buf[..len])
+        self.send_filled(dst, handler, |slot, head| slot.fill_gather(head, parts))
     }
 
-    fn loopback(&mut self, handler: HandlerId, payload: &[u8]) -> Result<(), SendError> {
+    fn loopback(
+        &mut self,
+        handler: HandlerId,
+        fill: impl FnOnce(&mut FrameSlot, FrameHeader),
+    ) -> Result<(), SendError> {
         // Local messages skip the network and flow control entirely, but
         // still ride the receive ring so delivery order relative to other
         // arrivals is preserved and handlers still run inside extract.
         let head = FrameHeader::data(self.id, self.id, handler, 0, 0);
-        if !self.recv_ring.push_with(|slot| slot.fill(head, payload)) {
+        if !self.recv_ring.push_with(|slot| fill(slot, head)) {
             return Err(SendError::WouldBlock);
         }
         // Loopback skips the quota (no network contention to arbitrate)
@@ -225,10 +237,11 @@ impl EndpointCore {
             // Deferred sends lost their causal context when they were
             // parked (only (dst, handler, payload) is retained), so they
             // re-enter the wire untraced rather than mislabeled.
+            let fill = |slot: &mut FrameSlot, head| slot.fill(head, &payload);
             let sent = if dst == self.id {
-                self.loopback(handler, &payload)
+                self.loopback(handler, fill)
             } else {
-                self.queue_data_frame(dst, handler, &payload, false)
+                self.queue_data_frame(dst, handler, fill, false)
             };
             if sent.is_err() {
                 self.deferred.push_front((dst, handler, payload));

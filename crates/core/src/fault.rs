@@ -410,7 +410,7 @@ impl FaultInjector {
         self.stats
     }
 
-    /// The retained tail of the fault log (most recent [`LOG_CAP`] events).
+    /// The retained tail of the fault log (most recent `LOG_CAP` events).
     pub fn events(&self) -> impl Iterator<Item = &FaultEvent> {
         self.log.iter()
     }

@@ -437,6 +437,19 @@ impl FrameSlot {
         self.len = payload.len() as u8;
     }
 
+    /// [`Self::fill`] with the concatenation of `parts` as the payload
+    /// (their total checked as for `fill`).
+    #[inline]
+    pub(crate) fn fill_gather(&mut self, head: FrameHeader, parts: &[&[u8]]) {
+        self.head = head;
+        let mut at = 0;
+        for part in parts {
+            self.bytes[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        self.len = at as u8;
+    }
+
     #[inline]
     pub fn payload(&self) -> &[u8] {
         &self.bytes[..self.len as usize]

@@ -105,9 +105,9 @@ impl Outbox {
 
 /// Per-node handler table.
 ///
-/// Slot 0 is reserved for the internal segmentation handler (see
-/// [`crate::seg`]); user registration starts at id 1 unless an explicit id
-/// is given.
+/// Slot 0 is reserved for segmentation fragments, which the endpoint core
+/// reassembles instead of dispatching (see [`crate::seg`]); registration
+/// starts at id 1.
 pub struct HandlerRegistry {
     table: Vec<Option<Handler>>,
 }

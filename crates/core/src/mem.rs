@@ -22,7 +22,6 @@
 
 use bytes::Bytes;
 use fm_myrinet::{NodeId, SwitchTopology};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,15 +32,12 @@ use crate::endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
 use crate::fault::{flip_bit, FaultConfig, FaultEvent, FaultInjector, FaultStats, OutboundFrame};
 use crate::frame::{CodecError, FrameHeader, WireFrame};
 use crate::handler::{HandlerId, Outbox};
-use crate::seg::{self, Reassembly};
+use crate::seg::{self, SEG_HANDLER};
 use crate::time::{RttEstimator, TimeSource};
 use crate::udp::{UdpConfig, UdpLink, UdpStats};
 use crate::wire::Wire;
 pub use crate::wire::{FabricKind, FabricStats};
 use fm_telemetry::{Beaconer, Counter, Telemetry};
-
-/// The reserved handler id for segmentation fragments.
-pub const SEG_HANDLER: HandlerId = HandlerId(0);
 
 /// A handler for reassembled large messages: `(outbox, source, message)`.
 pub type LargeHandler = Box<dyn FnMut(&mut Outbox, NodeId, Vec<u8>) + Send>;
@@ -107,10 +103,6 @@ impl MemCluster {
     }
 }
 
-/// Reassembled large messages awaiting dispatch, shared with the
-/// segmentation handler closure.
-type CompletedLarge = Arc<Mutex<VecDeque<(NodeId, HandlerId, Vec<u8>)>>>;
-
 /// One node of the in-memory cluster. Implements the FM 1.0 calls plus the
 /// segmentation extension.
 pub struct MemEndpoint {
@@ -122,9 +114,6 @@ pub struct MemEndpoint {
     /// queues for the wire is. Entries carry their already-decided fault
     /// treatment so full-ring backpressure never re-rolls the fault dice.
     backlog: VecDeque<OutboundFrame>,
-    /// Reassembled messages waiting for their large handler.
-    completed_large: CompletedLarge,
-    reasm: Arc<Mutex<Reassembly>>,
     large_handlers: Vec<Option<LargeHandler>>,
     /// Large-handler sends that found the window full.
     deferred: VecDeque<(NodeId, HandlerId, Bytes)>,
@@ -158,28 +147,12 @@ impl MemEndpoint {
     pub(crate) fn new(id: NodeId, config: EndpointConfig, wire: Wire) -> Self {
         assert!(config.window > 0, "window must be >= 1 frame");
         assert!(config.recv_ring > 0, "recv_ring must be >= 1 frame");
-        let mut core = EndpointCore::new(id, config);
-        let completed_large: CompletedLarge = Arc::new(Mutex::new(VecDeque::new()));
-        let reasm = Arc::new(Mutex::new(Reassembly::new()));
-        {
-            let completed = completed_large.clone();
-            let reasm = reasm.clone();
-            core.register_handler_at(
-                SEG_HANDLER,
-                Box::new(move |_out, src, frag| {
-                    if let Ok(Some((handler, msg))) = reasm.lock().on_fragment(src, frag) {
-                        completed.lock().push_back((src, handler, msg));
-                    }
-                }),
-            );
-        }
+        let core = EndpointCore::new(id, config);
         let telemetry = core.telemetry().clone();
         MemEndpoint {
             core,
             wire,
             backlog: VecDeque::new(),
-            completed_large,
-            reasm,
             large_handlers: Vec::new(),
             deferred: VecDeque::new(),
             next_msg_id: 0,
@@ -247,7 +220,7 @@ impl MemEndpoint {
     /// and the reassembler.
     pub fn observability_counters(&self) -> [u64; Counter::COUNT] {
         let s = self.stats();
-        let r = self.reasm.lock();
+        let r = self.core.reassembly();
         Counter::ALL.map(|c| match c {
             Counter::Sends => s.sent,
             Counter::Bounces => s.bounced,
@@ -387,21 +360,20 @@ impl MemEndpoint {
     }
 
     /// Register a handler at a fixed id (ids must agree across nodes).
+    ///
+    /// # Panics
+    /// On id 0, which is reserved for segmentation fragments.
     pub fn register_handler_at(
         &mut self,
         id: HandlerId,
         h: impl FnMut(&mut Outbox, NodeId, &[u8]) + Send + 'static,
     ) {
-        assert_ne!(id, SEG_HANDLER, "handler id 0 is reserved for segmentation");
         self.core.register_handler_at(id, Box::new(h));
     }
 
     /// Unregister a frame handler. Returns whether a handler was installed
-    /// at that id. Id 0 (the segmentation handler) cannot be removed.
+    /// at that id (never at id 0, which is reserved for fragments).
     pub fn unregister_handler(&mut self, id: HandlerId) -> bool {
-        if id == SEG_HANDLER {
-            return false;
-        }
         self.core.unregister_handler(id)
     }
 
@@ -499,9 +471,7 @@ impl MemEndpoint {
         if self.beacon.as_mut().is_some_and(|b| b.due()) {
             self.emit_beacon();
         }
-        // Only a delivery can complete a large message (the segmentation
-        // handler is the queue's one producer, and every dispatch drains
-        // it), so an extract that delivered nothing skips the lock.
+        // Only a delivered fragment can complete a large message.
         let large = if n > 0 { self.dispatch_large() } else { 0 };
         // Extract flushed both send queues just before; only a large
         // handler's sends or a backlogged frame could get out now.
@@ -513,7 +483,9 @@ impl MemEndpoint {
     }
 
     /// Segmentation extension: send a message of any size (fragments ride
-    /// ordinary FM frames through the reserved handler 0).
+    /// ordinary FM frames through the reserved handler 0, each gathered
+    /// from its subheader and its slice of `data` straight into its window
+    /// slot).
     ///
     /// Blocking: messages larger than `window x 114` bytes need the
     /// receiver to be extracting concurrently (its own thread), because
@@ -531,11 +503,11 @@ impl MemEndpoint {
         let msg_id = self.next_msg_id;
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
         let mut result = Ok(());
-        seg::fragment_each(msg_id, large_handler, data, |frag| {
+        seg::fragment_each(msg_id, large_handler, data, |parts| {
             // Once the peer has died mid-message the remaining fragments
             // are skipped.
             if result.is_ok() {
-                result = self.send_blocking(|core| core.try_send(dst, SEG_HANDLER, &frag));
+                result = self.send_blocking(|core| core.try_send_gather(dst, SEG_HANDLER, &parts));
             }
         });
         result
@@ -556,8 +528,6 @@ impl MemEndpoint {
         self.core.is_quiescent()
             && self.backlog.is_empty()
             && self.deferred.is_empty()
-            && self.completed_large.lock().is_empty()
-            && self.reasm.lock().in_progress() == 0
             && self.faults.as_ref().is_none_or(|f| f.idle())
     }
 
@@ -595,7 +565,7 @@ impl MemEndpoint {
 
     /// Reassembly statistics: (fragments seen, messages completed).
     pub fn reassembly_stats(&self) -> (u64, u64) {
-        let r = self.reasm.lock();
+        let r = self.core.reassembly();
         (r.fragments(), r.completed())
     }
 
@@ -724,16 +694,15 @@ impl MemEndpoint {
         }
     }
 
-    /// Purge this layer's state tied to `peer`: partially reassembled
-    /// large messages from it, backlogged frames and deferred sends to it.
+    /// Purge this layer's state tied to `peer`: backlogged frames and
+    /// deferred sends to it (the core aborts its partial large message).
     fn purge_peer(&mut self, peer: NodeId) {
-        self.reasm.lock().abort_source(peer);
         self.backlog.retain(|of| of.frame.head.dst != peer);
         self.deferred.retain(|(dst, _, _)| *dst != peer);
     }
 
     /// Purge the peers the protocol core just declared dead, so a stalled
-    /// peer cannot wedge reassembly or quiescence forever.
+    /// peer cannot wedge quiescence forever.
     fn reap_dead_peers(&mut self) {
         for peer in self.core.take_newly_dead() {
             self.purge_peer(peer);
@@ -757,11 +726,7 @@ impl MemEndpoint {
     /// they send; returns how many ran.
     fn dispatch_large(&mut self) -> usize {
         let mut n = 0;
-        loop {
-            let item = self.completed_large.lock().pop_front();
-            let Some((src, handler_id, msg)) = item else {
-                break;
-            };
+        while let Some((src, handler_id, msg)) = self.core.take_large() {
             let idx = handler_id.0 as usize;
             let Some(slot) = self.large_handlers.get_mut(idx) else {
                 continue;
@@ -913,6 +878,7 @@ impl Drop for ClusterRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]

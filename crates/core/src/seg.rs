@@ -16,17 +16,27 @@
 //!     12    2 target large-handler id
 //! ```
 //!
-//! leaving [`FRAG_DATA`] = 114 data bytes per frame. Because FM does not
-//! guarantee ordering (Table 3 — bounced frames retransmit late), reassembly
-//! is fully out-of-order tolerant: fragments carry absolute indices, and a
-//! message completes when all distinct indices have arrived.
+//! leaving [`FRAG_DATA`] = 114 data bytes per frame. Fragments ride frames
+//! of the reserved handler [`SEG_HANDLER`], and the sender gathers each
+//! subheader and its slice of the message straight into the frame's
+//! window slot, so the message is copied once on its way to the wire.
+//!
+//! FM itself does not order frames (Table 3: a bounced frame retransmits
+//! late), but the endpoint's receive sequence window does: it hands each
+//! source's frames to the receive ring in sequence order, exactly once.
+//! So reassembly is in order and keeps one open message per source. Index
+//! 0 opens it, each next index appends to it, the last completes it; any
+//! other fragment is refused and counted.
 
 use bytes::Bytes;
 use fm_myrinet::NodeId;
-use std::collections::HashMap;
 
 use crate::frame::FM_FRAME_PAYLOAD;
 use crate::handler::HandlerId;
+
+/// The frame-handler id reserved for fragments: the endpoint core
+/// reassembles frames sent to it instead of running a handler.
+pub const SEG_HANDLER: HandlerId = HandlerId(0);
 
 /// Subheader bytes at the front of each fragment payload.
 pub const FRAG_HEADER: usize = 14;
@@ -37,36 +47,42 @@ pub const FRAG_DATA: usize = FM_FRAME_PAYLOAD - FRAG_HEADER;
 /// Largest message the u16 fragment count can carry (~7.3 MB).
 pub const MAX_MESSAGE: usize = FRAG_DATA * u16::MAX as usize;
 
-/// Visit each fragment payload of `data` in index order. Fragments are
-/// staged in a stack buffer and handed out as inline `Bytes` (a fragment
-/// always fits one frame), so no heap allocation happens per fragment —
-/// this is the path `send_large` drives. Zero-length messages produce a
-/// single empty-data fragment so the receiver still gets a delivery.
-pub fn fragment_each(msg_id: u32, handler: HandlerId, data: &[u8], mut emit: impl FnMut(Bytes)) {
+/// Visit each fragment payload of `data` in index order, as a two-part
+/// gather list: the subheader (on the stack) and a borrow of the message
+/// chunk. Nothing is copied or allocated here; the sender gathers both
+/// parts into the frame. Zero-length messages produce a single empty-data
+/// fragment so the receiver still gets a delivery.
+pub fn fragment_each(
+    msg_id: u32,
+    handler: HandlerId,
+    data: &[u8],
+    mut emit: impl FnMut([&[u8]; 2]),
+) {
     assert!(
         data.len() <= MAX_MESSAGE,
         "message of {} B exceeds the segmentation limit of {MAX_MESSAGE} B",
         data.len()
     );
     let count = data.len().div_ceil(FRAG_DATA).max(1);
-    let mut buf = [0u8; FM_FRAME_PAYLOAD];
+    let mut head = [0u8; FRAG_HEADER];
+    head[0..4].copy_from_slice(&msg_id.to_le_bytes());
+    head[6..8].copy_from_slice(&(count as u16).to_le_bytes());
+    head[8..12].copy_from_slice(&(data.len() as u32).to_le_bytes());
+    head[12..14].copy_from_slice(&handler.0.to_le_bytes());
     for idx in 0..count {
         let chunk = &data[idx * FRAG_DATA..data.len().min((idx + 1) * FRAG_DATA)];
-        buf[0..4].copy_from_slice(&msg_id.to_le_bytes());
-        buf[4..6].copy_from_slice(&(idx as u16).to_le_bytes());
-        buf[6..8].copy_from_slice(&(count as u16).to_le_bytes());
-        buf[8..12].copy_from_slice(&(data.len() as u32).to_le_bytes());
-        buf[12..14].copy_from_slice(&handler.0.to_le_bytes());
-        buf[FRAG_HEADER..FRAG_HEADER + chunk.len()].copy_from_slice(chunk);
-        emit(Bytes::copy_from_slice(&buf[..FRAG_HEADER + chunk.len()]));
+        head[4..6].copy_from_slice(&(idx as u16).to_le_bytes());
+        emit([&head, chunk]);
     }
 }
 
 /// Split `data` for `handler` into collected fragment payloads (see
-/// [`fragment_each`] for the allocation-free streaming form).
+/// [`fragment_each`] for the copy-free streaming form).
 pub fn fragment(msg_id: u32, handler: HandlerId, data: &[u8]) -> Vec<Bytes> {
     let mut out = Vec::with_capacity(data.len().div_ceil(FRAG_DATA).max(1));
-    fragment_each(msg_id, handler, data, |frag| out.push(frag));
+    fragment_each(msg_id, handler, data, |parts| {
+        out.push(Bytes::from(parts.concat()))
+    });
     out
 }
 
@@ -85,12 +101,13 @@ pub struct FragHeader {
 pub enum FragError {
     /// Payload shorter than the subheader.
     Truncated,
-    /// Index >= count, zero count, total length inconsistent with count,
-    /// or a shape or handler that disagrees with the open partial message.
+    /// Index >= count, zero count, or total length inconsistent with count.
     Inconsistent,
-    /// Same (src, msg_id, idx) seen twice — impossible under FM's
-    /// exactly-once delivery; indicates a transport bug.
-    Duplicate,
+    /// A well-formed fragment that is not the next one of its source's
+    /// open message (none open, another message, a skipped or repeated
+    /// index, or a shape or handler that disagrees) — impossible under
+    /// the receive window's in-order, exactly-once delivery.
+    OutOfOrder,
 }
 
 fn parse(frag: &[u8]) -> Result<(FragHeader, &[u8]), FragError> {
@@ -124,45 +141,29 @@ fn parse(frag: &[u8]) -> Result<(FragHeader, &[u8]), FragError> {
     Ok((h, data))
 }
 
-/// Default cap on concurrently-open partial messages per source node.
-///
-/// Without a cap, a live (never declared dead) peer that starts messages
-/// and abandons them — or a duplicate-storm of first fragments with fresh
-/// msg_ids — grows the partial map without bound. 64 open messages per
-/// source is far above anything the in-order `send_large` path produces
-/// (it opens one at a time).
-pub const DEFAULT_MAX_PARTIALS_PER_SOURCE: usize = 64;
-
+/// One source's open message: its first fragment's subheader, the index
+/// expected next, and the bytes so far.
 #[derive(Debug)]
 struct Partial {
+    head: FragHeader,
+    next: u16,
     buf: Vec<u8>,
-    seen: Vec<bool>,
-    remaining: usize,
-    handler: HandlerId,
-    /// Arrival stamp of the first fragment (eviction picks the oldest).
-    started: u64,
 }
 
-/// Per-node reassembly state.
-#[derive(Debug)]
+/// Per-node reassembly state: at most one open message per source.
+#[derive(Debug, Default)]
 pub struct Reassembly {
-    partial: HashMap<(NodeId, u32), Partial>,
-    max_partials_per_source: usize,
-    /// Monotonic fragment-arrival counter, stamps new partials.
-    clock: u64,
+    /// Indexed by source `NodeId`, grown on a source's first fragment.
+    open: Vec<Option<Partial>>,
+    /// `Some` entries in `open`.
+    in_progress: usize,
     /// Statistics (read via the accessor methods below).
     completed: u64,
     fragments: u64,
-    /// Malformed, inconsistent or duplicate fragments.
+    /// Malformed or out-of-order fragments.
     refused: u64,
     evicted_partials: u64,
     aborted_partials: u64,
-}
-
-impl Default for Reassembly {
-    fn default() -> Self {
-        Self::with_max_partials(DEFAULT_MAX_PARTIALS_PER_SOURCE)
-    }
 }
 
 impl Reassembly {
@@ -170,115 +171,72 @@ impl Reassembly {
         Self::default()
     }
 
-    /// A reassembler allowing up to `cap` concurrently-open partial
-    /// messages per source before the oldest is evicted (`cap >= 1`).
-    pub fn with_max_partials(cap: usize) -> Self {
-        assert!(cap >= 1, "a zero cap could never open a partial");
-        Reassembly {
-            partial: HashMap::new(),
-            max_partials_per_source: cap,
-            clock: 0,
-            completed: 0,
-            fragments: 0,
-            refused: 0,
-            evicted_partials: 0,
-            aborted_partials: 0,
-        }
-    }
-
-    /// Messages currently partially assembled.
+    /// Messages currently partially assembled (at most one per source).
     pub fn in_progress(&self) -> usize {
-        self.partial.len()
+        self.in_progress
     }
 
-    /// Drop every partial message from `src` (the peer was declared dead:
-    /// its missing fragments will never arrive). Returns how many partial
-    /// messages were abandoned; each counts as an error.
-    pub fn abort_source(&mut self, src: NodeId) -> usize {
-        let before = self.partial.len();
-        self.partial.retain(|(s, _), _| *s != src);
-        let dropped = before - self.partial.len();
-        self.aborted_partials += dropped as u64;
-        dropped
+    /// Drop the partial message from `src`, if any (the peer was declared
+    /// dead or reset: its missing fragments will never arrive). Returns
+    /// whether one was abandoned; it counts as an error.
+    pub fn abort_source(&mut self, src: NodeId) -> bool {
+        let aborted = self.take_open(src).is_some();
+        self.aborted_partials += aborted as u64;
+        aborted
+    }
+
+    fn take_open(&mut self, src: NodeId) -> Option<Partial> {
+        let p = self.open.get_mut(src.index())?.take();
+        self.in_progress -= p.is_some() as usize;
+        p
     }
 
     /// Feed one fragment payload from `src`. Returns the completed message
-    /// when this fragment was the last missing piece.
+    /// when this fragment was its last.
     pub fn on_fragment(
         &mut self,
         src: NodeId,
         frag: &[u8],
     ) -> Result<Option<(HandlerId, Vec<u8>)>, FragError> {
-        let (h, data) = match parse(frag) {
-            Ok(x) => x,
-            Err(e) => {
+        let (h, data) = parse(frag).inspect_err(|_| self.refused += 1)?;
+        if h.idx == 0 {
+            // A new message from `src` displaces the one still open, which
+            // can then never complete.
+            self.evicted_partials += self.take_open(src).is_some() as u64;
+            self.fragments += 1;
+            if h.count == 1 {
+                self.completed += 1;
+                return Ok(Some((h.handler, data.to_vec())));
+            }
+            let mut buf = Vec::with_capacity(h.total_len as usize);
+            buf.extend_from_slice(data);
+            if src.index() >= self.open.len() {
+                self.open.resize_with(src.index() + 1, || None);
+            }
+            self.open[src.index()] = Some(Partial {
+                head: h,
+                next: 1,
+                buf,
+            });
+            self.in_progress += 1;
+            return Ok(None);
+        }
+        let next = match self.open.get_mut(src.index()) {
+            Some(Some(p)) if p.next == h.idx && p.head == FragHeader { idx: 0, ..h } => p,
+            _ => {
                 self.refused += 1;
-                return Err(e);
+                return Err(FragError::OutOfOrder);
             }
         };
-        self.clock += 1;
-        let key = (src, h.msg_id);
-        if !self.partial.contains_key(&key) {
-            // Opening a new partial: enforce the per-source cap by evicting
-            // the source's oldest open message. A live peer abandoning
-            // messages (or forging fresh msg_ids) must not grow this map
-            // without bound — dead peers are purged elsewhere
-            // (`abort_source`), but liveness alone bounded nothing.
-            let open = self.partial.keys().filter(|(s, _)| *s == src).count();
-            if open >= self.max_partials_per_source {
-                if let Some(oldest) = self
-                    .partial
-                    .iter()
-                    .filter(|((s, _), _)| *s == src)
-                    .min_by_key(|(_, p)| p.started)
-                    .map(|(k, _)| *k)
-                {
-                    self.partial.remove(&oldest);
-                    self.evicted_partials += 1;
-                }
-            }
-        }
-        let clock = self.clock;
-        let p = self.partial.entry(key).or_insert_with(|| Partial {
-            buf: vec![0; h.total_len as usize],
-            seen: vec![false; h.count as usize],
-            remaining: h.count as usize,
-            handler: h.handler,
-            started: clock,
-        });
-        // A fragment keyed into an existing partial must agree with its
-        // shape and handler (a msg_id collision after wraparound, or a stray
-        // fragment from an aborted message, must neither index out of bounds
-        // nor complete another handler's message).
-        if p.seen.len() != h.count as usize
-            || p.buf.len() != h.total_len as usize
-            || p.handler != h.handler
-        {
-            self.refused += 1;
-            return Err(FragError::Inconsistent);
-        }
-        if p.seen[h.idx as usize] {
-            self.refused += 1;
-            return Err(FragError::Duplicate);
-        }
-        p.seen[h.idx as usize] = true;
-        p.remaining -= 1;
+        next.buf.extend_from_slice(data);
+        next.next += 1;
         self.fragments += 1;
-        let off = h.idx as usize * FRAG_DATA;
-        p.buf[off..off + data.len()].copy_from_slice(data);
-        if p.remaining == 0 {
-            match self.partial.remove(&key) {
-                Some(p) => {
-                    self.completed += 1;
-                    Ok(Some((p.handler, p.buf)))
-                }
-                // Unreachable (the entry was just touched), but a missing
-                // entry is not worth crashing the node over.
-                None => Ok(None),
-            }
-        } else {
-            Ok(None)
+        if next.next < h.count {
+            return Ok(None);
         }
+        let done = self.take_open(src).expect("matched above");
+        self.completed += 1;
+        Ok(Some((h.handler, done.buf)))
     }
 
     // ---- read-only statistics -------------------------------------------
@@ -293,12 +251,12 @@ impl Reassembly {
         self.fragments
     }
 
-    /// Malformed / duplicate fragments plus aborted partial messages.
+    /// Refused fragments plus aborted partial messages.
     pub fn errors(&self) -> u64 {
         self.refused + self.aborted_partials
     }
 
-    /// Partial messages evicted by the per-source cap.
+    /// Partial messages displaced by a newer message from their source.
     pub fn evicted_partials(&self) -> u64 {
         self.evicted_partials
     }
@@ -312,6 +270,12 @@ impl Reassembly {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn frags_of(msg_id: u32, len: usize) -> (Vec<u8>, Vec<Bytes>) {
+        let data: Vec<u8> = (0..len).map(|i| (i * 7 + msg_id as usize) as u8).collect();
+        let frags = fragment(msg_id, HandlerId(5), &data);
+        (data, frags)
+    }
 
     #[test]
     fn single_fragment_roundtrip() {
@@ -337,8 +301,7 @@ mod tests {
 
     #[test]
     fn multi_fragment_in_order() {
-        let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        let frags = fragment(42, HandlerId(5), &data);
+        let (data, frags) = frags_of(42, 1000);
         assert_eq!(frags.len(), 1000usize.div_ceil(FRAG_DATA));
         let mut r = Reassembly::new();
         let mut done = None;
@@ -348,61 +311,50 @@ mod tests {
             }
         }
         assert_eq!(done, Some((HandlerId(5), data)));
+        assert_eq!((r.fragments(), r.errors()), (frags.len() as u64, 0));
     }
 
     #[test]
-    fn out_of_order_and_interleaved_messages() {
-        let d1: Vec<u8> = vec![0xAA; 500];
-        let d2: Vec<u8> = vec![0xBB; 400];
-        let f1 = fragment(1, HandlerId(1), &d1);
-        let f2 = fragment(2, HandlerId(2), &d2);
+    fn sources_interleave_with_one_partial_each() {
+        let (da, fa) = frags_of(9, 300);
+        let (db, fb) = frags_of(9, 300);
         let mut r = Reassembly::new();
-        // Reverse order, interleaved across two messages and two senders.
         let mut results = Vec::new();
-        for f in f1.iter().rev() {
-            if let Some(x) = r.on_fragment(NodeId(3), f).unwrap() {
-                results.push((NodeId(3), x));
-            }
+        // Same msg_id from two senders, fragment by fragment.
+        for (x, y) in fa.iter().zip(&fb) {
+            results.extend(r.on_fragment(NodeId(0), x).unwrap());
+            results.extend(r.on_fragment(NodeId(4), y).unwrap());
+            assert!(r.in_progress() <= 2);
         }
-        for f in f2.iter().rev() {
-            if let Some(x) = r.on_fragment(NodeId(4), f).unwrap() {
-                results.push((NodeId(4), x));
-            }
-        }
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].1, (HandlerId(1), d1));
-        assert_eq!(results[1].1, (HandlerId(2), d2));
+        assert_eq!(results, [(HandlerId(5), da), (HandlerId(5), db)]);
         assert_eq!(r.in_progress(), 0);
     }
 
     #[test]
-    fn same_msg_id_different_senders_do_not_collide() {
-        let da = vec![1u8; 300];
-        let db = vec![2u8; 300];
-        let fa = fragment(9, HandlerId(1), &da);
-        let fb = fragment(9, HandlerId(1), &db);
+    fn a_fragment_out_of_order_is_refused_and_the_partial_kept() {
+        let (data, frags) = frags_of(1, 3 * FRAG_DATA);
+        let (_, other) = frags_of(2, 3 * FRAG_DATA);
         let mut r = Reassembly::new();
-        // Interleave fragment streams from two senders with the same id.
-        for (x, y) in fa.iter().zip(fb.iter()) {
-            r.on_fragment(NodeId(0), x).unwrap();
-            r.on_fragment(NodeId(1), y).unwrap();
-        }
-        // Both completed with their own data (len 300 needs 3 frags; zip
-        // covered all).
-        assert_eq!(r.completed(), 2);
-    }
-
-    #[test]
-    fn duplicate_fragment_detected() {
-        let frags = fragment(1, HandlerId(1), &[0u8; 300]);
-        let mut r = Reassembly::new();
-        r.on_fragment(NodeId(0), &frags[0]).unwrap();
+        // Nothing open: a middle fragment is refused.
         assert_eq!(
-            r.on_fragment(NodeId(0), &frags[0]),
-            Err(FragError::Duplicate)
+            r.on_fragment(NodeId(0), &frags[1]),
+            Err(FragError::OutOfOrder)
         );
-        assert_eq!(r.errors(), 1);
-        assert_eq!(r.fragments(), 1, "a refused fragment is not accepted");
+        r.on_fragment(NodeId(0), &frags[0]).unwrap();
+        // Skipped ahead, or another message's next fragment.
+        for stray in [&frags[2], &other[1]] {
+            assert_eq!(r.on_fragment(NodeId(0), stray), Err(FragError::OutOfOrder));
+        }
+        r.on_fragment(NodeId(0), &frags[1]).unwrap();
+        // Repeated.
+        assert_eq!(
+            r.on_fragment(NodeId(0), &frags[1]),
+            Err(FragError::OutOfOrder)
+        );
+        assert_eq!((r.errors(), r.fragments(), r.in_progress()), (4, 2, 1));
+        let done = r.on_fragment(NodeId(0), &frags[2]).unwrap();
+        assert_eq!(done, Some((HandlerId(5), data)));
+        assert_eq!((r.in_progress(), r.completed()), (0, 1));
     }
 
     #[test]
@@ -415,7 +367,7 @@ mod tests {
         let other = fragment(1, HandlerId(2), &[0u8; 300]);
         assert_eq!(
             r.on_fragment(NodeId(0), &other[1]),
-            Err(FragError::Inconsistent)
+            Err(FragError::OutOfOrder)
         );
         assert_eq!((r.fragments(), r.errors()), (1, 1));
         r.on_fragment(NodeId(0), &frags[1]).unwrap();
@@ -425,37 +377,28 @@ mod tests {
     }
 
     #[test]
-    fn per_source_partial_cap_evicts_oldest() {
-        // Cap 3: a live peer opening abandoned messages stays bounded.
-        let mut r = Reassembly::with_max_partials(3);
-        let open = |r: &mut Reassembly, id: u32| {
-            // First fragment of a 2-fragment message — never completed.
-            let frags = fragment(id, HandlerId(1), &[id as u8; FRAG_DATA + 1]);
-            r.on_fragment(NodeId(7), &frags[0]).unwrap();
-        };
-        for id in 0..3 {
-            open(&mut r, id);
+    fn a_new_message_displaces_the_open_one_and_abort_counts_once() {
+        let mut r = Reassembly::new();
+        let opening = |id: u32| fragment(id, HandlerId(1), &[id as u8; FRAG_DATA + 1]);
+        for id in 0..5 {
+            r.on_fragment(NodeId(7), &opening(id)[0]).unwrap();
+            assert_eq!(r.in_progress(), 1);
         }
-        assert_eq!(r.in_progress(), 3);
-        assert_eq!(r.evicted_partials(), 0);
-        // A 4th open evicts the oldest (msg 0), then a 5th evicts msg 1.
-        open(&mut r, 3);
-        open(&mut r, 4);
-        assert_eq!(r.in_progress(), 3);
-        assert_eq!(r.evicted_partials(), 2);
-        // Msg 0 was evicted: its second fragment reopens it (and evicts
-        // msg 2, now the oldest) rather than completing.
-        let frags0 = fragment(0, HandlerId(1), &[0u8; FRAG_DATA + 1]);
-        assert_eq!(r.on_fragment(NodeId(7), &frags0[1]).unwrap(), None);
-        assert_eq!(r.evicted_partials(), 3);
-        // Msg 4 survived every round: completing it still works.
-        let frags4 = fragment(4, HandlerId(1), &[4u8; FRAG_DATA + 1]);
-        let done = r.on_fragment(NodeId(7), &frags4[1]).unwrap();
-        assert_eq!(done, Some((HandlerId(1), vec![4u8; FRAG_DATA + 1])));
-        // Another source is not constrained by node 7's occupancy.
-        let other = fragment(9, HandlerId(1), &[9u8; FRAG_DATA + 1]);
-        r.on_fragment(NodeId(8), &other[0]).unwrap();
-        assert_eq!(r.evicted_partials(), 3);
+        assert_eq!(r.evicted_partials(), 4);
+        // Msg 3 was displaced: its tail completes nothing.
+        assert_eq!(
+            r.on_fragment(NodeId(7), &opening(3)[1]),
+            Err(FragError::OutOfOrder)
+        );
+        // Another source is not constrained by node 7's partial.
+        r.on_fragment(NodeId(8), &opening(9)[0]).unwrap();
+        assert_eq!((r.in_progress(), r.evicted_partials()), (2, 4));
+        assert!(r.abort_source(NodeId(7)));
+        assert!(!r.abort_source(NodeId(7)), "nothing left to abort");
+        assert!(!r.abort_source(NodeId(300)), "a source never seen");
+        assert_eq!((r.in_progress(), r.aborted_partials()), (1, 1));
+        let done = r.on_fragment(NodeId(8), &opening(9)[1]).unwrap();
+        assert_eq!(done, Some((HandlerId(1), vec![9u8; FRAG_DATA + 1])));
     }
 
     #[test]
@@ -473,13 +416,20 @@ mod tests {
             r.on_fragment(NodeId(0), &bad2),
             Err(FragError::Inconsistent)
         );
+        assert_eq!((r.errors(), r.fragments(), r.in_progress()), (3, 0, 0));
     }
 
     #[test]
-    fn fragment_sizes_fill_frames() {
+    fn fragments_gather_a_subheader_and_a_borrowed_chunk() {
         let data = vec![7u8; FRAG_DATA * 3 + 5];
+        let mut lens = Vec::new();
+        fragment_each(0, HandlerId(0), &data, |[head, chunk]| {
+            assert_eq!(head.len(), FRAG_HEADER);
+            assert!(data.as_ptr_range().contains(&chunk.as_ptr()), "a borrow");
+            lens.push(chunk.len());
+        });
+        assert_eq!(lens, [FRAG_DATA, FRAG_DATA, FRAG_DATA, 5]);
         let frags = fragment(0, HandlerId(0), &data);
-        assert_eq!(frags.len(), 4);
         for f in &frags[..3] {
             assert_eq!(f.len(), FM_FRAME_PAYLOAD);
         }

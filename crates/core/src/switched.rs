@@ -111,7 +111,7 @@ pub struct SwitchStats {
     /// (truncated/unknown-version image, or a destination outside the
     /// topology — only reachable through injected corruption).
     pub dropped: u64,
-    /// Stashed frames discarded after [`STASH_RETRY_LIMIT`] consecutive
+    /// Stashed frames discarded after `STASH_RETRY_LIMIT` consecutive
     /// blocked pumps — a downstream ring nobody drains (dead host).
     /// The reliability layer treats this as loss: live senders
     /// retransmit, senders to the dead host burn their retry budget and
@@ -284,7 +284,7 @@ impl SwitchShard {
 
     /// One forwarding pass: deficit-round-robin over the input ports,
     /// starting at the rotating pointer, repeating rounds until no input
-    /// makes progress (or [`ROTATION_CAP`] rounds, under live inflow).
+    /// makes progress (or `ROTATION_CAP` rounds, under live inflow).
     /// Each round a backlogged input earns `quantum` bytes of deficit and
     /// forwards stash-then-ring frames while the deficit covers them; an
     /// input whose head frame finds a full output blocks for the rest of

@@ -21,7 +21,7 @@
 //!
 //! Control datagrams are distinguished from wire frames by their first
 //! byte: every frame starts `0xF0 | version` (`0xF2`) and control
-//! packets start with [`CTRL_MAGIC`] (`0xE7`). A control
+//! packets start with `CTRL_MAGIC` (`0xE7`). A control
 //! packet carries its own CRC32; a corrupted one is dropped and the
 //! periodic hello retry recovers the exchange.
 //!
@@ -273,7 +273,7 @@ struct PeerState {
 
 /// One endpoint's UDP wiring: socket, learned roster, handshake state.
 /// Driven through `crate::wire::Wire` exactly like a ring — `send_encoded`
-/// from its push, [`UdpLink::pump`] from its drain.
+/// from its push, `UdpLink::pump` from its drain.
 pub struct UdpLink {
     sock: UdpSocket,
     me: NodeId,

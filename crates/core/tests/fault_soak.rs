@@ -8,9 +8,10 @@
 //! round-robin, so a given seed replays the exact same fault schedule —
 //! failures here reproduce, always.
 
+use fm_core::seg::{self, SEG_HANDLER};
 use fm_core::{
     ClusterRunner, EndpointConfig, EndpointStats, FabricKind, FaultConfig, FaultStats, HandlerId,
-    MemCluster, MemEndpoint, NodeId, SendError, SwitchTopology, SwitchedCluster,
+    MemCluster, MemEndpoint, NodeId, SendError, SwitchTopology, SwitchedCluster, TelemetryCounter,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -320,6 +321,93 @@ fn stalled_peer_fails_fast_rest_of_cluster_flows() {
     );
     assert_eq!((a.recv_buffered(), dead.recv_buffered()), (0, 0));
     assert!(a.is_quiescent() && dead.is_quiescent());
+}
+
+/// A sender cut off mid-message: after `k` of a 4-KiB message's 36
+/// fragments its links stall, and the receiver, whose probe goes
+/// unanswered, declares it dead. The half-built message is aborted exactly
+/// once and delivers nothing. After a reset at both ends the next
+/// `send_large` completes exactly once, and both ends quiesce.
+#[test]
+fn a_peer_cut_off_mid_message_aborts_its_partial_once_then_resets_cleanly() {
+    let cfg = EndpointConfig {
+        rto_initial: 8,
+        rto_max: 64,
+        retry_budget: 4,
+        ..Default::default()
+    };
+    let data: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+    let frags = seg::fragment(0, HandlerId(0), &data);
+    assert_eq!(frags.len(), 36);
+    let aborts = |ep: &MemEndpoint| {
+        let counters = ep.observability_counters();
+        let at = |c: TelemetryCounter| counters[c as usize];
+        (
+            at(TelemetryCounter::ReassemblyAborts),
+            at(TelemetryCounter::EvictedPartials),
+        )
+    };
+    for k in [1, 18, 35] {
+        let mut nodes = MemCluster::with_config(2, cfg);
+        let mut b = nodes.pop().unwrap();
+        let mut a = nodes.pop().unwrap();
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        let lh = b.register_large_handler(move |_, src, msg| g.lock().push((src, msg)));
+        assert_eq!(lh, HandlerId(0), "the id send_large's fragments name");
+        let probe = a.register_handler(|_, _, _| {});
+
+        // The first k fragments arrive and are acked.
+        for frag in &frags[..k] {
+            a.try_send(NodeId(1), SEG_HANDLER, frag).unwrap();
+        }
+        b.extract();
+        a.extract();
+        assert_eq!(b.reassembly_stats(), (k as u64, 0));
+        assert!(!b.is_quiescent(), "k = {k}: a message is half built");
+
+        // Node 0 is cut off; b's probe goes unanswered until b gives up.
+        for ep in [&mut a, &mut b] {
+            ep.inject_faults(&FaultConfig::new(7).stall(NodeId(0)));
+        }
+        b.try_send(NodeId(0), probe, b"there?").unwrap();
+        let mut ticks = 0;
+        while !b.is_peer_dead(NodeId(0)) {
+            ticks += 1;
+            assert!(ticks < 2_000, "k = {k}: death never declared: {b:?}");
+            b.extract();
+        }
+        assert_eq!(aborts(&b), (1, 0), "k = {k}: aborted once");
+        assert!(got.lock().is_empty(), "k = {k}: nothing delivered");
+        assert!(b.is_quiescent(), "k = {k}: {b:?}");
+
+        // The link comes back: both ends reset, and the whole message
+        // goes through once.
+        for ep in [&mut a, &mut b] {
+            ep.inject_faults(&FaultConfig::new(7));
+        }
+        a.reset_peer(NodeId(1));
+        b.reset_peer(NodeId(0));
+        a.send_large(NodeId(1), lh, &data).expect("peer reset");
+        let mut rounds = 0;
+        while got.lock().is_empty() || !a.is_quiescent() || !b.is_quiescent() {
+            rounds += 1;
+            assert!(
+                rounds < 2_000,
+                "k = {k}: the reset pair wedged: {a:?} {b:?}"
+            );
+            b.extract();
+            a.extract();
+        }
+        for _ in 0..64 {
+            b.extract();
+            a.extract();
+        }
+        assert_eq!(*got.lock(), [(NodeId(0), data.clone())], "k = {k}");
+        assert_eq!(b.reassembly_stats(), (k as u64 + 36, 1));
+        assert_eq!((aborts(&a), aborts(&b)), ((0, 0), (1, 0)), "k = {k}");
+        assert!(a.is_quiescent() && b.is_quiescent(), "k = {k}: {a:?} {b:?}");
+    }
 }
 
 /// A panicking handler must not take the endpoint (or its thread) down:

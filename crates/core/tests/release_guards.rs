@@ -9,7 +9,7 @@
 //!   first one) or parked an out-of-window sequence that `release()`
 //!   would then never free;
 //! * `seg::Reassembly` grew its partial-message map without bound while
-//!   a peer stayed alive.
+//!   a peer stayed alive (it now holds one partial per source).
 //!
 //! Both are now checked in every profile. Acks name a frame's sequence
 //! number and are resolved per sending peer, so a hostile frame naming
@@ -109,30 +109,28 @@ fn seq_window_buffer_rejects_out_of_window_seqs() {
 }
 
 #[test]
-fn reassembly_caps_partials_per_source() {
+fn reassembly_keeps_one_partial_per_source_and_counts_each_displaced() {
     let src = NodeId(5);
-    let mut r = Reassembly::with_max_partials(2);
+    let mut r = Reassembly::new();
     let payload = vec![0xABu8; FRAG_DATA + 1]; // two fragments each
-    let first_frag = |msg_id: u32| fragment(msg_id, HandlerId(1), &payload)[0].clone();
+    let frags = |msg_id: u32| fragment(msg_id, HandlerId(1), &payload);
     for msg_id in 0..3u32 {
-        assert!(r.on_fragment(src, &first_frag(msg_id)).unwrap().is_none());
+        assert!(r.on_fragment(src, &frags(msg_id)[0]).unwrap().is_none());
+        // A live peer abandoning messages holds one partial, not three.
+        assert_eq!(r.in_progress(), 1);
     }
-    // Opening the third partial evicted the oldest (msg 0); the map stays
-    // at the cap instead of growing for as long as the peer lives.
-    assert_eq!(r.in_progress(), 2);
-    assert_eq!(r.evicted_partials(), 1);
-    // Completing msg 0 now takes a fresh start: its tail fragment alone
-    // reopens a partial rather than completing the evicted one.
-    let tail = fragment(0, HandlerId(1), &payload)[1].clone();
-    assert!(r.on_fragment(src, &tail).unwrap().is_none());
-    // Survivors (msgs 1 and 2 were newer) still complete normally.
-    let tail2 = fragment(2, HandlerId(1), &payload)[1].clone();
+    assert_eq!(r.evicted_partials(), 2);
+    // A displaced message's tail completes nothing and opens nothing.
+    assert!(r.on_fragment(src, &frags(0)[1]).is_err());
+    assert_eq!(r.in_progress(), 1);
+    // The open one (msg 2) still completes.
     let (h, msg) = r
-        .on_fragment(src, &tail2)
+        .on_fragment(src, &frags(2)[1])
         .unwrap()
         .expect("msg 2 completes");
     assert_eq!(h, HandlerId(1));
     assert_eq!(msg, payload);
+    assert_eq!((r.in_progress(), r.evicted_partials()), (0, 2));
 }
 
 /// splitmix64: the seeded generator for the decoder loop.

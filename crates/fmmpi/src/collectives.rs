@@ -2,18 +2,18 @@
 //! (DESIGN.md, "One collective engine").
 //!
 //! Each algorithm is a pure function from `(size, me, root[, topology])` to
-//! this rank's *schedule*: [`Step`]s that each send to or receive from one
-//! peer, with [`Step::Round`] marking the traced rounds. One executor,
-//! [`Communicator::run`], walks a schedule in a [`Scope`] (rank map, tag,
-//! span); its [`Payload`] says whether sends forward the newest receipt,
+//! this rank's *schedule*: `Step`s that each send to or receive from one
+//! peer, with `Step::Round` marking the traced rounds. One executor,
+//! `Communicator::run`, walks a schedule in a `Scope` (rank map, tag,
+//! span); its `Payload` says whether sends forward the newest receipt,
 //! carry one chunk per peer, or carry an accumulator that every receipt is
 //! folded into. With more than one switch, barrier, bcast and reduce follow
-//! the topology spanning tree ([`topo_tree`]); elsewhere every pair is one
+//! the topology spanning tree (`topo_tree`); elsewhere every pair is one
 //! hop and the rank-space algorithms are already optimal. The `*_linear`
 //! variants are the all-to-root baselines `bench_mpi` measures against.
 //!
 //! Every reserved tag sub-space is in the table below. A kind's per-call
-//! epoch wraps within its sub-space ([`coll_tag`]); reuse 4096 epochs later
+//! epoch wraps within its sub-space (`coll_tag`); reuse 4096 epochs later
 //! still matches in program order through the per-pair FIFO the matching
 //! layer restores.
 

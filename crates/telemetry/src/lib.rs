@@ -88,10 +88,11 @@ pub enum Counter {
     CorruptFrames,
     /// Peers declared dead after exhausting their retry budget.
     DeadPeers,
-    /// Partial large-message reassemblies aborted because their source died.
+    /// Partial large-message reassemblies aborted because their source died
+    /// or was reset.
     ReassemblyAborts,
-    /// Partial reassemblies evicted by the per-source cap (a live peer
-    /// churning msg_ids without completing them).
+    /// Partial reassemblies displaced by a newer message from their source
+    /// (a live peer abandoning messages without completing them).
     EvictedPartials,
     /// Acks that named no frame outstanding to their sender: a re-ack of
     /// a frame already freed, or an ack that outlived its frame. They free

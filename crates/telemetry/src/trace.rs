@@ -323,7 +323,7 @@ impl TraceEvent {
 ///
 /// Every entry is four atomic words: a sequence stamp (the event's 1-based
 /// ordinal; 0 while the entry is being rewritten) and the three words of
-/// [`TraceEvent::to_words`]. [`EventRing::push`] is plain stores — no lock,
+/// `TraceEvent::to_words`. [`EventRing::push`] is plain stores — no lock,
 /// no read-modify-write. [`EventRing::to_vec`] copies an entry and accepts
 /// it only if the stamp read before and after both equal the ordinal it
 /// expected there, so an entry the writer overwrote meanwhile is discarded,

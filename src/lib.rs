@@ -10,7 +10,7 @@
 //! paper itself reports (Appendix A and Section 2). The FM messaging layer on
 //! top of it is a real, usable library: the same protocol state machines that
 //! run inside the simulator also run across OS threads over an in-memory
-//! fabric ([`fm_core::mem::MemFabric`]).
+//! fabric ([`fm_core::mem::MemCluster`]).
 //!
 //! Start with [`fm_core`] for the messaging API, [`fm_testbed`] to run the
 //! simulated cluster, and `fm-bench`'s `repro` binary (`repro all`) to

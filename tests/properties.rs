@@ -68,8 +68,10 @@ proptest! {
         prop_assert!(WireFrame::decode(&short).is_err());
     }
 
-    /// Segmentation: fragment then reassemble in *any* order yields the
-    /// original message.
+    /// Segmentation: fragment then reassemble in order yields the
+    /// original message. The receive window delivers each source's frames
+    /// in order, so reassembly takes them in no other: a shuffled order
+    /// completes nothing, and leaves at most one partial message open.
     #[test]
     fn seg_roundtrip_any_order(
         data in proptest::collection::vec(any::<u8>(), 0..2000),
@@ -78,20 +80,28 @@ proptest! {
         let frags = fragment(7, HandlerId(3), &data);
         prop_assert!(frags.iter().all(|f| f.len() <= 128));
         prop_assert_eq!(frags.len(), data.len().div_ceil(FRAG_DATA).max(1));
-        let mut order: Vec<usize> = (0..frags.len()).collect();
-        let mut rng = fm_des::rng::Xoshiro256::seed_from_u64(seed);
-        rng.shuffle(&mut order);
         let mut r = Reassembly::new();
         let mut out = None;
-        for (i, &idx) in order.iter().enumerate() {
-            let res = r.on_fragment(NodeId(5), &frags[idx]).expect("valid fragment");
-            if i + 1 < order.len() {
+        for (i, frag) in frags.iter().enumerate() {
+            let res = r.on_fragment(NodeId(5), frag).expect("the next fragment");
+            if i + 1 < frags.len() {
                 prop_assert!(res.is_none(), "completed early");
             } else {
                 out = res;
             }
         }
         prop_assert_eq!(out, Some((HandlerId(3), data)));
+
+        let mut order: Vec<usize> = (0..frags.len()).collect();
+        let mut rng = fm_des::rng::Xoshiro256::seed_from_u64(seed);
+        rng.shuffle(&mut order);
+        let in_order = order.iter().enumerate().all(|(i, &idx)| i == idx);
+        let mut completed = 0;
+        for &idx in &order {
+            completed += matches!(r.on_fragment(NodeId(5), &frags[idx]), Ok(Some(_))) as u32;
+            prop_assert!(r.in_progress() <= 1);
+        }
+        prop_assert_eq!(completed, in_order as u32);
     }
 
     /// CounterPair occupancy invariant holds under arbitrary operation
