@@ -4,9 +4,10 @@
 //! appends the fragments in order to one buffer of the message's length,
 //! which is what its large handler gets. One block per delivered message.
 //!
-//! One test in this file, so nothing else allocates while it counts.
+//! Only the test thread's own allocations are counted: the test
+//! harness's threads allocate while it runs.
 
-use fm_bench::alloc_track::{allocations, CountingAlloc};
+use fm_bench::alloc_track::{thread_allocations, CountingAlloc};
 use fm_core::{MemCluster, MemEndpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,16 +28,16 @@ fn one_way(
     data: &[u8],
     got: &AtomicU64,
 ) -> (u64, u64) {
-    let before = allocations();
+    let before = thread_allocations();
     from.send_large(to.node_id(), fm_core::HandlerId(0), data)
         .expect("peer alive");
-    let sent = allocations().since(before).allocs;
+    let sent = thread_allocations().since(before).allocs;
     let want = got.load(Ordering::Relaxed) + 1;
-    let before = allocations();
+    let before = thread_allocations();
     while got.load(Ordering::Relaxed) < want {
         to.extract();
     }
-    let delivered = allocations().since(before).allocs;
+    let delivered = thread_allocations().since(before).allocs;
     // Acks back to the sender free its window for the next message.
     from.extract();
     (sent, delivered)

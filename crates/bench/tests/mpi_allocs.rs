@@ -5,9 +5,10 @@
 //! costs the sender's `[envelope | data]` image and the reassembly buffer;
 //! the buffer itself is what the receiver gets.
 //!
-//! One test in this file, so nothing else allocates while it counts.
+//! Only the test thread's own allocations are counted: the test
+//! harness's threads allocate while it runs.
 
-use fm_bench::alloc_track::{allocations, CountingAlloc};
+use fm_bench::alloc_track::{thread_allocations, CountingAlloc};
 use fm_mpi::{Communicator, MpiCluster, Tag};
 
 #[global_allocator]
@@ -44,16 +45,16 @@ fn short_messages_allocate_one_block_each() {
     round(&mut r0, &mut r1, &long);
 
     const ROUNDS: u64 = 2048;
-    let before = allocations();
+    let before = thread_allocations();
     for _ in 0..ROUNDS {
         round(&mut r0, &mut r1, &short);
     }
-    let allocs = allocations().since(before).allocs;
+    let allocs = thread_allocations().since(before).allocs;
     assert_eq!(allocs, 2 * ROUNDS, "blocks for {} messages", 2 * ROUNDS);
 
-    let before = allocations();
+    let before = thread_allocations();
     round(&mut r0, &mut r1, &long);
-    let allocs = allocations().since(before).allocs;
+    let allocs = thread_allocations().since(before).allocs;
     assert!(allocs <= 2 * 2, "{allocs} blocks for two 4-KiB messages");
     assert_eq!((r0.match_pending(), r1.match_pending()), (0, 0));
 }

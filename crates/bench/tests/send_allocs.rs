@@ -2,9 +2,10 @@
 //! sends allocate nothing: the words (or parts) are gathered on the stack
 //! and copied into an inline `Bytes`. Both used to build a `Vec` per call.
 //!
-//! One test in this file, so nothing else allocates while it counts.
+//! Only the test thread's own allocations are counted: the test
+//! harness's threads allocate while it runs.
 
-use fm_bench::alloc_track::{allocations, CountingAlloc};
+use fm_bench::alloc_track::{thread_allocations, CountingAlloc};
 use fm_core::{EndpointConfig, EndpointCore, HandlerId, NodeId};
 
 #[global_allocator]
@@ -31,14 +32,14 @@ fn send_4_and_gather_allocate_nothing() {
     b.register_handler_at(H, Box::new(|_, _, _| {}));
     let (head, body) = ([7u8; 12], [9u8; 100]);
     let batch = |a: &mut EndpointCore, b: &mut EndpointCore| {
-        let before = allocations();
+        let before = thread_allocations();
         for i in 0..16u32 {
             a.try_send_4(NodeId(1), H, [i, 1, 2, 3])
                 .expect("window has room");
             a.try_send_gather(NodeId(1), H, &[&head, &body])
                 .expect("window has room");
         }
-        let during = allocations().since(before);
+        let during = thread_allocations().since(before);
         drain(a, b);
         during.allocs
     };

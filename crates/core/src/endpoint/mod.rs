@@ -380,8 +380,10 @@ pub struct EndpointCore {
     /// replayable — the default) or elapsed wall-clock microseconds
     /// (real-network fabrics).
     now: u64,
-    /// Wall-clock origin, set lazily on the first `extract` under
-    /// [`TimeSource::WallMicros`]; `None` forever on the virtual tick.
+    /// Wall-clock origin under [`TimeSource::WallMicros`], taken when the
+    /// endpoint is built so that every stamp it ever takes — a send queued
+    /// before its first `extract` included — is a reading of one clock;
+    /// `None` on the virtual tick.
     clock_origin: Option<std::time::Instant>,
     /// Ack round-trip estimator feeding the adaptive RTO (see
     /// [`EndpointConfig::adaptive_rto`]). Always maintained cheaply
@@ -494,7 +496,8 @@ impl EndpointCore {
             large_done: VecDeque::new(),
             outbox_scratch: Vec::new(),
             now: 0,
-            clock_origin: None,
+            clock_origin: (config.time_source == TimeSource::WallMicros)
+                .then(std::time::Instant::now),
             rtt: RttEstimator::new(
                 config.rto_initial,
                 (config.rto_initial / 4).max(1),
@@ -560,8 +563,8 @@ impl EndpointCore {
 
     /// The endpoint clock in its [`TimeSource`]'s unit: one tick per
     /// `extract` call on the virtual tick; elapsed microseconds under
-    /// [`TimeSource::WallMicros`], read at each `extract` and each arriving
-    /// frame.
+    /// [`TimeSource::WallMicros`], read at each `extract` and each batch
+    /// of arrivals the transport drains.
     pub fn now(&self) -> u64 {
         self.now
     }
@@ -647,23 +650,34 @@ impl EndpointCore {
         delivered
     }
 
-    /// Advance `now` per the configured time source. Wall time is pinned
-    /// strictly monotonic: an extract burst faster than the microsecond
-    /// clock still moves `now` by at least one, so deadline math never sees
-    /// a frozen clock.
+    /// Advance `now` per the configured time source: one tick on the
+    /// virtual tick, a catch-up to the wall clock under
+    /// [`TimeSource::WallMicros`].
     fn advance_clock(&mut self) {
-        self.now = match self.config.time_source {
-            TimeSource::VirtualTick => self.now + 1,
-            TimeSource::WallMicros => self.wall_micros().max(self.now + 1),
-        };
+        match self.config.time_source {
+            TimeSource::VirtualTick => self.now += 1,
+            TimeSource::WallMicros => self.catch_up_clock(),
+        }
     }
 
-    /// Microseconds since this endpoint first read the wall clock.
-    fn wall_micros(&mut self) -> u64 {
-        let origin = *self
-            .clock_origin
-            .get_or_insert_with(std::time::Instant::now);
-        origin.elapsed().as_micros() as u64
+    /// Catch `now` up to the wall clock under [`TimeSource::WallMicros`]
+    /// (a no-op on the virtual tick), adding no tick of its own: a burst of
+    /// extracts or arrivals inside one microsecond would otherwise run this
+    /// clock ahead of wall time, by a different amount on every endpoint,
+    /// and no constant offset could then align their traces. The transport
+    /// calls this once per batch of arrivals, after the synchronisation
+    /// that made the batch visible and before the batch's first
+    /// [`Self::on_frame`], so no arrival is stamped before its send.
+    pub(crate) fn catch_up_clock(&mut self) {
+        if self.config.time_source == TimeSource::WallMicros {
+            self.now = self.now.max(self.wall_micros());
+        }
+    }
+
+    /// Microseconds since this endpoint was built (0 on the virtual tick).
+    fn wall_micros(&self) -> u64 {
+        self.clock_origin
+            .map_or(0, |origin| origin.elapsed().as_micros() as u64)
     }
 
     /// True when this endpoint holds no protocol state that still needs the

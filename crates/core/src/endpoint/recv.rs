@@ -15,7 +15,6 @@ use super::{grow, span, EndpointCore, OutEntry, RING_ACTIVE_TICKS};
 use crate::flow::{SeqClass, SeqWindow};
 use crate::frame::{FrameHeader, FrameKind, FrameSlot, TraceCtx, WireFrame};
 use crate::seg::SEG_HANDLER;
-use crate::time::TimeSource;
 use fm_telemetry::{EventKind, Metric};
 
 impl EndpointCore {
@@ -36,17 +35,12 @@ impl EndpointCore {
         // Under wall-clock time the opposite staleness bites: `now` still
         // holds the *previous* extract's reading, so an endpoint that sat
         // idle between service rounds would stamp this arrival tens of
-        // microseconds before the send that caused it — the same
-        // infeasibility, from the other direction. Re-read the clock at
-        // ingress instead (real time has genuinely advanced; the one
-        // Instant read is noise next to the recv syscall that got us here).
-        // The re-read adds no tick of its own: a burst of arrivals inside
-        // one microsecond would otherwise run this clock ahead of wall
-        // time, by a different amount on every endpoint, and no constant
-        // offset could then align their traces.
-        if self.config.time_source == TimeSource::WallMicros {
-            self.now = self.now.max(self.wall_micros());
-        }
+        // microseconds before the send that caused it. This call reads no
+        // clock: the transport catches `now` up to wall time once per
+        // batch of arrivals (`catch_up_clock`), after the synchronisation
+        // that made the batch visible, so every frame of the batch was
+        // sent before the reading its arrival is stamped with.
+        //
         // Piggybacked acks count regardless of what happens to the frame.
         for seq in head.piggy.iter() {
             self.on_ack(seq, head.src);

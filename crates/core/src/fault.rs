@@ -2,9 +2,9 @@
 //!
 //! A [`FaultInjector`] sits between an endpoint's protocol core and its
 //! wire producers (it decorates *any* [`crate::mem::FabricKind`] — ring or
-//! UDP). Every outgoing frame passes through [`FaultInjector::admit`],
-//! which rolls a seeded per-link PRNG against the configured
-//! [`LinkFaults`] rates and decides the frame's fate exactly once:
+//! UDP). Every outgoing frame's fate is decided from its header alone by
+//! [`FaultInjector::decide`], which rolls a seeded per-link PRNG against
+//! the configured [`LinkFaults`] rates exactly once:
 //!
 //! * **drop** — the frame silently vanishes (a lost packet);
 //! * **duplicate** — a second copy is queued (a repeated DMA / retransmit
@@ -15,6 +15,10 @@
 //!   ticks, which also reorders it against later traffic;
 //! * **stall** — frames to or from a stalled node are blackholed entirely,
 //!   modelling a dead peer.
+//!
+//! A frame the dice spare ([`Fate::Pass`]) costs what a clean frame costs:
+//! the caller encodes it from where the core holds it straight into the
+//! wire. Only a harmed frame is copied, into [`FaultInjector::apply`].
 //!
 //! Decisions are made when the frame first leaves the protocol core — not
 //! on every re-offer to a full ring — so backpressure cannot re-roll the
@@ -31,6 +35,7 @@ use fm_myrinet::NodeId;
 use std::collections::VecDeque;
 
 use crate::frame::WireFrame;
+use crate::time::splitmix64;
 
 /// Most recent fault events retained per injector. The log is allocated
 /// whole when the injector is built and is small enough (128 KiB) to wrap
@@ -176,13 +181,6 @@ pub struct FaultStats {
     pub stalled: u64,
 }
 
-impl FaultStats {
-    /// Total frames that had at least one fault applied.
-    pub fn faulted(&self) -> u64 {
-        self.dropped + self.duplicated + self.corrupted + self.delayed + self.stalled
-    }
-}
-
 /// A frame bound for the wire together with its already-decided fault
 /// treatment. The corruption bit (if any) is applied to the *encoded*
 /// image at push time, after the CRC is computed — exactly like a wire
@@ -210,14 +208,6 @@ pub fn flip_bit(bytes: &mut [u8], bit: u32) {
     bytes[b / 8] ^= 1 << (b % 8);
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Small xorshift64 PRNG (one per link; seeded via SplitMix64 so nearby
 /// link ids do not correlate).
 #[derive(Debug, Clone)]
@@ -225,9 +215,7 @@ struct Rng(u64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        let mut s = seed;
-        let x = splitmix64(&mut s);
-        Rng(x | 1) // xorshift state must be non-zero
+        Rng(splitmix64(seed) | 1) // xorshift state must be non-zero
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -263,13 +251,32 @@ struct Link {
     rng: Rng,
 }
 
+/// What the fault stage does to one frame, decided from its header alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Crosses untouched, now, exactly as it would cross a clean wire.
+    Pass,
+    /// Never reaches the wire: dropped, stalled, or addressed outside the
+    /// cluster.
+    Lost,
+    /// Crosses altered: the only fate that needs an owned copy.
+    Harmed(Harm),
+}
+
+/// A harmed frame crosses with one bit flipped (`corrupt_bit`), held back
+/// `delay` ticks, and/or followed by a clean copy held back `dup_delay`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Harm {
+    pub corrupt_bit: Option<u32>,
+    pub delay: u64,
+    pub dup_delay: Option<u64>,
+}
+
 /// The per-endpoint fault stage. Owned by a `MemEndpoint`; consulted for
 /// every frame the protocol core emits.
 pub struct FaultInjector {
     self_stalled: bool,
     links: Vec<Link>,
-    /// Frames cleared for the wire, in order.
-    ready: VecDeque<OutboundFrame>,
     /// `(due_tick, frame)` pairs waiting out an injected delay.
     delayed: Vec<(u64, OutboundFrame)>,
     log: VecDeque<FaultEvent>,
@@ -296,55 +303,49 @@ impl FaultInjector {
         FaultInjector {
             self_stalled: config.is_stalled(me),
             links,
-            ready: VecDeque::new(),
             delayed: Vec::new(),
             log: VecDeque::with_capacity(LOG_CAP),
             stats: FaultStats::default(),
         }
     }
 
-    /// Decide the fate of one outgoing frame. The decision is final: the
-    /// caller must not feed the same frame back in (full-ring backpressure
-    /// is handled downstream, on the already-decided [`OutboundFrame`]).
-    pub fn admit(&mut self, frame: WireFrame, now: u64) {
-        let dst = frame.head.dst;
+    /// Decide the fate of one outgoing frame to `dst`: roll the link's
+    /// drop, corrupt, duplicate and delay dice, count and log the outcome.
+    /// The decision is final: the caller must not ask again for the same
+    /// frame (full-ring backpressure is handled downstream, on the frame
+    /// whose fate is already decided).
+    pub fn decide(&mut self, dst: NodeId, now: u64) -> Fate {
         let Some(link) = self.links.get_mut(dst.index()) else {
             // Destination outside the cluster: undeliverable anyway.
-            return;
+            return Fate::Lost;
         };
         if self.self_stalled || link.stalled {
             self.stats.stalled += 1;
             Self::push_event(&mut self.log, now, dst, FaultKind::Stalled);
-            return;
+            return Fate::Lost;
         }
         let f = link.faults;
         if link.rng.chance(f.drop) {
             self.stats.dropped += 1;
             Self::push_event(&mut self.log, now, dst, FaultKind::Dropped);
-            return;
+            return Fate::Lost;
         }
-        let corrupt_bit = if link.rng.chance(f.corrupt) {
-            Some(link.rng.next_u64() as u32)
-        } else {
-            None
-        };
+        let corrupt_bit = link
+            .rng
+            .chance(f.corrupt)
+            .then(|| link.rng.next_u64() as u32);
         let dup = link.rng.chance(f.dup);
-        let delay = if link.rng.chance(f.delay) && f.max_delay_ticks > 0 {
-            1 + link.rng.below(f.max_delay_ticks)
-        } else {
-            0
-        };
-        // The duplicate rolls its own delay so the two copies can arrive
-        // in either order — the nastier case for dedup.
-        let dup_delay = if dup {
+        let mut roll_delay = || {
             if link.rng.chance(f.delay) && f.max_delay_ticks > 0 {
                 1 + link.rng.below(f.max_delay_ticks)
             } else {
                 0
             }
-        } else {
-            0
         };
+        let delay = roll_delay();
+        // The duplicate rolls its own delay so the two copies can arrive
+        // in either order — the nastier case for dedup.
+        let dup_delay = dup.then(roll_delay);
 
         if corrupt_bit.is_some() {
             self.stats.corrupted += 1;
@@ -360,50 +361,56 @@ impl FaultInjector {
         }
         if corrupt_bit.is_none() && delay == 0 && !dup {
             self.stats.passed += 1;
+            return Fate::Pass;
         }
+        Fate::Harmed(Harm {
+            corrupt_bit,
+            delay,
+            dup_delay,
+        })
+    }
 
-        let copy = dup.then(|| OutboundFrame::clean(frame.clone()));
-        let primary = OutboundFrame { frame, corrupt_bit };
-        self.enqueue(primary, now, delay);
-        if let Some(copy) = copy {
-            self.enqueue(copy, now, dup_delay);
+    /// Carry out the [`Harm`] decided for `frame` at `now`: each copy that
+    /// is not held back goes to `send` at once (the primary first), the
+    /// rest wait for [`Self::release_due`].
+    pub fn apply(
+        &mut self,
+        frame: WireFrame,
+        harm: Harm,
+        now: u64,
+        mut send: impl FnMut(OutboundFrame),
+    ) {
+        let copy = harm
+            .dup_delay
+            .map(|d| (d, OutboundFrame::clean(frame.clone())));
+        let primary = OutboundFrame {
+            frame,
+            corrupt_bit: harm.corrupt_bit,
+        };
+        for (delay, of) in std::iter::once((harm.delay, primary)).chain(copy) {
+            if delay > 0 {
+                self.delayed.push((now + delay, of));
+            } else {
+                send(of);
+            }
         }
     }
 
-    fn enqueue(&mut self, of: OutboundFrame, now: u64, delay: u64) {
-        if delay > 0 {
-            self.delayed.push((now + delay, of));
-        } else {
-            self.ready.push_back(of);
-        }
-    }
-
-    /// Move delayed frames whose time has come into the ready queue.
-    pub fn release_due(&mut self, now: u64) {
+    /// Hand every delayed frame whose time has come to `send`.
+    pub fn release_due(&mut self, now: u64, mut send: impl FnMut(OutboundFrame)) {
         let mut i = 0;
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
-                let (_, of) = self.delayed.swap_remove(i);
-                self.ready.push_back(of);
+                send(self.delayed.swap_remove(i).1);
             } else {
                 i += 1;
             }
         }
     }
 
-    /// Next frame cleared for the wire.
-    pub fn pop_ready(&mut self) -> Option<OutboundFrame> {
-        self.ready.pop_front()
-    }
-
     /// True when nothing is parked inside the injector.
     pub fn idle(&self) -> bool {
-        self.ready.is_empty() && self.delayed.is_empty()
-    }
-
-    /// Frames still held back by an injected delay.
-    pub fn delayed_len(&self) -> usize {
-        self.delayed.len()
+        self.delayed.is_empty()
     }
 
     pub fn stats(&self) -> FaultStats {
@@ -413,10 +420,6 @@ impl FaultInjector {
     /// The retained tail of the fault log (most recent `LOG_CAP` events).
     pub fn events(&self) -> impl Iterator<Item = &FaultEvent> {
         self.log.iter()
-    }
-
-    pub fn events_len(&self) -> usize {
-        self.log.len()
     }
 
     fn push_event(log: &mut VecDeque<FaultEvent>, tick: u64, dst: NodeId, kind: FaultKind) {
@@ -431,7 +434,6 @@ impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjector")
             .field("stats", &self.stats)
-            .field("ready", &self.ready.len())
             .field("delayed", &self.delayed.len())
             .field("events", &self.log.len())
             .finish()
@@ -444,6 +446,18 @@ mod tests {
     use crate::frame::WireFrame;
     use crate::handler::HandlerId;
     use bytes::Bytes;
+
+    /// The frames `inj` lets onto the wire now for `frame`, asked the way
+    /// `MemEndpoint` asks.
+    fn admit(inj: &mut FaultInjector, frame: WireFrame, now: u64) -> Vec<OutboundFrame> {
+        let mut out = Vec::new();
+        match inj.decide(frame.head.dst, now) {
+            Fate::Pass => out.push(OutboundFrame::clean(frame)),
+            Fate::Lost => {}
+            Fate::Harmed(harm) => inj.apply(frame, harm, now, |of| out.push(of)),
+        }
+        out
+    }
 
     fn frame(dst: u16) -> WireFrame {
         WireFrame::data(
@@ -460,15 +474,16 @@ mod tests {
     fn clean_config_passes_everything() {
         let mut inj = FaultInjector::new(NodeId(0), 2, &FaultConfig::new(7));
         for _ in 0..100 {
-            inj.admit(frame(1), 0);
+            assert_eq!(inj.decide(NodeId(1), 0), Fate::Pass);
         }
-        assert_eq!(inj.stats().passed, 100);
-        assert_eq!(inj.stats().faulted(), 0);
-        let mut n = 0;
-        while inj.pop_ready().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 100);
+        assert_eq!(
+            inj.stats(),
+            FaultStats {
+                passed: 100,
+                ..Default::default()
+            }
+        );
+        assert!(inj.idle());
     }
 
     #[test]
@@ -477,12 +492,11 @@ mod tests {
         let mut a = FaultInjector::new(NodeId(0), 2, &cfg);
         let mut b = FaultInjector::new(NodeId(0), 2, &cfg);
         for i in 0..500 {
-            a.admit(frame(1), i);
-            b.admit(frame(1), i);
+            assert_eq!(a.decide(NodeId(1), i), b.decide(NodeId(1), i));
         }
         assert_eq!(a.stats(), b.stats());
         assert!(a.events().eq(b.events()));
-        assert!(a.stats().faulted() > 0, "20% rates must fault something");
+        assert!(a.stats().passed < 500, "20% rates must fault something");
     }
 
     #[test]
@@ -490,8 +504,8 @@ mod tests {
         let cfg = FaultConfig::uniform(42, 0.5);
         let mut inj = FaultInjector::new(NodeId(0), 3, &cfg);
         for i in 0..200 {
-            inj.admit(frame(1), i);
-            inj.admit(frame(2), i);
+            inj.decide(NodeId(1), i);
+            inj.decide(NodeId(2), i);
         }
         // Both links saw faults but not the identical schedule: the event
         // log must interleave different destinations.
@@ -505,16 +519,12 @@ mod tests {
         let cfg = FaultConfig::new(1).stall(NodeId(1));
         // Frames *to* the stalled node vanish...
         let mut inj = FaultInjector::new(NodeId(0), 2, &cfg);
-        inj.admit(frame(1), 0);
+        assert_eq!(inj.decide(NodeId(1), 0), Fate::Lost);
         assert_eq!(inj.stats().stalled, 1);
-        assert!(inj.pop_ready().is_none());
         // ...and frames *from* it vanish too.
         let mut inj = FaultInjector::new(NodeId(1), 2, &cfg);
-        let mut f = frame(0);
-        f.head.src = NodeId(1);
-        inj.admit(f, 0);
+        assert_eq!(inj.decide(NodeId(0), 0), Fate::Lost);
         assert_eq!(inj.stats().stalled, 1);
-        assert!(inj.pop_ready().is_none());
     }
 
     #[test]
@@ -529,11 +539,14 @@ mod tests {
             ..Default::default()
         };
         let mut inj = FaultInjector::new(NodeId(0), 2, &cfg);
-        inj.admit(frame(1), 10);
-        assert!(inj.pop_ready().is_none(), "frame must be parked");
-        assert_eq!(inj.delayed_len(), 1);
-        inj.release_due(10 + 4); // max possible delay
-        assert!(inj.pop_ready().is_some());
+        assert!(
+            admit(&mut inj, frame(1), 10).is_empty(),
+            "frame must be parked"
+        );
+        assert!(!inj.idle());
+        let mut released = 0;
+        inj.release_due(10 + 4, |_| released += 1); // max possible delay
+        assert_eq!(released, 1);
         assert!(inj.idle());
     }
 
@@ -548,13 +561,8 @@ mod tests {
             ..Default::default()
         };
         let mut inj = FaultInjector::new(NodeId(0), 2, &cfg);
-        inj.admit(frame(1), 0);
+        assert_eq!(admit(&mut inj, frame(1), 0).len(), 2);
         assert_eq!(inj.stats().duplicated, 1);
-        let mut n = 0;
-        while inj.pop_ready().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 2);
     }
 
     #[test]
@@ -562,7 +570,7 @@ mod tests {
         let cfg = FaultConfig::uniform(9, 1.0).link(NodeId(0), NodeId(1), LinkFaults::NONE);
         let mut inj = FaultInjector::new(NodeId(0), 2, &cfg);
         for _ in 0..50 {
-            inj.admit(frame(1), 0);
+            inj.decide(NodeId(1), 0);
         }
         assert_eq!(inj.stats().passed, 50, "override must silence the link");
     }
@@ -587,8 +595,8 @@ mod tests {
         };
         let mut inj = FaultInjector::new(NodeId(0), 2, &cfg);
         for i in 0..(LOG_CAP as u64 + 10) {
-            inj.admit(frame(1), i);
+            inj.decide(NodeId(1), i);
         }
-        assert_eq!(inj.events_len(), LOG_CAP);
+        assert_eq!(inj.events().count(), LOG_CAP);
     }
 }

@@ -29,7 +29,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::endpoint::{EndpointConfig, EndpointCore, EndpointStats, SendError};
-use crate::fault::{flip_bit, FaultConfig, FaultEvent, FaultInjector, FaultStats, OutboundFrame};
+use crate::fault::{
+    flip_bit, Fate, FaultConfig, FaultEvent, FaultInjector, FaultStats, OutboundFrame,
+};
 use crate::frame::{CodecError, FrameHeader, WireFrame};
 use crate::handler::{HandlerId, Outbox};
 use crate::seg::{self, SEG_HANDLER};
@@ -128,11 +130,6 @@ pub struct MemEndpoint {
     /// Large-message handlers that panicked (the handler is dropped; later
     /// completions for its id are discarded).
     pub large_handler_panics: u64,
-    /// Pre-cloned copy of the core's telemetry handle for `pump_wire`,
-    /// whose sink closure holds the mutable borrow of `core`. Cloning
-    /// there instead would cost an atomic refcount round trip per
-    /// `extract` spin.
-    telemetry: Telemetry,
     /// Out-of-band telemetry beaconer toward a collector, when enabled
     /// ([`MemEndpoint::enable_beacon`]). Paced inside `extract_budget`,
     /// which every blocking send also runs while it waits.
@@ -147,10 +144,8 @@ impl MemEndpoint {
     pub(crate) fn new(id: NodeId, config: EndpointConfig, wire: Wire) -> Self {
         assert!(config.window > 0, "window must be >= 1 frame");
         assert!(config.recv_ring > 0, "recv_ring must be >= 1 frame");
-        let core = EndpointCore::new(id, config);
-        let telemetry = core.telemetry().clone();
         MemEndpoint {
-            core,
+            core: EndpointCore::new(id, config),
             wire,
             backlog: VecDeque::new(),
             large_handlers: Vec::new(),
@@ -159,7 +154,6 @@ impl MemEndpoint {
             faults: None,
             codec_errors: 0,
             large_handler_panics: 0,
-            telemetry,
             beacon: None,
         }
     }
@@ -198,7 +192,7 @@ impl MemEndpoint {
         interval_us: u64,
     ) -> std::io::Result<()> {
         self.beacon = Some(Beaconer::endpoint(
-            self.telemetry.clone(),
+            self.core.telemetry().clone(),
             collector,
             interval_us,
         )?);
@@ -603,7 +597,6 @@ impl MemEndpoint {
             wire,
             core,
             codec_errors,
-            telemetry,
             ..
         } = self;
         // CRC failures are expected under fault injection and are counted
@@ -613,7 +606,7 @@ impl MemEndpoint {
         // not a peer's frame for this node (misaddressed, or from a source
         // outside the cluster), which the core, indexing per-source state
         // by `src`, must never see.
-        wire.drain(telemetry, |bytes| match FrameHeader::parse(bytes) {
+        wire.drain(core, |core, bytes| match FrameHeader::parse(bytes) {
             Ok((head, payload))
                 if head.dst == me && head.src != me && head.src.index() < cluster =>
             {
@@ -631,18 +624,10 @@ impl MemEndpoint {
         // delivery guaranteed, ordering not) and the receive sequence
         // window now repairs.
         for _ in 0..self.backlog.len() {
-            let Some(of) = self.backlog.pop_front() else {
-                break;
-            };
-            if let Some(of) = Self::offer(&mut self.wire, of) {
-                self.backlog.push_back(of);
+            if let Some(of) = self.backlog.pop_front() {
+                Self::offer(&mut self.wire, &mut self.backlog, of);
             }
         }
-        // New traffic from the protocol core. On a clean wire each frame is
-        // encoded from where the core holds it straight into the wire; an
-        // owned copy is made only for a frame the wire has no room for.
-        // With a fault stage attached every frame passes through it by
-        // value, since the stage may hold, duplicate or drop it.
         let now = self.core.now();
         let Self {
             core,
@@ -652,34 +637,46 @@ impl MemEndpoint {
             ..
         } = self;
         let Some(inj) = faults else {
-            while core.emit_outgoing(|head, payload| {
-                let sent = wire.push(head.dst.index(), |slot| head.encode_into(payload, slot));
-                if !sent {
-                    backlog.push_back(OutboundFrame::clean(WireFrame::from_parts(*head, payload)));
-                }
-            }) {}
-            return;
+            return Self::emit(core, wire, backlog, |_, _, _, _| true);
         };
-        inj.release_due(now);
-        loop {
-            if let Some(of) = inj.pop_ready() {
-                if let Some(of) = Self::offer(wire, of) {
-                    backlog.push_back(of);
-                }
-            } else if !core.emit_outgoing(|head, payload| {
-                inj.admit(WireFrame::from_parts(*head, payload), now)
-            }) {
-                break;
+        // Frames whose injected delay ran out leave before new traffic.
+        inj.release_due(now, |of| Self::offer(wire, backlog, of));
+        Self::emit(core, wire, backlog, |head, payload, wire, backlog| {
+            let fate = inj.decide(head.dst, now);
+            if let Fate::Harmed(harm) = fate {
+                let frame = WireFrame::from_parts(*head, payload);
+                inj.apply(frame, harm, now, |of| Self::offer(wire, backlog, of));
             }
-        }
+            fate == Fate::Pass
+        });
+    }
+
+    /// Put everything the protocol core queued on the wire. A frame the
+    /// fault `stage` passes (every frame, on a clean wire) is encoded from
+    /// where the core holds it straight into the wire; an owned copy is
+    /// made only for a frame the wire has no room for. Generic in `stage`,
+    /// so a clean endpoint's copy of this loop has no fault branch at all.
+    fn emit(
+        core: &mut EndpointCore,
+        wire: &mut Wire,
+        backlog: &mut VecDeque<OutboundFrame>,
+        mut stage: impl FnMut(&FrameHeader, &[u8], &mut Wire, &mut VecDeque<OutboundFrame>) -> bool,
+    ) {
+        while core.emit_outgoing(|head, payload| {
+            if stage(head, payload, wire, backlog)
+                && !wire.push(head.dst.index(), |slot| head.encode_into(payload, slot))
+            {
+                backlog.push_back(OutboundFrame::clean(WireFrame::from_parts(*head, payload)));
+            }
+        }) {}
     }
 
     /// Put one parked frame (fault stage, backlog) on the wire toward its
     /// destination: the one place a decided bit corruption is applied to
-    /// the encoded image. Returns the frame back when the wire is full;
-    /// `None` when it was sent (or dropped because the destination is
-    /// outside the cluster — undeliverable either way).
-    fn offer(wire: &mut Wire, of: OutboundFrame) -> Option<OutboundFrame> {
+    /// the encoded image. A frame the wire has no room for joins the back
+    /// of `backlog`; one whose destination is outside the cluster is
+    /// dropped (undeliverable either way).
+    fn offer(wire: &mut Wire, backlog: &mut VecDeque<OutboundFrame>, of: OutboundFrame) {
         let sent = wire.push(of.frame.head.dst.index(), |slot| {
             let n = of.frame.encode_into(slot);
             if let Some(bit) = of.corrupt_bit {
@@ -687,10 +684,8 @@ impl MemEndpoint {
             }
             n
         });
-        if sent {
-            None
-        } else {
-            Some(of)
+        if !sent {
+            backlog.push_back(of);
         }
     }
 
@@ -1140,6 +1135,69 @@ mod tests {
         // the ring is full must re-offer exactly as often.
         assert_eq!((rounds, a.fabric_stats().full), (32, 1426));
         assert_eq!(b.fabric_stats().polled, 32);
+    }
+
+    /// Drain `ep`'s rings into its core as `extract` would, keeping a copy
+    /// of every wire image in arrival order.
+    fn pump_recording(ep: &mut MemEndpoint, images: &mut Vec<Vec<u8>>) {
+        let Wire::Mesh { rx, .. } = &mut ep.wire else {
+            unreachable!("a ring-mesh endpoint");
+        };
+        let start = images.len();
+        for ring in rx.iter_mut().flatten() {
+            while ring.poll_batch(32, |bytes| images.push(bytes.to_vec())) > 0 {}
+        }
+        for bytes in &images[start..] {
+            let (head, payload) = FrameHeader::parse(bytes).expect("a clean frame");
+            ep.core.on_frame(&head, payload);
+        }
+    }
+
+    #[test]
+    fn a_zero_rate_injector_puts_the_clean_images_on_the_wire_in_order() {
+        // A 4-slot wire ring sends some frames of each burst through the
+        // backlog; the echo puts data frames with piggybacked acks on the
+        // way back.
+        let images = |faults: Option<FaultConfig>| {
+            let config = EndpointConfig {
+                wire_ring: 4,
+                ..Default::default()
+            };
+            let mut nodes = match faults {
+                Some(f) => MemCluster::with_faulty_fabric(2, config, FabricKind::Ring, f),
+                None => MemCluster::with_config(2, config),
+            };
+            let mut b = nodes.pop().unwrap();
+            let mut a = nodes.pop().unwrap();
+            b.register_handler_at(HandlerId(1), |out, src, data| {
+                if data[0] % 3 == 0 {
+                    out.send(src, HandlerId(2), data.to_vec());
+                }
+            });
+            a.register_handler_at(HandlerId(2), |_, _, _| {});
+            let mut log = Vec::new();
+            let mut sent = 0u32;
+            let mut rounds = 0;
+            while sent < 512 || !(a.is_quiescent() && b.is_quiescent()) {
+                while sent < 512
+                    && a.try_send(NodeId(1), HandlerId(1), &sent.to_le_bytes())
+                        .is_ok()
+                {
+                    sent += 1;
+                }
+                for ep in [&mut b, &mut a] {
+                    pump_recording(ep, &mut log);
+                    ep.extract();
+                }
+                rounds += 1;
+                assert!(rounds < 10_000, "stuck: {a:?} {b:?}");
+            }
+            assert!(a.fabric_stats().full > 0, "the backlog path must be taken");
+            log
+        };
+        let clean = images(None);
+        assert!(clean.len() > 512);
+        assert!(clean == images(Some(FaultConfig::new(7))));
     }
 
     #[test]

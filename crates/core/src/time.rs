@@ -24,11 +24,11 @@ pub enum TimeSource {
     /// the testbed simulator use.
     #[default]
     VirtualTick,
-    /// Elapsed wall-clock microseconds since the endpoint's first
-    /// `extract`, pinned to strictly monotonic (an extract burst faster
-    /// than the microsecond clock still advances `now` by at least one,
-    /// so trace stamps never collide and timer math never sees a frozen
-    /// clock). The UDP fabric forces this mode.
+    /// Elapsed wall-clock microseconds since the endpoint was built, read
+    /// at each `extract` and each batch of arrivals and never run ahead
+    /// of the wall clock: a burst of calls inside one microsecond reads
+    /// one value, so every endpoint's clock is one constant offset from
+    /// every other's. The UDP fabric forces this mode.
     WallMicros,
 }
 

@@ -4,15 +4,17 @@
 //! it on the hot path: [`Wire::push`] one frame image toward a destination
 //! (encoded in place by the caller's closure — into the ring slot itself on
 //! the ring wirings, so the short-message path never stages or allocates)
-//! and [`Wire::drain`] whatever has arrived into a byte-slice sink. What a
-//! frame *is* — codec, CRC, fault treatment, flow control — stays on the
+//! and [`Wire::drain`] whatever has arrived into a byte-slice sink,
+//! catching the endpoint's clock up once per batch of arrivals. What a frame
+//! *is* — codec, CRC, fault treatment, flow control — stays on the
 //! endpoint's side of this seam; what carries it stays on this side.
 
 use fm_myrinet::{NodeId, SwitchTopology};
-use fm_telemetry::{Metric, Telemetry};
+use fm_telemetry::Metric;
 use std::net::UdpSocket;
 use std::sync::Arc;
 
+use crate::endpoint::EndpointCore;
 use crate::fabric::{spsc_ring, RingConsumer, RingProducer};
 use crate::frame::FM_FRAME_MAX;
 use crate::udp::{unique_generation, Roster, UdpLink, DEFAULT_HELLO_INTERVAL_US};
@@ -169,22 +171,32 @@ impl Wire {
     }
 
     /// Drain everything that has arrived into `sink`, one encoded frame
-    /// per call, recording each non-empty batch's occupancy in
-    /// `telemetry`. Returns the peers the UDP handshake flagged as
-    /// restarted (always empty on the ring wirings); the caller resets
+    /// per call, recording each non-empty batch's occupancy in `core`'s
+    /// telemetry. Before the first frame of each batch — on a ring, right
+    /// after the Acquire that made the batch visible; on UDP, per datagram —
+    /// `core`'s clock catches up to the wall clock
+    /// ([`EndpointCore::catch_up_clock`]), so no arrival is stamped before
+    /// its producer pushed it. Returns the peers the UDP handshake flagged
+    /// as restarted (always empty on the ring wirings); the caller resets
     /// their streams.
     #[inline]
     pub(crate) fn drain(
         &mut self,
-        telemetry: &Telemetry,
-        mut sink: impl FnMut(&[u8]),
+        core: &mut EndpointCore,
+        mut sink: impl FnMut(&mut EndpointCore, &[u8]),
     ) -> Vec<NodeId> {
         // How full each one-Acquire ring drain ran (empty polls are not
         // samples).
         let mut poll = |ring: &mut RingConsumer| {
-            let got = ring.poll_batch(WIRE_POLL_BATCH, &mut sink);
+            let mut fresh = true;
+            let got = ring.poll_batch(WIRE_POLL_BATCH, |bytes| {
+                if std::mem::take(&mut fresh) {
+                    core.catch_up_clock();
+                }
+                sink(core, bytes)
+            });
             if got > 0 {
-                telemetry.record(Metric::PollBatch, got as u64);
+                core.telemetry().record(Metric::PollBatch, got as u64);
             }
             got
         };
@@ -198,9 +210,13 @@ impl Wire {
             Wire::Switched { down, .. } => while poll(down) > 0 {},
             Wire::Udp(link) => {
                 let mut resets = Vec::new();
-                let got = link.pump(&mut sink, |peer| resets.push(peer));
+                let arrived = |bytes: &[u8]| {
+                    core.catch_up_clock();
+                    sink(core, bytes)
+                };
+                let got = link.pump(arrived, |peer| resets.push(peer));
                 if got > 0 {
-                    telemetry.record(Metric::PollBatch, got);
+                    core.telemetry().record(Metric::PollBatch, got);
                 }
                 return resets;
             }

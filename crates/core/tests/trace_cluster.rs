@@ -6,18 +6,20 @@
 //! the per-endpoint rings, [`fm_telemetry::merge`] pairing sends with
 //! receives into a clock-aligned timeline, beacons raising a dead-peer
 //! alarm in the collector, and the exported counts matching the ledger
-//! that counts them. Everything runs single-threaded on seeded fault
-//! schedules, so failures reproduce.
+//! that counts them. Everything but one test runs single-threaded on
+//! seeded fault schedules, so failures reproduce; the exception runs the
+//! ring on real threads and wall-clock time, where arrivals race sends.
 
 use fm_core::{
-    seg, EndpointConfig, EndpointStats, FabricKind, FaultConfig, HandlerId, MemCluster,
-    MemEndpoint, NodeId,
+    seg, ClusterRunner, EndpointConfig, EndpointStats, FabricKind, FaultConfig, HandlerId,
+    MemCluster, MemEndpoint, NodeId, TimeSource,
 };
 use fm_telemetry::merge::merge;
 use fm_telemetry::{Alarm, BeaconSource, ClusterClock, Collector, Counter, EventKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const NODES: usize = 4;
 
@@ -148,6 +150,67 @@ fn clean_cluster_merged_timeline_is_causal() {
         assert!(report.clock.is_aligned(n), "node {n} never aligned");
     }
     assert_eq!(report.events.iter().map(|e| e.ts).min(), Some(0));
+}
+
+/// The ring on its own threads under wall-clock time, every send traced:
+/// each node services its wire while its predecessor pushes into it, so a
+/// batch can become visible between two clock readings. An arrival is
+/// stamped with a reading taken after the batch that carried it became
+/// visible, never before its send: the merged timeline has no causal
+/// violation and every flow's receive is at or after its send.
+#[test]
+fn threaded_wall_clock_ring_never_stamps_an_arrival_before_its_send() {
+    const TOKENS: u64 = 8;
+    const HOPS: u64 = 64;
+    let config = EndpointConfig {
+        time_source: TimeSource::WallMicros,
+        trace_one_in: 1,
+        trace_capacity: 1 << 14,
+        ..Default::default()
+    };
+    let mut nodes = MemCluster::with_config(NODES, config);
+    let delivered = Arc::new(AtomicU64::new(0));
+    for ep in &mut nodes {
+        let next = NodeId(((ep.node_id().0 as usize + 1) % NODES) as u16);
+        let d = delivered.clone();
+        ep.register_handler_at(HandlerId(1), move |out, _src, data| {
+            let h = u64::from_le_bytes(data.try_into().expect("8-byte token"));
+            d.fetch_add(1, Ordering::Relaxed);
+            if h < HOPS {
+                out.send(next, HandlerId(1), (h + 1).to_le_bytes().to_vec());
+            }
+        });
+    }
+    for _ in 0..TOKENS {
+        nodes[0].send(NodeId(1), HandlerId(1), &1u64.to_le_bytes());
+    }
+    let runner = ClusterRunner::start(nodes);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while delivered.load(Ordering::Relaxed) < TOKENS * HOPS {
+        assert!(
+            Instant::now() < deadline,
+            "ring wedged: {}/{} deliveries",
+            delivered.load(Ordering::Relaxed),
+            TOKENS * HOPS
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let nodes = runner
+        .shutdown(Duration::from_secs(10))
+        .expect("service threads join");
+    let report = merge(&rings_of(&nodes));
+    assert!(report.flow_pairs() as u64 >= TOKENS * HOPS);
+    assert_eq!(report.causal_violations, 0);
+    for f in &report.flows {
+        assert!(
+            f.recv_ts >= f.send_ts,
+            "flow {:#x}/{} received at {} before sent at {}",
+            f.trace,
+            f.hop,
+            f.recv_ts,
+            f.send_ts
+        );
+    }
 }
 
 /// Skew one endpoint's virtual clock by a known amount before any traffic
