@@ -422,12 +422,26 @@ pub struct EndpointCore {
     /// `NodeId.0`); sources active within [`RING_ACTIVE_TICKS`] count
     /// toward the quota divisor.
     last_data: Vec<u64>,
-    /// Per-source receive-ring admission cap, recomputed each extract as
-    /// `max(1, recv_ring / active_sources)`. With one active source this
-    /// is the whole ring (streams are unaffected); under K-way incast it
-    /// shares ring slots ~1/K, which is what makes return-to-sender
-    /// arbitration fair rather than merely bounded.
+    /// Per-source receive-ring admission cap, `max(1, recv_ring /
+    /// active_sources)` as of the extract's tick. With one active source
+    /// this is the whole ring (streams are unaffected); under K-way incast
+    /// it shares ring slots ~1/K, which is what makes return-to-sender
+    /// arbitration fair rather than merely bounded. Recounted only when
+    /// the active set may have changed: see `quota_stale` and
+    /// `quota_expires`.
     ring_quota: usize,
+    /// A quiet or never-heard source sent data since the last recount, so
+    /// the active set may have grown.
+    quota_stale: bool,
+    /// The first tick at which a source counted active at the last recount
+    /// ages out of [`RING_ACTIVE_TICKS`] (`u64::MAX` with none active).
+    /// Until then, and with `quota_stale` unset, no source can have joined
+    /// or left the active set, so `ring_quota` still holds.
+    quota_expires: u64,
+    /// Frames parked in all the reorder windows together (the sum of their
+    /// `buffered()`), so the refill scan and the quiet-extract check can
+    /// tell "nothing parked anywhere" without visiting every source.
+    parked: usize,
     /// Peers declared dead after exhausting the retry budget.
     dead: Vec<bool>,
     /// Deaths not yet reported to the transport via `take_newly_dead`.
@@ -514,6 +528,9 @@ impl EndpointCore {
             ring_share: Vec::new(),
             last_data: Vec::new(),
             ring_quota: config.recv_ring,
+            quota_stale: false,
+            quota_expires: u64::MAX,
+            parked: 0,
             dead: Vec::new(),
             newly_dead: Vec::new(),
             retx_scratch: Vec::with_capacity(config.window),
@@ -571,7 +588,7 @@ impl EndpointCore {
 
     /// Out-of-order frames parked in receive sequence windows.
     pub fn recv_buffered(&self) -> usize {
-        self.recv_windows.iter().map(|w| w.buffered()).sum()
+        self.parked
     }
 
     /// The ack round-trip estimator (SRTT/RTTVAR/RTO). Always measured;
@@ -650,13 +667,51 @@ impl EndpointCore {
         delivered
     }
 
+    /// `FM_extract` on an endpoint with nothing to do, in O(1). When the
+    /// core holds nothing to deliver, refill, retransmit or flush and no
+    /// death to report, and neither a retransmission timer nor a
+    /// ring-quota recount falls due at the next tick, that tick's
+    /// [`Self::extract`] would only move the clock and turn the refill
+    /// rotation: do exactly that and return true. Otherwise change nothing
+    /// and return false, for the caller to run the full call.
+    pub(crate) fn extract_idle(&mut self, max: usize) -> bool {
+        let holds_nothing = self.recv_ring.is_empty()
+            && self.parked == 0
+            && self.outgoing.is_empty()
+            && self.deferred.is_empty()
+            && self.acks.pending_total() == 0
+            && self.sender.pending_retransmits() == 0
+            && self.newly_dead.is_empty();
+        if !holds_nothing {
+            return false;
+        }
+        let now = self.next_now();
+        if self.sender.timer_due(now) || self.quota_due(now) {
+            return false;
+        }
+        self.now = now;
+        // The full call scans for parked frames once per empty-ring check
+        // and once after delivering; with nothing parked each scan only
+        // turns the rotation.
+        self.drain_all_windows();
+        if max > 0 {
+            self.drain_all_windows();
+        }
+        true
+    }
+
     /// Advance `now` per the configured time source: one tick on the
     /// virtual tick, a catch-up to the wall clock under
     /// [`TimeSource::WallMicros`].
     fn advance_clock(&mut self) {
+        self.now = self.next_now();
+    }
+
+    /// The clock reading the next `extract` runs at.
+    fn next_now(&self) -> u64 {
         match self.config.time_source {
-            TimeSource::VirtualTick => self.now += 1,
-            TimeSource::WallMicros => self.catch_up_clock(),
+            TimeSource::VirtualTick => self.now + 1,
+            TimeSource::WallMicros => self.now.max(self.wall_micros()),
         }
     }
 

@@ -261,7 +261,9 @@ impl EndpointCore {
         self.acks.purge(peer);
         self.reasm.abort_source(peer);
         if let Some(win) = self.recv_windows.get_mut(idx) {
-            drops += win.clear_buffered() as u64;
+            let cleared = win.clear_buffered();
+            self.parked -= cleared;
+            drops += cleared as u64;
         }
         drops
     }

@@ -88,7 +88,12 @@ impl EndpointCore {
             hop,
             src: src.0,
         };
-        *grow(&mut self.last_data, src.index()) = self.now;
+        let last = grow(&mut self.last_data, src.index());
+        if !is_active(*last, self.now) {
+            // The source joins the active set: recount at the next tick.
+            self.quota_stale = true;
+        }
+        *last = self.now;
         let reach = self.ack_reach;
         let win = self.window_mut(src);
         let offset = seq.wrapping_sub(win.next_expected());
@@ -128,6 +133,7 @@ impl EndpointCore {
                 .buffer(seq, FrameSlot::new(*head, payload))
             {
                 Ok(()) => {
+                    self.parked += 1;
                     span(&self.telemetry, trace, arrival, wire_in);
                     span(&self.telemetry, trace, arrival, |trace, hop| {
                         EventKind::SpanPark {
@@ -169,17 +175,45 @@ impl EndpointCore {
             && (self.ring_share.get(src).copied().unwrap_or(0) as usize) < self.ring_quota
     }
 
-    /// Recompute the per-source ring quota from the set of recently-active
-    /// sources. Called once per extract tick — O(sources), amortized away
-    /// by the deliveries the tick performs.
+    /// Bring the per-source ring quota up to date with the set of
+    /// recently-active sources. Called once per extract tick; it recounts
+    /// (O(sources)) only when [`Self::quota_due`] says the set may have
+    /// changed, and otherwise costs one comparison.
     pub(super) fn refresh_ring_quota(&mut self) {
+        if !self.quota_due(self.now) {
+            return;
+        }
         let now = self.now;
+        let mut active = 0;
+        let mut oldest = u64::MAX;
+        for &t in self.last_data.iter().filter(|&&t| is_active(t, now)) {
+            active += 1;
+            oldest = oldest.min(t);
+        }
+        self.ring_quota = (self.config.recv_ring / active.max(1)).max(1);
+        self.quota_stale = false;
+        self.quota_expires = oldest.saturating_add(RING_ACTIVE_TICKS + 1);
+    }
+
+    /// Could the active-source set at tick `now` differ from the one the
+    /// quota was last counted from? Only if a source turned active since
+    /// (`on_data` flags it) or the oldest counted one has aged out: a
+    /// source's last-data tick only moves forward, so no other source can
+    /// have left the set.
+    pub(super) fn quota_due(&self, now: u64) -> bool {
+        self.quota_stale || now >= self.quota_expires
+    }
+
+    /// The ring quota counted from scratch at the current tick, for tests
+    /// to hold the incrementally kept one against.
+    #[cfg(test)]
+    pub(super) fn ring_quota_recount(&self) -> usize {
         let active = self
             .last_data
             .iter()
-            .filter(|&&t| t != 0 && now.saturating_sub(t) <= RING_ACTIVE_TICKS)
+            .filter(|&&t| is_active(t, self.now))
             .count();
-        self.ring_quota = (self.config.recv_ring / active.max(1)).max(1);
+        (self.config.recv_ring / active.max(1)).max(1)
     }
 
     /// Queue the ack for a freshly retained frame, with the ack-out span
@@ -232,6 +266,7 @@ impl EndpointCore {
             };
             let pushed = self.recv_ring.push_with(|at| *at = frame);
             debug_assert!(pushed, "checked not full above");
+            self.parked -= 1;
             self.ring_share[src] += 1;
             self.ack_reached(src, tick);
         }
@@ -242,21 +277,27 @@ impl EndpointCore {
     /// scan. Under incast, K backlogged sources contend for the freed
     /// ring slots every extract; rotation shares them ~1/K instead of
     /// letting source order decide.
+    ///
+    /// The rotation turns on every call; the scan stops as soon as nothing
+    /// is parked anywhere, so with an empty reorder buffer a call is O(1).
     pub(super) fn drain_all_windows(&mut self) {
         let n = self.recv_windows.len();
         if n == 0 {
             return;
         }
-        if self.ring_share.len() < n {
-            self.ring_share.resize(n, 0);
-        }
         // `(drain_rr + 1) % n`, then `(drain_rr + k) % n` — as wrapping
         // cursors, since this runs two or three times per extract.
         let next = |i: usize| if i + 1 >= n { 0 } else { i + 1 };
         self.drain_rr = next(self.drain_rr);
+        if self.parked == 0 {
+            return;
+        }
+        if self.ring_share.len() < n {
+            self.ring_share.resize(n, 0);
+        }
         let mut i = self.drain_rr;
         for _ in 0..n {
-            if self.recv_ring.is_full() {
+            if self.recv_ring.is_full() || self.parked == 0 {
                 break;
             }
             if self.recv_windows[i].buffered() > 0 {
@@ -380,6 +421,12 @@ impl EndpointCore {
         let share = grow(&mut self.ring_share, src.index());
         *share = share.saturating_sub(1);
     }
+}
+
+/// Does a source whose last data frame arrived at tick `last` count as an
+/// active ring contender at tick `now`? Tick 0 means "never heard".
+fn is_active(last: u64, now: u64) -> bool {
+    last != 0 && now.saturating_sub(last) <= RING_ACTIVE_TICKS
 }
 
 #[cfg(test)]

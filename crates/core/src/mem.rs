@@ -452,19 +452,29 @@ impl MemEndpoint {
     }
 
     /// `FM_extract` with a delivery budget.
+    ///
+    /// A quiet port costs O(1): when nothing arrived and nothing is queued
+    /// on either side of the wire seam — no backlog, no deferred send, no
+    /// delayed fault frame, and nothing the core could act on at this tick
+    /// (`EndpointCore::extract_idle`) — the call moves the clock, paces
+    /// the beacon and returns 0, leaving exactly the state the full call
+    /// would have left.
     pub fn extract_budget(&mut self, max: usize) -> usize {
-        for peer in self.pump_wire() {
-            self.reset_peer(peer);
+        let arrived = self.pump_wire();
+        if !arrived
+            && self.backlog.is_empty()
+            && self.deferred.is_empty()
+            && self.faults.as_ref().is_none_or(FaultInjector::idle)
+            && self.core.extract_idle(max)
+        {
+            self.pace_beacon();
+            return 0;
         }
         let n = self.core.extract(max);
         self.reap_dead_peers();
         self.flush_deferred();
         self.flush_wire();
-        // Out-of-band beacon pacing: `due()` is a counter mask plus one
-        // Instant read every 64 calls, so the hot path stays unburdened.
-        if self.beacon.as_mut().is_some_and(|b| b.due()) {
-            self.emit_beacon();
-        }
+        self.pace_beacon();
         // Only a delivered fragment can complete a large message.
         let large = if n > 0 { self.dispatch_large() } else { 0 };
         // Extract flushed both send queues just before; only a large
@@ -587,12 +597,21 @@ impl MemEndpoint {
         }
     }
 
-    /// Drain the wire into the protocol core. Returns the peers the UDP
-    /// handshake flagged as restarted (always empty on in-memory fabrics);
-    /// the caller resets them *after* the borrow of `core` ends.
-    fn pump_wire(&mut self) -> Vec<NodeId> {
+    /// Out-of-band beacon pacing: `due()` is a counter mask plus one
+    /// Instant read every 64 calls, so the hot path stays unburdened.
+    fn pace_beacon(&mut self) {
+        if self.beacon.as_mut().is_some_and(|b| b.due()) {
+            self.emit_beacon();
+        }
+    }
+
+    /// Drain the wire into the protocol core, then reset the peers the UDP
+    /// handshake flagged as restarted (never on in-memory fabrics).
+    /// Returns whether any frame arrived.
+    fn pump_wire(&mut self) -> bool {
         let me = self.core.id();
         let cluster = self.wire.cluster();
+        let mut arrived = false;
         let Self {
             wire,
             core,
@@ -606,15 +625,22 @@ impl MemEndpoint {
         // not a peer's frame for this node (misaddressed, or from a source
         // outside the cluster), which the core, indexing per-source state
         // by `src`, must never see.
-        wire.drain(core, |core, bytes| match FrameHeader::parse(bytes) {
-            Ok((head, payload))
-                if head.dst == me && head.src != me && head.src.index() < cluster =>
-            {
-                core.on_frame(&head, payload)
+        let restarted = wire.drain(core, |core, bytes| {
+            arrived = true;
+            match FrameHeader::parse(bytes) {
+                Ok((head, payload))
+                    if head.dst == me && head.src != me && head.src.index() < cluster =>
+                {
+                    core.on_frame(&head, payload)
+                }
+                Err(CodecError::BadCrc { .. }) => core.note_corrupt(),
+                _ => *codec_errors += 1,
             }
-            Err(CodecError::BadCrc { .. }) => core.note_corrupt(),
-            _ => *codec_errors += 1,
-        })
+        });
+        for peer in restarted {
+            self.reset_peer(peer);
+        }
+        arrived
     }
 
     fn flush_wire(&mut self) {
@@ -897,6 +923,66 @@ mod tests {
         a.extract();
         assert!(a.is_quiescent(), "{a:?}");
         assert!(b.is_quiescent(), "{b:?}");
+    }
+
+    /// Everything an extract could change but the clock, for
+    /// [`a_quiet_extract_moves_only_the_clock`].
+    fn observable(ep: &MemEndpoint) -> impl PartialEq + std::fmt::Debug {
+        (
+            ep.stats(),
+            ep.observability_counters(),
+            ep.telemetry().events_recorded(),
+            ep.ring_len(),
+            ep.backlog.len(),
+            ep.outstanding(),
+            ep.recv_buffered(),
+            ep.fabric_stats(),
+        )
+    }
+
+    #[test]
+    fn a_quiet_extract_moves_only_the_clock() {
+        const N: u64 = 1000;
+        let topo = SwitchTopology::single(8, 8);
+        let mut cluster = crate::switched::SwitchedCluster::new(&topo, EndpointConfig::default());
+        let h = HandlerId(1);
+        cluster.endpoints[0].register_handler_at(h, |_, _, _| {});
+        for src in 1..8 {
+            for k in 0..4u8 {
+                cluster.endpoints[src].try_send(NodeId(0), h, &[k]).unwrap();
+            }
+        }
+        while cluster.drive_round() > 0 {}
+        let quiet = |c: &crate::switched::SwitchedCluster| {
+            c.endpoints.iter().all(MemEndpoint::is_quiescent)
+        };
+        assert!(quiet(&cluster), "{:?}", cluster.endpoints);
+        assert_eq!(cluster.endpoints[0].stats().delivered, 28);
+        // The receiver has heard all seven sources and the senders have
+        // been acked: a settled switched cluster.
+        for ep in &mut cluster.endpoints {
+            let (before, t0) = (observable(ep), ep.now());
+            for _ in 0..N {
+                assert_eq!(ep.extract(), 0);
+            }
+            assert_eq!(observable(ep), before, "node {}", ep.node_id().0);
+            assert_eq!(ep.now(), t0 + N, "one tick per extract");
+            assert!(ep.core.extract_idle(usize::MAX), "the quiet path ran");
+        }
+        // A sender whose window is full and whose receiver has stopped
+        // extracting hears nothing either: its extracts move the clock
+        // until the retransmission timer falls due, and not past it.
+        let rto = EndpointConfig::default().rto_initial;
+        let sender = &mut cluster.endpoints[1];
+        while sender.try_send(NodeId(0), h, &[0]).is_ok() {}
+        let (before, t0) = (observable(sender), sender.now());
+        for _ in 1..rto {
+            assert_eq!(sender.extract(), 0);
+        }
+        assert_eq!(observable(sender), before);
+        assert_eq!(sender.now(), t0 + rto - 1);
+        sender.extract();
+        assert!(sender.stats().timer_retransmits > 0, "{sender:?}");
     }
 
     #[test]

@@ -211,7 +211,31 @@ pub struct SwitchShard {
     /// Poll occupancy per sampled service turn (frames pulled off the
     /// input ring), for offline batching diagnosis.
     occupancy: Histogram,
+    /// The current pump's round set, in rotation order (capacity reused
+    /// across pumps; see [`SwitchShard::pump`]).
+    round_set: Vec<Member>,
     pub stats: SwitchStats,
+}
+
+/// An input still in a pump's round set.
+#[derive(Clone, Copy)]
+struct Member {
+    input: usize,
+    /// Drained inputs between the previous member and this one, in
+    /// rotation order: each takes an empty turn every round.
+    drained_before: u64,
+}
+
+/// How one input's service turn ended, for [`SwitchShard::pump`].
+struct Turn {
+    /// Frames moved or dropped.
+    progress: usize,
+    /// Frames polled off the input ring.
+    polled: usize,
+    /// The poll came up short of the batch and left the stash empty: the
+    /// ring holds nothing more, so every further turn this pump would
+    /// find nothing.
+    drained: bool,
 }
 
 impl SwitchShard {
@@ -291,24 +315,73 @@ impl SwitchShard {
     /// the pump (wormhole-style — the consumer has to drain first).
     /// Returns the number of frames moved or polled — 0 means the shard
     /// found no work anywhere.
+    ///
+    /// Rounds after the first serve only the inputs that may still hold
+    /// frames. An input leaves the round set once it blocks, or once its
+    /// ring came up short with its stash empty: on one thread nothing can
+    /// refill that ring before the pump returns, so each later turn of it
+    /// would only zero its deficit and count an empty turn. Those effects
+    /// are applied without the turn — the deficit as the input leaves,
+    /// the empty turns in rotation order among the live ones, so the
+    /// sampled occupancy reads as if every input were visited. Under a
+    /// [`SwitchRunner`], a frame that lands on an input after it left
+    /// waits for the next pump.
     pub fn pump(&mut self) -> usize {
         let ninputs = self.inputs.len();
         if ninputs == 0 {
             return 0;
         }
-        for input in &mut self.inputs {
-            input.blocked = false;
+        let mut set = std::mem::take(&mut self.round_set);
+        set.clear();
+        let mut input = self.rr;
+        for _ in 0..ninputs {
+            self.inputs[input].blocked = false;
+            set.push(Member {
+                input,
+                drained_before: 0,
+            });
+            input = if input + 1 == ninputs { 0 } else { input + 1 };
         }
+        // Drained inputs after the last member, in rotation order.
+        let mut drained_after = 0;
         let mut total = 0;
         let mut polled_any = false;
         for round in 0..ROTATION_CAP {
             let mut progressed = 0;
-            for k in 0..ninputs {
-                let i = (self.rr + k) % ninputs;
-                let (moved, polled) = self.serve_input(i);
-                progressed += moved;
-                polled_any |= polled > 0;
+            // Inputs leaving this round, owed to the next member's slot.
+            let mut leaving = 0;
+            let mut kept = 0;
+            for m in 0..set.len() {
+                let Member {
+                    input,
+                    drained_before,
+                } = set[m];
+                self.empty_turns(drained_before);
+                let turn = self.serve_input(input);
+                progressed += turn.progress;
+                polled_any |= turn.polled > 0;
+                if turn.drained {
+                    leaving += drained_before + 1;
+                    // Its next turn would have zeroed the deficit — if
+                    // the pump runs another round.
+                    if round + 1 < ROTATION_CAP {
+                        self.inputs[input].deficit = 0;
+                    }
+                } else if self.inputs[input].blocked {
+                    // A blocked input's later turns change nothing.
+                    leaving += drained_before;
+                } else {
+                    set[kept] = Member {
+                        input,
+                        drained_before: drained_before + leaving,
+                    };
+                    leaving = 0;
+                    kept += 1;
+                }
             }
+            set.truncate(kept);
+            self.empty_turns(drained_after);
+            drained_after += leaving;
             total += progressed;
             if progressed == 0 {
                 // First idle pass on an idle shard: decay the batch.
@@ -318,15 +391,28 @@ impl SwitchShard {
                 break;
             }
         }
+        self.round_set = set;
         if polled_any || total > 0 {
             self.rr = (self.rr + 1) % ninputs;
         }
         total
     }
 
-    /// Serve one input for one DRR turn. Returns (frames moved or
-    /// dropped, frames polled off the ring).
-    fn serve_input(&mut self, i: usize) -> (usize, usize) {
+    /// Count `n` service turns that polled nothing, sampling them into the
+    /// occupancy histogram as [`Self::serve_input`] would have.
+    fn empty_turns(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let sampled = (self.turns + n) / OCCUPANCY_SAMPLE - self.turns / OCCUPANCY_SAMPLE;
+        self.turns += n;
+        for _ in 0..sampled {
+            self.occupancy.record_single_writer(0);
+        }
+    }
+
+    /// Serve one input for one DRR turn.
+    fn serve_input(&mut self, i: usize) -> Turn {
         let Self {
             config,
             inputs,
@@ -341,8 +427,13 @@ impl SwitchShard {
             ..
         } = self;
         let input = &mut inputs[i];
+        let busy = |progress| Turn {
+            progress,
+            polled: 0,
+            drained: false,
+        };
         if input.blocked {
-            return (0, 0);
+            return busy(0);
         }
         let quantum = config.quantum as i64;
         let deficit_cap = quantum.max(FM_FRAME_MAX as i64) + FM_FRAME_MAX as i64;
@@ -354,7 +445,7 @@ impl SwitchShard {
         while let Some(st) = input.stash.front_mut() {
             if input.deficit < st.len as i64 {
                 // Out of quantum: the next DRR round tops it up.
-                return (moved, 0);
+                return busy(moved);
             }
             let ok = outputs[st.out].try_push_with(|slot| {
                 slot[..st.len].copy_from_slice(&st.buf[..st.len]);
@@ -374,7 +465,7 @@ impl SwitchShard {
                 }
                 stats.stalled += 1;
                 input.blocked = true;
-                return (moved, 0);
+                return busy(moved);
             }
             input.deficit -= st.len as i64;
             output_forwarded[st.out] += 1;
@@ -384,7 +475,7 @@ impl SwitchShard {
             moved += 1;
         }
         if input.deficit <= 0 {
-            return (moved, 0);
+            return busy(moved);
         }
         // Ring next: poll up to a batch; frames beyond the deficit (or
         // behind a full output) park in the stash so order is preserved
@@ -397,7 +488,8 @@ impl SwitchShard {
             blocked,
             forwarded,
         } = input;
-        let polled = ring.poll_batch(*batch, |bytes| {
+        let asked = *batch;
+        let polled = ring.poll_batch(asked, |bytes| {
             let cand = WireFrame::peek_flow(bytes).and_then(|(src, dst)| {
                 route.get(dst.index()).and_then(|c| match c.len() {
                     0 => None,
@@ -450,14 +542,19 @@ impl SwitchShard {
         }
         *turns += 1;
         if *turns % OCCUPANCY_SAMPLE == 0 {
-            occupancy.record(polled as u64);
+            // `&mut self` makes the shard the histogram's one writer.
+            occupancy.record_single_writer(polled as u64);
         }
         if polled == *batch {
             // The ring filled the whole batch: the fabric is busy, poll
             // coarser to amortize ring atomics.
             *batch = (*batch * 2).min(config.max_batch);
         }
-        (moved + polled.saturating_sub(input.stash.len()), polled)
+        Turn {
+            progress: moved + polled.saturating_sub(input.stash.len()),
+            polled,
+            drained: polled < asked && input.stash.is_empty() && !input.blocked,
+        }
     }
 }
 
@@ -580,6 +677,7 @@ impl SwitchedCluster {
                     rr: 0,
                     turns: 0,
                     occupancy: Histogram::new(),
+                    round_set: Vec::new(),
                     stats: SwitchStats::default(),
                 }
             })
@@ -1149,5 +1247,94 @@ mod tests {
             2,
             "idle shard must decay its batch"
         );
+    }
+
+    /// A seeded 8-host incast through one shard, `rounds` drive rounds
+    /// long: the shard's DRR and forwarding state afterwards, as
+    /// `(input_forwarded, deficits, output_forwarded, occupancy, stats)`.
+    fn seeded_incast_shard(
+        switch: SwitchConfig,
+        rounds: usize,
+    ) -> (
+        Vec<u64>,
+        Vec<i64>,
+        Vec<u64>,
+        fm_telemetry::HistSummary,
+        SwitchStats,
+    ) {
+        let config = EndpointConfig {
+            window: 32,
+            recv_ring: 8,
+            retransmit_per_extract: 8,
+            wire_ring: 8,
+            seed: 7,
+            ..Default::default()
+        };
+        let topo = SwitchTopology::single(8, 8);
+        let mut cluster = SwitchedCluster::with_switch_config(&topo, config, switch);
+        cluster.endpoints[0].register_handler_at(HandlerId(1), |_, _, _| {});
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let payload = [0xA5u8; 128];
+        let mut deficits = vec![0i64; 8];
+        for _ in 0..rounds {
+            for src in 1..8 {
+                // xorshift64: a reproducible spread of frame sizes, so
+                // the deficits the quantum leaves behind vary.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let len = 1 + (rng % 128) as usize;
+                let _ = cluster.endpoints[src].try_send(NodeId(0), HandlerId(1), &payload[..len]);
+            }
+            cluster.endpoints[0].extract_budget(2);
+            for ep in &mut cluster.endpoints[1..] {
+                ep.service();
+            }
+            cluster.shards[0].pump();
+            for (sum, d) in deficits.iter_mut().zip(cluster.shards[0].deficits()) {
+                *sum += d;
+            }
+        }
+        let shard = &cluster.shards[0];
+        (
+            shard.input_forwarded(),
+            deficits,
+            shard.output_forwarded().to_vec(),
+            shard.occupancy_histogram().summary(),
+            shard.stats,
+        )
+    }
+
+    /// The shard's state after a seeded incast, pinned to the values the
+    /// pump produced when it still served every input in every round: the
+    /// round set must change what a pump costs, never what it does. The
+    /// deficits are summed over every pump, since each pump's closing
+    /// sweep zeroes them; the tight configuration runs many DRR rounds
+    /// per pump, with stalls and stashes from the 8-frame downlink.
+    #[test]
+    fn seeded_incast_leaves_the_shard_in_its_pinned_state() {
+        let tight = SwitchConfig {
+            min_batch: 1,
+            max_batch: 8,
+            quantum: 100,
+            ..Default::default()
+        };
+        let (inputs, deficits, outputs, occupancy, stats) =
+            seeded_incast_shard(SwitchConfig::default(), 400);
+        assert_eq!(inputs, [2782, 401, 401, 401, 401, 401, 401, 401]);
+        assert_eq!(deficits, [0, 590, 1251, 820, 820, 770, 328, 656]);
+        assert_eq!(outputs, [2807, 398, 397, 397, 397, 398, 398, 397]);
+        let hist = (occupancy.count, occupancy.min, occupancy.max);
+        assert_eq!(hist, (800, 0, 7));
+        assert_eq!((occupancy.p50, occupancy.p90, occupancy.p99), (1, 1, 7));
+        assert_eq!((stats.forwarded, stats.stalled), (5589, 14));
+        let (inputs, deficits, outputs, occupancy, stats) = seeded_incast_shard(tight, 400);
+        assert_eq!(inputs, [2778, 402, 401, 401, 401, 401, 401, 401]);
+        assert_eq!(deficits, [0, 600, 537, 430, 600, 500, 544, 533]);
+        assert_eq!(outputs, [2808, 397, 397, 397, 396, 396, 397, 398]);
+        let hist = (occupancy.count, occupancy.min, occupancy.max);
+        assert_eq!(hist, (1541, 0, 6));
+        assert_eq!((occupancy.p50, occupancy.p90, occupancy.p99), (0, 1, 1));
+        assert_eq!((stats.forwarded, stats.stalled), (5586, 21));
     }
 }
